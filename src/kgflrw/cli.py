@@ -116,14 +116,13 @@ def trace_csv_text(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _evaluate_scenario(scn: Scenario) -> HypothesisReport:
-    u0, u1 = scn.build_fields()
+def _evaluate_scenario(scn: Scenario, u0, u1) -> HypothesisReport:
     return evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
                     mode=scn.run.theorem_mode)
 
 
-def _run_scenario(scn: Scenario, report: HypothesisReport | None) -> Trace:
-    u0, u1 = scn.build_fields()
+def _run_scenario(scn: Scenario, report: HypothesisReport | None,
+                  u0, u1) -> Trace:
     mode = report.mode if report is not None else "none"
     T_bound = report.T_bound if report is not None and report.mode != "none" \
         else None
@@ -154,13 +153,15 @@ def _run_summary(trace: Trace, report: HypothesisReport | None) -> dict:
             T = report.T_bound if report is not None else None
             if T is not None:
                 out["blowup.bound_margin"] = float(T - bu.t_star)
+        elif bu.t_star_status is not None:
+            out["blowup.t_star_status"] = bu.t_star_status
     return out
 
 
 def cmd_check(args) -> int:
     scn = parse_config(args.config)
     try:
-        report = _evaluate_scenario(scn)
+        report = _evaluate_scenario(scn, *scn.build_fields())
     except HorizonTooShort as exc:
         print(f"horizon too short: {exc}", file=sys.stderr)
         return EXIT_HORIZON
@@ -177,8 +178,9 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     report = None
     horizon_note = None
+    u0, u1 = scn.build_fields()
     try:
-        report = _evaluate_scenario(scn)
+        report = _evaluate_scenario(scn, u0, u1)
     except HorizonTooShort as exc:
         horizon_note = str(exc)
         log.info("certificate blocked by horizon, running uncertified: %s",
@@ -186,7 +188,7 @@ def cmd_simulate(args) -> int:
 
     code = EXIT_OK
     try:
-        trace = _run_scenario(scn, report)
+        trace = _run_scenario(scn, report, u0, u1)
     except WrapAroundRisk as exc:
         trace = exc.trace
         code = EXIT_WRAP
@@ -217,11 +219,10 @@ def _oracle_rows(scn: Scenario | None, n_random: int, seed: int) -> list[tuple]:
     rows = []
     problems: list[ConcavityProblem] = []
     if scn is not None:
-        report = _evaluate_scenario(scn)
+        report = _evaluate_scenario(scn, *scn.build_fields())
         if report.mode == "none":
             raise InvariantViolation(
                 "odelab", "no certificate applies; nothing to derive")
-        u0, _ = scn.build_fields()
         eps = scn.params.eps
         t0 = scn.run.t0
         rate0 = hubble_rate(scn.sf, t0)
@@ -312,8 +313,9 @@ def _sweep_point(payload) -> dict:
         for key, val in overrides.items():
             text = _override_text(text, key, val)
         scn = parse_text(text, name=f"{name}-{label}")
+        u0, u1 = scn.build_fields()
         try:
-            report = _evaluate_scenario(scn)
+            report = _evaluate_scenario(scn, u0, u1)
         except HorizonTooShort as exc:
             report = None
             row["status"] = "horizon_too_short"
@@ -323,7 +325,7 @@ def _sweep_point(payload) -> dict:
                         "rho": report.rho, "delta": report.delta})
             if report.T_bound is not None:
                 row["T_bound"] = report.T_bound
-        trace = _run_scenario(scn, report)
+        trace = _run_scenario(scn, report, u0, u1)
         bu = trace.blowup
         if bu is not None and bu.t_star is not None:
             row["t_star"] = bu.t_star
@@ -351,6 +353,11 @@ def _sweep_point(payload) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    cores = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cores:
+        print(f"error: --jobs must be between 1 and {cores}, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     scn = parse_config(args.config)  # validates the base point
     with open(args.config, encoding="utf-8") as fh:
         base_text = fh.read()

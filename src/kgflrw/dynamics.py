@@ -3,7 +3,9 @@
 First-order form: du/dt = v, dv/dt = -n (adot/a) v + c^2 a^-2 lap u
 - m^2 c^2 u + c^2 f(u). Classical RK4 with the background evaluated at each
 stage time, so homogeneous data reduce the step to the exact scalar RK4 map
-(the difference-form Laplacian is bitwise zero on constants).
+(the difference-form Laplacian is bitwise zero on constants). The step works
+in place in arrays allocated once per run (`RK4Workspace`), and each
+distinct stage time is evaluated once on the background.
 
 Step control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over
 the step endpoints), and a step that grows ||u|| by more than growth_tol is
@@ -33,7 +35,8 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import (CflViolation, NonFiniteState, TimeBeyondHorizon,
                      TooFewSamples, WrapAroundRisk)
-from .field import Field, State, grad_norm_sq, inner_re, l2_norm_sq, lap_array
+from .field import (Field, State, Stencil, grad_norm_sq, inner_re, l2_norm_sq,
+                    lap_array)
 from .functionals import (FunctionalSnapshot, PhysicalParams, RunningIntegrals,
                           energy, kappa_for_mode, kappa_tilde_for_mode, nehari)
 from .nonlinearity import Nonlinearity
@@ -81,6 +84,7 @@ class BlowupInfo:
     t_star: float | None = None
     t_star_uncertainty: float | None = None
     detected: bool = True
+    t_star_status: str | None = None  # why a detected blow-up has no t_star
 
 
 @dataclass
@@ -91,28 +95,107 @@ class Trace:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _rhs(t, u, v, sf, params, nl, h):
+class _Background:
+    """Background values at the stage times of the current step.
+
+    Each distinct time is evaluated once through the scale factor's `eval`
+    and then read by `_rhs`, `cfl_limit`, `RunningIntegrals.push` and the
+    snapshot functionals. `advance(t)` keeps only the entry at t, the start
+    of the next step."""
+
+    def __init__(self, sf: ScaleFactor):
+        self.sf = sf
+        self._vals: dict = {}
+
+    def eval(self, t):
+        val = self._vals.get(t)
+        if val is None:
+            val = self._vals[t] = self.sf.eval(t)
+        return val
+
+    def advance(self, t: float) -> None:
+        self._vals = {t: self.eval(t)}
+
+
+class RK4Workspace:
+    """The arrays one integration works in, allocated once per run.
+
+    `u`, `v` hold the accepted state and `trial_u`, `trial_v` the state that
+    `_rk4` proposes; `accept()` swaps the two pairs. `su`, `sv`, `kv` and
+    `tmp` are stage scratch and `stencil` the Laplacian's."""
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        self.u, self.v = u, v
+        self.trial_u, self.trial_v, self.su, self.sv, self.kv, self.tmp = (
+            np.empty_like(u) for _ in range(6))
+        self.stencil = Stencil(u.shape, u.dtype)
+
+    def accept(self) -> None:
+        self.u, self.trial_u = self.trial_u, self.u
+        self.v, self.trial_v = self.trial_v, self.v
+
+
+def _rhs(t, u, v, sf, params, nl, h, ws: RK4Workspace, out: np.ndarray):
+    """dv/dt at (t, u, v), written into out; du/dt is v itself."""
     a, adot, _ = sf.eval(t)
     rate = adot / a
     c2 = params.c * params.c
-    dv = (c2 / (a * a)) * lap_array(u, h)
-    dv -= (params.m * params.m * c2) * u
-    dv -= (params.n * rate) * v
+    tmp = ws.tmp
+    lap_array(u, h, ws.stencil, out=out)
+    np.multiply(c2 / (a * a), out, out=out)
+    np.multiply(params.m * params.m * c2, u, out=tmp)
+    np.subtract(out, tmp, out=out)
+    np.multiply(params.n * rate, v, out=tmp)
+    np.subtract(out, tmp, out=out)
     if nl is not None:
-        dv = dv + c2 * np.asarray(nl.f(u))
-    return v, dv
+        np.multiply(c2, nl.f(u), out=tmp)
+        np.add(out, tmp, out=out)
+    return out
 
 
-def _rk4(t, u, v, dt, sf, params, nl, h):
-    k1u, k1v = _rhs(t, u, v, sf, params, nl, h)
+def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
+    """One classical RK4 step of length dt from the accepted state at t.
+
+    Buffer ownership: reads `ws.u`, `ws.v` and never writes them; writes the
+    new state into `ws.trial_u`, `ws.trial_v` and returns those two arrays,
+    which stay valid until the next `_rk4` call on ws (after `ws.accept()`
+    they are the accepted state). The stage buffers `ws.su`, `ws.sv`,
+    `ws.kv`, `ws.tmp` and `ws.stencil` are overwritten. The weighted sum
+    k1 + 2 k2 + 2 k3 + k4 is accumulated in the trial buffers stage by
+    stage, in that order, so every array operation is the one of the plain
+    formula and the result is the same bit for bit."""
+    u, v, su, sv, kv = ws.u, ws.v, ws.su, ws.sv, ws.kv
+    acc_u, acc_v = ws.trial_u, ws.trial_v
     hm = 0.5 * dt
-    k2u, k2v = _rhs(t + hm, u + hm * k1u, v + hm * k1v, sf, params, nl, h)
-    k3u, k3v = _rhs(t + hm, u + hm * k2u, v + hm * k2v, sf, params, nl, h)
-    k4u, k4v = _rhs(t + dt, u + dt * k3u, v + dt * k3v, sf, params, nl, h)
+    # stage 1: k1 = (v, acc_v)
+    _rhs(t, u, v, sf, params, nl, h, ws, acc_v)
+    np.multiply(hm, v, out=su)
+    np.add(u, su, out=su)
+    np.multiply(hm, acc_v, out=sv)
+    np.add(v, sv, out=sv)
+    # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
+    sum_u = v
+    for t_s, step_next in ((t + hm, hm), (t + hm, dt)):
+        _rhs(t_s, su, sv, sf, params, nl, h, ws, kv)
+        np.multiply(step_next, sv, out=su)
+        np.add(u, su, out=su)
+        np.multiply(2.0, sv, out=sv)
+        np.add(sum_u, sv, out=acc_u)
+        sum_u = acc_u
+        np.multiply(step_next, kv, out=sv)
+        np.add(v, sv, out=sv)
+        np.multiply(2.0, kv, out=kv)
+        np.add(acc_v, kv, out=acc_v)
+    # stage 4
+    _rhs(t + dt, su, sv, sf, params, nl, h, ws, kv)
+    np.add(acc_u, sv, out=acc_u)
+    np.add(acc_v, kv, out=acc_v)
     sixth = dt / 6.0
-    u_new = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v_new = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return u_new, v_new
+    np.multiply(sixth, acc_u, out=acc_u)
+    np.add(u, acc_u, out=acc_u)
+    np.multiply(sixth, acc_v, out=acc_v)
+    np.add(v, acc_v, out=acc_v)
+    return acc_u, acc_v
 
 
 def cfl_limit(sf: ScaleFactor, t: float, dt: float, h: float, c: float,
@@ -129,11 +212,12 @@ def step(state: State, dt: float, sf: ScaleFactor, params: PhysicalParams,
     if dt <= 0:
         raise ValueError("dt must be positive")
     h = state.u.grid.spacing
-    limit = cfl_limit(sf, state.t, dt, h, params.c, cfl)
+    bg = _Background(sf)
+    limit = cfl_limit(bg, state.t, dt, h, params.c, cfl)
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt} exceeds CFL limit {limit}")
-    u_new, v_new = _rk4(state.t, state.u.values, state.v.values, dt, sf,
-                        params, nl, h)
+    ws = RK4Workspace(state.u.values, state.v.values)
+    u_new, v_new = _rk4(state.t, dt, bg, params, nl, h, ws)
     if not (np.all(np.isfinite(u_new.view(float)))
             and np.all(np.isfinite(v_new.view(float)))):
         raise NonFiniteState(f"state nonfinite after step from t = {state.t}")
@@ -165,14 +249,15 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     n = params.n
     if n != grid.n:
         raise ValueError("params.n must match the grid dimension")
-    c2 = params.c * params.c
 
     L0 = l2_norm_sq(u0)
     if L0 <= 0:
         raise ValueError("initial data must be nonzero")
-    state0 = State(cfg.t0, u0.copy(), u1.copy())
-    E_t0 = energy(state0, sf, params, nl)
-    a0, adot0, _ = sf.eval(cfg.t0)
+    ws = RK4Workspace(u0.values.copy(), u1.values.copy())
+    bg = _Background(sf)
+    state0 = State(cfg.t0, Field(grid, ws.u), Field(grid, ws.v))
+    E_t0 = energy(state0, bg, params, nl)
+    a0, adot0, _ = bg.eval(cfg.t0)
     rate0 = adot0 / a0
     kap = kappa_for_mode(mode, params.eps) if mode != "none" else math.nan
     kt = kappa_tilde_for_mode(mode, params.eps) if mode != "none" else math.nan
@@ -193,8 +278,8 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     def snapshot(state: State, dt_used: float, L, ut_sq, re_u_ut, grad_sq,
                  a, adot, addot) -> FunctionalSnapshot:
         t = state.t
-        E = energy(state, sf, params, nl)
-        I = nehari(state, sf, params, nl)
+        E = energy(state, bg, params, nl)
+        I = nehari(state, bg, params, nl)
         theta = L + acc.P + n * acc.IG
         if T_bound is not None:
             theta += n * (T_bound - t) * rate0 * L0
@@ -217,13 +302,13 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         L = l2_norm_sq(state.u)
         ut_sq = l2_norm_sq(state.v)
         re_u_ut = inner_re(state.u, state.v)
-        grad_sq = grad_norm_sq(state.u)
+        grad_sq = grad_norm_sq(state.u, ws.stencil)
         return L, ut_sq, re_u_ut, grad_sq
 
     state = state0
     t = cfg.t0
     L, ut_sq, re_u_ut, grad_sq = measure(state)
-    a_t, adot_t, addot_t = sf.eval(t)
+    a_t, adot_t, addot_t = bg.eval(t)
     acc.push(t, L, ut_sq, re_u_ut, grad_sq, a_t, adot_t, addot_t)
     rows.append(snapshot(state, 0.0, L, ut_sq, re_u_ut, grad_sq,
                          a_t, adot_t, addot_t))
@@ -242,11 +327,10 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
 
     while t < cfg.t_end - end_tol and blow is None:
         dt_eff = min(dt, cfg.t_end - t)
-        limit = cfl_limit(sf, t, dt_eff, h, params.c, cfg.cfl)
+        limit = cfl_limit(bg, t, dt_eff, h, params.c, cfg.cfl)
         if dt_eff > limit:
             dt_eff = limit
-        u_new, v_new = _rk4(t, state.u.values, state.v.values, dt_eff, sf,
-                            params, nl, h)
+        u_new, _ = _rk4(t, dt_eff, bg, params, nl, h, ws)
         L_new = float(np.vdot(u_new, u_new).real) * grid.cell_volume
         if not math.isfinite(L_new):
             blow = BlowupInfo(reason="nonfinite", t=t, detected=False)
@@ -260,7 +344,9 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             continue
 
         t = t + dt_eff
-        state = State(t, Field(grid, u_new), Field(grid, v_new))
+        ws.accept()
+        bg.advance(t)
+        state = State(t, Field(grid, ws.u), Field(grid, ws.v))
         accepted += 1
         accept_streak += 1
         # regrow after 4 clean accepts; 3 at-floor accepts still fit in the
@@ -274,7 +360,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         if not (math.isfinite(ut_sq) and math.isfinite(grad_sq)):
             blow = BlowupInfo(reason="nonfinite", t=t, detected=False)
             break
-        a_t, adot_t, addot_t = sf.eval(t)
+        a_t, adot_t, addot_t = bg.eval(t)
         acc.push(t, L, ut_sq, re_u_ut, grad_sq, a_t, adot_t, addot_t)
 
         in_tail = nl is not None and L >= tail_start * L0
@@ -315,19 +401,20 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         L_prev = L
 
     if last_recorded_t != t and (blow is None or blow.reason != "nonfinite"):
-        a_t, adot_t, addot_t = sf.eval(t)
+        a_t, adot_t, addot_t = bg.eval(t)
         L, ut_sq, re_u_ut, grad_sq = measure(state)
         rows.append(snapshot(state, dt, L, ut_sq, re_u_ut, grad_sq,
                              a_t, adot_t, addot_t))
 
-    if blow is not None and blow.reason in ("norm_threshold", "step_collapse") \
-            and nl is not None:
-        try:
-            t_star, unc = estimate_t_star(rows, nl.p, L0)
-            blow.t_star = t_star
-            blow.t_star_uncertainty = unc
-        except (TooFewSamples, ValueError):
-            pass
+    if blow is not None and blow.detected:
+        if nl is None:
+            blow.t_star_status = "linear equation: no power-law tail to fit"
+        else:
+            try:
+                blow.t_star, blow.t_star_uncertainty = estimate_t_star(
+                    rows, nl.p, L0, tail_factor=min(1e8, tail_start))
+            except (TooFewSamples, ValueError) as exc:
+                blow.t_star_status = str(exc)
 
     meta = {
         "accepted": accepted,

@@ -10,6 +10,14 @@ exactly homogeneous under evolution:
     D2 f = [16 (f_{i+1} + f_{i-1} - 2 f_i) - (f_{i+2} + f_{i-2} - 2 f_i)] / (12 h^2)
     D1 f = [ 8 (f_{i+1} - f_{i-1}) - (f_{i+2} - f_{i-2})] / (12 h)
 
+The wrap-around is a padded copy: a `Stencil` holds a buffer with two
+wrap-around cells per side on every axis, the field is copied into its
+interior once per call, and the neighbours f_{i+-1}, f_{i+-2} along one axis
+are slices of that buffer, read one axis at a time. The arithmetic runs in
+place in the stencil's work arrays, operation by operation in the order of
+the formulas above, so the results are those of the plain formulas bit for
+bit.
+
 All integrals are plain cell sums times the cell volume, which on a smooth
 periodic integrand converges faster than any power of h.
 """
@@ -17,6 +25,7 @@ periodic integrand converges faster than any power of h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,33 +99,109 @@ class State:
             raise GridMismatch("u and u_t live on different grids")
 
 
-def lap_array(vals: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order periodic Laplacian on a raw array."""
-    out = np.zeros_like(vals)
+@lru_cache(maxsize=16)
+def _stencil_slices(shape: tuple[int, ...]):
+    """Index tuples into the padded buffer of a field of this shape: the
+    interior, the wrap-around copies (destination, source) and, per axis,
+    the neighbours in the order f_{i-2}, f_{i-1}, f_{i+1}, f_{i+2}."""
+    inner = tuple(slice(2, s + 2) for s in shape)
+
+    def along(ax, sl):
+        return inner[:ax] + (sl,) + inner[ax + 1:]
+
+    halos = []
+    neighbours = []
+    for ax, s in enumerate(shape):
+        halos.append((along(ax, slice(0, 2)), along(ax, slice(s, s + 2))))
+        halos.append((along(ax, slice(s + 2, s + 4)), along(ax, slice(2, 4))))
+        neighbours.append(tuple(along(ax, slice(k, k + s)) for k in (0, 1, 3, 4)))
+    return inner, tuple(halos), tuple(neighbours)
+
+
+class Stencil:
+    """Scratch of the stencils for one array shape and dtype: the padded
+    buffer, views into it and three work arrays, reused by every call that
+    is given it."""
+
+    def __init__(self, shape: tuple[int, ...], dtype=np.complex128):
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        pad = np.empty(tuple(s + 4 for s in self.shape), dtype=self.dtype)
+        inner, halos, neighbours = _stencil_slices(self.shape)
+        self.work = tuple(np.empty(self.shape, dtype=self.dtype) for _ in range(3))
+        self._inner = pad[inner]
+        self._halos = tuple((pad[dst], pad[src]) for dst, src in halos)
+        # per axis: views of f_{i-2}, f_{i-1}, f_{i+1}, f_{i+2}
+        self.neighbours = tuple(tuple(pad[ix] for ix in axis)
+                                for axis in neighbours)
+
+    def load(self, vals: np.ndarray) -> None:
+        """Copy vals into the padded buffer and fill its wrap-around cells."""
+        self._inner[...] = vals
+        for dst, src in self._halos:
+            dst[...] = src
+
+
+def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
+    if ws is None:
+        return Stencil(vals.shape, vals.dtype)
+    if ws.shape != vals.shape or ws.dtype != vals.dtype:
+        raise GridMismatch(f"stencil for {ws.shape} {ws.dtype} given a "
+                           f"{vals.shape} {vals.dtype} array")
+    return ws
+
+
+def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order periodic Laplacian on a raw array, written into out."""
+    ws = _stencil_for(vals, ws)
+    if out is None:
+        out = np.empty_like(vals)
+    ws.load(vals)
+    two_v, wing, term = ws.work
+    np.multiply(2.0, vals, out=two_v)
     for ax in range(vals.ndim):
-        p1 = np.roll(vals, -1, axis=ax)
-        m1 = np.roll(vals, 1, axis=ax)
-        p2 = np.roll(vals, -2, axis=ax)
-        m2 = np.roll(vals, 2, axis=ax)
-        out += 16.0 * (p1 + m1 - 2.0 * vals) - (p2 + m2 - 2.0 * vals)
-    out /= 12.0 * h * h
+        m2, m1, p1, p2 = ws.neighbours[ax]
+        core = out if ax == 0 else term
+        np.add(p1, m1, out=core)
+        np.subtract(core, two_v, out=core)
+        np.multiply(16.0, core, out=core)
+        np.add(p2, m2, out=wing)
+        np.subtract(wing, two_v, out=wing)
+        np.subtract(core, wing, out=core)
+        # the sum starts from zero: + 0.0 turns a -0.0 into +0.0 as 0 + x does
+        np.add(out, 0.0 if ax == 0 else term, out=out)
+    np.true_divide(out, 12.0 * h * h, out=out)
     return out
 
 
-def deriv_array(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    m2, m1, p1, p2 = ws.neighbours[axis]
+    wing = ws.work[1]
+    np.subtract(p1, m1, out=out)
+    np.multiply(8.0, out, out=out)
+    np.subtract(p2, m2, out=wing)
+    np.subtract(out, wing, out=out)
+    np.true_divide(out, 12.0 * h, out=out)
+    return out
+
+
+def deriv_array(vals: np.ndarray, axis: int, h: float,
+                ws: Stencil | None = None) -> np.ndarray:
     """Fourth-order periodic first derivative along one axis."""
-    p1 = np.roll(vals, -1, axis=axis)
-    m1 = np.roll(vals, 1, axis=axis)
-    p2 = np.roll(vals, -2, axis=axis)
-    m2 = np.roll(vals, 2, axis=axis)
-    return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+    ws = _stencil_for(vals, ws)
+    ws.load(vals)
+    return _deriv_loaded(ws, axis, h, np.empty_like(vals))
 
 
-def grad_sq_array(vals: np.ndarray, h: float) -> float:
+def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> float:
     """Sum over cells of |grad v|^2 (no volume factor)."""
+    ws = _stencil_for(vals, ws)
+    ws.load(vals)
+    d = ws.work[0]
     total = 0.0
     for ax in range(vals.ndim):
-        d = deriv_array(vals, ax, h)
+        _deriv_loaded(ws, ax, h, d)
         total += float(np.vdot(d, d).real)
     return total
 
@@ -130,9 +215,9 @@ def l2_norm_sq(fld: Field) -> float:
     return float(np.vdot(fld.values, fld.values).real) * fld.grid.cell_volume
 
 
-def grad_norm_sq(fld: Field) -> float:
+def grad_norm_sq(fld: Field, ws: Stencil | None = None) -> float:
     """||grad u||^2 with the fourth-order first-derivative stencil."""
-    return grad_sq_array(fld.values, fld.grid.spacing) * fld.grid.cell_volume
+    return grad_sq_array(fld.values, fld.grid.spacing, ws) * fld.grid.cell_volume
 
 
 def inner_re(f1: Field, f2: Field) -> float:

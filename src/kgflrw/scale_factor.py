@@ -43,6 +43,24 @@ def _check_times(t: np.ndarray, horizon: float, inclusive_end: bool = False) -> 
         raise TimeBeyondHorizon(f"t = {np.max(t)} reaches the horizon T0 = {horizon}")
 
 
+def _checked_time(t, horizon: float):
+    """t as an array, or as a numpy float for a Python float, after the
+    negative-time and horizon checks.
+
+    The float path skips np.asarray and np.any; its arithmetic is the same
+    numpy scalar arithmetic that a 0-d array leads to, so both paths give
+    the same bits."""
+    if isinstance(t, float):
+        if t < 0:
+            raise NegativeTime(f"t = {t} is before the initial slice t = 0")
+        if not math.isinf(horizon) and t >= horizon * (1.0 - _HORIZON_SLACK):
+            raise TimeBeyondHorizon(f"t = {t} reaches the horizon T0 = {horizon}")
+        return np.float64(t)
+    tt = np.asarray(t, dtype=float)
+    _check_times(tt, horizon)
+    return tt
+
+
 def _as_eval(t, a, adot, addot, scalar: bool):
     if scalar:
         return float(a), float(adot), float(addot)
@@ -82,8 +100,7 @@ class PowerLaw:
     def eval(self, t):
         """Return (a, adot, addot) at t; t may be a scalar or an array."""
         scalar = np.isscalar(t)
-        tt = np.asarray(t, dtype=float)
-        _check_times(tt, self.horizon())
+        tt = _checked_time(t, self.horizon())
         base = 1.0 + self._b * tt
         b, beta, a0, H = self._b, self._beta, self.a0, self.H
         a = a0 * base ** beta
@@ -111,8 +128,7 @@ class DeSitter:
 
     def eval(self, t):
         scalar = np.isscalar(t)
-        tt = np.asarray(t, dtype=float)
-        _check_times(tt, math.inf)
+        tt = _checked_time(t, math.inf)
         a = self.a0 * np.exp(self.H * tt)
         return _as_eval(tt, a, self.H * a, self.H * self.H * a, scalar)
 

@@ -13,7 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from kgflrw import bundled_scenario_text
+from kgflrw import bundled_scenario_text, cli
+from kgflrw.config import Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
 from kgflrw.functionals import CSV_COLUMNS
 
@@ -234,6 +235,57 @@ def test_sweep_frontier(tmp_path, capsys):
     rhos = dict(zip(amps, (float(r["rho"]) for r in rows)))
     assert rhos[0.5] < 0.0 < rhos[2.0]  # margin crossing inside the sweep
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_simulate_reports_why_t_star_is_missing(tmp_path, capsys):
+    # a threshold just above 1 stops the anchor after one step: two rows
+    text = bundled_scenario_text("minkowski-m0-u2-A3").replace(
+        "run.blowup_threshold = 1e12", "run.blowup_threshold = 1.000001")
+    out = str(tmp_path / "early")
+    assert main_entry(["simulate", write_cfg(tmp_path, text), "--out", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "report.txt")) as fh:
+        report = parse_report(fh.read())
+    assert report["blowup.detected"] == "true"
+    assert "blowup.t_star" not in report
+    assert report["blowup.t_star_status"] == "only 2 rows above the tail threshold"
+
+
+def test_fields_built_once_per_simulate_and_sweep_point(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    build = Scenario.build_fields
+
+    def counting(self):
+        calls.append(self.name)
+        return build(self)
+
+    monkeypatch.setattr(Scenario, "build_fields", counting)
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    assert main_entry(["simulate", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 1
+    assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=0.5:2.0:3",
+                       "--out", str(tmp_path / "w")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_sweep_rejects_jobs_out_of_range(tmp_path, capsys, monkeypatch, jobs):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    out = tmp_path / "sweep-out"
+    rc = main_entry(["sweep", cfg, "--axis", "data0.amplitude=0.5:2.0:2",
+                     "--jobs", str(jobs), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--jobs" in captured.err
+    assert not out.exists()
 
 
 def test_sweep_bad_axis(tmp_path, capsys):

@@ -12,6 +12,7 @@ Oracles:
     extrapolator.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -109,6 +110,19 @@ def test_anchor_run_detects_blowup(anchor_run):
     assert trace.meta["rejected"] > 0
     assert not trace.meta["reached_t_end"]
     assert trace.blowup.t_star <= report.T_bound
+
+
+@pytest.mark.parametrize("threshold", [1e6, 1e8])
+def test_anchor_t_star_at_low_blowup_threshold(anchor_scenario, threshold):
+    """The tail fit window follows the run's own threshold, so a run stopped
+    at 1e6 or 1e8 times the initial norm still reports t* (criterion 8's 1%)."""
+    scn = anchor_scenario
+    u0, u1 = scn.build_fields()
+    cfg = dataclasses.replace(scn.run, blowup_threshold=threshold)
+    trace = run(u0, u1, scn.sf, scn.params, scn.nl, cfg, mode="thm1")
+    assert trace.blowup.reason == "norm_threshold"
+    assert trace.blowup.t_star == pytest.approx(TSTAR, rel=0.01)
+    assert trace.blowup.t_star_status is None
 
 
 def test_estimate_t_star_synthetic():
