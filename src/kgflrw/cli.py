@@ -27,7 +27,7 @@ from .dynamics import Trace, run
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
                      WrapAroundRisk)
-from .functionals import CSV_COLUMNS, snapshot_csv_values
+from .functionals import CSV_COLUMNS, kappa_for_mode, snapshot_csv_values
 from .hypotheses import HypothesisReport, evaluate
 from .odelab import (ConcavityProblem, problem_from_certificate,
                      random_admissible_problems, solve_concavity, tstar_bound)
@@ -56,12 +56,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_lines(report: HypothesisReport, scenario: Scenario,
+def report_lines(report: HypothesisReport | None, scenario: Scenario,
                  extra: dict | None = None) -> list[str]:
     """Flat key = value block; every line parses back via parse_report."""
     lines = [f"scenario = {scenario.name}",
              f"config_hash = {scenario.config_hash}"]
-    flat = report.flat()
+    flat = report.flat() if report is not None else {}
     if extra:
         flat.update(extra)
     lines.extend(f"{key} = {_fmt(val)}" for key, val in flat.items())
@@ -190,9 +190,11 @@ def cmd_simulate(args) -> int:
     try:
         trace = _run_scenario(scn, report, u0, u1)
     except WrapAroundRisk as exc:
+        print(f"wrap-around abort: {exc}", file=sys.stderr)
+        if exc.trace is None:  # aborted before the first step
+            return EXIT_WRAP
         trace = exc.trace
         code = EXIT_WRAP
-        print(f"wrap-around abort: {exc}", file=sys.stderr)
     if trace.blowup is not None and trace.blowup.reason == "nonfinite":
         code = EXIT_NONFINITE if code == EXIT_OK else code
         print("state became non-finite; trace truncated", file=sys.stderr)
@@ -202,12 +204,7 @@ def cmd_simulate(args) -> int:
     summary = _run_summary(trace, report)
     if horizon_note is not None:
         summary["note.horizon"] = horizon_note.replace("\n", " ")
-    if report is not None:
-        lines = report_lines(report, scn, extra=summary)
-    else:
-        lines = [f"scenario = {scn.name}",
-                 f"config_hash = {scn.config_hash}"]
-        lines.extend(f"{k} = {_fmt(v)}" for k, v in summary.items())
+    lines = report_lines(report, scn, extra=summary)
     with open(os.path.join(out_dir, "report.txt"), "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -226,12 +223,9 @@ def _oracle_rows(scn: Scenario | None, n_random: int, seed: int) -> list[tuple]:
         eps = scn.params.eps
         t0 = scn.run.t0
         rate0 = hubble_rate(scn.sf, t0)
-        if report.mode == "thm1":
-            kappa = eps / 4.0
-            A = 2.0 * (eps + 2.0) * report.rho
-        else:
-            kappa = eps / 8.0
-            A = 2.0 * (eps + 2.0) * report.delta
+        kappa = kappa_for_mode(report.mode, eps)
+        margin = report.rho if report.mode == "thm1" else report.delta
+        A = 2.0 * (eps + 2.0) * margin
         L0 = report.L0
         B = (1.0 + scn.params.n * rate0) * L0
         T = report.T_bound

@@ -70,7 +70,6 @@ _KEYS = {
     "run.blowup_threshold": _FLOAT,
     "run.cfl": _FLOAT,
     "run.growth_tol": _FLOAT,
-    "run.seed": _INT,
     "run.theorem_mode": _STR,
 }
 
@@ -317,7 +316,6 @@ def parse_text(text: str, name: str = "<string>",
             blowup_threshold=sec.get("run.blowup_threshold", 1e12),
             cfl=sec.get("run.cfl", 0.4),
             growth_tol=sec.get("run.growth_tol", 0.05),
-            seed=sec.get("run.seed", 0),
             theorem_mode=sec.get("run.theorem_mode", "auto"),
         )
     except ValueError as exc:

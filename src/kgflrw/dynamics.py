@@ -35,10 +35,11 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import (CflViolation, NonFiniteState, TimeBeyondHorizon,
                      TooFewSamples, WrapAroundRisk)
-from .field import (Field, State, Stencil, grad_norm_sq, inner_re, l2_norm_sq,
-                    lap_array)
-from .functionals import (FunctionalSnapshot, PhysicalParams, RunningIntegrals,
-                          energy, kappa_for_mode, kappa_tilde_for_mode, nehari)
+from .field import Field, State, Stencil, lap_array
+from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
+                          RunningIntegrals, kappa_for_mode,
+                          kappa_tilde_for_mode, measure, motion_integrals,
+                          potential_integrals)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -55,7 +56,6 @@ class RunConfig:
     blowup_threshold: float = 1e12
     cfl: float = 0.4
     growth_tol: float = 0.05
-    seed: int = 0
     theorem_mode: str = "auto"
 
     def __post_init__(self):
@@ -250,14 +250,15 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     if n != grid.n:
         raise ValueError("params.n must match the grid dimension")
 
-    L0 = l2_norm_sq(u0)
+    ws = RK4Workspace(u0.values.copy(), u1.values.copy())
+    rec = measure(State(cfg.t0, Field(grid, ws.u), Field(grid, ws.v)), nl,
+                  ws.stencil)
+    L0 = rec.L
     if L0 <= 0:
         raise ValueError("initial data must be nonzero")
-    ws = RK4Workspace(u0.values.copy(), u1.values.copy())
     bg = _Background(sf)
-    state0 = State(cfg.t0, Field(grid, ws.u), Field(grid, ws.v))
-    E_t0 = energy(state0, bg, params, nl)
     a0, adot0, _ = bg.eval(cfg.t0)
+    E_t0 = rec.energy(a0, params)
     rate0 = adot0 / a0
     kap = kappa_for_mode(mode, params.eps) if mode != "none" else math.nan
     kt = kappa_tilde_for_mode(mode, params.eps) if mode != "none" else math.nan
@@ -275,11 +276,11 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         hd_scale = 4.0 * (params.eps + 2.0) * E_t0 / (
             abs(params.m) * params.c * params.eps)
 
-    def snapshot(state: State, dt_used: float, L, ut_sq, re_u_ut, grad_sq,
-                 a, adot, addot) -> FunctionalSnapshot:
-        t = state.t
-        E = energy(state, bg, params, nl)
-        I = nehari(state, bg, params, nl)
+    def snapshot(t: float, dt_used: float, rec: Integrals, a,
+                 adot) -> FunctionalSnapshot:
+        L, ut_sq, re_u_ut = rec.L, rec.ut_sq, rec.re_u_ut
+        E = rec.energy(a, params)
+        I = rec.nehari(a, params)
         theta = L + acc.P + n * acc.IG
         if T_bound is not None:
             theta += n * (T_bound - t) * rate0 * L0
@@ -298,20 +299,19 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             ut_sq=ut_sq, kappa=kap, mode=mode, e_dissipated=acc.dissipated,
             a=a, adot=adot)
 
-    def measure(state: State):
-        L = l2_norm_sq(state.u)
-        ut_sq = l2_norm_sq(state.v)
-        re_u_ut = inner_re(state.u, state.v)
-        grad_sq = grad_norm_sq(state.u, ws.stencil)
-        return L, ut_sq, re_u_ut, grad_sq
+    def run_meta(reached_t_end: bool) -> dict:
+        return {"accepted": accepted, "rejected": rejected,
+                "min_dt": min_dt_used, "t_final": t,
+                "reached_t_end": reached_t_end, "E_t0": E_t0, "L0": L0,
+                "rate0": rate0, "mode": mode, "kappa": kap, "kappa_tilde": kt,
+                "T_bound": T_bound, "light_path": acc.light_path,
+                "support_radius": support_radius}
 
-    state = state0
     t = cfg.t0
-    L, ut_sq, re_u_ut, grad_sq = measure(state)
+    L, ut_sq, re_u_ut, grad_sq = rec[:4]
     a_t, adot_t, addot_t = bg.eval(t)
     acc.push(t, L, ut_sq, re_u_ut, grad_sq, a_t, adot_t, addot_t)
-    rows.append(snapshot(state, 0.0, L, ut_sq, re_u_ut, grad_sq,
-                         a_t, adot_t, addot_t))
+    rows.append(snapshot(t, 0.0, rec, a_t, adot_t))
     last_recorded_t = t
 
     dt = cfg.dt
@@ -346,7 +346,6 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         t = t + dt_eff
         ws.accept()
         bg.advance(t)
-        state = State(t, Field(grid, ws.u), Field(grid, ws.v))
         accepted += 1
         accept_streak += 1
         # regrow after 4 clean accepts; 3 at-floor accepts still fit in the
@@ -356,7 +355,9 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             accept_streak = 0
         since_record += 1
         min_dt_used = min(min_dt_used, dt_eff)
-        L, ut_sq, re_u_ut, grad_sq = measure(state)
+        L = L_new
+        ut_sq, re_u_ut, grad_sq = motion_integrals(ws.u, ws.v, grid,
+                                                   ws.stencil)
         if not (math.isfinite(ut_sq) and math.isfinite(grad_sq)):
             blow = BlowupInfo(reason="nonfinite", t=t, detected=False)
             break
@@ -365,8 +366,9 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
 
         in_tail = nl is not None and L >= tail_start * L0
         if since_record >= cfg.record_every or in_tail:
-            rows.append(snapshot(state, dt_eff, L, ut_sq, re_u_ut, grad_sq,
-                                 a_t, adot_t, addot_t))
+            rec = Integrals(L, ut_sq, re_u_ut, grad_sq,
+                            *potential_integrals(ws.u, grid, nl))
+            rows.append(snapshot(t, dt_eff, rec, a_t, adot_t))
             last_recorded_t = t
             since_record = 0
 
@@ -375,14 +377,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             partial = Trace(rows=rows, blowup=None,
                             run_config_hash=config_hash,
                             meta={"aborted": "wrap_around", "t": t,
-                                  "accepted": accepted, "rejected": rejected,
-                                  "min_dt": min_dt_used, "t_final": t,
-                                  "reached_t_end": False, "E_t0": E_t0,
-                                  "L0": L0, "rate0": rate0, "mode": mode,
-                                  "kappa": kap, "kappa_tilde": kt,
-                                  "T_bound": T_bound,
-                                  "light_path": acc.light_path,
-                                  "support_radius": support_radius})
+                                  **run_meta(False)})
             raise WrapAroundRisk(
                 f"comoving light path crossed the support margin at t = {t}",
                 trace=partial)
@@ -401,10 +396,10 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         L_prev = L
 
     if last_recorded_t != t and (blow is None or blow.reason != "nonfinite"):
-        a_t, adot_t, addot_t = bg.eval(t)
-        L, ut_sq, re_u_ut, grad_sq = measure(state)
-        rows.append(snapshot(state, dt, L, ut_sq, re_u_ut, grad_sq,
-                             a_t, adot_t, addot_t))
+        # the last accepted state, measured in the loop; ws.u still holds it
+        rec = Integrals(L, ut_sq, re_u_ut, grad_sq,
+                        *potential_integrals(ws.u, grid, nl))
+        rows.append(snapshot(t, dt, rec, a_t, adot_t))
 
     if blow is not None and blow.detected:
         if nl is None:
@@ -416,23 +411,8 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             except (TooFewSamples, ValueError) as exc:
                 blow.t_star_status = str(exc)
 
-    meta = {
-        "accepted": accepted,
-        "rejected": rejected,
-        "min_dt": min_dt_used,
-        "t_final": t,
-        "reached_t_end": blow is None and t >= cfg.t_end - end_tol,
-        "E_t0": E_t0,
-        "L0": L0,
-        "rate0": rate0,
-        "mode": mode,
-        "kappa": kap,
-        "kappa_tilde": kt,
-        "T_bound": T_bound,
-        "light_path": acc.light_path,
-        "support_radius": support_radius,
-    }
-    return Trace(rows=rows, blowup=blow, run_config_hash=config_hash, meta=meta)
+    return Trace(rows=rows, blowup=blow, run_config_hash=config_hash,
+                 meta=run_meta(blow is None and t >= cfg.t_end - end_tol))
 
 
 def estimate_t_star(rows, p: float, L0: float, tail_factor: float = 1e8,

@@ -18,6 +18,10 @@ The structure inequality splits E against I:
 
 with equality exactly when the structure inequality is pointwise tight.
 
+E, I, the margins below and that gap are arithmetic on six spatial integrals
+of a state, measured once per state into `Integrals`: ||u||^2, ||u_t||^2,
+Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u).
+
 Two data margins certify blow-up: rho (norm-weighted, start at t0 = 0) and
 delta (velocity-weighted, any admissible t0):
 
@@ -34,13 +38,14 @@ concavity constant. Running time-integrals use trapezoid accumulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import EmptyTrace, MasslessHdiag
-from .field import Field, State, grad_norm_sq, inner_re, integrate_F, l2_norm_sq
+from .field import Field, Grid, State, Stencil, grad_sq_array, inner_re
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -85,62 +90,115 @@ def kappa_tilde_for_mode(mode: str, eps: float) -> float:
 
 
 def kappa_for_mode(mode: str, eps: float) -> float:
-    """Concavity exponent: (kappa_tilde - 1)/4, i.e. eps/4 or eps/8."""
-    return (kappa_tilde_for_mode(mode, eps) - 1.0) / 4.0
+    """Concavity exponent (kappa_tilde - 1)/4: eps/4 for the norm-margin
+    certificate, eps/8 for the velocity-margin one."""
+    if mode not in ("thm1", "thm2"):
+        raise ValueError(f"unknown certificate mode {mode!r}")
+    return eps / 4.0 if mode == "thm1" else eps / 8.0
+
+
+class Integrals(NamedTuple):
+    """The six integrals of one state; the methods take the background value
+    a at its time. Without a nonlinearity F and re_fu are 0.0: subtracting
+    c^2 * 0.0 leaves E and I unchanged bit for bit."""
+
+    L: float        # ||u||^2
+    ut_sq: float    # ||u_t||^2
+    re_u_ut: float  # Re(u, u_t)
+    grad_sq: float  # ||grad u||^2
+    F: float        # int F(u)
+    re_fu: float    # Re int f(u) conj(u)
+
+    def energy(self, a: float, params: PhysicalParams) -> float:
+        c2 = params.c * params.c
+        e = 0.5 * self.ut_sq
+        e += 0.5 * c2 / (a * a) * self.grad_sq
+        e += 0.5 * params.m * params.m * c2 * self.L
+        e -= c2 * self.F
+        return e
+
+    def nehari(self, a: float, params: PhysicalParams) -> float:
+        c2 = params.c * params.c
+        val = c2 / (a * a) * self.grad_sq
+        val += params.m * params.m * c2 * self.L
+        val -= c2 * self.re_fu
+        return val
+
+    def rel_E_I_gap(self, a: float, params: PhysicalParams) -> float:
+        c2 = params.c * params.c
+        eps = params.eps
+        quad = c2 / (a * a) * self.grad_sq + params.m * params.m * c2 * self.L
+        bound = 0.5 * self.ut_sq
+        bound += self.nehari(a, params) / (eps + 2.0)
+        bound += eps / (2.0 * (eps + 2.0)) * quad
+        return self.energy(a, params) - bound
+
+    def rho(self, a: float, params: PhysicalParams) -> float:
+        mc2 = params.m * params.m * params.c * params.c
+        lead = mc2 * params.eps / (2.0 * (params.eps + 2.0)) * self.L
+        return lead - self.energy(a, params)
+
+    def delta(self, a: float, params: PhysicalParams) -> float:
+        lead = (abs(params.m) * params.c * params.eps / (2.0 * (params.eps + 2.0))
+                * self.re_u_ut)
+        return lead - self.energy(a, params)
+
+
+def motion_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
+                     stencil: Stencil | None = None) -> tuple[float, float, float]:
+    """||u_t||^2, Re(u, u_t) and ||grad u||^2 of the arrays of a state."""
+    cv = grid.cell_volume
+    return (float(np.vdot(v, v).real) * cv, float(np.vdot(v, u).real) * cv,
+            grad_sq_array(u, grid.spacing, stencil) * cv)
+
+
+def potential_integrals(u: np.ndarray, grid: Grid,
+                        nl: Nonlinearity | None) -> tuple[float, float]:
+    """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation."""
+    if nl is None:
+        return 0.0, 0.0
+    cv = grid.cell_volume
+    F = float(np.sum(nl.F(u))) * cv
+    fu = np.asarray(nl.f(u), dtype=np.complex128)
+    return F, float(np.vdot(u, fu).real) * cv
+
+
+def measure(state: State, nl: Nonlinearity | None,
+            stencil: Stencil | None = None) -> Integrals:
+    """The six integrals of a state; stencil is the gradient's scratch."""
+    u, v, grid = state.u.values, state.v.values, state.u.grid
+    L = float(np.vdot(u, u).real) * grid.cell_volume
+    return Integrals(L, *motion_integrals(u, v, grid, stencil),
+                     *potential_integrals(u, grid, nl))
 
 
 def energy(state: State, sf: ScaleFactor, params: PhysicalParams,
            nl: Nonlinearity | None) -> float:
-    a, _, _ = sf.eval(state.t)
-    c2 = params.c * params.c
-    e = 0.5 * l2_norm_sq(state.v)
-    e += 0.5 * c2 / (a * a) * grad_norm_sq(state.u)
-    e += 0.5 * params.m * params.m * c2 * l2_norm_sq(state.u)
-    if nl is not None:
-        e -= c2 * integrate_F(nl, state.u)
-    return e
+    return measure(state, nl).energy(sf.eval(state.t)[0], params)
 
 
 def nehari(state: State, sf: ScaleFactor, params: PhysicalParams,
            nl: Nonlinearity | None) -> float:
-    a, _, _ = sf.eval(state.t)
-    c2 = params.c * params.c
-    val = c2 / (a * a) * grad_norm_sq(state.u)
-    val += params.m * params.m * c2 * l2_norm_sq(state.u)
-    if nl is not None:
-        fu = Field(state.u.grid, np.asarray(nl.f(state.u.values), dtype=np.complex128))
-        val -= c2 * inner_re(fu, state.u)
-    return val
+    return measure(state, nl).nehari(sf.eval(state.t)[0], params)
 
 
 def rel_E_I_gap(state: State, sf: ScaleFactor, params: PhysicalParams,
                 nl: Nonlinearity | None) -> float:
     """E minus its structural lower bound; nonnegative, zero iff the structure
     inequality is pointwise tight on the data."""
-    a, _, _ = sf.eval(state.t)
-    c2 = params.c * params.c
-    eps = params.eps
-    quad = c2 / (a * a) * grad_norm_sq(state.u) + params.m * params.m * c2 * l2_norm_sq(state.u)
-    bound = 0.5 * l2_norm_sq(state.v)
-    bound += nehari(state, sf, params, nl) / (eps + 2.0)
-    bound += eps / (2.0 * (eps + 2.0)) * quad
-    return energy(state, sf, params, nl) - bound
+    return measure(state, nl).rel_E_I_gap(sf.eval(state.t)[0], params)
 
 
 def rho(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         nl: Nonlinearity | None) -> float:
     """Norm-weighted data margin at t = 0."""
-    mc2 = params.m * params.m * params.c * params.c
-    lead = mc2 * params.eps / (2.0 * (params.eps + 2.0)) * l2_norm_sq(u0)
-    return lead - energy(State(0.0, u0, u1), sf, params, nl)
+    return measure(State(0.0, u0, u1), nl).rho(sf.eval(0.0)[0], params)
 
 
 def delta(u0: Field, u1: Field, t0: float, sf: ScaleFactor, params: PhysicalParams,
           nl: Nonlinearity | None) -> float:
     """Velocity-weighted data margin at t = t0."""
-    lead = (abs(params.m) * params.c * params.eps / (2.0 * (params.eps + 2.0))
-            * inner_re(u0, u1))
-    return lead - energy(State(t0, u0, u1), sf, params, nl)
+    return measure(State(t0, u0, u1), nl).delta(sf.eval(t0)[0], params)
 
 
 def hdiag(state: State, params: PhysicalParams, E_t0: float) -> float:

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from .errors import CalibrationFailed, HorizonTooShort
-from .field import Field, State, inner_re, l2_norm_sq
-from .functionals import PhysicalParams, delta, energy, nehari, rho
+from .field import Field, State
+from .functionals import Integrals, PhysicalParams, measure
 from .nonlinearity import Nonlinearity
 from .scale_factor import (DeSitter, PowerLaw, ScaleFactor, Tabulated,
                            c_epsilon, check_monotone_expansion,
@@ -77,8 +77,32 @@ class TheoremCheck:
     horizon_blocked: bool = False
 
 
-def _re_tolerance(u0: Field, u1: Field) -> float:
-    return _REL * (math.sqrt(l2_norm_sq(u0) * l2_norm_sq(u1)) + 1e-300)
+def _re_tolerance(m0: Integrals) -> float:
+    return _REL * (math.sqrt(m0.L * m0.ut_sq) + 1e-300)
+
+
+def _verdict(name: str, margin: float, T: float | None, conds: dict,
+             t_start: float, sf: ScaleFactor) -> TheoremCheck:
+    """Add the background clauses to conds and decide; T is the certified
+    time (None for a nonpositive margin). HorizonTooShort as in check_theorem1."""
+    horizon = sf.horizon()
+    if T is not None:
+        conds["background"] = check_monotone_expansion(sf, t_start,
+                                                       min(T, horizon))
+        conds["within_horizon"] = T <= horizon
+        if not conds["within_horizon"] and all(
+                ok for key, ok in conds.items() if key != "within_horizon"):
+            chk = TheoremCheck(name, False, margin, None, conds,
+                               horizon_blocked=True)
+            raise HorizonTooShort(
+                f"certificate needs T = {T:.9g} but the background "
+                f"lifetime is {horizon:.9g}", report=chk)
+    else:
+        conds["background"] = check_monotone_expansion(sf, t_start, horizon)
+        conds["within_horizon"] = True
+    applicable = all(conds.values())
+    return TheoremCheck(name, applicable, margin,
+                        T if applicable else None, conds)
 
 
 def check_theorem1(u0: Field, u1: Field, sf: ScaleFactor,
@@ -88,72 +112,43 @@ def check_theorem1(u0: Field, u1: Field, sf: ScaleFactor,
     Raises HorizonTooShort when every hypothesis holds and only the clause
     T <= horizon fails, carrying the partial check as .report.
     """
-    L0 = l2_norm_sq(u0)
-    re01 = inner_re(u0, u1)
-    rho_val = rho(u0, u1, sf, params, nl)
+    return _theorem1(measure(State(0.0, u0, u1), nl), sf, params)
+
+
+def _theorem1(m0: Integrals, sf: ScaleFactor,
+              params: PhysicalParams) -> TheoremCheck:
+    rho_val = m0.rho(sf.eval(0.0)[0], params)
     conds = {
         "margin_positive": rho_val > 0.0,
-        "re_nonneg": re01 >= -_re_tolerance(u0, u1),
+        "re_nonneg": m0.re_u_ut >= -_re_tolerance(m0),
     }
-    horizon = sf.horizon()
-    T1 = None
-    if conds["margin_positive"]:
-        T1 = theorem1_bound(L0, rho_val, params.eps, params.n,
-                            hubble_rate(sf, 0.0))
-        win_hi = min(T1, horizon)
-        conds["background"] = check_monotone_expansion(sf, 0.0, win_hi)
-        conds["within_horizon"] = T1 <= horizon
-        if (conds["re_nonneg"] and conds["background"]
-                and not conds["within_horizon"]):
-            chk = TheoremCheck("thm1", False, rho_val, None, conds,
-                               horizon_blocked=True)
-            raise HorizonTooShort(
-                f"certificate needs T = {T1:.9g} but the background "
-                f"lifetime is {horizon:.9g}", report=chk)
-    else:
-        conds["background"] = check_monotone_expansion(sf, 0.0, horizon)
-        conds["within_horizon"] = True
-    applicable = all(conds.values())
-    return TheoremCheck("thm1", applicable, rho_val,
-                        T1 if applicable else None, conds)
+    T1 = (theorem1_bound(m0.L, rho_val, params.eps, params.n,
+                         hubble_rate(sf, 0.0))
+          if conds["margin_positive"] else None)
+    return _verdict("thm1", rho_val, T1, conds, 0.0, sf)
 
 
 def check_theorem2(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
                    params: PhysicalParams, nl: Nonlinearity | None) -> TheoremCheck:
     """Velocity-margin certificate at t0; HorizonTooShort as in check_theorem1."""
-    L0 = l2_norm_sq(u0)
-    re01 = inner_re(u0, u1)
-    delta_val = delta(u0, u1, t0, sf, params, nl)
-    I0 = nehari(State(t0, u0, u1), sf, params, nl)
-    ok_t0, thr = check_t0_condition(sf, t0, params.m, params.c, params.eps)
+    return _theorem2(measure(State(t0, u0, u1), nl), t0, sf, params)
+
+
+def _theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
+              params: PhysicalParams) -> TheoremCheck:
+    a0 = sf.eval(t0)[0]
+    delta_val = m0.delta(a0, params)
+    ok_t0, _ = check_t0_condition(sf, t0, params.m, params.c, params.eps)
     conds = {
         "t0_condition": ok_t0,
         "margin_positive": delta_val > 0.0,
-        "nehari_negative": I0 < 0.0,
-        "re_nonneg": re01 >= -_re_tolerance(u0, u1),
+        "nehari_negative": m0.nehari(a0, params) < 0.0,
+        "re_nonneg": m0.re_u_ut >= -_re_tolerance(m0),
     }
-    horizon = sf.horizon()
-    T2 = None
-    if conds["margin_positive"]:
-        T2 = theorem2_bound(L0, delta_val, params.eps, params.n,
-                            hubble_rate(sf, t0), t0)
-        win_hi = min(T2, horizon)
-        conds["background"] = check_monotone_expansion(sf, t0, win_hi)
-        conds["within_horizon"] = T2 <= horizon
-        others = (conds["t0_condition"] and conds["nehari_negative"]
-                  and conds["re_nonneg"] and conds["background"])
-        if others and not conds["within_horizon"]:
-            chk = TheoremCheck("thm2", False, delta_val, None, conds,
-                               horizon_blocked=True)
-            raise HorizonTooShort(
-                f"certificate needs T = {T2:.9g} but the background "
-                f"lifetime is {horizon:.9g}", report=chk)
-    else:
-        conds["background"] = check_monotone_expansion(sf, t0, horizon)
-        conds["within_horizon"] = True
-    applicable = all(conds.values())
-    return TheoremCheck("thm2", applicable, delta_val,
-                        T2 if applicable else None, conds)
+    T2 = (theorem2_bound(m0.L, delta_val, params.eps, params.n,
+                         hubble_rate(sf, t0), t0)
+          if conds["margin_positive"] else None)
+    return _verdict("thm2", delta_val, T2, conds, t0, sf)
 
 
 def classify_table1(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
@@ -165,15 +160,18 @@ def classify_table1(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     Re(u0,u1): I has X > E >= Y, II has X > E and Y > E, III has E >= X and
     Y > E, IV (open) has E >= X and E >= Y.
     """
-    st = State(t0, u0, u1)
-    E0 = energy(st, sf, params, nl)
-    I0 = nehari(st, sf, params, nl)
-    re01 = inner_re(u0, u1)
+    return _classify(measure(State(t0, u0, u1), nl), sf.eval(t0)[0], params)
+
+
+def _classify(m0: Integrals, a0: float, params: PhysicalParams) -> str:
+    E0 = m0.energy(a0, params)
+    I0 = m0.nehari(a0, params)
+    re01 = m0.re_u_ut
     mt, ct = params.m_tilde, params.c_tilde
-    if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or re01 < -_re_tolerance(u0, u1):
+    if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or re01 < -_re_tolerance(m0):
         return "none"
     lead = mt * mt * ct * ct * params.eps / (2.0 * (params.eps + 2.0))
-    x_big = lead * l2_norm_sq(u0) > E0
+    x_big = lead * m0.L > E0
     y_big = lead * re01 > E0
     if x_big:
         return "II" if y_big else "I"
@@ -279,10 +277,11 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     if mode not in ("auto", "thm1", "thm2", "none"):
         raise ValueError(f"unknown mode {mode!r}")
     pending: HorizonTooShort | None = None
+    m0 = measure(State(t0, u0, u1), nl)
 
     if t0 == 0.0:
         try:
-            t1 = check_theorem1(u0, u1, sf, params, nl)
+            t1 = _theorem1(m0, sf, params)
         except HorizonTooShort as exc:
             pending = exc
             t1 = exc.report
@@ -290,67 +289,38 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
         t1 = TheoremCheck("thm1", False, math.nan, None,
                           {"starts_at_zero": False})
     try:
-        t2 = check_theorem2(u0, u1, t0, sf, params, nl)
+        t2 = _theorem2(m0, t0, sf, params)
     except HorizonTooShort as exc:
         pending = pending or exc
         t2 = exc.report
 
-    if t1.applicable and t2.applicable:
-        theorem = "both"
-    elif t1.applicable:
-        theorem = "thm1"
-    elif t2.applicable:
-        theorem = "thm2"
-    else:
-        theorem = "none"
-
+    applicable = [chk for chk in (t1, t2) if chk.applicable]
+    theorem = ("both" if len(applicable) == 2
+               else applicable[0].name if applicable else "none")
     if theorem == "none" and pending is not None:
         raise pending
 
-    if mode == "auto":
-        resolved = "thm1" if t1.applicable else (
-            "thm2" if t2.applicable else "none")
-    elif mode == "thm1":
-        resolved = "thm1" if t1.applicable else "none"
-    elif mode == "thm2":
-        resolved = "thm2" if t2.applicable else "none"
-    else:
-        resolved = "none"
+    # T_bound and the corollary case come from one certificate: the first
+    # applicable one that mode allows (that is the resolved mode), else the
+    # first applicable one
+    allowed = [chk for chk in applicable if mode in ("auto", chk.name)]
+    resolved = allowed[0].name if allowed else "none"
+    cert = (allowed or applicable or [None])[0]
+    T_bound = cert.T_bound if cert is not None else None
 
-    if resolved == "thm1":
-        T_bound = t1.T_bound
-    elif resolved == "thm2":
-        T_bound = t2.T_bound
-    elif theorem in ("thm1", "both"):
-        T_bound = t1.T_bound
-    elif theorem == "thm2":
-        T_bound = t2.T_bound
-    else:
-        T_bound = None
-
-    st = State(t0, u0, u1)
-    E0 = energy(st, sf, params, nl)
-    I0 = nehari(st, sf, params, nl)
-    re01 = inner_re(u0, u1)
-    L0 = l2_norm_sq(u0)
-    case = classify_table1(u0, u1, t0, sf, params, nl)
+    a0 = sf.eval(t0)[0]
+    E0 = m0.energy(a0, params)
+    I0 = m0.nehari(a0, params)
+    case = _classify(m0, a0, params)
     cors = check_corollaries(sf, t0, params)
-    if resolved == "thm1":
-        cor = cors.thm1_case
-    elif resolved == "thm2":
-        cor = cors.thm2_case
-    elif theorem in ("thm1", "both"):
-        cor = cors.thm1_case
-    elif theorem == "thm2":
-        cor = cors.thm2_case
-    else:
-        cor = "n/a"
+    cor = ("n/a" if cert is None else
+           {"thm1": cors.thm1_case, "thm2": cors.thm2_case}[cert.name])
 
     margins = {
         "thm1.rho": t1.margin,
         "thm2.delta": t2.margin,
         "thm2.nehari": I0,
-        "re_u0_u1": re01,
+        "re_u0_u1": m0.re_u_ut,
     }
     if t1.T_bound is not None:
         margins["thm1.T_bound"] = t1.T_bound
@@ -363,8 +333,8 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
 
     return HypothesisReport(
         case_label=case, theorem=theorem, mode=resolved,
-        rho=t1.margin, delta=t2.margin, I_u0=I0, re_u0_u1=re01,
-        E_t0=E0, L0=L0, t0_used=t0, T_bound=T_bound, corollary_case=cor,
+        rho=t1.margin, delta=t2.margin, I_u0=I0, re_u0_u1=m0.re_u_ut,
+        E_t0=E0, L0=m0.L, t0_used=t0, T_bound=T_bound, corollary_case=cor,
         margins=margins, thm1=t1, thm2=t2)
 
 

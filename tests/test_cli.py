@@ -158,6 +158,7 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 
 def test_simulate_wrap_exit_five(tmp_path, capsys):
+    # mid-run abort: the partial trace is written
     cfg = write_cfg(tmp_path, WRAP_CFG)
     out = str(tmp_path / "wrap-out")
     rc = main_entry(["simulate", cfg, "--out", out])
@@ -167,6 +168,18 @@ def test_simulate_wrap_exit_five(tmp_path, capsys):
     with open(os.path.join(out, "trace.csv")) as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) >= 2  # header plus at least one partial row
+
+    # abort before the first step (the support already fills the box): no
+    # trace exists, and the command still exits 5 with one stderr line
+    text = bundled_scenario_text("desitter-smooth")
+    text = text.replace("grid.N = 256", "grid.N = 24").replace(
+        "data0.width = 0.55", "data0.width = 1.2")
+    cfg = write_cfg(tmp_path, text, name="wrap0.cfg")
+    rc = main_entry(["simulate", cfg, "--out", str(tmp_path / "wrap0-out")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.splitlines() == [
+        "wrap-around abort: support radius 4.8 already fills the box"]
 
 
 def test_simulate_nonfinite_exit_six(tmp_path, capsys):
@@ -198,6 +211,19 @@ def test_oracle_scenario_row_frozen(tmp_path, capsys):
     # rerun is byte-identical
     main_entry(["oracle-ode", cfg])
     assert capsys.readouterr().out == out
+
+
+def test_oracle_row_follows_the_velocity_margin_certificate(tmp_path, capsys):
+    """Pinned to thm2, the scenario row uses kappa = eps/8 and
+    A = 2 (eps + 2) delta from the report."""
+    cfg = bundled_path(tmp_path, "minkowski-m1-thm2")
+    assert main_entry(["check", cfg]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["mode"] == "thm2"
+    assert main_entry(["oracle-ode", cfg]) == 0
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert float(row["kappa"]) == 1.0 / 8.0
+    assert float(row["A"]) == 2.0 * 3.0 * float(report["delta"])
 
 
 def test_oracle_random_batch(tmp_path, capsys):

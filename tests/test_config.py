@@ -59,12 +59,14 @@ def test_missing_grid_key_is_parse_error():
 
 
 def test_unknown_key_with_line_number():
-    text = MINIMAL + "grid.M = 12\n"
-    with pytest.raises(UnknownKey) as exc:
-        parse_text(text)
-    assert exc.value.line is not None
-    assert "grid.M" in str(exc.value)
-    assert isinstance(exc.value, ParseError)
+    # run.seed was accepted once but never read
+    for key in ("grid.M", "run.seed"):
+        text = MINIMAL + f"{key} = 12\n"
+        with pytest.raises(UnknownKey) as exc:
+            parse_text(text)
+        assert exc.value.line is not None
+        assert key in str(exc.value)
+        assert isinstance(exc.value, ParseError)
 
 
 def test_duplicate_key_rejected():

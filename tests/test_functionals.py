@@ -97,6 +97,11 @@ def test_kappa_modes():
     assert kappa_for_mode("thm1", 1.0) == 0.25
     assert kappa_for_mode("thm2", 1.0) == 0.125
     assert kappa_for_mode("thm1", 3.0) == 0.75
+    # eps/4 and eps/8 exactly; (eps + 1 - 1)/4 is one ulp off at eps = 0.3
+    assert kappa_for_mode("thm1", 0.3) == 0.3 / 4.0
+    assert kappa_for_mode("thm2", 0.3) == 0.3 / 8.0
+    with pytest.raises(ValueError):
+        kappa_for_mode("thm3", 1.0)
     with pytest.raises(ValueError):
         kappa_tilde_for_mode("thm3", 1.0)
 

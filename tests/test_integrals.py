@@ -1,0 +1,251 @@
+"""The functionals as arithmetic on one measurement, against plain references.
+
+The references below are the functionals as written before the six spatial
+integrals of a state were measured once: each one recomputes its norms from
+the fields. `measure` and the `Integrals` arithmetic perform the same
+floating-point operations in the same order, so both paths must agree bit for
+bit. The count tests check that a simulation and a certificate evaluation
+measure each state once.
+"""
+
+import contextlib
+import io
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
+                    PowerLaw, RealAbsPower, State, bundled_scenario_text,
+                    classify_table1, delta, energy, evaluate, field, nehari,
+                    rho)
+from kgflrw import cli, dynamics, functionals, hypotheses
+from kgflrw.cli import main_entry, parse_report
+from kgflrw.errors import HorizonTooShort
+from kgflrw.field import (Field, Stencil, grad_norm_sq, inner_re, integrate_F,
+                          l2_norm_sq)
+from kgflrw.functionals import measure, rel_E_I_gap
+
+_REL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference functionals
+
+
+def ref_energy(state, sf, params, nl):
+    a, _, _ = sf.eval(state.t)
+    c2 = params.c * params.c
+    e = 0.5 * l2_norm_sq(state.v)
+    e += 0.5 * c2 / (a * a) * grad_norm_sq(state.u)
+    e += 0.5 * params.m * params.m * c2 * l2_norm_sq(state.u)
+    if nl is not None:
+        e -= c2 * integrate_F(nl, state.u)
+    return e
+
+
+def ref_nehari(state, sf, params, nl):
+    a, _, _ = sf.eval(state.t)
+    c2 = params.c * params.c
+    val = c2 / (a * a) * grad_norm_sq(state.u)
+    val += params.m * params.m * c2 * l2_norm_sq(state.u)
+    if nl is not None:
+        fu = Field(state.u.grid, np.asarray(nl.f(state.u.values), dtype=np.complex128))
+        val -= c2 * inner_re(fu, state.u)
+    return val
+
+
+def ref_rel_E_I_gap(state, sf, params, nl):
+    a, _, _ = sf.eval(state.t)
+    c2 = params.c * params.c
+    eps = params.eps
+    quad = c2 / (a * a) * grad_norm_sq(state.u) + params.m * params.m * c2 * l2_norm_sq(state.u)
+    bound = 0.5 * l2_norm_sq(state.v)
+    bound += ref_nehari(state, sf, params, nl) / (eps + 2.0)
+    bound += eps / (2.0 * (eps + 2.0)) * quad
+    return ref_energy(state, sf, params, nl) - bound
+
+
+def ref_rho(u0, u1, sf, params, nl):
+    mc2 = params.m * params.m * params.c * params.c
+    lead = mc2 * params.eps / (2.0 * (params.eps + 2.0)) * l2_norm_sq(u0)
+    return lead - ref_energy(State(0.0, u0, u1), sf, params, nl)
+
+
+def ref_delta(u0, u1, t0, sf, params, nl):
+    lead = (abs(params.m) * params.c * params.eps / (2.0 * (params.eps + 2.0))
+            * inner_re(u0, u1))
+    return lead - ref_energy(State(t0, u0, u1), sf, params, nl)
+
+
+def ref_re_tolerance(u0, u1):
+    return _REL * (math.sqrt(l2_norm_sq(u0) * l2_norm_sq(u1)) + 1e-300)
+
+
+def ref_classify_table1(u0, u1, t0, sf, params, nl):
+    st_ = State(t0, u0, u1)
+    E0 = ref_energy(st_, sf, params, nl)
+    I0 = ref_nehari(st_, sf, params, nl)
+    re01 = inner_re(u0, u1)
+    mt, ct = params.m_tilde, params.c_tilde
+    if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or re01 < -ref_re_tolerance(u0, u1):
+        return "none"
+    lead = mt * mt * ct * ct * params.eps / (2.0 * (params.eps + 2.0))
+    x_big = lead * l2_norm_sq(u0) > E0
+    y_big = lead * re01 > E0
+    if x_big:
+        return "II" if y_big else "I"
+    return "III" if y_big else "IV"
+
+
+# ---------------------------------------------------------------------------
+# bitwise equality on random states
+
+
+NONLINEARITIES = (None, GaugeInvariantPower(p=2.0, lam=1.0),
+                  GaugeInvariantPower(p=3.0, lam=-1.0, eps=2.5),
+                  RealAbsPower(p=2.0), RealAbsPower(p=3.0, sign=-1))
+
+
+@st.composite
+def states(draw):
+    """Random data (u0, u1) on a 1-3 dimensional grid with 8-16 points per
+    axis, a nonlinearity (real data for the real-only family), a background
+    with a != 1 at t0 > 0, and physical parameters."""
+    n = draw(st.integers(1, 3))
+    grid = Grid(n=n, points_per_axis=draw(st.integers(8, 16)),
+                half_width=draw(st.floats(0.5, 4.0)))
+    nl = draw(st.sampled_from(NONLINEARITIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = [draw(st.floats(1e-2, 3.0)) for _ in range(2)]
+    vals = [s * (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+            for s in scales]
+    if nl is not None and nl.real_only:
+        vals = [v.real for v in vals]
+    a0 = draw(st.floats(0.5, 2.0).filter(lambda x: x != 1.0))
+    H = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        sf = DeSitter(H=H, a0=a0, n=n)
+    else:
+        sf = PowerLaw(draw(st.floats(0.0, 2.0)), H=H, a0=a0, n=n)
+    params = PhysicalParams(m=draw(st.floats(-2.0, 2.0)),
+                            c=draw(st.floats(0.5, 2.0)),
+                            eps=draw(st.floats(0.1, 3.0)), n=n)
+    t0 = draw(st.floats(0.05, 1.5))
+    return Field(grid, vals[0]), Field(grid, vals[1]), t0, sf, params, nl
+
+
+def same_bits(x: float, y: float) -> bool:
+    return float(x).hex() == float(y).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(states())
+def test_functionals_match_reference_bitwise(case):
+    u0, u1, t0, sf, params, nl = case
+    state = State(t0, u0, u1)
+    assert sf.eval(t0)[0] != 1.0
+    for new, ref in ((energy, ref_energy), (nehari, ref_nehari),
+                     (rel_E_I_gap, ref_rel_E_I_gap)):
+        assert same_bits(new(state, sf, params, nl),
+                         ref(state, sf, params, nl))
+    assert same_bits(rho(u0, u1, sf, params, nl),
+                     ref_rho(u0, u1, sf, params, nl))
+    assert same_bits(delta(u0, u1, t0, sf, params, nl),
+                     ref_delta(u0, u1, t0, sf, params, nl))
+    assert (classify_table1(u0, u1, t0, sf, params, nl)
+            == ref_classify_table1(u0, u1, t0, sf, params, nl))
+    # the record itself, with the run's stencil
+    rec = measure(state, nl, Stencil(u0.grid.shape))
+    assert same_bits(rec.L, l2_norm_sq(u0))
+    assert same_bits(rec.ut_sq, l2_norm_sq(u1))
+    assert same_bits(rec.re_u_ut, inner_re(u0, u1))
+    assert same_bits(rec.grad_sq, grad_norm_sq(u0))
+    try:
+        rep = evaluate(u0, u1, t0, sf, params, nl)
+    except HorizonTooShort:
+        return
+    assert same_bits(rep.E_t0, ref_energy(state, sf, params, nl))
+    assert same_bits(rep.I_u0, ref_nehari(state, sf, params, nl))
+    assert same_bits(rep.delta, ref_delta(u0, u1, t0, sf, params, nl))
+    assert rep.case_label == ref_classify_table1(u0, u1, t0, sf, params, nl)
+
+
+# ---------------------------------------------------------------------------
+# one measurement per state
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Count calls of a kgflrw.field function through every module binding."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for mod in (field, functionals, dynamics, hypotheses, cli):
+        if getattr(mod, func.__name__, None) is func:
+            monkeypatch.setattr(mod, func.__name__, counting)
+    return calls
+
+
+def count_stencils(monkeypatch) -> list:
+    built = []
+    init = Stencil.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stencil, "__init__", counting)
+    return built
+
+
+def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
+    """A simulation evaluates the gradient once for evaluate, once for the
+    initial state and once per accepted step, and builds two stencils: the
+    run's and evaluate's. The anchor blows up and records every step of its
+    tail; the shortened smooth run ends between two recorded steps, so its
+    last row comes after the loop."""
+    grads = count_calls(monkeypatch, field.grad_sq_array)
+    stencils = count_stencils(monkeypatch)
+    smooth = bundled_scenario_text("desitter-smooth").replace(
+        "run.t_end = 0.8", "run.t_end = 0.105")
+    for name, text, min_steps in (
+            ("anchor", bundled_scenario_text("minkowski-m0-u2-A3"), 1000),
+            ("smooth", smooth, 100)):
+        del grads[:], stencils[:]
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main_entry(["simulate", str(cfg), "--out", str(out)]) == 0
+        report = parse_report((out / "report.txt").read_text())
+        accepted = report["run.accepted_steps"]
+        assert accepted > min_steps
+        assert len(grads) == accepted + 2
+        assert len(stencils) <= 2
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert float(rows[-1].split(",")[0]) == report["run.t_final"]
+    assert accepted % 20 != 0  # the last row is not a recorded step
+
+
+def test_evaluate_measures_the_data_once(monkeypatch):
+    grid = Grid(n=2, points_per_axis=16, half_width=math.pi)
+    rng = np.random.default_rng(5)
+    u0, u1 = (Field(grid, rng.normal(size=grid.shape) + 0j) for _ in range(2))
+    nl = GaugeInvariantPower(p=2.0, lam=1.0)
+    calls = {"F": 0, "f": 0}
+    for name in calls:
+        method = getattr(GaugeInvariantPower, name)
+
+        def counting(self, u, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, u)
+
+        monkeypatch.setattr(GaugeInvariantPower, name, counting)
+    grads = count_calls(monkeypatch, field.grad_sq_array)
+    stencils = count_stencils(monkeypatch)
+    evaluate(u0, u1, 0.0, DeSitter(H=0.3, n=2),
+             PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2), nl)
+    assert (len(grads), len(stencils), calls) == (1, 1, {"F": 1, "f": 1})
