@@ -10,19 +10,18 @@ from .dynamics import (BlowupInfo, RunConfig, Trace, estimate_t_star,
                        homogeneous_oracle, run, step)
 from .field import (Field, Grid, State, inner_re, integrate_F, grad_norm_sq,
                     l2_norm_sq, laplacian, make_profile, support_radius)
-from .functionals import (CSV_COLUMNS, PhysicalParams, TraceArrays, delta,
-                          energy, eta_series, hdiag, kappa_for_mode, nehari,
-                          rho, theta_accumulate, zeta_series)
+from .functionals import (CSV_COLUMNS, PhysicalParams, delta, energy,
+                          kappa_for_mode, nehari, rho)
 from .hypotheses import (HypothesisReport, TheoremCheck, calibrate_amplitude,
                          check_corollaries, check_theorem1, check_theorem2,
-                         classify_table1, evaluate, theorem1_bound,
-                         theorem2_bound)
+                         classify_table1, concavity_problem, evaluate,
+                         theorem1_bound, theorem2_bound)
 from .nonlinearity import (GaugeInvariantPower, RealAbsPower,
                            admissible_eps_range, sobolev_admissible,
                            verify_structure)
 from .odelab import (ComparisonReport, ConcavityProblem, ConcavitySolution,
-                     comparison_check, problem_from_certificate,
-                     random_admissible_problems, solve_concavity, tstar_bound)
+                     comparison_check, random_admissible_problems,
+                     solve_concavity, tstar_bound)
 from .scale_factor import (DeSitter, PowerLaw, Tabulated, c_epsilon,
                            check_monotone_expansion, check_t0_condition,
                            hubble_rate, min_admissible_t0,

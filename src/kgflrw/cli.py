@@ -27,11 +27,9 @@ from .dynamics import Trace, run
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
                      WrapAroundRisk)
-from .functionals import CSV_COLUMNS, kappa_for_mode, snapshot_csv_values
-from .hypotheses import HypothesisReport, evaluate
-from .odelab import (ConcavityProblem, problem_from_certificate,
-                     random_admissible_problems, solve_concavity, tstar_bound)
-from .scale_factor import hubble_rate
+from .functionals import CSV_COLUMNS, snapshot_csv_values
+from .hypotheses import HypothesisReport, concavity_problem, evaluate
+from .odelab import random_admissible_problems, solve_concavity, tstar_bound
 
 log = logging.getLogger("kgflrw")
 
@@ -56,16 +54,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _report_dict(report: HypothesisReport | None, scenario: Scenario,
+                 extra: dict | None = None) -> dict:
+    """scenario, config_hash, then report.flat() (if any), then extra."""
+    flat = {"scenario": scenario.name, "config_hash": scenario.config_hash}
+    if report is not None:
+        flat.update(report.flat())
+    if extra:
+        flat.update(extra)
+    return flat
+
+
 def report_lines(report: HypothesisReport | None, scenario: Scenario,
                  extra: dict | None = None) -> list[str]:
     """Flat key = value block; every line parses back via parse_report."""
-    lines = [f"scenario = {scenario.name}",
-             f"config_hash = {scenario.config_hash}"]
-    flat = report.flat() if report is not None else {}
-    if extra:
-        flat.update(extra)
-    lines.extend(f"{key} = {_fmt(val)}" for key, val in flat.items())
-    return lines
+    return [f"{key} = {_fmt(val)}"
+            for key, val in _report_dict(report, scenario, extra).items()]
 
 
 def parse_report(text: str) -> dict:
@@ -97,12 +101,8 @@ def parse_report(text: str) -> dict:
     return out
 
 
-def report_csv(report: HypothesisReport, scenario: Scenario,
-               extra: dict | None = None) -> str:
-    flat = {"scenario": scenario.name, "config_hash": scenario.config_hash}
-    flat.update(report.flat())
-    if extra:
-        flat.update(extra)
+def report_csv(report: HypothesisReport, scenario: Scenario) -> str:
+    flat = _report_dict(report, scenario)
     header = ",".join(flat.keys())
     row = ",".join(_fmt(v) for v in flat.values())
     return f"{header}\n{row}\n"
@@ -121,6 +121,17 @@ def _evaluate_scenario(scn: Scenario, u0, u1) -> HypothesisReport:
                     mode=scn.run.theorem_mode)
 
 
+def _evaluate_for_run(scn: Scenario, u0, u1) -> tuple:
+    """(report, None), or (None, why) when only the background's lifetime
+    blocks a certificate and the run goes ahead uncertified."""
+    try:
+        return _evaluate_scenario(scn, u0, u1), None
+    except HorizonTooShort as exc:
+        log.info("certificate blocked by horizon, running uncertified: %s",
+                 exc)
+        return None, str(exc)
+
+
 def _run_scenario(scn: Scenario, report: HypothesisReport | None,
                   u0, u1) -> Trace:
     mode = report.mode if report is not None else "none"
@@ -131,9 +142,15 @@ def _run_scenario(scn: Scenario, report: HypothesisReport | None,
                config_hash=scn.config_hash, mode=mode)
 
 
-def _run_summary(trace: Trace, report: HypothesisReport | None) -> dict:
+def _write_run(out_dir: str, scn: Scenario, report: HypothesisReport | None,
+               trace: Trace, horizon_note: str | None = None
+               ) -> tuple[str, dict]:
+    """Write trace.csv and report.txt of one run, creating out_dir.
+
+    report.txt holds scenario, config_hash, report.flat(), the run summary
+    and note.horizon if given; returns its text and the summary."""
     meta = trace.meta
-    out = {
+    summary = {
         "run.t_final": float(meta["t_final"]),
         "run.accepted_steps": int(meta["accepted"]),
         "run.rejected_steps": int(meta["rejected"]),
@@ -143,19 +160,27 @@ def _run_summary(trace: Trace, report: HypothesisReport | None) -> dict:
     }
     bu = trace.blowup
     if bu is not None:
-        out["blowup.detected"] = str(bool(bu.detected)).lower()
-        out["blowup.reason"] = bu.reason
-        out["blowup.t"] = float(bu.t)
+        summary["blowup.detected"] = str(bool(bu.detected)).lower()
+        summary["blowup.reason"] = bu.reason
+        summary["blowup.t"] = float(bu.t)
         if bu.t_star is not None:
-            out["blowup.t_star"] = float(bu.t_star)
-            out["blowup.t_star_uncertainty"] = float(
+            summary["blowup.t_star"] = float(bu.t_star)
+            summary["blowup.t_star_uncertainty"] = float(
                 bu.t_star_uncertainty or 0.0)
             T = report.T_bound if report is not None else None
             if T is not None:
-                out["blowup.bound_margin"] = float(T - bu.t_star)
+                summary["blowup.bound_margin"] = float(T - bu.t_star)
         elif bu.t_star_status is not None:
-            out["blowup.t_star_status"] = bu.t_star_status
-    return out
+            summary["blowup.t_star_status"] = bu.t_star_status
+    if horizon_note is not None:
+        summary["note.horizon"] = horizon_note.replace("\n", " ")
+    text = "\n".join(report_lines(report, scn, extra=summary)) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
+        fh.write(trace_csv_text(trace))
+    with open(os.path.join(out_dir, "report.txt"), "w", newline="") as fh:
+        fh.write(text)
+    return text, summary
 
 
 def cmd_check(args) -> int:
@@ -174,18 +199,8 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     scn = parse_config(args.config)
-    out_dir = args.out or f"{scn.name}-out"
-    os.makedirs(out_dir, exist_ok=True)
-    report = None
-    horizon_note = None
     u0, u1 = scn.build_fields()
-    try:
-        report = _evaluate_scenario(scn, u0, u1)
-    except HorizonTooShort as exc:
-        horizon_note = str(exc)
-        log.info("certificate blocked by horizon, running uncertified: %s",
-                 exc)
-
+    report, horizon_note = _evaluate_for_run(scn, u0, u1)
     code = EXIT_OK
     try:
         trace = _run_scenario(scn, report, u0, u1)
@@ -199,40 +214,21 @@ def cmd_simulate(args) -> int:
         code = EXIT_NONFINITE if code == EXIT_OK else code
         print("state became non-finite; trace truncated", file=sys.stderr)
 
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        fh.write(trace_csv_text(trace))
-    summary = _run_summary(trace, report)
-    if horizon_note is not None:
-        summary["note.horizon"] = horizon_note.replace("\n", " ")
-    lines = report_lines(report, scn, extra=summary)
-    with open(os.path.join(out_dir, "report.txt"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    sys.stdout.write("\n".join(lines) + "\n")
+    text, _ = _write_run(args.out or f"{scn.name}-out", scn, report, trace,
+                         horizon_note)
+    sys.stdout.write(text)
     return code
 
 
 def _oracle_rows(scn: Scenario | None, n_random: int, seed: int) -> list[tuple]:
     rows = []
-    problems: list[ConcavityProblem] = []
+    problems = []
     if scn is not None:
         report = _evaluate_scenario(scn, *scn.build_fields())
         if report.mode == "none":
             raise InvariantViolation(
                 "odelab", "no certificate applies; nothing to derive")
-        eps = scn.params.eps
-        t0 = scn.run.t0
-        rate0 = hubble_rate(scn.sf, t0)
-        kappa = kappa_for_mode(report.mode, eps)
-        margin = report.rho if report.mode == "thm1" else report.delta
-        A = 2.0 * (eps + 2.0) * margin
-        L0 = report.L0
-        B = (1.0 + scn.params.n * rate0) * L0
-        T = report.T_bound
-        theta0 = L0 + scn.params.n * (T - t0) * rate0 * L0
-        theta_prime0 = 2.0 * report.re_u0_u1
-        problems.append(problem_from_certificate(
-            kappa, A, B, T, theta0, theta_prime0, t0=t0))
+        problems.append(concavity_problem(report, scn.sf, scn.params))
     problems.extend(random_admissible_problems(n_random, seed=seed))
     for prob in problems:
         sol = solve_concavity(prob)
@@ -308,37 +304,20 @@ def _sweep_point(payload) -> dict:
             text = _override_text(text, key, val)
         scn = parse_text(text, name=f"{name}-{label}")
         u0, u1 = scn.build_fields()
-        try:
-            report = _evaluate_scenario(scn, u0, u1)
-        except HorizonTooShort as exc:
-            report = None
+        report, horizon_note = _evaluate_for_run(scn, u0, u1)
+        if report is None:
             row["status"] = "horizon_too_short"
-        if report is not None:
+        else:
             row.update({"case_label": report.case_label,
                         "theorem": report.theorem,
                         "rho": report.rho, "delta": report.delta})
             if report.T_bound is not None:
                 row["T_bound"] = report.T_bound
         trace = _run_scenario(scn, report, u0, u1)
-        bu = trace.blowup
-        if bu is not None and bu.t_star is not None:
-            row["t_star"] = bu.t_star
-            if report is not None and report.T_bound is not None:
-                row["margin"] = report.T_bound - bu.t_star
-        point_dir = os.path.join(out_dir, label)
-        os.makedirs(point_dir, exist_ok=True)
-        with open(os.path.join(point_dir, "trace.csv"), "w",
-                  newline="") as fh:
-            fh.write(trace_csv_text(trace))
-        summary = _run_summary(trace, report)
-        if report is not None:
-            lines = [f"{k} = {_fmt(v)}" for k, v in report.flat().items()]
-        else:
-            lines = []
-        lines.extend(f"{k} = {_fmt(v)}" for k, v in summary.items())
-        with open(os.path.join(point_dir, "report.txt"), "w",
-                  newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _, summary = _write_run(os.path.join(out_dir, label), scn, report,
+                                trace, horizon_note)
+        row["t_star"] = summary.get("blowup.t_star", math.nan)
+        row["margin"] = summary.get("blowup.bound_margin", math.nan)
     except WrapAroundRisk:
         row["status"] = "wrap_around"
     except KGFLRWError as exc:

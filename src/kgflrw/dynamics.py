@@ -296,7 +296,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             t=t, dt=dt_used, L=L, Lp=2.0 * re_u_ut, E=E, I=I, theta=theta,
             theta_prime=theta_p, theta_second=theta_pp, theta_negk=negk,
             eta=eta, zeta=zeta, Hdiag=hdg, wrap_margin=margin, G=acc.G,
-            ut_sq=ut_sq, kappa=kap, mode=mode, e_dissipated=acc.dissipated,
+            ut_sq=ut_sq, mode=mode, e_dissipated=acc.dissipated,
             a=a, adot=adot)
 
     def run_meta(reached_t_end: bool) -> dict:

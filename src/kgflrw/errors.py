@@ -43,16 +43,8 @@ class WidthTooSmall(KGFLRWError):
     """Localized profile width is unresolvable on the grid (under 4 cells)."""
 
 
-class EmptyTrace(KGFLRWError):
-    """A trace-consuming operation received no samples."""
-
-
 class TooFewSamples(KGFLRWError):
     """Sampled-signal check needs at least 3 points for finite differences."""
-
-
-class MasslessHdiag(KGFLRWError):
-    """The growth diagnostic divides by |m| and is undefined for m = 0."""
 
 
 class HorizonTooShort(KGFLRWError):

@@ -37,15 +37,12 @@ concavity constant. Running time-integrals use trapezoid accumulation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .errors import EmptyTrace, MasslessHdiag
-from .field import Field, Grid, State, Stencil, grad_sq_array, inner_re
+from .field import Field, Grid, State, Stencil, grad_sq_array
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -201,139 +198,8 @@ def delta(u0: Field, u1: Field, t0: float, sf: ScaleFactor, params: PhysicalPara
     return measure(State(t0, u0, u1), nl).delta(sf.eval(t0)[0], params)
 
 
-def hdiag(state: State, params: PhysicalParams, E_t0: float) -> float:
-    """Growth diagnostic 2 Re(u, u_t) - 4(eps+2) E(t0) / (|m| c eps).
-
-    Positive and exponentially growing along velocity-margin certificates.
-    Undefined for m = 0.
-    """
-    if params.m == 0.0:
-        raise MasslessHdiag("the growth diagnostic divides by |m|")
-    shift = 4.0 * (params.eps + 2.0) * E_t0 / (abs(params.m) * params.c * params.eps)
-    return 2.0 * inner_re(state.u, state.v) - shift
-
-
 # ---------------------------------------------------------------------------
-# series diagnostics over a recorded trajectory
-
-
-@dataclass
-class TraceArrays:
-    """Columnar samples of the scalar trajectory diagnostics."""
-
-    t: np.ndarray
-    L: np.ndarray          # ||u||^2
-    ut_sq: np.ndarray      # ||u_t||^2
-    re_u_ut: np.ndarray    # Re(u, u_t)
-    I: np.ndarray          # Nehari functional
-
-    @classmethod
-    def from_rows(cls, rows) -> "TraceArrays":
-        if not rows:
-            raise EmptyTrace("no samples")
-        return cls(
-            t=np.array([r.t for r in rows], dtype=float),
-            L=np.array([r.L for r in rows], dtype=float),
-            ut_sq=np.array([r.ut_sq for r in rows], dtype=float),
-            re_u_ut=np.array([0.5 * r.Lp for r in rows], dtype=float),
-            I=np.array([r.I for r in rows], dtype=float),
-        )
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-def _rates(samples: TraceArrays, sf: ScaleFactor):
-    a, adot, addot = sf.eval(samples.t)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    adot = np.atleast_1d(np.asarray(adot, dtype=float))
-    addot = np.atleast_1d(np.asarray(addot, dtype=float))
-    rate = adot / a
-    curv = (adot * adot - addot * a) / (a * a)
-    return rate, curv
-
-
-def _cum(vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    if len(ts) == 1:
-        return np.zeros(1)
-    return cumulative_trapezoid(vals, ts, initial=0.0)
-
-
-@dataclass
-class ThetaSeries:
-    G: np.ndarray
-    theta: np.ndarray
-    theta_prime: np.ndarray
-    theta_second: np.ndarray
-
-
-def theta_accumulate(samples: TraceArrays, sf: ScaleFactor, T: float | None,
-                     t0: float) -> ThetaSeries:
-    """The convexity certificate quantities along a recorded trajectory.
-
-    theta(t) = L + int_t0^t n [ (adot/a) L + G ] + n (T - t) rate(t0) L(t0),
-    with G the running curvature-weighted integral of L. When no certified
-    bound T exists the anchor term is dropped (diagnostic-only mode).
-    theta' and theta'' use the exact differentiated forms, not finite
-    differences of theta.
-    """
-    if len(samples) == 0:
-        raise EmptyTrace("no samples")
-    n = sf.n
-    ts = samples.t
-    rate, curv = _rates(samples, sf)
-    G = _cum(curv * samples.L, ts)
-    P = _cum(n * rate * samples.L, ts)
-    IG = _cum(G, ts)
-    R = _cum(n * rate * samples.re_u_ut, ts)
-    _, adot0, _ = sf.eval(t0)
-    a0, _, _ = sf.eval(t0)
-    rate0 = adot0 / a0
-    theta = samples.L + P + n * IG
-    if T is not None:
-        theta = theta + n * (T - ts) * rate0 * samples.L[0]
-    theta_prime = 2.0 * samples.re_u_ut + 2.0 * R
-    theta_second = 2.0 * (samples.ut_sq - samples.I)
-    return ThetaSeries(G=G, theta=theta, theta_prime=theta_prime,
-                       theta_second=theta_second)
-
-
-def eta_series(samples: TraceArrays, sf: ScaleFactor, t0: float) -> np.ndarray:
-    """Discriminant of the concavity argument; nonnegative up to roundoff.
-
-    eta = (L + P)(||u_t||^2 + Q) - (Re(u,u_t) + R)^2 with P, Q, R the
-    rate-weighted running integrals of L, ||u_t||^2 and Re(u,u_t); a
-    Cauchy-Schwarz inequality in the measure (delta_now + n rate dtau).
-    """
-    if len(samples) == 0:
-        raise EmptyTrace("no samples")
-    n = sf.n
-    ts = samples.t
-    rate, _ = _rates(samples, sf)
-    P = _cum(n * rate * samples.L, ts)
-    Q = _cum(n * rate * samples.ut_sq, ts)
-    R = _cum(n * rate * samples.re_u_ut, ts)
-    return (samples.L + P) * (samples.ut_sq + Q) - (samples.re_u_ut + R) ** 2
-
-
-def zeta_series(samples: TraceArrays, sf: ScaleFactor, kappa_tilde: float,
-                t0: float) -> np.ndarray:
-    """Concavity source term; bounded below by 2(eps+2) times the data margin.
-
-    zeta = -(kt+1) ||u_t||^2 - 2 I(u) - (kt+3) Q.
-    """
-    if len(samples) == 0:
-        raise EmptyTrace("no samples")
-    n = sf.n
-    ts = samples.t
-    rate, _ = _rates(samples, sf)
-    Q = _cum(n * rate * samples.ut_sq, ts)
-    return (-(kappa_tilde + 1.0) * samples.ut_sq - 2.0 * samples.I
-            - (kappa_tilde + 3.0) * Q)
-
-
-# ---------------------------------------------------------------------------
-# incremental accumulation for the PDE driver
+# history integrals, accumulated by the PDE driver
 
 
 class RunningIntegrals:
@@ -388,9 +254,9 @@ class RunningIntegrals:
 class FunctionalSnapshot:
     """One recorded row of the trajectory diagnostics.
 
-    The CSV trace serializes the starred subset; the rest (ut_sq, kappa, mode,
-    dissipation, background values) support recomputation and the energy
-    budget without re-running.
+    The CSV trace serializes the first fourteen fields; the rest (G, ut_sq,
+    mode, dissipation, background values) support recomputation and the
+    energy budget without re-running.
     """
 
     t: float
@@ -409,7 +275,6 @@ class FunctionalSnapshot:
     wrap_margin: float
     G: float = 0.0
     ut_sq: float = 0.0
-    kappa: float = math.nan
     mode: str = "none"
     e_dissipated: float = 0.0
     a: float = 1.0

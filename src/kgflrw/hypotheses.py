@@ -27,7 +27,8 @@ lifetime; a certificate blocked solely by that clause raises HorizonTooShort
 with the partial report attached. The module also classifies data against the
 four-quadrant initial-data table (using the unit-insensitive m~, c~), maps
 closed-form backgrounds to the corollary cases that guarantee the background
-conditions, and calibrates data amplitudes to requested margins.
+conditions, maps a certificate to its concavity comparison ODE, and
+calibrates data amplitudes to requested margins.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from typing import Callable
 
 from .errors import CalibrationFailed, HorizonTooShort
 from .field import Field, State
-from .functionals import Integrals, PhysicalParams, measure
+from .functionals import Integrals, PhysicalParams, kappa_for_mode, measure
 from .nonlinearity import Nonlinearity
+from .odelab import ConcavityProblem
 from .scale_factor import (DeSitter, PowerLaw, ScaleFactor, Tabulated,
                            c_epsilon, check_monotone_expansion,
                            check_t0_condition, hubble_rate,
@@ -336,6 +338,27 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
         rho=t1.margin, delta=t2.margin, I_u0=I0, re_u0_u1=m0.re_u_ut,
         E_t0=E0, L0=m0.L, t0_used=t0, T_bound=T_bound, corollary_case=cor,
         margins=margins, thm1=t1, thm2=t2)
+
+
+def concavity_problem(report: HypothesisReport, sf: ScaleFactor,
+                      params: PhysicalParams) -> ConcavityProblem:
+    """The comparison problem y'' <= -kappa A y^(1+1/kappa) solved by
+    y = theta^(-kappa) along the certificate behind report.T_bound:
+    A = 2(eps+2) margin, B = (1 + n rate0) L0, and y0, y1 from theta(t0) and
+    theta'(t0) = 2 Re(u0, u1)."""
+    eps, n, t0 = params.eps, params.n, report.t0_used
+    rate0 = hubble_rate(sf, t0)
+    kappa = kappa_for_mode(report.mode, eps)
+    margin = report.rho if report.mode == "thm1" else report.delta
+    A = 2.0 * (eps + 2.0) * margin
+    L0, T = report.L0, report.T_bound
+    B = (1.0 + n * rate0) * L0
+    theta0 = L0 + n * (T - t0) * rate0 * L0
+    if theta0 <= 0:
+        raise ValueError("theta(t0) must be positive")
+    y0 = theta0 ** (-kappa)
+    y1 = -kappa * (2.0 * report.re_u0_u1) * theta0 ** (-kappa - 1.0)
+    return ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=y0, y1=y1, t0=t0)
 
 
 def calibrate_amplitude(margin_fn: Callable[[float], float],

@@ -137,8 +137,11 @@ class RealAbsPower:
     def _real(self, u) -> np.ndarray:
         u = np.asarray(u)
         if np.iscomplexobj(u):
-            scale = max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
-            if u.size and float(np.max(np.abs(u.imag))) > _IMAG_TOL * scale:
+            # max |Im u| without a temporary; max(1, max |u|) >= 1 matters
+            # only above the bare tolerance
+            im_max = max(u.imag.max(), -u.imag.min()) if u.size else 0.0
+            if im_max > _IMAG_TOL and im_max > _IMAG_TOL * max(
+                    1.0, float(np.max(np.abs(u)))):
                 raise ComplexInputToRealNonlinearity(
                     "real-only family received data with a non-negligible imaginary part"
                 )

@@ -180,18 +180,6 @@ def comparison_check(t: np.ndarray, h: np.ndarray, gamma: np.ndarray,
     )
 
 
-def problem_from_certificate(kappa: float, A: float, B: float, T: float,
-                             theta0: float, theta_prime0: float,
-                             t0: float = 0.0) -> ConcavityProblem:
-    """Map a trajectory certificate (theta data plus constants) to the scalar
-    problem solved by y = theta^(-kappa)."""
-    if theta0 <= 0:
-        raise ValueError("theta(t0) must be positive")
-    y0 = theta0 ** (-kappa)
-    y1 = -kappa * theta_prime0 * theta0 ** (-kappa - 1.0)
-    return ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=y0, y1=y1, t0=t0)
-
-
 def random_admissible_problems(count: int, seed: int = 0,
                                slack: float = 0.1) -> list[ConcavityProblem]:
     """Draw admissible problems spanning exponents, scales and start times.

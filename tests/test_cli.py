@@ -130,6 +130,13 @@ def test_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main_entry(["check", str(tmp_path / "missing.cfg")]) == 2
     assert "config error" in capsys.readouterr().err
+    # run() rejects a t_end past the background's end: no output directory
+    cfg = write_cfg(tmp_path, bundled_scenario_text("bigrip-reject").replace(
+        "run.t_end = 0.5", "run.t_end = 1.5"))
+    out = tmp_path / "beyond-out"
+    assert main_entry(["simulate", cfg, "--out", str(out)]) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path, capsys):
@@ -175,11 +182,13 @@ def test_simulate_wrap_exit_five(tmp_path, capsys):
     text = text.replace("grid.N = 256", "grid.N = 24").replace(
         "data0.width = 0.55", "data0.width = 1.2")
     cfg = write_cfg(tmp_path, text, name="wrap0.cfg")
-    rc = main_entry(["simulate", cfg, "--out", str(tmp_path / "wrap0-out")])
+    out = tmp_path / "wrap0-out"
+    rc = main_entry(["simulate", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 5
     assert err.splitlines() == [
         "wrap-around abort: support radius 4.8 already fills the box"]
+    assert not out.exists()  # nothing to write, so no directory either
 
 
 def test_simulate_nonfinite_exit_six(tmp_path, capsys):
@@ -261,6 +270,32 @@ def test_sweep_frontier(tmp_path, capsys):
     rhos = dict(zip(amps, (float(r["rho"]) for r in rows)))
     assert rhos[0.5] < 0.0 < rhos[2.0]  # margin crossing inside the sweep
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_sweep_point_report_matches_simulate(tmp_path, capsys):
+    """A sweep point writes the report of `simulate` on its overridden
+    config: same keys in the same order, same values but the scenario name;
+    amplitude 0.5 has no certificate, amplitude 2 the norm-margin one."""
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    out = tmp_path / "sweep-out"
+    assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=0.5:2.0:2",
+                       "--out", str(out)]) == 0
+    for amp, label in (("0.5", "amplitude0.5"), ("2", "amplitude2")):
+        point = write_cfg(tmp_path, SWEEP_CFG.replace(
+            "data0.amplitude = 3", f"data0.amplitude = {amp}"), f"{label}.cfg")
+        sim = tmp_path / f"sim-{label}"
+        assert main_entry(["simulate", point, "--out", str(sim)]) == 0
+        with open(sim / "report.txt") as fh:
+            want = parse_report(fh.read())
+        with open(out / label / "report.txt") as fh:
+            got = parse_report(fh.read())
+        assert list(got) == list(want)
+        assert got.pop("scenario") == f"scn-{label}"
+        assert want.pop("scenario") == label
+        assert got == want
+        assert (out / label / "trace.csv").read_bytes() == \
+            (sim / "trace.csv").read_bytes()
+    capsys.readouterr()
 
 
 def test_simulate_reports_why_t_star_is_missing(tmp_path, capsys):

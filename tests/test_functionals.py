@@ -9,17 +9,18 @@ background rate 1/2. All integrals reduce to closed forms there:
     rho  =  119 pi         delta =  109 pi
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, State, TraceArrays, delta, energy, eta_series,
-                    hdiag, inner_re, kappa_for_mode, make_profile, nehari,
-                    rho, theta_accumulate, zeta_series)
-from kgflrw.errors import EmptyTrace, MasslessHdiag
+                    RunConfig, State, delta, energy, evaluate, inner_re,
+                    kappa_for_mode, load_bundled_scenario, make_profile,
+                    nehari, rho, run)
 from kgflrw.functionals import (RunningIntegrals, kappa_tilde_for_mode,
                                 rel_E_I_gap)
 
@@ -80,15 +81,31 @@ def test_linear_case_gap_is_positive_quadratic(frozen_setup):
     assert rel_E_I_gap(state, sf, params, None) == pytest.approx(0.0, abs=1e-10)
 
 
+SHORT = RunConfig(t_end=0.05, dt=1e-3, record_every=1)
+
+
+def _short_run(name, **kwargs):
+    """The first 50 steps of a bundled scenario, every step recorded, under
+    the certificate its config selects; kwargs override run()'s."""
+    scn = load_bundled_scenario(name)
+    u0, u1 = scn.build_fields()
+    rep = evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+                   mode=scn.run.theorem_mode)
+    cfg = dataclasses.replace(scn.run, t_end=SHORT.t_end,
+                              record_every=SHORT.record_every)
+    opts = {"T_bound": rep.T_bound, "mode": rep.mode, **kwargs}
+    return scn, rep, run(u0, u1, scn.sf, scn.params, scn.nl, cfg, **opts)
+
+
 def test_hdiag_value_and_massless_guard(frozen_setup):
     _, u0, u1, sf, params, nl = frozen_setup
-    state = State(0.0, u0, u1)
-    e0 = energy(state, sf, params, nl)
-    expect = 2 * 12 * math.pi - 4 * 3.0 * e0 / 1.0
-    assert hdiag(state, params, e0) == pytest.approx(expect, rel=1e-13)
+    rows = run(u0, u1, sf, params, nl, SHORT).rows
+    # 2 Re(u0, u1) - 4 (eps + 2) E(0) / (|m| c eps) = 24 pi + 12 * 107 pi
+    assert rows[0].Hdiag == pytest.approx(1308 * math.pi, rel=1e-13)
+    # the diagnostic divides by |m|: undefined without mass
     massless = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
-    with pytest.raises(MasslessHdiag):
-        hdiag(state, massless, e0)
+    rows = run(u0, u1, sf, massless, nl, SHORT).rows
+    assert all(math.isnan(r.Hdiag) for r in rows)
 
 
 def test_kappa_modes():
@@ -121,63 +138,71 @@ def test_params_validation():
 
 def _scalar_trajectory(n_pts=2001, t_end=1.0, vol=2 * math.pi):
     """Homogeneous complex trajectory g(t) = exp((0.3 + 0.7 i) t): exact
-    L, ||u_t||^2, Re(u, u_t) and a stand-in Nehari channel."""
+    L, ||u_t||^2 and Re(u, u_t)."""
     t = np.linspace(0.0, t_end, n_pts)
     g = np.exp((0.3 + 0.7j) * t)
     gp = (0.3 + 0.7j) * g
-    L = vol * np.abs(g) ** 2
-    ut = vol * np.abs(gp) ** 2
-    re = vol * (g * np.conj(gp)).real
-    I = -0.5 * L
-    return TraceArrays(t=t, L=L, ut_sq=ut, re_u_ut=re, I=I)
+    return SimpleNamespace(t=t, L=vol * np.abs(g) ** 2,
+                           ut_sq=vol * np.abs(gp) ** 2,
+                           re_u_ut=vol * (g * np.conj(gp)).real)
 
 
 def test_theta_flat_background_reduces_to_norm():
-    samples = _scalar_trajectory(n_pts=101)
-    sf = PowerLaw(0.0, H=0.0)
-    series = theta_accumulate(samples, sf, T=5.0, t0=0.0)
-    assert np.allclose(series.theta, samples.L, rtol=1e-14)
-    assert np.allclose(series.theta_prime, 2.0 * samples.re_u_ut, rtol=1e-14)
-    assert np.allclose(series.theta_second,
-                       2.0 * (samples.ut_sq - samples.I), rtol=1e-14)
-    assert np.all(series.G == 0.0)
+    # flat anchor: no rate, no curvature, so theta is ||u||^2 bit for bit
+    _, rep, trace = _short_run("minkowski-m0-u2-A3")
+    assert rep.mode == "thm1" and rep.T_bound is not None
+    assert len(trace.rows) == 51
+    for r in trace.rows:
+        assert r.theta == r.L
+        assert r.theta_prime == r.Lp
+        assert r.theta_second == 2.0 * (r.ut_sq - r.I)
+        assert r.G == 0.0
 
 
 def test_theta_anchor_term():
-    samples = _scalar_trajectory(n_pts=101)
-    sf = DeSitter(H=0.5)
-    with_T = theta_accumulate(samples, sf, T=4.0, t0=0.0)
-    without = theta_accumulate(samples, sf, T=None, t0=0.0)
-    anchor = 1 * (4.0 - samples.t) * 0.5 * samples.L[0]
-    assert np.allclose(with_T.theta - without.theta, anchor, rtol=1e-12)
+    # velocity-margin certificate on de Sitter: the anchor term
+    # n (T - t) rate(t0) ||u0||^2 is all that T_bound adds to theta
+    _, rep, with_T = _short_run("desitter-thm2")
+    _, _, without = _short_run("desitter-thm2", T_bound=None)
+    t = np.array([r.t for r in with_T.rows])
+    diff = (np.array([r.theta for r in with_T.rows])
+            - np.array([r.theta for r in without.rows]))
+    anchor = 1 * (rep.T_bound - t) * 0.5 * rep.L0
+    assert np.allclose(diff, anchor, rtol=1e-12)
+    for a, b in zip(with_T.rows, without.rows):
+        assert (a.L, a.theta_prime, a.eta, a.zeta) == \
+            (b.L, b.theta_prime, b.eta, b.zeta)
 
 
-def test_eta_nonnegative_on_consistent_trajectory():
-    samples = _scalar_trajectory()
-    eta = eta_series(samples, DeSitter(H=0.5), t0=0.0)
-    scale = samples.L * samples.ut_sq + 1.0
-    assert np.all(eta >= -1e-10 * scale)
-    # strictly positive away from t = 0 for genuinely complex motion
-    assert np.all(eta[1:] > 0.0)
+def test_eta_nonnegative_on_consistent_trajectory(frozen_setup):
+    # rotating phase (u1 = i u0 / 6): Cauchy-Schwarz is strict, so eta > 0
+    grid, u0, _, sf, params, nl = frozen_setup
+    u1 = make_profile(grid, "homogeneous", 1j)
+    rows = run(u0, u1, sf, params, nl, SHORT).rows
+    eta = np.array([r.eta for r in rows])
+    assert np.all(eta > 0.0)
 
 
 def test_zeta_formula_direct():
-    samples = _scalar_trajectory(n_pts=51)
-    sf = DeSitter(H=0.5)
-    kt = 1.5
-    zeta = zeta_series(samples, sf, kt, t0=0.0)
-    rate = 0.5
-    from scipy.integrate import cumulative_trapezoid
-    Q = cumulative_trapezoid(1 * rate * samples.ut_sq, samples.t, initial=0.0)
-    expect = -(kt + 1.0) * samples.ut_sq - 2.0 * samples.I - (kt + 3.0) * Q
-    assert np.allclose(zeta, expect, rtol=1e-13)
+    # every step is a row, so a trapezoid over the rows rebuilds Q
+    scn, rep, trace = _short_run("desitter-thm2")
+    rows = trace.rows
+    kt = kappa_tilde_for_mode(rep.mode, scn.params.eps)
+    assert kt == 1.5
+    t = np.array([r.t for r in rows])
+    ut = np.array([r.ut_sq for r in rows])
+    I = np.array([r.I for r in rows])
+    rate = np.array([r.adot / r.a for r in rows])
+    Q = cumulative_trapezoid(1 * rate * ut, t, initial=0.0)
+    expect = -(kt + 1.0) * ut - 2.0 * I - (kt + 3.0) * Q
+    assert np.allclose([r.zeta for r in rows], expect, rtol=1e-13)
 
 
 def test_running_integrals_match_series():
     samples = _scalar_trajectory(n_pts=401, t_end=1.0)
     sf = DeSitter(H=0.5)
     acc = RunningIntegrals(n=1, c=1.0)
-    for i in range(len(samples)):
+    for i in range(len(samples.t)):
         a, adot, addot = sf.eval(samples.t[i])
         acc.push(samples.t[i], samples.L[i], samples.ut_sq[i],
                  samples.re_u_ut[i], 0.0, a, adot, addot)
@@ -201,18 +226,3 @@ def test_running_integrals_match_series():
     # comoving light path on a = exp(H t): (1 - exp(-H t)) / H
     expect_w = (1.0 - math.exp(-0.5 * 1.0)) / 0.5
     assert acc.light_path == pytest.approx(expect_w, rel=1e-6)
-
-
-def test_trace_arrays_from_rows():
-    rows = [SimpleNamespace(t=0.0, L=1.0, ut_sq=2.0, Lp=3.0, I=-1.0),
-            SimpleNamespace(t=0.5, L=1.5, ut_sq=2.5, Lp=4.0, I=-2.0)]
-    arr = TraceArrays.from_rows(rows)
-    assert len(arr) == 2
-    assert arr.re_u_ut[1] == 2.0  # Lp / 2
-    with pytest.raises(EmptyTrace):
-        TraceArrays.from_rows([])
-    with pytest.raises(EmptyTrace):
-        theta_accumulate(TraceArrays(t=np.array([]), L=np.array([]),
-                                     ut_sq=np.array([]), re_u_ut=np.array([]),
-                                     I=np.array([])),
-                         PowerLaw(0.0, H=0.0), None, 0.0)

@@ -119,12 +119,39 @@ def test_gauge_equivariance():
     assert np.allclose(nl.f(phase * u), phase * nl.f(u), rtol=1e-14)
 
 
-def test_real_family_rejects_complex():
+def _rejects_complex_reference(u) -> bool:
+    """The previous real-input check: max |Im u| against 1e-13 max(1, max |u|)."""
+    scale = max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
+    return bool(u.size and float(np.max(np.abs(u.imag))) > 1e-13 * scale)
+
+
+_PARTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-12, max_value=1e-12),
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 2e-13, 1.0, 1e3, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True)
+                | st.builds(complex, _PARTS, _PARTS), max_size=6))
+def test_real_family_rejects_complex(values):
     nl = RealAbsPower(p=2.0)
     with pytest.raises(ComplexInputToRealNonlinearity):
         nl.f(np.array([1.0 + 0.5j]))
     # a numerically negligible imaginary part is tolerated
     nl.f(np.array([1.0 + 1e-16j]))
+    # the check raises on exactly the inputs the previous check raised on
+    u = np.array(values, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        expect = _rejects_complex_reference(u)
+        for call in (nl.f, nl.F):
+            try:
+                call(u)
+            except ComplexInputToRealNonlinearity:
+                raised = True
+            else:
+                raised = False
+            assert raised == expect, u
 
 
 def test_non_real_lambda_has_no_potential():

@@ -12,6 +12,7 @@ Oracles, frozen first:
     int_0^1 dy / sqrt(2 - y^6)                         (quadrature oracle)
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ import pytest
 from scipy.integrate import quad
 
 from kgflrw import (ComparisonReport, ConcavityProblem, comparison_check,
-                    problem_from_certificate, random_admissible_problems,
-                    solve_concavity, tstar_bound)
+                    concavity_problem, evaluate, load_bundled_scenario,
+                    random_admissible_problems, solve_concavity, tstar_bound)
 from kgflrw.errors import NoVanishBeforeT, TooFewSamples
 
 VANISH_REST = 1.2143253239439595  # int_0^1 dy / sqrt(1 - y^6)
@@ -121,15 +122,37 @@ def test_no_vanish_before_cutoff():
         solve_concavity(worked_problem(0.0), t_max=0.5)
 
 
+def _report(name):
+    scn = load_bundled_scenario(name)
+    u0, u1 = scn.build_fields()
+    rep = evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+                   mode=scn.run.theorem_mode)
+    return scn, rep
+
+
 def test_certificate_mapping():
-    prob = problem_from_certificate(kappa=0.5, A=4.0, B=1.0, T=40.0,
-                                    theta0=4.0, theta_prime0=1.0)
-    assert prob.y0 == pytest.approx(0.5, rel=1e-15)
-    assert prob.y1 == pytest.approx(-0.5 * 1.0 * 4.0 ** (-1.5), rel=1e-15)
+    # flat massless anchor at rest: theta0 = ||u0||^2 = 18 pi, theta'0 = 0
+    scn, rep = _report("minkowski-m0-u2-A3")
+    prob = concavity_problem(rep, scn.sf, scn.params)
+    assert (prob.kappa, prob.t0, prob.T) == (0.25, 0.0, rep.T_bound)
+    assert prob.A == 2.0 * 3.0 * rep.rho
+    assert prob.B == rep.L0 == pytest.approx(18 * math.pi, rel=1e-13)
+    assert prob.y0 == pytest.approx((18 * math.pi) ** -0.25, rel=1e-15)
+    assert prob.y1 == 0.0
+    # moving data on de Sitter (rate 1/2, velocity margin): the anchor term
+    # enters theta0 and y1 = -kappa theta'0 theta0^(-kappa-1) < 0
+    scn, rep = _report("desitter-thm2")
+    prob = concavity_problem(rep, scn.sf, scn.params)
+    theta0 = rep.L0 * (1.0 + 0.5 * rep.T_bound)
+    assert prob.kappa == 0.125 and prob.A == 2.0 * 3.0 * rep.delta
+    assert prob.B == pytest.approx(1.5 * rep.L0, rel=1e-15)
+    assert prob.y0 == pytest.approx(theta0 ** -0.125, rel=1e-14)
+    assert prob.y1 == pytest.approx(
+        -0.125 * 2.0 * rep.re_u0_u1 * theta0 ** -1.125, rel=1e-14)
     assert prob.y1 < 0.0
     with pytest.raises(ValueError):
-        problem_from_certificate(kappa=0.5, A=4.0, B=1.0, T=40.0,
-                                 theta0=-1.0, theta_prime0=1.0)
+        concavity_problem(dataclasses.replace(rep, L0=-1.0), scn.sf,
+                          scn.params)
 
 
 def test_comparison_check_holds():
