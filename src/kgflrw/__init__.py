@@ -7,11 +7,10 @@ from importlib import resources as _resources
 from . import errors
 from .config import ProfileSpec, Scenario, parse_config, parse_text
 from .dynamics import (BlowupInfo, RunConfig, Trace, estimate_t_star,
-                       homogeneous_oracle, run, step)
-from .field import (Field, Grid, State, inner_re, integrate_F, grad_norm_sq,
-                    l2_norm_sq, laplacian, make_profile, support_radius)
-from .functionals import (CSV_COLUMNS, PhysicalParams, delta, energy,
-                          kappa_for_mode, nehari, rho)
+                       homogeneous_oracle, run)
+from .field import Field, Grid, make_profile, support_radius
+from .functionals import (CSV_COLUMNS, Integrals, PhysicalParams,
+                          kappa_for_mode, measure)
 from .hypotheses import (HypothesisReport, TheoremCheck, calibrate_amplitude,
                          check_corollaries, check_theorem1, check_theorem2,
                          classify_table1, concavity_problem, evaluate,

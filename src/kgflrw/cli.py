@@ -139,7 +139,7 @@ def _run_scenario(scn: Scenario, report: HypothesisReport | None,
         else None
     return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
                T_bound=T_bound, support_radius=scn.wrap_support_radius(),
-               config_hash=scn.config_hash, mode=mode)
+               mode=mode)
 
 
 def _write_run(out_dir: str, scn: Scenario, report: HypothesisReport | None,

@@ -14,9 +14,8 @@ raise InvariantViolation naming that module.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -111,9 +110,12 @@ class Scenario:
     data1: ProfileSpec
     run: RunConfig
     config_hash: str
+    fields: tuple[Field, Field] = dc_field(repr=False, compare=False)
 
     def build_fields(self) -> tuple[Field, Field]:
-        return self.data0.build(self.grid), self.data1.build(self.grid)
+        """The initial fields (u0, u1), built once while parsing; callers
+        must not write into them (`run` steps copies)."""
+        return self.fields
 
     def wrap_support_radius(self) -> float | None:
         """Outermost nominal support over both data profiles; None when
@@ -252,7 +254,8 @@ def _build_nonlinearity(sec: _Section, n: int) -> tuple[Nonlinearity | None, flo
 
 
 def _build_profile(sec: _Section, prefix: str, grid: Grid,
-                   default_amplitude: complex | None = None) -> ProfileSpec:
+                   default_amplitude: complex | None = None
+                   ) -> tuple[ProfileSpec, Field]:
     kind = sec.get(f"{prefix}.kind")
     if kind is None:
         if default_amplitude is None:
@@ -267,10 +270,10 @@ def _build_profile(sec: _Section, prefix: str, grid: Grid,
                        width=sec.get(f"{prefix}.width"),
                        center=sec.get(f"{prefix}.center"))
     try:
-        spec.build(grid)  # surfaces width guards at load time
+        fld = spec.build(grid)  # surfaces width guards at load time
     except (ValueError, WidthTooLarge, WidthTooSmall) as exc:
         raise InvariantViolation("field", str(exc)) from exc
-    return spec
+    return spec, fld
 
 
 def parse_text(text: str, name: str = "<string>",
@@ -296,8 +299,9 @@ def parse_text(text: str, name: str = "<string>",
     except ValueError as exc:
         raise InvariantViolation("functionals", str(exc)) from exc
 
-    data0 = _build_profile(sec, "data0", grid)
-    data1 = _build_profile(sec, "data1", grid, default_amplitude=0.0 + 0.0j)
+    data0, u0 = _build_profile(sec, "data0", grid)
+    data1, u1 = _build_profile(sec, "data1", grid,
+                               default_amplitude=0.0 + 0.0j)
     if nl is not None and nl.real_only:
         for label, prof in (("data0", data0), ("data1", data1)):
             if complex(prof.amplitude).imag != 0.0 or prof.kind == "plane_mod":
@@ -323,7 +327,7 @@ def parse_text(text: str, name: str = "<string>",
 
     return Scenario(name=name, sf=sf, params=params, nl=nl, grid=grid,
                     data0=data0, data1=data1, run=run,
-                    config_hash=_config_hash(entries))
+                    config_hash=_config_hash(entries), fields=(u0, u1))
 
 
 def parse_config(path: str) -> Scenario:

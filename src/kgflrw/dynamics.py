@@ -33,9 +33,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import (CflViolation, NonFiniteState, TimeBeyondHorizon,
-                     TooFewSamples, WrapAroundRisk)
-from .field import Field, State, Stencil, lap_array
+from .errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
+from .field import Field, Stencil, lap_array
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
                           kappa_tilde_for_mode, measure, motion_integrals,
@@ -91,7 +90,6 @@ class BlowupInfo:
 class Trace:
     rows: list
     blowup: BlowupInfo | None
-    run_config_hash: str
     meta: dict = dc_field(default_factory=dict)
 
 
@@ -206,29 +204,9 @@ def cfl_limit(sf: ScaleFactor, t: float, dt: float, h: float, c: float,
     return cfl * h * min(a_now, a_end) / c
 
 
-def step(state: State, dt: float, sf: ScaleFactor, params: PhysicalParams,
-         nl: Nonlinearity | None, cfl: float = 0.4) -> State:
-    """Single RK4 step with CFL enforcement; raises instead of degrading."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h = state.u.grid.spacing
-    bg = _Background(sf)
-    limit = cfl_limit(bg, state.t, dt, h, params.c, cfl)
-    if dt > limit * (1.0 + 1e-9):
-        raise CflViolation(f"dt = {dt} exceeds CFL limit {limit}")
-    ws = RK4Workspace(state.u.values, state.v.values)
-    u_new, v_new = _rk4(state.t, dt, bg, params, nl, h, ws)
-    if not (np.all(np.isfinite(u_new.view(float)))
-            and np.all(np.isfinite(v_new.view(float)))):
-        raise NonFiniteState(f"state nonfinite after step from t = {state.t}")
-    grid = state.u.grid
-    return State(state.t + dt, Field(grid, u_new), Field(grid, v_new))
-
-
 def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         nl: Nonlinearity | None, cfg: RunConfig, T_bound: float | None = None,
-        support_radius: float | None = None, config_hash: str = "",
-        mode: str = "none") -> Trace:
+        support_radius: float | None = None, mode: str = "none") -> Trace:
     """Integrate from (u0, u1) at cfg.t0 and record the diagnostic trace.
 
     mode selects the certificate whose exponents label the recorded theta^(-k)
@@ -251,8 +229,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         raise ValueError("params.n must match the grid dimension")
 
     ws = RK4Workspace(u0.values.copy(), u1.values.copy())
-    rec = measure(State(cfg.t0, Field(grid, ws.u), Field(grid, ws.v)), nl,
-                  ws.stencil)
+    rec = measure(u0, u1, nl, ws.stencil)
     L0 = rec.L
     if L0 <= 0:
         raise ValueError("initial data must be nonzero")
@@ -300,12 +277,8 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             a=a, adot=adot)
 
     def run_meta(reached_t_end: bool) -> dict:
-        return {"accepted": accepted, "rejected": rejected,
-                "min_dt": min_dt_used, "t_final": t,
-                "reached_t_end": reached_t_end, "E_t0": E_t0, "L0": L0,
-                "rate0": rate0, "mode": mode, "kappa": kap, "kappa_tilde": kt,
-                "T_bound": T_bound, "light_path": acc.light_path,
-                "support_radius": support_radius}
+        return {"accepted": accepted, "rejected": rejected, "t_final": t,
+                "reached_t_end": reached_t_end, "E_t0": E_t0, "L0": L0}
 
     t = cfg.t0
     L, ut_sq, re_u_ut, grad_sq = rec[:4]
@@ -317,7 +290,6 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     dt = cfg.dt
     accepted = rejected = 0
     accept_streak = 0
-    min_dt_used = dt
     tail_start = cfg.blowup_threshold * 1e-4
     floor_ratios: deque = deque(maxlen=3)
     blow: BlowupInfo | None = None
@@ -354,7 +326,6 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             dt = min(cfg.dt, 2.0 * dt)
             accept_streak = 0
         since_record += 1
-        min_dt_used = min(min_dt_used, dt_eff)
         L = L_new
         ut_sq, re_u_ut, grad_sq = motion_integrals(ws.u, ws.v, grid,
                                                    ws.stencil)
@@ -375,7 +346,6 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         margin = margin0 - acc.light_path
         if math.isfinite(margin0) and margin <= 0:
             partial = Trace(rows=rows, blowup=None,
-                            run_config_hash=config_hash,
                             meta={"aborted": "wrap_around", "t": t,
                                   **run_meta(False)})
             raise WrapAroundRisk(
@@ -411,7 +381,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             except (TooFewSamples, ValueError) as exc:
                 blow.t_star_status = str(exc)
 
-    return Trace(rows=rows, blowup=blow, run_config_hash=config_hash,
+    return Trace(rows=rows, blowup=blow,
                  meta=run_meta(blow is None and t >= cfg.t_end - end_tol))
 
 

@@ -62,14 +62,6 @@ class CalibrationFailed(KGFLRWError):
     """Amplitude calibration could not push the target above its margin."""
 
 
-class CflViolation(KGFLRWError):
-    """Requested step exceeds the stability limit of the explicit scheme."""
-
-
-class NonFiniteState(KGFLRWError):
-    """NaN or Inf appeared in the evolved field."""
-
-
 class WrapAroundRisk(KGFLRWError):
     """The light cone of localized data is about to wrap around the torus.
 

@@ -1,4 +1,4 @@
-"""Periodic grids, fourth-order stencils, norms and initial-data profiles.
+"""Periodic grids, fourth-order stencils and initial-data profiles.
 
 The spatial domain is the torus [-L, L)^n with N uniform points per axis,
 n in {1, 2, 3}. Complex fields are stored as numpy complex128 arrays, i.e.
@@ -17,9 +17,6 @@ are slices of that buffer, read one axis at a time. The arithmetic runs in
 place in the stencil's work arrays, operation by operation in the order of
 the formulas above, so the results are those of the plain formulas bit for
 bit.
-
-All integrals are plain cell sums times the cell volume, which on a smooth
-periodic integrand converges faster than any power of h.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, WidthTooLarge, WidthTooSmall
-from .nonlinearity import Nonlinearity
 
 
 @dataclass(frozen=True)
@@ -81,22 +77,6 @@ class Field:
         if v.shape != self.grid.shape:
             raise GridMismatch(f"values shape {v.shape} does not match grid {self.grid.shape}")
         self.values = np.ascontiguousarray(v, dtype=np.complex128)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-@dataclass
-class State:
-    """Field and its time derivative at a fixed time."""
-
-    t: float
-    u: Field
-    v: Field
-
-    def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise GridMismatch("u and u_t live on different grids")
 
 
 @lru_cache(maxsize=16)
@@ -204,32 +184,6 @@ def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> floa
         _deriv_loaded(ws, ax, h, d)
         total += float(np.vdot(d, d).real)
     return total
-
-
-def laplacian(fld: Field) -> Field:
-    return Field(fld.grid, lap_array(fld.values, fld.grid.spacing))
-
-
-def l2_norm_sq(fld: Field) -> float:
-    """||u||^2 = integral of |u|^2 over the torus."""
-    return float(np.vdot(fld.values, fld.values).real) * fld.grid.cell_volume
-
-
-def grad_norm_sq(fld: Field, ws: Stencil | None = None) -> float:
-    """||grad u||^2 with the fourth-order first-derivative stencil."""
-    return grad_sq_array(fld.values, fld.grid.spacing, ws) * fld.grid.cell_volume
-
-
-def inner_re(f1: Field, f2: Field) -> float:
-    """Re integral of u conj(v); the real part of the L2 pairing."""
-    if f1.grid != f2.grid:
-        raise GridMismatch("inner product needs both fields on one grid")
-    return float(np.vdot(f2.values, f1.values).real) * f1.grid.cell_volume
-
-
-def integrate_F(nl: Nonlinearity, fld: Field) -> float:
-    """Integral of the potential F(u) over the torus."""
-    return float(np.sum(nl.F(fld.values))) * fld.grid.cell_volume
 
 
 def _radius_sq(grid: Grid, center) -> np.ndarray:

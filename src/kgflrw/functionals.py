@@ -19,8 +19,10 @@ The structure inequality splits E against I:
 with equality exactly when the structure inequality is pointwise tight.
 
 E, I, the margins below and that gap are arithmetic on six spatial integrals
-of a state, measured once per state into `Integrals`: ||u||^2, ||u_t||^2,
-Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u).
+of a state, measured once per state into `Integrals` by `measure`: ||u||^2,
+||u_t||^2, Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u). Each
+is a plain cell sum times the cell volume, which on a smooth periodic
+integrand converges faster than any power of h.
 
 Two data margins certify blow-up: rho (norm-weighted, start at t0 = 0) and
 delta (velocity-weighted, any admissible t0):
@@ -42,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Field, Grid, State, Stencil, grad_sq_array
+from .errors import GridMismatch
+from .field import Field, Grid, Stencil, grad_sq_array
 from .nonlinearity import Nonlinearity
-from .scale_factor import ScaleFactor
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class Integrals(NamedTuple):
         return val
 
     def rel_E_I_gap(self, a: float, params: PhysicalParams) -> float:
+        """E minus its structural lower bound; nonnegative, zero iff the
+        structure inequality is pointwise tight on the data."""
         c2 = params.c * params.c
         eps = params.eps
         quad = c2 / (a * a) * self.grad_sq + params.m * params.m * c2 * self.L
@@ -131,11 +135,13 @@ class Integrals(NamedTuple):
         return self.energy(a, params) - bound
 
     def rho(self, a: float, params: PhysicalParams) -> float:
+        """Norm-weighted data margin; a = a(0) for the data at t = 0."""
         mc2 = params.m * params.m * params.c * params.c
         lead = mc2 * params.eps / (2.0 * (params.eps + 2.0)) * self.L
         return lead - self.energy(a, params)
 
     def delta(self, a: float, params: PhysicalParams) -> float:
+        """Velocity-weighted data margin; a = a(t0) for the data at t0."""
         lead = (abs(params.m) * params.c * params.eps / (2.0 * (params.eps + 2.0))
                 * self.re_u_ut)
         return lead - self.energy(a, params)
@@ -160,42 +166,17 @@ def potential_integrals(u: np.ndarray, grid: Grid,
     return F, float(np.vdot(u, fu).real) * cv
 
 
-def measure(state: State, nl: Nonlinearity | None,
+def measure(u: Field, v: Field, nl: Nonlinearity | None,
             stencil: Stencil | None = None) -> Integrals:
-    """The six integrals of a state; stencil is the gradient's scratch."""
-    u, v, grid = state.u.values, state.v.values, state.u.grid
-    L = float(np.vdot(u, u).real) * grid.cell_volume
-    return Integrals(L, *motion_integrals(u, v, grid, stencil),
-                     *potential_integrals(u, grid, nl))
-
-
-def energy(state: State, sf: ScaleFactor, params: PhysicalParams,
-           nl: Nonlinearity | None) -> float:
-    return measure(state, nl).energy(sf.eval(state.t)[0], params)
-
-
-def nehari(state: State, sf: ScaleFactor, params: PhysicalParams,
-           nl: Nonlinearity | None) -> float:
-    return measure(state, nl).nehari(sf.eval(state.t)[0], params)
-
-
-def rel_E_I_gap(state: State, sf: ScaleFactor, params: PhysicalParams,
-                nl: Nonlinearity | None) -> float:
-    """E minus its structural lower bound; nonnegative, zero iff the structure
-    inequality is pointwise tight on the data."""
-    return measure(state, nl).rel_E_I_gap(sf.eval(state.t)[0], params)
-
-
-def rho(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
-        nl: Nonlinearity | None) -> float:
-    """Norm-weighted data margin at t = 0."""
-    return measure(State(0.0, u0, u1), nl).rho(sf.eval(0.0)[0], params)
-
-
-def delta(u0: Field, u1: Field, t0: float, sf: ScaleFactor, params: PhysicalParams,
-          nl: Nonlinearity | None) -> float:
-    """Velocity-weighted data margin at t = t0."""
-    return measure(State(t0, u0, u1), nl).delta(sf.eval(t0)[0], params)
+    """The six integrals of the state (u, u_t = v); stencil is the
+    gradient's scratch. Raises GridMismatch when u and v live on different
+    grids."""
+    if u.grid != v.grid:
+        raise GridMismatch("u and u_t live on different grids")
+    grid = u.grid
+    L = float(np.vdot(u.values, u.values).real) * grid.cell_volume
+    return Integrals(L, *motion_integrals(u.values, v.values, grid, stencil),
+                     *potential_integrals(u.values, grid, nl))
 
 
 # ---------------------------------------------------------------------------

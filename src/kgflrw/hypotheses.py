@@ -38,11 +38,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from .errors import CalibrationFailed, HorizonTooShort
-from .field import Field, State
+from .field import Field
 from .functionals import Integrals, PhysicalParams, kappa_for_mode, measure
 from .nonlinearity import Nonlinearity
 from .odelab import ConcavityProblem
-from .scale_factor import (DeSitter, PowerLaw, ScaleFactor, Tabulated,
+from .scale_factor import (DeSitter, ScaleFactor, Tabulated,
                            c_epsilon, check_monotone_expansion,
                            check_t0_condition, hubble_rate,
                            t0_condition_threshold)
@@ -107,18 +107,13 @@ def _verdict(name: str, margin: float, T: float | None, conds: dict,
                         T if applicable else None, conds)
 
 
-def check_theorem1(u0: Field, u1: Field, sf: ScaleFactor,
-                   params: PhysicalParams, nl: Nonlinearity | None) -> TheoremCheck:
-    """Norm-margin certificate at t = 0.
+def check_theorem1(m0: Integrals, sf: ScaleFactor,
+                   params: PhysicalParams) -> TheoremCheck:
+    """Norm-margin certificate on the data measured at t = 0.
 
     Raises HorizonTooShort when every hypothesis holds and only the clause
     T <= horizon fails, carrying the partial check as .report.
     """
-    return _theorem1(measure(State(0.0, u0, u1), nl), sf, params)
-
-
-def _theorem1(m0: Integrals, sf: ScaleFactor,
-              params: PhysicalParams) -> TheoremCheck:
     rho_val = m0.rho(sf.eval(0.0)[0], params)
     conds = {
         "margin_positive": rho_val > 0.0,
@@ -130,14 +125,10 @@ def _theorem1(m0: Integrals, sf: ScaleFactor,
     return _verdict("thm1", rho_val, T1, conds, 0.0, sf)
 
 
-def check_theorem2(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
-                   params: PhysicalParams, nl: Nonlinearity | None) -> TheoremCheck:
-    """Velocity-margin certificate at t0; HorizonTooShort as in check_theorem1."""
-    return _theorem2(measure(State(t0, u0, u1), nl), t0, sf, params)
-
-
-def _theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
-              params: PhysicalParams) -> TheoremCheck:
+def check_theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
+                   params: PhysicalParams) -> TheoremCheck:
+    """Velocity-margin certificate on the data measured at t0;
+    HorizonTooShort as in check_theorem1."""
     a0 = sf.eval(t0)[0]
     delta_val = m0.delta(a0, params)
     ok_t0, _ = check_t0_condition(sf, t0, params.m, params.c, params.eps)
@@ -153,19 +144,15 @@ def _theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
     return _verdict("thm2", delta_val, T2, conds, t0, sf)
 
 
-def classify_table1(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
-                    params: PhysicalParams, nl: Nonlinearity | None) -> str:
-    """Quadrant label of the initial-data table, or "none" outside its domain.
+def classify_table1(m0: Integrals, a0: float, params: PhysicalParams) -> str:
+    """Quadrant label of the initial-data table for the data measured at t0
+    (a0 = a(t0)), or "none" outside its domain.
 
     The table lives under I(u0) < 0, Re(u0,u1) >= 0, E(t0) >= 0 and m~ > 0.
     With X = m~^2 c~^2 eps/(2(eps+2)) ||u0||^2 and Y the same constant times
     Re(u0,u1): I has X > E >= Y, II has X > E and Y > E, III has E >= X and
     Y > E, IV (open) has E >= X and E >= Y.
     """
-    return _classify(measure(State(t0, u0, u1), nl), sf.eval(t0)[0], params)
-
-
-def _classify(m0: Integrals, a0: float, params: PhysicalParams) -> str:
     E0 = m0.energy(a0, params)
     I0 = m0.nehari(a0, params)
     re01 = m0.re_u_ut
@@ -279,11 +266,11 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     if mode not in ("auto", "thm1", "thm2", "none"):
         raise ValueError(f"unknown mode {mode!r}")
     pending: HorizonTooShort | None = None
-    m0 = measure(State(t0, u0, u1), nl)
+    m0 = measure(u0, u1, nl)
 
     if t0 == 0.0:
         try:
-            t1 = _theorem1(m0, sf, params)
+            t1 = check_theorem1(m0, sf, params)
         except HorizonTooShort as exc:
             pending = exc
             t1 = exc.report
@@ -291,7 +278,7 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
         t1 = TheoremCheck("thm1", False, math.nan, None,
                           {"starts_at_zero": False})
     try:
-        t2 = _theorem2(m0, t0, sf, params)
+        t2 = check_theorem2(m0, t0, sf, params)
     except HorizonTooShort as exc:
         pending = pending or exc
         t2 = exc.report
@@ -313,7 +300,7 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     a0 = sf.eval(t0)[0]
     E0 = m0.energy(a0, params)
     I0 = m0.nehari(a0, params)
-    case = _classify(m0, a0, params)
+    case = classify_table1(m0, a0, params)
     cors = check_corollaries(sf, t0, params)
     cor = ("n/a" if cert is None else
            {"thm1": cors.thm1_case, "thm2": cors.thm2_case}[cert.name])

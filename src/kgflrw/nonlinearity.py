@@ -137,14 +137,16 @@ class RealAbsPower:
     def _real(self, u) -> np.ndarray:
         u = np.asarray(u)
         if np.iscomplexobj(u):
-            # max |Im u| without a temporary; max(1, max |u|) >= 1 matters
-            # only above the bare tolerance
-            im_max = max(u.imag.max(), -u.imag.min()) if u.size else 0.0
-            if im_max > _IMAG_TOL and im_max > _IMAG_TOL * max(
-                    1.0, float(np.max(np.abs(u)))):
-                raise ComplexInputToRealNonlinearity(
-                    "real-only family received data with a non-negligible imaginary part"
-                )
+            im = u.imag
+            # one pass on real data; max |Im u| without a temporary, and
+            # max(1, max |u|) >= 1 matters only above the bare tolerance
+            if im.any():
+                im_max = max(im.max(), -im.min())
+                if im_max > _IMAG_TOL and im_max > _IMAG_TOL * max(
+                        1.0, float(np.max(np.abs(u)))):
+                    raise ComplexInputToRealNonlinearity(
+                        "real-only family received data with a non-negligible imaginary part"
+                    )
             return u.real
         return u.astype(float) if u.dtype != float else u
 

@@ -61,6 +61,5 @@ def anchor_run(anchor_scenario):
     rep = kgflrw.evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
                           mode=scn.run.theorem_mode)
     trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
-                       T_bound=rep.T_bound, mode=rep.mode,
-                       config_hash=scn.config_hash)
+                       T_bound=rep.T_bound, mode=rep.mode)
     return scn, rep, trace

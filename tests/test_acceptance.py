@@ -65,8 +65,7 @@ def _timed_run(name):
     rep = kgflrw.evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
                           mode=scn.run.theorem_mode)
     trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
-                       T_bound=rep.T_bound, mode=rep.mode,
-                       config_hash=scn.config_hash)
+                       T_bound=rep.T_bound, mode=rep.mode)
     elapsed = time.perf_counter() - start
     return scn, rep, trace, elapsed
 
@@ -245,7 +244,8 @@ def test_criterion_6_small_data_negative(tmp_path):
     def rho_of(amp):
         scn = kgflrw.parse_text(CROSSING_CFG.format(amp=amp), name="cross")
         u0, u1 = scn.build_fields()
-        return kgflrw.rho(u0, u1, scn.sf, scn.params, scn.nl)
+        return kgflrw.measure(u0, u1, scn.nl).rho(scn.sf.eval(0.0)[0],
+                                                  scn.params)
 
     for amp in (0.25, 0.5, 0.75, 0.999):
         val = rho_of(amp)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kgflrw import bundled_scenario_text, cli
-from kgflrw.config import Scenario
+from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
 from kgflrw.functionals import CSV_COLUMNS
 
@@ -314,21 +314,29 @@ def test_simulate_reports_why_t_star_is_missing(tmp_path, capsys):
 
 def test_fields_built_once_per_simulate_and_sweep_point(tmp_path, capsys,
                                                         monkeypatch):
-    calls = []
-    build = Scenario.build_fields
+    """Each profile is built once, by the parse that validates it, and
+    build_fields hands those fields out."""
+    calls, profiles = [], []
+    build, build_profile = Scenario.build_fields, ProfileSpec.build
 
     def counting(self):
         calls.append(self.name)
         return build(self)
 
+    def counting_profile(self, grid):
+        profiles.append(self.kind)
+        return build_profile(self, grid)
+
     monkeypatch.setattr(Scenario, "build_fields", counting)
+    monkeypatch.setattr(ProfileSpec, "build", counting_profile)
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     assert main_entry(["simulate", cfg, "--out", str(tmp_path / "s")]) == 0
-    assert len(calls) == 1
+    assert (len(calls), len(profiles)) == (1, 2)
+    # the sweep parses its base config, then each of its three points
     assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=0.5:2.0:3",
                        "--out", str(tmp_path / "w")]) == 0
     capsys.readouterr()
-    assert len(calls) == 4
+    assert (len(calls), len(profiles)) == (4, 10)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])

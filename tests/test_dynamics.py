@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, RunConfig, State, Trace, estimate_t_star,
-                    homogeneous_oracle, make_profile, run, step)
-from kgflrw.dynamics import cfl_limit
-from kgflrw.errors import (CflViolation, NonFiniteState, TimeBeyondHorizon,
-                           TooFewSamples, WrapAroundRisk)
+                    PowerLaw, RunConfig, Trace, estimate_t_star,
+                    homogeneous_oracle, make_profile, run)
+from kgflrw.dynamics import RK4Workspace, _Background, _rk4, cfl_limit
+from kgflrw.errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
 from kgflrw.field import lap_array
 
 TSTAR = 1.7173153422544112
@@ -59,10 +58,16 @@ def test_homogeneous_data_stays_homogeneous():
     u1 = make_profile(grid, "homogeneous", -0.5j)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=1)
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    state = State(0.0, u0, u1)
+    # five accepted steps, driven as run() drives them
+    ws = RK4Workspace(u0.values.copy(), u1.values.copy())
+    bg = _Background(flat())
+    t = 0.0
     for _ in range(5):
-        state = step(state, 1e-3, flat(), params, nl)
-    for fld in (state.u.values, state.v.values):
+        _rk4(t, 1e-3, bg, params, nl, grid.spacing, ws)
+        t = t + 1e-3
+        ws.accept()
+        bg.advance(t)
+    for fld in (ws.u, ws.v):
         assert np.all(fld == fld.flat[0])
 
 
@@ -160,22 +165,26 @@ def test_wrap_around_guard():
 
 
 def test_step_guards():
+    """run() clamps every step to the CFL limit and ends on a non-finite
+    state with the reason "nonfinite" instead of raising."""
     grid = Grid(n=1, points_per_axis=32, half_width=1.0)
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    state = State(0.0, make_profile(grid, "homogeneous", 1.0),
-                  make_profile(grid, "homogeneous", 0.0))
+    u0 = make_profile(grid, "homogeneous", 1.0)
+    u1 = make_profile(grid, "homogeneous", 0.0)
     limit = cfl_limit(flat(), 0.0, 1.0, grid.spacing, 1.0, 0.4)
     assert limit == pytest.approx(0.4 * grid.spacing, rel=1e-14)
-    with pytest.raises(CflViolation):
-        step(state, 1.0, flat(), params, nl)
-    with pytest.raises(ValueError):
-        step(state, -1e-3, flat(), params, nl)
-    huge = State(0.0, make_profile(grid, "homogeneous", 1e200),
-                 make_profile(grid, "homogeneous", 0.0))
+    cfg = RunConfig(t_end=0.5, dt=1.0, record_every=1, theorem_mode="none")
+    trace = run(u0, u1, flat(), params, nl, cfg)
+    assert trace.meta["reached_t_end"]
+    assert len(trace.rows) == trace.meta["accepted"] + 1
+    assert max(r.dt for r in trace.rows) <= limit
+    huge = make_profile(grid, "homogeneous", 1e100)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteState):
-            step(huge, 1e-3, flat(), params, nl)
+        trace = run(huge, u1, flat(), params, nl, cfg)
+    assert trace.blowup.reason == "nonfinite"
+    assert not trace.blowup.detected
+    assert all(math.isfinite(r.L) for r in trace.rows)
 
 
 def test_run_rejects_horizon_overrun():

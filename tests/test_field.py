@@ -1,4 +1,4 @@
-"""Grid, stencils, norms and profiles.
+"""Grid, stencils, the integrals of a state and profiles.
 
 Oracles: the exact discrete symbol of the fourth-order stencils on plane
 waves, closed-form integrals of homogeneous data, and analytic derivatives
@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from kgflrw import (Field, GaugeInvariantPower, Grid, State, grad_norm_sq,
-                    inner_re, integrate_F, l2_norm_sq, laplacian,
-                    make_profile, support_radius)
+from kgflrw import (Field, GaugeInvariantPower, Grid, PhysicalParams, PowerLaw,
+                    RunConfig, evaluate, make_profile, measure, run,
+                    support_radius)
 from kgflrw.field import lap_array
 from kgflrw.errors import GridMismatch, WidthTooLarge, WidthTooSmall
 
@@ -31,7 +31,7 @@ def test_laplacian_of_constant_is_bitwise_zero():
     for n in (1, 2, 3):
         grid = Grid(n=n, points_per_axis=16, half_width=2.0)
         fld = make_profile(grid, "homogeneous", 3.0 - 1.25j)
-        out = laplacian(fld).values
+        out = lap_array(fld.values, grid.spacing)
         assert np.all(out == 0.0), "difference form must cancel exactly"
 
 
@@ -41,7 +41,8 @@ def test_plane_wave_discrete_symbol():
     fld = make_profile(grid, "plane_mod", 1.5, width=mode)
     k = mode * math.pi / grid.half_width
     sym = lap_symbol(k, grid.spacing)
-    assert np.allclose(laplacian(fld).values, sym * fld.values, rtol=1e-12)
+    assert np.allclose(lap_array(fld.values, grid.spacing), sym * fld.values,
+                       rtol=1e-12)
 
 
 def test_plane_wave_symbol_2d():
@@ -50,7 +51,8 @@ def test_plane_wave_symbol_2d():
     fld = make_profile(grid, "plane_mod", 1.0, width=mode)
     k = mode * math.pi / grid.half_width
     sym = 2.0 * lap_symbol(k, grid.spacing)  # k is the same along both axes
-    assert np.allclose(laplacian(fld).values, sym * fld.values, rtol=1e-12)
+    assert np.allclose(lap_array(fld.values, grid.spacing), sym * fld.values,
+                       rtol=1e-12)
 
 
 def test_laplacian_fourth_order_convergence():
@@ -81,13 +83,14 @@ def test_l2_norm_homogeneous_closed_form():
         amp = 2.0 + 1.0j
         fld = make_profile(grid, "homogeneous", amp)
         expect = abs(amp) ** 2 * (2 * grid.half_width) ** n
-        assert l2_norm_sq(fld) == pytest.approx(expect, rel=1e-14)
+        assert measure(fld, fld, None).L == pytest.approx(expect, rel=1e-14)
 
 
 def test_l2_norm_plane_wave_is_amplitude_only():
     grid = Grid(n=1, points_per_axis=64, half_width=math.pi)
     fld = make_profile(grid, "plane_mod", 0.5, width=4)
-    assert l2_norm_sq(fld) == pytest.approx(0.25 * 2 * math.pi, rel=1e-13)
+    assert measure(fld, fld, None).L == pytest.approx(0.25 * 2 * math.pi,
+                                                      rel=1e-13)
 
 
 def test_grad_norm_plane_wave_symbol():
@@ -98,10 +101,10 @@ def test_grad_norm_plane_wave_symbol():
     k = mode * math.pi / grid.half_width
     sym = deriv_symbol(k, grid.spacing)
     expect = amp ** 2 * sym ** 2 * (2 * grid.half_width)
-    assert grad_norm_sq(fld) == pytest.approx(expect, rel=1e-12)
+    assert measure(fld, fld, None).grad_sq == pytest.approx(expect, rel=1e-12)
     # homogeneous data has exactly zero gradient
     hom = make_profile(grid, "homogeneous", 3.0)
-    assert grad_norm_sq(hom) == 0.0
+    assert measure(hom, hom, None).grad_sq == 0.0
 
 
 def test_inner_re_matches_manual_sum():
@@ -110,9 +113,10 @@ def test_inner_re_matches_manual_sum():
     a = Field(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     b = Field(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     manual = float(np.sum((a.values * np.conj(b.values)).real)) * grid.cell_volume
-    assert inner_re(a, b) == pytest.approx(manual, rel=1e-14)
-    assert inner_re(a, b) == pytest.approx(inner_re(b, a), rel=1e-14)
-    assert inner_re(a, a) == pytest.approx(l2_norm_sq(a), rel=1e-14)
+    rec = measure(a, b, None)
+    assert rec.re_u_ut == pytest.approx(manual, rel=1e-14)
+    assert rec.re_u_ut == pytest.approx(measure(b, a, None).re_u_ut, rel=1e-14)
+    assert measure(a, a, None).re_u_ut == pytest.approx(rec.L, rel=1e-14)
 
 
 def test_integrate_F_homogeneous():
@@ -120,7 +124,7 @@ def test_integrate_F_homogeneous():
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     fld = make_profile(grid, "homogeneous", 3.0)
     # F(3) = 27/3 = 9 per unit volume, volume = 4
-    assert integrate_F(nl, fld) == pytest.approx(36.0, rel=1e-13)
+    assert measure(fld, fld, nl).F == pytest.approx(36.0, rel=1e-13)
 
 
 def test_bump_compact_support_and_peak():
@@ -171,10 +175,14 @@ def test_grid_mismatch_raised():
     g2 = Grid(n=1, points_per_axis=16, half_width=2.0)
     a = make_profile(g1, "homogeneous", 1.0)
     b = make_profile(g2, "homogeneous", 1.0)
+    sf = PowerLaw(0.0, H=0.0)
+    params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     with pytest.raises(GridMismatch):
-        inner_re(a, b)
+        measure(a, b, None)
     with pytest.raises(GridMismatch):
-        State(0.0, a, b)
+        evaluate(a, b, 0.0, sf, params, None)
+    with pytest.raises(GridMismatch):  # same shape, different box
+        run(a, b, sf, params, None, RunConfig(t_end=0.1))
     with pytest.raises(GridMismatch):
         Field(g1, np.zeros(8, dtype=np.complex128))
 

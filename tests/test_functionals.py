@@ -18,11 +18,9 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    RunConfig, State, delta, energy, evaluate, inner_re,
-                    kappa_for_mode, load_bundled_scenario, make_profile,
-                    nehari, rho, run)
-from kgflrw.functionals import (RunningIntegrals, kappa_tilde_for_mode,
-                                rel_E_I_gap)
+                    RunConfig, evaluate, kappa_for_mode,
+                    load_bundled_scenario, make_profile, measure, run)
+from kgflrw.functionals import RunningIntegrals, kappa_tilde_for_mode
 
 
 @pytest.fixture(scope="module")
@@ -38,47 +36,47 @@ def frozen_setup():
 
 def test_frozen_scalars(frozen_setup):
     _, u0, u1, sf, params, nl = frozen_setup
-    state = State(0.0, u0, u1)
-    assert inner_re(u0, u1) == pytest.approx(12 * math.pi, rel=1e-13)
-    assert energy(state, sf, params, nl) == pytest.approx(-107 * math.pi, rel=1e-13)
-    assert nehari(state, sf, params, nl) == pytest.approx(-360 * math.pi, rel=1e-13)
-    assert rho(u0, u1, sf, params, nl) == pytest.approx(119 * math.pi, rel=1e-13)
-    assert delta(u0, u1, 0.0, sf, params, nl) == pytest.approx(109 * math.pi, rel=1e-13)
+    rec = measure(u0, u1, nl)
+    a0 = sf.eval(0.0)[0]
+    assert rec.re_u_ut == pytest.approx(12 * math.pi, rel=1e-13)
+    assert rec.energy(a0, params) == pytest.approx(-107 * math.pi, rel=1e-13)
+    assert rec.nehari(a0, params) == pytest.approx(-360 * math.pi, rel=1e-13)
+    assert rec.rho(a0, params) == pytest.approx(119 * math.pi, rel=1e-13)
+    assert rec.delta(a0, params) == pytest.approx(109 * math.pi, rel=1e-13)
     # decimal freezes guard against silent convention drift
-    assert energy(state, sf, params, nl) == pytest.approx(-336.15041393410786, rel=1e-12)
-    assert delta(u0, u1, 0.0, sf, params, nl) == pytest.approx(342.4335992412874, rel=1e-12)
+    assert rec.energy(a0, params) == pytest.approx(-336.15041393410786, rel=1e-12)
+    assert rec.delta(a0, params) == pytest.approx(342.4335992412874, rel=1e-12)
 
 
 def test_energy_gradient_term_scales_with_background(frozen_setup):
     grid, _, u1, _, params, nl = frozen_setup
     wave = make_profile(grid, "plane_mod", 0.5, width=2)
-    state = State(0.0, wave, u1)
-    e1 = energy(state, DeSitter(H=0.5, a0=1.0), params, nl)
-    e2 = energy(state, DeSitter(H=0.5, a0=2.0), params, nl)
+    rec = measure(wave, u1, nl)
+    e1 = rec.energy(DeSitter(H=0.5, a0=1.0).eval(0.0)[0], params)
+    e2 = rec.energy(DeSitter(H=0.5, a0=2.0).eval(0.0)[0], params)
     # only the gradient term carries a^-2; doubling a0 quarters it
-    from kgflrw import grad_norm_sq
-    gterm = 0.5 * grad_norm_sq(wave)
+    gterm = 0.5 * rec.grad_sq
     assert e1 - e2 == pytest.approx(gterm * (1.0 - 0.25), rel=1e-12)
 
 
 def test_gap_zero_at_matched_eps_positive_below(frozen_setup):
     grid, u0, u1, sf, _, nl = frozen_setup
-    state = State(0.0, u0, u1)
+    rec, a0 = measure(u0, u1, nl), sf.eval(0.0)[0]
     matched = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=1)   # eps = p - 1
     below = PhysicalParams(m=1.0, c=1.0, eps=0.5, n=1)
-    scale = abs(energy(state, sf, matched, nl))
-    assert abs(rel_E_I_gap(state, sf, matched, nl)) <= 1e-12 * scale
-    assert rel_E_I_gap(state, sf, below, nl) > 0.0
+    scale = abs(rec.energy(a0, matched))
+    assert abs(rec.rel_E_I_gap(a0, matched)) <= 1e-12 * scale
+    assert rec.rel_E_I_gap(a0, below) > 0.0
     # closed form of the gap: c^2 lam |u|^(p+1) vol (1/(eps+2) - 1/(p+1))
     expect = 216.0 * 2 * math.pi * (1.0 / 2.5 - 1.0 / 3.0)
-    assert rel_E_I_gap(state, sf, below, nl) == pytest.approx(expect, rel=1e-12)
+    assert rec.rel_E_I_gap(a0, below) == pytest.approx(expect, rel=1e-12)
 
 
 def test_linear_case_gap_is_positive_quadratic(frozen_setup):
     grid, u0, u1, sf, params, _ = frozen_setup
-    state = State(0.0, u0, u1)
     # without the source term the gap reduces to zero
-    assert rel_E_I_gap(state, sf, params, None) == pytest.approx(0.0, abs=1e-10)
+    gap = measure(u0, u1, None).rel_E_I_gap(sf.eval(0.0)[0], params)
+    assert gap == pytest.approx(0.0, abs=1e-10)
 
 
 SHORT = RunConfig(t_end=0.05, dt=1e-3, record_every=1)

@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, State, Tabulated, calibrate_amplitude,
-                    check_corollaries, check_theorem1, check_theorem2,
-                    classify_table1, evaluate, make_profile, nehari,
-                    theorem1_bound, theorem2_bound)
+                    PowerLaw, Tabulated, calibrate_amplitude,
+                    check_corollaries, check_theorem1, classify_table1,
+                    evaluate, make_profile, measure, theorem1_bound,
+                    theorem2_bound)
 from kgflrw.errors import CalibrationFailed, HorizonTooShort
 
 GRID = Grid(n=1, points_per_axis=16, half_width=math.pi)
@@ -99,17 +99,18 @@ def test_bound_helpers():
 def test_norm_margin_implies_nehari_negative(a, b, m, rate):
     sf = DeSitter(H=rate) if rate > 0 else PowerLaw(0.0, H=0.0)
     params = PhysicalParams(m=m, c=1.0, eps=1.0, n=1)
-    u0, u1 = hom(a), hom(b)
-    chk = check_theorem1(u0, u1, sf, params, NL)
+    rec = measure(hom(a), hom(b), NL)
+    chk = check_theorem1(rec, sf, params)
     if chk.applicable:
-        assert nehari(State(0.0, u0, u1), sf, params, NL) < 0.0
+        assert rec.nehari(sf.eval(0.0)[0], params) < 0.0
 
 
 def test_table1_quadrants_frozen():
     sf = PowerLaw(0.0, H=0.0)
 
-    def label(a, b):
-        return classify_table1(hom(a), hom(b), 0.0, sf, PARAMS_M1, NL)
+    def label(a, b, params=PARAMS_M1):
+        return classify_table1(measure(hom(a), hom(b), NL), sf.eval(0.0)[0],
+                               params)
 
     assert label(1.2, 0.3) == "I"
     assert label(1.5, 0.4) == "II"
@@ -117,15 +118,15 @@ def test_table1_quadrants_frozen():
     assert label(3.0, 4.0) == "IV"
     assert label(0.5, 0.1) == "none"   # I(u0) > 0
     assert label(3.0, 0.0) == "none"   # E < 0
-    assert classify_table1(hom(1.5), hom(0.4), 0.0, sf, PARAMS_M0, NL) == "none"
+    assert label(1.5, 0.4, PARAMS_M0) == "none"
 
 
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(0.3, 4.0), b=st.floats(0.0, 4.0))
 def test_table1_label_consistent(a, b):
     sf = PowerLaw(0.0, H=0.0)
-    u0, u1 = hom(a), hom(b)
-    label = classify_table1(u0, u1, 0.0, sf, PARAMS_M1, NL)
+    label = classify_table1(measure(hom(a), hom(b), NL), sf.eval(0.0)[0],
+                            PARAMS_M1)
     vol = 2 * math.pi
     E = 0.5 * b * b * vol + 0.5 * a * a * vol - (a ** 3 / 3.0) * vol
     I = a * a * vol - a ** 3 * vol
@@ -172,9 +173,7 @@ def test_calibrate_amplitude_crossing():
     sf = PowerLaw(0.0, H=0.0)
 
     def margin(a):
-        rep_u0, rep_u1 = hom(a), hom(0.0)
-        from kgflrw import rho
-        return rho(rep_u0, rep_u1, sf, PARAMS_M1, NL)
+        return measure(hom(a), hom(0.0), NL).rho(sf.eval(0.0)[0], PARAMS_M1)
 
     amp, val = calibrate_amplitude(margin, start=0.25)
     assert amp == pytest.approx(1.0, abs=1e-9)
@@ -193,8 +192,8 @@ def test_calibrate_amplitude_failure_is_honest():
     defocusing = GaugeInvariantPower(p=2.0, lam=-1.0)
 
     def margin(a):
-        from kgflrw import delta
-        return delta(hom(a), hom(0.0), 0.0, sf, PARAMS_M1, defocusing)
+        return measure(hom(a), hom(0.0), defocusing).delta(sf.eval(0.0)[0],
+                                                           PARAMS_M1)
 
     # u1 = 0 kills the leading term and E > 0 always: no crossing exists
     with pytest.raises(CalibrationFailed):
@@ -208,7 +207,7 @@ def test_horizon_blocks_every_certificate():
     with pytest.raises(HorizonTooShort):
         evaluate(hom(3.0), hom(0.0), 0.0, tab, PARAMS_M0, NL, mode="auto")
     with pytest.raises(HorizonTooShort):
-        check_theorem1(hom(3.0), hom(0.0), tab, PARAMS_M0, NL)
+        check_theorem1(measure(hom(3.0), hom(0.0), NL), tab, PARAMS_M0)
 
 
 def test_pinned_mode_fallback_keeps_bound():
@@ -229,8 +228,8 @@ def test_positive_t0_disables_norm_margin():
 
 
 def test_opposed_velocity_fails_re_condition():
-    chk = check_theorem1(hom(3.0), hom(-1.0), PowerLaw(0.0, H=0.0),
-                         PARAMS_M0, NL)
+    chk = check_theorem1(measure(hom(3.0), hom(-1.0), NL),
+                         PowerLaw(0.0, H=0.0), PARAMS_M0)
     assert not chk.applicable
     assert not chk.conditions["re_nonneg"]
 

@@ -2,7 +2,8 @@
 
 The references below are the functionals as written before the six spatial
 integrals of a state were measured once: each one recomputes its norms from
-the fields. `measure` and the `Integrals` arithmetic perform the same
+the fields, with the plain integrals of the `field` module of that time kept
+here verbatim. `measure` and the `Integrals` arithmetic perform the same
 floating-point operations in the same order, so both paths must agree bit for
 bit. The count tests check that a simulation and a certificate evaluation
 measure each state once.
@@ -11,26 +12,48 @@ measure each state once.
 import contextlib
 import io
 import math
+from collections import namedtuple
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, RealAbsPower, State, bundled_scenario_text,
-                    classify_table1, delta, energy, evaluate, field, nehari,
-                    rho)
+                    PowerLaw, RealAbsPower, bundled_scenario_text,
+                    classify_table1, evaluate, field, measure)
 from kgflrw import cli, dynamics, functionals, hypotheses
 from kgflrw.cli import main_entry, parse_report
-from kgflrw.errors import HorizonTooShort
-from kgflrw.field import (Field, Stencil, grad_norm_sq, inner_re, integrate_F,
-                          l2_norm_sq)
-from kgflrw.functionals import measure, rel_E_I_gap
+from kgflrw.errors import GridMismatch, HorizonTooShort
+from kgflrw.field import Field, Stencil, grad_sq_array
 
 _REL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# reference functionals
+# reference integrals and functionals
+
+State = namedtuple("State", "t u v")
+
+
+def l2_norm_sq(fld: Field) -> float:
+    """||u||^2 = integral of |u|^2 over the torus."""
+    return float(np.vdot(fld.values, fld.values).real) * fld.grid.cell_volume
+
+
+def grad_norm_sq(fld: Field, ws: Stencil | None = None) -> float:
+    """||grad u||^2 with the fourth-order first-derivative stencil."""
+    return grad_sq_array(fld.values, fld.grid.spacing, ws) * fld.grid.cell_volume
+
+
+def inner_re(f1: Field, f2: Field) -> float:
+    """Re integral of u conj(v); the real part of the L2 pairing."""
+    if f1.grid != f2.grid:
+        raise GridMismatch("inner product needs both fields on one grid")
+    return float(np.vdot(f2.values, f1.values).real) * f1.grid.cell_volume
+
+
+def integrate_F(nl, fld: Field) -> float:
+    """Integral of the potential F(u) over the torus."""
+    return float(np.sum(nl.F(fld.values))) * fld.grid.cell_volume
 
 
 def ref_energy(state, sf, params, nl):
@@ -144,19 +167,20 @@ def same_bits(x: float, y: float) -> bool:
 def test_functionals_match_reference_bitwise(case):
     u0, u1, t0, sf, params, nl = case
     state = State(t0, u0, u1)
-    assert sf.eval(t0)[0] != 1.0
-    for new, ref in ((energy, ref_energy), (nehari, ref_nehari),
-                     (rel_E_I_gap, ref_rel_E_I_gap)):
-        assert same_bits(new(state, sf, params, nl),
-                         ref(state, sf, params, nl))
-    assert same_bits(rho(u0, u1, sf, params, nl),
+    a0 = sf.eval(t0)[0]
+    assert a0 != 1.0
+    rec = measure(u0, u1, nl)
+    for new, ref in ((rec.energy, ref_energy), (rec.nehari, ref_nehari),
+                     (rec.rel_E_I_gap, ref_rel_E_I_gap)):
+        assert same_bits(new(a0, params), ref(state, sf, params, nl))
+    assert same_bits(rec.rho(sf.eval(0.0)[0], params),
                      ref_rho(u0, u1, sf, params, nl))
-    assert same_bits(delta(u0, u1, t0, sf, params, nl),
+    assert same_bits(rec.delta(a0, params),
                      ref_delta(u0, u1, t0, sf, params, nl))
-    assert (classify_table1(u0, u1, t0, sf, params, nl)
+    assert (classify_table1(rec, a0, params)
             == ref_classify_table1(u0, u1, t0, sf, params, nl))
     # the record itself, with the run's stencil
-    rec = measure(state, nl, Stencil(u0.grid.shape))
+    rec = measure(u0, u1, nl, Stencil(u0.grid.shape))
     assert same_bits(rec.L, l2_norm_sq(u0))
     assert same_bits(rec.ut_sq, l2_norm_sq(u1))
     assert same_bits(rec.re_u_ut, inner_re(u0, u1))
