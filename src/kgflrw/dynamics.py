@@ -34,11 +34,11 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
-from .field import Field, Stencil, lap_array
+from .field import Field, Stencil, dot_re, lap_array
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
-                          kappa_tilde_for_mode, measure, motion_integrals,
-                          potential_integrals)
+                          kappa_tilde_for_mode, measure_arrays,
+                          motion_integrals, potential_integrals, state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError("t0 must be nonnegative")
         if self.dt <= 0 or self.dt_min <= 0:
             raise ValueError("dt and dt_min must be positive")
+        if self.dt_min >= self.dt:  # else every step is at the floor
+            raise ValueError("dt_min must be below dt")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.blowup_threshold <= 1:
@@ -116,11 +118,13 @@ class _Background:
 
 
 class RK4Workspace:
-    """The arrays one integration works in, allocated once per run.
+    """The arrays one integration works in, allocated once per run in the
+    dtype that `_state_arrays` chose.
 
     `u`, `v` hold the accepted state and `trial_u`, `trial_v` the state that
     `_rk4` proposes; `accept()` swaps the two pairs. `su`, `sv`, `kv` and
-    `tmp` are stage scratch and `stencil` the Laplacian's."""
+    `tmp` are stage scratch and `stencil` the scratch of the Laplacian and
+    of the reductions."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         self.u, self.v = u, v
@@ -131,6 +135,17 @@ class RK4Workspace:
     def accept(self) -> None:
         self.u, self.trial_u = self.trial_u, self.u
         self.v, self.trial_v = self.trial_v, self.v
+
+
+def _state_arrays(u0: Field, u1: Field,
+                  nl: Nonlinearity | None) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the data to step: float64 when the data are real and the
+    coupling maps reals to reals (it has a potential), else complex128. Both
+    dtypes give the same trace bit for bit."""
+    if ((nl is None or nl.has_potential)
+            and not (u0.values.imag.any() or u1.values.imag.any())):
+        return u0.values.real.copy(), u1.values.real.copy()
+    return u0.values.copy(), u1.values.copy()
 
 
 def _rhs(t, u, v, sf, params, nl, h, ws: RK4Workspace, out: np.ndarray):
@@ -222,14 +237,14 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     if cfg.t_end >= horizon:
         raise TimeBeyondHorizon(
             f"t_end = {cfg.t_end} not below the background horizon {horizon}")
-    grid = u0.grid
+    grid = state_grid(u0, u1)
     h = grid.spacing
     n = params.n
     if n != grid.n:
         raise ValueError("params.n must match the grid dimension")
 
-    ws = RK4Workspace(u0.values.copy(), u1.values.copy())
-    rec = measure(u0, u1, nl, ws.stencil)
+    ws = RK4Workspace(*_state_arrays(u0, u1, nl))
+    rec = measure_arrays(ws.u, ws.v, grid, nl, ws.stencil)
     L0 = rec.L
     if L0 <= 0:
         raise ValueError("initial data must be nonzero")
@@ -303,7 +318,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         if dt_eff > limit:
             dt_eff = limit
         u_new, _ = _rk4(t, dt_eff, bg, params, nl, h, ws)
-        L_new = float(np.vdot(u_new, u_new).real) * grid.cell_volume
+        L_new = dot_re(u_new, u_new, ws.stencil) * grid.cell_volume
         if not math.isfinite(L_new):
             blow = BlowupInfo(reason="nonfinite", t=t, detected=False)
             break
@@ -338,7 +353,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         in_tail = nl is not None and L >= tail_start * L0
         if since_record >= cfg.record_every or in_tail:
             rec = Integrals(L, ut_sq, re_u_ut, grad_sq,
-                            *potential_integrals(ws.u, grid, nl))
+                            *potential_integrals(ws.u, grid, nl, ws.stencil))
             rows.append(snapshot(t, dt_eff, rec, a_t, adot_t))
             last_recorded_t = t
             since_record = 0
@@ -368,8 +383,8 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     if last_recorded_t != t and (blow is None or blow.reason != "nonfinite"):
         # the last accepted state, measured in the loop; ws.u still holds it
         rec = Integrals(L, ut_sq, re_u_ut, grad_sq,
-                        *potential_integrals(ws.u, grid, nl))
-        rows.append(snapshot(t, dt, rec, a_t, adot_t))
+                        *potential_integrals(ws.u, grid, nl, ws.stencil))
+        rows.append(snapshot(t, dt_eff, rec, a_t, adot_t))
 
     if blow is not None and blow.detected:
         if nl is None:

@@ -1,14 +1,19 @@
 """Periodic grids, fourth-order stencils and initial-data profiles.
 
 The spatial domain is the torus [-L, L)^n with N uniform points per axis,
-n in {1, 2, 3}. Complex fields are stored as numpy complex128 arrays, i.e.
-interleaved (re, im) pairs in memory. Derivatives use fourth-order central
+n in {1, 2, 3}. A `Field` is a numpy complex128 array, i.e. interleaved
+(re, im) pairs in memory; the array kernels also take the float64 array of a
+real state and give the real part of the complex result bit for bit, with
+reductions through `dot_re`. Derivatives use fourth-order central
 stencils with wrap-around indexing, written in difference form so that a
 constant field maps to exactly zero (bitwise), which keeps homogeneous data
 exactly homogeneous under evolution:
 
     D2 f = [16 (f_{i+1} + f_{i-1} - 2 f_i) - (f_{i+2} + f_{i-2} - 2 f_i)] / (12 h^2)
     D1 f = [ 8 (f_{i+1} - f_{i-1}) - (f_{i+2} - f_{i-2})] / (12 h)
+
+The division is a multiply by 1 / (12 h^2) or 1 / (12 h), which is how numpy
+divides a complex number by a real one, so both dtypes round alike.
 
 The wrap-around is a padded copy: a `Stencil` holds a buffer with two
 wrap-around cells per side on every axis, the field is copied into its
@@ -22,7 +27,7 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,6 +120,11 @@ class Stencil:
         self.neighbours = tuple(tuple(pad[ix] for ix in axis)
                                 for axis in neighbours)
 
+    @cached_property
+    def wide(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two zero complex128 arrays into which `dot_re` widens real ones."""
+        return tuple(np.zeros(self.shape, np.complex128) for _ in range(2))
+
     def load(self, vals: np.ndarray) -> None:
         """Copy vals into the padded buffer and fill its wrap-around cells."""
         self._inner[...] = vals
@@ -151,7 +161,7 @@ def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
         np.subtract(core, wing, out=core)
         # the sum starts from zero: + 0.0 turns a -0.0 into +0.0 as 0 + x does
         np.add(out, 0.0 if ax == 0 else term, out=out)
-    np.true_divide(out, 12.0 * h * h, out=out)
+    np.multiply(out, 1.0 / (12.0 * h * h), out=out)
     return out
 
 
@@ -162,7 +172,7 @@ def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarr
     np.multiply(8.0, out, out=out)
     np.subtract(p2, m2, out=wing)
     np.subtract(out, wing, out=out)
-    np.true_divide(out, 12.0 * h, out=out)
+    np.multiply(out, 1.0 / (12.0 * h), out=out)
     return out
 
 
@@ -174,6 +184,21 @@ def deriv_array(vals: np.ndarray, axis: int, h: float,
     return _deriv_loaded(ws, axis, h, np.empty_like(vals))
 
 
+def dot_re(a: np.ndarray, b: np.ndarray, ws: Stencil | None = None) -> float:
+    """Re sum(conj(a) b) as complex128 vdot (BLAS zdotc) sums it: real arrays
+    are widened into ws.wide first, since a real ddot sums in another order
+    and can differ in the last bit."""
+    if a.dtype != np.complex128:
+        za, zb = _stencil_for(a, ws).wide
+        za.real[...] = a
+        if b is a:
+            zb = za
+        else:
+            zb.real[...] = b
+        a, b = za, zb
+    return float(np.vdot(a, b).real)
+
+
 def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> float:
     """Sum over cells of |grad v|^2 (no volume factor)."""
     ws = _stencil_for(vals, ws)
@@ -182,7 +207,7 @@ def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> floa
     total = 0.0
     for ax in range(vals.ndim):
         _deriv_loaded(ws, ax, h, d)
-        total += float(np.vdot(d, d).real)
+        total += dot_re(d, d, ws)
     return total
 
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .field import Field, Grid, Stencil, grad_sq_array
+from .field import Field, Grid, Stencil, dot_re, grad_sq_array
 from .nonlinearity import Nonlinearity
 
 
@@ -151,32 +151,42 @@ def motion_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
                      stencil: Stencil | None = None) -> tuple[float, float, float]:
     """||u_t||^2, Re(u, u_t) and ||grad u||^2 of the arrays of a state."""
     cv = grid.cell_volume
-    return (float(np.vdot(v, v).real) * cv, float(np.vdot(v, u).real) * cv,
+    return (dot_re(v, v, stencil) * cv, dot_re(v, u, stencil) * cv,
             grad_sq_array(u, grid.spacing, stencil) * cv)
 
 
-def potential_integrals(u: np.ndarray, grid: Grid,
-                        nl: Nonlinearity | None) -> tuple[float, float]:
+def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
+                        stencil: Stencil | None = None) -> tuple[float, float]:
     """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation."""
     if nl is None:
         return 0.0, 0.0
     cv = grid.cell_volume
     F = float(np.sum(nl.F(u))) * cv
-    fu = np.asarray(nl.f(u), dtype=np.complex128)
-    return F, float(np.vdot(u, fu).real) * cv
+    return F, dot_re(u, np.asarray(nl.f(u), dtype=u.dtype), stencil) * cv
+
+
+def measure_arrays(u: np.ndarray, v: np.ndarray, grid: Grid,
+                   nl: Nonlinearity | None,
+                   stencil: Stencil | None = None) -> Integrals:
+    """The six integrals of the state arrays (u, u_t = v), complex128 or
+    float64; stencil is the scratch of the gradient and of `dot_re`."""
+    L = dot_re(u, u, stencil) * grid.cell_volume
+    return Integrals(L, *motion_integrals(u, v, grid, stencil),
+                     *potential_integrals(u, grid, nl, stencil))
 
 
 def measure(u: Field, v: Field, nl: Nonlinearity | None,
             stencil: Stencil | None = None) -> Integrals:
-    """The six integrals of the state (u, u_t = v); stencil is the
-    gradient's scratch. Raises GridMismatch when u and v live on different
-    grids."""
+    """The six integrals of the state (u, u_t = v). Raises GridMismatch
+    when u and v live on different grids."""
+    return measure_arrays(u.values, v.values, state_grid(u, v), nl, stencil)
+
+
+def state_grid(u: Field, v: Field) -> Grid:
+    """The grid of the state (u, u_t = v); GridMismatch if u and v differ."""
     if u.grid != v.grid:
         raise GridMismatch("u and u_t live on different grids")
-    grid = u.grid
-    L = float(np.vdot(u.values, u.values).real) * grid.cell_volume
-    return Integrals(L, *motion_integrals(u.values, v.values, grid, stencil),
-                     *potential_integrals(u.values, grid, nl))
+    return u.grid
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,9 @@ class GaugeInvariantPower:
 
     def f(self, u):
         u = np.asarray(u)
-        return self.lam * np.abs(u) ** (self.p - 1.0) * u
+        # a real lam maps real input to the real part of the complex f
+        real = self.has_potential and not np.iscomplexobj(u)
+        return (self.lam.real if real else self.lam) * np.abs(u) ** (self.p - 1.0) * u
 
     def F(self, u):
         if not self.has_potential:

@@ -139,6 +139,20 @@ def test_config_error_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dt_min_not_below_dt_exit_two(tmp_path, capsys):
+    """run.dt_min >= run.dt would switch step control off; the config
+    rejects it and no output directory is made."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    assert "run.dt_min = 1e-12" in text
+    cfg = write_cfg(tmp_path, text.replace("run.dt_min = 1e-12",
+                                           "run.dt_min = 0.01"))
+    out = tmp_path / "floor-out"
+    assert main_entry(["simulate", cfg, "--out", str(out)]) == 2
+    assert "dynamics: dt_min must be below dt" in capsys.readouterr().err
+    assert not out.exists()
+    assert main_entry(["check", cfg]) == 2
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     cfg = bundled_path(tmp_path, "minkowski-m0-u2-A3")
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")

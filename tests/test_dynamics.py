@@ -230,6 +230,32 @@ def test_run_config_validation():
         RunConfig(cfl=1.5)
     with pytest.raises(ValueError):
         RunConfig(theorem_mode="sometimes")
+    # a floor at or above dt would count every step as at the floor
+    for dt_min in (1e-3, 1e-2):
+        with pytest.raises(ValueError, match="dt_min"):
+            RunConfig(dt=1e-3, dt_min=dt_min)
+    RunConfig(dt=1e-3, dt_min=9.99e-4)
+
+
+def test_final_row_carries_the_step_taken():
+    """A run that ends between two recorded steps writes its last row after
+    the loop with the dt of the step it took, not the nominal run.dt. Here
+    run.dt = 1.0 is clamped to the CFL limit 0.025 on every step, and the
+    last row is the one a run recording every step ends with."""
+    grid = Grid(n=1, points_per_axis=32, half_width=math.pi)
+    u0 = make_profile(grid, "homogeneous", 3.0)
+    u1 = make_profile(grid, "homogeneous", 0.0)
+    params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
+    nl = GaugeInvariantPower(p=2.0, lam=1.0)
+    traces = [run(u0, u1, flat(), params, nl, RunConfig(
+        t_end=0.5, dt=1.0, record_every=every, cfl=0.12732395447351627,
+        theorem_mode="none")) for every in (7, 1)]
+    sparse, dense = traces
+    assert sparse.meta["accepted"] % 7 != 0
+    assert all(0.0 < r.dt <= 0.025 for r in sparse.rows[1:])
+    assert sparse.rows[-1].t == 0.5
+    assert repr(dataclasses.astuple(sparse.rows[-1])) == repr(
+        dataclasses.astuple(dense.rows[-1]))
 
 
 def test_desitter_expansion_damps_energy():

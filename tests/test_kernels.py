@@ -5,19 +5,28 @@ formulations of the same arithmetic. The kernels in kgflrw.field and
 kgflrw.dynamics pad, reuse buffers and write in place, but perform the same
 floating-point operations in the same order, so they must agree bit for
 bit, including the exact zeros a constant field maps to.
+
+On real data the kernels also run in float64. There the complex kernel is
+the oracle: the float64 path must give its real part bit for bit, and the
+same integrals, so that a run gives one trace whichever dtype it steps in.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgflrw import (DeSitter, GaugeInvariantPower, PhysicalParams, PowerLaw,
-                    RealAbsPower, load_bundled_scenario, run)
+from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
+                    PowerLaw, RealAbsPower, bundled_scenario_text, config,
+                    load_bundled_scenario, measure, run)
 from kgflrw import dynamics
 from kgflrw.cli import trace_csv_text
-from kgflrw.dynamics import RK4Workspace, _rhs, _rk4
-from kgflrw.field import Stencil, deriv_array, grad_sq_array, lap_array
+from kgflrw.dynamics import RK4Workspace, RunConfig, _rhs, _rk4
+from kgflrw.errors import NonRealLambdaNoPotential
+from kgflrw.field import (Field, Stencil, deriv_array, grad_sq_array,
+                          lap_array, make_profile)
+from kgflrw.functionals import measure_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +140,21 @@ def test_stencils_match_reference_bitwise(case):
 
 
 def test_stencils_on_real_arrays_and_signed_zeros():
+    """On real input the stencils give the real part of the complex
+    reference on the same data, bit for bit."""
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(12, 9))
-    assert_bitwise(lap_array(vals, 0.3), ref_lap_array(vals, 0.3))
-    assert_bitwise(deriv_array(vals, 1, 0.3), ref_deriv_array(vals, 1, 0.3))
+    wide = vals.astype(np.complex128)
+    assert_bitwise(lap_array(vals, 0.3), ref_lap_array(wide, 0.3).real.copy())
+    assert_bitwise(deriv_array(vals, 1, 0.3),
+                   ref_deriv_array(wide, 1, 0.3).real.copy())
     # +0.0 cells between -0.0 neighbours: the sum over axes starts from zero
     for shape in ((16,), (16, 8)):
         zeros = np.zeros(shape, dtype=np.complex128)
         zeros.real[1::2] = -0.0
         assert_bitwise(lap_array(zeros, 0.3), ref_lap_array(zeros, 0.3))
         assert_bitwise(lap_array(zeros.real.copy(), 0.3),
-                       ref_lap_array(zeros.real.copy(), 0.3))
+                       ref_lap_array(zeros, 0.3).real.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +236,161 @@ def test_run_matches_reference_rk4(monkeypatch):
     assert fast.meta == slow.meta
     assert fast.blowup == slow.blowup
     assert fast.blowup.t_star is not None
+
+
+# ---------------------------------------------------------------------------
+# the float64 path against the complex kernel
+
+
+def real_part(a: np.ndarray) -> np.ndarray:
+    assert a.dtype == np.complex128
+    return np.ascontiguousarray(a.real)
+
+
+def hexes(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields())
+def test_real_stencils_match_complex_kernel_bitwise(case):
+    h, vals = case
+    r = vals.real.copy()
+    z = r.astype(np.complex128)
+    ws = Stencil(r.shape, np.float64)
+    for _ in range(2):  # a reused workspace carries nothing over
+        assert_bitwise(lap_array(r, h, ws), real_part(lap_array(z, h)))
+        assert grad_sq_array(r, h, ws).hex() == grad_sq_array(z, h).hex()
+    assert grad_sq_array(r, h).hex() == grad_sq_array(z, h).hex()
+
+
+REAL_NONLINEARITIES = NONLINEARITIES + (RealAbsPower(p=3.0, sign=-1),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(count=2), st.sampled_from(BACKGROUNDS),
+       st.sampled_from(REAL_NONLINEARITIES), st.floats(0.0, 1.5),
+       st.floats(0.0, 2.0), st.floats(1e-4, 0.05), st.floats(0.5, 2.0))
+def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
+    h, u, v = case
+    u, v = u.real.copy(), v.real.copy()
+    sf = type(sf)(**{**sf.__dict__, "n": u.ndim})
+    params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
+    ws = RK4Workspace(u, v)
+    wz = RK4Workspace(u.astype(np.complex128), v.astype(np.complex128))
+    assert ws.stencil.dtype == np.float64
+
+    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, ws.kv),
+                   real_part(_rhs(t, wz.u, wz.v, sf, params, nl, h, wz, wz.kv)))
+    for _ in range(2):  # a step accepted, then the next one
+        u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
+        uz_new, vz_new = _rk4(t, dt, sf, params, nl, h, wz)
+        assert_bitwise(u_new, real_part(uz_new))
+        assert_bitwise(v_new, real_part(vz_new))
+        ws.accept()
+        wz.accept()
+        t += dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(8, 16), st.floats(0.5, 4.0),
+       st.sampled_from(REAL_NONLINEARITIES), st.integers(0, 2**32 - 1),
+       st.floats(1e-2, 3.0))
+def test_real_integrals_match_complex_measure_bitwise(n, N, half_width, nl,
+                                                      seed, scale):
+    grid = Grid(n=n, points_per_axis=N, half_width=half_width)
+    rng = np.random.default_rng(seed)
+    u, v = (scale * rng.normal(size=grid.shape) for _ in range(2))
+    want = measure(Field(grid, u), Field(grid, v), nl)
+    ws = Stencil(grid.shape, np.float64)
+    for _ in range(2):
+        assert hexes(measure_arrays(u, v, grid, nl, ws)) == hexes(want)
+    assert hexes(measure_arrays(u, v, grid, nl)) == hexes(want)
+
+
+def workspace_dtypes(monkeypatch) -> list:
+    """Record the dtype of every RK4Workspace that run() builds."""
+    seen = []
+    init = RK4Workspace.__init__
+
+    def recording(self, u, v):
+        seen.append(u.dtype)
+        init(self, u, v)
+
+    monkeypatch.setattr(RK4Workspace, "__init__", recording)
+    return seen
+
+
+def gaussian_scenario(n: int, N: int):
+    """`desitter-smooth` in n dimensions with a Gaussian velocity too."""
+    text = bundled_scenario_text("desitter-smooth")
+    for old, new in (("grid.n = 1", f"grid.n = {n}"), ("grid.N = 256", f"grid.N = {N}"),
+                     ("data0.width = 0.55", "data0.width = 1.2"),
+                     ("data1.kind = homogeneous\ndata1.amplitude = 0.0",
+                      "data1.kind = gaussian\ndata1.amplitude = -0.3\n"
+                      "data1.width = 1.2"),
+                     ("run.t_end = 0.8", "run.t_end = 0.2"),
+                     ("run.dt = 1e-3", "run.dt = 0.02"),
+                     ("run.record_every = 20", "run.record_every = 3")):
+        assert old in text
+        text = text.replace(old, new)
+    return config.parse_text(text, name=f"gaussian-{n}d")
+
+
+def test_real_run_matches_complex_run(monkeypatch):
+    """The anchor blow-up run and small 2D and 3D Gaussian runs record the
+    same trace bit for bit in float64 as with the complex workspace forced."""
+    seen = workspace_dtypes(monkeypatch)
+    cases = [(load_bundled_scenario("minkowski-m0-u2-A3"), math.pi ** 2, "thm1"),
+             (gaussian_scenario(2, 32), None, "none"),
+             (gaussian_scenario(3, 24), None, "none")]
+
+    def simulate(scn, T_bound, mode):
+        u0, u1 = scn.build_fields()
+        return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+                   T_bound=T_bound, mode=mode)
+
+    real = [simulate(*case) for case in cases]
+    assert seen == [np.float64] * 3
+    monkeypatch.setattr(dynamics, "_state_arrays",
+                        lambda u0, u1, nl: (u0.values.copy(), u1.values.copy()))
+    wide = [simulate(*case) for case in cases]
+    assert seen[3:] == [np.complex128] * 3
+    for fast, slow in zip(real, wide):
+        assert len(fast.rows) > 4
+        assert trace_csv_text(fast) == trace_csv_text(slow)
+        assert fast.meta == slow.meta
+        assert fast.blowup == slow.blowup
+    assert real[0].blowup.t_star is not None
+
+
+GAUGE = GaugeInvariantPower(p=2.0, lam=-1.0, eps=1.5)
+
+
+@pytest.mark.parametrize("u0_spec, u1_amp, nl, dtype", [
+    (("gaussian", 0.5), 0.0, GAUGE, np.float64),
+    (("gaussian", 0.5), -0.2, RealAbsPower(p=2.0), np.float64),
+    (("bump", 0.5), 0.1, None, np.float64),
+    (("plane_mod", 0.5), 0.0, GAUGE, np.complex128),
+    (("gaussian", 0.5 + 0.1j), 0.0, GAUGE, np.complex128),
+    (("gaussian", 0.5), 0.1j, None, np.complex128),
+    (("gaussian", 0.5), 0.0, GaugeInvariantPower(p=2.0, lam=1.0 + 0.5j),
+     np.complex128),
+])
+def test_run_steps_real_state_in_float64(monkeypatch, u0_spec, u1_amp, nl,
+                                         dtype):
+    """run() steps in float64 exactly when the data are real and the
+    coupling maps reals to reals; anything else stays complex128."""
+    seen = workspace_dtypes(monkeypatch)
+    grid = Grid(n=1, points_per_axis=32, half_width=math.pi)
+    kind, amp = u0_spec
+    u0 = make_profile(grid, kind, amp, width=1.0)
+    u1 = make_profile(grid, "homogeneous", u1_amp)
+    params = PhysicalParams(m=1.0, c=1.0, eps=1.0 if nl is None else nl.eps, n=1)
+    cfg = RunConfig(t_end=0.05, dt=1e-2, theorem_mode="none")
+    if nl is not None and not nl.has_potential:
+        with pytest.raises(NonRealLambdaNoPotential):  # E needs F
+            run(u0, u1, PowerLaw(0.0, H=0.0), params, nl, cfg)
+    else:
+        run(u0, u1, PowerLaw(0.0, H=0.0), params, nl, cfg)
+    assert seen == [dtype]
