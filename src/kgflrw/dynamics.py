@@ -5,7 +5,8 @@ First-order form: du/dt = v, dv/dt = -n (adot/a) v + c^2 a^-2 lap u
 stage time, so homogeneous data reduce the step to the exact scalar RK4 map
 (the difference-form Laplacian is bitwise zero on constants). The step works
 in place in arrays allocated once per run (`RK4Workspace`), and each
-distinct stage time is evaluated once on the background.
+distinct stage time is evaluated once on the background. A stage finishes
+one stencil slab at a time, so that its temporaries stay in cache.
 
 Step control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over
 the step endpoints), and a step that grows ||u|| by more than growth_tol is
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
-from .field import Field, Stencil, dot_re, lap_array
+from .field import Field, Stencil, dot_re, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
                           kappa_tilde_for_mode, measure_arrays,
@@ -121,20 +122,35 @@ class RK4Workspace:
     """The arrays one integration works in, allocated once per run in the
     dtype that `_state_arrays` chose.
 
-    `u`, `v` hold the accepted state and `trial_u`, `trial_v` the state that
-    `_rk4` proposes; `accept()` swaps the two pairs. `su`, `sv`, `kv` and
-    `tmp` are stage scratch and `stencil` the scratch of the Laplacian and
-    of the reductions."""
+    Whole arrays: the accepted state `u`, `v`, the state `trial_u`,
+    `trial_v` that `_rk4` proposes (`accept()` swaps the pairs), a stage's
+    input `su`, `sv` (the next stage's Laplacian reads all of su) and the
+    `stencil`. Scratch of one slab: dv/dt `kv` and a term `tmp`, which also
+    takes f(u) in float64 (a complex f allocates its slab-sized value).
+    `slabs` holds each stencil slab with its views of (u, v, trial_u,
+    trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         self.u, self.v = u, v
-        self.trial_u, self.trial_v, self.su, self.sv, self.kv, self.tmp = (
-            np.empty_like(u) for _ in range(6))
+        self.trial_u, self.trial_v, self.su, self.sv = (
+            np.empty_like(u) for _ in range(4))
         self.stencil = Stencil(u.shape, u.dtype)
+        shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
+        self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
+        self.slabs = []
+        for slab in self.stencil.slabs:
+            kv, tmp = (x[:slab.rows.stop - slab.rows.start]
+                       for x in (self.kv, self.tmp))
+            self.slabs.append((slab, *(x[slab.rows] for x in (
+                u, v, self.trial_u, self.trial_v, self.su, self.sv)),
+                kv, tmp, tmp if u.dtype == np.float64 else None))
+        self._swapped = [(slab, tu, tv, u, v, *rest)
+                         for slab, u, v, tu, tv, *rest in self.slabs]
 
     def accept(self) -> None:
         self.u, self.trial_u = self.trial_u, self.u
         self.v, self.trial_v = self.trial_v, self.v
+        self.slabs, self._swapped = self._swapped, self.slabs
 
 
 def _state_arrays(u0: Field, u1: Field,
@@ -148,21 +164,36 @@ def _state_arrays(u0: Field, u1: Field,
     return u0.values.copy(), u1.values.copy()
 
 
-def _rhs(t, u, v, sf, params, nl, h, ws: RK4Workspace, out: np.ndarray):
-    """dv/dt at (t, u, v), written into out; du/dt is v itself."""
+def _stage(t, sf, params, stencil: Stencil, u) -> tuple:
+    """Load a stage's input u into the stencil; return the factors of lap u,
+    u, v and f(u) in dv/dt at time t."""
+    stencil.load(u)
     a, adot, _ = sf.eval(t)
-    rate = adot / a
     c2 = params.c * params.c
-    tmp = ws.tmp
-    lap_array(u, h, ws.stencil, out=out)
-    np.multiply(c2 / (a * a), out, out=out)
-    np.multiply(params.m * params.m * c2, u, out=tmp)
+    return c2 / (a * a), params.m * params.m * c2, params.n * (adot / a), c2
+
+
+def _rhs_slab(slab, k, u, v, nl, h, out, tmp, f_out):
+    """dv/dt on one slab of the loaded u, written into out; f(u) goes into
+    f_out (tmp, or None to allocate it)."""
+    lap_c, mass, damp, c2 = k
+    lap_slab(slab, h, out)
+    np.multiply(lap_c, out, out=out)
+    np.multiply(mass, u, out=tmp)
     np.subtract(out, tmp, out=out)
-    np.multiply(params.n * rate, v, out=tmp)
+    np.multiply(damp, v, out=tmp)
     np.subtract(out, tmp, out=out)
     if nl is not None:
-        np.multiply(c2, nl.f(u), out=tmp)
+        np.multiply(c2, nl.f(u, out=f_out), out=tmp)
         np.add(out, tmp, out=out)
+
+
+def _rhs(t, u, v, sf, params, nl, h, ws: RK4Workspace, out: np.ndarray):
+    """dv/dt at (t, u, v), written into out; du/dt is v itself."""
+    k = _stage(t, sf, params, ws.stencil, u)
+    for slab, *_, tmp, f_out in ws.slabs:
+        r = slab.rows
+        _rhs_slab(slab, k, u[r], v[r], nl, h, out[r], tmp, f_out)
     return out
 
 
@@ -172,43 +203,47 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     Buffer ownership: reads `ws.u`, `ws.v` and never writes them; writes the
     new state into `ws.trial_u`, `ws.trial_v` and returns those two arrays,
     which stay valid until the next `_rk4` call on ws (after `ws.accept()`
-    they are the accepted state). The stage buffers `ws.su`, `ws.sv`,
-    `ws.kv`, `ws.tmp` and `ws.stencil` are overwritten. The weighted sum
-    k1 + 2 k2 + 2 k3 + k4 is accumulated in the trial buffers stage by
-    stage, in that order, so every array operation is the one of the plain
-    formula and the result is the same bit for bit."""
-    u, v, su, sv, kv = ws.u, ws.v, ws.su, ws.sv, ws.kv
-    acc_u, acc_v = ws.trial_u, ws.trial_v
+    they are the accepted state). Everything else in ws is overwritten. A
+    stage loads its input into the stencil, then finishes one slab at a
+    time; the Laplacian reads the loaded copy, so su may be overwritten slab
+    by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
+    trial buffers stage by stage, in that order, so every element sees the
+    operations of the plain formula and the result is the same bit for
+    bit."""
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
-    _rhs(t, u, v, sf, params, nl, h, ws, acc_v)
-    np.multiply(hm, v, out=su)
-    np.add(u, su, out=su)
-    np.multiply(hm, acc_v, out=sv)
-    np.add(v, sv, out=sv)
-    # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
-    sum_u = v
-    for t_s, step_next in ((t + hm, hm), (t + hm, dt)):
-        _rhs(t_s, su, sv, sf, params, nl, h, ws, kv)
-        np.multiply(step_next, sv, out=su)
+    k = _stage(t, sf, params, ws.stencil, ws.u)
+    for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
+        _rhs_slab(slab, k, u, v, nl, h, acc_v, tmp, f_out)
+        np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
-        np.multiply(2.0, sv, out=sv)
-        np.add(sum_u, sv, out=acc_u)
-        sum_u = acc_u
-        np.multiply(step_next, kv, out=sv)
+        np.multiply(hm, acc_v, out=sv)
         np.add(v, sv, out=sv)
-        np.multiply(2.0, kv, out=kv)
-        np.add(acc_v, kv, out=acc_v)
+    # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
+    for stage, step_next in ((2, hm), (3, dt)):
+        k = _stage(t + hm, sf, params, ws.stencil, ws.su)
+        for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
+            _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
+            np.multiply(step_next, sv, out=su)
+            np.add(u, su, out=su)
+            np.multiply(2.0, sv, out=sv)
+            np.add(v if stage == 2 else acc_u, sv, out=acc_u)
+            np.multiply(step_next, kv, out=sv)
+            np.add(v, sv, out=sv)
+            np.multiply(2.0, kv, out=kv)
+            np.add(acc_v, kv, out=acc_v)
     # stage 4
-    _rhs(t + dt, su, sv, sf, params, nl, h, ws, kv)
-    np.add(acc_u, sv, out=acc_u)
-    np.add(acc_v, kv, out=acc_v)
+    k = _stage(t + dt, sf, params, ws.stencil, ws.su)
     sixth = dt / 6.0
-    np.multiply(sixth, acc_u, out=acc_u)
-    np.add(u, acc_u, out=acc_u)
-    np.multiply(sixth, acc_v, out=acc_v)
-    np.add(v, acc_v, out=acc_v)
-    return acc_u, acc_v
+    for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
+        _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
+        np.add(acc_u, sv, out=acc_u)
+        np.add(acc_v, kv, out=acc_v)
+        np.multiply(sixth, acc_u, out=acc_u)
+        np.add(u, acc_u, out=acc_u)
+        np.multiply(sixth, acc_v, out=acc_v)
+        np.add(v, acc_v, out=acc_v)
+    return ws.trial_u, ws.trial_v
 
 
 def cfl_limit(sf: ScaleFactor, t: float, dt: float, h: float, c: float,

@@ -16,22 +16,32 @@ The division is a multiply by 1 / (12 h^2) or 1 / (12 h), which is how numpy
 divides a complex number by a real one, so both dtypes round alike.
 
 The wrap-around is a padded copy: a `Stencil` holds a buffer with two
-wrap-around cells per side on every axis, the field is copied into its
-interior once per call, and the neighbours f_{i+-1}, f_{i+-2} along one axis
-are slices of that buffer, read one axis at a time. The arithmetic runs in
-place in the stencil's work arrays, operation by operation in the order of
-the formulas above, so the results are those of the plain formulas bit for
-bit.
+wrap-around cells per side on every axis, filled with the field and its
+periodic images once per call (or stage), and swept in slabs of whole padded
+axis-0 planes, about `SLAB_BYTES` per array, so that a slab's temporaries
+stay in L2 (cache blocking; Datta et al., SC'08). In the flattened buffer a
+neighbour f_{i+-1}, f_{i+-2} along any axis is the slab's band at a fixed
+offset, so every operand is contiguous. The arithmetic runs in place in
+band-sized work arrays, operation by operation in the order of the formulas
+above, so the results are those of the plain formulas bit for bit; values
+in the band's wrap-around cells are discarded. Reductions sum whole arrays,
+never per slab, which would change the order of summation. The padded
+buffer holds the last field loaded, or a `spare` result, until the next
+load; `wide` holds grad_sq_array's derivative and what dot_re widens.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridMismatch, WidthTooLarge, WidthTooSmall
+
+SLAB_BYTES = 1 << 17  # per band-sized array: an RK4 stage's dozen fit in L2
 
 
 @dataclass(frozen=True)
@@ -87,42 +97,65 @@ class Field:
 @lru_cache(maxsize=16)
 def _stencil_slices(shape: tuple[int, ...]):
     """Index tuples into the padded buffer of a field of this shape: the
-    interior, the wrap-around copies (destination, source) and, per axis,
-    the neighbours in the order f_{i-2}, f_{i-1}, f_{i+1}, f_{i+2}."""
+    interior and the wrap-around copies (destination, source), last axis
+    first and each over the whole padded extent of the axes already done,
+    so that the copies leave no cell of the buffer unset."""
     inner = tuple(slice(2, s + 2) for s in shape)
-
-    def along(ax, sl):
-        return inner[:ax] + (sl,) + inner[ax + 1:]
-
     halos = []
-    neighbours = []
-    for ax, s in enumerate(shape):
-        halos.append((along(ax, slice(0, 2)), along(ax, slice(s, s + 2))))
-        halos.append((along(ax, slice(s + 2, s + 4)), along(ax, slice(2, 4))))
-        neighbours.append(tuple(along(ax, slice(k, k + s)) for k in (0, 1, 3, 4)))
-    return inner, tuple(halos), tuple(neighbours)
+    for ax in reversed(range(len(shape))):
+        s, rest = shape[ax], (slice(None),) * (len(shape) - ax - 1)
+        for dst, src in ((slice(0, 2), slice(s, s + 2)),
+                         (slice(s + 2, s + 4), slice(2, 4))):
+            halos.append((inner[:ax] + (dst,) + rest, inner[:ax] + (src,) + rest))
+    return inner, tuple(halos)
+
+
+class Slab(NamedTuple):
+    """Axis-0 rows `rows` of the field as a band of the flattened padded
+    buffer (`centre`), the band shifted to each neighbour, four band-sized
+    work arrays, and `inner`, the field's cells of the first of them."""
+
+    rows: slice
+    centre: np.ndarray
+    neighbours: tuple  # per axis: f_{i-2}, f_{i-1}, f_{i+1}, f_{i+2}
+    work: tuple
+    inner: np.ndarray
 
 
 class Stencil:
     """Scratch of the stencils for one array shape and dtype: the padded
-    buffer, views into it and three work arrays, reused by every call that
+    buffer, its slabs and the whole arrays `wide`, reused by every call that
     is given it."""
 
     def __init__(self, shape: tuple[int, ...], dtype=np.complex128):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
-        pad = np.empty(tuple(s + 4 for s in self.shape), dtype=self.dtype)
-        inner, halos, neighbours = _stencil_slices(self.shape)
-        self.work = tuple(np.empty(self.shape, dtype=self.dtype) for _ in range(3))
+        padded = tuple(s + 4 for s in self.shape)
+        self._pad = pad = np.empty(padded, dtype=self.dtype)
+        self._spares: dict = {}
+        inner, halos = _stencil_slices(self.shape)
         self._inner = pad[inner]
         self._halos = tuple((pad[dst], pad[src]) for dst, src in halos)
-        # per axis: views of f_{i-2}, f_{i-1}, f_{i+1}, f_{i+2}
-        self.neighbours = tuple(tuple(pad[ix] for ix in axis)
-                                for axis in neighbours)
+        flat, n0 = pad.reshape(-1), self.shape[0]
+        steps = [math.prod(padded[ax + 1:]) for ax in range(len(padded))]
+        size = min(n0, max(1, SLAB_BYTES // (steps[0] * self.dtype.itemsize)))
+        work = [np.empty(size * steps[0], self.dtype) for _ in range(4)]
+        keep = (slice(None),) + (slice(2, -2),) * (len(padded) - 1)
+        self.slabs = []
+        for i in range(0, n0, size):
+            rows = min(size, n0 - i)
+            lo, hi = (i + 2) * steps[0], (i + 2 + rows) * steps[0]
+            w = tuple(x[:hi - lo] for x in work)
+            self.slabs.append(Slab(
+                slice(i, i + rows), flat[lo:hi],
+                tuple(tuple(flat[lo + d * st:hi + d * st] for d in (-2, -1, 1, 2))
+                      for st in steps),
+                w, w[0].reshape((rows,) + padded[1:])[keep]))
 
     @cached_property
     def wide(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two zero complex128 arrays into which `dot_re` widens real ones."""
+        """Two zero complex128 arrays: `grad_sq_array` writes each derivative
+        into the first, and `dot_re` widens real arrays into both."""
         return tuple(np.zeros(self.shape, np.complex128) for _ in range(2))
 
     def load(self, vals: np.ndarray) -> None:
@@ -130,6 +163,15 @@ class Stencil:
         self._inner[...] = vals
         for dst, src in self._halos:
             dst[...] = src
+
+    def spare(self, dtype) -> np.ndarray:
+        """A contiguous array of the field's shape in the padded buffer's
+        memory, for a result needed only until the next load."""
+        view = self._spares.get(dtype)
+        if view is None:
+            flat = self._pad.reshape(-1).view(dtype)
+            view = self._spares[dtype] = flat[:math.prod(self.shape)].reshape(self.shape)
+        return view
 
 
 def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
@@ -141,18 +183,12 @@ def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
     return ws
 
 
-def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order periodic Laplacian on a raw array, written into out."""
-    ws = _stencil_for(vals, ws)
-    if out is None:
-        out = np.empty_like(vals)
-    ws.load(vals)
-    two_v, wing, term = ws.work
-    np.multiply(2.0, vals, out=two_v)
-    for ax in range(vals.ndim):
-        m2, m1, p1, p2 = ws.neighbours[ax]
-        core = out if ax == 0 else term
+def lap_slab(slab: Slab, h: float, out: np.ndarray) -> np.ndarray:
+    """The Laplacian of the loaded field on one slab, written into out."""
+    acc, two_v, wing, term = slab.work
+    np.multiply(2.0, slab.centre, out=two_v)
+    for ax, (m2, m1, p1, p2) in enumerate(slab.neighbours):
+        core = acc if ax == 0 else term
         np.add(p1, m1, out=core)
         np.subtract(core, two_v, out=core)
         np.multiply(16.0, core, out=core)
@@ -160,19 +196,31 @@ def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
         np.subtract(wing, two_v, out=wing)
         np.subtract(core, wing, out=core)
         # the sum starts from zero: + 0.0 turns a -0.0 into +0.0 as 0 + x does
-        np.add(out, 0.0 if ax == 0 else term, out=out)
-    np.multiply(out, 1.0 / (12.0 * h * h), out=out)
+        np.add(acc, 0.0 if ax == 0 else term, out=acc)
+    return np.multiply(slab.inner, 1.0 / (12.0 * h * h), out=out)
+
+
+def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order periodic Laplacian on a raw array, written into out."""
+    ws = _stencil_for(vals, ws)
+    if out is None:
+        out = np.empty_like(vals)
+    ws.load(vals)
+    for slab in ws.slabs:
+        lap_slab(slab, h, out[slab.rows])
     return out
 
 
 def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarray:
-    m2, m1, p1, p2 = ws.neighbours[axis]
-    wing = ws.work[1]
-    np.subtract(p1, m1, out=out)
-    np.multiply(8.0, out, out=out)
-    np.subtract(p2, m2, out=wing)
-    np.subtract(out, wing, out=out)
-    np.multiply(out, 1.0 / (12.0 * h), out=out)
+    for slab in ws.slabs:
+        m2, m1, p1, p2 = slab.neighbours[axis]
+        core, _, wing, _ = slab.work
+        np.subtract(p1, m1, out=core)
+        np.multiply(8.0, core, out=core)
+        np.subtract(p2, m2, out=wing)
+        np.subtract(core, wing, out=core)
+        np.multiply(slab.inner, 1.0 / (12.0 * h), out=out[slab.rows])
     return out
 
 
@@ -203,11 +251,12 @@ def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> floa
     """Sum over cells of |grad v|^2 (no volume factor)."""
     ws = _stencil_for(vals, ws)
     ws.load(vals)
-    d = ws.work[0]
+    d = ws.wide[0]  # a real derivative goes into its real part, widened
+    into = d.real if ws.dtype != d.dtype else d
     total = 0.0
     for ax in range(vals.ndim):
-        _deriv_loaded(ws, ax, h, d)
-        total += dot_re(d, d, ws)
+        _deriv_loaded(ws, ax, h, into)
+        total += dot_re(d, d)
     return total
 
 

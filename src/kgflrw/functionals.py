@@ -157,12 +157,20 @@ def motion_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
 
 def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
                         stencil: Stencil | None = None) -> tuple[float, float]:
-    """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation."""
+    """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation.
+    With a stencil, F and f are written into its padded buffer's memory
+    (`Stencil.spare`), which this overwrites."""
     if nl is None:
         return 0.0, 0.0
     cv = grid.cell_volume
-    F = float(np.sum(nl.F(u))) * cv
-    return F, dot_re(u, np.asarray(nl.f(u), dtype=u.dtype), stencil) * cv
+
+    def into(dtype) -> dict:
+        return {} if stencil is None else {"out": stencil.spare(dtype)}
+
+    F = float(np.sum(nl.F(u, **into(np.float64)))) * cv
+    f_u = nl.f(u, **into(np.float64 if nl.real_only else u.dtype))
+    # vdot widens a real f against a complex u
+    return F, dot_re(u, f_u, stencil) * cv
 
 
 def measure_arrays(u: np.ndarray, v: np.ndarray, grid: Grid,

@@ -210,7 +210,9 @@ def check_corollaries(sf: ScaleFactor, t0: float,
                 ceps = c_epsilon(m, params.c, params.eps)
                 t0_req = (2.0 * ceps / (1.0 + sigma)
                           - 2.0 / (params.n * (1.0 + sigma) * H))
-                if abs(t0 - t0_req) <= 1e-9 * max(1.0, abs(t0_req)):
+                # an infinite C_eps (underflowed mass) admits no finite t0
+                if (math.isfinite(t0_req)
+                        and abs(t0 - t0_req) <= 1e-9 * max(1.0, abs(t0_req))):
                     c2 = "iv"
     return CorollaryCases(c1, c2)
 

@@ -91,19 +91,35 @@ class GaugeInvariantPower:
     def has_potential(self) -> bool:
         return self.lam.imag == 0.0
 
-    def f(self, u):
+    def f(self, u, out=None):
+        """f(u); given out (float64 for real u and a real lam, else
+        complex128), the same operations in place. A complex f still
+        allocates |u|^(p-1): numpy may round a power on strided out.real
+        differently."""
         u = np.asarray(u)
         # a real lam maps real input to the real part of the complex f
-        real = self.has_potential and not np.iscomplexobj(u)
-        return (self.lam.real if real else self.lam) * np.abs(u) ** (self.p - 1.0) * u
+        real = self.has_potential and u.dtype.kind != "c"
+        lam = self.lam.real if real else self.lam
+        if out is None:
+            return lam * np.abs(u) ** (self.p - 1.0) * u
+        mag = np.abs(u, out=out) if real else np.abs(u)
+        mag **= self.p - 1.0  # ** and **= take the same power path
+        np.multiply(lam, mag, out=out)
+        return np.multiply(out, u, out=out)
 
-    def F(self, u):
+    def F(self, u, out=None):
+        """F(u); given a float64 array out, the same operations in place."""
         if not self.has_potential:
             raise NonRealLambdaNoPotential(
                 "no antiderivative exists for a coupling with nonzero imaginary part"
             )
         u = np.asarray(u)
-        return self.lam.real * np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
+        if out is None:
+            return self.lam.real * np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
+        np.abs(u, out=out)
+        out **= self.p + 1.0
+        np.multiply(self.lam.real, out, out=out)
+        return np.divide(out, self.p + 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -152,13 +168,25 @@ class RealAbsPower:
             return u.real
         return u.astype(float) if u.dtype != float else u
 
-    def f(self, u):
+    def f(self, u, out=None):
+        """f(u); given a float64 array out, the same operations in place."""
         ur = self._real(u)
-        return self.sign * np.abs(ur) ** self.p
+        if out is None:
+            return self.sign * np.abs(ur) ** self.p
+        np.abs(ur, out=out)
+        out **= self.p
+        return np.multiply(self.sign, out, out=out)
 
-    def F(self, u):
+    def F(self, u, out=None):
+        """F(u); given a float64 array out, the same operations in place."""
         ur = self._real(u)
-        return self.sign * np.abs(ur) ** self.p * ur / (self.p + 1.0)
+        if out is None:
+            return self.sign * np.abs(ur) ** self.p * ur / (self.p + 1.0)
+        np.abs(ur, out=out)
+        out **= self.p
+        np.multiply(self.sign, out, out=out)
+        np.multiply(out, ur, out=out)
+        return np.divide(out, self.p + 1.0, out=out)
 
 
 Nonlinearity = Union[GaugeInvariantPower, RealAbsPower]

@@ -205,10 +205,10 @@ def t0_condition_threshold(m: float, c: float, eps: float, n: int) -> float:
 
 
 def c_epsilon(m: float, c: float, eps: float) -> float:
-    """C_eps = 2 / (|m| c (sqrt(eps(eps+4)) - eps)); +inf for m = 0."""
-    if m == 0.0:
-        return math.inf
-    return 2.0 / (abs(m) * c * (math.sqrt(eps * (eps + 4.0)) - eps))
+    """C_eps = 2 / (|m| c (sqrt(eps(eps+4)) - eps)); +inf for m = 0 and, as
+    in the m -> 0 limit, for a subnormal |m| whose denominator underflows."""
+    den = abs(m) * c * (math.sqrt(eps * (eps + 4.0)) - eps)
+    return 2.0 / den if den > 0.0 else math.inf
 
 
 def check_t0_condition(sf: ScaleFactor, t0: float, m: float, c: float, eps: float):
@@ -256,6 +256,8 @@ def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> MinT0:
             "rate grows toward the Big-Rip horizon; no start time is admissible"
         )
     t0 = 2.0 * ceps / (1.0 + sf.sigma) - 2.0 / (sf.n * (1.0 + sf.sigma) * sf.H)
+    if math.isinf(t0):  # an underflowed |m| c: the threshold rate is 0
+        raise NoAdmissibleT0("|m| c underflows; the rate never drops to 0")
     return MinT0(t0, ceps)
 
 

@@ -13,10 +13,11 @@ import os
 import numpy as np
 import pytest
 
-from kgflrw import bundled_scenario_text, cli
+from kgflrw import bundled_scenario_text, cli, config
 from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
 from kgflrw.functionals import CSV_COLUMNS
+from kgflrw.hypotheses import check_corollaries
 
 WRAP_CFG = """
 scale.family = powerlaw
@@ -122,6 +123,26 @@ run.dt = 1e-3
     err = capsys.readouterr().err
     assert rc == 4
     assert "horizon" in err.lower()
+
+
+def test_check_subnormal_mass_is_the_massless_limit(tmp_path, capsys):
+    """|m| c underflows to 0 for m = 5e-324: C_eps is +inf as in the m -> 0
+    limit, so no finite t0 meets corollary case iv, and check reports
+    instead of raising ZeroDivisionError."""
+    text = bundled_scenario_text("minkowski-m1-thm2")
+    for old, new in (("phys.m = 1.0", "phys.m = 5e-324"),
+                     ("phys.c = 1.0", "phys.c = 0.5"),
+                     ("scale.H = 0.0", "scale.H = 0.1")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text)
+    rc = main_entry(["check", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in err
+    assert parse_report(out)["corollary_case"] != "iv"
+    scn = config.parse_text(text, name="subnormal-mass")
+    for t0 in (0.0, 1.0, 1e300):
+        assert check_corollaries(scn.sf, t0, scn.params).thm2_case == "n/a"
 
 
 def test_config_error_exit_two(tmp_path, capsys):

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RealAbsPower, bundled_scenario_text,
@@ -134,7 +134,8 @@ NONLINEARITIES = (None, GaugeInvariantPower(p=2.0, lam=1.0),
 def states(draw):
     """Random data (u0, u1) on a 1-3 dimensional grid with 8-16 points per
     axis, a nonlinearity (real data for the real-only family), a background
-    with a != 1 at t0 > 0, and physical parameters."""
+    with a != 1 at t0 > 0, and physical parameters. The a != 1 condition is
+    on the evaluated a(t0): PowerLaw(sigma=1, H=1, a0=0.5) has a(1) = 1."""
     n = draw(st.integers(1, 3))
     grid = Grid(n=n, points_per_axis=draw(st.integers(8, 16)),
                 half_width=draw(st.floats(0.5, 4.0)))
@@ -145,7 +146,7 @@ def states(draw):
             for s in scales]
     if nl is not None and nl.real_only:
         vals = [v.real for v in vals]
-    a0 = draw(st.floats(0.5, 2.0).filter(lambda x: x != 1.0))
+    a0 = draw(st.floats(0.5, 2.0))
     H = draw(st.floats(0.0, 1.0))
     if draw(st.booleans()):
         sf = DeSitter(H=H, a0=a0, n=n)
@@ -155,6 +156,7 @@ def states(draw):
                             c=draw(st.floats(0.5, 2.0)),
                             eps=draw(st.floats(0.1, 3.0)), n=n)
     t0 = draw(st.floats(0.05, 1.5))
+    assume(sf.eval(t0)[0] != 1.0)
     return Field(grid, vals[0]), Field(grid, vals[1]), t0, sf, params, nl
 
 

@@ -9,9 +9,14 @@ bit, including the exact zeros a constant field maps to.
 On real data the kernels also run in float64. There the complex kernel is
 the oracle: the float64 path must give its real part bit for bit, and the
 same integrals, so that a run gives one trace whichever dtype it steps in.
+
+The kernels sweep the padded buffer in slabs of axis-0 planes; the test
+grids mostly fit one slab, so the last section shrinks `field.SLAB_BYTES`
+to get several slabs and a ragged last one.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +25,14 @@ from hypothesis import given, settings, strategies as st
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RealAbsPower, bundled_scenario_text, config,
                     load_bundled_scenario, measure, run)
-from kgflrw import dynamics
+from kgflrw import dynamics, field
 from kgflrw.cli import trace_csv_text
 from kgflrw.dynamics import RK4Workspace, RunConfig, _rhs, _rk4
 from kgflrw.errors import NonRealLambdaNoPotential
-from kgflrw.field import (Field, Stencil, deriv_array, grad_sq_array,
-                          lap_array, make_profile)
-from kgflrw.functionals import measure_arrays
+from kgflrw.field import (Field, Stencil, deriv_array, dot_re,
+                          grad_sq_array, lap_array, make_profile)
+from kgflrw.functionals import (measure_arrays, motion_integrals,
+                                potential_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,8 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     ws = RK4Workspace(u, v)
 
     _, dv_ref = ref_rhs(t, u, v, sf, params, nl, h)
-    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, ws.kv), dv_ref)
+    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, np.empty_like(u)),
+                   dv_ref)
 
     u_ref, v_ref = ref_rk4(t, u, v, dt, sf, params, nl, h)
     for _ in range(2):  # a retried step from the same state
@@ -280,8 +287,9 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     wz = RK4Workspace(u.astype(np.complex128), v.astype(np.complex128))
     assert ws.stencil.dtype == np.float64
 
-    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, ws.kv),
-                   real_part(_rhs(t, wz.u, wz.v, sf, params, nl, h, wz, wz.kv)))
+    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, np.empty_like(u)),
+                   real_part(_rhs(t, wz.u, wz.v, sf, params, nl, h, wz,
+                                  np.empty_like(wz.u))))
     for _ in range(2):  # a step accepted, then the next one
         u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
         uz_new, vz_new = _rk4(t, dt, sf, params, nl, h, wz)
@@ -394,3 +402,165 @@ def test_run_steps_real_state_in_float64(monkeypatch, u0_spec, u1_amp, nl,
     else:
         run(u0, u1, PowerLaw(0.0, H=0.0), params, nl, cfg)
     assert seen == [dtype]
+
+
+# ---------------------------------------------------------------------------
+# many slabs
+
+
+def slab_bytes(shape, dtype, rows: int) -> int:
+    """The `field.SLAB_BYTES` that cuts a field of this shape and dtype into
+    slabs of `rows` axis-0 planes (a padded plane has 2 + 2 wrap cells per
+    axis)."""
+    return rows * math.prod(s + 4 for s in shape[1:]) * np.dtype(dtype).itemsize
+
+
+def sliced(shape, dtype, rows_seed: int, build):
+    """build() with slabs of 1 to shape[0] - 1 planes, so at least two."""
+    rows = 1 + rows_seed % (shape[0] - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "SLAB_BYTES", slab_bytes(shape, dtype, rows))
+        made = build()
+    stencil = made if isinstance(made, Stencil) else made.stencil
+    assert len(stencil.slabs) == -(-shape[0] // rows) >= 2
+    return made
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(), st.integers(0, 64), st.booleans())
+def test_multi_slab_stencils_match_reference_bitwise(case, rows_seed, real):
+    h, z = case
+    vals = z.real.copy() if real else z
+    if real:
+        z = vals.astype(np.complex128)
+
+    def ref(a):
+        return real_part(a) if real else a
+
+    ws = sliced(vals.shape, vals.dtype, rows_seed,
+                lambda: Stencil(vals.shape, vals.dtype))
+    for _ in range(2):  # a reused workspace carries nothing over
+        assert_bitwise(lap_array(vals, h, ws), ref(ref_lap_array(z, h)))
+        total = 0.0
+        for ax in range(vals.ndim):
+            d = ref_deriv_array(z, ax, h)
+            assert_bitwise(deriv_array(vals, ax, h, ws), ref(d))
+            total += float(np.vdot(d, d).real)
+        assert grad_sq_array(vals, h, ws).hex() == total.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(count=2), st.sampled_from(BACKGROUNDS),
+       st.sampled_from(REAL_NONLINEARITIES), st.floats(0.0, 1.5),
+       st.floats(0.0, 2.0), st.floats(1e-4, 0.05), st.floats(0.5, 2.0),
+       st.integers(0, 64), st.booleans())
+def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
+                                                  rows_seed, real):
+    """_rhs and _rk4 over several slabs, in float64 against the real part of
+    the complex reference and in complex128 (real-valued data for the
+    real-only family) against the reference itself."""
+    h, u, v = case
+    if real or (nl is not None and nl.real_only):
+        u, v = u.real.copy(), v.real.copy()
+    z, zv = u.astype(np.complex128), v.astype(np.complex128)
+    if not real:
+        u, v = z, zv
+
+    def ref(a):
+        return real_part(a) if real else a
+
+    sf = type(sf)(**{**sf.__dict__, "n": u.ndim})
+    params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
+    ws = sliced(u.shape, u.dtype, rows_seed,
+                lambda: RK4Workspace(u.copy(), v.copy()))
+    _, dv_ref = ref_rhs(t, z, zv, sf, params, nl, h)
+    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, np.empty_like(u)),
+                   ref(dv_ref))
+    for _ in range(2):  # a step accepted, then the next one
+        z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
+        u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
+        assert_bitwise(u_new, ref(z))
+        assert_bitwise(v_new, ref(zv))
+        ws.accept()
+        t += dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(8, 16), st.floats(0.5, 4.0),
+       st.sampled_from(REAL_NONLINEARITIES), st.integers(0, 2**32 - 1),
+       st.floats(1e-2, 3.0), st.integers(0, 64), st.booleans())
+def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
+                                                     seed, scale, rows_seed,
+                                                     real):
+    """measure_arrays over several slabs, with F and f written into the
+    stencil's buffer, against `measure` of the complex fields."""
+    grid = Grid(n=n, points_per_axis=N, half_width=half_width)
+    rng = np.random.default_rng(seed)
+    u, v = (scale * (rng.normal(size=grid.shape)
+                     + 1j * rng.normal(size=grid.shape)) for _ in range(2))
+    if real or (nl is not None and nl.real_only):
+        u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
+    want = measure(Field(grid, u), Field(grid, v), nl)
+    if real:
+        u, v = u.real.copy(), v.real.copy()
+    ws = sliced(u.shape, u.dtype, rows_seed,
+                lambda: Stencil(u.shape, u.dtype))
+    for _ in range(2):
+        assert hexes(measure_arrays(u, v, grid, nl, ws)) == hexes(want)
+
+
+def test_multi_slab_run_matches_one_slab_run(monkeypatch):
+    """A 3D N=48 run, which spans several slabs at the module's slab size,
+    records the trace of the same run swept as one slab, bit for bit."""
+    scn = gaussian_scenario(3, 48)
+    assert len(Stencil(scn.grid.shape, np.float64).slabs) > 1
+
+    def simulate():
+        u0, u1 = scn.build_fields()
+        return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run, mode="none")
+
+    sliced_run = simulate()
+    monkeypatch.setattr(field, "SLAB_BYTES", 1 << 40)
+    assert len(Stencil(scn.grid.shape, np.float64).slabs) == 1
+    whole = simulate()
+    assert len(sliced_run.rows) > 4
+    assert trace_csv_text(sliced_run) == trace_csv_text(whole)
+    assert sliced_run.meta == whole.meta
+
+
+@pytest.mark.parametrize("nl, dtype", [
+    (GaugeInvariantPower(p=2.0, lam=1.0), np.float64),
+    (RealAbsPower(p=3.0, sign=-1), np.float64),
+    (None, np.float64),
+    (GaugeInvariantPower(p=2.0, lam=-1.0, eps=1.5), np.complex128),
+])
+def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
+    """Once the workspace exists, an accepted step and the measurement of a
+    recorded row allocate less than one state array: the stage scratch is
+    slab-sized and f and F are written into existing buffers. (On complex
+    data f still allocates its real factor |u|^(p-1), half a state array.)"""
+    grid = Grid(n=3, points_per_axis=32, half_width=math.pi)
+    rng = np.random.default_rng(11)
+    u, v = (0.3 * rng.normal(size=grid.shape).astype(dtype) for _ in range(2))
+    ws = RK4Workspace(u, v)
+    assert len(ws.stencil.slabs) > 1
+    sf = DeSitter(H=0.5, n=3)
+    params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3)
+    h, cv = grid.spacing, grid.cell_volume
+
+    def step_and_row(t):
+        u_new, _ = _rk4(t, 1e-3, sf, params, nl, h, ws)
+        dot_re(u_new, u_new, ws.stencil)
+        ws.accept()
+        motion_integrals(ws.u, ws.v, grid, ws.stencil)
+        potential_integrals(ws.u, grid, nl, ws.stencil)
+
+    step_and_row(0.0)  # builds what is built once: `Stencil.wide`
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step_and_row(1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < u.nbytes

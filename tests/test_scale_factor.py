@@ -182,6 +182,11 @@ def test_c_epsilon_frozen():
     for m, c, eps, n in [(1.0, 1.0, 1.0, 1), (2.0, 0.5, 3.0, 3)]:
         thr = t0_condition_threshold(m, c, eps, n)
         assert c_epsilon(m, c, eps) == pytest.approx(1.0 / (n * thr), rel=1e-13)
+    # a subnormal |m| c underflows: the m -> 0 limit, not a ZeroDivisionError
+    for m in (5e-324, 1e-320):
+        assert c_epsilon(m, 0.5, 1.0) == math.inf
+        with pytest.raises(NoAdmissibleT0):
+            min_admissible_t0(PowerLaw(a0=1, H=0.1, sigma=0, n=1), m, 0.5, 1.0)
 
 
 def test_min_admissible_t0():
