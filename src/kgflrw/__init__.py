@@ -11,16 +11,14 @@ from .dynamics import (BlowupInfo, RunConfig, Trace, estimate_t_star,
 from .field import Field, Grid, make_profile, support_radius
 from .functionals import (CSV_COLUMNS, Integrals, PhysicalParams,
                           kappa_for_mode, measure)
-from .hypotheses import (HypothesisReport, TheoremCheck, calibrate_amplitude,
-                         check_corollaries, check_theorem1, check_theorem2,
-                         classify_table1, concavity_problem, evaluate,
-                         theorem1_bound, theorem2_bound)
+from .hypotheses import (HypothesisReport, TheoremCheck, check_corollaries,
+                         check_theorem1, check_theorem2, classify_table1,
+                         concavity_problem, evaluate, theorem1_bound,
+                         theorem2_bound)
 from .nonlinearity import (GaugeInvariantPower, RealAbsPower,
-                           admissible_eps_range, sobolev_admissible,
-                           verify_structure)
-from .odelab import (ComparisonReport, ConcavityProblem, ConcavitySolution,
-                     comparison_check, random_admissible_problems,
-                     solve_concavity, tstar_bound)
+                           admissible_eps_range, sobolev_admissible)
+from .odelab import (ConcavityProblem, ConcavitySolution,
+                     random_admissible_problems, solve_concavity, tstar_bound)
 from .scale_factor import (DeSitter, PowerLaw, Tabulated, c_epsilon,
                            check_monotone_expansion, check_t0_condition,
                            hubble_rate, min_admissible_t0,

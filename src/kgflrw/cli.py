@@ -238,6 +238,11 @@ def _oracle_rows(scn: Scenario | None, n_random: int, seed: int) -> list[tuple]:
 
 
 def cmd_oracle(args) -> int:
+    for flag, val in (("--random", args.random), ("--seed", args.seed)):
+        if val < 0:
+            print(f"error: {flag} must be nonnegative, got {val}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     scn = parse_config(args.config) if args.config else None
     if scn is None and args.random == 0:
         print("error: need a config or --random N", file=sys.stderr)
@@ -265,8 +270,13 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     m = re.fullmatch(r"([\w.]+)=([^:]+):([^:]+):(\d+)", spec.strip())
     if not m:
         raise ParseError(f"axis spec {spec!r} is not key=lo:hi:steps")
-    key, lo, hi, steps = m.group(1), float(m.group(2)), float(m.group(3)), \
-        int(m.group(4))
+    key, steps = m.group(1), int(m.group(4))
+    try:
+        lo, hi = float(m.group(2)), float(m.group(3))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParseError(f"axis spec {spec!r} needs finite numbers lo and hi")
     if key not in _SWEEP_KEYS:
         raise ParseError(
             f"axis key {key!r} not sweepable (choose from {_SWEEP_KEYS})")
@@ -331,7 +341,7 @@ def cmd_sweep(args) -> int:
         print(f"error: --jobs must be between 1 and {cores}, got {args.jobs}",
               file=sys.stderr)
         return EXIT_CONFIG
-    scn = parse_config(args.config)  # validates the base point
+    scn = parse_config(args.config)  # validates the base point, builds no field
     with open(args.config, encoding="utf-8") as fh:
         base_text = fh.read()
     axes = [_parse_axis(spec) for spec in args.axis]

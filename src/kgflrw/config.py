@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import RunConfig
 from .errors import (InvariantViolation, ParseError, UnknownKey,
                      WidthTooLarge, WidthTooSmall)
-from .field import Field, Grid, make_profile, support_radius
+from .field import (Field, Grid, check_profile, make_profile,
+                    support_radius)
 from .functionals import PhysicalParams
 from .nonlinearity import (GaugeInvariantPower, Nonlinearity, RealAbsPower,
                            sobolev_admissible)
@@ -110,12 +112,16 @@ class Scenario:
     data1: ProfileSpec
     run: RunConfig
     config_hash: str
-    fields: tuple[Field, Field] = dc_field(repr=False, compare=False)
+
+    @cached_property
+    def _fields(self) -> tuple[Field, Field]:
+        return self.data0.build(self.grid), self.data1.build(self.grid)
 
     def build_fields(self) -> tuple[Field, Field]:
-        """The initial fields (u0, u1), built once while parsing; callers
-        must not write into them (`run` steps copies)."""
-        return self.fields
+        """The initial fields (u0, u1), built on the first call and handed
+        out again after it; callers must not write into them (`run` steps
+        copies)."""
+        return self._fields
 
     def wrap_support_radius(self) -> float | None:
         """Outermost nominal support over both data profiles; None when
@@ -254,8 +260,7 @@ def _build_nonlinearity(sec: _Section, n: int) -> tuple[Nonlinearity | None, flo
 
 
 def _build_profile(sec: _Section, prefix: str, grid: Grid,
-                   default_amplitude: complex | None = None
-                   ) -> tuple[ProfileSpec, Field]:
+                   default_amplitude: complex | None = None) -> ProfileSpec:
     kind = sec.get(f"{prefix}.kind")
     if kind is None:
         if default_amplitude is None:
@@ -269,11 +274,11 @@ def _build_profile(sec: _Section, prefix: str, grid: Grid,
     spec = ProfileSpec(kind=kind, amplitude=complex(amp),
                        width=sec.get(f"{prefix}.width"),
                        center=sec.get(f"{prefix}.center"))
-    try:
-        fld = spec.build(grid)  # surfaces width guards at load time
+    try:  # surfaces width guards at load time; fields are built on demand
+        check_profile(grid, spec.kind, spec.width, spec.center)
     except (ValueError, WidthTooLarge, WidthTooSmall) as exc:
         raise InvariantViolation("field", str(exc)) from exc
-    return spec, fld
+    return spec
 
 
 def parse_text(text: str, name: str = "<string>",
@@ -299,9 +304,8 @@ def parse_text(text: str, name: str = "<string>",
     except ValueError as exc:
         raise InvariantViolation("functionals", str(exc)) from exc
 
-    data0, u0 = _build_profile(sec, "data0", grid)
-    data1, u1 = _build_profile(sec, "data1", grid,
-                               default_amplitude=0.0 + 0.0j)
+    data0 = _build_profile(sec, "data0", grid)
+    data1 = _build_profile(sec, "data1", grid, default_amplitude=0.0 + 0.0j)
     if nl is not None and nl.real_only:
         for label, prof in (("data0", data0), ("data1", data1)):
             if complex(prof.amplitude).imag != 0.0 or prof.kind == "plane_mod":
@@ -327,7 +331,7 @@ def parse_text(text: str, name: str = "<string>",
 
     return Scenario(name=name, sf=sf, params=params, nl=nl, grid=grid,
                     data0=data0, data1=data1, run=run,
-                    config_hash=_config_hash(entries), fields=(u0, u1))
+                    config_hash=_config_hash(entries))
 
 
 def parse_config(path: str) -> Scenario:

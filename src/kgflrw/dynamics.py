@@ -44,6 +44,9 @@ from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
 _MODES = ("auto", "thm1", "thm2", "none")
+_TAIL_POINTS = 12     # estimate_t_star: rows in the full fit window
+_ORACLE_RTOL = 1e-10  # homogeneous_oracle: DOP853 tolerance
+_ORACLE_CAP = 1e10    # homogeneous_oracle: |u| at the escape event
 
 
 @dataclass(frozen=True)
@@ -435,16 +438,16 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                  meta=run_meta(blow is None and t >= cfg.t_end - end_tol))
 
 
-def estimate_t_star(rows, p: float, L0: float, tail_factor: float = 1e8,
-                    max_points: int = 12) -> tuple[float, float]:
+def estimate_t_star(rows, p: float, L0: float,
+                    tail_factor: float = 1e8) -> tuple[float, float]:
     """Extrapolate the blow-up instant from the recorded tail.
 
-    Fits y = L^(-(p-1)/4) linearly in t over the last max_points rows with
+    Fits y = L^(-(p-1)/4) linearly in t over the last _TAIL_POINTS rows with
     L >= tail_factor * L0 and returns the zero crossing, with the shift under
     a half-window refit as the uncertainty.
     """
     tail = [r for r in rows if r.L >= tail_factor * L0]
-    tail = tail[-max_points:]
+    tail = tail[-_TAIL_POINTS:]
     if len(tail) < 4:
         raise TooFewSamples(
             f"only {len(tail)} rows above the tail threshold")
@@ -474,19 +477,19 @@ class OracleResult:
     v: np.ndarray
     t_event: float | None
     t_star: float | None
+    t_star_status: str | None = None  # why there is no t_star
 
 
 def homogeneous_oracle(u0: complex, u1: complex, sf: ScaleFactor,
                        params: PhysicalParams, nl: Nonlinearity | None,
-                       t_end: float, t0: float = 0.0, rtol: float = 1e-10,
-                       cap: float = 1e10) -> OracleResult:
+                       t_end: float, t0: float = 0.0) -> OracleResult:
     """High-accuracy reference for spatially constant data.
 
     Integrates u'' + n (adot/a) u' + m^2 c^2 u = c^2 f(u) as a 4-real system
-    with DOP853. A terminal event fires at |u| = cap; for a real escaping
-    trajectory the remaining time to the singularity is the converged
-    quadrature of the frozen-damping energy relation, giving t_star to far
-    below the PDE tolerance.
+    with DOP853. A terminal event fires at |u| = _ORACLE_CAP; for a real
+    escaping trajectory the remaining time to the singularity is the
+    converged quadrature of the frozen-damping energy relation, giving t_star
+    to far below the PDE tolerance. Without a t_star, t_star_status says why.
     """
     n = params.n
     c2 = params.c * params.c
@@ -506,44 +509,52 @@ def homogeneous_oracle(u0: complex, u1: complex, sf: ScaleFactor,
                 -rate * vi - m2c2 * ui + c2 * fi]
 
     def escape(t, s):
-        return s[0] * s[0] + s[1] * s[1] - cap * cap
+        return s[0] * s[0] + s[1] * s[1] - _ORACLE_CAP * _ORACLE_CAP
 
     escape.terminal = True
     escape.direction = 1
 
     sol = solve_ivp(rhs, (t0, t_end), [u0.real, u0.imag, u1.real, u1.imag],
-                    method="DOP853", rtol=rtol, atol=rtol * max(abs(u0), 1.0),
+                    method="DOP853", rtol=_ORACLE_RTOL,
+                    atol=_ORACLE_RTOL * max(abs(u0), 1.0),
                     events=escape, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"oracle integration failed: {sol.message}")
     u = sol.y[0] + 1j * sol.y[1]
     v = sol.y[2] + 1j * sol.y[3]
-    t_event = None
-    t_star = None
+    t_event = t_star = None
+    status = f"|u| stays below {_ORACLE_CAP:g} up to t = {sol.t[-1]:.17g}"
     if sol.t_events[0].size:
         t_event = float(sol.t_events[0][0])
-        se = sol.sol(t_event)
-        t_star = _oracle_tail(se, t_event, params, nl)
-    return OracleResult(t=sol.t, u=u, v=v, t_event=t_event, t_star=t_star)
+        try:
+            t_star = t_event + _oracle_tail(sol.sol(t_event), params, nl)
+            status = None
+        except ValueError as exc:
+            status = str(exc)
+    return OracleResult(sol.t, u, v, t_event, t_star, status)
 
 
-def _oracle_tail(s_event, t_event: float, params: PhysicalParams,
-                 nl: Nonlinearity | None) -> float | None:
-    """Remaining time from the escape event to the singularity."""
+def _oracle_tail(s_event, params: PhysicalParams,
+                 nl: Nonlinearity | None) -> float:
+    """Remaining time from the escape event to the singularity; ValueError
+    with the reason when the tail formula does not apply."""
     if nl is None:
-        return None
+        raise ValueError("linear equation: no escape to a singularity")
+    if not nl.has_potential:
+        raise ValueError(f"complex coupling lambda = {nl.lam}: the tail "
+                         "formula needs a real one")
     ur, ui, vr, vi = s_event
-    mag = math.hypot(ur, ui)
-    if abs(ui) > 1e-6 * mag:
-        return None  # tail formula assumes an effectively real trajectory
+    if abs(ui) > 1e-6 * math.hypot(ur, ui):
+        raise ValueError("the trajectory left the real axis")
     sgn = 1.0 if ur >= 0 else -1.0
     w_e = sgn * ur
     wp_e = sgn * vr
     if wp_e <= 0:
-        return None
-    lam_eff = _effective_coupling(nl, sgn)
-    if lam_eff is None or lam_eff <= 0:
-        return None
+        raise ValueError("|u| is not growing at the escape event")
+    # the coupling of the escape direction: f(sgn w) sgn = lam_eff w^p, w > 0
+    lam_eff = sgn * nl.sign if nl.real_only else nl.lam.real
+    if lam_eff <= 0:
+        raise ValueError("defocusing coupling along the escape direction")
     p = nl.p
     c2 = params.c * params.c
     m2c2 = params.m * params.m * c2
@@ -556,19 +567,5 @@ def _oracle_tail(s_event, t_event: float, params: PhysicalParams,
         return (w_e / (x * x)) / math.sqrt(sq)
 
     tail, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return t_event + tail
+    return tail
 
-
-def _effective_coupling(nl: Nonlinearity, sgn: float) -> float | None:
-    """Coupling of the escape direction: f(sgn*w)*sgn = lam_eff * w^p for
-    w > 0, or None when the trajectory leaves the real axis."""
-    from .nonlinearity import GaugeInvariantPower, RealAbsPower
-
-    if isinstance(nl, GaugeInvariantPower):
-        lam = complex(nl.lam)
-        if lam.imag != 0.0:
-            return None
-        return lam.real
-    if isinstance(nl, RealAbsPower):
-        return sgn * nl.sign
-    return None

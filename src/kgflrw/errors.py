@@ -44,7 +44,7 @@ class WidthTooSmall(KGFLRWError):
 
 
 class TooFewSamples(KGFLRWError):
-    """Sampled-signal check needs at least 3 points for finite differences."""
+    """Too few recorded rows above the tail threshold to fit a blow-up time."""
 
 
 class HorizonTooShort(KGFLRWError):
@@ -56,10 +56,6 @@ class HorizonTooShort(KGFLRWError):
     def __init__(self, msg: str, report=None):
         super().__init__(msg)
         self.report = report
-
-
-class CalibrationFailed(KGFLRWError):
-    """Amplitude calibration could not push the target above its margin."""
 
 
 class WrapAroundRisk(KGFLRWError):

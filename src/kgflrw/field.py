@@ -224,14 +224,6 @@ def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarr
     return out
 
 
-def deriv_array(vals: np.ndarray, axis: int, h: float,
-                ws: Stencil | None = None) -> np.ndarray:
-    """Fourth-order periodic first derivative along one axis."""
-    ws = _stencil_for(vals, ws)
-    ws.load(vals)
-    return _deriv_loaded(ws, axis, h, np.empty_like(vals))
-
-
 def dot_re(a: np.ndarray, b: np.ndarray, ws: Stencil | None = None) -> float:
     """Re sum(conj(a) b) as complex128 vdot (BLAS zdotc) sums it: real arrays
     are widened into ws.wide first, since a real ddot sums in another order
@@ -260,18 +252,42 @@ def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> floa
     return total
 
 
-def _radius_sq(grid: Grid, center) -> np.ndarray:
+def _radius_sq(grid: Grid, center: tuple) -> np.ndarray:
+    mesh = grid.mesh()
+    r2 = np.zeros(grid.shape)
+    for x, c in zip(mesh, center):
+        r2 += (x - c) ** 2
+    return r2
+
+
+def check_profile(grid: Grid, kind: str, width: float | None = None,
+                  center=None) -> tuple | None:
+    """Raise what make_profile raises on these arguments, without building
+    the profile; return its centre, one coordinate per axis (None for
+    homogeneous data)."""
+    if kind == "homogeneous":
+        return None
+    if kind == "plane_mod":
+        mode = int(round(width)) if width is not None else 1
+        if abs(mode) >= grid.points_per_axis // 2:
+            raise WidthTooLarge(
+                f"mode {mode} at or beyond Nyquist for N = {grid.points_per_axis}"
+            )
+    elif kind not in ("gaussian", "bump"):
+        raise ValueError(f"unknown profile kind {kind!r}")
+    elif width is None:
+        raise ValueError(f"{kind} profile needs a width")
+    elif width >= grid.half_width:
+        raise WidthTooLarge(f"width {width} does not fit inside half_width {grid.half_width}")
+    elif width <= 4.0 * grid.spacing:
+        raise WidthTooSmall(f"width {width} is under 4 cells (h = {grid.spacing:g})")
     if center is None:
         center = 0.0
     if np.isscalar(center):
         center = (float(center),) * grid.n
     if len(center) != grid.n:
         raise ValueError(f"center needs {grid.n} components")
-    mesh = grid.mesh()
-    r2 = np.zeros(grid.shape)
-    for x, c in zip(mesh, center):
-        r2 += (x - c) ** 2
-    return r2
+    return center
 
 
 def make_profile(grid: Grid, kind: str, amplitude: complex, width: float | None = None,
@@ -288,35 +304,17 @@ def make_profile(grid: Grid, kind: str, amplitude: complex, width: float | None 
 
     Localized kinds need 4 cells < width < half_width.
     """
+    center = check_profile(grid, kind, width, center)
     if kind == "homogeneous":
         return Field(grid, np.full(grid.shape, amplitude, dtype=np.complex128))
 
     if kind == "plane_mod":
         mode = int(round(width)) if width is not None else 1
-        if abs(mode) >= grid.points_per_axis // 2:
-            raise WidthTooLarge(
-                f"mode {mode} at or beyond Nyquist for N = {grid.points_per_axis}"
-            )
         k = mode * np.pi / grid.half_width
-        if center is None:
-            center = 0.0
-        if np.isscalar(center):
-            center = (float(center),) * grid.n
-        if len(center) != grid.n:
-            raise ValueError(f"center needs {grid.n} components")
         phase = np.zeros(grid.shape)
         for x, c in zip(grid.mesh(), center):
             phase += k * (x - c)
         return Field(grid, amplitude * np.exp(1j * phase))
-
-    if kind not in ("gaussian", "bump"):
-        raise ValueError(f"unknown profile kind {kind!r}")
-    if width is None:
-        raise ValueError(f"{kind} profile needs a width")
-    if width >= grid.half_width:
-        raise WidthTooLarge(f"width {width} does not fit inside half_width {grid.half_width}")
-    if width <= 4.0 * grid.spacing:
-        raise WidthTooSmall(f"width {width} is under 4 cells (h = {grid.spacing:g})")
 
     r2 = _radius_sq(grid, center)
     if kind == "gaussian":

@@ -18,8 +18,8 @@ The structure inequality splits E against I:
 
 with equality exactly when the structure inequality is pointwise tight.
 
-E, I, the margins below and that gap are arithmetic on six spatial integrals
-of a state, measured once per state into `Integrals` by `measure`: ||u||^2,
+E, I and the margins below are arithmetic on six spatial integrals of a
+state, measured once per state into `Integrals` by `measure`: ||u||^2,
 ||u_t||^2, Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u). Each
 is a plain cell sum times the cell volume, which on a smooth periodic
 integrand converges faster than any power of h.
@@ -122,17 +122,6 @@ class Integrals(NamedTuple):
         val += params.m * params.m * c2 * self.L
         val -= c2 * self.re_fu
         return val
-
-    def rel_E_I_gap(self, a: float, params: PhysicalParams) -> float:
-        """E minus its structural lower bound; nonnegative, zero iff the
-        structure inequality is pointwise tight on the data."""
-        c2 = params.c * params.c
-        eps = params.eps
-        quad = c2 / (a * a) * self.grad_sq + params.m * params.m * c2 * self.L
-        bound = 0.5 * self.ut_sq
-        bound += self.nehari(a, params) / (eps + 2.0)
-        bound += eps / (2.0 * (eps + 2.0)) * quad
-        return self.energy(a, params) - bound
 
     def rho(self, a: float, params: PhysicalParams) -> float:
         """Norm-weighted data margin; a = a(0) for the data at t = 0."""

@@ -27,24 +27,22 @@ lifetime; a certificate blocked solely by that clause raises HorizonTooShort
 with the partial report attached. The module also classifies data against the
 four-quadrant initial-data table (using the unit-insensitive m~, c~), maps
 closed-form backgrounds to the corollary cases that guarantee the background
-conditions, maps a certificate to its concavity comparison ODE, and
-calibrates data amplitudes to requested margins.
+conditions, and maps a certificate to its concavity comparison ODE.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
-from .errors import CalibrationFailed, HorizonTooShort
+from .errors import HorizonTooShort, NoAdmissibleT0
 from .field import Field
 from .functionals import Integrals, PhysicalParams, kappa_for_mode, measure
 from .nonlinearity import Nonlinearity
 from .odelab import ConcavityProblem
 from .scale_factor import (DeSitter, ScaleFactor, Tabulated,
-                           c_epsilon, check_monotone_expansion,
-                           check_t0_condition, hubble_rate,
+                           check_monotone_expansion, check_t0_condition,
+                           hubble_rate, min_admissible_t0,
                            t0_condition_threshold)
 
 _REL = 1e-9
@@ -207,12 +205,11 @@ def check_corollaries(sf: ScaleFactor, t0: float,
                 if t0 == 0.0:
                     c2 = "iii"
             elif sigma > -1.0:
-                ceps = c_epsilon(m, params.c, params.eps)
-                t0_req = (2.0 * ceps / (1.0 + sigma)
-                          - 2.0 / (params.n * (1.0 + sigma) * H))
-                # an infinite C_eps (underflowed mass) admits no finite t0
-                if (math.isfinite(t0_req)
-                        and abs(t0 - t0_req) <= 1e-9 * max(1.0, abs(t0_req))):
+                try:
+                    t0_req = min_admissible_t0(sf, m, params.c, params.eps)
+                except NoAdmissibleT0:  # an underflowed mass: no finite t0
+                    t0_req = math.nan  # matches no t0
+                if abs(t0 - t0_req) <= 1e-9 * max(1.0, abs(t0_req)):
                     c2 = "iv"
     return CorollaryCases(c1, c2)
 
@@ -349,39 +346,3 @@ def concavity_problem(report: HypothesisReport, sf: ScaleFactor,
     y1 = -kappa * (2.0 * report.re_u0_u1) * theta0 ** (-kappa - 1.0)
     return ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=y0, y1=y1, t0=t0)
 
-
-def calibrate_amplitude(margin_fn: Callable[[float], float],
-                        floor: float = 0.0, start: float = 1.0,
-                        max_doublings: int = 60,
-                        rel_tol: float = 1e-12) -> tuple[float, float]:
-    """Smallest amplitude (up to rel_tol) whose margin exceeds floor.
-
-    Evaluates margin_fn(start) first; if already above floor, start is
-    returned untouched. Otherwise the amplitude doubles until the margin
-    crosses, then bisection tightens the bracket and the upper end (strictly
-    above floor) is returned with its margin. Raises CalibrationFailed when
-    doubling never crosses, which is the honest outcome for targets that are
-    structurally nonpositive.
-    """
-    if start <= 0:
-        raise ValueError("start amplitude must be positive")
-    val = margin_fn(start)
-    if val > floor:
-        return start, val
-    lo, hi = start, start
-    for _ in range(max_doublings):
-        hi = 2.0 * hi
-        val = margin_fn(hi)
-        if val > floor:
-            break
-        lo = hi
-    else:
-        raise CalibrationFailed(
-            f"margin still {val:.6g} <= {floor:.6g} at amplitude {hi:.6g}")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if margin_fn(mid) > floor:
-            hi = mid
-        else:
-            lo = mid
-    return hi, margin_fn(hi)

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ComplexInputToRealNonlinearity, NonRealLambdaNoPotential
 
 _IMAG_TOL = 1e-13  # relative imaginary tolerance for real-only inputs
+_EPS_TOL = 1e-12   # absolute slack on a closed end of an eps range
 
 
 class EpsRange(NamedTuple):
@@ -42,9 +43,9 @@ class EpsRange(NamedTuple):
     lo_closed: bool
     hi_closed: bool
 
-    def contains(self, eps: float, tol: float = 1e-12) -> bool:
-        lo_ok = eps >= self.lo - tol if self.lo_closed else eps > self.lo
-        hi_ok = eps <= self.hi + tol if self.hi_closed else eps < self.hi
+    def contains(self, eps: float) -> bool:
+        lo_ok = eps >= self.lo - _EPS_TOL if self.lo_closed else eps > self.lo
+        hi_ok = eps <= self.hi + _EPS_TOL if self.hi_closed else eps < self.hi
         return lo_ok and hi_ok
 
 
@@ -137,7 +138,7 @@ class RealAbsPower:
         eps = self.eps
         if eps is None:
             eps = self.p - 1.0
-        if abs(eps - (self.p - 1.0)) > 1e-12:
+        if abs(eps - (self.p - 1.0)) > _EPS_TOL:
             raise ValueError(
                 f"this family satisfies the structure inequality only at eps = p-1 = "
                 f"{self.p - 1.0}, got {eps}"
@@ -220,82 +221,3 @@ def sobolev_admissible(p: float, n: int) -> bool:
     if n <= 2:
         return True
     return p < 1.0 + 2.0 / (n - 2.0)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Outcome of the sampled structural checks."""
-
-    n_samples: int
-    max_violation_rel: float  # worst (2+eps)F - Re(f conj(u)), relative, clipped at 0
-    max_chain_residual: float  # worst relative defect of d/dt F(u) = Re(f du/dt-bar)
-    rel_tol: float
-    chain_tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation_rel <= self.rel_tol and self.max_chain_residual <= self.chain_tol
-
-
-def verify_structure(
-    nl: Nonlinearity,
-    samples=None,
-    n_samples: int = 10_000,
-    rel_tol: float = 1e-12,
-    fd_step: float = 1e-6,
-    chain_tol: float = 1e-6,
-    n_paths: int = 8,
-    seed: int = 0,
-) -> StructureReport:
-    """Check the structure inequality on a sample cloud and the chain rule on paths.
-
-    The inequality check evaluates Re(f(u) conj(u)) - (2+eps) F(u) pointwise and
-    reports the worst violation relative to the magnitude of the two sides. The
-    chain-rule check runs central differences of t -> F(u(t)) along smooth
-    random paths and compares with Re(f(u) conj(du/dt)).
-    """
-    rng = np.random.default_rng(seed)
-    if samples is None:
-        mag = 10.0 ** rng.uniform(-3, 3, size=n_samples)
-        if nl.real_only:
-            samples = mag * rng.choice([-1.0, 1.0], size=n_samples)
-        else:
-            phase = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n_samples))
-            samples = mag * phase
-    samples = np.asarray(samples)
-
-    Fs = nl.F(samples)
-    lhs = np.real(nl.f(samples) * np.conj(samples))
-    scale = np.abs(lhs) + np.abs((2.0 + nl.eps) * Fs) + 1e-300
-    violation = ((2.0 + nl.eps) * Fs - lhs) / scale
-    max_violation = float(max(0.0, np.max(violation)))
-
-    worst_chain = 0.0
-    for _ in range(n_paths):
-        if nl.real_only:
-            z0, z1, z2 = rng.normal(size=3) * rng.choice([0.1, 1.0, 10.0])
-        else:
-            z0, z1, z2 = (rng.normal(size=3) + 1j * rng.normal(size=3)) * rng.choice(
-                [0.1, 1.0, 10.0]
-            )
-        w = rng.uniform(0.5, 2.0)
-
-        def path(t):
-            return z0 + z1 * np.sin(w * t) + z2 * np.cos(w * t)
-
-        def dpath(t):
-            return w * (z1 * np.cos(w * t) - z2 * np.sin(w * t))
-
-        for t in rng.uniform(0.0, 3.0, size=16):
-            fd = (nl.F(path(t + fd_step)) - nl.F(path(t - fd_step))) / (2.0 * fd_step)
-            exact = np.real(nl.f(path(t)) * np.conj(dpath(t)))
-            s = abs(exact) + abs(float(nl.F(path(t)))) + 1.0
-            worst_chain = max(worst_chain, abs(float(fd) - float(exact)) / s)
-
-    return StructureReport(
-        n_samples=int(samples.size),
-        max_violation_rel=max_violation,
-        max_chain_residual=worst_chain,
-        rel_tol=rel_tol,
-        chain_tol=chain_tol,
-    )

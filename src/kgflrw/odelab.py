@@ -26,9 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NoVanishBeforeT, TooFewSamples
+from .errors import NoVanishBeforeT
 
 _REL_SLACK = 1e-12
+_RTOL = 1e-12   # solve_concavity: DOP853 tolerance, atol relative to y0
+_SLACK = 0.1    # random_admissible_problems: margin over both admissibility floors
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class ConcavitySolution:
     y_prime: np.ndarray
 
 
-def solve_concavity(prob: ConcavityProblem, rtol: float = 1e-12,
+def solve_concavity(prob: ConcavityProblem,
                     t_max: float | None = None) -> ConcavitySolution:
     """Integrate y'' = -kappa A max(y,0)^(1+1/kappa) until y crosses zero.
 
@@ -121,7 +123,7 @@ def solve_concavity(prob: ConcavityProblem, rtol: float = 1e-12,
 
     end = prob.T if t_max is None else t_max
     sol = solve_ivp(rhs, (prob.t0, end), [prob.y0, prob.y1], method="DOP853",
-                    rtol=rtol, atol=rtol * prob.y0, events=hit_zero,
+                    rtol=_RTOL, atol=_RTOL * prob.y0, events=hit_zero,
                     dense_output=True)
     if not sol.success:
         raise RuntimeError(f"concavity integration failed: {sol.message}")
@@ -133,58 +135,11 @@ def solve_concavity(prob: ConcavityProblem, rtol: float = 1e-12,
                              y_prime=sol.y[1])
 
 
-@dataclass
-class ComparisonReport:
-    """Sampled check of the first-order comparison fact: if h(t0) >= 0 and
-    h' + gamma' h > 0 on the window then h > 0 after t0."""
-
-    hypothesis_ok: bool
-    conclusion_ok: bool
-    min_combination: float
-    min_h_after_start: float
-
-    @property
-    def ok(self) -> bool:
-        return (not self.hypothesis_ok) or self.conclusion_ok
-
-
-def comparison_check(t: np.ndarray, h: np.ndarray, gamma: np.ndarray,
-                     tol: float = 0.0) -> ComparisonReport:
-    """Finite-difference verification of the comparison principle on samples.
-
-    Derivatives use np.gradient (second-order interior). The report separates
-    a hypothesis failure (combination not positive, nothing to conclude) from
-    a conclusion failure (hypothesis held yet h dipped nonpositive), so a
-    failing check can be attributed.
-    """
-    t = np.asarray(t, dtype=float)
-    h = np.asarray(h, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if len(t) < 3:
-        raise TooFewSamples("need at least 3 samples for derivatives")
-    if h.shape != t.shape or gamma.shape != t.shape:
-        raise ValueError("t, h, gamma must share a shape")
-    hp = np.gradient(h, t)
-    gp = np.gradient(gamma, t)
-    combo = hp + gp * h
-    inner = combo[1:-1]
-    scale = max(np.max(np.abs(hp)), np.max(np.abs(gp * h)), 1e-300)
-    hyp_ok = bool(np.all(inner > -tol * scale - 1e-14 * scale)) and h[0] >= 0.0
-    h_after = h[1:]
-    concl_ok = bool(np.all(h_after > -tol * max(np.max(np.abs(h)), 1e-300)))
-    return ComparisonReport(
-        hypothesis_ok=hyp_ok,
-        conclusion_ok=concl_ok,
-        min_combination=float(np.min(inner)),
-        min_h_after_start=float(np.min(h_after)),
-    )
-
-
-def random_admissible_problems(count: int, seed: int = 0,
-                               slack: float = 0.1) -> list[ConcavityProblem]:
+def random_admissible_problems(count: int,
+                               seed: int = 0) -> list[ConcavityProblem]:
     """Draw admissible problems spanning exponents, scales and start times.
 
-    T sits (1+slack) above the admissibility window and B is inflated so the
+    T sits (1 + _SLACK) above the admissibility window and B is inflated so the
     y0 floor holds with the same slack; every returned problem passes
     construction-time validation.
     """
@@ -196,10 +151,10 @@ def random_admissible_problems(count: int, seed: int = 0,
         y0 = rng.uniform(0.5, 3.0)
         y1 = -rng.uniform(0.0, 2.0)
         t0 = rng.uniform(0.0, 1.0)
-        lead = (1.0 + slack) * math.pi ** 2 * (2.0 * kappa + 1.0) / (
+        lead = (1.0 + _SLACK) * math.pi ** 2 * (2.0 * kappa + 1.0) / (
             8.0 * kappa ** 2 * A)
         b_floor = math.sqrt(y0 ** (-1.0 / kappa) / lead)
-        B = b_floor * (1.0 + slack) * rng.uniform(1.0, 2.0)
+        B = b_floor * (1.0 + _SLACK) * rng.uniform(1.0, 2.0)
         T = t0 + lead * B
         out.append(ConcavityProblem(kappa=kappa, A=A, B=B, T=T,
                                     y0=y0, y1=y1, t0=t0))

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import NegativeTime, NoAdmissibleT0, TimeBeyondHorizon
 
 _HORIZON_SLACK = 1e-12  # relative exclusion zone at a finite horizon
+_CONSISTENCY_TOL = 0.25  # Tabulated: largest relative secant-vs-adot misfit
+_MONOTONE_SAMPLES = 1024  # check_monotone_expansion: samples of a table
 
 
 def _check_times(t: np.ndarray, horizon: float, inclusive_end: bool = False) -> None:
@@ -143,7 +145,7 @@ class Tabulated:
     stated derivative is grossly wrong.
     """
 
-    def __init__(self, t, a, adot, addot, n: int = 1, consistency_tol: float = 0.25):
+    def __init__(self, t, a, adot, addot, n: int = 1):
         from scipy.interpolate import PchipInterpolator
 
         t = np.asarray(t, dtype=float)
@@ -164,7 +166,7 @@ class Tabulated:
         mean_rate = 0.5 * (adot[1:] + adot[:-1])
         scale = np.maximum(np.abs(mean_rate), 1e-12 * np.max(np.abs(adot) + 1.0))
         rel = np.abs(secant - mean_rate) / scale
-        if np.any(rel > consistency_tol) and np.max(np.abs(mean_rate)) > 0:
+        if np.any(rel > _CONSISTENCY_TOL) and np.max(np.abs(mean_rate)) > 0:
             k = int(np.argmax(rel))
             raise ValueError(
                 f"adot knots inconsistent with a knots near t = {t[k]:g} "
@@ -224,12 +226,7 @@ def check_t0_condition(sf: ScaleFactor, t0: float, m: float, c: float, eps: floa
     return rate <= thr + 1e-12 * max(1.0, abs(thr)), thr
 
 
-class MinT0(NamedTuple):
-    t0: float
-    c_eps: float
-
-
-def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> MinT0:
+def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> float:
     """Earliest start time satisfying the expansion-rate threshold.
 
     Closed-form families only. Returns 0 when the initial rate already sits at
@@ -245,12 +242,12 @@ def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> MinT0:
         raise ValueError("min_admissible_t0 supports closed-form families only")
     if isinstance(sf, DeSitter):
         if sf.H <= bound:
-            return MinT0(0.0, ceps)
+            return 0.0
         raise NoAdmissibleT0(
             f"constant rate H = {sf.H} exceeds the threshold {bound} for all t0"
         )
     if sf.H <= bound:
-        return MinT0(0.0, ceps)
+        return 0.0
     if sf.sigma < -1.0:
         raise NoAdmissibleT0(
             "rate grows toward the Big-Rip horizon; no start time is admissible"
@@ -258,16 +255,10 @@ def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> MinT0:
     t0 = 2.0 * ceps / (1.0 + sf.sigma) - 2.0 / (sf.n * (1.0 + sf.sigma) * sf.H)
     if math.isinf(t0):  # an underflowed |m| c: the threshold rate is 0
         raise NoAdmissibleT0("|m| c underflows; the rate never drops to 0")
-    return MinT0(t0, ceps)
+    return t0
 
 
-def check_monotone_expansion(
-    sf: ScaleFactor,
-    t_lo: float,
-    t_hi: float,
-    samples: int = 1024,
-    tol_rate: float | None = None,
-) -> bool:
+def check_monotone_expansion(sf: ScaleFactor, t_lo: float, t_hi: float) -> bool:
     """True when adot >= 0 and adot^2 - addot*a >= 0 hold on [t_lo, t_hi].
 
     Closed-form families are decided exactly: the power-law identity
@@ -289,12 +280,11 @@ def check_monotone_expansion(
         return sf.H > 0.0 and sf.sigma >= -1.0
     hi = min(t_hi, sf.horizon())
     lo = min(t_lo, hi)
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, _MONOTONE_SAMPLES)
     a, adot, addot = sf.eval(ts)
-    if tol_rate is None:
-        tol_rate = 1e-12 * max(
-            np.max(np.abs(adot)), np.max(np.abs(adot) ** 2 + np.abs(addot * a)), 1.0
-        )
+    tol_rate = 1e-12 * max(
+        np.max(np.abs(adot)), np.max(np.abs(adot) ** 2 + np.abs(addot * a)), 1.0
+    )
     if np.min(adot) < -tol_rate:
         return False
     if np.min(adot * adot - addot * a) < -tol_rate:

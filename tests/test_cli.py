@@ -349,8 +349,9 @@ def test_simulate_reports_why_t_star_is_missing(tmp_path, capsys):
 
 def test_fields_built_once_per_simulate_and_sweep_point(tmp_path, capsys,
                                                         monkeypatch):
-    """Each profile is built once, by the parse that validates it, and
-    build_fields hands those fields out."""
+    """Each profile of a run is built once, by its first build_fields call;
+    the parse that validates a config builds none, so a sweep's base config
+    costs no field."""
     calls, profiles = [], []
     build, build_profile = Scenario.build_fields, ProfileSpec.build
 
@@ -367,11 +368,11 @@ def test_fields_built_once_per_simulate_and_sweep_point(tmp_path, capsys,
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     assert main_entry(["simulate", cfg, "--out", str(tmp_path / "s")]) == 0
     assert (len(calls), len(profiles)) == (1, 2)
-    # the sweep parses its base config, then each of its three points
+    # the sweep parses its base config, then builds each of its three points
     assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=0.5:2.0:3",
                        "--out", str(tmp_path / "w")]) == 0
     capsys.readouterr()
-    assert (len(calls), len(profiles)) == (4, 10)
+    assert (len(calls), len(profiles)) == (4, 8)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
@@ -399,6 +400,35 @@ def test_sweep_bad_axis(tmp_path, capsys):
     assert "not sweepable" in capsys.readouterr().err
     rc = main_entry(["sweep", cfg, "--axis", "nonsense"])
     assert rc == 2
+    capsys.readouterr()
+    out = tmp_path / "sweep-out"
+    for ends in ("nan:3", "1:inf", "-inf:3", "one:3"):
+        rc = main_entry(["sweep", cfg, "--axis", f"data0.amplitude={ends}:2",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
+
+
+def test_sweep_invalid_base_config_runs_no_point(tmp_path, capsys):
+    text = SWEEP_CFG.replace("data0.kind = homogeneous",
+                             "data0.kind = gaussian\ndata0.width = 9")
+    out = tmp_path / "sweep-out"
+    rc = main_entry(["sweep", write_cfg(tmp_path, text), "--axis",
+                     "data0.amplitude=0.5:2.0:2", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "does not fit inside half_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--random", "-3"],
+                                  ["--random", "2", "--seed", "-1"]],
+                         ids=["seed", "random", "random-and-seed"])
+def test_oracle_rejects_negative_counts(capsys, argv):
+    assert main_entry(["oracle-ode", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "must be nonnegative" in captured.err
 
 
 def test_log_env_accepted(tmp_path, capsys, monkeypatch):

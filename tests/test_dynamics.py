@@ -76,7 +76,7 @@ def test_oracle_frozen_blowup_time():
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     res = homogeneous_oracle(3.0 + 0.0j, 0.0 + 0.0j, flat(), params, nl,
                              t_end=5.0)
-    assert res.t_event is not None
+    assert res.t_event is not None and res.t_star_status is None
     assert res.t_star == pytest.approx(TSTAR, abs=1e-9)
 
 
@@ -85,8 +85,18 @@ def test_oracle_linear_stays_bounded():
     res = homogeneous_oracle(1.0 + 0.0j, 0.0 + 0.0j, flat(), params, None,
                              t_end=3.0)
     assert res.t_event is None and res.t_star is None
+    assert res.t_star_status == "|u| stays below 1e+10 up to t = 3"
     # u(t) = cos(m c t)
     assert res.u[-1].real == pytest.approx(math.cos(3.0), abs=1e-8)
+
+
+def test_oracle_says_why_a_complex_coupling_has_no_t_star():
+    params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
+    nl = GaugeInvariantPower(p=2.0, lam=1.0 + 0.5j, eps=1.0)
+    res = homogeneous_oracle(3.0 + 0.0j, 0.0 + 0.0j, flat(), params, nl,
+                             t_end=5.0)
+    assert res.t_event is not None and res.t_star is None
+    assert res.t_star_status.startswith("complex coupling lambda = (1+0.5j)")
 
 
 def test_run_matches_oracle_endpoint():

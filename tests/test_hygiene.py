@@ -1,15 +1,20 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+name the package exports is read by one of its modules or listed in the
+README's "Library API" section.
 
-`__init__.py` is skipped: its imports are the package's exports. Names
-bound by `from __future__ import ...` are compiler directives, not reads.
+`__init__.py` is skipped by the first check: its imports are the package's
+exports. Names bound by `from __future__ import ...` are compiler
+directives, not reads.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kgflrw"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kgflrw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +42,35 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_exports(init: str, modules: list[str], listed: set) -> list[str]:
+    """Names init imports from the package that no module reads (as a name,
+    or as the module of a relative import) and that listed leaves out."""
+    exported = {alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    read = set()
+    for tree in map(ast.parse, modules):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.add(node.module)
+    return sorted(exported - read - listed)
+
+
+def test_export_checker_flags_an_unread_name():
+    init = "from . import errors\nfrom .m import a, b, c as d\n"
+    modules = ["from .errors import E\n", "def a(): return b\n"]
+    assert unread_exports(init, modules, set()) == ["a", "d"]
+    assert unread_exports(init, modules, {"a"}) == ["d"]
+
+
+def test_every_export_is_read_or_listed():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    assert unread_exports(
+        (SRC / "__init__.py").read_text(encoding="utf-8"),
+        [p.read_text(encoding="utf-8") for p in MODULES],
+        set(re.findall(r"`(\w+)`", section))) == []

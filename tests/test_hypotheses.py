@@ -1,4 +1,4 @@
-"""Certificate checks, data classification, corollary coverage, calibration.
+"""Certificate checks, data classification, corollary coverage, margins.
 
 Frozen oracles (homogeneous data on the 1-d torus of half width pi, volume
 2 pi, with c = eps = 1, p = 2, lam = 1):
@@ -21,11 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, Tabulated, calibrate_amplitude,
-                    check_corollaries, check_theorem1, classify_table1,
-                    evaluate, make_profile, measure, theorem1_bound,
-                    theorem2_bound)
-from kgflrw.errors import CalibrationFailed, HorizonTooShort
+                    PowerLaw, Tabulated, check_corollaries, check_theorem1,
+                    classify_table1, evaluate, make_profile, measure,
+                    theorem1_bound, theorem2_bound)
+from kgflrw.errors import HorizonTooShort
 
 GRID = Grid(n=1, points_per_axis=16, half_width=math.pi)
 PARAMS_M0 = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
@@ -169,35 +168,24 @@ def test_corollary_mapping():
     assert (cc.thm1_case, cc.thm2_case) == ("n/a", "n/a")
 
 
-def test_calibrate_amplitude_crossing():
-    sf = PowerLaw(0.0, H=0.0)
+def test_rho_changes_sign_at_unit_amplitude():
+    a0 = PowerLaw(0.0, H=0.0).eval(0.0)[0]
 
-    def margin(a):
-        return measure(hom(a), hom(0.0), NL).rho(sf.eval(0.0)[0], PARAMS_M1)
+    def rho(a):
+        return measure(hom(a), hom(0.0), NL).rho(a0, PARAMS_M1)
 
-    amp, val = calibrate_amplitude(margin, start=0.25)
-    assert amp == pytest.approx(1.0, abs=1e-9)
-    assert val > 0.0
-    # margin(A) = (V/3) A^2 (A - 1) crosses zero exactly at A = 1
-    assert margin(1.0) == pytest.approx(0.0, abs=1e-12)
-    # an already-positive start is returned untouched
-    amp2, _ = calibrate_amplitude(margin, start=3.0)
-    assert amp2 == 3.0
-    with pytest.raises(ValueError):
-        calibrate_amplitude(margin, start=0.0)
+    # rho(A) = (V/3) A^2 (A - 1) crosses zero exactly at A = 1
+    assert rho(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert rho(0.25) < rho(1.0 - 1e-9) < 0.0 < rho(1.0 + 1e-9) < rho(3.0)
 
 
-def test_calibrate_amplitude_failure_is_honest():
-    sf = PowerLaw(0.0, H=0.0)
+def test_defocusing_delta_without_velocity_is_nonpositive():
+    a0 = PowerLaw(0.0, H=0.0).eval(0.0)[0]
     defocusing = GaugeInvariantPower(p=2.0, lam=-1.0)
-
-    def margin(a):
-        return measure(hom(a), hom(0.0), defocusing).delta(sf.eval(0.0)[0],
-                                                           PARAMS_M1)
-
-    # u1 = 0 kills the leading term and E > 0 always: no crossing exists
-    with pytest.raises(CalibrationFailed):
-        calibrate_amplitude(margin, start=1.0, max_doublings=20)
+    # u1 = 0 kills the leading term and E > 0 always: delta = -E <= 0
+    for k in range(21):
+        rec = measure(hom(2.0 ** k), hom(0.0), defocusing)
+        assert rec.delta(a0, PARAMS_M1) <= 0.0
 
 
 def test_horizon_blocks_every_certificate():

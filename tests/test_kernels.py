@@ -29,7 +29,7 @@ from kgflrw import dynamics, field
 from kgflrw.cli import trace_csv_text
 from kgflrw.dynamics import RK4Workspace, RunConfig, _rhs, _rk4
 from kgflrw.errors import NonRealLambdaNoPotential
-from kgflrw.field import (Field, Stencil, deriv_array, dot_re,
+from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
                           grad_sq_array, lap_array, make_profile)
 from kgflrw.functionals import (measure_arrays, motion_integrals,
                                 potential_integrals)
@@ -50,6 +50,14 @@ def ref_lap_array(vals: np.ndarray, h: float) -> np.ndarray:
         out += 16.0 * (p1 + m1 - 2.0 * vals) - (p2 + m2 - 2.0 * vals)
     out /= 12.0 * h * h
     return out
+
+
+def deriv_array(vals: np.ndarray, axis: int, h: float,
+                ws: Stencil | None = None) -> np.ndarray:
+    """The first derivative as grad_sq_array takes it: load, then sweep."""
+    ws = Stencil(vals.shape, vals.dtype) if ws is None else ws
+    ws.load(vals)
+    return _deriv_loaded(ws, axis, h, np.empty_like(vals))
 
 
 def ref_deriv_array(vals: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kgflrw import (ComparisonReport, ConcavityProblem, comparison_check,
-                    concavity_problem, evaluate, load_bundled_scenario,
-                    random_admissible_problems, solve_concavity, tstar_bound)
-from kgflrw.errors import NoVanishBeforeT, TooFewSamples
+from kgflrw import (ConcavityProblem, concavity_problem, evaluate,
+                    load_bundled_scenario, random_admissible_problems,
+                    solve_concavity, tstar_bound)
+from kgflrw.errors import NoVanishBeforeT
 
 VANISH_REST = 1.2143253239439595  # int_0^1 dy / sqrt(1 - y^6)
 
@@ -154,30 +154,3 @@ def test_certificate_mapping():
         concavity_problem(dataclasses.replace(rep, L0=-1.0), scn.sf,
                           scn.params)
 
-
-def test_comparison_check_holds():
-    t = np.linspace(0.0, 2.0, 400)
-    h = np.exp(-t)
-    gamma = 2.0 * t  # h' + gamma' h = exp(-t) > 0
-    rep = comparison_check(t, h, gamma)
-    assert isinstance(rep, ComparisonReport)
-    assert rep.hypothesis_ok and rep.conclusion_ok and rep.ok
-    assert rep.min_h_after_start > 0.0
-
-
-def test_comparison_check_vacuous():
-    t = np.linspace(0.0, 2.0, 400)
-    h = np.cos(3.0 * t)  # dips negative
-    gamma = np.zeros_like(t)  # combination h' changes sign: hypothesis fails
-    rep = comparison_check(t, h, gamma)
-    assert not rep.hypothesis_ok
-    assert not rep.conclusion_ok
-    assert rep.ok  # nothing to conclude, so the principle is not violated
-
-
-def test_comparison_check_guards():
-    with pytest.raises(TooFewSamples):
-        comparison_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
-                         np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        comparison_check(np.linspace(0, 1, 5), np.zeros(4), np.zeros(5))

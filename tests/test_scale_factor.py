@@ -192,18 +192,17 @@ def test_c_epsilon_frozen():
 def test_min_admissible_t0():
     # flat or slow expansion: t0 = 0 already admissible
     assert min_admissible_t0(PowerLaw(a0=1, H=0.0, sigma=0, n=1),
-                             1.0, 1.0, 1.0).t0 == 0.0
+                             1.0, 1.0, 1.0) == 0.0
     assert min_admissible_t0(DeSitter(a0=1, H=0.5, n=1),
-                             1.0, 1.0, 1.0).t0 == 0.0
+                             1.0, 1.0, 1.0) == 0.0
     # powerlaw rate decays like 1/t: admissible start exists and matches
     sf = PowerLaw(a0=1.0, H=2.0, sigma=0.0, n=1)
-    res = min_admissible_t0(sf, 1.0, 1.0, 1.0)
-    assert res.t0 > 0.0
-    assert res.c_eps == pytest.approx(GOLDEN, rel=1e-14)
-    ok, thr = check_t0_condition(sf, res.t0 * (1 + 1e-9), 1.0, 1.0, 1.0)
+    t0 = min_admissible_t0(sf, 1.0, 1.0, 1.0)
+    assert t0 > 0.0
+    ok, thr = check_t0_condition(sf, t0 * (1 + 1e-9), 1.0, 1.0, 1.0)
     assert ok
     # ... and the found start sits exactly on the rate threshold
-    assert hubble_rate(sf, res.t0) == pytest.approx(thr, rel=1e-12)
+    assert hubble_rate(sf, t0) == pytest.approx(thr, rel=1e-12)
     # de Sitter rate never decays: beyond-threshold H has no admissible start
     with pytest.raises(NoAdmissibleT0):
         min_admissible_t0(DeSitter(a0=1.0, H=5.0, n=1), 1.0, 1.0, 1.0)
