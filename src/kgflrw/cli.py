@@ -165,8 +165,7 @@ def _write_run(out_dir: str, scn: Scenario, report: HypothesisReport | None,
         summary["blowup.t"] = float(bu.t)
         if bu.t_star is not None:
             summary["blowup.t_star"] = float(bu.t_star)
-            summary["blowup.t_star_uncertainty"] = float(
-                bu.t_star_uncertainty or 0.0)
+            summary["blowup.t_star_uncertainty"] = float(bu.t_star_uncertainty)
             T = report.T_bound if report is not None else None
             if T is not None:
                 summary["blowup.bound_margin"] = float(T - bu.t_star)
@@ -301,7 +300,7 @@ def _override_text(text: str, key: str, value: float) -> str:
 
 def _sweep_point(payload) -> dict:
     """One sweep point, isolated; returns a frontier row even on failure."""
-    base_text, name, overrides, out_dir = payload
+    base_text, base_dir, name, overrides, out_dir = payload
     row = dict(overrides)
     label = "_".join(f"{k.split('.')[-1]}{format(v, '.6g')}"
                      for k, v in overrides.items())
@@ -312,7 +311,7 @@ def _sweep_point(payload) -> dict:
         text = base_text
         for key, val in overrides.items():
             text = _override_text(text, key, val)
-        scn = parse_text(text, name=f"{name}-{label}")
+        scn = parse_text(text, name=f"{name}-{label}", base_dir=base_dir)
         u0, u1 = scn.build_fields()
         report, horizon_note = _evaluate_for_run(scn, u0, u1)
         if report is None:
@@ -355,7 +354,8 @@ def cmd_sweep(args) -> int:
     for key, values in axes:
         points = [dict(pt, **{key: float(v)}) for pt in points
                   for v in values]
-    payloads = [(base_text, scn.name, pt, out_dir) for pt in points]
+    base_dir = os.path.dirname(args.config) or "."  # as parse_config
+    payloads = [(base_text, base_dir, scn.name, pt, out_dir) for pt in points]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
@@ -427,10 +427,7 @@ def main_entry(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TimeBeyondHorizon) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvariantViolation as exc:
+    except (ParseError, TimeBeyondHorizon, InvariantViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoVanishBeforeT as exc:

@@ -194,19 +194,24 @@ class _Section:
             raise ParseError(f"missing required key {key!r}")
         return self.entries[key][0]
 
+    def given(self, **keys: str) -> dict:
+        """{argument: value} of the keys set; the rest keep class defaults."""
+        return {arg: self.entries[key][0] for arg, key in keys.items()
+                if key in self.entries}
+
 
 def _build_scale(sec: _Section, n: int, base_dir: str) -> ScaleFactor:
     family = sec.require("scale.family")
     if family not in _SCALE_FAMILIES:
         raise InvariantViolation(
             "scale_factor", f"unknown scale family {family!r}")
-    a0 = sec.get("scale.a0", 1.0)
+    a0 = sec.given(a0="scale.a0")
     try:
         if family == "powerlaw":
-            return PowerLaw(a0=a0, H=sec.get("scale.H", 0.0),
-                            sigma=sec.get("scale.sigma", 0.0), n=n)
+            return PowerLaw(H=sec.get("scale.H", 0.0),
+                            sigma=sec.get("scale.sigma", 0.0), n=n, **a0)
         if family == "desitter":
-            return DeSitter(a0=a0, H=sec.get("scale.H", 0.0), n=n)
+            return DeSitter(H=sec.get("scale.H", 0.0), n=n, **a0)
         path = sec.require("scale.table_path")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -249,11 +254,11 @@ def _build_nonlinearity(sec: _Section, n: int) -> tuple[Nonlinearity | None, flo
             f"exponent p = {p} outside the admissible window in {n}d")
     try:
         if family == "gauge":
-            nl = GaugeInvariantPower(p=p, lam=sec.get("nonlin.lambda", 1.0),
-                                     eps=sec.get("nonlin.eps"))
+            nl = GaugeInvariantPower(p=p, **sec.given(lam="nonlin.lambda",
+                                                      eps="nonlin.eps"))
         else:
-            nl = RealAbsPower(p=p, sign=sec.get("nonlin.sign", 1),
-                              eps=sec.get("nonlin.eps"))
+            nl = RealAbsPower(p=p, **sec.given(sign="nonlin.sign",
+                                               eps="nonlin.eps"))
     except ValueError as exc:
         raise InvariantViolation("nonlinearity", str(exc)) from exc
     return nl, nl.eps
@@ -315,17 +320,8 @@ def parse_text(text: str, name: str = "<string>",
                     "family cannot accept it")
 
     try:
-        run = RunConfig(
-            t0=sec.get("run.t0", 0.0),
-            t_end=sec.require("run.t_end"),
-            dt=sec.require("run.dt"),
-            dt_min=sec.get("run.dt_min", 1e-9),
-            record_every=sec.get("run.record_every", 10),
-            blowup_threshold=sec.get("run.blowup_threshold", 1e12),
-            cfl=sec.get("run.cfl", 0.4),
-            growth_tol=sec.get("run.growth_tol", 0.05),
-            theorem_mode=sec.get("run.theorem_mode", "auto"),
-        )
+        run = RunConfig(**sec.given(**{key[4:]: key for key in _KEYS
+                                       if key.startswith("run.")}))
     except ValueError as exc:
         raise InvariantViolation("dynamics", str(exc)) from exc
 

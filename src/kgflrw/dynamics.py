@@ -8,38 +8,36 @@ in place in arrays allocated once per run (`RK4Workspace`), and each
 distinct stage time is evaluated once on the background. A stage finishes
 one stencil slab at a time, so that its temporaries stay in cache.
 
-Step control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over
-the step endpoints), and a step that grows ||u|| by more than growth_tol is
-rejected and retried at dt/2 until dt_min; after a stretch of accepted steps
-dt regrows toward the configured value, so a transient spike (e.g. the norm
-passing near zero on an oscillatory run) does not pin the step size for the
-rest of the integration. Blow-up is declared when ||u||^2
-reaches blowup_threshold times its initial value (reason "norm_threshold"),
-when the controller is pinned at dt_min with accelerating growth
-("step_collapse"), or when the state goes nonfinite ("nonfinite", in which
-case the last finite state ends the trace and detected stays False).
+The stepper (`Stepper`) owns the workspace, the background cache and the step
+control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
+step endpoints), a step that grows ||u|| by more than growth_tol is retried at
+dt/2 until dt_min, and after a stretch of accepted steps dt regrows toward the
+configured value. Blow-up is ||u||^2 at blowup_threshold times its initial
+value ("norm_threshold"), dt pinned at dt_min with accelerating growth
+("step_collapse"), or a nonfinite state ("nonfinite": the last finite state
+ends the trace and detected stays False). It starts from one record,
+`StepState`, which `run()` makes at t0 and `Stepper.checkpoint()` copies.
 
-The blow-up instant is extrapolated from the tail: near the singularity
-||u||^2 scales like (t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is asymptotically
-linear and its zero crossing estimates t*. Two fit windows give an
-uncertainty.
+The recorder, `run()`, feeds the history integrals, writes the rows through
+one snapshot, applies the wrap guard and fits t* to the tail: ||u||^2 scales
+like (t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is asymptotically linear and
+its zero crossing, under two fit windows, gives t* and an uncertainty.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
-from .field import Field, Stencil, dot_re, lap_slab
+from .field import Field, Grid, Stencil, dot_re, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
-                          kappa_tilde_for_mode, measure_arrays,
-                          motion_integrals, potential_integrals, state_grid)
+                          kappa_tilde_for_mode, motion_integrals,
+                          potential_integrals, state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -103,9 +101,9 @@ class _Background:
     """Background values at the stage times of the current step.
 
     Each distinct time is evaluated once through the scale factor's `eval`
-    and then read by `_rhs`, `cfl_limit`, `RunningIntegrals.push` and the
-    snapshot functionals. `advance(t)` keeps only the entry at t, the start
-    of the next step."""
+    and then read by the RK4 stages, the CFL clamp, `RunningIntegrals.push`
+    and the snapshot functionals. `advance(t)` keeps only the entry at t,
+    the start of the next step."""
 
     def __init__(self, sf: ScaleFactor):
         self.sf = sf
@@ -191,15 +189,6 @@ def _rhs_slab(slab, k, u, v, nl, h, out, tmp, f_out):
         np.add(out, tmp, out=out)
 
 
-def _rhs(t, u, v, sf, params, nl, h, ws: RK4Workspace, out: np.ndarray):
-    """dv/dt at (t, u, v), written into out; du/dt is v itself."""
-    k = _stage(t, sf, params, ws.stencil, u)
-    for slab, *_, tmp, f_out in ws.slabs:
-        r = slab.rows
-        _rhs_slab(slab, k, u[r], v[r], nl, h, out[r], tmp, f_out)
-    return out
-
-
 def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     """One classical RK4 step of length dt from the accepted state at t.
 
@@ -249,65 +238,109 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     return ws.trial_u, ws.trial_v
 
 
-def cfl_limit(sf: ScaleFactor, t: float, dt: float, h: float, c: float,
-              cfl: float) -> float:
-    """Largest admissible step from t given the endpoint scale factors."""
-    a_now, _, _ = sf.eval(t)
-    a_end, _, _ = sf.eval(t + dt)
-    return cfl * h * min(a_now, a_end) / c
+@dataclass
+class StepState:
+    """The accepted state (u, v) at t, the step size dt to try next, ||u||^2
+    at the start (L0, blowup_threshold's unit) and at t (L_prev), the accepts
+    since dt last changed and the growth ratios of the last (up to three)
+    steps accepted at the dt_min floor."""
+
+    t: float
+    u: np.ndarray
+    v: np.ndarray
+    dt: float
+    L0: float
+    L_prev: float
+    accept_streak: int
+    floor_ratios: tuple
 
 
-def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
-        nl: Nonlinearity | None, cfg: RunConfig, T_bound: float | None = None,
-        support_radius: float | None = None, mode: str = "none") -> Trace:
-    """Integrate from (u0, u1) at cfg.t0 and record the diagnostic trace.
+class Stepper:
+    """Adaptive RK4 from a `StepState`, stepping in its arrays and keeping it
+    current: a stepper built from `checkpoint()` takes the same steps bit for
+    bit. `steps()` yields (t, dt, L, motion) of each accepted step until t_end
+    or `blowup`: the new time, its length, ||u||^2 and `motion_integrals`,
+    after the step's guards, so that `done` tells if it is the last."""
 
-    mode selects the certificate whose exponents label the recorded theta^(-k)
-    and zeta columns ("thm1", "thm2", or "none" for diagnostics without a
-    certificate; with no certified T_bound the anchor term of theta is
-    dropped). Localized data pass support_radius so the trace carries the
-    light-cone wrap margin; the run aborts with WrapAroundRisk (partial trace
-    attached) if the margin is exhausted before t_end.
-    """
-    if mode not in ("thm1", "thm2", "none"):
-        raise ValueError("mode must be thm1, thm2 or none")
-    horizon = sf.horizon()
-    if cfg.t_end >= horizon:
-        raise TimeBeyondHorizon(
-            f"t_end = {cfg.t_end} not below the background horizon {horizon}")
-    grid = state_grid(u0, u1)
-    h = grid.spacing
+    def __init__(self, state: StepState, sf: ScaleFactor,
+                 params: PhysicalParams, nl: Nonlinearity | None, grid: Grid,
+                 cfg: RunConfig):
+        horizon = sf.horizon()
+        if cfg.t_end >= horizon:
+            raise TimeBeyondHorizon(f"t_end = {cfg.t_end} not below the "
+                                    f"background horizon {horizon}")
+        if params.n != grid.n:
+            raise ValueError("params.n must match the grid dimension")
+        self.state, self.params, self.nl = state, params, nl
+        self.grid, self.cfg = grid, cfg
+        self.ws = RK4Workspace(state.u, state.v)
+        self.bg = _Background(sf)
+        self.t_stop = cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end))
+        self.accepted = self.rejected = 0
+        self.blowup: BlowupInfo | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.blowup is not None or self.state.t >= self.t_stop
+
+    def checkpoint(self) -> StepState:
+        return replace(self.state, u=self.ws.u.copy(), v=self.ws.v.copy())
+
+    def steps(self):
+        st, ws, bg, cfg = self.state, self.ws, self.bg, self.cfg
+        h, c = self.grid.spacing, self.params.c
+        while not self.done:
+            dt = min(st.dt, cfg.t_end - st.t)
+            a_now, a_end = bg.eval(st.t)[0], bg.eval(st.t + dt)[0]
+            dt = min(dt, cfg.cfl * h * min(a_now, a_end) / c)
+            u_new, _ = _rk4(st.t, dt, bg, self.params, self.nl, h, ws)
+            L = dot_re(u_new, u_new, ws.stencil) * self.grid.cell_volume
+            if not math.isfinite(L):
+                self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
+                return
+            ratio = math.sqrt(L / st.L_prev) if st.L_prev > 0 else 1.0
+            at_floor = dt <= cfg.dt_min
+            grew = ratio > 1.0 + cfg.growth_tol
+            if grew and not at_floor:
+                st.dt = 0.5 * dt
+                st.accept_streak = 0
+                self.rejected += 1
+                continue
+            st.t += dt
+            ws.accept()
+            st.u, st.v = ws.u, ws.v
+            bg.advance(st.t)
+            self.accepted += 1
+            st.accept_streak += 1
+            # regrow after 4 clean accepts; 3 at-floor accepts still fit in
+            # the step_collapse window before the doubling lifts dt off it
+            if st.accept_streak >= 4 and st.dt < cfg.dt:
+                st.dt = min(cfg.dt, 2.0 * st.dt)
+                st.accept_streak = 0
+            motion = motion_integrals(ws.u, ws.v, self.grid, ws.stencil)
+            if not (math.isfinite(motion[0]) and math.isfinite(motion[2])):
+                self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
+                return
+            if L >= cfg.blowup_threshold * st.L0:
+                self.blowup = BlowupInfo("norm_threshold", st.t)
+            elif at_floor and grew:
+                r = st.floor_ratios = st.floor_ratios[-2:] + (ratio,)
+                if len(r) == 3 and r[0] < r[1] < r[2]:
+                    self.blowup = BlowupInfo("step_collapse", st.t)
+            else:
+                st.floor_ratios = ()
+            st.L_prev = L
+            yield st.t, dt, L, motion
+
+
+def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
+                 rate0: float, L0: float, E_t0: float):
+    """The row snapshot of a run with certificate mode, theta's anchor
+    (T_bound, or None, with adot/a and L0 at t0) and E at t0 (in Hdiag)."""
     n = params.n
-    if n != grid.n:
-        raise ValueError("params.n must match the grid dimension")
 
-    ws = RK4Workspace(*_state_arrays(u0, u1, nl))
-    rec = measure_arrays(ws.u, ws.v, grid, nl, ws.stencil)
-    L0 = rec.L
-    if L0 <= 0:
-        raise ValueError("initial data must be nonzero")
-    bg = _Background(sf)
-    a0, adot0, _ = bg.eval(cfg.t0)
-    E_t0 = rec.energy(a0, params)
-    rate0 = adot0 / a0
-    kap = kappa_for_mode(mode, params.eps) if mode != "none" else math.nan
-    kt = kappa_tilde_for_mode(mode, params.eps) if mode != "none" else math.nan
-    margin0 = math.inf
-    if support_radius is not None:
-        margin0 = grid.half_width - support_radius
-        if margin0 <= 0:
-            raise WrapAroundRisk(
-                f"support radius {support_radius} already fills the box")
-
-    acc = RunningIntegrals(n, params.c)
-    rows: list[FunctionalSnapshot] = []
-    hd_scale = math.nan
-    if params.m != 0.0:
-        hd_scale = 4.0 * (params.eps + 2.0) * E_t0 / (
-            abs(params.m) * params.c * params.eps)
-
-    def snapshot(t: float, dt_used: float, rec: Integrals, a,
-                 adot) -> FunctionalSnapshot:
+    def snapshot(t: float, dt_used: float, rec: Integrals, a, adot,
+                 acc: RunningIntegrals, margin: float) -> FunctionalSnapshot:
         L, ut_sq, re_u_ut = rec.L, rec.ut_sq, rec.re_u_ut
         E = rec.energy(a, params)
         I = rec.nehari(a, params)
@@ -316,114 +349,93 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             theta += n * (T_bound - t) * rate0 * L0
         theta_p = 2.0 * re_u_ut + 2.0 * acc.R
         theta_pp = 2.0 * (ut_sq - I)
-        negk = theta ** (-kap) if mode != "none" and theta > 0 else math.nan
         eta = (L + acc.P) * (ut_sq + acc.Q) - (re_u_ut + acc.R) ** 2
-        zeta = (-(kt + 1.0) * ut_sq - 2.0 * I - (kt + 3.0) * acc.Q
-                if mode != "none" else math.nan)
-        hdg = 2.0 * re_u_ut - hd_scale if params.m != 0.0 else math.nan
-        margin = margin0 - acc.light_path if math.isfinite(margin0) else math.inf
+        negk = zeta = hdg = math.nan
+        if mode != "none":
+            kt = kappa_tilde_for_mode(mode, params.eps)
+            if theta > 0:
+                negk = theta ** (-kappa_for_mode(mode, params.eps))
+            zeta = -(kt + 1.0) * ut_sq - 2.0 * I - (kt + 3.0) * acc.Q
+        if params.m != 0.0:
+            hdg = 2.0 * re_u_ut - 4.0 * (params.eps + 2.0) * E_t0 / (
+                abs(params.m) * params.c * params.eps)
         return FunctionalSnapshot(
             t=t, dt=dt_used, L=L, Lp=2.0 * re_u_ut, E=E, I=I, theta=theta,
             theta_prime=theta_p, theta_second=theta_pp, theta_negk=negk,
             eta=eta, zeta=zeta, Hdiag=hdg, wrap_margin=margin, G=acc.G,
             ut_sq=ut_sq, mode=mode, e_dissipated=acc.dissipated,
             a=a, adot=adot)
+    return snapshot
 
-    def run_meta(reached_t_end: bool) -> dict:
-        return {"accepted": accepted, "rejected": rejected, "t_final": t,
-                "reached_t_end": reached_t_end, "E_t0": E_t0, "L0": L0}
 
-    t = cfg.t0
-    L, ut_sq, re_u_ut, grad_sq = rec[:4]
-    a_t, adot_t, addot_t = bg.eval(t)
-    acc.push(t, L, ut_sq, re_u_ut, grad_sq, a_t, adot_t, addot_t)
-    rows.append(snapshot(t, 0.0, rec, a_t, adot_t))
-    last_recorded_t = t
+def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
+        nl: Nonlinearity | None, cfg: RunConfig, T_bound: float | None = None,
+        support_radius: float | None = None, mode: str = "none") -> Trace:
+    """Integrate from (u0, u1) at cfg.t0 and record the diagnostic trace.
 
-    dt = cfg.dt
-    accepted = rejected = 0
-    accept_streak = 0
+    A `Stepper` takes the steps. Each accepted state feeds the history
+    integrals; it is a row at t0, every record_every steps, at every step of
+    the blow-up tail and at the end. mode selects the certificate whose
+    exponents label the theta^(-k) and zeta columns ("thm1", "thm2", or
+    "none"; without a certified T_bound theta has no anchor term). Localized
+    data pass support_radius so the trace carries the light-cone wrap
+    margin; the run aborts with WrapAroundRisk (partial trace attached) if
+    the margin is exhausted before t_end.
+    """
+    if mode not in ("thm1", "thm2", "none"):
+        raise ValueError("mode must be thm1, thm2 or none")
+    grid = state_grid(u0, u1)
+    # ||u0||^2 of the complex data: the bits dot_re gives either stepped copy
+    L0 = dot_re(u0.values, u0.values) * grid.cell_volume
+    stepper = Stepper(StepState(cfg.t0, *_state_arrays(u0, u1, nl), cfg.dt,
+                                L0, L0, 0, ()), sf, params, nl, grid, cfg)
+    if L0 <= 0:
+        raise ValueError("initial data must be nonzero")
+    margin0 = math.inf
+    if support_radius is not None:
+        margin0 = grid.half_width - support_radius
+        if margin0 <= 0:
+            raise WrapAroundRisk(
+                f"support radius {support_radius} already fills the box")
+    ws, bg = stepper.ws, stepper.bg
+    acc = RunningIntegrals(params.n, params.c)
+
+    def meta(reached_t_end: bool) -> dict:
+        return {"accepted": stepper.accepted, "rejected": stepper.rejected,
+                "t_final": stepper.state.t, "reached_t_end": reached_t_end,
+                "E_t0": E_t0, "L0": L0}
+
+    motion = motion_integrals(ws.u, ws.v, grid, ws.stencil)
+    rec = Integrals(L0, *motion, *potential_integrals(ws.u, grid, nl,
+                                                      ws.stencil))
+    a, adot, addot = bg.eval(cfg.t0)
+    E_t0 = rec.energy(a, params)
+    snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
+    acc.push(cfg.t0, L0, *motion, a, adot, addot)
+    rows = [snapshot(cfg.t0, 0.0, rec, a, adot, acc, margin0)]
+
     tail_start = cfg.blowup_threshold * 1e-4
-    floor_ratios: deque = deque(maxlen=3)
-    blow: BlowupInfo | None = None
     since_record = 0
-    L_prev = L
-    end_tol = 1e-12 * max(1.0, abs(cfg.t_end))
-
-    while t < cfg.t_end - end_tol and blow is None:
-        dt_eff = min(dt, cfg.t_end - t)
-        limit = cfl_limit(bg, t, dt_eff, h, params.c, cfg.cfl)
-        if dt_eff > limit:
-            dt_eff = limit
-        u_new, _ = _rk4(t, dt_eff, bg, params, nl, h, ws)
-        L_new = dot_re(u_new, u_new, ws.stencil) * grid.cell_volume
-        if not math.isfinite(L_new):
-            blow = BlowupInfo(reason="nonfinite", t=t, detected=False)
-            break
-        ratio = math.sqrt(L_new / L_prev) if L_prev > 0 else 1.0
-        at_floor = dt_eff <= cfg.dt_min
-        if ratio > 1.0 + cfg.growth_tol and not at_floor:
-            dt = 0.5 * dt_eff
-            rejected += 1
-            accept_streak = 0
-            continue
-
-        t = t + dt_eff
-        ws.accept()
-        bg.advance(t)
-        accepted += 1
-        accept_streak += 1
-        # regrow after 4 clean accepts; 3 at-floor accepts still fit in the
-        # step_collapse window before the doubling lifts dt off the floor
-        if accept_streak >= 4 and dt < cfg.dt:
-            dt = min(cfg.dt, 2.0 * dt)
-            accept_streak = 0
+    for t, dt_used, L, motion in stepper.steps():
+        a, adot, addot = bg.eval(t)
+        acc.push(t, L, *motion, a, adot, addot)
         since_record += 1
-        L = L_new
-        ut_sq, re_u_ut, grad_sq = motion_integrals(ws.u, ws.v, grid,
-                                                   ws.stencil)
-        if not (math.isfinite(ut_sq) and math.isfinite(grad_sq)):
-            blow = BlowupInfo(reason="nonfinite", t=t, detected=False)
-            break
-        a_t, adot_t, addot_t = bg.eval(t)
-        acc.push(t, L, ut_sq, re_u_ut, grad_sq, a_t, adot_t, addot_t)
-
-        in_tail = nl is not None and L >= tail_start * L0
-        if since_record >= cfg.record_every or in_tail:
-            rec = Integrals(L, ut_sq, re_u_ut, grad_sq,
-                            *potential_integrals(ws.u, grid, nl, ws.stencil))
-            rows.append(snapshot(t, dt_eff, rec, a_t, adot_t))
-            last_recorded_t = t
+        margin = (margin0 - acc.light_path if math.isfinite(margin0)
+                  else math.inf)
+        wrapped = margin <= 0
+        if (since_record >= cfg.record_every or stepper.done and not wrapped
+                or nl is not None and L >= tail_start * L0):
+            rec = Integrals(L, *motion, *potential_integrals(ws.u, grid, nl,
+                                                             ws.stencil))
+            rows.append(snapshot(t, dt_used, rec, a, adot, acc, margin))
             since_record = 0
-
-        margin = margin0 - acc.light_path
-        if math.isfinite(margin0) and margin <= 0:
-            partial = Trace(rows=rows, blowup=None,
-                            meta={"aborted": "wrap_around", "t": t,
-                                  **run_meta(False)})
+        if wrapped:
             raise WrapAroundRisk(
                 f"comoving light path crossed the support margin at t = {t}",
-                trace=partial)
+                trace=Trace(rows, None, {"aborted": "wrap_around", "t": t,
+                                         **meta(False)}))
 
-        if L >= cfg.blowup_threshold * L0:
-            blow = BlowupInfo(reason="norm_threshold", t=t)
-            break
-        if at_floor and ratio > 1.0 + cfg.growth_tol:
-            floor_ratios.append(ratio)
-            if len(floor_ratios) == 3 and (floor_ratios[0] < floor_ratios[1]
-                                           < floor_ratios[2]):
-                blow = BlowupInfo(reason="step_collapse", t=t)
-                break
-        else:
-            floor_ratios.clear()
-        L_prev = L
-
-    if last_recorded_t != t and (blow is None or blow.reason != "nonfinite"):
-        # the last accepted state, measured in the loop; ws.u still holds it
-        rec = Integrals(L, ut_sq, re_u_ut, grad_sq,
-                        *potential_integrals(ws.u, grid, nl, ws.stencil))
-        rows.append(snapshot(t, dt_eff, rec, a_t, adot_t))
-
+    blow = stepper.blowup
     if blow is not None and blow.detected:
         if nl is None:
             blow.t_star_status = "linear equation: no power-law tail to fit"
@@ -433,9 +445,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                     rows, nl.p, L0, tail_factor=min(1e8, tail_start))
             except (TooFewSamples, ValueError) as exc:
                 blow.t_star_status = str(exc)
-
-    return Trace(rows=rows, blowup=blow,
-                 meta=run_meta(blow is None and t >= cfg.t_end - end_tol))
+    return Trace(rows=rows, blowup=blow, meta=meta(blow is None))
 
 
 def estimate_t_star(rows, p: float, L0: float,
@@ -451,17 +461,14 @@ def estimate_t_star(rows, p: float, L0: float,
     if len(tail) < 4:
         raise TooFewSamples(
             f"only {len(tail)} rows above the tail threshold")
-    expo = -(p - 1.0) / 4.0
     t = np.array([r.t for r in tail])
-    y = np.array([r.L for r in tail]) ** expo
+    y = np.array([r.L for r in tail]) ** (-(p - 1.0) / 4.0)
     slope, intercept = np.polyfit(t, y, 1)
     if slope >= 0:
         raise ValueError("tail is not decaying toward a zero crossing")
     t_full = -intercept / slope
-    half = tail[len(tail) // 2:]
-    th = np.array([r.t for r in half])
-    yh = np.array([r.L for r in half]) ** expo
-    s2, i2 = np.polyfit(th, yh, 1)
+    half = len(tail) // 2
+    s2, i2 = np.polyfit(t[half:], y[half:], 1)
     t_half = -i2 / s2 if s2 < 0 else t_full
     return float(t_full), abs(float(t_full) - float(t_half))
 

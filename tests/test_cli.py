@@ -56,6 +56,24 @@ run.theorem_mode = auto
 """
 
 
+TABLE_CFG = """
+scale.family = tabulated
+scale.table_path = table.txt
+phys.m = 1
+phys.c = 1
+nonlin.family = gauge
+nonlin.p = 2
+grid.n = 1
+grid.N = 16
+grid.half_width = 3.141592653589793
+data0.kind = homogeneous
+data0.amplitude = 0.5
+run.t_end = 0.2
+run.dt = 1e-2
+run.theorem_mode = none
+"""
+
+
 def write_cfg(tmp_path, text, name="scn.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -418,6 +436,25 @@ def test_sweep_invalid_base_config_runs_no_point(tmp_path, capsys):
                      "data0.amplitude=0.5:2.0:2", "--out", str(out)])
     assert rc == 2 and not out.exists()
     assert "does not fit inside half_width" in capsys.readouterr().err
+
+
+def test_sweep_reads_a_relative_table_next_to_its_config(tmp_path, capsys,
+                                                        monkeypatch):
+    """A tabulated background's relative scale.table_path is read next to
+    the config by every sweep point, also when the sweep runs elsewhere."""
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    t = np.linspace(0.0, 2.0, 50)
+    np.savetxt(cfg_dir / "table.txt", np.column_stack([t, np.exp(0.5 * t)]))
+    write_cfg(cfg_dir, TABLE_CFG)
+    monkeypatch.chdir(tmp_path)
+    rc = main_entry(["sweep", os.path.join("cfg", "scn.cfg"), "--axis",
+                     "data0.amplitude=0.4:0.6:3", "--out", "sweep-out"])
+    capsys.readouterr()
+    assert rc == 0
+    with open(os.path.join("sweep-out", "frontier.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok"] * 3
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--random", "-3"],

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kgflrw import (PowerLaw, Tabulated, bundled_scenario_names,
-                    bundled_scenario_text, load_bundled_scenario,
-                    parse_config, parse_text)
+from kgflrw import (GaugeInvariantPower, PowerLaw, RealAbsPower, RunConfig,
+                    Tabulated, bundled_scenario_names, bundled_scenario_text,
+                    load_bundled_scenario, parse_config, parse_text)
 from kgflrw.errors import InvariantViolation, ParseError, UnknownKey
 
 MINIMAL = """
@@ -112,6 +112,26 @@ def test_real_family_rejects_complex_data():
     with pytest.raises(InvariantViolation):
         parse_text(wave)
 
+
+def test_unset_keys_take_the_class_defaults():
+    """What a config leaves out takes the default of the class it builds;
+    setting those defaults explicitly builds the same objects and changes
+    only the hash, which reads the entries the file sets."""
+    scn = parse_text(MINIMAL)
+    assert scn.run == RunConfig(t_end=1.0, dt=1e-3)
+    assert scn.sf == PowerLaw(sigma=0.0, H=0.0, n=1)
+    assert scn.nl == GaugeInvariantPower(p=2.0)
+    real = MINIMAL.replace("nonlin.family = gauge", "nonlin.family = real")
+    assert parse_text(real).nl == RealAbsPower(p=2.0)
+    defaults = ("scale.a0 = 1.0\nnonlin.lambda = 1.0\nrun.t0 = 0.0\n"
+                "run.dt_min = 1e-9\nrun.record_every = 10\n"
+                "run.blowup_threshold = 1e12\nrun.cfl = 0.4\n"
+                "run.growth_tol = 0.05\nrun.theorem_mode = auto\n")
+    explicit = parse_text(MINIMAL + defaults)
+    assert (explicit.sf, explicit.nl, explicit.run) == (scn.sf, scn.nl, scn.run)
+    assert explicit.config_hash != scn.config_hash
+    signed = parse_text(real + "nonlin.sign = 1\n")
+    assert signed.nl == parse_text(real).nl
 
 def test_nonlin_none_family():
     text = MINIMAL.replace("nonlin.family = gauge", "nonlin.family = none")

@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, RunConfig, Trace, estimate_t_star,
-                    homogeneous_oracle, make_profile, run)
-from kgflrw.dynamics import RK4Workspace, _Background, _rk4, cfl_limit
+                    PowerLaw, RunConfig, Trace, bundled_scenario_text,
+                    estimate_t_star, homogeneous_oracle, make_profile,
+                    parse_text, run)
+from kgflrw.dynamics import (RK4Workspace, StepState, Stepper, _Background,
+                             _rk4, _state_arrays)
 from kgflrw.errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
-from kgflrw.field import lap_array
+from kgflrw.field import dot_re, lap_array
 
 TSTAR = 1.7173153422544112
 
@@ -182,13 +184,13 @@ def test_step_guards():
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     u0 = make_profile(grid, "homogeneous", 1.0)
     u1 = make_profile(grid, "homogeneous", 0.0)
-    limit = cfl_limit(flat(), 0.0, 1.0, grid.spacing, 1.0, 0.4)
-    assert limit == pytest.approx(0.4 * grid.spacing, rel=1e-14)
+    limit = 0.4 * grid.spacing * 1.0 / 1.0  # cfl * h * a / c, a = 1 here
     cfg = RunConfig(t_end=0.5, dt=1.0, record_every=1, theorem_mode="none")
     trace = run(u0, u1, flat(), params, nl, cfg)
     assert trace.meta["reached_t_end"]
     assert len(trace.rows) == trace.meta["accepted"] + 1
-    assert max(r.dt for r in trace.rows) <= limit
+    assert all(r.dt == limit for r in trace.rows[1:-1])
+    assert 0.0 < trace.rows[-1].dt <= limit
     huge = make_profile(grid, "homogeneous", 1e100)
     with np.errstate(over="ignore", invalid="ignore"):
         trace = run(huge, u1, flat(), params, nl, cfg)
@@ -281,3 +283,56 @@ def test_desitter_expansion_damps_energy():
     # is set by the O(h^4) stencil mismatch, so only wiring is checked here
     budget = trace.rows[-1].E + trace.rows[-1].e_dissipated
     assert budget == pytest.approx(es[0], rel=1e-4)
+
+
+@pytest.mark.parametrize("case", ["tail", "regrowing", "at-floor"])
+def test_checkpoint_resumes_the_run_bit_for_bit(case):
+    """The anchor's stepper is checkpointed at its first accepted step with
+    L >= 1e4 L0, where the tail's step-size error starts to build up; at the
+    first step after a rejection, while dt regrows; and, with a dt_min the
+    run reaches, at its first growing step at the floor. A new stepper built
+    from the checkpoint takes every later step of the uninterrupted run,
+    leaves the same record after each, and ends in the same state and on the
+    same blow-up, bit for bit."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    if case == "at-floor":
+        text = text.replace("run.dt_min = 1e-12", "run.dt_min = 1e-4")
+    scn = parse_text(text)
+    u0, u1 = scn.build_fields()
+    L0 = dot_re(u0.values, u0.values) * scn.grid.cell_volume
+    at = {"tail": lambda st: st.L_prev >= 1e4 * L0,
+          "regrowing": lambda st: (0 < st.accept_streak < 4
+                                   and st.dt < scn.run.dt),
+          "at-floor": lambda st: len(st.floor_ratios) > 0}[case]
+
+    def stepper(state):
+        return Stepper(state, scn.sf, scn.params, scn.nl, scn.grid, scn.run)
+
+    def bits(stepper, steps):
+        """Each step with the record it leaves for the next one."""
+        return [(*(x.hex() for x in (t, dt, L, *motion, stepper.state.dt)),
+                 stepper.state.accept_streak, stepper.state.floor_ratios)
+                for t, dt, L, motion in steps]
+
+    full = stepper(StepState(scn.run.t0, *_state_arrays(u0, u1, scn.nl),
+                             scn.run.dt, L0, L0, 0, ()))
+    steps = full.steps()
+    for t, _, L, _ in steps:
+        if at(full.state):
+            break
+    ck = full.checkpoint()
+    assert ck.t == t and ck.L_prev == L and ck.L0 == L0
+    assert ck.u is not full.ws.u and np.array_equal(ck.u, full.ws.u)
+    rejected = full.rejected
+    rest = bits(full, steps)
+
+    resumed = stepper(ck)
+    assert bits(resumed, resumed.steps()) == rest != []
+    assert resumed.rejected == full.rejected - rejected
+    assert resumed.blowup == full.blowup
+    for a, b in ((resumed.ws.u, full.ws.u), (resumed.ws.v, full.ws.v)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if case == "tail":  # the restart point of a tail re-integration
+        assert 1.5 < t < 1.6 and len(rest) > 100 and resumed.rejected > 0
+    if case == "at-floor":
+        assert full.blowup.reason == "step_collapse"

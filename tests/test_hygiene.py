@@ -1,10 +1,10 @@
 """Every name a module imports is read somewhere in that module, and every
-name the package exports is read by one of its modules or listed in the
-README's "Library API" section.
+name the package exports, and every function and class a module defines, is
+read by one of its modules or listed in the README's "Library API" section.
 
-`__init__.py` is skipped by the first check: its imports are the package's
-exports. Names bound by `from __future__ import ...` are compiler
-directives, not reads.
+`__init__.py` is skipped by the first and the last check: its imports are the
+package's exports, and what it defines serves scripts. Names bound by
+`from __future__ import ...` are compiler directives, not reads.
 """
 
 import ast
@@ -67,10 +67,40 @@ def test_export_checker_flags_an_unread_name():
     assert unread_exports(init, modules, {"a"}) == ["d"]
 
 
-def test_every_export_is_read_or_listed():
+def library_api() -> set:
+    """The names in backticks in the README's "Library API" section."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)`", section))
+
+
+def test_every_export_is_read_or_listed():
     assert unread_exports(
         (SRC / "__init__.py").read_text(encoding="utf-8"),
-        [p.read_text(encoding="utf-8") for p in MODULES],
-        set(re.findall(r"`(\w+)`", section))) == []
+        [p.read_text(encoding="utf-8") for p in MODULES], library_api()) == []
+
+
+def unread_definitions(modules: dict, listed: set) -> list[str]:
+    """The module-level functions and classes of modules ({name: source})
+    that no module reads as a name and that listed leaves out, as
+    "module.name"."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name}.{node.name}" for name, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read | listed)
+
+
+def test_definition_checker_flags_an_unread_name():
+    modules = {"a": "def f():\n    return g()\ndef g(): pass\nclass C: pass\n",
+               "b": "from .a import C\nx = [C]\ndef h(): pass\n"}
+    assert unread_definitions(modules, set()) == ["a.f", "b.h"]
+    assert unread_definitions(modules, {"h"}) == ["a.f"]
+
+
+def test_every_definition_is_read_or_listed():
+    assert unread_definitions(
+        {p.stem: p.read_text(encoding="utf-8") for p in MODULES},
+        library_api()) == []

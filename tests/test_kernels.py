@@ -27,7 +27,7 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     load_bundled_scenario, measure, run)
 from kgflrw import dynamics, field
 from kgflrw.cli import trace_csv_text
-from kgflrw.dynamics import RK4Workspace, RunConfig, _rhs, _rk4
+from kgflrw.dynamics import RK4Workspace, RunConfig, _rk4
 from kgflrw.errors import NonRealLambdaNoPotential
 from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
                           grad_sq_array, lap_array, make_profile)
@@ -195,10 +195,6 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     u_keep, v_keep = u.copy(), v.copy()
     ws = RK4Workspace(u, v)
 
-    _, dv_ref = ref_rhs(t, u, v, sf, params, nl, h)
-    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, np.empty_like(u)),
-                   dv_ref)
-
     u_ref, v_ref = ref_rk4(t, u, v, dt, sf, params, nl, h)
     for _ in range(2):  # a retried step from the same state
         u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
@@ -295,14 +291,15 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     wz = RK4Workspace(u.astype(np.complex128), v.astype(np.complex128))
     assert ws.stencil.dtype == np.float64
 
-    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, np.empty_like(u)),
-                   real_part(_rhs(t, wz.u, wz.v, sf, params, nl, h, wz,
-                                  np.empty_like(wz.u))))
+    z, zv = wz.u.copy(), wz.v.copy()
     for _ in range(2):  # a step accepted, then the next one
         u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
         uz_new, vz_new = _rk4(t, dt, sf, params, nl, h, wz)
+        z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
         assert_bitwise(u_new, real_part(uz_new))
         assert_bitwise(v_new, real_part(vz_new))
+        assert_bitwise(u_new, real_part(z))
+        assert_bitwise(v_new, real_part(zv))
         ws.accept()
         wz.accept()
         t += dt
@@ -464,9 +461,9 @@ def test_multi_slab_stencils_match_reference_bitwise(case, rows_seed, real):
        st.integers(0, 64), st.booleans())
 def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
                                                   rows_seed, real):
-    """_rhs and _rk4 over several slabs, in float64 against the real part of
-    the complex reference and in complex128 (real-valued data for the
-    real-only family) against the reference itself."""
+    """_rk4 over several slabs, in float64 against the real part of the
+    complex reference and in complex128 (real-valued data for the real-only
+    family) against the reference itself."""
     h, u, v = case
     if real or (nl is not None and nl.real_only):
         u, v = u.real.copy(), v.real.copy()
@@ -481,9 +478,6 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     ws = sliced(u.shape, u.dtype, rows_seed,
                 lambda: RK4Workspace(u.copy(), v.copy()))
-    _, dv_ref = ref_rhs(t, z, zv, sf, params, nl, h)
-    assert_bitwise(_rhs(t, u, v, sf, params, nl, h, ws, np.empty_like(u)),
-                   ref(dv_ref))
     for _ in range(2):  # a step accepted, then the next one
         z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
         u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
