@@ -3,11 +3,13 @@
 Exit codes: 0 a certificate applies or the run completed; 2 configuration
 error; 3 no certificate applies; 4 certificate blocked only by the
 background's lifetime; 5 wrap-around abort (periodic images about to
-contaminate the wavefront); 6 non-finite state.
+contaminate the wavefront); 6 non-finite state. A command returns the code
+of the outcome it reports; `main_entry` maps the package's exceptions to 2,
+3 and 4.
 
 All emitted text is deterministic for a given config and seed: floats are
-serialized with 17 significant digits and rows end with a bare newline, so
-repeated invocations are byte-identical.
+serialized with 17 significant digits by `_fmt`, CSV text comes from `_csv`
+and rows end with a bare newline, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
+
+
+def _csv(columns, rows) -> str:
+    """A header line of columns, then one line per row of values."""
+    return "".join(",".join(map(_fmt, line)) + "\n"
+                   for line in [columns, *rows])
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _report_dict(report: HypothesisReport | None, scenario: Scenario,
@@ -103,17 +116,11 @@ def parse_report(text: str) -> dict:
 
 def report_csv(report: HypothesisReport, scenario: Scenario) -> str:
     flat = _report_dict(report, scenario)
-    header = ",".join(flat.keys())
-    row = ",".join(_fmt(v) for v in flat.values())
-    return f"{header}\n{row}\n"
+    return _csv(flat.keys(), [flat.values()])
 
 
 def trace_csv_text(trace: Trace) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in trace.rows:
-        lines.append(",".join(format(v, ".17g")
-                              for v in snapshot_csv_values(row)))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_COLUMNS, map(snapshot_csv_values, trace.rows))
 
 
 def _evaluate_scenario(scn: Scenario, u0, u1) -> HypothesisReport:
@@ -175,20 +182,14 @@ def _write_run(out_dir: str, scn: Scenario, report: HypothesisReport | None,
         summary["note.horizon"] = horizon_note.replace("\n", " ")
     text = "\n".join(report_lines(report, scn, extra=summary)) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        fh.write(trace_csv_text(trace))
-    with open(os.path.join(out_dir, "report.txt"), "w", newline="") as fh:
-        fh.write(text)
+    _write(os.path.join(out_dir, "trace.csv"), trace_csv_text(trace))
+    _write(os.path.join(out_dir, "report.txt"), text)
     return text, summary
 
 
 def cmd_check(args) -> int:
     scn = parse_config(args.config)
-    try:
-        report = _evaluate_scenario(scn, *scn.build_fields())
-    except HorizonTooShort as exc:
-        print(f"horizon too short: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
+    report = _evaluate_scenario(scn, *scn.build_fields())
     if args.csv:
         sys.stdout.write(report_csv(report, scn))
     else:
@@ -219,23 +220,6 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _oracle_rows(scn: Scenario | None, n_random: int, seed: int) -> list[tuple]:
-    rows = []
-    problems = []
-    if scn is not None:
-        report = _evaluate_scenario(scn, *scn.build_fields())
-        if report.mode == "none":
-            raise InvariantViolation(
-                "odelab", "no certificate applies; nothing to derive")
-        problems.append(concavity_problem(report, scn.sf, scn.params))
-    problems.extend(random_admissible_problems(n_random, seed=seed))
-    for prob in problems:
-        sol = solve_concavity(prob)
-        rows.append((prob.kappa, prob.A, prob.B, prob.T, prob.y0, prob.y1,
-                     sol.t_vanish, tstar_bound(prob)))
-    return rows
-
-
 def cmd_oracle(args) -> int:
     for flag, val in (("--random", args.random), ("--seed", args.seed)):
         if val < 0:
@@ -246,20 +230,21 @@ def cmd_oracle(args) -> int:
     if scn is None and args.random == 0:
         print("error: need a config or --random N", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        rows = _oracle_rows(scn, args.random, args.seed)
-    except HorizonTooShort as exc:
-        print(f"horizon too short: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_THEOREM
-    text = ",".join(ORACLE_COLUMNS) + "\n"
-    text += "".join(",".join(format(v, ".17g") for v in row) + "\n"
-                    for row in rows)
+    problems = []
+    if scn is not None:
+        report = _evaluate_scenario(scn, *scn.build_fields())
+        if report.mode == "none":
+            print("error: odelab: no certificate applies; nothing to derive",
+                  file=sys.stderr)
+            return EXIT_NO_THEOREM
+        problems.append(concavity_problem(report, scn.sf, scn.params))
+    problems.extend(random_admissible_problems(args.random, seed=args.seed))
+    text = _csv(ORACLE_COLUMNS,
+                [(prob.kappa, prob.A, prob.B, prob.T, prob.y0, prob.y1,
+                  solve_concavity(prob).t_vanish, tstar_bound(prob))
+                 for prob in problems])
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -286,7 +271,7 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
 
 
 def _override_text(text: str, key: str, value: float) -> str:
-    sval = format(float(value), ".17g")
+    sval = _fmt(float(value))
     pat = re.compile(rf"^\s*{re.escape(key)}\s*=")
     lines = text.splitlines()
     for i, ln in enumerate(lines):
@@ -366,12 +351,9 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: tuple(r[k] for k in axis_keys))
     columns = axis_keys + ["case_label", "theorem", "T_bound", "rho",
                            "delta", "t_star", "margin", "status"]
-    text = ",".join(columns) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(row[c]) for c in columns) + "\n"
+    text = _csv(columns, [[row[c] for c in columns] for row in rows])
     frontier = os.path.join(out_dir, "frontier.csv")
-    with open(frontier, "w", newline="") as fh:
-        fh.write(text)
+    _write(frontier, text)
     sys.stdout.write(text)
     n_bad = sum(1 for r in rows if r["status"] != "ok")
     log.info("sweep wrote %s (%d points, %d failed)",
@@ -430,6 +412,9 @@ def main_entry(argv=None) -> int:
     except (ParseError, TimeBeyondHorizon, InvariantViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except HorizonTooShort as exc:
+        print(f"horizon too short: {exc}", file=sys.stderr)
+        return EXIT_HORIZON
     except NoVanishBeforeT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_THEOREM

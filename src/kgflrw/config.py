@@ -153,8 +153,21 @@ def _convert(key: str, raw: str, lineno: int):
     return val
 
 
-def _parse_entries(text: str) -> dict:
-    entries = {}
+class _Section(dict):
+    """Parsed config values by key, with required-key handling."""
+
+    def require(self, key: str):
+        if key not in self:
+            raise ParseError(f"missing required key {key!r}")
+        return self[key]
+
+    def given(self, **keys: str) -> dict:
+        """{argument: value} of the keys set; the rest keep class defaults."""
+        return {arg: self[key] for arg, key in keys.items() if key in self}
+
+
+def _parse_entries(text: str) -> _Section:
+    entries = _Section()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -169,35 +182,13 @@ def _parse_entries(text: str) -> dict:
             raise UnknownKey(f"unknown key {key!r}", line=lineno)
         if key in entries:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        entries[key] = (_convert(key, val, lineno), lineno)
+        entries[key] = _convert(key, val, lineno)
     return entries
 
 
 def _config_hash(entries: dict) -> str:
-    canon = "\n".join(f"{k}={entries[k][0]!r}" for k in sorted(entries))
+    canon = "\n".join(f"{k}={entries[k]!r}" for k in sorted(entries))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-class _Section:
-    """Typed accessor over parsed entries with required/default handling."""
-
-    def __init__(self, entries: dict):
-        self.entries = entries
-
-    def get(self, key: str, default=None):
-        if key in self.entries:
-            return self.entries[key][0]
-        return default
-
-    def require(self, key: str):
-        if key not in self.entries:
-            raise ParseError(f"missing required key {key!r}")
-        return self.entries[key][0]
-
-    def given(self, **keys: str) -> dict:
-        """{argument: value} of the keys set; the rest keep class defaults."""
-        return {arg: self.entries[key][0] for arg, key in keys.items()
-                if key in self.entries}
 
 
 def _build_scale(sec: _Section, n: int, base_dir: str) -> ScaleFactor:
@@ -288,8 +279,7 @@ def _build_profile(sec: _Section, prefix: str, grid: Grid,
 
 def parse_text(text: str, name: str = "<string>",
                base_dir: str = ".") -> Scenario:
-    entries = _parse_entries(text)
-    sec = _Section(entries)
+    sec = _parse_entries(text)
     for key in _REQUIRED:
         sec.require(key)
 
@@ -327,7 +317,7 @@ def parse_text(text: str, name: str = "<string>",
 
     return Scenario(name=name, sf=sf, params=params, nl=nl, grid=grid,
                     data0=data0, data1=data1, run=run,
-                    config_hash=_config_hash(entries))
+                    config_hash=_config_hash(sec))
 
 
 def parse_config(path: str) -> Scenario:

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
+from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
+                     WrapAroundRisk)
 from .field import Field, Grid, Stencil, dot_re, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
@@ -387,10 +388,10 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     grid = state_grid(u0, u1)
     # ||u0||^2 of the complex data: the bits dot_re gives either stepped copy
     L0 = dot_re(u0.values, u0.values) * grid.cell_volume
+    if L0 <= 0:
+        raise InvariantViolation("dynamics", "initial data must be nonzero")
     stepper = Stepper(StepState(cfg.t0, *_state_arrays(u0, u1, nl), cfg.dt,
                                 L0, L0, 0, ()), sf, params, nl, grid, cfg)
-    if L0 <= 0:
-        raise ValueError("initial data must be nonzero")
     margin0 = math.inf
     if support_radius is not None:
         margin0 = grid.half_width - support_radius

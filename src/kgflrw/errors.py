@@ -48,14 +48,8 @@ class TooFewSamples(KGFLRWError):
 
 
 class HorizonTooShort(KGFLRWError):
-    """The certified bound falls past the background's horizon.
-
-    Carries the partially filled hypothesis report in ``report`` when available.
-    """
-
-    def __init__(self, msg: str, report=None):
-        super().__init__(msg)
-        self.report = report
+    """No certificate applies, and one would if its bound did not fall past
+    the background's horizon."""
 
 
 class WrapAroundRisk(KGFLRWError):

@@ -23,8 +23,9 @@ bounding blow-up by
                      / (eps^2 (eps+2) delta) ].
 
 Either bound only certifies blow-up when it fits inside the background's own
-lifetime; a certificate blocked solely by that clause raises HorizonTooShort
-with the partial report attached. The module also classifies data against the
+lifetime; a check blocked solely by that clause says why in its `horizon`
+field, and `evaluate` raises HorizonTooShort when no certificate applies and
+one was blocked that way. The module also classifies data against the
 four-quadrant initial-data table (using the unit-insensitive m~, c~), maps
 closed-form backgrounds to the corollary cases that guarantee the background
 conditions, and maps a certificate to its concavity comparison ODE.
@@ -35,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .errors import HorizonTooShort, NoAdmissibleT0
+from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
 from .field import Field
 from .functionals import Integrals, PhysicalParams, kappa_for_mode, measure
 from .nonlinearity import Nonlinearity
 from .odelab import ConcavityProblem
-from .scale_factor import (DeSitter, ScaleFactor, Tabulated,
+from .scale_factor import (ScaleFactor, Tabulated,
                            check_monotone_expansion, check_t0_condition,
                            hubble_rate, min_admissible_t0,
                            t0_condition_threshold)
@@ -67,14 +68,15 @@ def theorem2_bound(L0: float, delta_val: float, eps: float, n: int,
 
 @dataclass
 class TheoremCheck:
-    """One certificate's verdict with per-condition booleans and margins."""
+    """One certificate's verdict with per-condition booleans and margins;
+    horizon says why when the background's lifetime alone blocks it."""
 
     name: str
     applicable: bool
     margin: float
     T_bound: float | None
     conditions: dict
-    horizon_blocked: bool = False
+    horizon: str | None = None
 
 
 def _re_tolerance(m0: Integrals) -> float:
@@ -84,33 +86,27 @@ def _re_tolerance(m0: Integrals) -> float:
 def _verdict(name: str, margin: float, T: float | None, conds: dict,
              t_start: float, sf: ScaleFactor) -> TheoremCheck:
     """Add the background clauses to conds and decide; T is the certified
-    time (None for a nonpositive margin). HorizonTooShort as in check_theorem1."""
-    horizon = sf.horizon()
-    if T is not None:
-        conds["background"] = check_monotone_expansion(sf, t_start,
-                                                       min(T, horizon))
-        conds["within_horizon"] = T <= horizon
-        if not conds["within_horizon"] and all(
-                ok for key, ok in conds.items() if key != "within_horizon"):
-            chk = TheoremCheck(name, False, margin, None, conds,
-                               horizon_blocked=True)
-            raise HorizonTooShort(
-                f"certificate needs T = {T:.9g} but the background "
-                f"lifetime is {horizon:.9g}", report=chk)
-    else:
-        conds["background"] = check_monotone_expansion(sf, t_start, horizon)
-        conds["within_horizon"] = True
+    time (None for a nonpositive margin)."""
+    lifetime = sf.horizon()
+    conds["background"] = check_monotone_expansion(
+        sf, t_start, lifetime if T is None else min(T, lifetime))
+    conds["within_horizon"] = T is None or T <= lifetime
     applicable = all(conds.values())
+    blocked = None
+    if not conds["within_horizon"] and all(
+            ok for key, ok in conds.items() if key != "within_horizon"):
+        blocked = (f"certificate needs T = {T:.9g} but the background "
+                   f"lifetime is {lifetime:.9g}")
     return TheoremCheck(name, applicable, margin,
-                        T if applicable else None, conds)
+                        T if applicable else None, conds, blocked)
 
 
 def check_theorem1(m0: Integrals, sf: ScaleFactor,
                    params: PhysicalParams) -> TheoremCheck:
     """Norm-margin certificate on the data measured at t = 0.
 
-    Raises HorizonTooShort when every hypothesis holds and only the clause
-    T <= horizon fails, carrying the partial check as .report.
+    When every hypothesis holds and only the clause T <= horizon fails, the
+    check is not applicable and its horizon field gives the reason.
     """
     rho_val = m0.rho(sf.eval(0.0)[0], params)
     conds = {
@@ -125,8 +121,8 @@ def check_theorem1(m0: Integrals, sf: ScaleFactor,
 
 def check_theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
                    params: PhysicalParams) -> TheoremCheck:
-    """Velocity-margin certificate on the data measured at t0;
-    HorizonTooShort as in check_theorem1."""
+    """Velocity-margin certificate on the data measured at t0; horizon as
+    in check_theorem1."""
     a0 = sf.eval(t0)[0]
     delta_val = m0.delta(a0, params)
     ok_t0, _ = check_t0_condition(sf, t0, params.m, params.c, params.eps)
@@ -178,10 +174,7 @@ def check_corollaries(sf: ScaleFactor, t0: float,
                       params: PhysicalParams) -> CorollaryCases:
     if isinstance(sf, Tabulated):
         return CorollaryCases("n/a", "n/a")
-    if isinstance(sf, DeSitter):
-        H, sigma = sf.H, -1.0
-    else:
-        H, sigma = sf.H, sf.sigma
+    H, sigma = sf.H, sf.sigma
 
     c1 = "n/a"
     if t0 == 0.0:
@@ -259,34 +252,29 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     """Run both certificate checks, classify the data, resolve the mode.
 
     mode "auto" prefers the norm-margin certificate; "thm1"/"thm2" pin one.
-    HorizonTooShort propagates only when no certificate applies and at least
-    one was blocked purely by the horizon clause.
+    Raises InvariantViolation when an integral of the data is not finite,
+    and HorizonTooShort when no certificate applies and at least one was
+    blocked only by the horizon clause (thm1's reason first).
     """
     if mode not in ("auto", "thm1", "thm2", "none"):
         raise ValueError(f"unknown mode {mode!r}")
-    pending: HorizonTooShort | None = None
     m0 = measure(u0, u1, nl)
+    bad = [f"{key} = {val}" for key, val in m0._asdict().items()
+           if not math.isfinite(val)]
+    if bad:
+        raise InvariantViolation("functionals", "initial data give non-finite "
+                                 "integrals: " + ", ".join(bad))
 
-    if t0 == 0.0:
-        try:
-            t1 = check_theorem1(m0, sf, params)
-        except HorizonTooShort as exc:
-            pending = exc
-            t1 = exc.report
-    else:
-        t1 = TheoremCheck("thm1", False, math.nan, None,
-                          {"starts_at_zero": False})
-    try:
-        t2 = check_theorem2(m0, t0, sf, params)
-    except HorizonTooShort as exc:
-        pending = pending or exc
-        t2 = exc.report
+    t1 = (check_theorem1(m0, sf, params) if t0 == 0.0 else
+          TheoremCheck("thm1", False, math.nan, None,
+                       {"starts_at_zero": False}))
+    t2 = check_theorem2(m0, t0, sf, params)
 
     applicable = [chk for chk in (t1, t2) if chk.applicable]
     theorem = ("both" if len(applicable) == 2
                else applicable[0].name if applicable else "none")
-    if theorem == "none" and pending is not None:
-        raise pending
+    if theorem == "none" and (t1.horizon or t2.horizon):
+        raise HorizonTooShort(t1.horizon or t2.horizon)
 
     # T_bound and the corollary case come from one certificate: the first
     # applicable one that mode allows (that is the resolved mode), else the

@@ -47,6 +47,9 @@ class ConcavityProblem:
     validate: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kappa, self.A, self.B, self.T,
+                                       self.y0, self.y1, self.t0))):
+            raise ValueError("kappa, A, B, T, y0, y1 and t0 must be finite")
         if self.kappa <= 0 or self.A <= 0 or self.B <= 0:
             raise ValueError("kappa, A and B must be positive")
         if self.y0 <= 0:

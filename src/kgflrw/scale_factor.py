@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -115,6 +115,7 @@ class PowerLaw:
 class DeSitter:
     """Exponential scale factor a0 * exp(H t); the sigma = -1 limit."""
 
+    sigma: ClassVar[float] = -1.0
     H: float
     a0: float = 1.0
     n: int = 1
@@ -231,8 +232,8 @@ def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> float:
 
     Closed-form families only. Returns 0 when the initial rate already sits at
     or below 1/(n C_eps); otherwise solves adot(t0)/a(t0) = 1/(n C_eps) for the
-    power-law family (needs sigma > -1). Raises NoAdmissibleT0 when the rate
-    never drops to the threshold (de Sitter with a too-fast H, or sigma < -1).
+    power-law family. Raises NoAdmissibleT0 when the rate never drops to the
+    threshold (sigma <= -1, de Sitter included).
     """
     if m == 0.0:
         raise ValueError("m = 0 makes every t0 admissible; the minimum is trivially 0")
@@ -240,18 +241,12 @@ def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> float:
     bound = 1.0 / (sf.n * ceps)
     if isinstance(sf, Tabulated):
         raise ValueError("min_admissible_t0 supports closed-form families only")
-    if isinstance(sf, DeSitter):
-        if sf.H <= bound:
-            return 0.0
-        raise NoAdmissibleT0(
-            f"constant rate H = {sf.H} exceeds the threshold {bound} for all t0"
-        )
     if sf.H <= bound:
         return 0.0
-    if sf.sigma < -1.0:
+    if sf.sigma <= -1.0:
         raise NoAdmissibleT0(
-            "rate grows toward the Big-Rip horizon; no start time is admissible"
-        )
+            f"with sigma = {sf.sigma} the rate never drops from H = {sf.H} "
+            f"to the threshold {bound}")
     t0 = 2.0 * ceps / (1.0 + sf.sigma) - 2.0 / (sf.n * (1.0 + sf.sigma) * sf.H)
     if math.isinf(t0):  # an underflowed |m| c: the threshold rate is 0
         raise NoAdmissibleT0("|m| c underflows; the rate never drops to 0")
@@ -264,20 +259,17 @@ def check_monotone_expansion(sf: ScaleFactor, t_lo: float, t_hi: float) -> bool:
     Closed-form families are decided exactly: the power-law identity
     (adot^2 - addot a)/a^2 = (n(1+sigma)H^2/2) (1 + n(1+sigma)H t/2)^(-2)
     has the sign of (1+sigma), and adot has the sign of H inside the horizon,
-    so the pair holds iff H = 0, or H > 0 with sigma >= -1. Tabulated factors
-    are sampled; the interval is clipped to the table's domain since the
-    conditions are only ever needed up to min(T, T0).
+    so the pair holds iff H = 0, or H > 0 with sigma >= -1 (de Sitter is
+    sigma = -1). Tabulated factors are sampled; the interval is clipped to
+    the table's domain since the conditions are only ever needed up to
+    min(T, T0).
     """
     if t_lo < 0:
         raise NegativeTime(f"t_lo = {t_lo} is before the initial slice")
     if t_hi < t_lo:
         raise ValueError("empty interval")
-    if isinstance(sf, DeSitter):
-        return sf.H >= 0.0
-    if isinstance(sf, PowerLaw):
-        if sf.H == 0.0:
-            return True
-        return sf.H > 0.0 and sf.sigma >= -1.0
+    if not isinstance(sf, Tabulated):
+        return sf.H == 0.0 or sf.H > 0.0 and sf.sigma >= -1.0
     hi = min(t_hi, sf.horizon())
     lo = min(t_lo, hi)
     ts = np.linspace(lo, hi, _MONOTONE_SAMPLES)

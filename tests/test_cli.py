@@ -143,6 +143,25 @@ run.dt = 1e-3
     assert "horizon" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [["check"], ["check", "--csv"],
+                                  ["oracle-ode"]],
+                         ids=["check", "check-csv", "oracle-ode"])
+def test_horizon_blocked_anchor_exit_four(tmp_path, capsys, argv):
+    """The anchor's data on a flat two-column table over [0, 2]: both
+    certificates hold but for T = pi^2 > 2, so nothing is certified."""
+    np.savetxt(tmp_path / "flat.txt",
+               np.column_stack([np.linspace(0.0, 2.0, 5), np.ones(5)]))
+    text = bundled_scenario_text("minkowski-m0-u2-A3").replace(
+        "scale.family = powerlaw",
+        "scale.family = tabulated\nscale.table_path = flat.txt")
+    rc = main_entry([*argv, write_cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "horizon too short: certificate needs T = 9.8696044 but the "
+        "background lifetime is 2"]
+
+
 def test_check_subnormal_mass_is_the_massless_limit(tmp_path, capsys):
     """|m| c underflows to 0 for m = 5e-324: C_eps is +inf as in the m -> 0
     limit, so no finite t0 meets corollary case iv, and check reports
@@ -245,14 +264,48 @@ def test_simulate_wrap_exit_five(tmp_path, capsys):
 
 
 def test_simulate_nonfinite_exit_six(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SWEEP_CFG.replace(
-        "data0.amplitude = 3", "data0.amplitude = 1e160"))
+    # neither step control nor the norm threshold stops the run before the
+    # state overflows, near t = 1.92
+    text = SWEEP_CFG.replace("run.dt = 1e-3", "run.dt = 1e-2")
+    cfg = write_cfg(tmp_path, text + "run.growth_tol = 1e300\n"
+                    "run.blowup_threshold = 1e300\n")
     out = str(tmp_path / "nf-out")
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main_entry(["simulate", cfg, "--out", out])
     err = capsys.readouterr().err
     assert rc == 6
     assert "non-finite" in err
+    with open(os.path.join(out, "report.txt")) as fh:
+        kv = parse_report(fh.read())
+    assert kv["blowup.reason"] == "nonfinite" and kv["run.t_final"] > 1.0
+
+
+def test_overflowed_initial_data_exit_two(tmp_path, capsys):
+    """Data whose L0 is finite but whose int F overflows are a config error
+    for every command: no certificate, no comparison problem, no run."""
+    cfg = write_cfg(tmp_path, SWEEP_CFG.replace(
+        "data0.amplitude = 3", "data0.amplitude = 1e150"))
+    for argv in (["check", cfg], ["oracle-ode", cfg],
+                 ["simulate", cfg, "--out", str(tmp_path / "ovf-out")]):
+        with np.errstate(over="ignore"):
+            rc = main_entry(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: functionals: initial data give non-finite "
+            "integrals: F = inf, re_fu = inf"]
+    assert not (tmp_path / "ovf-out").exists()
+
+
+def test_simulate_zero_data_exit_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP_CFG.replace(
+        "data0.amplitude = 3", "data0.amplitude = 0.0"))
+    out = tmp_path / "zero-out"
+    rc = main_entry(["simulate", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "config error: dynamics: initial data must be nonzero"]
 
 
 def test_oracle_scenario_row_frozen(tmp_path, capsys):
@@ -426,6 +479,20 @@ def test_sweep_bad_axis(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out.exists()
         assert captured.err.count("\n") == 1 and "finite" in captured.err
+
+
+def test_sweep_zero_data_point_is_an_error_row(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    out = tmp_path / "sweep-out"
+    rc = main_entry(["sweep", cfg, "--axis", "data0.amplitude=0:3:2",
+                     "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    with open(out / "frontier.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["data0.amplitude"], r["status"]) for r in rows] == [
+        ("0", "error(InvariantViolation)"), ("3", "ok")]
+    assert sorted(os.listdir(out)) == ["amplitude3", "frontier.csv"]
 
 
 def test_sweep_invalid_base_config_runs_no_point(tmp_path, capsys):

@@ -25,7 +25,8 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     parse_text, run)
 from kgflrw.dynamics import (RK4Workspace, StepState, Stepper, _Background,
                              _rk4, _state_arrays)
-from kgflrw.errors import TimeBeyondHorizon, TooFewSamples, WrapAroundRisk
+from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
+                           TooFewSamples, WrapAroundRisk)
 from kgflrw.field import dot_re, lap_array
 
 TSTAR = 1.7173153422544112
@@ -222,7 +223,7 @@ def test_run_validation():
         run(u0, u1, flat(), PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1),
             None, cfg, mode="bogus")
     zero = make_profile(grid, "homogeneous", 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="nonzero"):
         run(zero, u1, flat(), PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1),
             None, cfg)
 

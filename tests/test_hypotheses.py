@@ -194,8 +194,11 @@ def test_horizon_blocks_every_certificate():
     # flat data that both certificates accept, but T1 = pi^2 > 2 = horizon
     with pytest.raises(HorizonTooShort):
         evaluate(hom(3.0), hom(0.0), 0.0, tab, PARAMS_M0, NL, mode="auto")
-    with pytest.raises(HorizonTooShort):
-        check_theorem1(measure(hom(3.0), hom(0.0), NL), tab, PARAMS_M0)
+    chk = check_theorem1(measure(hom(3.0), hom(0.0), NL), tab, PARAMS_M0)
+    assert not chk.applicable and chk.T_bound is None
+    assert not chk.conditions["within_horizon"]
+    assert chk.horizon == ("certificate needs T = 9.8696044 but the "
+                           "background lifetime is 2")
 
 
 def test_pinned_mode_fallback_keeps_bound():

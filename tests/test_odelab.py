@@ -115,6 +115,12 @@ def test_problem_validation():
     # validate=False admits both
     ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=2.0, y0=0.5, y1=0.0,
                      validate=False)
+    # a non-finite value, such as A = inf from overflowed data, is no problem
+    ok = dict(kappa=0.25, A=12.0, B=1.0, T=2.6, y0=1.0, y1=0.0, t0=0.0)
+    for key in ok:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ConcavityProblem(**dict(ok, **{key: bad}), validate=False)
 
 
 def test_no_vanish_before_cutoff():
