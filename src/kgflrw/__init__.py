@@ -1,13 +1,12 @@
 """Numerical laboratory for blow-up of semilinear waves on expanding
 cosmological backgrounds: certificate checks, field evolution with
-diagnostic traces, and a concavity-ODE comparison oracle."""
+diagnostic traces, and the closed-form concavity-ODE comparison."""
 
 from importlib import resources as _resources
 
 from . import errors
 from .config import ProfileSpec, Scenario, parse_config, parse_text
-from .dynamics import (BlowupInfo, RunConfig, Trace, estimate_t_star,
-                       homogeneous_oracle, run)
+from .dynamics import BlowupInfo, RunConfig, Trace, estimate_t_star, run
 from .field import Field, Grid, make_profile, support_radius
 from .functionals import (CSV_COLUMNS, Integrals, PhysicalParams,
                           kappa_for_mode, measure)
@@ -17,8 +16,8 @@ from .hypotheses import (HypothesisReport, TheoremCheck, check_corollaries,
                          theorem2_bound)
 from .nonlinearity import (GaugeInvariantPower, RealAbsPower,
                            admissible_eps_range, sobolev_admissible)
-from .odelab import (ConcavityProblem, ConcavitySolution,
-                     random_admissible_problems, solve_concavity, tstar_bound)
+from .odelab import (ConcavityProblem, random_admissible_problems,
+                     solve_concavity, tstar_bound)
 from .scale_factor import (DeSitter, PowerLaw, Tabulated, c_epsilon,
                            check_monotone_expansion, check_t0_condition,
                            hubble_rate, min_admissible_t0,

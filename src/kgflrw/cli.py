@@ -241,7 +241,7 @@ def cmd_oracle(args) -> int:
     problems.extend(random_admissible_problems(args.random, seed=args.seed))
     text = _csv(ORACLE_COLUMNS,
                 [(prob.kappa, prob.A, prob.B, prob.T, prob.y0, prob.y1,
-                  solve_concavity(prob).t_vanish, tstar_bound(prob))
+                  solve_concavity(prob), tstar_bound(prob))
                  for prob in problems])
     if args.out:
         _write(args.out, text)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
                      WrapAroundRisk)
@@ -44,8 +43,6 @@ from .scale_factor import ScaleFactor
 
 _MODES = ("auto", "thm1", "thm2", "none")
 _TAIL_POINTS = 12     # estimate_t_star: rows in the full fit window
-_ORACLE_RTOL = 1e-10  # homogeneous_oracle: DOP853 tolerance
-_ORACLE_CAP = 1e10    # homogeneous_oracle: |u| at the escape event
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,11 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
             theta += n * (T_bound - t) * rate0 * L0
         theta_p = 2.0 * re_u_ut + 2.0 * acc.R
         theta_pp = 2.0 * (ut_sq - I)
-        eta = (L + acc.P) * (ut_sq + acc.Q) - (re_u_ut + acc.R) ** 2
+        try:
+            cross_sq = (re_u_ut + acc.R) ** 2
+        except OverflowError:  # a finite state whose eta overflows
+            cross_sq = math.inf
+        eta = (L + acc.P) * (ut_sq + acc.Q) - cross_sq
         negk = zeta = hdg = math.nan
         if mode != "none":
             kt = kappa_tilde_for_mode(mode, params.eps)
@@ -472,108 +473,4 @@ def estimate_t_star(rows, p: float, L0: float,
     s2, i2 = np.polyfit(t[half:], y[half:], 1)
     t_half = -i2 / s2 if s2 < 0 else t_full
     return float(t_full), abs(float(t_full) - float(t_half))
-
-
-# ---------------------------------------------------------------------------
-# homogeneous reference solution
-
-
-@dataclass
-class OracleResult:
-    t: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    t_event: float | None
-    t_star: float | None
-    t_star_status: str | None = None  # why there is no t_star
-
-
-def homogeneous_oracle(u0: complex, u1: complex, sf: ScaleFactor,
-                       params: PhysicalParams, nl: Nonlinearity | None,
-                       t_end: float, t0: float = 0.0) -> OracleResult:
-    """High-accuracy reference for spatially constant data.
-
-    Integrates u'' + n (adot/a) u' + m^2 c^2 u = c^2 f(u) as a 4-real system
-    with DOP853. A terminal event fires at |u| = _ORACLE_CAP; for a real
-    escaping trajectory the remaining time to the singularity is the
-    converged quadrature of the frozen-damping energy relation, giving t_star
-    to far below the PDE tolerance. Without a t_star, t_star_status says why.
-    """
-    n = params.n
-    c2 = params.c * params.c
-    m2c2 = params.m * params.m * c2
-
-    def rhs(t, s):
-        ur, ui, vr, vi = s
-        a, adot, _ = sf.eval(t)
-        rate = n * adot / a
-        if nl is not None:
-            fu = nl.f(np.complex128(complex(ur, ui)))
-            fr, fi = fu.real, fu.imag
-        else:
-            fr = fi = 0.0
-        return [vr, vi,
-                -rate * vr - m2c2 * ur + c2 * fr,
-                -rate * vi - m2c2 * ui + c2 * fi]
-
-    def escape(t, s):
-        return s[0] * s[0] + s[1] * s[1] - _ORACLE_CAP * _ORACLE_CAP
-
-    escape.terminal = True
-    escape.direction = 1
-
-    sol = solve_ivp(rhs, (t0, t_end), [u0.real, u0.imag, u1.real, u1.imag],
-                    method="DOP853", rtol=_ORACLE_RTOL,
-                    atol=_ORACLE_RTOL * max(abs(u0), 1.0),
-                    events=escape, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"oracle integration failed: {sol.message}")
-    u = sol.y[0] + 1j * sol.y[1]
-    v = sol.y[2] + 1j * sol.y[3]
-    t_event = t_star = None
-    status = f"|u| stays below {_ORACLE_CAP:g} up to t = {sol.t[-1]:.17g}"
-    if sol.t_events[0].size:
-        t_event = float(sol.t_events[0][0])
-        try:
-            t_star = t_event + _oracle_tail(sol.sol(t_event), params, nl)
-            status = None
-        except ValueError as exc:
-            status = str(exc)
-    return OracleResult(sol.t, u, v, t_event, t_star, status)
-
-
-def _oracle_tail(s_event, params: PhysicalParams,
-                 nl: Nonlinearity | None) -> float:
-    """Remaining time from the escape event to the singularity; ValueError
-    with the reason when the tail formula does not apply."""
-    if nl is None:
-        raise ValueError("linear equation: no escape to a singularity")
-    if not nl.has_potential:
-        raise ValueError(f"complex coupling lambda = {nl.lam}: the tail "
-                         "formula needs a real one")
-    ur, ui, vr, vi = s_event
-    if abs(ui) > 1e-6 * math.hypot(ur, ui):
-        raise ValueError("the trajectory left the real axis")
-    sgn = 1.0 if ur >= 0 else -1.0
-    w_e = sgn * ur
-    wp_e = sgn * vr
-    if wp_e <= 0:
-        raise ValueError("|u| is not growing at the escape event")
-    # the coupling of the escape direction: f(sgn w) sgn = lam_eff w^p, w > 0
-    lam_eff = sgn * nl.sign if nl.real_only else nl.lam.real
-    if lam_eff <= 0:
-        raise ValueError("defocusing coupling along the escape direction")
-    p = nl.p
-    c2 = params.c * params.c
-    m2c2 = params.m * params.m * c2
-    coef = 2.0 * c2 * lam_eff / (p + 1.0)
-    base = wp_e * wp_e - coef * w_e ** (p + 1.0) + m2c2 * w_e * w_e
-
-    def integrand(x):
-        u = w_e / x
-        sq = base + coef * u ** (p + 1.0) - m2c2 * u * u
-        return (w_e / (x * x)) / math.sqrt(sq)
-
-    tail, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return tail
 

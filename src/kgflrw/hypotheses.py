@@ -319,7 +319,8 @@ def concavity_problem(report: HypothesisReport, sf: ScaleFactor,
     """The comparison problem y'' <= -kappa A y^(1+1/kappa) solved by
     y = theta^(-kappa) along the certificate behind report.T_bound:
     A = 2(eps+2) margin, B = (1 + n rate0) L0, and y0, y1 from theta(t0) and
-    theta'(t0) = 2 Re(u0, u1)."""
+    theta'(t0) = 2 Re(u0, u1). Values that overflow or round into a
+    problem ConcavityProblem rejects raise InvariantViolation."""
     eps, n, t0 = params.eps, params.n, report.t0_used
     rate0 = hubble_rate(sf, t0)
     kappa = kappa_for_mode(report.mode, eps)
@@ -332,5 +333,11 @@ def concavity_problem(report: HypothesisReport, sf: ScaleFactor,
         raise ValueError("theta(t0) must be positive")
     y0 = theta0 ** (-kappa)
     y1 = -kappa * (2.0 * report.re_u0_u1) * theta0 ** (-kappa - 1.0)
-    return ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=y0, y1=y1, t0=t0)
+    try:
+        return ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=y0, y1=y1,
+                                t0=t0)
+    except ValueError as exc:
+        raise InvariantViolation(
+            "hypotheses", f"no concavity problem for this certificate: {exc}"
+        ) from exc
 

@@ -10,12 +10,19 @@ then y vanishes in finite time, no later than
 
     t_bound = t0 + arcsin(z0) / sqrt(III),
 
-where I = 2 kappa^2 A / (2 kappa + 1), II = y1^2 + I y0^(2 + 1/kappa),
-III = I y0^(1/kappa) and z0 = sqrt(I y0^(2 + 1/kappa) / II); the admissibility
-conditions force t_bound < T. This module integrates the equality ODE (whose
-vanishing time dominates every solution of the inequality), evaluates the
-closed-form bound, and generates random admissible problems so the chain
-t_vanish <= t_bound < T can be machine-checked in bulk.
+where I = 2 kappa^2 A / (2 kappa + 1), II = y1^2 + I y0^r with r = 2 + 1/kappa,
+III = I y0^(1/kappa) and z0 = sqrt(I y0^r / II); the admissibility
+conditions force t_bound < T. The equality ODE, whose vanishing time
+dominates every solution of the inequality, has the first integral
+y'^2 + I y^r = II, and y falls monotonically to 0, so its vanishing time is
+exact (DLMF 8.17):
+
+    t_vanish = t0 + (II/I)^(1/r) / (r sqrt(II)) * B(z0^2; 1/r, 1/2),
+
+with B the incomplete beta function. This module evaluates both closed
+forms and generates random admissible problems, so the chain
+t_vanish <= t_bound < T can be machine-checked in bulk; nothing here
+integrates.
 """
 
 from __future__ import annotations
@@ -24,12 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NoVanishBeforeT
 
 _REL_SLACK = 1e-12
-_RTOL = 1e-12   # solve_concavity: DOP853 tolerance, atol relative to y0
 _SLACK = 0.1    # random_admissible_problems: margin over both admissibility floors
 
 
@@ -94,48 +99,27 @@ def tstar_bound(prob: ConcavityProblem) -> float:
     return prob.t0 + math.asin(prob.z0) / math.sqrt(prob.const_III)
 
 
-@dataclass
-class ConcavitySolution:
-    t_vanish: float
-    t: np.ndarray
-    y: np.ndarray
-    y_prime: np.ndarray
-
-
 def solve_concavity(prob: ConcavityProblem,
-                    t_max: float | None = None) -> ConcavitySolution:
-    """Integrate y'' = -kappa A max(y,0)^(1+1/kappa) until y crosses zero.
+                    t_max: float | None = None) -> float:
+    """Vanishing time of y'' = -kappa A y^(1+1/kappa) from (y0, y1), in
+    closed form.
 
-    The equality dynamics dominate every solution of the inequality, so the
-    returned vanishing time is the latest one compatible with the data.
-    Raises NoVanishBeforeT if y stays positive up to t_max (default: the
-    certified horizon T).
+    The equality dynamics dominate every solution of the inequality, so this
+    is the latest vanishing time compatible with the data. Raises
+    NoVanishBeforeT if it falls after t_max (default: the certified horizon
+    T). Only this function needs scipy, so it imports scipy.special here.
     """
-    expo = 1.0 + 1.0 / prob.kappa
-    coef = prob.kappa * prob.A
+    from scipy.special import beta, betainc
 
-    def rhs(t, s):
-        y, yp = s
-        return [yp, -coef * max(y, 0.0) ** expo]
-
-    def hit_zero(t, s):
-        return s[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
+    r = 2.0 + 1.0 / prob.kappa
+    a = 1.0 / r
+    II = prob.const_II
+    t_v = prob.t0 + float((II / prob.const_I) ** a / (r * math.sqrt(II))
+                          * betainc(a, 0.5, prob.z0 ** 2) * beta(a, 0.5))
     end = prob.T if t_max is None else t_max
-    sol = solve_ivp(rhs, (prob.t0, end), [prob.y0, prob.y1], method="DOP853",
-                    rtol=_RTOL, atol=_RTOL * prob.y0, events=hit_zero,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"concavity integration failed: {sol.message}")
-    if sol.t_events[0].size == 0:
-        raise NoVanishBeforeT(
-            f"y still {sol.y[0, -1]:.3e} at t = {sol.t[-1]}")
-    t_v = float(sol.t_events[0][0])
-    return ConcavitySolution(t_vanish=t_v, t=sol.t, y=sol.y[0],
-                             y_prime=sol.y[1])
+    if not t_v <= end:
+        raise NoVanishBeforeT(f"y vanishes at t = {t_v!r}, after t = {end}")
+    return t_v
 
 
 def random_admissible_problems(count: int,

@@ -226,15 +226,15 @@ def test_criterion_5_concavity_oracle():
     assert len(problems) >= 100
     for prob in problems:
         bound = kgflrw.tstar_bound(prob)
-        sol = kgflrw.solve_concavity(prob)
-        assert prob.t0 < sol.t_vanish <= bound * (1.0 + 1e-8)
+        t_vanish = kgflrw.solve_concavity(prob)
+        assert prob.t0 < t_vanish <= bound * (1.0 + 1e-8)
         assert bound <= prob.T * (1.0 + 1e-8)
 
     worked = kgflrw.ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=2.6,
                                      y0=1.0, y1=0.0)
-    sol = kgflrw.solve_concavity(worked)
-    assert sol.t_vanish == pytest.approx(1.21433, abs=1e-4)
-    assert sol.t_vanish == pytest.approx(1.2143253239439595, abs=1e-9)
+    t_vanish = kgflrw.solve_concavity(worked)
+    assert t_vanish == pytest.approx(1.21433, abs=1e-4)
+    assert t_vanish == pytest.approx(1.2143253239439595, abs=1e-9)
     assert kgflrw.tstar_bound(worked) == pytest.approx(math.pi / 2, rel=1e-14)
     assert time.perf_counter() - start < 10.0
 

@@ -7,8 +7,11 @@ T = pi^2, y0 = (18 pi)^(-1/4), y1 = 0.
 
 import csv
 import io
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +309,90 @@ def test_simulate_zero_data_exit_two(tmp_path, capsys):
     assert rc == 2 and captured.out == "" and not out.exists()
     assert captured.err.splitlines() == [
         "config error: dynamics: initial data must be nonzero"]
+
+
+def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
+    """Re(u, u_t) + R passes 1e154 while the state is still finite: eta's
+    square overflows to inf instead of raising, so the run goes on until
+    the state itself is non-finite and exits 6 with its trace."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    for old, new in (("data0.amplitude = 3.0", "data0.amplitude = 30"),
+                     ("run.dt = 1e-3", "run.dt = 0.02"),
+                     ("run.blowup_threshold = 1e12",
+                      "run.blowup_threshold = 1e300")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text + "run.growth_tol = 1e300\n")
+    out = str(tmp_path / "ovf-out")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main_entry(["simulate", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 6
+    assert err.splitlines() == ["state became non-finite; trace truncated"]
+    with open(os.path.join(out, "trace.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert math.isnan(float(rows[-1]["eta"]))
+    assert math.isfinite(float(rows[-1]["L2sq"]))
+
+
+@pytest.mark.parametrize("old,new,reason", [
+    ("scale.H = 0.0", "scale.H = 1e300", "y0 must be positive"),
+    ("run.t0 = 0.0\nrun.t_end = 1.75", "run.t0 = 1e300\nrun.t_end = 2e300",
+     "T must exceed t0")], ids=["H-1e300", "t0-1e300"])
+def test_oracle_unrepresentable_problem_exit_two(tmp_path, capsys, old, new,
+                                                 reason):
+    """A certificate whose comparison problem overflows (theta0 = inf, so
+    y0 = 0) or rounds away (T = t0) is a config error with one stderr line,
+    not a ValueError traceback."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    assert old in text
+    cfg = write_cfg(tmp_path, text.replace(old, new))
+    rc = main_entry(["oracle-ode", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: hypotheses: no concavity problem for this "
+        f"certificate: {reason}"]
+
+
+_SCIPY_PROBE = """
+import json, sys
+from kgflrw.cli import main_entry
+for argv, code in json.loads(sys.argv[1]):
+    assert main_entry(argv) == code, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def _scipy_modules_after(tmp_path, commands) -> list:
+    """The scipy modules a fresh interpreter holds after running commands
+    ([argv, expected exit code] pairs) through main_entry."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_startup_loads_no_scipy(tmp_path):
+    """check, simulate and sweep never import scipy; oracle-ode imports
+    scipy.special for the closed form and nothing of scipy.integrate."""
+    anchor = bundled_path(tmp_path, "minkowski-m0-u2-A3")
+    short = write_cfg(tmp_path, bundled_scenario_text(
+        "minkowski-m0-u2-A3").replace("run.t_end = 1.75", "run.t_end = 0.05"),
+        name="short.cfg")
+    assert _scipy_modules_after(tmp_path, [
+        [["check", anchor], 0],
+        [["simulate", short, "--out", "sim-out"], 0],
+        [["sweep", short, "--axis", "data0.amplitude=2:3:2", "--jobs", "1",
+          "--out", "sweep-out"], 0]]) == []
+    loaded = _scipy_modules_after(tmp_path, [[["oracle-ode", "--random", "3",
+                                               "--out", "r.csv"], 0]])
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
 
 
 def test_oracle_scenario_row_frozen(tmp_path, capsys):

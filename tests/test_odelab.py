@@ -6,10 +6,13 @@ Oracles, frozen first:
     y1 =  0: II = 1, III = 1, z0 = 1,        bound = pi/2
     y1 = -1: II = 2, III = 1, z0 = 1/sqrt2,  bound = pi/4
   and the equality ODE y'' = -3 y^5 with y(0) = 1, y'(0) = 0 conserves
-  (y')^2/2 + y^6/2, so its vanishing time is the elliptic-type integral
-    int_0^1 dy / sqrt(1 - y^6) = 1.2143253239439595   (frozen)
-  while y'(0) = -1 shifts the energy to 1 and gives
+  (y')^2/2 + y^6/2, so its vanishing time is
+    int_0^1 dy / sqrt(1 - y^6) = B(1/6, 1/2) / 6 = 1.2143253239437908   (exact)
+  (substitute w = y^6), while y'(0) = -1 shifts the energy to 1 and gives
     int_0^1 dy / sqrt(2 - y^6)                         (quadrature oracle)
+
+solve_concavity evaluates the vanishing time in closed form; its oracle,
+`dop853_vanish`, integrates the equality ODE with DOP853.
 """
 
 import dataclasses
@@ -17,14 +20,41 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad, solve_ivp
 
 from kgflrw import (ConcavityProblem, concavity_problem, evaluate,
                     load_bundled_scenario, random_admissible_problems,
                     solve_concavity, tstar_bound)
 from kgflrw.errors import NoVanishBeforeT
 
-VANISH_REST = 1.2143253239439595  # int_0^1 dy / sqrt(1 - y^6)
+VANISH_REST = 1.2143253239437908  # int_0^1 dy / sqrt(1 - y^6) = B(1/6, 1/2)/6
+_RTOL = 1e-12  # dop853_vanish: DOP853 tolerance, atol relative to y0
+
+
+def dop853_vanish(prob):
+    """Integrate y'' = -kappa A max(y,0)^(1+1/kappa) from (y0, y1) with
+    DOP853 until y crosses zero before T; return the vanishing time and the
+    solve_ivp solution."""
+    expo = 1.0 + 1.0 / prob.kappa
+    coef = prob.kappa * prob.A
+
+    def rhs(t, s):
+        y, yp = s
+        return [yp, -coef * max(y, 0.0) ** expo]
+
+    def hit_zero(t, s):
+        return s[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    sol = solve_ivp(rhs, (prob.t0, prob.T), [prob.y0, prob.y1],
+                    method="DOP853", rtol=_RTOL, atol=_RTOL * prob.y0,
+                    events=hit_zero)
+    assert sol.success and sol.t_events[0].size, sol.message
+    return float(sol.t_events[0][0]), sol
 
 
 def worked_problem(y1):
@@ -52,26 +82,69 @@ def test_vanish_time_rest_frozen():
     quad_val, quad_err = quad(lambda y: 1.0 / math.sqrt(1.0 - y ** 6), 0.0, 1.0)
     assert quad_err < 1e-9
     assert quad_val == pytest.approx(VANISH_REST, abs=1e-10)
-    sol = solve_concavity(worked_problem(0.0))
-    assert sol.t_vanish == pytest.approx(VANISH_REST, abs=1e-9)
-    assert sol.t_vanish <= math.pi / 2
+    t_v = solve_concavity(worked_problem(0.0))
+    assert t_v == pytest.approx(VANISH_REST, abs=1e-14)
+    assert t_v <= math.pi / 2
+    assert dop853_vanish(worked_problem(0.0))[0] == pytest.approx(
+        VANISH_REST, abs=1e-9)
 
 
 def test_vanish_time_moving_quadrature():
     oracle, err = quad(lambda y: 1.0 / math.sqrt(2.0 - y ** 6), 0.0, 1.0)
     assert err < 1e-10
-    sol = solve_concavity(worked_problem(-1.0))
-    assert sol.t_vanish == pytest.approx(oracle, abs=1e-9)
-    assert sol.t_vanish <= math.pi / 4
+    t_v = solve_concavity(worked_problem(-1.0))
+    assert t_v == pytest.approx(oracle, abs=1e-9)
+    assert t_v <= math.pi / 4
 
 
 def test_energy_conserved_along_solution():
     prob = worked_problem(-1.0)
-    sol = solve_concavity(prob)
+    t_v, sol = dop853_vanish(prob)
+    assert t_v == pytest.approx(solve_concavity(prob), rel=1e-9)
+    y, y_prime = sol.y
     # V(y) = kappa A y^(2+1/kappa) / (2+1/kappa) = y^6 / 2 here
-    e = 0.5 * sol.y_prime ** 2 + 0.5 * np.clip(sol.y, 0.0, None) ** 6
+    e = 0.5 * y_prime ** 2 + 0.5 * np.clip(y, 0.0, None) ** 6
     e0 = e[0]
     assert np.max(np.abs(e - e0)) <= 1e-9 * e0
+
+
+@pytest.mark.parametrize("count,seed", [(120, 7), (40, 1)])
+def test_closed_form_matches_dop853(count, seed):
+    for prob in random_admissible_problems(count, seed=seed):
+        t_ref, _ = dop853_vanish(prob)
+        t_v = solve_concavity(prob)
+        assert t_v - prob.t0 == pytest.approx(t_ref - prob.t0, rel=1e-9)
+
+
+@st.composite
+def edge_problems(draw):
+    """Admissible problems with kappa near the ends of the generator's range
+    and y1 at 0 (z0 = 1) or strongly negative. T sits just above the window
+    for B, and B at least just above its floor, as in
+    random_admissible_problems; B is also drawn away from 0, where the floor
+    goes at small kappa. t0 = 0, since it only shifts the result, and at
+    small kappa and large y0 the vanishing time can fall below the spacing
+    of floats near 1."""
+    kappa = draw(st.one_of(st.floats(0.01, 0.1), st.floats(2.0, 10.0)))
+    A = draw(st.floats(0.5, 20.0))
+    y0 = draw(st.floats(0.5, 3.0))
+    y1 = draw(st.one_of(st.just(0.0), st.floats(-2.0, 0.0),
+                        st.floats(-1e4, -10.0)))
+    lead = 1.1 * math.pi ** 2 * (2.0 * kappa + 1.0) / (8.0 * kappa ** 2 * A)
+    B = max(1.1 * math.sqrt(y0 ** (-1.0 / kappa) / lead),
+            draw(st.floats(1e-3, 10.0)))
+    return ConcavityProblem(kappa=kappa, A=A, B=B, T=lead * B, y0=y0, y1=y1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_problems())
+def test_closed_form_within_bound_at_the_edges(prob):
+    t_v = solve_concavity(prob)
+    assert math.isfinite(t_v)
+    # the true gap to the bound is about z0^2 (1/6 - 1/(2r + 2)) relative,
+    # while y0 ** (2 + 1/kappa) with a rounded exponent moves either closed
+    # form by up to |ln y0| r eps (~1e-14 here): below that, rounding decides
+    assert prob.t0 < t_v <= tstar_bound(prob) * (1.0 + 1e-12)
 
 
 def test_bound_monotone_in_speed_and_strength():
@@ -92,9 +165,9 @@ def test_random_problems_chain():
     for prob in probs:
         bound = tstar_bound(prob)
         assert bound <= prob.T * (1.0 + 1e-12)
-        sol = solve_concavity(prob)
-        assert sol.t_vanish <= bound * (1.0 + 1e-8)
-        assert sol.t_vanish > prob.t0
+        t_v = solve_concavity(prob)
+        assert t_v <= bound * (1.0 + 1e-8)
+        assert t_v > prob.t0
 
 
 def test_problem_validation():
