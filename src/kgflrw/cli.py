@@ -5,7 +5,12 @@ error; 3 no certificate applies; 4 certificate blocked only by the
 background's lifetime; 5 wrap-around abort (periodic images about to
 contaminate the wavefront); 6 non-finite state. A command returns the code
 of the outcome it reports; `main_entry` maps the package's exceptions to 2,
-3 and 4.
+3, 4 and 5 (support filling the box before the first step).
+
+`simulate` and every sweep point run a scenario through `_simulate`
+(evaluate, run, write). A run that stops without a verdict names its ending
+in the trace's blow-up reason; `_ENDINGS` gives each ending its exit code
+and its one stderr line, and a sweep row's status is the ending's name.
 
 All emitted text is deterministic for a given config and seed: floats are
 serialized with 17 significant digits by `_fmt`, CSV text comes from `_csv`
@@ -46,6 +51,13 @@ _SWEEP_KEYS = ("data0.amplitude", "data1.amplitude", "scale.H",
                "scale.sigma", "nonlin.eps", "nonlin.p")
 
 ORACLE_COLUMNS = ("kappa", "A", "B", "T", "y0", "y1", "t_vanish", "t_bound")
+
+# a run that stopped without a verdict: (exit code, stderr line)
+_ENDINGS = {
+    "wrap_around": (EXIT_WRAP, "wrap-around abort: comoving light path "
+                               "crossed the support margin at t = {t}"),
+    "nonfinite": (EXIT_NONFINITE, "state became non-finite; trace truncated"),
+}
 
 
 def _fmt(value) -> str:
@@ -128,63 +140,52 @@ def _evaluate_scenario(scn: Scenario, u0, u1) -> HypothesisReport:
                     mode=scn.run.theorem_mode)
 
 
-def _evaluate_for_run(scn: Scenario, u0, u1) -> tuple:
-    """(report, None), or (None, why) when only the background's lifetime
-    blocks a certificate and the run goes ahead uncertified."""
+def _simulate(scn: Scenario, out_dir: str) -> tuple:
+    """Evaluate scn, run it and write trace.csv and report.txt into out_dir.
+
+    A certificate blocked only by the background's lifetime runs
+    uncertified with note.horizon in report.txt. Returns report.txt's text
+    (scenario, config_hash, report.flat(), the run summary), the summary,
+    the report (None if uncertified) and the ending: the trace's blow-up
+    reason if it is a key of _ENDINGS, else None."""
+    u0, u1 = scn.build_fields()
     try:
-        return _evaluate_scenario(scn, u0, u1), None
+        report = _evaluate_scenario(scn, u0, u1)
     except HorizonTooShort as exc:
         log.info("certificate blocked by horizon, running uncertified: %s",
                  exc)
-        return None, str(exc)
-
-
-def _run_scenario(scn: Scenario, report: HypothesisReport | None,
-                  u0, u1) -> Trace:
-    mode = report.mode if report is not None else "none"
-    T_bound = report.T_bound if report is not None and report.mode != "none" \
-        else None
-    return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
-               T_bound=T_bound, support_radius=scn.wrap_support_radius(),
-               mode=mode)
-
-
-def _write_run(out_dir: str, scn: Scenario, report: HypothesisReport | None,
-               trace: Trace, horizon_note: str | None = None
-               ) -> tuple[str, dict]:
-    """Write trace.csv and report.txt of one run, creating out_dir.
-
-    report.txt holds scenario, config_hash, report.flat(), the run summary
-    and note.horizon if given; returns its text and the summary."""
-    meta = trace.meta
+        report, note = None, str(exc).replace("\n", " ")
+    mode = "none" if report is None else report.mode
+    trace = run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+                T_bound=None if mode == "none" else report.T_bound,
+                support_radius=scn.wrap_support_radius(), mode=mode)
+    meta, bu = trace.meta, trace.blowup
     summary = {
         "run.t_final": float(meta["t_final"]),
         "run.accepted_steps": int(meta["accepted"]),
         "run.rejected_steps": int(meta["rejected"]),
         "run.reached_t_end": str(bool(meta["reached_t_end"])).lower(),
-        "blowup.detected": "false",
-        "blowup.reason": "none",
+        "blowup.detected": str(bu is not None and bu.detected).lower(),
+        "blowup.reason": "none" if bu is None else bu.reason,
     }
-    bu = trace.blowup
     if bu is not None:
-        summary["blowup.detected"] = str(bool(bu.detected)).lower()
-        summary["blowup.reason"] = bu.reason
         summary["blowup.t"] = float(bu.t)
         if bu.t_star is not None:
             summary["blowup.t_star"] = float(bu.t_star)
             summary["blowup.t_star_uncertainty"] = float(bu.t_star_uncertainty)
-            T = report.T_bound if report is not None else None
-            if T is not None:
-                summary["blowup.bound_margin"] = float(T - bu.t_star)
+            if report is not None and report.T_bound is not None:
+                summary["blowup.bound_margin"] = float(report.T_bound
+                                                       - bu.t_star)
         elif bu.t_star_status is not None:
             summary["blowup.t_star_status"] = bu.t_star_status
-    if horizon_note is not None:
-        summary["note.horizon"] = horizon_note.replace("\n", " ")
+    if report is None:
+        summary["note.horizon"] = note
     text = "\n".join(report_lines(report, scn, extra=summary)) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "trace.csv"), trace_csv_text(trace))
     _write(os.path.join(out_dir, "report.txt"), text)
-    return text, summary
+    ending = bu.reason if bu is not None and bu.reason in _ENDINGS else None
+    return text, summary, report, ending
 
 
 def cmd_check(args) -> int:
@@ -199,24 +200,12 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     scn = parse_config(args.config)
-    u0, u1 = scn.build_fields()
-    report, horizon_note = _evaluate_for_run(scn, u0, u1)
-    code = EXIT_OK
-    try:
-        trace = _run_scenario(scn, report, u0, u1)
-    except WrapAroundRisk as exc:
-        print(f"wrap-around abort: {exc}", file=sys.stderr)
-        if exc.trace is None:  # aborted before the first step
-            return EXIT_WRAP
-        trace = exc.trace
-        code = EXIT_WRAP
-    if trace.blowup is not None and trace.blowup.reason == "nonfinite":
-        code = EXIT_NONFINITE if code == EXIT_OK else code
-        print("state became non-finite; trace truncated", file=sys.stderr)
-
-    text, _ = _write_run(args.out or f"{scn.name}-out", scn, report, trace,
-                         horizon_note)
+    text, summary, _, ending = _simulate(scn, args.out or f"{scn.name}-out")
     sys.stdout.write(text)
+    if ending is None:
+        return EXIT_OK
+    code, line = _ENDINGS[ending]
+    print(line.format(t=summary["blowup.t"]), file=sys.stderr)
     return code
 
 
@@ -291,31 +280,28 @@ def _sweep_point(payload) -> dict:
                      for k, v in overrides.items())
     row.update({"case_label": "none", "theorem": "none", "T_bound": math.nan,
                 "rho": math.nan, "delta": math.nan, "t_star": math.nan,
-                "margin": math.nan, "status": "ok"})
+                "margin": math.nan})
     try:
         text = base_text
         for key, val in overrides.items():
             text = _override_text(text, key, val)
         scn = parse_text(text, name=f"{name}-{label}", base_dir=base_dir)
-        u0, u1 = scn.build_fields()
-        report, horizon_note = _evaluate_for_run(scn, u0, u1)
-        if report is None:
-            row["status"] = "horizon_too_short"
-        else:
-            row.update({"case_label": report.case_label,
-                        "theorem": report.theorem,
-                        "rho": report.rho, "delta": report.delta})
-            if report.T_bound is not None:
-                row["T_bound"] = report.T_bound
-        trace = _run_scenario(scn, report, u0, u1)
-        _, summary = _write_run(os.path.join(out_dir, label), scn, report,
-                                trace, horizon_note)
-        row["t_star"] = summary.get("blowup.t_star", math.nan)
-        row["margin"] = summary.get("blowup.bound_margin", math.nan)
-    except WrapAroundRisk:
-        row["status"] = "wrap_around"
-    except KGFLRWError as exc:
-        row["status"] = f"error({type(exc).__name__})"
+        _, summary, report, ending = _simulate(scn, os.path.join(out_dir,
+                                                                 label))
+    except KGFLRWError as exc:  # a support filling the box wraps at once
+        row["status"] = ("wrap_around" if isinstance(exc, WrapAroundRisk)
+                         else f"error({type(exc).__name__})")
+        return row
+    if report is not None:
+        row.update({"case_label": report.case_label,
+                    "theorem": report.theorem,
+                    "rho": report.rho, "delta": report.delta})
+        if report.T_bound is not None:
+            row["T_bound"] = report.T_bound
+    row["t_star"] = summary.get("blowup.t_star", math.nan)
+    row["margin"] = summary.get("blowup.bound_margin", math.nan)
+    row["status"] = ending or ("ok" if report is not None
+                               else "horizon_too_short")
     return row
 
 
@@ -415,6 +401,9 @@ def main_entry(argv=None) -> int:
     except HorizonTooShort as exc:
         print(f"horizon too short: {exc}", file=sys.stderr)
         return EXIT_HORIZON
+    except WrapAroundRisk as exc:
+        print(f"wrap-around abort: {exc}", file=sys.stderr)
+        return EXIT_WRAP
     except NoVanishBeforeT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_THEOREM

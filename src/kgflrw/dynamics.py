@@ -10,10 +10,11 @@ one stencil slab at a time, so that its temporaries stay in cache.
 
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
-step endpoints), a step that grows ||u|| by more than growth_tol is retried at
-dt/2 until dt_min, and after a stretch of accepted steps dt regrows toward the
-configured value. Blow-up is ||u||^2 at blowup_threshold times its initial
-value ("norm_threshold"), dt pinned at dt_min with accelerating growth
+step endpoints; a window below dt_min at the start is a config error), a step
+that grows ||u|| by more than growth_tol is retried at dt/2 until dt_min, and
+after a stretch of accepted steps dt regrows toward the configured value.
+Blow-up is ||u||^2 at blowup_threshold times its initial value
+("norm_threshold"), dt pinned at dt_min with accelerating growth
 ("step_collapse"), or a nonfinite state ("nonfinite": the last finite state
 ends the trace and detected stays False). It starts from one record,
 `StepState`, which `run()` makes at t0 and `Stepper.checkpoint()` copies.
@@ -21,7 +22,9 @@ ends the trace and detected stays False). It starts from one record,
 The recorder, `run()`, feeds the history integrals, writes the rows through
 one snapshot, applies the wrap guard and fits t* to the tail: ||u||^2 scales
 like (t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is asymptotically linear and
-its zero crossing, under two fit windows, gives t* and an uncertainty.
+its zero crossing, under two fit windows, gives t* and an uncertainty. A run
+that starts returns its trace, whose `blowup` names how it stopped; the wrap
+guard's is "wrap_around", with detected False as for "nonfinite".
 """
 
 from __future__ import annotations
@@ -269,10 +272,15 @@ class Stepper:
                                     f"background horizon {horizon}")
         if params.n != grid.n:
             raise ValueError("params.n must match the grid dimension")
+        self.bg = _Background(sf)
+        window = cfg.cfl * grid.spacing * self.bg.eval(state.t)[0] / params.c
+        if window < cfg.dt_min:  # every step would be pinned below the floor
+            raise InvariantViolation(
+                "dynamics", f"CFL window cfl * h * a / c = {window} at "
+                f"t = {state.t} is below dt_min = {cfg.dt_min}")
         self.state, self.params, self.nl = state, params, nl
         self.grid, self.cfg = grid, cfg
         self.ws = RK4Workspace(state.u, state.v)
-        self.bg = _Background(sf)
         self.t_stop = cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end))
         self.accepted = self.rejected = 0
         self.blowup: BlowupInfo | None = None
@@ -370,6 +378,7 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
     return snapshot
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         nl: Nonlinearity | None, cfg: RunConfig, T_bound: float | None = None,
         support_radius: float | None = None, mode: str = "none") -> Trace:
@@ -381,8 +390,10 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     exponents label the theta^(-k) and zeta columns ("thm1", "thm2", or
     "none"; without a certified T_bound theta has no anchor term). Localized
     data pass support_radius so the trace carries the light-cone wrap
-    margin; the run aborts with WrapAroundRisk (partial trace attached) if
-    the margin is exhausted before t_end.
+    margin: WrapAroundRisk if the support already fills the box, else a
+    margin exhausted before t_end ends the run with the undetected blow-up
+    "wrap_around". numpy's overflow warnings are off: a non-finite state is
+    the trace's "nonfinite" ending.
     """
     if mode not in ("thm1", "thm2", "none"):
         raise ValueError("mode must be thm1, thm2 or none")
@@ -401,12 +412,6 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                 f"support radius {support_radius} already fills the box")
     ws, bg = stepper.ws, stepper.bg
     acc = RunningIntegrals(params.n, params.c)
-
-    def meta(reached_t_end: bool) -> dict:
-        return {"accepted": stepper.accepted, "rejected": stepper.rejected,
-                "t_final": stepper.state.t, "reached_t_end": reached_t_end,
-                "E_t0": E_t0, "L0": L0}
-
     motion = motion_integrals(ws.u, ws.v, grid, ws.stencil)
     rec = Integrals(L0, *motion, *potential_integrals(ws.u, grid, nl,
                                                       ws.stencil))
@@ -432,10 +437,8 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
             rows.append(snapshot(t, dt_used, rec, a, adot, acc, margin))
             since_record = 0
         if wrapped:
-            raise WrapAroundRisk(
-                f"comoving light path crossed the support margin at t = {t}",
-                trace=Trace(rows, None, {"aborted": "wrap_around", "t": t,
-                                         **meta(False)}))
+            stepper.blowup = BlowupInfo("wrap_around", t, detected=False)
+            break
 
     blow = stepper.blowup
     if blow is not None and blow.detected:
@@ -447,7 +450,10 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                     rows, nl.p, L0, tail_factor=min(1e8, tail_start))
             except (TooFewSamples, ValueError) as exc:
                 blow.t_star_status = str(exc)
-    return Trace(rows=rows, blowup=blow, meta=meta(blow is None))
+    return Trace(rows=rows, blowup=blow, meta={
+        "accepted": stepper.accepted, "rejected": stepper.rejected,
+        "t_final": stepper.state.t, "reached_t_end": blow is None,
+        "E_t0": E_t0, "L0": L0})
 
 
 def estimate_t_star(rows, p: float, L0: float,

@@ -53,14 +53,9 @@ class HorizonTooShort(KGFLRWError):
 
 
 class WrapAroundRisk(KGFLRWError):
-    """The light cone of localized data is about to wrap around the torus.
-
-    Carries the trace accumulated so far in ``trace`` when available.
-    """
-
-    def __init__(self, msg: str, trace=None):
-        super().__init__(msg)
-        self.trace = trace
+    """The support of localized data already fills the box, so the run
+    cannot start. A margin exhausted mid-run is not an error: the trace ends
+    there with the blow-up reason "wrap_around"."""
 
 
 class NoVanishBeforeT(KGFLRWError):

@@ -63,6 +63,12 @@ class ConcavityProblem:
             raise ValueError("y1 must be nonpositive")
         if self.T <= self.t0:
             raise ValueError("T must exceed t0")
+        try:
+            representable = math.isfinite(self.const_II)
+        except OverflowError:
+            representable = False
+        if not representable:
+            raise ValueError("y1^2 + I y0^(2 + 1/kappa) overflows")
         if not self.validate:
             return
         floor = (self.B * (self.T - self.t0)) ** (-self.kappa)

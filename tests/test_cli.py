@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ run.t_end = 3.0
 run.dt = 1e-3
 run.theorem_mode = auto
 """
+
+
+# WRAP_CFG with the gauge coupling and neither step control nor the norm
+# threshold stopping a blow-up: amplitude 1 wraps at t = 0.5, amplitude 1000
+# blows up before that and ends non-finite
+ENDINGS_CFG = WRAP_CFG.replace(
+    "nonlin.family = none", "nonlin.family = gauge\nnonlin.p = 2") + (
+    "run.growth_tol = 1e300\nrun.blowup_threshold = 1e300\n")
 
 
 TABLE_CFG = """
@@ -240,16 +249,24 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 
 def test_simulate_wrap_exit_five(tmp_path, capsys):
-    # mid-run abort: the partial trace is written
+    # mid-run abort: the partial trace is written and the report names it
     cfg = write_cfg(tmp_path, WRAP_CFG)
     out = str(tmp_path / "wrap-out")
     rc = main_entry(["simulate", cfg, "--out", out])
     err = capsys.readouterr().err
     assert rc == 5
-    assert "wrap-around" in err
+    assert err.splitlines() == [
+        "wrap-around abort: comoving light path crossed the support margin "
+        "at t = 0.5000000000000002"]
     with open(os.path.join(out, "trace.csv")) as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) >= 2  # header plus at least one partial row
+    with open(os.path.join(out, "report.txt")) as fh:
+        kv = parse_report(fh.read())
+    assert kv["blowup.reason"] == "wrap_around"
+    assert kv["blowup.detected"] == "false"
+    assert kv["run.reached_t_end"] == "false"
+    assert kv["blowup.t"] == kv["run.t_final"] == 0.5000000000000002
 
     # abort before the first step (the support already fills the box): no
     # trace exists, and the command still exits 5 with one stderr line
@@ -311,10 +328,10 @@ def test_simulate_zero_data_exit_two(tmp_path, capsys):
         "config error: dynamics: initial data must be nonzero"]
 
 
-def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
-    """Re(u, u_t) + R passes 1e154 while the state is still finite: eta's
-    square overflows to inf instead of raising, so the run goes on until
-    the state itself is non-finite and exits 6 with its trace."""
+def overflow_anchor_text() -> str:
+    """The anchor at amplitude 30 and dt 0.02 with step control and the norm
+    threshold off: Re(u, u_t) + R passes 1e154 while the state is finite,
+    then the state becomes non-finite."""
     text = bundled_scenario_text("minkowski-m0-u2-A3")
     for old, new in (("data0.amplitude = 3.0", "data0.amplitude = 30"),
                      ("run.dt = 1e-3", "run.dt = 0.02"),
@@ -322,7 +339,14 @@ def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
                       "run.blowup_threshold = 1e300")):
         assert old in text
         text = text.replace(old, new)
-    cfg = write_cfg(tmp_path, text + "run.growth_tol = 1e300\n")
+    return text + "run.growth_tol = 1e300\n"
+
+
+def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
+    """Re(u, u_t) + R passes 1e154 while the state is still finite: eta's
+    square overflows to inf instead of raising, so the run goes on until
+    the state itself is non-finite and exits 6 with its trace."""
+    cfg = write_cfg(tmp_path, overflow_anchor_text())
     out = str(tmp_path / "ovf-out")
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main_entry(["simulate", cfg, "--out", out])
@@ -333,6 +357,52 @@ def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert math.isnan(float(rows[-1]["eta"]))
     assert math.isfinite(float(rows[-1]["L2sq"]))
+
+
+def test_nonfinite_run_prints_no_numpy_warning(tmp_path, capsys):
+    """The trace's nonfinite ending is the report: stepping into overflow
+    warns nothing, so simulate prints its one line and a sweep none (no
+    np.errstate around the calls)."""
+    cfg = write_cfg(tmp_path, overflow_anchor_text())
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = main_entry(["simulate", cfg, "--out", str(tmp_path / "nf")])
+        err = capsys.readouterr().err
+        sweep_rc = main_entry(["sweep", cfg, "--axis",
+                               "data0.amplitude=30:30:1", "--out",
+                               str(tmp_path / "nf-sweep")])
+        sweep_err = capsys.readouterr().err
+    assert rc == 6 and sweep_rc == 0
+    assert err.splitlines() == ["state became non-finite; trace truncated"]
+    assert sweep_err == ""
+    assert [str(w.message) for w in seen
+            if issubclass(w.category, RuntimeWarning)] == []
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_simulate_cfl_window_below_dt_min_exit_two(tmp_path):
+    """run.cfl = 1e-300 pins every step near 1e-301, far below dt_min: a
+    config error before the first step instead of about 1e301 steps. The
+    command runs in a subprocess with a timeout, so a hang fails the test
+    instead of blocking it."""
+    cfg = write_cfg(tmp_path, bundled_scenario_text("minkowski-m0-u2-A3")
+                    + "run.cfl = 1e-300\n")
+    out = tmp_path / "cfl-out"
+    done = subprocess.run(
+        [sys.executable, "-m", "kgflrw.cli", "simulate", cfg, "--out",
+         str(out)], cwd=tmp_path, env=_src_env(), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == "" and not out.exists()
+    assert done.stderr.splitlines() == [
+        "config error: dynamics: CFL window cfl * h * a / c = "
+        "9.817477042468103e-302 at t = 0.0 is below dt_min = 1e-12"]
 
 
 @pytest.mark.parametrize("old,new,reason", [
@@ -367,13 +437,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 def _scipy_modules_after(tmp_path, commands) -> list:
     """The scipy modules a fresh interpreter holds after running commands
     ([argv, expected exit code] pairs) through main_entry."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+        check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -486,6 +553,39 @@ def test_sweep_point_report_matches_simulate(tmp_path, capsys):
         assert got.pop("scenario") == f"scn-{label}"
         assert want.pop("scenario") == label
         assert got == want
+        assert (out / label / "trace.csv").read_bytes() == \
+            (sim / "trace.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_sweep_point_endings_match_simulate(tmp_path, capsys):
+    """A sweep point runs the path of `simulate`: its status names how its
+    run ended, and its directory holds the trace.csv and report.txt of
+    `simulate` on its config (the scenario name aside)."""
+    cfg = write_cfg(tmp_path, ENDINGS_CFG)
+    out = tmp_path / "sweep-out"
+    assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=1:1000:2",
+                       "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "frontier.csv") as fh:
+        status = {r["data0.amplitude"]: r["status"]
+                  for r in csv.DictReader(fh)}
+    assert status == {"1": "wrap_around", "1000": "nonfinite"}
+    for amp, code in (("1", 5), ("1000", 6)):
+        label = f"amplitude{amp}"
+        point = write_cfg(tmp_path, ENDINGS_CFG.replace(
+            "data0.amplitude = 1\n", f"data0.amplitude = {amp}\n"),
+            f"{label}.cfg")
+        sim = tmp_path / f"sim-{label}"
+        assert main_entry(["simulate", point, "--out", str(sim)]) == code
+        with open(sim / "report.txt") as fh:
+            want = parse_report(fh.read())
+        with open(out / label / "report.txt") as fh:
+            got = parse_report(fh.read())
+        assert got.pop("scenario") == f"scn-{label}"
+        assert want.pop("scenario") == label
+        assert got == want
+        assert got["blowup.reason"] == status[amp]
         assert (out / label / "trace.csv").read_bytes() == \
             (sim / "trace.csv").read_bytes()
     capsys.readouterr()

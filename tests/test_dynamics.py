@@ -277,14 +277,16 @@ def test_wrap_around_guard():
     u1 = make_profile(grid, "homogeneous", 0.0)
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     cfg = RunConfig(t_end=1.0, dt=1e-2, record_every=5, theorem_mode="none")
-    with pytest.raises(WrapAroundRisk) as exc:
-        run(u0, u1, flat(), params, None, cfg, support_radius=0.5)
-    partial = exc.value.trace
+    partial = run(u0, u1, flat(), params, None, cfg, support_radius=0.5)
     assert isinstance(partial, Trace)
-    assert partial.meta.get("aborted") == "wrap_around"
+    assert partial.blowup.reason == "wrap_around"
+    assert not partial.blowup.detected
+    assert not partial.meta["reached_t_end"]
     assert len(partial.rows) >= 1
-    # margin = 0.5 - c t crosses zero at t = 0.5
-    assert partial.meta["t"] == pytest.approx(0.5, abs=0.05)
+    # margin = 0.5 - c t crosses zero at t = 0.5, where the run ends
+    assert partial.blowup.t == pytest.approx(0.5, abs=0.05)
+    assert partial.meta["t_final"] == partial.blowup.t
+    # a support that already fills the box: no run, no trace
     with pytest.raises(WrapAroundRisk):
         run(u0, u1, flat(), params, None, cfg, support_radius=1.5)
 

@@ -196,6 +196,19 @@ def test_problem_validation():
                 ConcavityProblem(**dict(ok, **{key: bad}), validate=False)
 
 
+def test_problem_whose_constants_overflow_is_rejected():
+    """kappa = 0.001 and y0 = 3 put y0^(2 + 1/kappa) = 3^1002 past the float
+    range on an otherwise admissible problem: a ValueError at construction
+    (which concavity_problem turns into a config error), not an
+    OverflowError from const_II in tstar_bound or solve_concavity."""
+    kappa, A, B = 0.001, 10.0, 1.0
+    T = 1.1 * math.pi ** 2 * (2.0 * kappa + 1.0) * B / (8.0 * kappa ** 2 * A)
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="overflows"):
+            ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=3.0, y1=-1.0,
+                             validate=validate)
+
+
 def test_no_vanish_before_cutoff():
     with pytest.raises(NoVanishBeforeT):
         solve_concavity(worked_problem(0.0), t_max=0.5)
