@@ -155,13 +155,11 @@ class RK4Workspace:
         self.slabs, self._swapped = self._swapped, self.slabs
 
 
-def _state_arrays(u0: Field, u1: Field,
-                  nl: Nonlinearity | None) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the data to step: float64 when the data are real and the
-    coupling maps reals to reals (it has a potential), else complex128. Both
-    dtypes give the same trace bit for bit."""
-    if ((nl is None or nl.has_potential)
-            and not (u0.values.imag.any() or u1.values.imag.any())):
+def _state_arrays(u0: Field, u1: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the data to step: float64 when the data are real (every
+    coupling maps reals to reals), else complex128. Both dtypes give the
+    same trace bit for bit."""
+    if not (u0.values.imag.any() or u1.values.imag.any()):
         return u0.values.real.copy(), u1.values.real.copy()
     return u0.values.copy(), u1.values.copy()
 
@@ -402,7 +400,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     L0 = dot_re(u0.values, u0.values) * grid.cell_volume
     if L0 <= 0:
         raise InvariantViolation("dynamics", "initial data must be nonzero")
-    stepper = Stepper(StepState(cfg.t0, *_state_arrays(u0, u1, nl), cfg.dt,
+    stepper = Stepper(StepState(cfg.t0, *_state_arrays(u0, u1), cfg.dt,
                                 L0, L0, 0, ()), sf, params, nl, grid, cfg)
     margin0 = math.inf
     if support_radius is not None:

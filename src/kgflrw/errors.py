@@ -27,10 +27,6 @@ class ComplexInputToRealNonlinearity(KGFLRWError):
     """A real-only nonlinearity received data with a non-negligible imaginary part."""
 
 
-class NonRealLambdaNoPotential(KGFLRWError):
-    """The potential (antiderivative) is undefined for a non-real coupling."""
-
-
 class GridMismatch(KGFLRWError):
     """Two fields live on different grids."""
 

@@ -221,7 +221,8 @@ class RunningIntegrals:
             "q": n * rate * ut_sq,
             "r": n * rate * re_u_ut,
             "g": (adot * adot - addot * a) / (a * a) * L,
-            "d": n * rate * ut_sq + c * c * adot / (a ** 3) * grad_sq,
+            # no **: a float power raises OverflowError where / gives inf
+            "d": n * rate * ut_sq + c * c * rate / a / a * grad_sq,
             "w": c / a,
         }
         if self._prev is not None:

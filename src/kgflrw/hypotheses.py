@@ -54,7 +54,10 @@ def theorem1_bound(L0: float, rho_val: float, eps: float, n: int,
     """Certified bound of the norm-margin certificate (data at t = 0)."""
     if rho_val <= 0:
         raise ValueError("bound requires a positive norm margin")
-    return max(1.0, math.pi ** 2 * (1.0 + n * rate0) * L0 / (eps * eps * rho_val))
+    den = eps * eps * rho_val
+    if den == 0.0:  # underflowed: the bound is past every float
+        return math.inf
+    return max(1.0, math.pi ** 2 * (1.0 + n * rate0) * L0 / den)
 
 
 def theorem2_bound(L0: float, delta_val: float, eps: float, n: int,
@@ -62,8 +65,11 @@ def theorem2_bound(L0: float, delta_val: float, eps: float, n: int,
     """Certified bound of the velocity-margin certificate (data at t0)."""
     if delta_val <= 0:
         raise ValueError("bound requires a positive velocity margin")
+    den = eps * eps * (eps + 2.0) * delta_val
+    if den == 0.0:  # underflowed: the bound is past every float
+        return math.inf
     return t0 + max(1.0, 2.0 * math.pi ** 2 * (eps + 4.0) * (1.0 + n * rate0)
-                    * L0 / (eps * eps * (eps + 2.0) * delta_val))
+                    * L0 / den)
 
 
 @dataclass
@@ -85,8 +91,10 @@ def _re_tolerance(m0: Integrals) -> float:
 
 def _verdict(name: str, margin: float, T: float | None, conds: dict,
              t_start: float, sf: ScaleFactor) -> TheoremCheck:
-    """Add the background clauses to conds and decide; T is the certified
-    time (None for a nonpositive margin)."""
+    """Add the background and bound clauses to conds and decide; T is the
+    certified time (None for a nonpositive margin). A bound that is not a
+    finite number certifies nothing."""
+    conds["bound_finite"] = T is None or math.isfinite(T)
     lifetime = sf.horizon()
     conds["background"] = check_monotone_expansion(
         sf, t_start, lifetime if T is None else min(T, lifetime))
@@ -331,8 +339,11 @@ def concavity_problem(report: HypothesisReport, sf: ScaleFactor,
     theta0 = L0 + n * (T - t0) * rate0 * L0
     if theta0 <= 0:
         raise ValueError("theta(t0) must be positive")
-    y0 = theta0 ** (-kappa)
-    y1 = -kappa * (2.0 * report.re_u0_u1) * theta0 ** (-kappa - 1.0)
+    try:
+        y0 = theta0 ** (-kappa)
+        y1 = -kappa * (2.0 * report.re_u0_u1) * theta0 ** (-kappa - 1.0)
+    except OverflowError:  # a tiny theta0: ConcavityProblem rejects inf
+        y0 = y1 = math.inf
     try:
         return ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=y0, y1=y1,
                                 t0=t0)

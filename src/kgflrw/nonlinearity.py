@@ -2,13 +2,13 @@
 
 Two families:
 
-* GaugeInvariantPower  f(u) = lam * |u|^(p-1) u   on complex u, p > 1
+* GaugeInvariantPower  f(u) = lam * |u|^(p-1) u   on complex u, p > 1, lam real
 * RealAbsPower         f(u) = sign * |u|^p        on real u, p > 1, sign = +-1
 
 Both have f(0) = 0 and the local Lipschitz growth |f(s)-f(v)| <=
 C |s-v| (|s|^(p-1) + |v|^(p-1)). The potential F(u) = int_0^u f is
 
-    F(u) = Re(lam) |u|^(p+1) / (p+1)          (gauge family, lam real)
+    F(u) = lam |u|^(p+1) / (p+1)              (gauge family)
     F(u) = sign * |u|^p u / (p+1)             (real family)
 
 and the machinery requires a structure constant eps > 0 with
@@ -17,8 +17,8 @@ and the machinery requires a structure constant eps > 0 with
 
 For the gauge family this pins eps <= p-1 when lam > 0 and eps >= p-1 when
 lam < 0; the real family forces eps = p-1 exactly (the inequality flips sign
-with u otherwise). A lam with nonzero imaginary part still defines f, but no
-potential exists, so every energy-flavored operation refuses it.
+with u otherwise). The coupling lam is real: a complex one has no potential,
+so it is refused at construction.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ComplexInputToRealNonlinearity, NonRealLambdaNoPotential
+from .errors import ComplexInputToRealNonlinearity
 
 _IMAG_TOL = 1e-13  # relative imaginary tolerance for real-only inputs
 _EPS_TOL = 1e-12   # absolute slack on a closed end of an eps range
@@ -59,12 +59,15 @@ class GaugeInvariantPower:
     """f(u) = lam |u|^(p-1) u; phase-equivariant, defined for complex u."""
 
     p: float
-    lam: complex = 1.0
+    lam: float = 1.0
     eps: float | None = None
 
     def __post_init__(self):
         _validate_p(self.p)
-        lam = complex(self.lam)
+        if np.iscomplexobj(self.lam):
+            raise ValueError(f"lam must be real (a complex coupling has no "
+                             f"potential), got {self.lam}")
+        lam = float(self.lam)
         if lam == 0:
             raise ValueError("lam = 0 gives the linear equation; not a valid family member")
         object.__setattr__(self, "lam", lam)
@@ -73,53 +76,40 @@ class GaugeInvariantPower:
             eps = self.p - 1.0
         if not (eps > 0.0):
             raise ValueError(f"eps must be positive, got {eps}")
-        if lam.imag == 0.0:
-            rng = admissible_eps_range(self)
-            if not rng.contains(eps):
-                raise ValueError(
-                    f"eps = {eps} outside the admissible range "
-                    f"[{rng.lo}, {rng.hi}] for p = {self.p}, lam = {lam.real} "
-                    f"(endpoints {'closed' if rng.lo_closed else 'open'}/"
-                    f"{'closed' if rng.hi_closed else 'open'})"
-                )
+        rng = admissible_eps_range(self)
+        if not rng.contains(eps):
+            raise ValueError(
+                f"eps = {eps} outside the admissible range "
+                f"[{rng.lo}, {rng.hi}] for p = {self.p}, lam = {lam} "
+                f"(endpoints {'closed' if rng.lo_closed else 'open'}/"
+                f"{'closed' if rng.hi_closed else 'open'})"
+            )
         object.__setattr__(self, "eps", float(eps))
 
     @property
     def real_only(self) -> bool:
         return False
 
-    @property
-    def has_potential(self) -> bool:
-        return self.lam.imag == 0.0
-
     def f(self, u, out=None):
-        """f(u); given out (float64 for real u and a real lam, else
-        complex128), the same operations in place. A complex f still
-        allocates |u|^(p-1): numpy may round a power on strided out.real
-        differently."""
+        """f(u); given out (float64 for real u, else complex128), the same
+        operations in place. A complex f still allocates |u|^(p-1): numpy
+        may round a power on strided out.real differently."""
         u = np.asarray(u)
-        # a real lam maps real input to the real part of the complex f
-        real = self.has_potential and u.dtype.kind != "c"
-        lam = self.lam.real if real else self.lam
         if out is None:
-            return lam * np.abs(u) ** (self.p - 1.0) * u
-        mag = np.abs(u, out=out) if real else np.abs(u)
+            return self.lam * np.abs(u) ** (self.p - 1.0) * u
+        mag = np.abs(u) if u.dtype.kind == "c" else np.abs(u, out=out)
         mag **= self.p - 1.0  # ** and **= take the same power path
-        np.multiply(lam, mag, out=out)
+        np.multiply(self.lam, mag, out=out)
         return np.multiply(out, u, out=out)
 
     def F(self, u, out=None):
         """F(u); given a float64 array out, the same operations in place."""
-        if not self.has_potential:
-            raise NonRealLambdaNoPotential(
-                "no antiderivative exists for a coupling with nonzero imaginary part"
-            )
         u = np.asarray(u)
         if out is None:
-            return self.lam.real * np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
+            return self.lam * np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
         np.abs(u, out=out)
         out **= self.p + 1.0
-        np.multiply(self.lam.real, out, out=out)
+        np.multiply(self.lam, out, out=out)
         return np.divide(out, self.p + 1.0, out=out)
 
 
@@ -147,10 +137,6 @@ class RealAbsPower:
 
     @property
     def real_only(self) -> bool:
-        return True
-
-    @property
-    def has_potential(self) -> bool:
         return True
 
     def _real(self, u) -> np.ndarray:
@@ -197,15 +183,11 @@ def admissible_eps_range(nl: Nonlinearity) -> EpsRange:
     """Admissible structure constants for the family.
 
     Gauge family, lam > 0: (0, p-1]. Gauge family, lam < 0: [p-1, inf).
-    Real family: the single point {p-1}. Undefined for non-real lam.
+    Real family: the single point {p-1}.
     """
     if isinstance(nl, RealAbsPower):
         return EpsRange(nl.p - 1.0, nl.p - 1.0, True, True)
-    if nl.lam.imag != 0.0:
-        raise NonRealLambdaNoPotential(
-            "structure inequality involves the potential; undefined for non-real lam"
-        )
-    if nl.lam.real > 0.0:
+    if nl.lam > 0.0:
         return EpsRange(0.0, nl.p - 1.0, False, True)
     return EpsRange(nl.p - 1.0, math.inf, True, False)
 

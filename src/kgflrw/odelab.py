@@ -49,7 +49,6 @@ class ConcavityProblem:
     y0: float
     y1: float
     t0: float = 0.0
-    validate: bool = True
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.kappa, self.A, self.B, self.T,
@@ -64,13 +63,13 @@ class ConcavityProblem:
         if self.T <= self.t0:
             raise ValueError("T must exceed t0")
         try:
-            representable = math.isfinite(self.const_II)
+            II = self.const_II
         except OverflowError:
-            representable = False
-        if not representable:
+            II = math.inf
+        if not math.isfinite(II):
             raise ValueError("y1^2 + I y0^(2 + 1/kappa) overflows")
-        if not self.validate:
-            return
+        if II <= 0:  # both y1^2 and I y0^(2 + 1/kappa) underflowed
+            raise ValueError("y1^2 + I y0^(2 + 1/kappa) underflows to 0")
         floor = (self.B * (self.T - self.t0)) ** (-self.kappa)
         if self.y0 < floor * (1.0 - _REL_SLACK):
             raise ValueError(

@@ -23,6 +23,7 @@ the threshold; for m = 0 the threshold is +inf and every t0 is admissible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -43,6 +44,14 @@ def _check_times(t: np.ndarray, horizon: float, inclusive_end: bool = False) -> 
     bad = t > horizon if inclusive_end else t >= horizon * (1.0 - _HORIZON_SLACK)
     if np.any(bad):
         raise TimeBeyondHorizon(f"t = {np.max(t)} reaches the horizon T0 = {horizon}")
+
+
+def _check_a(a: float, name: str) -> None:
+    """a > 0 with a normal (not underflowed) square: c^2 / a^2 enters every
+    energy."""
+    if not (a > 0 and a * a >= sys.float_info.min):
+        raise ValueError(f"{name} must be positive and its square must not "
+                         f"underflow, got {a}")
 
 
 def _checked_time(t, horizon: float):
@@ -79,8 +88,7 @@ class PowerLaw:
     n: int = 1
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise ValueError("a0 must be positive")
+        _check_a(self.a0, "a0")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
         if self.sigma == -1.0:
@@ -121,8 +129,7 @@ class DeSitter:
     n: int = 1
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise ValueError("a0 must be positive")
+        _check_a(self.a0, "a0")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
 
@@ -161,8 +168,7 @@ class Tabulated:
             raise ValueError("knot times must be strictly increasing")
         if t[0] < 0:
             raise NegativeTime("table must not start before t = 0")
-        if np.any(a <= 0):
-            raise ValueError("scale factor knots must stay positive")
+        _check_a(float(np.min(a)), "the smallest scale factor knot")
         secant = np.diff(a) / np.diff(t)
         mean_rate = 0.5 * (adot[1:] + adot[:-1])
         scale = np.maximum(np.abs(mean_rate), 1e-12 * np.max(np.abs(adot) + 1.0))

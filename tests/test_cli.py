@@ -408,12 +408,18 @@ def test_simulate_cfl_window_below_dt_min_exit_two(tmp_path):
 @pytest.mark.parametrize("old,new,reason", [
     ("scale.H = 0.0", "scale.H = 1e300", "y0 must be positive"),
     ("run.t0 = 0.0\nrun.t_end = 1.75", "run.t0 = 1e300\nrun.t_end = 2e300",
-     "T must exceed t0")], ids=["H-1e300", "t0-1e300"])
+     "T must exceed t0"),
+    ("grid.half_width = 3.141592653589793", "grid.half_width = 1e-300",
+     "kappa, A, B, T, y0, y1 and t0 must be finite"),
+    ("grid.half_width = 3.141592653589793", "grid.half_width = 1e300",
+     "y1^2 + I y0^(2 + 1/kappa) underflows to 0")],
+    ids=["H-1e300", "t0-1e300", "half_width-1e-300", "half_width-1e300"])
 def test_oracle_unrepresentable_problem_exit_two(tmp_path, capsys, old, new,
                                                  reason):
     """A certificate whose comparison problem overflows (theta0 = inf, so
-    y0 = 0) or rounds away (T = t0) is a config error with one stderr line,
-    not a ValueError traceback."""
+    y0 = 0; theta0 = 2e-300, so theta0^(-kappa-1) is past the float range),
+    underflows (y0^6 = 0 on a huge box) or rounds away (T = t0) is a config
+    error with one stderr line, not a traceback."""
     text = bundled_scenario_text("minkowski-m0-u2-A3")
     assert old in text
     cfg = write_cfg(tmp_path, text.replace(old, new))
@@ -423,6 +429,87 @@ def test_oracle_unrepresentable_problem_exit_two(tmp_path, capsys, old, new,
     assert captured.err.splitlines() == [
         "config error: hypotheses: no concavity problem for this "
         f"certificate: {reason}"]
+
+
+@pytest.mark.parametrize("argv", [["check"], ["oracle-ode"], ["simulate"]],
+                         ids=["check", "oracle-ode", "simulate"])
+def test_a0_whose_square_underflows_exit_two(tmp_path, capsys, argv):
+    """scale.a0 = 1e-300: c^2 / a^2 would divide by an underflowed 0. A
+    config error with one stderr line for every command, and no output
+    directory."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    assert "scale.a0 = 1.0" in text
+    cfg = write_cfg(tmp_path, text.replace("scale.a0 = 1.0",
+                                           "scale.a0 = 1e-300"))
+    out = tmp_path / "a0-out"
+    extra = ["--out", str(out)] if argv == ["simulate"] else []
+    rc = main_entry([*argv, cfg, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "config error: scale_factor: a0 must be positive and its square "
+        "must not underflow, got 1e-300"]
+
+
+def test_simulate_scale_factor_whose_cube_overflows(tmp_path, capsys):
+    """a^3 overflows while a is finite: at a0 = 1e300 on the anchor, which
+    still blows up at its t*, and on de Sitter at H = 100 up to t = 5
+    (a = e^500). Both runs finish; at H = 300 a itself overflows near
+    t = 2.347 and the run ends non-finite with its one line."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    cfg = write_cfg(tmp_path, text.replace("scale.a0 = 1.0",
+                                           "scale.a0 = 1e300"))
+    assert main_entry(["simulate", cfg, "--out", str(tmp_path / "big")]) == 0
+    kv = parse_report(capsys.readouterr().out)
+    assert kv["blowup.reason"] == "norm_threshold"
+    assert kv["blowup.t_star"] == pytest.approx(1.7173153422544112, abs=1e-6)
+
+    smooth = bundled_scenario_text("desitter-smooth")
+    for old in ("scale.H = 0.5", "run.t_end = 0.8"):
+        assert old in smooth
+    for H, t_end, code in (("100", "5", 0), ("300", "3", 6)):
+        cfg = write_cfg(tmp_path, smooth.replace(
+            "scale.H = 0.5", f"scale.H = {H}").replace(
+            "run.t_end = 0.8", f"run.t_end = {t_end}"), f"H{H}.cfg")
+        rc = main_entry(["simulate", cfg, "--out", str(tmp_path / H)])
+        out, err = capsys.readouterr()
+        assert rc == code, H
+        kv = parse_report(out)
+        if code == 0:
+            assert err == "" and kv["run.t_final"] == 5
+        else:
+            assert err.splitlines() == [
+                "state became non-finite; trace truncated"]
+            assert kv["run.t_final"] == pytest.approx(2.347, abs=1e-3)
+
+
+@pytest.mark.parametrize("name,eps", [("minkowski-m0-u2-A3", "1e-160"),
+                                      ("minkowski-m0-u2-A3", "1e-300"),
+                                      ("desitter-thm2", "1e-300")])
+def test_infinite_bound_is_no_certificate(tmp_path, capsys, name, eps):
+    """nonlin.eps so small that eps^2 rho underflows (1e-300) or the bound
+    overflows (1e-160): T_bound = inf certifies nothing, so check and
+    oracle-ode exit 3 and simulate runs uncertified; nothing raises."""
+    text = bundled_scenario_text(name)
+    assert "nonlin.eps = 1.0" in text
+    cfg = write_cfg(tmp_path, text.replace("nonlin.eps = 1.0",
+                                           f"nonlin.eps = {eps}"))
+    rc = main_entry(["check", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 3 and err == ""
+    rep = parse_report(out)
+    assert rep["theorem"] == "none" and rep["T_bound"] == "none"
+    assert main_entry(["oracle-ode", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: odelab: no certificate applies; nothing to derive"]
+    if name == "minkowski-m0-u2-A3":
+        rc = main_entry(["simulate", cfg, "--out", str(tmp_path / "sim")])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        kv = parse_report(out)
+        assert kv["T_bound"] == "none"
+        assert kv["blowup.reason"] == "norm_threshold"
 
 
 _SCIPY_PROBE = """

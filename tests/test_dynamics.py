@@ -156,9 +156,6 @@ def _oracle_tail(s_event, params: PhysicalParams,
     with the reason when the tail formula does not apply."""
     if nl is None:
         raise ValueError("linear equation: no escape to a singularity")
-    if not nl.has_potential:
-        raise ValueError(f"complex coupling lambda = {nl.lam}: the tail "
-                         "formula needs a real one")
     ur, ui, vr, vi = s_event
     if abs(ui) > 1e-6 * math.hypot(ur, ui):
         raise ValueError("the trajectory left the real axis")
@@ -168,7 +165,7 @@ def _oracle_tail(s_event, params: PhysicalParams,
     if wp_e <= 0:
         raise ValueError("|u| is not growing at the escape event")
     # the coupling of the escape direction: f(sgn w) sgn = lam_eff w^p, w > 0
-    lam_eff = sgn * nl.sign if nl.real_only else nl.lam.real
+    lam_eff = sgn * nl.sign if nl.real_only else nl.lam
     if lam_eff <= 0:
         raise ValueError("defocusing coupling along the escape direction")
     p = nl.p
@@ -203,15 +200,6 @@ def test_oracle_linear_stays_bounded():
     assert res.t_star_status == "|u| stays below 1e+10 up to t = 3"
     # u(t) = cos(m c t)
     assert res.u[-1].real == pytest.approx(math.cos(3.0), abs=1e-8)
-
-
-def test_oracle_says_why_a_complex_coupling_has_no_t_star():
-    params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
-    nl = GaugeInvariantPower(p=2.0, lam=1.0 + 0.5j, eps=1.0)
-    res = homogeneous_oracle(3.0 + 0.0j, 0.0 + 0.0j, flat(), params, nl,
-                             t_end=5.0)
-    assert res.t_event is not None and res.t_star is None
-    assert res.t_star_status.startswith("complex coupling lambda = (1+0.5j)")
 
 
 def test_run_matches_oracle_endpoint():
@@ -429,7 +417,7 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
                  stepper.state.accept_streak, stepper.state.floor_ratios)
                 for t, dt, L, motion in steps]
 
-    full = stepper(StepState(scn.run.t0, *_state_arrays(u0, u1, scn.nl),
+    full = stepper(StepState(scn.run.t0, *_state_arrays(u0, u1),
                              scn.run.dt, L0, L0, 0, ()))
     steps = full.steps()
     for t, _, L, _ in steps:

@@ -225,3 +225,15 @@ def test_running_integrals_match_series():
     # comoving light path on a = exp(H t): (1 - exp(-H t)) / H
     expect_w = (1.0 - math.exp(-0.5 * 1.0)) / 0.5
     assert acc.light_path == pytest.approx(expect_w, rel=1e-6)
+
+
+def test_dissipation_past_a_cubed_overflow():
+    """On de Sitter at H = 100 and t = 5, a = e^500 is finite but a^3 is
+    not: the gradient channel of the dissipation integrand divides instead
+    of taking the cube, so push records finite values."""
+    sf = DeSitter(H=100.0)
+    acc = RunningIntegrals(n=1, c=1.0)
+    for t in (4.99, 5.0):
+        acc.push(t, 1.0, 1.0, 0.0, 1.0, *sf.eval(t))
+    assert math.isfinite(acc.dissipated) and acc.dissipated > 0.0
+    assert math.isfinite(acc.light_path)

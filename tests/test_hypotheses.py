@@ -237,3 +237,24 @@ def test_flat_report_shape():
     with pytest.raises(ValueError):
         evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
                  NL, mode="always")
+
+
+def test_bound_past_every_float_certifies_nothing():
+    """eps^2 rho underflows to 0 at eps = 1e-300 and the bound overflows to
+    inf at eps = 1e-160: both bounds are inf, not a ZeroDivisionError, and
+    a certificate with a bound that is not a finite number does not
+    apply."""
+    L0 = rho = 18.0 * math.pi
+    assert theorem1_bound(L0, rho, 1.0, 1, 0.0) == pytest.approx(math.pi ** 2,
+                                                                 rel=1e-15)
+    for eps in (1e-300, 1e-160):
+        assert theorem1_bound(L0, rho, eps, 1, 0.0) == math.inf
+        assert theorem2_bound(L0, rho, eps, 1, 0.0, 0.0) == math.inf
+        params = PhysicalParams(m=0.0, c=1.0, eps=eps, n=1)
+        nl = GaugeInvariantPower(p=2.0, lam=1.0, eps=eps)
+        rep = evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), params,
+                       nl)
+        assert rep.theorem == "none" and rep.T_bound is None
+        for chk in (rep.thm1, rep.thm2):
+            assert not chk.applicable and chk.horizon is None
+            assert chk.conditions["bound_finite"] is False

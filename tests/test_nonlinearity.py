@@ -11,8 +11,7 @@ from scipy.integrate import quad
 
 from kgflrw import (GaugeInvariantPower, RealAbsPower, admissible_eps_range,
                     sobolev_admissible)
-from kgflrw.errors import (ComplexInputToRealNonlinearity,
-                           NonRealLambdaNoPotential)
+from kgflrw.errors import ComplexInputToRealNonlinearity
 
 
 def potential_oracle(nl, u):
@@ -181,13 +180,10 @@ def test_real_family_rejects_complex(values):
             assert raised == expect, u
 
 
-def test_non_real_lambda_has_no_potential():
-    nl = GaugeInvariantPower(p=2.0, lam=1.0 + 0.5j, eps=1.0)
-    nl.f(np.complex128(2.0))  # f itself is fine
-    with pytest.raises(NonRealLambdaNoPotential):
-        nl.F(np.complex128(2.0))
-    with pytest.raises(NonRealLambdaNoPotential):
-        admissible_eps_range(nl)
+def test_complex_lambda_is_rejected():
+    """A complex coupling has no potential, so the family refuses it."""
+    with pytest.raises(ValueError, match="lam must be real"):
+        GaugeInvariantPower(p=2.0, lam=1.0 + 0.5j)
 
 
 def test_sobolev_window():

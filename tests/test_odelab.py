@@ -149,11 +149,11 @@ def test_closed_form_within_bound_at_the_edges(prob):
 
 def test_bound_monotone_in_speed_and_strength():
     bounds = [tstar_bound(ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=50.0,
-                                           y0=1.0, y1=y1, validate=False))
+                                           y0=1.0, y1=y1))
               for y1 in (0.0, -0.5, -1.0, -2.0, -4.0)]
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
     by_a = [tstar_bound(ConcavityProblem(kappa=0.25, A=a, B=1.0, T=50.0,
-                                         y0=1.0, y1=-1.0, validate=False))
+                                         y0=1.0, y1=-1.0))
             for a in (1.0, 4.0, 12.0, 48.0, 200.0)]
     assert all(b1 >= b2 for b1, b2 in zip(by_a, by_a[1:]))
     assert by_a[0] > by_a[-1]
@@ -185,15 +185,12 @@ def test_problem_validation():
     # y0 below the floor (B T)^(-kappa): B T = 2.6 -> floor ~ 0.787
     with pytest.raises(ValueError):
         ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=2.6, y0=0.5, y1=0.0)
-    # validate=False admits both
-    ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=2.0, y0=0.5, y1=0.0,
-                     validate=False)
     # a non-finite value, such as A = inf from overflowed data, is no problem
     ok = dict(kappa=0.25, A=12.0, B=1.0, T=2.6, y0=1.0, y1=0.0, t0=0.0)
     for key in ok:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                ConcavityProblem(**dict(ok, **{key: bad}), validate=False)
+                ConcavityProblem(**dict(ok, **{key: bad}))
 
 
 def test_problem_whose_constants_overflow_is_rejected():
@@ -203,10 +200,16 @@ def test_problem_whose_constants_overflow_is_rejected():
     OverflowError from const_II in tstar_bound or solve_concavity."""
     kappa, A, B = 0.001, 10.0, 1.0
     T = 1.1 * math.pi ** 2 * (2.0 * kappa + 1.0) * B / (8.0 * kappa ** 2 * A)
-    for validate in (True, False):
-        with pytest.raises(ValueError, match="overflows"):
-            ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=3.0, y1=-1.0,
-                             validate=validate)
+    with pytest.raises(ValueError, match="overflows"):
+        ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=3.0, y1=-1.0)
+
+
+def test_problem_whose_constants_underflow_is_rejected():
+    """y1 = 0 and y0 = 1e-76 with kappa = 1/4: y0^6 underflows, so II is
+    0.0 and solve_concavity would divide by it. A ValueError at
+    construction instead."""
+    with pytest.raises(ValueError, match="underflows to 0"):
+        ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=1e304, y0=1e-76, y1=0.0)
 
 
 def test_no_vanish_before_cutoff():

@@ -112,6 +112,24 @@ def test_monotone_expansion_closed_forms():
     assert not check_monotone_expansion(DeSitter(a0=1, H=-0.2, n=1), 0.0, 1.0)
 
 
+def test_a0_whose_square_underflows_is_rejected():
+    """c^2 / a^2 enters every energy: an a0 whose square falls below the
+    normal float range is refused at construction, like a0 <= 0, and so is
+    such a knot of a table."""
+    for a0 in (1e-300, 1e-160, 0.0, -1.0):
+        for make in (lambda: PowerLaw(0.0, H=0.0, a0=a0),
+                     lambda: DeSitter(H=0.5, a0=a0)):
+            with pytest.raises(ValueError, match="a0 must be positive"):
+                make()
+    assert PowerLaw(0.0, H=0.0, a0=1.5e-154).eval(0.0)[0] == 1.5e-154
+    assert DeSitter(H=0.5, a0=1e300).eval(0.0)[0] == 1e300
+    # the same rule for a table's smallest knot
+    t, zero = np.linspace(0.0, 2.0, 5), np.zeros(5)
+    for a in (1e-300, math.nan):
+        with pytest.raises(ValueError, match="smallest scale factor knot"):
+            Tabulated(t, np.full(5, a), zero, zero)
+
+
 def test_bigrip_rejected():
     sf = PowerLaw(a0=1.0, H=1.0, sigma=-3.0, n=1)
     assert sf.horizon() == pytest.approx(1.0, rel=1e-14)
