@@ -8,6 +8,13 @@ in place in arrays allocated once per run (`RK4Workspace`), and each
 distinct stage time is evaluated once on the background. A stage finishes
 one stencil slab at a time, so that its temporaries stay in cache.
 
+A uniform run (every cell of u0 equal to its first, finite cell, and the
+same for u1) skips the stencil: the difference form maps a uniform array to
++0.0 bit for bit, and every other operation of a step is an elementwise
+loop that gives the same bits for the same input at every position, so the
+state stays uniform, each stage's Laplacian is +0.0 and so is the gradient
+of each accepted state.
+
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
 step endpoints; a window below dt_min at the start is a config error), a step
@@ -36,11 +43,11 @@ import numpy as np
 
 from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
                      WrapAroundRisk)
-from .field import Field, Grid, Stencil, dot_re, lap_slab
+from .field import Field, Grid, Stencil, dot_re, grad_sq_array, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
-                          kappa_tilde_for_mode, motion_integrals,
-                          potential_integrals, state_grid)
+                          kappa_tilde_for_mode, measure_arrays,
+                          norm_integrals, potential_integrals, state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -130,10 +137,17 @@ class RK4Workspace:
     `stencil`. Scratch of one slab: dv/dt `kv` and a term `tmp`, which also
     takes f(u) in float64 (a complex f allocates its slab-sized value).
     `slabs` holds each stencil slab with its views of (u, v, trial_u,
-    trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None."""
+    trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None.
+
+    `uniform` (`_is_uniform` of the data) marks a run that skips the
+    stencil: its stages load none, its slab entries hold None for the
+    stencil slab, and the stepper takes ||grad u||^2 = 0.0. The difference
+    form maps a uniform array to +0.0 bit for bit, and the step's
+    elementwise loops, independent of position, keep the state uniform."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         self.u, self.v = u, v
+        self.uniform = _is_uniform(u, v)
         self.trial_u, self.trial_v, self.su, self.sv = (
             np.empty_like(u) for _ in range(4))
         self.stencil = Stencil(u.shape, u.dtype)
@@ -143,9 +157,10 @@ class RK4Workspace:
         for slab in self.stencil.slabs:
             kv, tmp = (x[:slab.rows.stop - slab.rows.start]
                        for x in (self.kv, self.tmp))
-            self.slabs.append((slab, *(x[slab.rows] for x in (
-                u, v, self.trial_u, self.trial_v, self.su, self.sv)),
-                kv, tmp, tmp if u.dtype == np.float64 else None))
+            views = (x[slab.rows] for x in (
+                u, v, self.trial_u, self.trial_v, self.su, self.sv))
+            self.slabs.append((None if self.uniform else slab, *views, kv,
+                               tmp, tmp if u.dtype == np.float64 else None))
         self._swapped = [(slab, tu, tv, u, v, *rest)
                          for slab, u, v, tu, tv, *rest in self.slabs]
 
@@ -164,10 +179,18 @@ def _state_arrays(u0: Field, u1: Field) -> tuple[np.ndarray, np.ndarray]:
     return u0.values.copy(), u1.values.copy()
 
 
-def _stage(t, sf, params, stencil: Stencil, u) -> tuple:
-    """Load a stage's input u into the stencil; return the factors of lap u,
-    u, v and f(u) in dv/dt at time t."""
-    stencil.load(u)
+def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether every cell of u equals u's first cell, every cell of v equals
+    v's first cell, and both first cells are finite."""
+    return all(np.isfinite(x.flat[0]) and bool(np.all(x == x.flat[0]))
+               for x in (u, v))
+
+
+def _stage(t, sf, params, ws: RK4Workspace, u) -> tuple:
+    """Load a stage's input u into the stencil (a uniform run skips it);
+    return the factors of lap u, u, v and f(u) in dv/dt at time t."""
+    if not ws.uniform:
+        ws.stencil.load(u)
     a, adot, _ = sf.eval(t)
     c2 = params.c * params.c
     return c2 / (a * a), params.m * params.m * c2, params.n * (adot / a), c2
@@ -175,12 +198,16 @@ def _stage(t, sf, params, stencil: Stencil, u) -> tuple:
 
 def _rhs_slab(slab, k, u, v, nl, h, out, tmp, f_out):
     """dv/dt on one slab of the loaded u, written into out; f(u) goes into
-    f_out (tmp, or None to allocate it)."""
+    f_out (tmp, or None to allocate it). Without a stencil slab (a uniform
+    run) lap u is +0.0, so the sum starts from lap_c * 0.0."""
     lap_c, mass, damp, c2 = k
-    lap_slab(slab, h, out)
-    np.multiply(lap_c, out, out=out)
     np.multiply(mass, u, out=tmp)
-    np.subtract(out, tmp, out=out)
+    if slab is None:
+        np.subtract(lap_c * 0.0, tmp, out=out)
+    else:
+        lap_slab(slab, h, out)
+        np.multiply(lap_c, out, out=out)
+        np.subtract(out, tmp, out=out)
     np.multiply(damp, v, out=tmp)
     np.subtract(out, tmp, out=out)
     if nl is not None:
@@ -203,7 +230,7 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     bit."""
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
-    k = _stage(t, sf, params, ws.stencil, ws.u)
+    k = _stage(t, sf, params, ws, ws.u)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
         _rhs_slab(slab, k, u, v, nl, h, acc_v, tmp, f_out)
         np.multiply(hm, v, out=su)
@@ -212,7 +239,7 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
         np.add(v, sv, out=sv)
     # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
     for stage, step_next in ((2, hm), (3, dt)):
-        k = _stage(t + hm, sf, params, ws.stencil, ws.su)
+        k = _stage(t + hm, sf, params, ws, ws.su)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
             _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
             np.multiply(step_next, sv, out=su)
@@ -224,7 +251,7 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
             np.multiply(2.0, kv, out=kv)
             np.add(acc_v, kv, out=acc_v)
     # stage 4
-    k = _stage(t + dt, sf, params, ws.stencil, ws.su)
+    k = _stage(t + dt, sf, params, ws, ws.su)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
         _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
@@ -258,7 +285,8 @@ class Stepper:
     """Adaptive RK4 from a `StepState`, stepping in its arrays and keeping it
     current: a stepper built from `checkpoint()` takes the same steps bit for
     bit. `steps()` yields (t, dt, L, motion) of each accepted step until t_end
-    or `blowup`: the new time, its length, ||u||^2 and `motion_integrals`,
+    or `blowup`: the new time, its length, ||u||^2 and the motion integrals
+    (||u_t||^2, Re(u, u_t), ||grad u||^2),
     after the step's guards, so that `done` tells if it is the last."""
 
     def __init__(self, state: StepState, sf: ScaleFactor,
@@ -276,6 +304,10 @@ class Stepper:
             raise InvariantViolation(
                 "dynamics", f"CFL window cfl * h * a / c = {window} at "
                 f"t = {state.t} is below dt_min = {cfg.dt_min}")
+        if not math.isfinite(cfg.blowup_threshold * state.L0):
+            raise InvariantViolation(
+                "dynamics", f"norm threshold blowup_threshold * ||u0||^2 = "
+                f"{cfg.blowup_threshold} * {state.L0} overflows")
         self.state, self.params, self.nl = state, params, nl
         self.grid, self.cfg = grid, cfg
         self.ws = RK4Workspace(state.u, state.v)
@@ -292,13 +324,14 @@ class Stepper:
 
     def steps(self):
         st, ws, bg, cfg = self.state, self.ws, self.bg, self.cfg
-        h, c = self.grid.spacing, self.params.c
+        h, c, cv = self.grid.spacing, self.params.c, self.grid.cell_volume
         while not self.done:
             dt = min(st.dt, cfg.t_end - st.t)
             a_now, a_end = bg.eval(st.t)[0], bg.eval(st.t + dt)[0]
             dt = min(dt, cfg.cfl * h * min(a_now, a_end) / c)
-            u_new, _ = _rk4(st.t, dt, bg, self.params, self.nl, h, ws)
-            L = dot_re(u_new, u_new, ws.stencil) * self.grid.cell_volume
+            u_new, v_new = _rk4(st.t, dt, bg, self.params, self.nl, h, ws)
+            L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, self.grid,
+                                               ws.stencil)
             if not math.isfinite(L):
                 self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
                 return
@@ -321,8 +354,10 @@ class Stepper:
             if st.accept_streak >= 4 and st.dt < cfg.dt:
                 st.dt = min(cfg.dt, 2.0 * st.dt)
                 st.accept_streak = 0
-            motion = motion_integrals(ws.u, ws.v, self.grid, ws.stencil)
-            if not (math.isfinite(motion[0]) and math.isfinite(motion[2])):
+            grad_sq = (0.0 if ws.uniform
+                       else grad_sq_array(ws.u, h, ws.stencil))
+            motion = (ut_sq, re_u_ut, grad_sq * cv)
+            if not (math.isfinite(ut_sq) and math.isfinite(motion[2])):
                 self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
                 return
             if L >= cfg.blowup_threshold * st.L0:
@@ -410,13 +445,11 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                 f"support radius {support_radius} already fills the box")
     ws, bg = stepper.ws, stepper.bg
     acc = RunningIntegrals(params.n, params.c)
-    motion = motion_integrals(ws.u, ws.v, grid, ws.stencil)
-    rec = Integrals(L0, *motion, *potential_integrals(ws.u, grid, nl,
-                                                      ws.stencil))
+    rec = measure_arrays(ws.u, ws.v, grid, nl, ws.stencil)
     a, adot, addot = bg.eval(cfg.t0)
     E_t0 = rec.energy(a, params)
     snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
-    acc.push(cfg.t0, L0, *motion, a, adot, addot)
+    acc.push(cfg.t0, *rec[:4], a, adot, addot)
     rows = [snapshot(cfg.t0, 0.0, rec, a, adot, acc, margin0)]
 
     tail_start = cfg.blowup_threshold * 1e-4

@@ -27,7 +27,7 @@ above, so the results are those of the plain formulas bit for bit; values
 in the band's wrap-around cells are discarded. Reductions sum whole arrays,
 never per slab, which would change the order of summation. The padded
 buffer holds the last field loaded, or a `spare` result, until the next
-load; `wide` holds grad_sq_array's derivative and what dot_re widens.
+load; `wide` holds grad_sq_array's derivative and what `widen` copies.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class Stencil:
     @cached_property
     def wide(self) -> tuple[np.ndarray, np.ndarray]:
         """Two zero complex128 arrays: `grad_sq_array` writes each derivative
-        into the first, and `dot_re` widens real arrays into both."""
+        into the first, and `widen` copies real arrays into both."""
         return tuple(np.zeros(self.shape, np.complex128) for _ in range(2))
 
     def load(self, vals: np.ndarray) -> None:
@@ -224,19 +224,26 @@ def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarr
     return out
 
 
+def widen(a: np.ndarray, b: np.ndarray,
+          ws: Stencil | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as complex128 arrays: real ones are copied into ws.wide (b
+    into the second unless it is a), where they stay until the next widening
+    or gradient on ws."""
+    if a.dtype == np.complex128:
+        return a, b
+    za, zb = _stencil_for(a, ws).wide
+    za.real[...] = a
+    if b is a:
+        return za, za
+    zb.real[...] = b
+    return za, zb
+
+
 def dot_re(a: np.ndarray, b: np.ndarray, ws: Stencil | None = None) -> float:
     """Re sum(conj(a) b) as complex128 vdot (BLAS zdotc) sums it: real arrays
-    are widened into ws.wide first, since a real ddot sums in another order
-    and can differ in the last bit."""
-    if a.dtype != np.complex128:
-        za, zb = _stencil_for(a, ws).wide
-        za.real[...] = a
-        if b is a:
-            zb = za
-        else:
-            zb.real[...] = b
-        a, b = za, zb
-    return float(np.vdot(a, b).real)
+    are widened first, since a real ddot sums in another order and can
+    differ in the last bit."""
+    return float(np.vdot(*widen(a, b, ws)).real)
 
 
 def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> float:

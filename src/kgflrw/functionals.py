@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .field import Field, Grid, Stencil, dot_re, grad_sq_array
+from .field import Field, Grid, Stencil, dot_re, grad_sq_array, widen
 from .nonlinearity import Nonlinearity
 
 
@@ -136,12 +136,14 @@ class Integrals(NamedTuple):
         return lead - self.energy(a, params)
 
 
-def motion_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
-                     stencil: Stencil | None = None) -> tuple[float, float, float]:
-    """||u_t||^2, Re(u, u_t) and ||grad u||^2 of the arrays of a state."""
+def norm_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
+                   stencil: Stencil | None = None) -> tuple[float, float, float]:
+    """||u||^2, ||u_t||^2 and Re(u, u_t) of the arrays of a state, as
+    `dot_re` sums them; a real u and v are widened once each, into the
+    stencil's `wide`, which the gradient then overwrites."""
     cv = grid.cell_volume
-    return (dot_re(v, v, stencil) * cv, dot_re(v, u, stencil) * cv,
-            grad_sq_array(u, grid.spacing, stencil) * cv)
+    u, v = widen(u, v, stencil)
+    return dot_re(u, u) * cv, dot_re(v, v) * cv, dot_re(v, u) * cv
 
 
 def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
@@ -167,8 +169,8 @@ def measure_arrays(u: np.ndarray, v: np.ndarray, grid: Grid,
                    stencil: Stencil | None = None) -> Integrals:
     """The six integrals of the state arrays (u, u_t = v), complex128 or
     float64; stencil is the scratch of the gradient and of `dot_re`."""
-    L = dot_re(u, u, stencil) * grid.cell_volume
-    return Integrals(L, *motion_integrals(u, v, grid, stencil),
+    return Integrals(*norm_integrals(u, v, grid, stencil),
+                     grad_sq_array(u, grid.spacing, stencil) * grid.cell_volume,
                      *potential_integrals(u, grid, nl, stencil))
 
 

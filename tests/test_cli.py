@@ -328,6 +328,23 @@ def test_simulate_zero_data_exit_two(tmp_path, capsys):
         "config error: dynamics: initial data must be nonzero"]
 
 
+def test_norm_threshold_that_overflows_exit_two(tmp_path, capsys):
+    """On the anchor at half_width 1e300, L0 = 1.8e301 is finite but
+    blowup_threshold * L0 is not, so the norm threshold could never fire
+    and the run would end non-finite while |u| is in the thousands: a
+    config error, before anything is written."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    cfg = write_cfg(tmp_path, text.replace(
+        "grid.half_width = 3.141592653589793", "grid.half_width = 1e300"))
+    out = tmp_path / "big-out"
+    rc = main_entry(["simulate", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "config error: dynamics: norm threshold blowup_threshold * "
+        "||u0||^2 = 1000000000000.0 * 1.8000000000000002e+301 overflows"]
+
+
 def overflow_anchor_text() -> str:
     """The anchor at amplitude 30 and dt 0.02 with step control and the norm
     threshold off: Re(u, u_t) + R passes 1e154 while the state is finite,

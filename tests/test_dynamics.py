@@ -26,7 +26,8 @@ from scipy.integrate import quad, solve_ivp
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RunConfig, Trace, bundled_scenario_text,
-                    estimate_t_star, make_profile, parse_text, run)
+                    dynamics, estimate_t_star, make_profile, parse_text,
+                    run)
 from kgflrw.dynamics import (RK4Workspace, StepState, Stepper, _Background,
                              _rk4, _state_arrays)
 from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
@@ -63,14 +64,19 @@ def test_single_mode_oscillator_exact():
         assert abs(row.L - exact) <= 1e-10 * L0
 
 
-def test_homogeneous_data_stays_homogeneous():
+def test_homogeneous_data_stays_homogeneous(monkeypatch):
+    """The premise of the uniform path, checked on the full stencil path:
+    uniform data step to a uniform state."""
     grid = Grid(n=1, points_per_axis=32, half_width=1.0)
     u0 = make_profile(grid, "homogeneous", 2.0 + 1.0j)
     u1 = make_profile(grid, "homogeneous", -0.5j)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=1)
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
+    assert RK4Workspace(u0.values, u1.values).uniform
+    monkeypatch.setattr(dynamics, "_is_uniform", lambda u, v: False)
     # five accepted steps, driven as run() drives them
     ws = RK4Workspace(u0.values.copy(), u1.values.copy())
+    assert not ws.uniform
     bg = _Background(flat())
     t = 0.0
     for _ in range(5):

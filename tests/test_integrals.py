@@ -229,10 +229,11 @@ def count_stencils(monkeypatch) -> list:
 
 def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     """A simulation evaluates the gradient once for evaluate, once for the
-    initial state and once per accepted step, and builds two stencils: the
-    run's and evaluate's. The anchor blows up and records every step of its
-    tail; the shortened smooth run ends between two recorded steps, so its
-    last row comes after the loop."""
+    initial state and once per accepted step of non-uniform data (the
+    anchor's uniform states have gradient +0.0 without the stencil), and
+    builds two stencils: the run's and evaluate's. The anchor blows up and
+    records every step of its tail; the shortened smooth run ends between
+    two recorded steps, so its last row comes after the loop."""
     grads = count_calls(monkeypatch, field.grad_sq_array)
     stencils = count_stencils(monkeypatch)
     smooth = bundled_scenario_text("desitter-smooth").replace(
@@ -249,7 +250,7 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
         report = parse_report((out / "report.txt").read_text())
         accepted = report["run.accepted_steps"]
         assert accepted > min_steps
-        assert len(grads) == accepted + 2
+        assert len(grads) == (2 if name == "anchor" else accepted + 2)
         assert len(stencils) <= 2
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert float(rows[-1].split(",")[0]) == report["run.t_final"]

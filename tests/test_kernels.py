@@ -6,6 +6,9 @@ kgflrw.dynamics pad, reuse buffers and write in place, but perform the same
 floating-point operations in the same order, so they must agree bit for
 bit, including the exact zeros a constant field maps to.
 
+A run on uniform data skips the stencil; its oracle is the reference step
+with that path forced off, which must record the same trace bit for bit.
+
 On real data the kernels also run in float64. There the complex kernel is
 the oracle: the float64 path must give its real part bit for bit, and the
 same integrals, so that a run gives one trace whichever dtype it steps in.
@@ -28,9 +31,9 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
 from kgflrw import dynamics, field
 from kgflrw.cli import trace_csv_text
 from kgflrw.dynamics import RK4Workspace, RunConfig, _rk4
-from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
-                          grad_sq_array, lap_array, make_profile)
-from kgflrw.functionals import (measure_arrays, motion_integrals,
+from kgflrw.field import (Field, Stencil, _deriv_loaded, grad_sq_array,
+                          lap_array, make_profile)
+from kgflrw.functionals import (measure_arrays, norm_integrals,
                                 potential_integrals)
 
 
@@ -217,28 +220,54 @@ def test_scalar_eval_matches_array_eval(sf, t):
         float(x).hex() for x in sf.eval(np.asarray(t))]
 
 
-def test_run_matches_reference_rk4(monkeypatch):
+def reference_step(t, dt, sf, params, nl, h, ws):
+    """`_rk4` through the reference kernel, into the trial buffers."""
+    u_new, v_new = ref_rk4(t, ws.u, ws.v, dt, sf, params, nl, h)
+    ws.trial_u[...] = u_new
+    ws.trial_v[...] = v_new
+    return ws.trial_u, ws.trial_v
+
+
+def reference_run(monkeypatch, *args, **kwargs):
+    """run() with the reference step and the uniform path forced off, so
+    that every stage and every gradient goes through the stencil."""
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "_rk4", reference_step)
+        mp.setattr(dynamics, "_is_uniform", lambda u, v: False)
+        return run(*args, **kwargs)
+
+
+def count_calls(mp, module, name: str) -> list:
+    """Count the calls of module.name for as long as mp is active."""
+    calls, func = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    mp.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("bump", [0.0, 0.01], ids=["uniform", "gaussian"])
+def test_run_matches_reference_rk4(monkeypatch, bump):
     """The anchor blow-up run, once with the kernel and once with the
-    reference step patched in, records the same trace bit for bit. The run
-    rejects steps and records its tail every step, so both paths are
-    covered."""
+    reference step patched in, records the same trace bit for bit. The
+    anchor's uniform data take the path without the stencil; a small
+    Gaussian added to u0 takes the stencil. Both runs reject steps and
+    record their tail every step, so both step outcomes are covered."""
     scn = load_bundled_scenario("minkowski-m0-u2-A3")
     u0, u1 = scn.build_fields()
+    u0 = Field(scn.grid, u0.values + make_profile(
+        scn.grid, "gaussian", bump, width=1.0).values)
+    args = (u0, u1, scn.sf, scn.params, scn.nl, scn.run)
+    kwargs = dict(T_bound=math.pi ** 2, mode="thm1")
 
-    def simulate():
-        return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
-                   T_bound=math.pi ** 2, mode="thm1")
-
-    fast = simulate()
-
-    def reference_step(t, dt, sf, params, nl, h, ws):
-        u_new, v_new = ref_rk4(t, ws.u, ws.v, dt, sf, params, nl, h)
-        ws.trial_u[...] = u_new
-        ws.trial_v[...] = v_new
-        return ws.trial_u, ws.trial_v
-
-    monkeypatch.setattr(dynamics, "_rk4", reference_step)
-    slow = simulate()
+    with monkeypatch.context() as mp:
+        laps = count_calls(mp, dynamics, "lap_slab")
+        fast = run(*args, **kwargs)
+    assert (len(laps) == 0) == (bump == 0.0)
+    slow = reference_run(monkeypatch, *args, **kwargs)
 
     assert fast.meta["rejected"] > 0
     assert sum(1 for r in fast.rows if r.L >= 1e8 * fast.meta["L0"]) >= 12
@@ -246,6 +275,80 @@ def test_run_matches_reference_rk4(monkeypatch):
     assert fast.meta == slow.meta
     assert fast.blowup == slow.blowup
     assert fast.blowup.t_star is not None
+
+
+@st.composite
+def uniform_problems(draw):
+    """Uniform data on a small grid of dimension 1-3: a real or complex
+    amplitude, a velocity that is a constant or a mix of +0.0 and -0.0
+    cells; a gauge power with p in (1, 5], the real family (on real data)
+    or no nonlinearity; a power-law or de Sitter background."""
+    n = draw(st.integers(1, 3))
+    grid = Grid(n=n, points_per_axis=8, half_width=math.pi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    amp = complex(draw(st.floats(0.3, 10.0)),
+                  0.0 if real else draw(st.floats(-2.0, 2.0)))
+    u0 = Field(grid, np.full(grid.shape, amp))
+    vel = draw(st.sampled_from(["zeros", "real", "complex"]))
+    if vel == "zeros":
+        v = np.where(rng.random(grid.shape) < 0.5, 0.0, -0.0)
+    else:
+        v = np.full(grid.shape, complex(
+            draw(st.floats(-1.0, 1.0)),
+            draw(st.floats(-1.0, 1.0)) if vel == "complex" else 0.0))
+    u1 = Field(grid, v)
+    p = draw(st.one_of(st.sampled_from([2.0, 3.0]), st.floats(1.05, 5.0)))
+    family = draw(st.sampled_from(["gauge", "real", "none"]))
+    nl = {"gauge": GaugeInvariantPower(p=p, lam=draw(st.sampled_from(
+              [1.0, -1.0]))),
+          "real": RealAbsPower(p=p, sign=draw(st.sampled_from([1, -1]))),
+          "none": None}[family]
+    if family == "real":
+        u0, u1 = (Field(grid, f.values.real) for f in (u0, u1))
+    H = draw(st.floats(0.0, 0.8))
+    sf = draw(st.sampled_from([PowerLaw(draw(st.sampled_from(
+        [0.0, 1.0, -0.5])), H=H, n=n), DeSitter(H=H, n=n)]))
+    params = PhysicalParams(m=draw(st.floats(0.0, 2.0)), c=1.0,
+                            eps=1.0 if nl is None else nl.eps, n=n)
+    cfg = RunConfig(t_end=0.8, dt=draw(st.floats(0.005, 0.05)),
+                    record_every=draw(st.integers(1, 3)),
+                    blowup_threshold=1e4, theorem_mode="none")
+    return u0, u1, sf, params, nl, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(uniform_problems(), st.data())
+def test_uniform_run_matches_stencil_run_bitwise(problem, data):
+    """A run on uniform data takes no stencil, and records the trace of the
+    reference step with the uniform path forced off, bit for bit. The same
+    data with one cell of u0 or u1 moved by one ulp take the stencil."""
+    u0, u1, sf, params, nl, cfg = problem
+    args = (u0, u1, sf, params, nl, cfg)
+    assert dynamics._is_uniform(*dynamics._state_arrays(u0, u1))
+    with pytest.MonkeyPatch.context() as mp:
+        laps = count_calls(mp, dynamics, "lap_slab")
+        grads = count_calls(mp, dynamics, "grad_sq_array")
+        fast = run(*args)
+        assert not laps and not grads
+        slow = reference_run(mp, *args)
+    assert len(fast.rows) > 1
+    assert trace_csv_text(fast) == trace_csv_text(slow)
+    assert fast.meta == slow.meta
+    assert fast.blowup == slow.blowup
+
+    moved = data.draw(st.sampled_from([0, 1]))
+    vals = [u0.values.copy(), u1.values.copy()]
+    cell = data.draw(st.integers(0, vals[moved].size - 1))
+    flat = vals[moved].reshape(-1)
+    flat[cell] = complex(np.nextafter(flat[cell].real, np.inf),
+                         flat[cell].imag)
+    u0, u1 = (Field(u0.grid, x) for x in vals)
+    assert not dynamics._is_uniform(*dynamics._state_arrays(u0, u1))
+    with pytest.MonkeyPatch.context() as mp:
+        laps = count_calls(mp, dynamics, "lap_slab")
+        run(u0, u1, sf, params, nl, cfg)
+        assert laps
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +644,13 @@ def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
     assert len(ws.stencil.slabs) > 1
     sf = DeSitter(H=0.5, n=3)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3)
-    h, cv = grid.spacing, grid.cell_volume
+    h = grid.spacing
 
     def step_and_row(t):
-        u_new, _ = _rk4(t, 1e-3, sf, params, nl, h, ws)
-        dot_re(u_new, u_new, ws.stencil)
+        u_new, v_new = _rk4(t, 1e-3, sf, params, nl, h, ws)
+        norm_integrals(u_new, v_new, grid, ws.stencil)
         ws.accept()
-        motion_integrals(ws.u, ws.v, grid, ws.stencil)
+        grad_sq_array(ws.u, h, ws.stencil)
         potential_integrals(ws.u, grid, nl, ws.stencil)
 
     step_and_row(0.0)  # builds what is built once: `Stencil.wide`
