@@ -8,7 +8,10 @@ once. All physical quantities are dimensionless model units.
 
 Parsing is strict: unknown keys raise UnknownKey, malformed lines raise
 ParseError with the line number, and values that break a module's invariants
-raise InvariantViolation naming that module.
+raise InvariantViolation naming that module. Every key set must be read by
+the scenario it builds: a key its families or profile kinds never read (say
+scale.sigma under desitter, or data0.width on a homogeneous profile) raises
+InvariantViolation naming config.
 """
 
 from __future__ import annotations
@@ -154,16 +157,31 @@ def _convert(key: str, raw: str, lineno: int):
 
 
 class _Section(dict):
-    """Parsed config values by key, with required-key handling."""
+    """Parsed config values by key, with required-key handling; `read`
+    holds the keys the build asked for through get, require and given."""
+
+    def __init__(self):
+        super().__init__()
+        self.read: set[str] = set()
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
     def require(self, key: str):
         if key not in self:
             raise ParseError(f"missing required key {key!r}")
-        return self[key]
+        return self.get(key)
 
     def given(self, **keys: str) -> dict:
         """{argument: value} of the keys set; the rest keep class defaults."""
-        return {arg: self[key] for arg, key in keys.items() if key in self}
+        return {arg: self.get(key) for arg, key in keys.items() if key in self}
+
+    def check_all_read(self) -> None:
+        unread = sorted(self.keys() - self.read)
+        if unread:
+            raise InvariantViolation(
+                "config", f"this scenario never reads {', '.join(unread)}")
 
 
 def _parse_entries(text: str) -> _Section:
@@ -196,13 +214,14 @@ def _build_scale(sec: _Section, n: int, base_dir: str) -> ScaleFactor:
     if family not in _SCALE_FAMILIES:
         raise InvariantViolation(
             "scale_factor", f"unknown scale family {family!r}")
-    a0 = sec.given(a0="scale.a0")
     try:
         if family == "powerlaw":
             return PowerLaw(H=sec.get("scale.H", 0.0),
-                            sigma=sec.get("scale.sigma", 0.0), n=n, **a0)
+                            sigma=sec.get("scale.sigma", 0.0), n=n,
+                            **sec.given(a0="scale.a0"))
         if family == "desitter":
-            return DeSitter(H=sec.get("scale.H", 0.0), n=n, **a0)
+            return DeSitter(H=sec.get("scale.H", 0.0), n=n,
+                            **sec.given(a0="scale.a0"))
         path = sec.require("scale.table_path")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -234,9 +253,6 @@ def _build_nonlinearity(sec: _Section, n: int) -> tuple[Nonlinearity | None, flo
         raise InvariantViolation(
             "nonlinearity", f"unknown nonlinearity family {family!r}")
     if family == "none":
-        if sec.get("nonlin.p") is not None:
-            raise InvariantViolation(
-                "nonlinearity", "nonlin.p has no meaning for family none")
         return None, sec.get("nonlin.eps", 1.0)
     p = sec.require("nonlin.p")
     if not sobolev_admissible(p, n):
@@ -267,9 +283,9 @@ def _build_profile(sec: _Section, prefix: str, grid: Grid,
         amp = sec.require(f"{prefix}.amplitude")
     if kind not in _PROFILE_KINDS:
         raise InvariantViolation("field", f"unknown profile kind {kind!r}")
-    spec = ProfileSpec(kind=kind, amplitude=complex(amp),
-                       width=sec.get(f"{prefix}.width"),
-                       center=sec.get(f"{prefix}.center"))
+    shape = {} if kind == "homogeneous" else sec.given(
+        width=f"{prefix}.width", center=f"{prefix}.center")
+    spec = ProfileSpec(kind=kind, amplitude=complex(amp), **shape)
     try:  # surfaces width guards at load time; fields are built on demand
         check_profile(grid, spec.kind, spec.width, spec.center)
     except (ValueError, WidthTooLarge, WidthTooSmall) as exc:
@@ -314,6 +330,7 @@ def parse_text(text: str, name: str = "<string>",
                                        if key.startswith("run.")}))
     except ValueError as exc:
         raise InvariantViolation("dynamics", str(exc)) from exc
+    sec.check_all_read()
 
     return Scenario(name=name, sf=sf, params=params, nl=nl, grid=grid,
                     data0=data0, data1=data1, run=run,

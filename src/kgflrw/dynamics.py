@@ -377,6 +377,9 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
     """The row snapshot of a run with certificate mode, theta's anchor
     (T_bound, or None, with adot/a and L0 at t0) and E at t0 (in Hdiag)."""
     n = params.n
+    # Hdiag's denominator; 0 for m = 0 and for a subnormal |m| whose product
+    # underflows, both the massless limit, where Hdiag is NaN
+    hd_den = abs(params.m) * params.c * params.eps
 
     def snapshot(t: float, dt_used: float, rec: Integrals, a, adot,
                  acc: RunningIntegrals, margin: float) -> FunctionalSnapshot:
@@ -399,9 +402,8 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
             if theta > 0:
                 negk = theta ** (-kappa_for_mode(mode, params.eps))
             zeta = -(kt + 1.0) * ut_sq - 2.0 * I - (kt + 3.0) * acc.Q
-        if params.m != 0.0:
-            hdg = 2.0 * re_u_ut - 4.0 * (params.eps + 2.0) * E_t0 / (
-                abs(params.m) * params.c * params.eps)
+        if hd_den > 0.0:
+            hdg = 2.0 * re_u_ut - 4.0 * (params.eps + 2.0) * E_t0 / hd_den
         return FunctionalSnapshot(
             t=t, dt=dt_used, L=L, Lp=2.0 * re_u_ut, E=E, I=I, theta=theta,
             theta_prime=theta_p, theta_second=theta_pp, theta_negk=negk,

@@ -1,16 +1,16 @@
 """FLRW scale factors and the structural conditions the blow-up machinery needs.
 
-Three backgrounds are supported. With spatial dimension n, expansion rate H and
+Two backgrounds are supported. With spatial dimension n, expansion rate H and
 equation-of-state-like exponent sigma:
 
-* power-law    a(t) = a0 * (1 + n(1+sigma)H t/2)^(2/(n(1+sigma))),  sigma != -1
-* exponential  a(t) = a0 * exp(H t)                                 (de Sitter)
-* tabulated    monotone cubic interpolation of (t, a, adot, addot) knots
+* power-law  a(t) = a0 * (1 + n(1+sigma)H t/2)^(2/(n(1+sigma))); its
+             sigma = -1 limit is de Sitter, a(t) = a0 * exp(H t)
+* tabulated  monotone cubic interpolation of (t, a, adot, addot) knots
 
-The power-law family degenerates: a is linear-in-t to a power, so it covers
-static (H=0), decelerating, accelerating and contracting universes, including
-finite-time "Big Rip" divergences for sigma < -1 with H > 0. The horizon T0 is
-the end of the classical domain: +inf when (1+sigma)H >= 0, else the root of
+The power-law family covers static (H=0), decelerating, accelerating
+(de Sitter included) and contracting universes, including finite-time "Big
+Rip" divergences for sigma < -1 with H > 0. The horizon T0 is the end of the
+classical domain: +inf when (1+sigma)H >= 0, else the root of
 1 + n(1+sigma)H t/2.
 
 Two derived scalars gate the start time of a run: the expansion-rate threshold
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def _checked_time(t, horizon: float):
     return tt
 
 
-def _as_eval(t, a, adot, addot, scalar: bool):
+def _as_eval(a, adot, addot, scalar: bool):
     if scalar:
         return float(a), float(adot), float(addot)
     return np.asarray(a, dtype=float), np.asarray(adot, dtype=float), np.asarray(addot, dtype=float)
@@ -80,7 +80,8 @@ def _as_eval(t, a, adot, addot, scalar: bool):
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Power-law scale factor; sigma = -1 is excluded (use DeSitter)."""
+    """Power-law scale factor a0 (1 + n(1+sigma)H t/2)^(2/(n(1+sigma)));
+    sigma = -1 is its de Sitter limit a0 exp(H t)."""
 
     sigma: float
     H: float
@@ -91,16 +92,6 @@ class PowerLaw:
         _check_a(self.a0, "a0")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
-        if self.sigma == -1.0:
-            raise ValueError("sigma = -1 is the exponential family; use DeSitter")
-
-    @property
-    def _b(self) -> float:
-        return 0.5 * self.n * (1.0 + self.sigma) * self.H
-
-    @property
-    def _beta(self) -> float:
-        return 2.0 / (self.n * (1.0 + self.sigma))
 
     def horizon(self) -> float:
         if (1.0 + self.sigma) * self.H >= 0.0:
@@ -111,46 +102,33 @@ class PowerLaw:
         """Return (a, adot, addot) at t; t may be a scalar or an array."""
         scalar = np.isscalar(t)
         tt = _checked_time(t, self.horizon())
-        base = 1.0 + self._b * tt
-        b, beta, a0, H = self._b, self._beta, self.a0, self.H
+        a0, H = self.a0, self.H
+        if self.sigma == -1.0:
+            a = a0 * np.exp(H * tt)
+            return _as_eval(a, H * a, H * H * a, scalar)
+        b = 0.5 * self.n * (1.0 + self.sigma) * H
+        beta = 2.0 / (self.n * (1.0 + self.sigma))
+        base = 1.0 + b * tt
         a = a0 * base ** beta
         adot = a0 * H * base ** (beta - 1.0)
         addot = a0 * H * b * (beta - 1.0) * base ** (beta - 2.0)
-        return _as_eval(tt, a, adot, addot, scalar)
+        return _as_eval(a, adot, addot, scalar)
 
 
-@dataclass(frozen=True)
-class DeSitter:
-    """Exponential scale factor a0 * exp(H t); the sigma = -1 limit."""
-
-    sigma: ClassVar[float] = -1.0
-    H: float
-    a0: float = 1.0
-    n: int = 1
-
-    def __post_init__(self):
-        _check_a(self.a0, "a0")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError("n must be a positive integer")
-
-    def horizon(self) -> float:
-        return math.inf
-
-    def eval(self, t):
-        scalar = np.isscalar(t)
-        tt = _checked_time(t, math.inf)
-        a = self.a0 * np.exp(self.H * tt)
-        return _as_eval(tt, a, self.H * a, self.H * self.H * a, scalar)
+def DeSitter(H: float, a0: float = 1.0, n: int = 1) -> PowerLaw:
+    """The exponential scale factor a0 exp(H t): the sigma = -1 power law."""
+    return PowerLaw(-1.0, H, a0, n)
 
 
 class Tabulated:
     """Scale factor from (t, a, adot, addot) knots, monotone-cubic interpolated.
 
     Knots must start at t = 0, be strictly increasing in t, and keep a > 0.
-    The interpolant is shape-preserving (Fritsch-Carlson), applied to each of
-    a, adot and addot separately. A crude consistency check compares knot
-    secants of a against the averaged adot knots and rejects tables whose
-    stated derivative is grossly wrong.
+    The interpolant is shape-preserving (Fritsch-Carlson): one interpolator
+    over the stacked (a, adot, addot) rows, each row interpolated on its own.
+    A crude consistency check compares knot secants of a against the
+    averaged adot knots and rejects tables whose stated derivative is
+    grossly wrong.
     """
 
     def __init__(self, t, a, adot, addot, n: int = 1):
@@ -181,9 +159,8 @@ class Tabulated:
             )
         self.n = int(n)
         self._t0, self._t1 = float(t[0]), float(t[-1])
-        self._a = PchipInterpolator(t, a, extrapolate=False)
-        self._adot = PchipInterpolator(t, adot, extrapolate=False)
-        self._addot = PchipInterpolator(t, addot, extrapolate=False)
+        self._interp = PchipInterpolator(t, np.stack([a, adot, addot]),
+                                         axis=1, extrapolate=False)
 
     def horizon(self) -> float:
         return self._t1
@@ -194,10 +171,10 @@ class Tabulated:
         if np.any(tt < self._t0):
             raise NegativeTime(f"t = {np.min(tt)} is before the first knot t = {self._t0}")
         _check_times(tt, self._t1, inclusive_end=True)
-        return _as_eval(tt, self._a(tt), self._adot(tt), self._addot(tt), scalar)
+        return _as_eval(*self._interp(tt), scalar)
 
 
-ScaleFactor = Union[PowerLaw, DeSitter, Tabulated]
+ScaleFactor = Union[PowerLaw, Tabulated]
 
 
 def hubble_rate(sf: ScaleFactor, t: float) -> float:
@@ -236,23 +213,23 @@ def check_t0_condition(sf: ScaleFactor, t0: float, m: float, c: float, eps: floa
 def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> float:
     """Earliest start time satisfying the expansion-rate threshold.
 
-    Closed-form families only. Returns 0 when the initial rate already sits at
-    or below 1/(n C_eps); otherwise solves adot(t0)/a(t0) = 1/(n C_eps) for the
-    power-law family. Raises NoAdmissibleT0 when the rate never drops to the
-    threshold (sigma <= -1, de Sitter included).
+    Power-law family only. Returns 0 when the initial rate already sits at or
+    below `t0_condition_threshold`; otherwise solves adot(t0)/a(t0) = that
+    threshold = 1/(n C_eps). Raises NoAdmissibleT0 when the rate never drops
+    to the threshold (sigma <= -1, de Sitter included).
     """
     if m == 0.0:
         raise ValueError("m = 0 makes every t0 admissible; the minimum is trivially 0")
-    ceps = c_epsilon(m, c, eps)
-    bound = 1.0 / (sf.n * ceps)
     if isinstance(sf, Tabulated):
-        raise ValueError("min_admissible_t0 supports closed-form families only")
-    if sf.H <= bound:
+        raise ValueError("min_admissible_t0 supports the power-law family only")
+    thr = t0_condition_threshold(m, c, eps, sf.n)
+    if sf.H <= thr:
         return 0.0
     if sf.sigma <= -1.0:
         raise NoAdmissibleT0(
             f"with sigma = {sf.sigma} the rate never drops from H = {sf.H} "
-            f"to the threshold {bound}")
+            f"to the threshold {thr}")
+    ceps = c_epsilon(m, c, eps)
     t0 = 2.0 * ceps / (1.0 + sf.sigma) - 2.0 / (sf.n * (1.0 + sf.sigma) * sf.H)
     if math.isinf(t0):  # an underflowed |m| c: the threshold rate is 0
         raise NoAdmissibleT0("|m| c underflows; the rate never drops to 0")
@@ -262,7 +239,7 @@ def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> float:
 def check_monotone_expansion(sf: ScaleFactor, t_lo: float, t_hi: float) -> bool:
     """True when adot >= 0 and adot^2 - addot*a >= 0 hold on [t_lo, t_hi].
 
-    Closed-form families are decided exactly: the power-law identity
+    The power-law family is decided exactly: its identity
     (adot^2 - addot a)/a^2 = (n(1+sigma)H^2/2) (1 + n(1+sigma)H t/2)^(-2)
     has the sign of (1+sigma), and adot has the sign of H inside the horizon,
     so the pair holds iff H = 0, or H > 0 with sigma >= -1 (de Sitter is

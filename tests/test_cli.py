@@ -160,12 +160,16 @@ run.dt = 1e-3
                          ids=["check", "check-csv", "oracle-ode"])
 def test_horizon_blocked_anchor_exit_four(tmp_path, capsys, argv):
     """The anchor's data on a flat two-column table over [0, 2]: both
-    certificates hold but for T = pi^2 > 2, so nothing is certified."""
+    certificates hold but for T = pi^2 > 2, so nothing is certified. The
+    anchor's closed-form keys go, as a table reads none of them."""
     np.savetxt(tmp_path / "flat.txt",
                np.column_stack([np.linspace(0.0, 2.0, 5), np.ones(5)]))
     text = bundled_scenario_text("minkowski-m0-u2-A3").replace(
         "scale.family = powerlaw",
         "scale.family = tabulated\nscale.table_path = flat.txt")
+    for line in ("scale.a0 = 1.0\n", "scale.H = 0.0\n", "scale.sigma = 0.0\n"):
+        assert line in text
+        text = text.replace(line, "")
     rc = main_entry([*argv, write_cfg(tmp_path, text)])
     captured = capsys.readouterr()
     assert rc == 4 and captured.out == ""
@@ -192,6 +196,23 @@ def test_check_subnormal_mass_is_the_massless_limit(tmp_path, capsys):
     scn = config.parse_text(text, name="subnormal-mass")
     for t0 in (0.0, 1.0, 1e300):
         assert check_corollaries(scn.sf, t0, scn.params).thm2_case == "n/a"
+
+
+def test_simulate_subnormal_mass_hdiag_is_nan(tmp_path, capsys):
+    """|m| c eps underflows to 0 for m = 5e-324: Hdiag is NaN as in the
+    massless limit, and simulate runs instead of raising ZeroDivisionError."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    for old, new in (("phys.m = 0.0", "phys.m = 5e-324"),
+                     ("nonlin.eps = 1.0", "nonlin.eps = 0.5"),
+                     ("nonlin.p = 2.0", "nonlin.p = 1.5")):
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    rc = main_entry(["simulate", write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) > 1 and all(r["Hdiag"] == "nan" for r in rows)
 
 
 def test_config_error_exit_two(tmp_path, capsys):
@@ -246,6 +267,24 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert float(report["blowup.t_star"]) == pytest.approx(1.7173153422544112,
                                                            abs=1e-6)
     assert float(report["blowup.bound_margin"]) > 0.0
+
+
+def test_powerlaw_sigma_minus_one_runs_desitter(tmp_path, capsys):
+    """De Sitter is the sigma = -1 power law: the powerlaw copy of
+    desitter-thm2 writes the bundled run's trace.csv byte for byte."""
+    text = bundled_scenario_text("desitter-thm2")
+    assert "scale.family = desitter\n" in text
+    copy = text.replace("scale.family = desitter\n",
+                        "scale.family = powerlaw\nscale.sigma = -1\n")
+    traces = []
+    for name, body in (("bundled", text), ("powerlaw", copy)):
+        out = tmp_path / name
+        rc = main_entry(["simulate", write_cfg(tmp_path, body, f"{name}.cfg"),
+                         "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_simulate_wrap_exit_five(tmp_path, capsys):
@@ -784,6 +823,20 @@ def test_sweep_zero_data_point_is_an_error_row(tmp_path, capsys):
     assert [(r["data0.amplitude"], r["status"]) for r in rows] == [
         ("0", "error(InvariantViolation)"), ("3", "ok")]
     assert sorted(os.listdir(out)) == ["amplitude3", "frontier.csv"]
+
+
+def test_sweep_over_an_unread_key_gives_error_rows(tmp_path, capsys):
+    """scale.sigma means nothing under desitter: each point is a config
+    error row, as a config setting it would be."""
+    text = SWEEP_CFG.replace("scale.family = powerlaw", "scale.family = desitter")
+    out = tmp_path / "sweep-out"
+    rc = main_entry(["sweep", write_cfg(tmp_path, text), "--axis",
+                     "scale.sigma=0:1:2", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    with open(out / "frontier.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["error(InvariantViolation)"] * 2
 
 
 def test_sweep_invalid_base_config_runs_no_point(tmp_path, capsys):

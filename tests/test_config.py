@@ -145,6 +145,53 @@ def test_nonlin_none_family():
                                    "nonlin.family = none"))
 
 
+TABLE = "scale.family = tabulated\nscale.table_path = bg.txt"
+DESITTER = "scale.family = desitter\nscale.H = 0"
+
+
+@pytest.mark.parametrize("family,nonlin,extra", [
+    (None, None, "data1.amplitude = 1"),
+    (DESITTER, None, "scale.sigma = 0"),
+    (TABLE, None, "scale.a0 = 1"),
+    (TABLE, None, "scale.H = 0.5"),
+    (TABLE, None, "scale.sigma = 0"),
+    (None, None, "scale.table_path = bg.txt"),
+    (DESITTER, None, "scale.table_path = bg.txt"),
+    (None, None, "nonlin.sign = 1"),
+    (None, "real", "nonlin.lambda = 1"),
+    (None, "none", "nonlin.sign = 1"),
+    (None, "none", "nonlin.lambda = 1"),
+    (None, None, "data0.width = 1"),
+    (None, None, "data0.center = 0.5"),
+    (None, None, "data1.kind = homogeneous\ndata1.amplitude = 0\n"
+                 "data1.width = 1"),
+], ids=["data1.amplitude-without-kind", "sigma-desitter", "a0-tabulated",
+        "H-tabulated", "sigma-tabulated", "table_path-powerlaw",
+        "table_path-desitter", "sign-gauge", "lambda-real", "sign-none",
+        "lambda-none", "width-homogeneous", "center-homogeneous",
+        "data1-width-homogeneous"])
+def test_unread_key_is_a_config_error(tmp_path, family, nonlin, extra):
+    """A key the scenario's families or profile kinds never read is refused,
+    not hashed and ignored; the same config without it parses."""
+    np.savetxt(tmp_path / "bg.txt", np.column_stack(
+        [np.linspace(0.0, 2.0, 9), np.ones(9)]))
+    text = MINIMAL
+    if family is not None:
+        text = text.replace("scale.family = powerlaw\nscale.H = 0", family)
+    if nonlin is not None:
+        text = text.replace("nonlin.family = gauge",
+                            f"nonlin.family = {nonlin}")
+        if nonlin == "none":
+            text = text.replace("nonlin.p = 2\n", "")
+    base_dir = str(tmp_path)
+    parse_text(text, base_dir=base_dir)
+    with pytest.raises(InvariantViolation) as exc:
+        parse_text(text + extra + "\n", base_dir=base_dir)
+    assert exc.value.module == "config"
+    unread = extra.splitlines()[-1].split(" = ")[0]
+    assert str(exc.value) == f"config: this scenario never reads {unread}"
+
+
 def test_sobolev_window_enforced():
     text = MINIMAL.replace("grid.n = 1", "grid.n = 3")
     text = text.replace("nonlin.p = 2", "nonlin.p = 4")

@@ -56,6 +56,35 @@ def test_desitter_exact_exponential():
     fd_check(sf, 1.1)
 
 
+def desitter_oracle(H, a0, t):
+    """The de Sitter closed form: a0 e^(Ht), H a and H^2 a."""
+    a = a0 * np.exp(H * np.asarray(t, dtype=float))
+    return a, H * a, H * H * a
+
+
+def test_desitter_is_the_sigma_minus_one_power_law():
+    assert DeSitter(0.5) == PowerLaw(-1.0, 0.5)
+    assert DeSitter(H=0.3, a0=2.0, n=3) == PowerLaw(-1.0, 0.3, 2.0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(0.5, 10.0), st.integers(1, 3),
+       st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+def test_desitter_matches_closed_form_oracle_bitwise(H, a0, n, ts):
+    """DeSitter(H, a0, n), the sigma = -1 power law, gives the closed form's
+    bits at a scalar t and at an array of t."""
+    sf = DeSitter(H, a0, n)
+    for t in ts:
+        got = sf.eval(t)
+        want = tuple(float(x) for x in desitter_oracle(H, a0, t))
+        assert all(type(x) is float for x in got)
+        assert np.array_equal(np.array(got).view(np.int64),
+                              np.array(want).view(np.int64))
+    got = sf.eval(np.array(ts))
+    for g, w in zip(got, desitter_oracle(H, a0, np.array(ts))):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 def test_desitter_curvature_identity_machine_zero():
     # adot^2 - addot*a vanishes identically for the exponential background;
     # numerically it survives to a few ulps of the products
