@@ -9,11 +9,19 @@ distinct stage time is evaluated once on the background. A stage finishes
 one stencil slab at a time, so that its temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
-same for u1) skips the stencil: the difference form maps a uniform array to
-+0.0 bit for bit, and every other operation of a step is an elementwise
-loop that gives the same bits for the same input at every position, so the
-state stays uniform, each stage's Laplacian is +0.0 and so is the gradient
-of each accepted state.
+same for u1) steps one scalar state, the homogeneous ODE: `_rk4_uniform`
+does the array kernel's operations in its order, with lap u = +0.0 (the
+difference form's bits on a uniform array), on the first cell's u and v as
+Python scalars, and fills the trial state; the gradient of an accepted
+state is 0.0. The bits are the kernel's: Python's +, - and * are numpy's
+IEEE operations as long as every multiplier is real (numpy's complex times
+complex may round otherwise), and f(u) is `nl.f` on a one-cell array
+(numpy's power may differ from the libm pow behind **). Cells that `==`
+calls equal may differ in the sign of a zero, which the scalar step takes
+from the first cell. The trace never sees it: a step only adds, subtracts
+and multiplies, and the trace reads the state through zdotc sums, which
+start from +0.0, and through F of |u| (the real family's F reads the sign
+of u, but a real uniform u0 is nonzero).
 
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
@@ -139,11 +147,10 @@ class RK4Workspace:
     `slabs` holds each stencil slab with its views of (u, v, trial_u,
     trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None.
 
-    `uniform` (`_is_uniform` of the data) marks a run that skips the
-    stencil: its stages load none, its slab entries hold None for the
-    stencil slab, and the stepper takes ||grad u||^2 = 0.0. The difference
-    form maps a uniform array to +0.0 bit for bit, and the step's
-    elementwise loops, independent of position, keep the state uniform."""
+    `uniform` (`_is_uniform` of the data) marks a run that steps one
+    scalar state (`_rk4_uniform`): f(u) goes through the one-cell `cell`
+    and its `out`, `cell_f` (None in complex128, as for a slab), and the
+    stepper takes ||grad u||^2 = 0.0."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         self.u, self.v = u, v
@@ -153,14 +160,16 @@ class RK4Workspace:
         self.stencil = Stencil(u.shape, u.dtype)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
+        real = u.dtype == np.float64
+        self.cell = np.empty(1, u.dtype)
+        self.cell_f = np.empty(1, u.dtype) if real else None
         self.slabs = []
         for slab in self.stencil.slabs:
             kv, tmp = (x[:slab.rows.stop - slab.rows.start]
                        for x in (self.kv, self.tmp))
             views = (x[slab.rows] for x in (
                 u, v, self.trial_u, self.trial_v, self.su, self.sv))
-            self.slabs.append((None if self.uniform else slab, *views, kv,
-                               tmp, tmp if u.dtype == np.float64 else None))
+            self.slabs.append((slab, *views, kv, tmp, tmp if real else None))
         self._swapped = [(slab, tu, tv, u, v, *rest)
                          for slab, u, v, tu, tv, *rest in self.slabs]
 
@@ -186,11 +195,8 @@ def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
                for x in (u, v))
 
 
-def _stage(t, sf, params, ws: RK4Workspace, u) -> tuple:
-    """Load a stage's input u into the stencil (a uniform run skips it);
-    return the factors of lap u, u, v and f(u) in dv/dt at time t."""
-    if not ws.uniform:
-        ws.stencil.load(u)
+def _coeffs(t, sf, params) -> tuple:
+    """The factors of lap u, u, v and f(u) in dv/dt at time t."""
     a, adot, _ = sf.eval(t)
     c2 = params.c * params.c
     return c2 / (a * a), params.m * params.m * c2, params.n * (adot / a), c2
@@ -198,21 +204,47 @@ def _stage(t, sf, params, ws: RK4Workspace, u) -> tuple:
 
 def _rhs_slab(slab, k, u, v, nl, h, out, tmp, f_out):
     """dv/dt on one slab of the loaded u, written into out; f(u) goes into
-    f_out (tmp, or None to allocate it). Without a stencil slab (a uniform
-    run) lap u is +0.0, so the sum starts from lap_c * 0.0."""
+    f_out (tmp, or None to allocate it)."""
     lap_c, mass, damp, c2 = k
     np.multiply(mass, u, out=tmp)
-    if slab is None:
-        np.subtract(lap_c * 0.0, tmp, out=out)
-    else:
-        lap_slab(slab, h, out)
-        np.multiply(lap_c, out, out=out)
-        np.subtract(out, tmp, out=out)
+    lap_slab(slab, h, out)
+    np.multiply(lap_c, out, out=out)
+    np.subtract(out, tmp, out=out)
     np.multiply(damp, v, out=tmp)
     np.subtract(out, tmp, out=out)
     if nl is not None:
         np.multiply(c2, nl.f(u, out=f_out), out=tmp)
         np.add(out, tmp, out=out)
+
+
+def _rhs_cell(k, u, v, nl, ws: RK4Workspace):
+    """`_rhs_slab` on one cell of Python scalars, with lap u = +0.0: the sum
+    starts from lap_c * 0.0, and f(u) is `nl.f` on `ws.cell`."""
+    lap_c, mass, damp, c2 = k
+    out = lap_c * 0.0 - mass * u - damp * v
+    if nl is None:
+        return out
+    ws.cell[0] = u
+    return out + c2 * nl.f(ws.cell, out=ws.cell_f).item(0)
+
+
+def _rk4_uniform(t, dt, sf, params, nl, ws: RK4Workspace):
+    """`_rk4` on a uniform state: the operations of the array kernel, in its
+    order, on the first cell's u and v, filled into the trial buffers."""
+    u, v = ws.u.item(0), ws.v.item(0)
+    hm = 0.5 * dt
+    acc_v = _rhs_cell(_coeffs(t, sf, params), u, v, nl, ws)
+    su, sv, acc_u = u + hm * v, v + hm * acc_v, v
+    k = _coeffs(t + hm, sf, params)
+    for step_next in (hm, dt):
+        kv = _rhs_cell(k, su, sv, nl, ws)
+        acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
+        su, sv = u + step_next * sv, v + step_next * kv
+    kv = _rhs_cell(_coeffs(t + dt, sf, params), su, sv, nl, ws)
+    sixth = dt / 6.0
+    ws.trial_u.fill(u + sixth * (acc_u + sv))
+    ws.trial_v.fill(v + sixth * (acc_v + kv))
+    return ws.trial_u, ws.trial_v
 
 
 def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
@@ -227,10 +259,13 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
     trial buffers stage by stage, in that order, so every element sees the
     operations of the plain formula and the result is the same bit for
-    bit."""
+    bit. A uniform workspace takes `_rk4_uniform` instead."""
+    if ws.uniform:
+        return _rk4_uniform(t, dt, sf, params, nl, ws)
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
-    k = _stage(t, sf, params, ws, ws.u)
+    ws.stencil.load(ws.u)
+    k = _coeffs(t, sf, params)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
         _rhs_slab(slab, k, u, v, nl, h, acc_v, tmp, f_out)
         np.multiply(hm, v, out=su)
@@ -239,7 +274,8 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
         np.add(v, sv, out=sv)
     # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
     for stage, step_next in ((2, hm), (3, dt)):
-        k = _stage(t + hm, sf, params, ws, ws.su)
+        ws.stencil.load(ws.su)
+        k = _coeffs(t + hm, sf, params)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
             _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
             np.multiply(step_next, sv, out=su)
@@ -251,7 +287,8 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
             np.multiply(2.0, kv, out=kv)
             np.add(acc_v, kv, out=acc_v)
     # stage 4
-    k = _stage(t + dt, sf, params, ws, ws.su)
+    ws.stencil.load(ws.su)
+    k = _coeffs(t + dt, sf, params)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
         _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import GridMismatch, WidthTooLarge, WidthTooSmall
 
 SLAB_BYTES = 1 << 17  # per band-sized array: an RK4 stage's dozen fit in L2
+_NORMAL_MIN = np.finfo(np.float64).tiny  # the smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,14 @@ class Grid:
             raise ValueError("need at least 8 points per axis")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
+        try:  # the stencils divide by h, the integrals scale by h^n
+            volume = self.cell_volume
+        except OverflowError:  # h ** n past the largest float
+            volume = math.inf
+        for name, x in (("spacing", self.spacing), ("cell volume", volume)):
+            if not _NORMAL_MIN <= x < math.inf:
+                raise ValueError(
+                    f"grid {name} must be a positive normal float, got {x}")
 
     @property
     def spacing(self) -> float:

@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
 from .field import Field
 from .functionals import Integrals, PhysicalParams, kappa_for_mode, measure
@@ -266,7 +268,8 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     """
     if mode not in ("auto", "thm1", "thm2", "none"):
         raise ValueError(f"unknown mode {mode!r}")
-    m0 = measure(u0, u1, nl)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        m0 = measure(u0, u1, nl)
     bad = [f"{key} = {val}" for key, val in m0._asdict().items()
            if not math.isfinite(val)]
     if bad:

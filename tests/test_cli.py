@@ -507,6 +507,58 @@ def test_a0_whose_square_underflows_exit_two(tmp_path, capsys, argv):
         "must not underflow, got 1e-300"]
 
 
+@pytest.mark.parametrize("argv", [["check"], ["oracle-ode"], ["simulate"]],
+                         ids=["check", "oracle-ode", "simulate"])
+@pytest.mark.parametrize("grid,message", [
+    ("grid.n = 1\ngrid.N = 64\ngrid.half_width = 5e-324",
+     "spacing must be a positive normal float, got 0.0"),
+    ("grid.n = 3\ngrid.N = 8\ngrid.half_width = 1e-110",
+     "cell volume must be a positive normal float, got 0.0"),
+    ("grid.n = 3\ngrid.N = 8\ngrid.half_width = 1e110",
+     "cell volume must be a positive normal float, got inf")],
+    ids=["h-underflows", "h3-underflows", "h3-overflows"])
+def test_grid_spacing_not_a_normal_float_exit_two(tmp_path, capsys, argv,
+                                                  grid, message):
+    """A spacing that underflows divided by zero in the stencil; a 3D h^3
+    that underflows read as zero data, and one that overflows raised. Each
+    is a config error with one stderr line, and no output directory."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    old = "grid.n = 1\ngrid.N = 64\ngrid.half_width = 3.141592653589793"
+    assert old in text
+    cfg = write_cfg(tmp_path, text.replace(old, grid))
+    out = tmp_path / "grid-out"
+    extra = ["--out", str(out)] if argv == ["simulate"] else []
+    rc = main_entry([*argv, cfg, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"config error: field: grid {message}"]
+
+
+@pytest.mark.parametrize("scenario,old,new,bad", [
+    ("minkowski-m0-u2-A3", "data0.amplitude = 3.0", "data0.amplitude = 1e150",
+     "F = inf, re_fu = inf"),
+    ("bigrip-reject", "data0.amplitude = 6.0", "data0.amplitude = 1e300",
+     "L = inf, F = inf, re_fu = nan"),
+    ("desitter-thm2", "nonlin.lambda = 1.0",
+     "nonlin.lambda = 1.7976931348623157e308", "F = inf, re_fu = nan")],
+    ids=["anchor-amplitude", "bigrip-amplitude", "desitter-lambda"])
+def test_overflowing_initial_integrals_print_one_line(tmp_path, scenario, old,
+                                                      new, bad):
+    """check on data whose integrals overflow: exit 2 and the config error
+    as the only stderr line, without numpy's overflow warnings. In a
+    subprocess, so that a warning would reach its stderr."""
+    text = bundled_scenario_text(scenario)
+    assert old in text
+    cfg = write_cfg(tmp_path, text.replace(old, new))
+    done = subprocess.run([sys.executable, "-m", "kgflrw.cli", "check", cfg],
+                          cwd=tmp_path, env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "config error: functionals: initial data give non-finite "
+        f"integrals: {bad}"]
+
+
 def test_simulate_scale_factor_whose_cube_overflows(tmp_path, capsys):
     """a^3 overflows while a is finite: at a0 = 1e300 on the anchor, which
     still blows up at its t*, and on de Sitter at H = 100 up to t = 5

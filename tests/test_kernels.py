@@ -351,6 +351,33 @@ def test_uniform_run_matches_stencil_run_bitwise(problem, data):
         assert laps
 
 
+@pytest.mark.parametrize("nl", NONLINEARITIES + (
+    GaugeInvariantPower(p=2.5, lam=1.0, eps=1.5),))
+@pytest.mark.parametrize("sf", BACKGROUNDS)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
+    """The scalar step of a uniform workspace gives the reference step's
+    bits in both dtypes, on every background and family; p = 2.5 takes
+    numpy's SIMD power, not an integer power. Two steps, so the second
+    reads the swapped buffers. No stencil slab and no dv/dt slab."""
+    real = dtype == np.float64 or nl is not None and nl.real_only
+    u, v = (np.full(16, x if real else complex(x, y), dtype)
+            for x, y in ((2.5, -1.25), (-0.75, 0.5)))
+    params = PhysicalParams(m=0.7, c=1.3, eps=1.0, n=1)
+    ws = RK4Workspace(u, v)
+    assert ws.uniform
+    t, dt, h = 0.4, 0.01, 0.1
+    laps = count_calls(monkeypatch, dynamics, "lap_slab")
+    rhs = count_calls(monkeypatch, dynamics, "_rhs_slab")
+    for _ in range(2):
+        u, v = ref_rk4(t, u, v, dt, sf, params, nl, h)
+        assert_bitwise(_rk4(t, dt, sf, params, nl, h, ws)[0], u)
+        assert_bitwise(ws.trial_v, v)
+        ws.accept()
+        t += dt
+    assert not laps and not rhs
+
+
 # ---------------------------------------------------------------------------
 # the float64 path against the complex kernel
 
