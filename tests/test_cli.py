@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -459,6 +460,31 @@ def test_simulate_cfl_window_below_dt_min_exit_two(tmp_path):
     assert done.stderr.splitlines() == [
         "config error: dynamics: CFL window cfl * h * a / c = "
         "9.817477042468103e-302 at t = 0.0 is below dt_min = 1e-12"]
+
+
+@pytest.mark.parametrize("scenario, window, dt_min", [
+    ("desitter-thm2", "0.0", "1e-12"),
+    ("bigrip-reject", "3.9269908169872414e-293", "1e-09")])
+def test_simulate_collapsing_cfl_window_exit_two(tmp_path, scenario, window,
+                                                 dt_min):
+    """scale.H = -1e300 passes the CFL check at t0, but a(t + dt) underflows
+    and the window over a step, also over a step of dt_min, is below dt_min:
+    a config error at the first step instead of zero-length steps without
+    end. In a subprocess with a timeout, so a hang fails the test."""
+    text = bundled_scenario_text(scenario)
+    for key, value in (("scale.H", "-1e300"), ("run.t_end", "0.05")):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text,
+                      flags=re.M)
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "collapse-out"
+    done = subprocess.run(
+        [sys.executable, "-m", "kgflrw.cli", "simulate", cfg, "--out",
+         str(out)], cwd=tmp_path, env=_src_env(), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == "" and not out.exists()
+    assert done.stderr.splitlines() == [
+        f"config error: dynamics: CFL window cfl * h * a / c = {window} at "
+        f"t = 0.0 is below dt_min = {dt_min}"]
 
 
 @pytest.mark.parametrize("old,new,reason", [

@@ -266,3 +266,6 @@ def test_bundled_scenarios_parse():
 def test_bad_run_window():
     with pytest.raises(InvariantViolation):
         parse_text(MINIMAL.replace("run.t_end = 1.0", "run.t_end = -1.0"))
+    # 1.0 + growth_tol == 1.0 would reject every growing step
+    with pytest.raises(InvariantViolation, match="1.0 \\+ growth_tol > 1.0"):
+        parse_text(MINIMAL + "run.growth_tol = 5e-324\n")

@@ -356,6 +356,12 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match="dt_min"):
             RunConfig(dt=1e-3, dt_min=dt_min)
     RunConfig(dt=1e-3, dt_min=9.99e-4)
+    # a growth_tol lost in 1.0 + growth_tol rejects every growing step
+    for tol in (0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1e-17,
+                math.nan):
+        with pytest.raises(ValueError, match="growth_tol"):
+            RunConfig(growth_tol=tol)
+    RunConfig(growth_tol=1e-15)
 
 
 def test_final_row_carries_the_step_taken():
@@ -392,6 +398,35 @@ def test_desitter_expansion_damps_energy():
     # is set by the O(h^4) stencil mismatch, so only wiring is checked here
     budget = trace.rows[-1].E + trace.rows[-1].e_dissipated
     assert budget == pytest.approx(es[0], rel=1e-4)
+
+
+@pytest.mark.parametrize("H, dt_min, t_raise", [(-100.0, 1e-4, 0.0666),
+                                                (-1e4, 1e-5, 8.87e-4)])
+def test_cfl_window_collapsing_below_dt_min_raises(H, dt_min, t_raise):
+    """On a = exp(H t) the CFL window 0.4 h a shrinks, and 0.4 h a falls
+    below dt_min near t_raise: the stepper raises there, naming the
+    current t, instead of stepping ever shorter windows toward t_end. At
+    H = -1e4 the window over a whole step, a(t + 1e-3) = exp(-10) a(t), is
+    below dt_min from the start, but the floor step's window is not, so
+    every step takes dt_min. At most 1000 steps, so endless stepping fails
+    the test instead of blocking it."""
+    grid = Grid(n=1, points_per_axis=32, half_width=math.pi)
+    params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
+    u0, u1 = make_profile(grid, "homogeneous", 1.0), make_profile(
+        grid, "homogeneous", 0.0)
+    cfg = RunConfig(t_end=0.5, dt=1e-3, dt_min=dt_min, theorem_mode="none")
+    stepper = Stepper(StepState(0.0, *_state_arrays(u0, u1), cfg.dt, 2.0 *
+                                math.pi, 2.0 * math.pi, 0, ()),
+                      DeSitter(H=H), params, None, grid, cfg)
+    dts = []
+    with pytest.raises(InvariantViolation, match="CFL window") as err:
+        for _, (_, dt, _, _) in zip(range(1000), stepper.steps()):
+            dts.append(dt)
+    t = stepper.state.t
+    assert str(err.value).endswith(f" at t = {t} is below dt_min = {dt_min}")
+    assert abs(t - t_raise) < 0.02 * t_raise and len(dts) > 50
+    if H == -1e4:
+        assert set(dts) == {cfg.dt_min}
 
 
 @pytest.mark.parametrize("case", ["tail", "regrowing", "at-floor"])
