@@ -15,15 +15,16 @@ difference form's bits on a uniform array), on the first cell's u and v as
 Python scalars, and fills the trial state; the gradient of an accepted
 state is 0.0. The bits are the kernel's: Python's +, - and * are numpy's
 IEEE operations as long as every multiplier is real (numpy's complex times
-complex may round otherwise). f(u) is `nl.scalar_f` on a float64 state whose
-power |u|^q numpy computes as sqrt, x or x * x (q = 0.5, 1, 2), else `nl.f`
-on a one-cell array: numpy's AVX-512 power differs from libm's pow in 7 018
-of 200 000 random draws, and its complex abs from Python's abs(complex) in
-73 963 of 200 000. Cells that `==` calls equal may differ in the sign of a
-zero, which the scalar step takes from the first cell. The trace never sees
-it: a step only adds, subtracts and multiplies, and the trace reads the
-state through zdotc sums, which start from +0.0, and through F of |u| (the
-real family's F reads the sign of u, but a real uniform u0 is nonzero).
+complex may round otherwise). On a float64 state at gauge p = 2, where the
+power |u|^(p-1) is |u| exactly, f(u) is `nl.scalar_f()` of a Python float.
+Otherwise it is `nl.f` on a one-cell array: numpy's AVX-512 power differs
+from libm's pow in 7 018 of 200 000 random draws, and its complex abs from
+Python's abs(complex) in 73 963 of 200 000. Cells that `==` calls equal may
+differ in the sign of a zero, which the scalar step takes from the first
+cell. The trace never sees it: a step only adds, subtracts and multiplies,
+and the trace reads the state through zdotc sums, which start from +0.0,
+and through F of |u| (the real family's F reads the sign of u, but a real
+uniform u0 is nonzero).
 
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
@@ -150,12 +151,12 @@ class RK4Workspace:
     trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None.
 
     `uniform` (`_is_uniform` of the data) marks a run that steps one
-    scalar state (`_rk4_uniform`; ||grad u||^2 = 0.0). f(u) is then
-    `f_scalar`, nl's `scalar_f` in float64, or if that is None `nl.f` on the
-    one-cell `cell` into `cell_f` (None in complex128, as for a slab)."""
+    scalar state (`_rk4_uniform`), and the stepper takes ||grad u||^2 =
+    0.0. In complex128, or where nl's `scalar_f()` is None, f(u) goes
+    through the one-cell `cell` and its `out`, `cell_f` (None in
+    complex128, as for a slab)."""
 
-    def __init__(self, u: np.ndarray, v: np.ndarray,
-                 nl: Nonlinearity | None = None):
+    def __init__(self, u: np.ndarray, v: np.ndarray):
         self.u, self.v = u, v
         self.uniform = _is_uniform(u, v)
         self.trial_u, self.trial_v, self.su, self.sv = (
@@ -164,7 +165,6 @@ class RK4Workspace:
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
         real = u.dtype == np.float64
-        self.f_scalar = nl.scalar_f() if real and nl is not None else None
         self.cell = np.empty(1, u.dtype)
         self.cell_f = np.empty(1, u.dtype) if real else None
         self.slabs = []
@@ -221,15 +221,15 @@ def _rhs_slab(slab, k, u, v, nl, h, out, tmp, f_out):
         np.add(out, tmp, out=out)
 
 
-def _rhs_cell(k, u, v, nl, ws: RK4Workspace):
+def _rhs_cell(k, u, v, nl, f, ws: RK4Workspace):
     """`_rhs_slab` on one cell of Python scalars, with lap u = +0.0: the sum
-    starts from lap_c * 0.0; f(u) is `ws.f_scalar`, or `nl.f` on `ws.cell`."""
+    starts from lap_c * 0.0; f(u) is `f` of a float, or `nl.f` on `ws.cell`."""
     lap_c, mass, damp, c2 = k
     out = lap_c * 0.0 - mass * u - damp * v
     if nl is None:
         return out
-    if ws.f_scalar is not None:
-        return out + c2 * ws.f_scalar(u)
+    if f is not None:
+        return out + c2 * f(u)
     ws.cell[0] = u
     return out + c2 * nl.f(ws.cell, out=ws.cell_f).item(0)
 
@@ -238,15 +238,16 @@ def _rk4_uniform(t, dt, sf, params, nl, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
     order, on the first cell's u and v, filled into the trial buffers."""
     u, v = ws.u.item(0), ws.v.item(0)
+    f = nl.scalar_f() if nl is not None and ws.cell_f is not None else None
     hm = 0.5 * dt
-    acc_v = _rhs_cell(_coeffs(t, sf, params), u, v, nl, ws)
+    acc_v = _rhs_cell(_coeffs(t, sf, params), u, v, nl, f, ws)
     su, sv, acc_u = u + hm * v, v + hm * acc_v, v
     k = _coeffs(t + hm, sf, params)
     for step_next in (hm, dt):
-        kv = _rhs_cell(k, su, sv, nl, ws)
+        kv = _rhs_cell(k, su, sv, nl, f, ws)
         acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
         su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(_coeffs(t + dt, sf, params), su, sv, nl, ws)
+    kv = _rhs_cell(_coeffs(t + dt, sf, params), su, sv, nl, f, ws)
     sixth = dt / 6.0
     ws.trial_u.fill(u + sixth * (acc_u + sv))
     ws.trial_v.fill(v + sixth * (acc_v + kv))
@@ -349,7 +350,7 @@ class Stepper:
             raise InvariantViolation(
                 "dynamics", f"norm threshold blowup_threshold * ||u0||^2 = "
                 f"{cfg.blowup_threshold} * {state.L0} overflows")
-        self.ws = RK4Workspace(state.u, state.v, nl)
+        self.ws = RK4Workspace(state.u, state.v)
         self.t_stop = cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end))
         self.accepted = self.rejected = 0
         self.blowup: BlowupInfo | None = None

@@ -33,11 +33,6 @@ from .errors import ComplexInputToRealNonlinearity
 
 _IMAG_TOL = 1e-13  # relative imaginary tolerance for real-only inputs
 _EPS_TOL = 1e-12   # absolute slack on a closed end of an eps range
-# x ** q that numpy computes on float64 as a plain operation: `**= 0.5` calls
-# np.sqrt, and the power loop's scalar-exponent path gives x and x * x at 1.0
-# and 2.0 (its general SIMD loop differs from x * x in 105 698 of 2M draws).
-# scalar_f is None where the power p - 1 (gauge) or p (real) is not a key.
-_PLAIN_POWERS = {0.5: math.sqrt, 1.0: lambda x: x, 2.0: lambda x: x * x}
 
 
 class EpsRange(NamedTuple):
@@ -108,9 +103,11 @@ class GaugeInvariantPower:
         return np.multiply(out, u, out=out)
 
     def scalar_f(self):
-        """f on one real float by f(u, out=...)'s operations, or None."""
-        power, lam = _PLAIN_POWERS.get(self.p - 1.0), self.lam
-        return None if power is None else lambda u: lam * power(abs(u)) * u
+        """f on one real float by f(u, out=...)'s operations at p = 2, where
+        |u|^(p-1) is |u| exactly; else None (numpy's power may differ from
+        the libm pow behind **)."""
+        lam = self.lam
+        return (lambda u: lam * abs(u) * u) if self.p == 2.0 else None
 
     def F(self, u, out=None):
         """F(u); given a float64 array out, the same operations in place."""
@@ -175,9 +172,8 @@ class RealAbsPower:
         return np.multiply(self.sign, out, out=out)
 
     def scalar_f(self):
-        """f on one float by f(u, out=...)'s operations, or None."""
-        power, sign = _PLAIN_POWERS.get(self.p), float(self.sign)
-        return None if power is None else lambda u: sign * power(abs(u))
+        """None: p > 1, so |u|^p is always numpy's power."""
+        return None
 
     def F(self, u, out=None):
         """F(u); given a float64 array out, the same operations in place."""
