@@ -4,9 +4,10 @@ First-order form: du/dt = v, dv/dt = -n (adot/a) v + c^2 a^-2 lap u
 - m^2 c^2 u + c^2 f(u). Classical RK4 with the background evaluated at each
 stage time, so homogeneous data reduce the step to the exact scalar RK4 map
 (the difference-form Laplacian is bitwise zero on constants). The step works
-in place in arrays allocated once per run (`RK4Workspace`), and each
-distinct stage time is evaluated once on the background. A stage finishes
-one stencil slab at a time, so that its temporaries stay in cache.
+in place in arrays allocated once per run (`RK4Workspace`); `_Background`
+evaluates each distinct stage time once, with dv/dt's factors, and a step's
+end is the next step's start. A stage finishes one stencil slab at a time,
+so that its temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
 same for u1) steps one scalar state, the homogeneous ODE: `_rk4_uniform`
@@ -121,12 +122,15 @@ class _Background:
 
     Each distinct time is evaluated once through the scale factor's `eval`
     and then read by the RK4 stages, the CFL clamp, `RunningIntegrals.push`
-    and the snapshot functionals. `advance(t)` keeps only the entry at t,
-    the start of the next step."""
+    and the snapshot functionals; `coeffs` keeps dv/dt's factors (`_coeffs`
+    of the run's params) per time beside them. `advance(t)` keeps only the
+    entries at t, the start of the next step, so the times of a rejected
+    step are dropped."""
 
     def __init__(self, sf: ScaleFactor):
         self.sf = sf
         self._vals: dict = {}
+        self._k: dict = {}
 
     def eval(self, t):
         val = self._vals.get(t)
@@ -134,8 +138,16 @@ class _Background:
             val = self._vals[t] = self.sf.eval(t)
         return val
 
+    def coeffs(self, t, params) -> tuple:
+        k = self._k.get(t)
+        if k is None:
+            k = self._k[t] = _coeffs(self.eval(t), params)
+        return k
+
     def advance(self, t: float) -> None:
         self._vals = {t: self.eval(t)}
+        k = self._k.get(t)
+        self._k = {} if k is None else {t: k}
 
 
 class RK4Workspace:
@@ -199,9 +211,10 @@ def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
                for x in (u, v))
 
 
-def _coeffs(t, sf, params) -> tuple:
-    """The factors of lap u, u, v and f(u) in dv/dt at time t."""
-    a, adot, _ = sf.eval(t)
+def _coeffs(vals, params) -> tuple:
+    """The factors of lap u, u, v and f(u) in dv/dt at the background
+    values (a, adot, addot) of one time."""
+    a, adot, _ = vals
     c2 = params.c * params.c
     return c2 / (a * a), params.m * params.m * c2, params.n * (adot / a), c2
 
@@ -234,27 +247,27 @@ def _rhs_cell(k, u, v, nl, f, ws: RK4Workspace):
     return out + c2 * nl.f(ws.cell, out=ws.cell_f).item(0)
 
 
-def _rk4_uniform(t, dt, sf, params, nl, ws: RK4Workspace):
+def _rk4_uniform(t, dt, bg, params, nl, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
     order, on the first cell's u and v, filled into the trial buffers."""
     u, v = ws.u.item(0), ws.v.item(0)
     f = nl.scalar_f() if nl is not None and ws.cell_f is not None else None
     hm = 0.5 * dt
-    acc_v = _rhs_cell(_coeffs(t, sf, params), u, v, nl, f, ws)
+    acc_v = _rhs_cell(bg.coeffs(t, params), u, v, nl, f, ws)
     su, sv, acc_u = u + hm * v, v + hm * acc_v, v
-    k = _coeffs(t + hm, sf, params)
+    k = bg.coeffs(t + hm, params)
     for step_next in (hm, dt):
         kv = _rhs_cell(k, su, sv, nl, f, ws)
         acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
         su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(_coeffs(t + dt, sf, params), su, sv, nl, f, ws)
+    kv = _rhs_cell(bg.coeffs(t + dt, params), su, sv, nl, f, ws)
     sixth = dt / 6.0
     ws.trial_u.fill(u + sixth * (acc_u + sv))
     ws.trial_v.fill(v + sixth * (acc_v + kv))
     return ws.trial_u, ws.trial_v
 
 
-def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
+def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     """One classical RK4 step of length dt from the accepted state at t.
 
     Buffer ownership: reads `ws.u`, `ws.v` and never writes them; writes the
@@ -266,13 +279,14 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
     trial buffers stage by stage, in that order, so every element sees the
     operations of the plain formula and the result is the same bit for
-    bit. A uniform workspace takes `_rk4_uniform` instead."""
+    bit. A uniform workspace takes `_rk4_uniform` instead. bg is the run's
+    `_Background`."""
     if ws.uniform:
-        return _rk4_uniform(t, dt, sf, params, nl, ws)
+        return _rk4_uniform(t, dt, bg, params, nl, ws)
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
     ws.stencil.load(ws.u)
-    k = _coeffs(t, sf, params)
+    k = bg.coeffs(t, params)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
         _rhs_slab(slab, k, u, v, nl, h, acc_v, tmp, f_out)
         np.multiply(hm, v, out=su)
@@ -282,7 +296,7 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
     # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
     for stage, step_next in ((2, hm), (3, dt)):
         ws.stencil.load(ws.su)
-        k = _coeffs(t + hm, sf, params)
+        k = bg.coeffs(t + hm, params)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
             _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
             np.multiply(step_next, sv, out=su)
@@ -295,7 +309,7 @@ def _rk4(t, dt, sf, params, nl, h, ws: RK4Workspace):
             np.add(acc_v, kv, out=acc_v)
     # stage 4
     ws.stencil.load(ws.su)
-    k = _coeffs(t + dt, sf, params)
+    k = bg.coeffs(t + dt, params)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
         _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)

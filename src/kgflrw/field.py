@@ -69,11 +69,11 @@ class Grid:
                 raise ValueError(
                     f"grid {name} must be a positive normal float, got {x}")
 
-    @property
+    @cached_property
     def spacing(self) -> float:
         return 2.0 * self.half_width / self.points_per_axis
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.spacing ** self.n
 

@@ -143,7 +143,8 @@ def norm_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
     stencil's `wide`, which the gradient then overwrites."""
     cv = grid.cell_volume
     u, v = widen(u, v, stencil)
-    return dot_re(u, u) * cv, dot_re(v, v) * cv, dot_re(v, u) * cv
+    return (float(np.vdot(u, u).real) * cv, float(np.vdot(v, v).real) * cv,
+            float(np.vdot(v, u).real) * cv)
 
 
 def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
@@ -158,7 +159,7 @@ def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
     def into(dtype) -> dict:
         return {} if stencil is None else {"out": stencil.spare(dtype)}
 
-    F = float(np.sum(nl.F(u, **into(np.float64)))) * cv
+    F = float(np.add.reduce(nl.F(u, **into(np.float64)), axis=None)) * cv
     f_u = nl.f(u, **into(np.float64 if nl.real_only else u.dtype))
     # vdot widens a real f against a complex u
     return F, dot_re(u, f_u, stencil) * cv
@@ -198,7 +199,8 @@ class RunningIntegrals:
     Pushed once per accepted step. Tracks P, Q, R (rate-weighted L, ||u_t||^2,
     Re(u,u_t)), the curvature integral G and its time integral IG, the energy
     dissipation integral, and the comoving light path c int a^-1 dtau used by
-    the wrap-around guard.
+    the wrap-around guard. The previous sample is kept as one tuple (t and
+    the six integrands at t), which the next push reads by position.
     """
 
     def __init__(self, n: int, c: float):
@@ -211,33 +213,29 @@ class RunningIntegrals:
         self.IG = 0.0
         self.dissipated = 0.0
         self.light_path = 0.0
-        self._prev: dict | None = None
+        self._prev: tuple | None = None
 
     def push(self, t: float, L: float, ut_sq: float, re_u_ut: float,
              grad_sq: float, a: float, adot: float, addot: float) -> None:
         n, c = self.n, self.c
         rate = adot / a
-        cur = {
-            "t": t,
-            "p": n * rate * L,
-            "q": n * rate * ut_sq,
-            "r": n * rate * re_u_ut,
-            "g": (adot * adot - addot * a) / (a * a) * L,
-            # no **: a float power raises OverflowError where / gives inf
-            "d": n * rate * ut_sq + c * c * rate / a / a * grad_sq,
-            "w": c / a,
-        }
+        # the integrands p, q, r, g, d and w of P, Q, R, G, dissipated and
+        # light_path at t; no ** in d: a float power raises OverflowError
+        # where / gives inf
+        cur = (t, n * rate * L, n * rate * ut_sq, n * rate * re_u_ut,
+               (adot * adot - addot * a) / (a * a) * L,
+               n * rate * ut_sq + c * c * rate / a / a * grad_sq, c / a)
         if self._prev is not None:
-            h = t - self._prev["t"]
-            half = 0.5 * h
-            self.P += half * (self._prev["p"] + cur["p"])
-            self.Q += half * (self._prev["q"] + cur["q"])
-            self.R += half * (self._prev["r"] + cur["r"])
+            t_prev, p, q, r, g, d, w = self._prev
+            half = 0.5 * (t - t_prev)
+            self.P += half * (p + cur[1])
+            self.Q += half * (q + cur[2])
+            self.R += half * (r + cur[3])
             g_old = self.G
-            self.G += half * (self._prev["g"] + cur["g"])
+            self.G += half * (g + cur[4])
             self.IG += half * (g_old + self.G)
-            self.dissipated += half * (self._prev["d"] + cur["d"])
-            self.light_path += half * (self._prev["w"] + cur["w"])
+            self.dissipated += half * (d + cur[5])
+            self.light_path += half * (w + cur[6])
         self._prev = cur
 
 

@@ -480,3 +480,28 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
         assert 1.5 < t < 1.6 and len(rest) > 100 and resumed.rejected > 0
     if case == "at-floor":
         assert full.blowup.reason == "step_collapse"
+
+
+def test_background_computes_each_time_once(monkeypatch):
+    """On the anchor, the scale factor's eval and dv/dt's factors run once
+    per distinct time: t0, then at most a step's midpoint and end, so at
+    most 1 + 2 per attempted step. After each accepted step the cache holds
+    only its time; the times of a rejected step are dropped."""
+    scn = parse_text(bundled_scenario_text("minkowski-m0-u2-A3"))
+    u0, u1 = scn.build_fields()
+    L0 = dot_re(u0.values, u0.values) * scn.grid.cell_volume
+    evals, factors = [], []
+    sf_eval, coeffs = PowerLaw.eval, dynamics._coeffs
+    monkeypatch.setattr(PowerLaw, "eval",
+                        lambda sf, t: evals.append(t) or sf_eval(sf, t))
+    monkeypatch.setattr(dynamics, "_coeffs",
+                        lambda *a: factors.append(a) or coeffs(*a))
+    stepper = Stepper(StepState(scn.run.t0, *_state_arrays(u0, u1),
+                                scn.run.dt, L0, L0, 0, ()),
+                      scn.sf, scn.params, scn.nl, scn.grid, scn.run)
+    for t, *_ in stepper.steps():
+        assert list(stepper.bg._vals) == list(stepper.bg._k) == [t]
+    attempted = stepper.accepted + stepper.rejected
+    assert stepper.blowup.reason == "norm_threshold" and stepper.rejected > 0
+    assert len(evals) <= 1 + 2 * attempted
+    assert len(factors) <= 1 + 2 * attempted

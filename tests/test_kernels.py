@@ -18,6 +18,7 @@ grids mostly fit one slab, so the last section shrinks `field.SLAB_BYTES`
 to get several slabs and a ragged last one.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,7 +31,7 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     load_bundled_scenario, measure, run)
 from kgflrw import dynamics, field
 from kgflrw.cli import trace_csv_text
-from kgflrw.dynamics import RK4Workspace, RunConfig, _rk4
+from kgflrw.dynamics import RK4Workspace, RunConfig, _Background, _rk4
 from kgflrw.field import (Field, Stencil, _deriv_loaded, grad_sq_array,
                           lap_array, make_profile)
 from kgflrw.functionals import (measure_arrays, norm_integrals,
@@ -192,14 +193,15 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     h, u, v = case
     if nl is not None and nl.real_only:
         u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
-    sf = type(sf)(**{**sf.__dict__, "n": u.ndim})
+    sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     u_keep, v_keep = u.copy(), v.copy()
     ws = RK4Workspace(u, v)
 
     u_ref, v_ref = ref_rk4(t, u, v, dt, sf, params, nl, h)
+    bg = _Background(sf)
     for _ in range(2):  # a retried step from the same state
-        u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
+        u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
         assert_bitwise(u_new, u_ref)
         assert_bitwise(v_new, v_ref)
         # the accepted state is read, never written
@@ -380,10 +382,11 @@ def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
             return f(self, x, out=out)
 
         monkeypatch.setattr(type(nl), "f", spying)
+    bg = _Background(sf)
     for _ in range(2):
         u, v = ref_rk4(t, u, v, dt, sf, params, nl, h)
         cells.clear()
-        assert_bitwise(_rk4(t, dt, sf, params, nl, h, ws)[0], u)
+        assert_bitwise(_rk4(t, dt, bg, params, nl, h, ws)[0], u)
         assert_bitwise(ws.trial_v, v)
         ws.accept()
         t += dt
@@ -430,16 +433,17 @@ REAL_NONLINEARITIES = NONLINEARITIES + (RealAbsPower(p=3.0, sign=-1),)
 def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     h, u, v = case
     u, v = u.real.copy(), v.real.copy()
-    sf = type(sf)(**{**sf.__dict__, "n": u.ndim})
+    sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     ws = RK4Workspace(u, v)
     wz = RK4Workspace(u.astype(np.complex128), v.astype(np.complex128))
     assert ws.stencil.dtype == np.float64
 
     z, zv = wz.u.copy(), wz.v.copy()
+    bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
-        u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
-        uz_new, vz_new = _rk4(t, dt, sf, params, nl, h, wz)
+        u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
+        uz_new, vz_new = _rk4(t, dt, bg, params, nl, h, wz)
         z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
         assert_bitwise(u_new, real_part(uz_new))
         assert_bitwise(v_new, real_part(vz_new))
@@ -613,13 +617,14 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
     def ref(a):
         return real_part(a) if real else a
 
-    sf = type(sf)(**{**sf.__dict__, "n": u.ndim})
+    sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     ws = sliced(u.shape, u.dtype, rows_seed,
                 lambda: RK4Workspace(u.copy(), v.copy()))
+    bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
         z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
-        u_new, v_new = _rk4(t, dt, sf, params, nl, h, ws)
+        u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
         assert_bitwise(u_new, ref(z))
         assert_bitwise(v_new, ref(zv))
         ws.accept()
@@ -685,12 +690,12 @@ def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
     u, v = (0.3 * rng.normal(size=grid.shape).astype(dtype) for _ in range(2))
     ws = RK4Workspace(u, v)
     assert len(ws.stencil.slabs) > 1
-    sf = DeSitter(H=0.5, n=3)
+    bg = _Background(DeSitter(H=0.5, n=3))
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3)
     h = grid.spacing
 
     def step_and_row(t):
-        u_new, v_new = _rk4(t, 1e-3, sf, params, nl, h, ws)
+        u_new, v_new = _rk4(t, 1e-3, bg, params, nl, h, ws)
         norm_integrals(u_new, v_new, grid, ws.stencil)
         ws.accept()
         grad_sq_array(ws.u, h, ws.stencil)

@@ -253,3 +253,71 @@ def test_min_admissible_t0():
     # de Sitter rate never decays: beyond-threshold H has no admissible start
     with pytest.raises(NoAdmissibleT0):
         min_admissible_t0(DeSitter(a0=1.0, H=5.0, n=1), 1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the float path of PowerLaw.eval against numpy float64 scalar arithmetic
+
+
+def numpy_scalar_eval(sf, t):
+    """PowerLaw.eval on a scalar t as it was before the float path: the
+    checked time as a numpy float64, every operation on numpy scalars."""
+    if t < 0:
+        raise NegativeTime(f"t = {t} is before the initial slice t = 0")
+    horizon = sf.horizon()
+    if not math.isinf(horizon) and t >= horizon * (1.0 - 1e-12):
+        raise TimeBeyondHorizon(f"t = {t} reaches the horizon T0 = {horizon}")
+    tt = np.float64(t)
+    a0, H = sf.a0, sf.H
+    if sf.sigma == -1.0:
+        a = a0 * np.exp(H * tt)
+        return float(a), float(H * a), float(H * H * a)
+    b = 0.5 * sf.n * (1.0 + sf.sigma) * H
+    beta = 2.0 / (sf.n * (1.0 + sf.sigma))
+    base = 1.0 + b * tt
+    a = a0 * base ** beta
+    adot = a0 * H * base ** (beta - 1.0)
+    addot = a0 * H * b * (beta - 1.0) * base ** (beta - 2.0)
+    return float(a), float(adot), float(addot)
+
+
+def eval_outcome(ev, t):
+    """The bits of (a, adot, addot), or the type of what ev raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = ev(t)
+    except Exception as exc:  # noqa: BLE001 - the raised type is compared
+        return type(exc)
+    assert all(type(x) is float for x in vals)
+    return tuple(x.hex() for x in vals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.just(-1.0), st.sampled_from([-0.9, -0.999, -1.5]),
+                 st.floats(-3.0, 3.0)),
+       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)),
+       st.integers(1, 3), st.floats(0.1, 10.0),
+       st.one_of(st.floats(-0.1, 1.1),
+                 st.sampled_from([1.0 - 1e-12, 1.0 - 2e-12, 1.0 - 1e-9])),
+       st.one_of(st.floats(-1.0, 1e25), st.sampled_from([1e20, 5e-324, -0.0,
+                                                         math.nan])))
+def test_float_eval_matches_numpy_scalar_eval_bitwise(sigma, H, n, a0, frac,
+                                                      t_open):
+    """A float t, and the same t as np.float64, give numpy's scalar bits,
+    or raise the same NegativeTime or TimeBeyondHorizon: on a finite
+    horizon t is a fraction of it, up to just below the excluded end, else
+    any time up to 1e25, where some powers overflow to inf."""
+    sf = PowerLaw(sigma, H, a0, n)
+    T0 = sf.horizon()
+    t = frac * T0 if math.isfinite(T0) else t_open
+    want = eval_outcome(lambda s: numpy_scalar_eval(sf, s), t)
+    assert want not in (OverflowError, ZeroDivisionError, ValueError)
+    assert eval_outcome(sf.eval, t) == want
+    assert eval_outcome(sf.eval, np.float64(t)) == want
+
+
+def test_float_eval_overflow_is_inf():
+    """Where numpy's scalar ** overflows the float path gives inf too, not
+    OverflowError."""
+    with np.errstate(over="ignore"):
+        assert PowerLaw(-0.9, 1.0).eval(1e20) == (math.inf,) * 3
