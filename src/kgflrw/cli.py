@@ -276,7 +276,9 @@ def _sweep_point(payload) -> dict:
     """One sweep point, isolated; returns a frontier row even on failure."""
     base_text, base_dir, name, overrides, out_dir = payload
     row = dict(overrides)
-    label = "_".join(f"{k.split('.')[-1]}{format(v, '.6g')}"
+    # the value as frontier.csv writes it, so that no two points share a
+    # directory
+    label = "_".join(f"{k.split('.')[-1]}{_fmt(v)}"
                      for k, v in overrides.items())
     row.update({"case_label": "none", "theorem": "none", "T_bound": math.nan,
                 "rho": math.nan, "delta": math.nan, "t_star": math.nan,
@@ -317,6 +319,11 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(spec) for spec in args.axis]
     if len(axes) > 2:
         print("error: at most two axes", file=sys.stderr)
+        return EXIT_CONFIG
+    # the second axis would overwrite the first in every point, repeating
+    # each point into one directory
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        print(f"error: axis key {axes[0][0]!r} given twice", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or f"{scn.name}-sweep"
     os.makedirs(out_dir, exist_ok=True)

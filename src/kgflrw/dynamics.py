@@ -3,11 +3,13 @@
 First-order form: du/dt = v, dv/dt = -n (adot/a) v + c^2 a^-2 lap u
 - m^2 c^2 u + c^2 f(u). Classical RK4 with the background evaluated at each
 stage time, so homogeneous data reduce the step to the exact scalar RK4 map
-(the difference-form Laplacian is bitwise zero on constants). The step works
-in place in arrays allocated once per run (`RK4Workspace`); `_Background`
-evaluates each distinct stage time once, with dv/dt's factors, and a step's
-end is the next step's start. A stage finishes one stencil slab at a time,
-so that its temporaries stay in cache.
+(the difference-form Laplacian is bitwise zero on constants). A run steps
+and measures one copy of the data, in the dtype that `state_arrays` picks:
+float64 for real data, else complex128. The step works in place in arrays
+allocated once per run (`RK4Workspace`); `_Background` evaluates each
+distinct stage time once, with dv/dt's factors, and a step's end is the
+next step's start. A stage finishes one stencil slab at a time, so that its
+temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
 same for u1) steps one scalar state, the homogeneous ODE: `_rk4_uniform`
@@ -23,9 +25,9 @@ from libm's pow in 7 018 of 200 000 random draws, and its complex abs from
 Python's abs(complex) in 73 963 of 200 000. Cells that `==` calls equal may
 differ in the sign of a zero, which the scalar step takes from the first
 cell. The trace never sees it: a step only adds, subtracts and multiplies,
-and the trace reads the state through zdotc sums, which start from +0.0,
-and through F of |u| (the real family's F reads the sign of u, but a real
-uniform u0 is nonzero).
+and the trace reads the state through BLAS dot products (ddot or zdotc, in
+the state's dtype), which start from +0.0, and through F of |u| (the real
+family's F reads the sign of u, but a real uniform u0 is nonzero).
 
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
@@ -59,7 +61,8 @@ from .field import Field, Grid, Stencil, dot_re, grad_sq_array, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
                           kappa_tilde_for_mode, measure_arrays,
-                          norm_integrals, potential_integrals, state_grid)
+                          norm_integrals, potential_integrals, state_arrays,
+                          state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -152,7 +155,7 @@ class _Background:
 
 class RK4Workspace:
     """The arrays one integration works in, allocated once per run in the
-    dtype that `_state_arrays` chose.
+    dtype that `state_arrays` chose, which the run also measures in.
 
     Whole arrays: the accepted state `u`, `v`, the state `trial_u`,
     `trial_v` that `_rk4` proposes (`accept()` swaps the pairs), a stage's
@@ -193,15 +196,6 @@ class RK4Workspace:
         self.u, self.trial_u = self.trial_u, self.u
         self.v, self.trial_v = self.trial_v, self.v
         self.slabs, self._swapped = self._swapped, self.slabs
-
-
-def _state_arrays(u0: Field, u1: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the data to step: float64 when the data are real (every
-    coupling maps reals to reals), else complex128. Both dtypes give the
-    same trace bit for bit."""
-    if not (u0.values.imag.any() or u1.values.imag.any()):
-        return u0.values.real.copy(), u1.values.real.copy()
-    return u0.values.copy(), u1.values.copy()
 
 
 def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
@@ -397,8 +391,7 @@ class Stepper:
                 window = self._window(st.t, dt, dt)
             dt = min(dt, window)
             u_new, v_new = _rk4(st.t, dt, bg, self.params, self.nl, h, ws)
-            L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, self.grid,
-                                               ws.stencil)
+            L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, self.grid)
             if not math.isfinite(L):
                 self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
                 return
@@ -500,12 +493,12 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     if mode not in ("thm1", "thm2", "none"):
         raise ValueError("mode must be thm1, thm2 or none")
     grid = state_grid(u0, u1)
-    # ||u0||^2 of the complex data: the bits dot_re gives either stepped copy
-    L0 = dot_re(u0.values, u0.values) * grid.cell_volume
+    u, v = state_arrays(u0, u1)
+    L0 = dot_re(u, u) * grid.cell_volume
     if L0 <= 0:
         raise InvariantViolation("dynamics", "initial data must be nonzero")
-    stepper = Stepper(StepState(cfg.t0, *_state_arrays(u0, u1), cfg.dt,
-                                L0, L0, 0, ()), sf, params, nl, grid, cfg)
+    stepper = Stepper(StepState(cfg.t0, u, v, cfg.dt, L0, L0, 0, ()), sf,
+                      params, nl, grid, cfg)
     margin0 = math.inf
     if support_radius is not None:
         margin0 = grid.half_width - support_radius

@@ -3,8 +3,9 @@
 The spatial domain is the torus [-L, L)^n with N uniform points per axis,
 n in {1, 2, 3}. A `Field` is a numpy complex128 array, i.e. interleaved
 (re, im) pairs in memory; the array kernels also take the float64 array of a
-real state and give the real part of the complex result bit for bit, with
-reductions through `dot_re`. Derivatives use fourth-order central
+real state and give the real part of the complex result bit for bit. Each
+reduction (`dot_re`) sums an array in its own dtype: BLAS ddot on float64,
+zdotc on complex128. Derivatives use fourth-order central
 stencils with wrap-around indexing, written in difference form so that a
 constant field maps to exactly zero (bitwise), which keeps homogeneous data
 exactly homogeneous under evolution:
@@ -27,7 +28,7 @@ above, so the results are those of the plain formulas bit for bit; values
 in the band's wrap-around cells are discarded. Reductions sum whole arrays,
 never per slab, which would change the order of summation. The padded
 buffer holds the last field loaded, or a `spare` result, until the next
-load; `wide` holds grad_sq_array's derivative and what `widen` copies.
+load; `deriv` holds grad_sq_array's derivative.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class Slab(NamedTuple):
 
 class Stencil:
     """Scratch of the stencils for one array shape and dtype: the padded
-    buffer, its slabs and the whole arrays `wide`, reused by every call that
+    buffer, its slabs and the whole array `deriv`, reused by every call that
     is given it."""
 
     def __init__(self, shape: tuple[int, ...], dtype=np.complex128):
@@ -162,10 +163,9 @@ class Stencil:
                 w, w[0].reshape((rows,) + padded[1:])[keep]))
 
     @cached_property
-    def wide(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two zero complex128 arrays: `grad_sq_array` writes each derivative
-        into the first, and `widen` copies real arrays into both."""
-        return tuple(np.zeros(self.shape, np.complex128) for _ in range(2))
+    def deriv(self) -> np.ndarray:
+        """A whole array that `grad_sq_array` writes each derivative into."""
+        return np.empty(self.shape, self.dtype)
 
     def load(self, vals: np.ndarray) -> None:
         """Copy vals into the padded buffer and fill its wrap-around cells."""
@@ -233,37 +233,19 @@ def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarr
     return out
 
 
-def widen(a: np.ndarray, b: np.ndarray,
-          ws: Stencil | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as complex128 arrays: real ones are copied into ws.wide (b
-    into the second unless it is a), where they stay until the next widening
-    or gradient on ws."""
-    if a.dtype == np.complex128:
-        return a, b
-    za, zb = _stencil_for(a, ws).wide
-    za.real[...] = a
-    if b is a:
-        return za, za
-    zb.real[...] = b
-    return za, zb
-
-
-def dot_re(a: np.ndarray, b: np.ndarray, ws: Stencil | None = None) -> float:
-    """Re sum(conj(a) b) as complex128 vdot (BLAS zdotc) sums it: real arrays
-    are widened first, since a real ddot sums in another order and can
-    differ in the last bit."""
-    return float(np.vdot(*widen(a, b, ws)).real)
+def dot_re(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum(conj(a) b), summed by vdot in the arrays' own dtype."""
+    return float(np.vdot(a, b).real)
 
 
 def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> float:
     """Sum over cells of |grad v|^2 (no volume factor)."""
     ws = _stencil_for(vals, ws)
     ws.load(vals)
-    d = ws.wide[0]  # a real derivative goes into its real part, widened
-    into = d.real if ws.dtype != d.dtype else d
+    d = ws.deriv
     total = 0.0
     for ax in range(vals.ndim):
-        _deriv_loaded(ws, ax, h, into)
+        _deriv_loaded(ws, ax, h, d)
         total += dot_re(d, d)
     return total
 

@@ -22,7 +22,9 @@ E, I and the margins below are arithmetic on six spatial integrals of a
 state, measured once per state into `Integrals` by `measure`: ||u||^2,
 ||u_t||^2, Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u). Each
 is a plain cell sum times the cell volume, which on a smooth periodic
-integrand converges faster than any power of h.
+integrand converges faster than any power of h. The state is measured in
+one dtype, the one `state_arrays` picks for `measure` and for a run: float64
+for real data, else complex128; each sum is taken in that dtype.
 
 Two data margins certify blow-up: rho (norm-weighted, start at t0 = 0) and
 delta (velocity-weighted, any admissible t0):
@@ -45,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .field import Field, Grid, Stencil, dot_re, grad_sq_array, widen
+from .field import Field, Grid, Stencil, dot_re, grad_sq_array
 from .nonlinearity import Nonlinearity
 
 
@@ -136,15 +138,11 @@ class Integrals(NamedTuple):
         return lead - self.energy(a, params)
 
 
-def norm_integrals(u: np.ndarray, v: np.ndarray, grid: Grid,
-                   stencil: Stencil | None = None) -> tuple[float, float, float]:
-    """||u||^2, ||u_t||^2 and Re(u, u_t) of the arrays of a state, as
-    `dot_re` sums them; a real u and v are widened once each, into the
-    stencil's `wide`, which the gradient then overwrites."""
+def norm_integrals(u: np.ndarray, v: np.ndarray,
+                   grid: Grid) -> tuple[float, float, float]:
+    """||u||^2, ||u_t||^2 and Re(u, u_t) of the arrays of a state."""
     cv = grid.cell_volume
-    u, v = widen(u, v, stencil)
-    return (float(np.vdot(u, u).real) * cv, float(np.vdot(v, v).real) * cv,
-            float(np.vdot(v, u).real) * cv)
+    return dot_re(u, u) * cv, dot_re(v, v) * cv, dot_re(v, u) * cv
 
 
 def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
@@ -161,25 +159,35 @@ def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
 
     F = float(np.add.reduce(nl.F(u, **into(np.float64)), axis=None)) * cv
     f_u = nl.f(u, **into(np.float64 if nl.real_only else u.dtype))
-    # vdot widens a real f against a complex u
-    return F, dot_re(u, f_u, stencil) * cv
+    return F, dot_re(u, f_u) * cv
 
 
 def measure_arrays(u: np.ndarray, v: np.ndarray, grid: Grid,
                    nl: Nonlinearity | None,
                    stencil: Stencil | None = None) -> Integrals:
     """The six integrals of the state arrays (u, u_t = v), complex128 or
-    float64; stencil is the scratch of the gradient and of `dot_re`."""
-    return Integrals(*norm_integrals(u, v, grid, stencil),
+    float64; stencil is the scratch of the gradient and of f(u)."""
+    return Integrals(*norm_integrals(u, v, grid),
                      grad_sq_array(u, grid.spacing, stencil) * grid.cell_volume,
                      *potential_integrals(u, grid, nl, stencil))
 
 
 def measure(u: Field, v: Field, nl: Nonlinearity | None,
             stencil: Stencil | None = None) -> Integrals:
-    """The six integrals of the state (u, u_t = v). Raises GridMismatch
-    when u and v live on different grids."""
-    return measure_arrays(u.values, v.values, state_grid(u, v), nl, stencil)
+    """The six integrals of the state (u, u_t = v), in the dtype that
+    `state_arrays` picks, which a given stencil must have. Raises
+    GridMismatch when u and v live on different grids."""
+    grid = state_grid(u, v)
+    return measure_arrays(*state_arrays(u, v), grid, nl, stencil)
+
+
+def state_arrays(u: Field, v: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the state's arrays in the one dtype it is stepped and
+    measured in: float64 when both have an all-zero imaginary part (every
+    coupling maps reals to reals), else complex128."""
+    if not (u.values.imag.any() or v.values.imag.any()):
+        return u.values.real.copy(), v.values.real.copy()
+    return u.values.copy(), v.values.copy()
 
 
 def state_grid(u: Field, v: Field) -> Grid:

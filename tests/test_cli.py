@@ -564,15 +564,17 @@ def test_grid_spacing_not_a_normal_float_exit_two(tmp_path, capsys, argv,
     ("minkowski-m0-u2-A3", "data0.amplitude = 3.0", "data0.amplitude = 1e150",
      "F = inf, re_fu = inf"),
     ("bigrip-reject", "data0.amplitude = 6.0", "data0.amplitude = 1e300",
-     "L = inf, F = inf, re_fu = nan"),
+     "L = inf, F = inf, re_fu = inf"),
     ("desitter-thm2", "nonlin.lambda = 1.0",
-     "nonlin.lambda = 1.7976931348623157e308", "F = inf, re_fu = nan")],
+     "nonlin.lambda = 1.7976931348623157e308", "F = inf, re_fu = inf")],
     ids=["anchor-amplitude", "bigrip-amplitude", "desitter-lambda"])
 def test_overflowing_initial_integrals_print_one_line(tmp_path, scenario, old,
                                                       new, bad):
     """check on data whose integrals overflow: exit 2 and the config error
     as the only stderr line, without numpy's overflow warnings. In a
-    subprocess, so that a warning would reach its stderr."""
+    subprocess, so that a warning would reach its stderr. Real data are
+    summed in float64, where products that overflow to +inf sum to
+    re_fu = inf."""
     text = bundled_scenario_text(scenario)
     assert old in text
     cfg = write_cfg(tmp_path, text.replace(old, new))
@@ -753,6 +755,27 @@ def test_sweep_frontier(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_sweep_points_that_round_alike_get_own_directories(tmp_path,
+                                                            capsys):
+    """Three amplitudes within 1e-6 of 3 each write to their own directory,
+    labelled with the value frontier.csv gives, and the exact grid value
+    keeps its short name."""
+    cfg = write_cfg(tmp_path, bundled_scenario_text(
+        "minkowski-m0-u2-A3").replace("run.t_end = 1.75", "run.t_end = 0.05"))
+    out = tmp_path / "sweep-out"
+    assert main_entry(["sweep", cfg, "--axis",
+                       "data0.amplitude=3.0:3.000001:3", "--out",
+                       str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "frontier.csv") as fh:
+        amps = [r["data0.amplitude"] for r in csv.DictReader(fh)]
+    assert len(set(amps)) == 3 and amps[0] == "3"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(
+        f"amplitude{a}" for a in amps)
+    for a in amps:
+        assert (out / f"amplitude{a}" / "trace.csv").stat().st_size > 0
+
+
 def test_sweep_point_report_matches_simulate(tmp_path, capsys):
     """A sweep point writes the report of `simulate` on its overridden
     config: same keys in the same order, same values but the scenario name;
@@ -881,6 +904,13 @@ def test_sweep_bad_axis(tmp_path, capsys):
     assert rc == 2
     capsys.readouterr()
     out = tmp_path / "sweep-out"
+    # one key on both axes made each value's points share a directory
+    axis = "data0.amplitude=2:3:2"
+    rc = main_entry(["sweep", cfg, "--axis", axis, "--axis", axis, "--out",
+                     str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "error: axis key 'data0.amplitude' given twice\n"
     for ends in ("nan:3", "1:inf", "-inf:3", "one:3"):
         rc = main_entry(["sweep", cfg, "--axis", f"data0.amplitude={ends}:2",
                          "--out", str(out)])

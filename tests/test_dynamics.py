@@ -29,10 +29,11 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     dynamics, estimate_t_star, make_profile, parse_text,
                     run)
 from kgflrw.dynamics import (RK4Workspace, StepState, Stepper, _Background,
-                             _rk4, _state_arrays)
+                             _rk4)
 from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
                            TooFewSamples, WrapAroundRisk)
 from kgflrw.field import dot_re, lap_array
+from kgflrw.functionals import state_arrays
 from kgflrw.nonlinearity import Nonlinearity
 from kgflrw.scale_factor import ScaleFactor
 
@@ -415,7 +416,7 @@ def test_cfl_window_collapsing_below_dt_min_raises(H, dt_min, t_raise):
     u0, u1 = make_profile(grid, "homogeneous", 1.0), make_profile(
         grid, "homogeneous", 0.0)
     cfg = RunConfig(t_end=0.5, dt=1e-3, dt_min=dt_min, theorem_mode="none")
-    stepper = Stepper(StepState(0.0, *_state_arrays(u0, u1), cfg.dt, 2.0 *
+    stepper = Stepper(StepState(0.0, *state_arrays(u0, u1), cfg.dt, 2.0 *
                                 math.pi, 2.0 * math.pi, 0, ()),
                       DeSitter(H=H), params, None, grid, cfg)
     dts = []
@@ -458,7 +459,7 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
                  stepper.state.accept_streak, stepper.state.floor_ratios)
                 for t, dt, L, motion in steps]
 
-    full = stepper(StepState(scn.run.t0, *_state_arrays(u0, u1),
+    full = stepper(StepState(scn.run.t0, *state_arrays(u0, u1),
                              scn.run.dt, L0, L0, 0, ()))
     steps = full.steps()
     for t, _, L, _ in steps:
@@ -496,7 +497,7 @@ def test_background_computes_each_time_once(monkeypatch):
                         lambda sf, t: evals.append(t) or sf_eval(sf, t))
     monkeypatch.setattr(dynamics, "_coeffs",
                         lambda *a: factors.append(a) or coeffs(*a))
-    stepper = Stepper(StepState(scn.run.t0, *_state_arrays(u0, u1),
+    stepper = Stepper(StepState(scn.run.t0, *state_arrays(u0, u1),
                                 scn.run.dt, L0, L0, 0, ()),
                       scn.sf, scn.params, scn.nl, scn.grid, scn.run)
     for t, *_ in stepper.steps():

@@ -3,10 +3,11 @@
 The references below are the functionals as written before the six spatial
 integrals of a state were measured once: each one recomputes its norms from
 the fields, with the plain integrals of the `field` module of that time kept
-here verbatim. `measure` and the `Integrals` arithmetic perform the same
-floating-point operations in the same order, so both paths must agree bit for
-bit. The count tests check that a simulation and a certificate evaluation
-measure each state once.
+here verbatim. They are given the state's arrays in the dtype that
+`state_arrays` picks, as `measure` is. `measure` and the `Integrals`
+arithmetic perform the same floating-point operations in the same order, so
+both paths must agree bit for bit. The count tests check that a simulation
+and a certificate evaluation measure each state once.
 """
 
 import contextlib
@@ -32,6 +33,7 @@ _REL = 1e-9
 # reference integrals and functionals
 
 State = namedtuple("State", "t u v")
+Arrays = namedtuple("Arrays", "grid values")  # a field in the state's dtype
 
 
 def l2_norm_sq(fld: Field) -> float:
@@ -73,7 +75,7 @@ def ref_nehari(state, sf, params, nl):
     val = c2 / (a * a) * grad_norm_sq(state.u)
     val += params.m * params.m * c2 * l2_norm_sq(state.u)
     if nl is not None:
-        fu = Field(state.u.grid, np.asarray(nl.f(state.u.values), dtype=np.complex128))
+        fu = Arrays(state.u.grid, nl.f(state.u.values))
         val -= c2 * inner_re(fu, state.u)
     return val
 
@@ -169,32 +171,33 @@ def same_bits(x: float, y: float) -> bool:
 @given(states())
 def test_functionals_match_reference_bitwise(case):
     u0, u1, t0, sf, params, nl = case
-    state = State(t0, u0, u1)
+    r0, r1 = (Arrays(u0.grid, x) for x in functionals.state_arrays(u0, u1))
+    state = State(t0, r0, r1)
     a0 = sf.eval(t0)[0]
     assert a0 != 1.0
     rec = measure(u0, u1, nl)
     for new, ref in ((rec.energy, ref_energy), (rec.nehari, ref_nehari)):
         assert same_bits(new(a0, params), ref(state, sf, params, nl))
     assert same_bits(rec.rho(sf.eval(0.0)[0], params),
-                     ref_rho(u0, u1, sf, params, nl))
+                     ref_rho(r0, r1, sf, params, nl))
     assert same_bits(rec.delta(a0, params),
-                     ref_delta(u0, u1, t0, sf, params, nl))
+                     ref_delta(r0, r1, t0, sf, params, nl))
     assert (classify_table1(rec, a0, params)
-            == ref_classify_table1(u0, u1, t0, sf, params, nl))
+            == ref_classify_table1(r0, r1, t0, sf, params, nl))
     # the record itself, with the run's stencil
-    rec = measure(u0, u1, nl, Stencil(u0.grid.shape))
-    assert same_bits(rec.L, l2_norm_sq(u0))
-    assert same_bits(rec.ut_sq, l2_norm_sq(u1))
-    assert same_bits(rec.re_u_ut, inner_re(u0, u1))
-    assert same_bits(rec.grad_sq, grad_norm_sq(u0))
+    rec = measure(u0, u1, nl, Stencil(u0.grid.shape, r0.values.dtype))
+    assert same_bits(rec.L, l2_norm_sq(r0))
+    assert same_bits(rec.ut_sq, l2_norm_sq(r1))
+    assert same_bits(rec.re_u_ut, inner_re(r0, r1))
+    assert same_bits(rec.grad_sq, grad_norm_sq(r0))
     try:
         rep = evaluate(u0, u1, t0, sf, params, nl)
     except HorizonTooShort:
         return
     assert same_bits(rep.E_t0, ref_energy(state, sf, params, nl))
     assert same_bits(rep.I_u0, ref_nehari(state, sf, params, nl))
-    assert same_bits(rep.delta, ref_delta(u0, u1, t0, sf, params, nl))
-    assert rep.case_label == ref_classify_table1(u0, u1, t0, sf, params, nl)
+    assert same_bits(rep.delta, ref_delta(r0, r1, t0, sf, params, nl))
+    assert rep.case_label == ref_classify_table1(r0, r1, t0, sf, params, nl)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,13 @@ A run on uniform data skips the stencil; its oracle is the reference step
 with that path forced off, which must record the same trace bit for bit.
 
 On real data the kernels also run in float64. There the complex kernel is
-the oracle: the float64 path must give its real part bit for bit, and the
-same integrals, so that a run gives one trace whichever dtype it steps in.
+the oracle: the float64 stencils and RK4 step must give its real part bit
+for bit. A reduction sums in the array's own dtype, BLAS ddot on float64 and
+zdotc on complex128, in other orders, so the float64 sums are held to whole
+array zdotc of the same data within the summation bound
+gamma_n sum |a_i b_i| (Higham, Accuracy and Stability of Numerical
+Algorithms, section 3.1), and a float64 run takes the steps of the complex
+run of the same data.
 
 The kernels sweep the padded buffer in slabs of axis-0 planes; the test
 grids mostly fit one slab, so the last section shrinks `field.SLAB_BYTES`
@@ -24,16 +29,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RealAbsPower, bundled_scenario_text, config,
                     load_bundled_scenario, measure, run)
-from kgflrw import dynamics, field
+from kgflrw import dynamics, field, functionals
 from kgflrw.cli import trace_csv_text
 from kgflrw.dynamics import RK4Workspace, RunConfig, _Background, _rk4
-from kgflrw.field import (Field, Stencil, _deriv_loaded, grad_sq_array,
-                          lap_array, make_profile)
+from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
+                          grad_sq_array, lap_array, make_profile)
 from kgflrw.functionals import (measure_arrays, norm_integrals,
                                 potential_integrals)
 
@@ -327,7 +332,7 @@ def test_uniform_run_matches_stencil_run_bitwise(problem, data):
     data with one cell of u0 or u1 moved by one ulp take the stencil."""
     u0, u1, sf, params, nl, cfg = problem
     args = (u0, u1, sf, params, nl, cfg)
-    assert dynamics._is_uniform(*dynamics._state_arrays(u0, u1))
+    assert dynamics._is_uniform(*functionals.state_arrays(u0, u1))
     with pytest.MonkeyPatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
         grads = count_calls(mp, dynamics, "grad_sq_array")
@@ -346,7 +351,7 @@ def test_uniform_run_matches_stencil_run_bitwise(problem, data):
     flat[cell] = complex(np.nextafter(flat[cell].real, np.inf),
                          flat[cell].imag)
     u0, u1 = (Field(u0.grid, x) for x in vals)
-    assert not dynamics._is_uniform(*dynamics._state_arrays(u0, u1))
+    assert not dynamics._is_uniform(*functionals.state_arrays(u0, u1))
     with pytest.MonkeyPatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
         run(u0, u1, sf, params, nl, cfg)
@@ -413,14 +418,49 @@ def hexes(values) -> list[str]:
 @settings(max_examples=60, deadline=None)
 @given(fields())
 def test_real_stencils_match_complex_kernel_bitwise(case):
+    """The float64 stencils give the real part of the complex ones; the
+    gradient sum is vdot, in float64, of that part of the reference
+    derivative."""
     h, vals = case
     r = vals.real.copy()
     z = r.astype(np.complex128)
     ws = Stencil(r.shape, np.float64)
+    total = 0.0
+    for ax in range(r.ndim):
+        d = real_part(ref_deriv_array(z, ax, h))
+        total += float(np.vdot(d, d))
     for _ in range(2):  # a reused workspace carries nothing over
         assert_bitwise(lap_array(r, h, ws), real_part(lap_array(z, h)))
-        assert grad_sq_array(r, h, ws).hex() == grad_sq_array(z, h).hex()
-    assert grad_sq_array(r, h).hex() == grad_sq_array(z, h).hex()
+        assert grad_sq_array(r, h, ws).hex() == total.hex()
+    assert grad_sq_array(r, h).hex() == total.hex()
+
+
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1.0 - n * u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(8, 64), st.integers(0, 2**32 - 1),
+       st.floats(1e-3, 1e3), st.booleans())
+@example(1, 64, 0, 3.0, True)  # the anchor's u0
+def test_real_dot_within_summation_bound_of_zdotc(n, N, seed, scale,
+                                                  uniform):
+    """dot_re of float64 arrays (BLAS ddot) against whole-array zdotc of the
+    same arrays widened to complex128. Both sum the same products in other
+    orders, each within gamma_n sum |a_i b_i| of the exact sum; their
+    difference is held to that one bound. Uniform draws have every cell
+    equal, like the anchor's 64 cells; the sums can still differ there."""
+    rng = np.random.default_rng(seed)
+    shape = (N,) * n
+    a, b = (scale * (np.full(shape, rng.normal()) if uniform
+                     else rng.normal(size=shape)) for _ in range(2))
+    for x, y in ((a, a), (b, b), (b, a)):
+        wide = float(np.vdot(x.astype(np.complex128),
+                             y.astype(np.complex128)).real)
+        bound = gamma(x.size) * float(np.sum(np.abs(x * y)))
+        assert abs(dot_re(x, y) - wide) <= bound
 
 
 REAL_NONLINEARITIES = NONLINEARITIES + (RealAbsPower(p=3.0, sign=-1),)
@@ -460,6 +500,9 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
        st.floats(1e-2, 3.0))
 def test_real_integrals_match_complex_measure_bitwise(n, N, half_width, nl,
                                                       seed, scale):
+    """`measure` of complex128 fields with real values measures them in
+    float64: the bits of measure_arrays of the float64 arrays, with and
+    without a stencil."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)
     u, v = (scale * rng.normal(size=grid.shape) for _ in range(2))
@@ -500,8 +543,13 @@ def gaussian_scenario(n: int, N: int):
 
 
 def test_real_run_matches_complex_run(monkeypatch):
-    """The anchor blow-up run and small 2D and 3D Gaussian runs record the
-    same trace bit for bit in float64 as with the complex workspace forced."""
+    """The anchor blow-up run and small 2D and 3D Gaussian runs take the
+    same steps in float64 as with the complex workspace forced: the same t
+    and dt on every row, the same step counts and the same blow-up. The
+    states are the same bits, so each recorded integral is the same sum in
+    another order, held to gamma_n sum |a_i b_i| as in the dot test above:
+    gamma_n L for ||u||^2 and ||u_t||^2, and 2 gamma_n sqrt(L ||u_t||^2)
+    (Cauchy-Schwarz) for L' = 2 Re(u, u_t)."""
     seen = workspace_dtypes(monkeypatch)
     cases = [(load_bundled_scenario("minkowski-m0-u2-A3"), math.pi ** 2, "thm1"),
              (gaussian_scenario(2, 32), None, "none"),
@@ -514,14 +562,22 @@ def test_real_run_matches_complex_run(monkeypatch):
 
     real = [simulate(*case) for case in cases]
     assert seen == [np.float64] * 3
-    monkeypatch.setattr(dynamics, "_state_arrays",
+    monkeypatch.setattr(dynamics, "state_arrays",
                         lambda u0, u1: (u0.values.copy(), u1.values.copy()))
     wide = [simulate(*case) for case in cases]
     assert seen[3:] == [np.complex128] * 3
-    for fast, slow in zip(real, wide):
+    for (scn, _, _), fast, slow in zip(cases, real, wide):
         assert len(fast.rows) > 4
-        assert trace_csv_text(fast) == trace_csv_text(slow)
-        assert fast.meta == slow.meta
+        assert [(r.t, r.dt) for r in fast.rows] == [(r.t, r.dt)
+                                                     for r in slow.rows]
+        g = gamma(math.prod(scn.grid.shape))
+        for f, s in zip(fast.rows, slow.rows):
+            assert abs(f.L - s.L) <= g * s.L
+            assert abs(f.ut_sq - s.ut_sq) <= g * s.ut_sq
+            assert abs(f.Lp - s.Lp) <= 2.0 * g * math.sqrt(s.L * s.ut_sq)
+        assert abs(fast.meta["L0"] - slow.meta["L0"]) <= g * slow.meta["L0"]
+        for key in ("accepted", "rejected", "t_final", "reached_t_end"):
+            assert fast.meta[key] == slow.meta[key]
         assert fast.blowup == slow.blowup
     assert real[0].blowup.t_star is not None
 
@@ -591,8 +647,8 @@ def test_multi_slab_stencils_match_reference_bitwise(case, rows_seed, real):
         assert_bitwise(lap_array(vals, h, ws), ref(ref_lap_array(z, h)))
         total = 0.0
         for ax in range(vals.ndim):
-            d = ref_deriv_array(z, ax, h)
-            assert_bitwise(deriv_array(vals, ax, h, ws), ref(d))
+            d = ref(ref_deriv_array(z, ax, h))
+            assert_bitwise(deriv_array(vals, ax, h, ws), d)
             total += float(np.vdot(d, d).real)
         assert grad_sq_array(vals, h, ws).hex() == total.hex()
 
@@ -639,16 +695,18 @@ def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
                                                      seed, scale, rows_seed,
                                                      real):
     """measure_arrays over several slabs, with F and f written into the
-    stencil's buffer, against `measure` of the complex fields."""
+    stencil's buffer, against measure_arrays of the same arrays in one
+    slab, in float64 and in complex128."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)
     u, v = (scale * (rng.normal(size=grid.shape)
                      + 1j * rng.normal(size=grid.shape)) for _ in range(2))
     if real or (nl is not None and nl.real_only):
         u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
-    want = measure(Field(grid, u), Field(grid, v), nl)
     if real:
         u, v = u.real.copy(), v.real.copy()
+    assert len(Stencil(u.shape, u.dtype).slabs) == 1
+    want = measure_arrays(u, v, grid, nl)
     ws = sliced(u.shape, u.dtype, rows_seed,
                 lambda: Stencil(u.shape, u.dtype))
     for _ in range(2):
@@ -696,12 +754,12 @@ def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
 
     def step_and_row(t):
         u_new, v_new = _rk4(t, 1e-3, bg, params, nl, h, ws)
-        norm_integrals(u_new, v_new, grid, ws.stencil)
+        norm_integrals(u_new, v_new, grid)
         ws.accept()
         grad_sq_array(ws.u, h, ws.stencil)
         potential_integrals(ws.u, grid, nl, ws.stencil)
 
-    step_and_row(0.0)  # builds what is built once: `Stencil.wide`
+    step_and_row(0.0)  # builds what is built once: `Stencil.deriv`
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
