@@ -308,7 +308,9 @@ def _sweep_point(payload) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cores = os.cpu_count() or 1
+    # the CPUs this process may run on: its affinity mask, where there is one
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     if not 1 <= args.jobs <= cores:
         print(f"error: --jobs must be between 1 and {cores}, got {args.jobs}",
               file=sys.stderr)

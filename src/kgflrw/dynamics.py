@@ -12,11 +12,12 @@ next step's start. A stage finishes one stencil slab at a time, so that its
 temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
-same for u1) steps one scalar state, the homogeneous ODE: `_rk4_uniform`
-does the array kernel's operations in its order, with lap u = +0.0 (the
-difference form's bits on a uniform array), on the first cell's u and v as
-Python scalars, and fills the trial state; the gradient of an accepted
-state is 0.0. The bits are the kernel's: Python's +, - and * are numpy's
+same for u1) steps one scalar state, the homogeneous ODE: once `_cells` has
+found the data uniform, the run holds the first cell's u and v as Python
+scalars and builds no whole array; only `Stepper.checkpoint()` fills one.
+`_rk4_uniform` does the array kernel's operations in its order, with
+lap u = +0.0 (the difference form's bits on a uniform array), so the
+step's bits are the kernel's at every cell: Python's +, - and * are numpy's
 IEEE operations as long as every multiplier is real (numpy's complex times
 complex may round otherwise). On a float64 state at gauge p = 2, where the
 power |u|^(p-1) is |u| exactly, f(u) is `nl.scalar_f()` of a Python float.
@@ -24,10 +25,14 @@ Otherwise it is `nl.f` on a one-cell array: numpy's AVX-512 power differs
 from libm's pow in 7 018 of 200 000 random draws, and its complex abs from
 Python's abs(complex) in 73 963 of 200 000. Cells that `==` calls equal may
 differ in the sign of a zero, which the scalar step takes from the first
-cell. The trace never sees it: a step only adds, subtracts and multiplies,
-and the trace reads the state through BLAS dot products (ddot or zdotc, in
-the state's dtype), which start from +0.0, and through F of |u| (the real
-family's F reads the sign of u, but a real uniform u0 is nonzero).
+cell. The run measures such a state as one cell times the box volume
+V = cell volume * N^n (`Grid.volume`): ||u||^2 = |u|^2 V, ||u_t||^2 =
+|v|^2 V, Re(u, u_t) = Re(conj(v) u) V, each product sum started from +0.0
+as a BLAS dot starts, so the sign of a zero velocity never reaches the
+trace; F and Re f(u) conj(u) are nl.F and nl.f on the one-cell array times
+V, and the gradient is 0.0. These are the exact cell sums up to a few
+roundings; a whole-array dot adds up to gamma_N sum |a_i b_i| (Higham,
+Accuracy and Stability of Numerical Algorithms, section 3.1).
 
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
@@ -57,12 +62,11 @@ import numpy as np
 
 from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
                      WrapAroundRisk)
-from .field import Field, Grid, Stencil, dot_re, grad_sq_array, lap_slab
+from .field import Field, Grid, Stencil, grad_sq_array, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
-                          kappa_tilde_for_mode, measure_arrays,
-                          norm_integrals, potential_integrals, state_arrays,
-                          state_grid)
+                          kappa_tilde_for_mode, norm_integrals,
+                          potential_integrals, state_arrays, state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -154,34 +158,42 @@ class _Background:
 
 
 class RK4Workspace:
-    """The arrays one integration works in, allocated once per run in the
-    dtype that `state_arrays` chose, which the run also measures in.
+    """The state one integration works in, set up once per run in the dtype
+    that `state_arrays` chose, which the run also measures in.
 
-    Whole arrays: the accepted state `u`, `v`, the state `trial_u`,
-    `trial_v` that `_rk4` proposes (`accept()` swaps the pairs), a stage's
-    input `su`, `sv` (the next stage's Laplacian reads all of su) and the
-    `stencil`. Scratch of one slab: dv/dt `kv` and a term `tmp`, which also
-    takes f(u) in float64 (a complex f allocates its slab-sized value).
-    `slabs` holds each stencil slab with its views of (u, v, trial_u,
-    trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None.
+    `uniform` marks a run that steps one scalar state (`_rk4_uniform`),
+    given as its scalar pair or as arrays that `_cells` reduces to one. Its
+    accepted state `u`, `v` and the trial state `trial_u`, `trial_v` are
+    Python scalars, the value of every cell (`accept()` swaps the pairs);
+    it has no whole array and no stencil, and its gradient is 0.0. In
+    complex128, or where nl's `scalar_f()` is None, f(u) goes through the
+    one-cell `cell` and its `out`, `cell_f` (None in complex128, as for a
+    slab); a recorded row evaluates F and f on `cell` too.
 
-    `uniform` (`_is_uniform` of the data) marks a run that steps one
-    scalar state (`_rk4_uniform`), and the stepper takes ||grad u||^2 =
-    0.0. In complex128, or where nl's `scalar_f()` is None, f(u) goes
-    through the one-cell `cell` and its `out`, `cell_f` (None in
-    complex128, as for a slab)."""
+    Otherwise whole arrays: the accepted state `u`, `v`, the trial state
+    `trial_u`, `trial_v`, a stage's input `su`, `sv` (the next stage's
+    Laplacian reads all of su) and the `stencil`. Scratch of one slab: dv/dt
+    `kv` and a term `tmp`, which also takes f(u) in float64 (a complex f
+    allocates its slab-sized value). `slabs` holds each stencil slab with
+    its views of (u, v, trial_u, trial_v, su, sv, kv, tmp) and the `out` of
+    f: tmp or None."""
 
-    def __init__(self, u: np.ndarray, v: np.ndarray):
-        self.u, self.v = u, v
-        self.uniform = _is_uniform(u, v)
+    def __init__(self, u, v):
+        u, v = _cells(u, v)
+        self.uniform = not isinstance(u, np.ndarray)
+        dtype = np.result_type(u)
+        real = dtype == np.float64
+        self.cell = np.empty(1, dtype)
+        self.cell_f = np.empty(1, dtype) if real else None
+        self.u, self.v = self.trial_u, self.trial_v = u, v
+        if self.uniform:
+            self.slabs = self._swapped = ()
+            return
         self.trial_u, self.trial_v, self.su, self.sv = (
             np.empty_like(u) for _ in range(4))
-        self.stencil = Stencil(u.shape, u.dtype)
+        self.stencil = Stencil(u.shape, dtype)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
-        self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
-        real = u.dtype == np.float64
-        self.cell = np.empty(1, u.dtype)
-        self.cell_f = np.empty(1, u.dtype) if real else None
+        self.kv, self.tmp = (np.empty(shape, dtype) for _ in range(2))
         self.slabs = []
         for slab in self.stencil.slabs:
             kv, tmp = (x[:slab.rows.stop - slab.rows.start]
@@ -197,12 +209,26 @@ class RK4Workspace:
         self.v, self.trial_v = self.trial_v, self.v
         self.slabs, self._swapped = self._swapped, self.slabs
 
+    def grad_sq(self, h: float) -> float:
+        """The cell sum of |grad u|^2 of the accepted state: 0.0 on a
+        uniform one, else `grad_sq_array` through the stencil."""
+        return 0.0 if self.uniform else grad_sq_array(self.u, h, self.stencil)
+
 
 def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether every cell of u equals u's first cell, every cell of v equals
     v's first cell, and both first cells are finite."""
     return all(np.isfinite(x.flat[0]) and bool(np.all(x == x.flat[0]))
                for x in (u, v))
+
+
+def _cells(u, v) -> tuple:
+    """The state as a run steps and measures it: the first cells' Python
+    scalars for uniform arrays (`_is_uniform`), else u and v as given (the
+    arrays, or a scalar pair already)."""
+    if isinstance(u, np.ndarray) and _is_uniform(u, v):
+        return u.item(0), v.item(0)
+    return u, v
 
 
 def _coeffs(vals, params) -> tuple:
@@ -243,8 +269,9 @@ def _rhs_cell(k, u, v, nl, f, ws: RK4Workspace):
 
 def _rk4_uniform(t, dt, bg, params, nl, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
-    order, on the first cell's u and v, filled into the trial buffers."""
-    u, v = ws.u.item(0), ws.v.item(0)
+    order, on the scalar pair `ws.u`, `ws.v`, into `ws.trial_u`,
+    `ws.trial_v`."""
+    u, v = ws.u, ws.v
     f = nl.scalar_f() if nl is not None and ws.cell_f is not None else None
     hm = 0.5 * dt
     acc_v = _rhs_cell(bg.coeffs(t, params), u, v, nl, f, ws)
@@ -256,8 +283,8 @@ def _rk4_uniform(t, dt, bg, params, nl, ws: RK4Workspace):
         su, sv = u + step_next * sv, v + step_next * kv
     kv = _rhs_cell(bg.coeffs(t + dt, params), su, sv, nl, f, ws)
     sixth = dt / 6.0
-    ws.trial_u.fill(u + sixth * (acc_u + sv))
-    ws.trial_v.fill(v + sixth * (acc_v + kv))
+    ws.trial_u = u + sixth * (acc_u + sv)
+    ws.trial_v = v + sixth * (acc_v + kv)
     return ws.trial_u, ws.trial_v
 
 
@@ -273,8 +300,8 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
     trial buffers stage by stage, in that order, so every element sees the
     operations of the plain formula and the result is the same bit for
-    bit. A uniform workspace takes `_rk4_uniform` instead. bg is the run's
-    `_Background`."""
+    bit. A uniform workspace takes `_rk4_uniform` instead, whose state and
+    trial state are scalar pairs. bg is the run's `_Background`."""
     if ws.uniform:
         return _rk4_uniform(t, dt, bg, params, nl, ws)
     hm = 0.5 * dt
@@ -321,11 +348,14 @@ class StepState:
     """The accepted state (u, v) at t, the step size dt to try next, ||u||^2
     at the start (L0, blowup_threshold's unit) and at t (L_prev), the accepts
     since dt last changed and the growth ratios of the last (up to three)
-    steps accepted at the dt_min floor."""
+    steps accepted at the dt_min floor. (u, v) are whole arrays, or the
+    Python scalars of a uniform state's cell: `run()` starts from those
+    (`_cells`), the stepper keeps its workspace's accepted pair here, and
+    `Stepper.checkpoint()` fills whole arrays from them."""
 
     t: float
-    u: np.ndarray
-    v: np.ndarray
+    u: np.ndarray | float | complex
+    v: np.ndarray | float | complex
     dt: float
     L0: float
     L_prev: float
@@ -334,8 +364,8 @@ class StepState:
 
 
 class Stepper:
-    """Adaptive RK4 from a `StepState`, stepping in its arrays and keeping it
-    current: a stepper built from `checkpoint()` takes the same steps bit for
+    """Adaptive RK4 from a `StepState`, stepping in its arrays or scalar pair
+    and keeping it current: a stepper built from `checkpoint()` takes the same steps bit for
     bit. `steps()` yields (t, dt, L, motion) of each accepted step until t_end
     or `blowup`: the new time, its length, ||u||^2 and the motion integrals
     (||u_t||^2, Re(u, u_t), ||grad u||^2),
@@ -378,7 +408,12 @@ class Stepper:
         return window
 
     def checkpoint(self) -> StepState:
-        return replace(self.state, u=self.ws.u.copy(), v=self.ws.v.copy())
+        ws = self.ws
+        if ws.uniform:  # the only whole arrays of a uniform run
+            u, v = (np.full(self.grid.shape, x) for x in (ws.u, ws.v))
+        else:
+            u, v = ws.u.copy(), ws.v.copy()
+        return replace(self.state, u=u, v=v)
 
     def steps(self):
         st, ws, bg, cfg = self.state, self.ws, self.bg, self.cfg
@@ -414,9 +449,7 @@ class Stepper:
             if st.accept_streak >= 4 and st.dt < cfg.dt:
                 st.dt = min(cfg.dt, 2.0 * st.dt)
                 st.accept_streak = 0
-            grad_sq = (0.0 if ws.uniform
-                       else grad_sq_array(ws.u, h, ws.stencil))
-            motion = (ut_sq, re_u_ut, grad_sq * cv)
+            motion = (ut_sq, re_u_ut, ws.grad_sq(h) * cv)
             if not (math.isfinite(ut_sq) and math.isfinite(motion[2])):
                 self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
                 return
@@ -493,8 +526,9 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     if mode not in ("thm1", "thm2", "none"):
         raise ValueError("mode must be thm1, thm2 or none")
     grid = state_grid(u0, u1)
-    u, v = state_arrays(u0, u1)
-    L0 = dot_re(u, u) * grid.cell_volume
+    u, v = _cells(*state_arrays(u0, u1))
+    norms = norm_integrals(u, v, grid)
+    L0 = norms[0]
     if L0 <= 0:
         raise InvariantViolation("dynamics", "initial data must be nonzero")
     stepper = Stepper(StepState(cfg.t0, u, v, cfg.dt, L0, L0, 0, ()), sf,
@@ -507,7 +541,9 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                 f"support radius {support_radius} already fills the box")
     ws, bg = stepper.ws, stepper.bg
     acc = RunningIntegrals(params.n, params.c)
-    rec = measure_arrays(ws.u, ws.v, grid, nl, ws.stencil)
+    scratch = ws.cell if ws.uniform else ws.stencil
+    rec = Integrals(*norms, ws.grad_sq(grid.spacing) * grid.cell_volume,
+                    *potential_integrals(u, grid, nl, scratch))
     a, adot, addot = bg.eval(cfg.t0)
     E_t0 = rec.energy(a, params)
     snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
@@ -525,8 +561,8 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         wrapped = margin <= 0
         if (since_record >= cfg.record_every or stepper.done and not wrapped
                 or nl is not None and L >= tail_start * L0):
-            rec = Integrals(L, *motion, *potential_integrals(ws.u, grid, nl,
-                                                             ws.stencil))
+            rec = Integrals(L, *motion,
+                            *potential_integrals(ws.u, grid, nl, scratch))
             rows.append(snapshot(t, dt_used, rec, a, adot, acc, margin))
             since_record = 0
         if wrapped:

@@ -78,6 +78,12 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing ** self.n
 
+    @cached_property
+    def volume(self) -> float:
+        """The cell volume times the number of cells: a uniform state's
+        integrals are its one cell's values times this."""
+        return self.cell_volume * self.points_per_axis ** self.n
+
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.n

@@ -24,7 +24,10 @@ state, measured once per state into `Integrals` by `measure`: ||u||^2,
 is a plain cell sum times the cell volume, which on a smooth periodic
 integrand converges faster than any power of h. The state is measured in
 one dtype, the one `state_arrays` picks for `measure` and for a run: float64
-for real data, else complex128; each sum is taken in that dtype.
+for real data, else complex128; each sum is taken in that dtype. A run on
+uniform data measures its state as one cell, given as Python scalars, times
+the box volume (`norm_integrals`, `potential_integrals`): every cell sum of
+such a state is N^n times that cell's term.
 
 Two data margins certify blow-up: rho (norm-weighted, start at t0 = 0) and
 delta (velocity-weighted, any admissible t0):
@@ -138,24 +141,44 @@ class Integrals(NamedTuple):
         return lead - self.energy(a, params)
 
 
-def norm_integrals(u: np.ndarray, v: np.ndarray,
-                   grid: Grid) -> tuple[float, float, float]:
-    """||u||^2, ||u_t||^2 and Re(u, u_t) of the arrays of a state."""
-    cv = grid.cell_volume
-    return dot_re(u, u) * cv, dot_re(v, v) * cv, dot_re(v, u) * cv
+def _cell_dot(a, b) -> float:
+    """Re(conj(a) b) of two Python scalars, started from +0.0 as a BLAS dot
+    is, so that a -0.0 product gives +0.0."""
+    return 0.0 + (a.real * b.real + a.imag * b.imag)
 
 
-def potential_integrals(u: np.ndarray, grid: Grid, nl: Nonlinearity | None,
-                        stencil: Stencil | None = None) -> tuple[float, float]:
+def norm_integrals(u, v, grid: Grid) -> tuple[float, float, float]:
+    """||u||^2, ||u_t||^2 and Re(u, u_t) of a state: of its arrays, or of
+    a uniform state given as its one cell's Python scalars, whose products
+    are weighted by the box volume `grid.volume`."""
+    if isinstance(u, np.ndarray):
+        cv = grid.cell_volume
+        return dot_re(u, u) * cv, dot_re(v, v) * cv, dot_re(v, u) * cv
+    vol = grid.volume
+    return (_cell_dot(u, u) * vol, _cell_dot(v, v) * vol,
+            _cell_dot(v, u) * vol)
+
+
+def potential_integrals(u, grid: Grid, nl: Nonlinearity | None,
+                        scratch: Stencil | np.ndarray | None = None
+                        ) -> tuple[float, float]:
     """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation.
-    With a stencil, F and f are written into its padded buffer's memory
-    (`Stencil.spare`), which this overwrites."""
+    Of the array u, with scratch None or a `Stencil`, into whose padded
+    buffer (`Stencil.spare`) F and f are written. Of a uniform state given
+    as its one cell's Python scalar u, with scratch a one-cell array of the
+    state's dtype: nl.F and nl.f of u in that array (numpy's loops, as on a
+    whole array), times the box volume. Either scratch is overwritten."""
     if nl is None:
         return 0.0, 0.0
+    if not isinstance(u, np.ndarray):
+        scratch[0] = u
+        vol = grid.volume
+        return (nl.F(scratch).item(0) * vol,
+                _cell_dot(u, nl.f(scratch).item(0)) * vol)
     cv = grid.cell_volume
 
     def into(dtype) -> dict:
-        return {} if stencil is None else {"out": stencil.spare(dtype)}
+        return {} if scratch is None else {"out": scratch.spare(dtype)}
 
     F = float(np.add.reduce(nl.F(u, **into(np.float64)), axis=None)) * cv
     f_u = nl.f(u, **into(np.float64 if nl.real_only else u.dtype))

@@ -357,6 +357,26 @@ def test_overflowed_initial_data_exit_two(tmp_path, capsys):
     assert not (tmp_path / "ovf-out").exists()
 
 
+def test_signed_zero_velocity_writes_one_trace(tmp_path, capsys):
+    """The anchor cut to run.t_end = 0.05 at data1.amplitude = 0.0 and at
+    -0.0 writes byte-identical trace.csv files: a uniform run's sums start
+    from +0.0, as a BLAS dot does, so the sign of a zero velocity (which
+    the scalar step carries) never reaches a column."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3").replace(
+        "run.t_end = 1.75", "run.t_end = 0.05")
+    traces = []
+    for amp in ("0.0", "-0.0"):
+        assert "data1.amplitude = 0.0" in text
+        cfg = write_cfg(tmp_path, text.replace(
+            "data1.amplitude = 0.0", f"data1.amplitude = {amp}"),
+            name=f"zero{amp}.cfg")
+        out = tmp_path / f"out{amp}"
+        assert main_entry(["simulate", cfg, "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    capsys.readouterr()
+    assert traces[0] == traces[1] and len(traces[0].splitlines()) > 5
+
+
 def test_simulate_zero_data_exit_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SWEEP_CFG.replace(
         "data0.amplitude = 3", "data0.amplitude = 0.0"))
@@ -877,8 +897,16 @@ def test_fields_built_once_per_simulate_and_sweep_point(tmp_path, capsys,
     assert (len(calls), len(profiles)) == (4, 8)
 
 
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_sweep_rejects_jobs_out_of_range(tmp_path, capsys, monkeypatch, jobs):
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def assert_jobs_rejected(tmp_path, capsys, monkeypatch, jobs) -> str:
+    """sweep with --jobs jobs exits 2 with one stderr line, before it starts
+    a pool or writes anything; returns that line."""
     class NoPool:
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was started")
@@ -893,6 +921,22 @@ def test_sweep_rejects_jobs_out_of_range(tmp_path, capsys, monkeypatch, jobs):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--jobs" in captured.err
     assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("jobs", [0, -1, usable_cpus() + 1])
+def test_sweep_rejects_jobs_out_of_range(tmp_path, capsys, monkeypatch, jobs):
+    assert_jobs_rejected(tmp_path, capsys, monkeypatch, jobs)
+
+
+def test_sweep_jobs_bounded_by_the_affinity_mask(tmp_path, capsys,
+                                                 monkeypatch):
+    """A process pinned to one CPU may not start two jobs, however many
+    CPUs the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    err = assert_jobs_rejected(tmp_path, capsys, monkeypatch, 2)
+    assert err == "error: --jobs must be between 1 and 1, got 2\n"
 
 
 def test_sweep_bad_axis(tmp_path, capsys):

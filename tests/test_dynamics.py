@@ -438,7 +438,9 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
     run reaches, at its first growing step at the floor. A new stepper built
     from the checkpoint takes every later step of the uninterrupted run,
     leaves the same record after each, and ends in the same state and on the
-    same blow-up, bit for bit."""
+    same blow-up, bit for bit. The anchor is uniform, so the run steps a
+    scalar pair and the checkpoint fills whole arrays with it: every cell
+    must hold the accepted pair's bits."""
     text = bundled_scenario_text("minkowski-m0-u2-A3")
     if case == "at-floor":
         text = text.replace("run.dt_min = 1e-12", "run.dt_min = 1e-4")
@@ -467,7 +469,11 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
             break
     ck = full.checkpoint()
     assert ck.t == t and ck.L_prev == L and ck.L0 == L0
-    assert ck.u is not full.ws.u and np.array_equal(ck.u, full.ws.u)
+    assert full.ws.uniform and (full.state.u, full.state.v) == (
+        full.ws.u, full.ws.v)
+    for arr, x in ((ck.u, full.ws.u), (ck.v, full.ws.v)):
+        assert arr.dtype == np.float64 and arr.shape == scn.grid.shape
+        assert {float(c).hex() for c in arr.flat} == {x.hex()}
     rejected = full.rejected
     rest = bits(full, steps)
 
@@ -476,7 +482,7 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
     assert resumed.rejected == full.rejected - rejected
     assert resumed.blowup == full.blowup
     for a, b in ((resumed.ws.u, full.ws.u), (resumed.ws.v, full.ws.v)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert type(a) is type(b) is float and a.hex() == b.hex()
     if case == "tail":  # the restart point of a tail re-integration
         assert 1.5 < t < 1.6 and len(rest) > 100 and resumed.rejected > 0
     if case == "at-floor":

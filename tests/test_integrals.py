@@ -6,24 +6,29 @@ the fields, with the plain integrals of the `field` module of that time kept
 here verbatim. They are given the state's arrays in the dtype that
 `state_arrays` picks, as `measure` is. `measure` and the `Integrals`
 arithmetic perform the same floating-point operations in the same order, so
-both paths must agree bit for bit. The count tests check that a simulation
-and a certificate evaluation measure each state once.
+both paths must agree bit for bit. A uniform run measures its state as one
+cell times the box volume; that measure is held to the exact rational sum of
+its N^n equal cells. The count tests check that a simulation and a
+certificate evaluation measure each state once, and that a uniform run sums
+no array while it steps.
 """
 
 import contextlib
 import io
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RealAbsPower, bundled_scenario_text,
                     classify_table1, evaluate, field, measure)
-from kgflrw import cli, dynamics, functionals, hypotheses
+from kgflrw import cli, config, dynamics, functionals, hypotheses
 from kgflrw.cli import main_entry, parse_report
 from kgflrw.errors import GridMismatch, HorizonTooShort
+from kgflrw.dynamics import RunConfig, Stepper, StepState
 from kgflrw.field import Field, Stencil, grad_sq_array
 
 _REL = 1e-9
@@ -231,12 +236,14 @@ def count_stencils(monkeypatch) -> list:
 
 
 def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
-    """A simulation evaluates the gradient once for evaluate, once for the
-    initial state and once per accepted step of non-uniform data (the
-    anchor's uniform states have gradient +0.0 without the stencil), and
-    builds two stencils: the run's and evaluate's. The anchor blows up and
-    records every step of its tail; the shortened smooth run ends between
-    two recorded steps, so its last row comes after the loop."""
+    """A simulation evaluates the gradient once for evaluate, and on
+    non-uniform data once for the initial state and once per accepted step;
+    it builds evaluate's stencil and, for non-uniform data, the run's. The
+    anchor's uniform run measures one cell, with gradient 0.0, from its
+    initial state on, so it takes neither the gradient nor a stencil. The
+    anchor blows up and records every step of its tail; the shortened
+    smooth run ends between two recorded steps, so its last row comes
+    after the loop."""
     grads = count_calls(monkeypatch, field.grad_sq_array)
     stencils = count_stencils(monkeypatch)
     smooth = bundled_scenario_text("desitter-smooth").replace(
@@ -253,8 +260,8 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
         report = parse_report((out / "report.txt").read_text())
         accepted = report["run.accepted_steps"]
         assert accepted > min_steps
-        assert len(grads) == (2 if name == "anchor" else accepted + 2)
-        assert len(stencils) <= 2
+        assert len(grads) == (1 if name == "anchor" else accepted + 2)
+        assert len(stencils) == (1 if name == "anchor" else 2)
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert float(rows[-1].split(",")[0]) == report["run.t_final"]
     assert accepted % 20 != 0  # the last row is not a recorded step
@@ -279,3 +286,153 @@ def test_evaluate_measures_the_data_once(monkeypatch):
     evaluate(u0, u1, 0.0, DeSitter(H=0.3, n=2),
              PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2), nl)
     assert (len(grads), len(stencils), calls) == (1, 1, {"F": 1, "f": 1})
+
+
+# ---------------------------------------------------------------------------
+# a uniform state, measured as one cell
+
+
+def gamma_units(k: int) -> Fraction:
+    """Higham's gamma_k for k roundings, k 2^-53 / (1 - k 2^-53), exactly."""
+    return Fraction(k, 2 ** 53 - k)
+
+
+def exact_dot(a, b) -> Fraction:
+    """Re(conj(a) b) of two Python scalars, exactly."""
+    return (Fraction(a.real) * Fraction(b.real)
+            + Fraction(a.imag) * Fraction(b.imag))
+
+
+def abs_dot(a, b) -> Fraction:
+    """|Re a Re b| + |Im a Im b|: the terms of exact_dot, at most |a| |b|."""
+    return (abs(Fraction(a.real) * Fraction(b.real))
+            + abs(Fraction(a.imag) * Fraction(b.imag)))
+
+
+def assert_within(got: float, exact: Fraction, scale: Fraction, k: int,
+                  vol: Fraction):
+    """got is exact up to k roundings, each 2^-53 relative to scale, or,
+    where a product underflows, 2^-1074 absolute before the volume vol."""
+    tiny = k * vol / 2 ** 1074
+    assert abs(Fraction(got) - exact) <= gamma_units(k) * scale + tiny
+
+
+def amplitudes(real: bool):
+    part = st.floats(-10.0, 10.0, allow_subnormal=False)
+    if real:
+        return part
+    return st.builds(complex, part, part)
+
+
+@st.composite
+def uniform_states(draw):
+    """A uniform state on a grid of dimension 1-3 with N = 8-64 points per
+    axis: a nonzero real or complex amplitude, a velocity of the same kind
+    (or a signed zero), and a nonlinearity that steps such data."""
+    n = draw(st.integers(1, 3))
+    grid = Grid(n=n, points_per_axis=draw(st.integers(8, 64)),
+                half_width=draw(st.floats(0.5, 4.0)))
+    real = draw(st.booleans())
+    u = draw(amplitudes(real).filter(lambda x: abs(x) > 1e-3))
+    v = draw(amplitudes(real) | st.sampled_from([0.0, -0.0]))
+    nl = draw(st.sampled_from(
+        [GaugeInvariantPower(p=p, lam=lam) for p in (2.0, 2.5, 3.0)
+         for lam in (1.0, -1.0)] + ([RealAbsPower(p=2.0),
+                                     RealAbsPower(p=3.0, sign=-1)]
+                                    if real else [])))
+    if real:
+        u, v = float(u.real), float(v.real)
+    else:
+        u, v = complex(u), complex(v)
+    return grid, u, v, nl
+
+
+@settings(max_examples=60, deadline=None)
+@given(uniform_states())
+@example((Grid(n=1, points_per_axis=64, half_width=math.pi), 3 + 0.5j,
+          complex(-0.0, -0.0), GaugeInvariantPower(p=2.0)))  # Re(conj(v) u) = -0.0
+def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
+    """||u||^2, ||u_t||^2, Re(u, u_t), int F and Re int f(u) conj(u) of a
+    uniform state, as run() reports them at t0 and a stepper and a
+    recorded row report them after a step, against the exact rational sum
+    of the grid's N^n equal cells times the cell volume. F and f of the one
+    cell are numpy's values at every cell of the whole array, so that sum
+    is N^n times the cell's value. The bounds count roundings in units of
+    2^-53 (gamma_k): four for a norm (two products, their sum, the volume
+    cell_volume * N^n and the product with it), the same for Re(u, u_t) and
+    Re f(u) conj(u), relative to the sum of the absolute values of the
+    cell's products (at most |u| |v|, as the sum can cancel), and two for
+    int F (the volume and the product); a product that underflows adds
+    at most 2^-1074 before the volume. A zero sum is +0.0."""
+    grid, u, v, nl = state
+    cells = grid.points_per_axis ** grid.n
+    vol = cells * Fraction(grid.cell_volume)
+    params = PhysicalParams(m=1.0, c=1.0, eps=nl.eps, n=grid.n)
+    sf = PowerLaw(0.0, H=0.0, n=grid.n)
+    cfg = RunConfig(t_end=0.01, dt=0.01, theorem_mode="none")
+    trace = dynamics.run(*(Field(grid, np.full(grid.shape, x))
+                           for x in (u, v)), sf, params, nl, cfg)
+    row0 = trace.rows[0]
+    L, ut_sq, re_u_ut = trace.meta["L0"], row0.ut_sq, 0.5 * row0.Lp
+    stepper = Stepper(StepState(0.0, u, v, cfg.dt, 1.0, 1.0, 0, ()), sf,
+                      params, nl, grid, cfg)
+    for i in range(2):  # at t0 (run's L0 and row 0), then after a step
+        if i:
+            _, _, L, (ut_sq, re_u_ut, grad_sq) = next(stepper.steps())
+            assert stepper.ws.uniform and grad_sq == 0.0
+            u, v = stepper.ws.u, stepper.ws.v
+        for got, a, b in ((L, u, u), (ut_sq, v, v), (re_u_ut, v, u)):
+            assert_within(got, exact_dot(a, b) * vol, abs_dot(a, b) * vol, 4,
+                          vol)
+            if exact_dot(a, b) == 0:
+                assert math.copysign(1.0, got) == 1.0
+
+    F, re_fu = functionals.potential_integrals(u, grid, nl,
+                                               stepper.ws.cell)
+    whole = np.full(grid.shape, u)
+    F_cells, f_cells = nl.F(whole), nl.f(whole)
+    F_cell, f_cell = F_cells.flat[0], f_cells.flat[0].item()
+    assert np.all(F_cells == F_cell) and np.all(f_cells == f_cell)
+    assert_within(F, Fraction(F_cell) * vol, abs(Fraction(F_cell)) * vol, 2,
+                  vol)
+    assert_within(re_fu, exact_dot(u, f_cell) * vol,
+                  abs_dot(u, f_cell) * vol, 4, vol)
+
+
+class CountingFills(np.ndarray):
+    """An array that counts the calls of its fill method."""
+
+    fills: list = []
+
+    def fill(self, value):
+        CountingFills.fills.append(None)
+        super().fill(value)
+
+
+def test_uniform_run_sums_no_array_per_step(monkeypatch):
+    """The anchor's uniform run, from state arrays that count their fills
+    (an array made like them is one too), makes no np.vdot and no fill in
+    any of its attempted steps and recorded rows (a whole-array measure
+    makes three vdot sums per attempted step and fills the trial arrays).
+    The measurement is the one-cell arithmetic of norm_integrals and
+    potential_integrals, once per attempted step and once per recorded
+    row."""
+    scn = config.parse_text(bundled_scenario_text("minkowski-m0-u2-A3"))
+    u0, u1 = scn.build_fields()
+    arrays = functionals.state_arrays
+    monkeypatch.setattr(dynamics, "state_arrays", lambda a, b: tuple(
+        x.view(CountingFills) for x in arrays(a, b)))
+    vdots, vdot = [], np.vdot
+    monkeypatch.setattr(np, "vdot", lambda *a: vdots.append(None) or vdot(*a))
+    norms = count_calls(monkeypatch, functionals.norm_integrals)
+    pots = count_calls(monkeypatch, functionals.potential_integrals)
+    steps = count_calls(monkeypatch, dynamics._rk4)
+    CountingFills.fills.clear()
+    trace = dynamics.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+                         mode="thm1")
+    attempted = trace.meta["accepted"] + trace.meta["rejected"]
+    assert trace.meta["rejected"] > 0 and len(trace.rows) > 300
+    assert len(steps) == attempted
+    assert (len(vdots), len(CountingFills.fills)) == (0, 0)
+    assert len(norms) == 1 + attempted  # t0, then each attempted step
+    assert len(pots) == len(trace.rows)

@@ -6,8 +6,12 @@ kgflrw.dynamics pad, reuse buffers and write in place, but perform the same
 floating-point operations in the same order, so they must agree bit for
 bit, including the exact zeros a constant field maps to.
 
-A run on uniform data skips the stencil; its oracle is the reference step
-with that path forced off, which must record the same trace bit for bit.
+A run on uniform data skips the stencil and steps one scalar pair, which
+must equal every cell of the reference step bit for bit. It measures that
+pair as one cell times the box volume, where the reference run, with the
+uniform path forced off, sums the N equal cells with BLAS in another order;
+the two runs take the same steps, and each trace column is held to a
+summation bound from its terms.
 
 On real data the kernels also run in float64. There the complex kernel is
 the oracle: the float64 stencils and RK4 step must give its real part bit
@@ -115,6 +119,15 @@ def assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
     assert np.array_equal(bits(a), bits(b))
 
 
+def whole(x, like: np.ndarray) -> np.ndarray:
+    """x, an array of a workspace, or a uniform workspace's scalar as the
+    whole array of like's shape and dtype that has it in every cell."""
+    if isinstance(x, np.ndarray):
+        return x
+    assert type(x) is (float if like.dtype == np.float64 else complex)
+    return np.full(like.shape, x, like.dtype)
+
+
 @st.composite
 def fields(draw, count=1):
     """Random complex fields of dimension 1-3, 8-24 points per axis (axes
@@ -202,19 +215,20 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     u_keep, v_keep = u.copy(), v.copy()
     ws = RK4Workspace(u, v)
+    u_old, v_old = ws.u, ws.v  # the arrays, or a uniform state's scalars
 
     u_ref, v_ref = ref_rk4(t, u, v, dt, sf, params, nl, h)
     bg = _Background(sf)
     for _ in range(2):  # a retried step from the same state
         u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
-        assert_bitwise(u_new, u_ref)
-        assert_bitwise(v_new, v_ref)
+        assert_bitwise(whole(u_new, u_ref), u_ref)
+        assert_bitwise(whole(v_new, v_ref), v_ref)
         # the accepted state is read, never written
-        assert_bitwise(ws.u, u_keep)
-        assert_bitwise(ws.v, v_keep)
+        assert_bitwise(whole(ws.u, u_keep), u_keep)
+        assert_bitwise(whole(ws.v, v_keep), v_keep)
     ws.accept()
     assert ws.u is u_new and ws.v is v_new
-    assert ws.trial_u is u and ws.trial_v is v
+    assert ws.trial_u is u_old and ws.trial_v is v_old
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,13 +270,100 @@ def count_calls(mp, module, name: str) -> list:
     return calls
 
 
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1.0 - n * u)
+
+
+def assert_same_steps(fast, slow) -> None:
+    """Two runs take the same steps and end alike: the t, dt and wrap
+    margin of every row, the step counts, t_final and the ending are equal.
+    t* and its uncertainty, fitted to L values that may differ in their
+    last bits, agree to a thousandth of that uncertainty."""
+    assert [(r.t, r.dt, r.wrap_margin) for r in fast.rows] == [
+        (r.t, r.dt, r.wrap_margin) for r in slow.rows]
+    for key in ("accepted", "rejected", "t_final", "reached_t_end"):
+        assert fast.meta[key] == slow.meta[key]
+    fb, sb = fast.blowup, slow.blowup
+    if fb is None or sb is None:
+        assert fb is sb is None
+        return
+    fit = {"t_star": None, "t_star_uncertainty": None}
+    assert dataclasses.replace(fb, **fit) == dataclasses.replace(sb, **fit)
+    assert (fb.t_star is None) == (sb.t_star is None)
+    if sb.t_star is not None:
+        tol = 1e-3 * sb.t_star_uncertainty
+        assert abs(fb.t_star - sb.t_star) <= tol
+        assert abs(fb.t_star_uncertainty - sb.t_star_uncertainty) <= tol
+
+
+def assert_columns_within_sum_bound(fast, slow, params, cells: int) -> None:
+    """Each trace column of a uniform run, measured as one cell times the
+    box volume, against the run that sums the `cells` equal cells with
+    BLAS. The one-cell measure is within gamma_4 of the exact sum (two
+    products, a sum, the volume and its product), a BLAS sum within
+    gamma_(cells + 2) (the sum, the complex product and the cell volume),
+    and a column combines them with a few roundings more, so the two may
+    differ by gamma_(cells + 8) times the sum of the absolute values of the
+    column's terms. The terms come from the stencil run's row: the
+    gradient is 0 on uniform data, |Re(u, u_t)| sums to at most
+    sqrt(||u||^2 ||u_t||^2) (plus |Re(u, u_t)| itself, which stands in
+    where ||u_t||^2 underflows to 0), a history integral (P, Q, R, IG and theta's
+    anchor term) counts as one term, and Hdiag's E(t0) term brings the
+    terms of E at t0."""
+    g = gamma(cells + 8)
+    m2c2 = (params.m * params.c) ** 2
+
+    def close(x: float, y: float, scale: float) -> bool:
+        return (x == y or math.isnan(x) and math.isnan(y)
+                or abs(x - y) <= g * scale)
+
+    def energy_terms(s) -> float:
+        half = 0.5 * s.ut_sq + 0.5 * m2c2 * s.L
+        return half + abs(half - s.E)  # the last term is c^2 |int F|
+
+    assert close(fast.meta["L0"], slow.meta["L0"], slow.meta["L0"])
+    hd_den = abs(params.m) * params.c * params.eps
+    s_E0 = (4.0 * (params.eps + 2.0) / hd_den * energy_terms(slow.rows[0])
+            if hd_den > 0.0 else math.nan)
+    for f, s in zip(fast.rows, slow.rows):
+        s_Lp = 2.0 * math.sqrt(s.L * s.ut_sq) + abs(s.Lp)
+        s_E = energy_terms(s)
+        s_I = m2c2 * s.L + abs(m2c2 * s.L - s.I)  # c^2 |Re int f conj u|
+        s_theta = s.L + abs(s.theta - s.L)
+        scales = {"L": s.L, "ut_sq": s.ut_sq, "Lp": s_Lp, "E": s_E,
+                  "I": s_I, "theta": s_theta,
+                  "theta_prime": s_Lp + abs(s.theta_prime - s.Lp),
+                  "theta_second": 2.0 * (s.ut_sq + s_I),
+                  # (L + P)(||u_t||^2 + Q) - (Re(u, u_t) + R)^2
+                  "eta": 2.0 * abs(s.eta) + s.theta_prime ** 2,
+                  "Hdiag": s_Lp + s_E0}
+        if s.mode != "none":
+            kt = functionals.kappa_tilde_for_mode(s.mode, params.eps)
+            k = functionals.kappa_for_mode(s.mode, params.eps)
+            lead = (kt + 1.0) * s.ut_sq + 2.0 * s.I
+            scales["zeta"] = ((kt + 1.0) * s.ut_sq + 2.0 * s_I
+                              + abs(s.zeta + lead))
+            scales["theta_negk"] = abs(s.theta_negk) * (
+                1.0 + k * s_theta / s.theta)
+        for name, scale in scales.items():
+            assert close(getattr(f, name), getattr(s, name), scale), name
+        for name in ("zeta", "theta_negk"):
+            if name not in scales:
+                assert math.isnan(getattr(f, name))
+                assert math.isnan(getattr(s, name))
+
+
 @pytest.mark.parametrize("bump", [0.0, 0.01], ids=["uniform", "gaussian"])
 def test_run_matches_reference_rk4(monkeypatch, bump):
     """The anchor blow-up run, once with the kernel and once with the
-    reference step patched in, records the same trace bit for bit. The
-    anchor's uniform data take the path without the stencil; a small
-    Gaussian added to u0 takes the stencil. Both runs reject steps and
-    record their tail every step, so both step outcomes are covered."""
+    reference step patched in. The anchor's uniform data take the path
+    without the stencil: the same steps and the same blow-up, each column
+    within the summation bound of the stencil run's. A small Gaussian added
+    to u0 takes the stencil and records the same trace bit for bit. Both
+    runs reject steps and record their tail every step, so both step
+    outcomes are covered."""
     scn = load_bundled_scenario("minkowski-m0-u2-A3")
     u0, u1 = scn.build_fields()
     u0 = Field(scn.grid, u0.values + make_profile(
@@ -278,10 +379,15 @@ def test_run_matches_reference_rk4(monkeypatch, bump):
 
     assert fast.meta["rejected"] > 0
     assert sum(1 for r in fast.rows if r.L >= 1e8 * fast.meta["L0"]) >= 12
-    assert trace_csv_text(fast) == trace_csv_text(slow)
-    assert fast.meta == slow.meta
-    assert fast.blowup == slow.blowup
     assert fast.blowup.t_star is not None
+    assert_same_steps(fast, slow)
+    if bump == 0.0:
+        assert_columns_within_sum_bound(fast, slow, scn.params,
+                                        u0.values.size)
+    else:
+        assert trace_csv_text(fast) == trace_csv_text(slow)
+        assert fast.meta == slow.meta
+        assert fast.blowup == slow.blowup
 
 
 @st.composite
@@ -326,10 +432,12 @@ def uniform_problems(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(uniform_problems(), st.data())
-def test_uniform_run_matches_stencil_run_bitwise(problem, data):
-    """A run on uniform data takes no stencil, and records the trace of the
-    reference step with the uniform path forced off, bit for bit. The same
-    data with one cell of u0 or u1 moved by one ulp take the stencil."""
+def test_uniform_run_matches_stencil_run(problem, data):
+    """A run on uniform data takes no stencil and takes the steps of the
+    reference step with the uniform path forced off: the same t and dt on
+    every row, the same counts and the same blow-up, with each column
+    within the summation bound of the stencil run's. The same data with
+    one cell of u0 or u1 moved by one ulp take the stencil."""
     u0, u1, sf, params, nl, cfg = problem
     args = (u0, u1, sf, params, nl, cfg)
     assert dynamics._is_uniform(*functionals.state_arrays(u0, u1))
@@ -340,9 +448,8 @@ def test_uniform_run_matches_stencil_run_bitwise(problem, data):
         assert not laps and not grads
         slow = reference_run(mp, *args)
     assert len(fast.rows) > 1
-    assert trace_csv_text(fast) == trace_csv_text(slow)
-    assert fast.meta == slow.meta
-    assert fast.blowup == slow.blowup
+    assert_same_steps(fast, slow)
+    assert_columns_within_sum_bound(fast, slow, params, u0.values.size)
 
     moved = data.draw(st.sampled_from([0, 1]))
     vals = [u0.values.copy(), u1.values.copy()]
@@ -363,18 +470,22 @@ def test_uniform_run_matches_stencil_run_bitwise(problem, data):
 @pytest.mark.parametrize("sf", BACKGROUNDS)
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
-    """The scalar step of a uniform workspace gives the reference step's
-    bits in both dtypes, on every background and family; gauge p = 2.5 and
-    real p = 3 take numpy's SIMD power, not an integer power. Two steps, so
-    the second reads the swapped buffers. No stencil slab and no dv/dt
-    slab. A float64 state at gauge p = 2 evaluates f on a Python float; any
-    other state calls nl.f on the one-cell `ws.cell`."""
+    """The scalar pair of a uniform workspace equals every cell of the
+    reference step's result bit for bit, in both dtypes, on every
+    background and family; gauge p = 2.5 and real p = 3 take numpy's SIMD
+    power, not an integer power. Two steps, so the second reads the swapped
+    pairs. The workspace holds no array of the state's shape, and the step
+    takes no stencil slab and no dv/dt slab. A float64 state at gauge p = 2
+    evaluates f on a Python float; any other state calls nl.f on the
+    one-cell `ws.cell`."""
     real = dtype == np.float64 or nl is not None and nl.real_only
     u, v = (np.full(16, x if real else complex(x, y), dtype)
             for x, y in ((2.5, -1.25), (-0.75, 0.5)))
     params = PhysicalParams(m=0.7, c=1.3, eps=1.0, n=1)
     ws = RK4Workspace(u, v)
-    assert ws.uniform
+    assert ws.uniform and not hasattr(ws, "stencil")
+    assert all(x.size == 1 for x in vars(ws).values()
+               if isinstance(x, np.ndarray))
     t, dt, h = 0.4, 0.01, 0.1
     laps = count_calls(monkeypatch, dynamics, "lap_slab")
     rhs = count_calls(monkeypatch, dynamics, "_rhs_slab")
@@ -391,8 +502,8 @@ def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
     for _ in range(2):
         u, v = ref_rk4(t, u, v, dt, sf, params, nl, h)
         cells.clear()
-        assert_bitwise(_rk4(t, dt, bg, params, nl, h, ws)[0], u)
-        assert_bitwise(ws.trial_v, v)
+        assert_bitwise(whole(_rk4(t, dt, bg, params, nl, h, ws)[0], u), u)
+        assert_bitwise(whole(ws.trial_v, v), v)
         ws.accept()
         t += dt
     assert not laps and not rhs
@@ -435,12 +546,6 @@ def test_real_stencils_match_complex_kernel_bitwise(case):
     assert grad_sq_array(r, h).hex() == total.hex()
 
 
-def gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
-    u = np.finfo(np.float64).eps / 2
-    return n * u / (1.0 - n * u)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(8, 64), st.integers(0, 2**32 - 1),
        st.floats(1e-3, 1e3), st.booleans())
@@ -471,19 +576,24 @@ REAL_NONLINEARITIES = NONLINEARITIES + (RealAbsPower(p=3.0, sign=-1),)
        st.sampled_from(REAL_NONLINEARITIES), st.floats(0.0, 1.5),
        st.floats(0.0, 2.0), st.floats(1e-4, 0.05), st.floats(0.5, 2.0))
 def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
+    """The float64 step gives the real part of the complex step and of the
+    reference bit for bit; uniform draws step scalar pairs in both dtypes,
+    which must hold those bits in every cell."""
     h, u, v = case
     u, v = u.real.copy(), v.real.copy()
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
+    z, zv = u.astype(np.complex128), v.astype(np.complex128)
     ws = RK4Workspace(u, v)
-    wz = RK4Workspace(u.astype(np.complex128), v.astype(np.complex128))
-    assert ws.stencil.dtype == np.float64
+    wz = RK4Workspace(z.copy(), zv.copy())
+    assert ws.cell.dtype == np.float64 and wz.uniform == ws.uniform
 
-    z, zv = wz.u.copy(), wz.v.copy()
     bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
-        u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
-        uz_new, vz_new = _rk4(t, dt, bg, params, nl, h, wz)
+        u_new, v_new = (whole(x, u) for x in _rk4(t, dt, bg, params, nl,
+                                                   h, ws))
+        uz_new, vz_new = (whole(x, z) for x in _rk4(t, dt, bg, params, nl,
+                                                     h, wz))
         z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
         assert_bitwise(u_new, real_part(uz_new))
         assert_bitwise(v_new, real_part(vz_new))
@@ -519,8 +629,8 @@ def workspace_dtypes(monkeypatch) -> list:
     init = RK4Workspace.__init__
 
     def recording(self, u, v):
-        seen.append(u.dtype)
         init(self, u, v)
+        seen.append(self.cell.dtype)
 
     monkeypatch.setattr(RK4Workspace, "__init__", recording)
     return seen
@@ -662,7 +772,8 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
                                                   rows_seed, real):
     """_rk4 over several slabs, in float64 against the real part of the
     complex reference and in complex128 (real-valued data for the real-only
-    family) against the reference itself."""
+    family) against the reference itself. A uniform draw steps its scalar
+    pair, which must hold those bits in every cell."""
     h, u, v = case
     if real or (nl is not None and nl.real_only):
         u, v = u.real.copy(), v.real.copy()
@@ -675,12 +786,18 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
 
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
-    ws = sliced(u.shape, u.dtype, rows_seed,
-                lambda: RK4Workspace(u.copy(), v.copy()))
+
+    def build():
+        return RK4Workspace(u.copy(), v.copy())
+
+    # a uniform workspace has no slabs; it steps the scalar pair
+    ws = (build() if dynamics._is_uniform(u, v)
+          else sliced(u.shape, u.dtype, rows_seed, build))
     bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
         z, zv = ref_rk4(t, z, zv, dt, sf, params, nl, h)
-        u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
+        u_new, v_new = (whole(x, u) for x in _rk4(t, dt, bg, params, nl,
+                                                   h, ws))
         assert_bitwise(u_new, ref(z))
         assert_bitwise(v_new, ref(zv))
         ws.accept()
