@@ -3,20 +3,21 @@
 First-order form: du/dt = v, dv/dt = -n (adot/a) v + c^2 a^-2 lap u
 - m^2 c^2 u + c^2 f(u). Classical RK4 with the background evaluated at each
 stage time, so homogeneous data reduce the step to the exact scalar RK4 map
-(the difference-form Laplacian is bitwise zero on constants). A run steps
+(the stencil Laplacian is +0.0 on constants, bit for bit). A run steps
 and measures one copy of the data, in the dtype that `state_arrays` picks:
 float64 for real data, else complex128. The step works in place in arrays
 allocated once per run (`RK4Workspace`); `_Background` evaluates each
-distinct stage time once, with dv/dt's factors, and a step's end is the
-next step's start. A stage finishes one stencil slab at a time, so that its
-temporaries stay in cache.
+distinct stage time once, with dv/dt's factors (the stencil's 1 / (12 h^2)
+folded into that of lap u), and a step's end is the next step's start. A
+stage finishes one stencil slab at a time, so that its temporaries stay in
+cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
 same for u1) steps one scalar state, the homogeneous ODE: once `_cells` has
 found the data uniform, the run holds the first cell's u and v as Python
 scalars and builds no whole array; only `Stepper.checkpoint()` fills one.
 `_rk4_uniform` does the array kernel's operations in its order, with
-lap u = +0.0 (the difference form's bits on a uniform array), so the
+lap u = +0.0 (the stencil's bits on a uniform array), so the
 step's bits are the kernel's at every cell: Python's +, - and * are numpy's
 IEEE operations as long as every multiplier is real (numpy's complex times
 complex may round otherwise). On a float64 state at gauge p = 2, where the
@@ -145,10 +146,10 @@ class _Background:
             val = self._vals[t] = self.sf.eval(t)
         return val
 
-    def coeffs(self, t, params) -> tuple:
+    def coeffs(self, t, params, h) -> tuple:
         k = self._k.get(t)
         if k is None:
-            k = self._k[t] = _coeffs(self.eval(t), params)
+            k = self._k[t] = _coeffs(self.eval(t), params, h)
         return k
 
     def advance(self, t: float) -> None:
@@ -231,21 +232,21 @@ def _cells(u, v) -> tuple:
     return u, v
 
 
-def _coeffs(vals, params) -> tuple:
-    """The factors of lap u, u, v and f(u) in dv/dt at the background
-    values (a, adot, addot) of one time."""
+def _coeffs(vals, params, h) -> tuple:
+    """The factors of `lap_slab`'s sum (lap u times 12 h^2), u, v and f(u)
+    in dv/dt at the background values (a, adot, addot) of one time."""
     a, adot, _ = vals
     c2 = params.c * params.c
-    return c2 / (a * a), params.m * params.m * c2, params.n * (adot / a), c2
+    return (c2 / (a * a) / (12.0 * h * h), params.m * params.m * c2,
+            params.n * (adot / a), c2)
 
 
-def _rhs_slab(slab, k, u, v, nl, h, out, tmp, f_out):
+def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out):
     """dv/dt on one slab of the loaded u, written into out; f(u) goes into
     f_out (tmp, or None to allocate it)."""
     lap_c, mass, damp, c2 = k
     np.multiply(mass, u, out=tmp)
-    lap_slab(slab, h, out)
-    np.multiply(lap_c, out, out=out)
+    np.multiply(lap_slab(slab), lap_c, out=out)
     np.subtract(out, tmp, out=out)
     np.multiply(damp, v, out=tmp)
     np.subtract(out, tmp, out=out)
@@ -267,21 +268,21 @@ def _rhs_cell(k, u, v, nl, f, ws: RK4Workspace):
     return out + c2 * nl.f(ws.cell, out=ws.cell_f).item(0)
 
 
-def _rk4_uniform(t, dt, bg, params, nl, ws: RK4Workspace):
+def _rk4_uniform(t, dt, bg, params, nl, h, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
     order, on the scalar pair `ws.u`, `ws.v`, into `ws.trial_u`,
     `ws.trial_v`."""
     u, v = ws.u, ws.v
     f = nl.scalar_f() if nl is not None and ws.cell_f is not None else None
     hm = 0.5 * dt
-    acc_v = _rhs_cell(bg.coeffs(t, params), u, v, nl, f, ws)
+    acc_v = _rhs_cell(bg.coeffs(t, params, h), u, v, nl, f, ws)
     su, sv, acc_u = u + hm * v, v + hm * acc_v, v
-    k = bg.coeffs(t + hm, params)
+    k = bg.coeffs(t + hm, params, h)
     for step_next in (hm, dt):
         kv = _rhs_cell(k, su, sv, nl, f, ws)
         acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
         su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(bg.coeffs(t + dt, params), su, sv, nl, f, ws)
+    kv = _rhs_cell(bg.coeffs(t + dt, params, h), su, sv, nl, f, ws)
     sixth = dt / 6.0
     ws.trial_u = u + sixth * (acc_u + sv)
     ws.trial_v = v + sixth * (acc_v + kv)
@@ -299,17 +300,18 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     time; the Laplacian reads the loaded copy, so su may be overwritten slab
     by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
     trial buffers stage by stage, in that order, so every element sees the
-    operations of the plain formula and the result is the same bit for
-    bit. A uniform workspace takes `_rk4_uniform` instead, whose state and
-    trial state are scalar pairs. bg is the run's `_Background`."""
+    operations of the plain RK4 formula; dv/dt's Laplacian term is the
+    stencil's pairwise sum times one folded factor (`field`). A uniform
+    workspace takes `_rk4_uniform` instead, whose state and trial state are
+    scalar pairs. bg is the run's `_Background`."""
     if ws.uniform:
-        return _rk4_uniform(t, dt, bg, params, nl, ws)
+        return _rk4_uniform(t, dt, bg, params, nl, h, ws)
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
     ws.stencil.load(ws.u)
-    k = bg.coeffs(t, params)
+    k = bg.coeffs(t, params, h)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, u, v, nl, h, acc_v, tmp, f_out)
+        _rhs_slab(slab, k, u, v, nl, acc_v, tmp, f_out)
         np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
         np.multiply(hm, acc_v, out=sv)
@@ -317,9 +319,9 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
     for stage, step_next in ((2, hm), (3, dt)):
         ws.stencil.load(ws.su)
-        k = bg.coeffs(t + hm, params)
+        k = bg.coeffs(t + hm, params, h)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-            _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
+            _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out)
             np.multiply(step_next, sv, out=su)
             np.add(u, su, out=su)
             np.multiply(2.0, sv, out=sv)
@@ -330,10 +332,10 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
             np.add(acc_v, kv, out=acc_v)
     # stage 4
     ws.stencil.load(ws.su)
-    k = bg.coeffs(t + dt, params)
+    k = bg.coeffs(t + dt, params, h)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, su, sv, nl, h, kv, tmp, f_out)
+        _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out)
         np.add(acc_u, sv, out=acc_u)
         np.add(acc_v, kv, out=acc_v)
         np.multiply(sixth, acc_u, out=acc_u)

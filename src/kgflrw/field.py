@@ -5,16 +5,20 @@ n in {1, 2, 3}. A `Field` is a numpy complex128 array, i.e. interleaved
 (re, im) pairs in memory; the array kernels also take the float64 array of a
 real state and give the real part of the complex result bit for bit. Each
 reduction (`dot_re`) sums an array in its own dtype: BLAS ddot on float64,
-zdotc on complex128. Derivatives use fourth-order central
-stencils with wrap-around indexing, written in difference form so that a
-constant field maps to exactly zero (bitwise), which keeps homogeneous data
-exactly homogeneous under evolution:
+zdotc on complex128. Derivatives use fourth-order central stencils with
+wrap-around indexing:
 
-    D2 f = [16 (f_{i+1} + f_{i-1} - 2 f_i) - (f_{i+2} + f_{i-2} - 2 f_i)] / (12 h^2)
+    D2 f = [16 (S1 - 2n f_i) - (S2 - 2n f_i)] / (12 h^2),
+           Sk = sum over the n axes of (f_{i+k} + f_{i-k})
     D1 f = [ 8 (f_{i+1} - f_{i-1}) - (f_{i+2} - f_{i-2})] / (12 h)
 
-The division is a multiply by 1 / (12 h^2) or 1 / (12 h), which is how numpy
-divides a complex number by a real one, so both dtypes round alike.
+Each axis pair f_{i+k} + f_{i-k} is added whole before it joins Sk. On a
+constant c every partial sum of Sk is exact but the last, 4c + 2c in 3D,
+which rounds to fl(6c) as 2n * c does, so S1 - 2n f and S2 - 2n f are the
+same zero and a constant field maps to +0.0 in every cell: homogeneous data
+stay exactly homogeneous under evolution. The scale is a multiply by
+1 / (12 h^2) (an RK4 stage folds it into dv/dt's factor) or 1 / (12 h), as
+numpy divides a complex number by a real one, so both dtypes round alike.
 
 The wrap-around is a padded copy: a `Stencil` holds a buffer with two
 wrap-around cells per side on every axis, filled with the field and its
@@ -24,11 +28,10 @@ stay in L2 (cache blocking; Datta et al., SC'08). In the flattened buffer a
 neighbour f_{i+-1}, f_{i+-2} along any axis is the slab's band at a fixed
 offset, so every operand is contiguous. The arithmetic runs in place in
 band-sized work arrays, operation by operation in the order of the formulas
-above, so the results are those of the plain formulas bit for bit; values
-in the band's wrap-around cells are discarded. Reductions sum whole arrays,
-never per slab, which would change the order of summation. The padded
-buffer holds the last field loaded, or a `spare` result, until the next
-load; `deriv` holds grad_sq_array's derivative.
+above; values in the band's wrap-around cells are discarded. Reductions sum
+whole arrays, never per slab, which would change the order of summation.
+The padded buffer holds the last field loaded, or a `spare` result, until
+the next load; `deriv` holds grad_sq_array's derivative.
 """
 
 from __future__ import annotations
@@ -198,21 +201,24 @@ def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
     return ws
 
 
-def lap_slab(slab: Slab, h: float, out: np.ndarray) -> np.ndarray:
-    """The Laplacian of the loaded field on one slab, written into out."""
-    acc, two_v, wing, term = slab.work
-    np.multiply(2.0, slab.centre, out=two_v)
-    for ax, (m2, m1, p1, p2) in enumerate(slab.neighbours):
-        core = acc if ax == 0 else term
-        np.add(p1, m1, out=core)
-        np.subtract(core, two_v, out=core)
-        np.multiply(16.0, core, out=core)
-        np.add(p2, m2, out=wing)
-        np.subtract(wing, two_v, out=wing)
-        np.subtract(core, wing, out=core)
-        # the sum starts from zero: + 0.0 turns a -0.0 into +0.0 as 0 + x does
-        np.add(acc, 0.0 if ax == 0 else term, out=acc)
-    return np.multiply(slab.inner, 1.0 / (12.0 * h * h), out=out)
+def lap_slab(slab: Slab) -> np.ndarray:
+    """The Laplacian of the loaded field on one slab times 12 h^2, left in
+    the slab's first work array; returns its field cells, `slab.inner`."""
+    acc, centre, wing, term = slab.work
+    (m2, m1, p1, p2), *others = slab.neighbours
+    np.multiply(2.0 * len(slab.neighbours), slab.centre, out=centre)
+    np.add(p1, m1, out=acc)
+    np.add(p2, m2, out=wing)
+    for m2, m1, p1, p2 in others:  # each axis pair whole, then into its sum
+        np.add(p1, m1, out=term)
+        np.add(acc, term, out=acc)
+        np.add(p2, m2, out=term)
+        np.add(wing, term, out=wing)
+    np.subtract(acc, centre, out=acc)
+    np.multiply(16.0, acc, out=acc)
+    np.subtract(wing, centre, out=wing)
+    np.subtract(acc, wing, out=acc)
+    return slab.inner
 
 
 def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
@@ -222,8 +228,9 @@ def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
     if out is None:
         out = np.empty_like(vals)
     ws.load(vals)
+    scale = 1.0 / (12.0 * h * h)
     for slab in ws.slabs:
-        lap_slab(slab, h, out[slab.rows])
+        np.multiply(lap_slab(slab), scale, out=out[slab.rows])
     return out
 
 

@@ -98,7 +98,8 @@ class GaugeInvariantPower:
         if out is None:
             return self.lam * np.abs(u) ** (self.p - 1.0) * u
         mag = np.abs(u) if u.dtype.kind == "c" else np.abs(u, out=out)
-        mag **= self.p - 1.0  # ** and **= take the same power path
+        if self.p != 2.0:  # |u| ** 1.0 is |u|; ** and **= take one path
+            mag **= self.p - 1.0
         np.multiply(self.lam, mag, out=out)
         return np.multiply(out, u, out=out)
 

@@ -206,6 +206,33 @@ def test_scalar_f_matches_one_cell_f_bitwise(nl, u):
     assert nl.scalar_f()(u).hex() == want.hex()
 
 
+def power_path_f(nl, u):
+    """f(u, out=...)'s operations with the power |u| ** (p - 1) taken."""
+    out = np.empty_like(u)
+    mag = np.abs(u) if u.dtype.kind == "c" else np.abs(u, out=out)
+    mag **= nl.p - 1.0
+    np.multiply(nl.lam, mag, out=out)
+    return np.multiply(out, u, out=out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCALAR_FAMILIES), st.booleans(),
+       st.lists(st.tuples(_SCALAR_INPUTS, _SCALAR_INPUTS), min_size=1,
+                max_size=8))
+def test_gauge_p_2_in_place_f_matches_power_path_bitwise(nl, real, pairs):
+    """At p = 2, f(u, out=...) skips the power |u| ** 1.0 and still gives
+    the bits of its operations with the power taken, on float64 and
+    complex128 arrays: signs of zeros, subnormals, infinities and NaNs
+    included. On float64 these are also the bits of f(u); on complex128,
+    numpy's in-place complex product can give a zero of the other sign."""
+    u = np.array([x if real else complex(x, y) for x, y in pairs])
+    with np.errstate(all="ignore"):
+        got = nl.f(u, out=np.empty_like(u))
+        want = [power_path_f(nl, u)] + [nl.f(u)] * real
+    for x in want:
+        assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
+
+
 def test_scalar_f_only_at_gauge_p_2():
     """Where f takes numpy's power, there is no scalar f; at p = 2 an
     overflowing f is inf, not OverflowError."""
