@@ -25,7 +25,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -132,7 +131,11 @@ def report_csv(report: HypothesisReport, scenario: Scenario) -> str:
 
 
 def trace_csv_text(trace: Trace) -> str:
-    return _csv(CSV_COLUMNS, map(snapshot_csv_values, trace.rows))
+    """`_csv` of the trace's rows, one format per row: %.17g writes the
+    floats a row holds as `_fmt` does."""
+    line = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    return _csv(CSV_COLUMNS, ()) + "".join(
+        line % snapshot_csv_values(row) for row in trace.rows)
 
 
 def _evaluate_scenario(scn: Scenario, u0, u1) -> HypothesisReport:
@@ -337,7 +340,9 @@ def cmd_sweep(args) -> int:
     base_dir = os.path.dirname(args.config) or "."  # as parse_config
     payloads = [(base_text, base_dir, scn.name, pt, out_dir) for pt in points]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        pool_type = (globals().get("ProcessPoolExecutor")  # if replaced
+                     or __getattr__("ProcessPoolExecutor"))
+        with pool_type(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
@@ -354,6 +359,15 @@ def cmd_sweep(args) -> int:
     log.info("sweep wrote %s (%d points, %d failed)",
              frontier, len(rows), n_bad)
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first use: it loads
+    multiprocessing, which only `sweep --jobs` above 1 needs."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

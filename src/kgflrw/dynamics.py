@@ -17,21 +17,18 @@ same for u1) steps one scalar state, the homogeneous ODE: once `_cells` has
 found the data uniform, the run holds the first cell's u and v as Python
 scalars and builds no whole array; only `Stepper.checkpoint()` fills one.
 `_rk4_uniform` does the array kernel's operations in its order, with
-lap u = +0.0 (the stencil's bits on a uniform array), so the
-step's bits are the kernel's at every cell: Python's +, - and * are numpy's
-IEEE operations as long as every multiplier is real (numpy's complex times
-complex may round otherwise). On a float64 state at gauge p = 2, where the
-power |u|^(p-1) is |u| exactly, f(u) is `nl.scalar_f()` of a Python float.
-Otherwise it is `nl.f` on a one-cell array: numpy's AVX-512 power differs
-from libm's pow in 7 018 of 200 000 random draws, and its complex abs from
-Python's abs(complex) in 73 963 of 200 000. Cells that `==` calls equal may
-differ in the sign of a zero, which the scalar step takes from the first
-cell. The run measures such a state as one cell times the box volume
+lap u = +0.0 (the stencil's bits on a uniform array) and f the
+nonlinearity's `f_scalar`. Python's +, - and * with real multipliers are
+numpy's IEEE operations, so the step has the kernel's bits where f does
+(gauge p = 2 on float64 data); elsewhere libm's pow and hypot may round
+otherwise than numpy's power and complex abs. Cells that `==` calls equal
+may differ in the sign of a zero, which the scalar step takes from the
+first cell. The run measures such a state as one cell times the box volume
 V = cell volume * N^n (`Grid.volume`): ||u||^2 = |u|^2 V, ||u_t||^2 =
 |v|^2 V, Re(u, u_t) = Re(conj(v) u) V, each product sum started from +0.0
 as a BLAS dot starts, so the sign of a zero velocity never reaches the
-trace; F and Re f(u) conj(u) are nl.F and nl.f on the one-cell array times
-V, and the gradient is 0.0. These are the exact cell sums up to a few
+trace; F and Re f(u) conj(u) are `F_scalar` and `f_scalar` of the cell
+times V, and the gradient is 0.0. These are the exact cell sums up to a few
 roundings; a whole-array dot adds up to gamma_N sum |a_i b_i| (Higham,
 Accuracy and Stability of Numerical Algorithms, section 3.1).
 
@@ -166,10 +163,7 @@ class RK4Workspace:
     given as its scalar pair or as arrays that `_cells` reduces to one. Its
     accepted state `u`, `v` and the trial state `trial_u`, `trial_v` are
     Python scalars, the value of every cell (`accept()` swaps the pairs);
-    it has no whole array and no stencil, and its gradient is 0.0. In
-    complex128, or where nl's `scalar_f()` is None, f(u) goes through the
-    one-cell `cell` and its `out`, `cell_f` (None in complex128, as for a
-    slab); a recorded row evaluates F and f on `cell` too.
+    it has no whole array and no stencil, and its gradient is 0.0.
 
     Otherwise whole arrays: the accepted state `u`, `v`, the trial state
     `trial_u`, `trial_v`, a stage's input `su`, `sv` (the next stage's
@@ -182,19 +176,16 @@ class RK4Workspace:
     def __init__(self, u, v):
         u, v = _cells(u, v)
         self.uniform = not isinstance(u, np.ndarray)
-        dtype = np.result_type(u)
-        real = dtype == np.float64
-        self.cell = np.empty(1, dtype)
-        self.cell_f = np.empty(1, dtype) if real else None
         self.u, self.v = self.trial_u, self.trial_v = u, v
         if self.uniform:
             self.slabs = self._swapped = ()
             return
+        real = u.dtype == np.float64
         self.trial_u, self.trial_v, self.su, self.sv = (
             np.empty_like(u) for _ in range(4))
-        self.stencil = Stencil(u.shape, dtype)
+        self.stencil = Stencil(u.shape, u.dtype)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
-        self.kv, self.tmp = (np.empty(shape, dtype) for _ in range(2))
+        self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
         self.slabs = []
         for slab in self.stencil.slabs:
             kv, tmp = (x[:slab.rows.stop - slab.rows.start]
@@ -255,17 +246,12 @@ def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out):
         np.add(out, tmp, out=out)
 
 
-def _rhs_cell(k, u, v, nl, f, ws: RK4Workspace):
+def _rhs_cell(k, u, v, f):
     """`_rhs_slab` on one cell of Python scalars, with lap u = +0.0: the sum
-    starts from lap_c * 0.0; f(u) is `f` of a float, or `nl.f` on `ws.cell`."""
+    starts from lap_c * 0.0; f is the nonlinearity's `f_scalar`, or None."""
     lap_c, mass, damp, c2 = k
     out = lap_c * 0.0 - mass * u - damp * v
-    if nl is None:
-        return out
-    if f is not None:
-        return out + c2 * f(u)
-    ws.cell[0] = u
-    return out + c2 * nl.f(ws.cell, out=ws.cell_f).item(0)
+    return out if f is None else out + c2 * f(u)
 
 
 def _rk4_uniform(t, dt, bg, params, nl, h, ws: RK4Workspace):
@@ -273,16 +259,16 @@ def _rk4_uniform(t, dt, bg, params, nl, h, ws: RK4Workspace):
     order, on the scalar pair `ws.u`, `ws.v`, into `ws.trial_u`,
     `ws.trial_v`."""
     u, v = ws.u, ws.v
-    f = nl.scalar_f() if nl is not None and ws.cell_f is not None else None
+    f = None if nl is None else nl.f_scalar
     hm = 0.5 * dt
-    acc_v = _rhs_cell(bg.coeffs(t, params, h), u, v, nl, f, ws)
+    acc_v = _rhs_cell(bg.coeffs(t, params, h), u, v, f)
     su, sv, acc_u = u + hm * v, v + hm * acc_v, v
     k = bg.coeffs(t + hm, params, h)
     for step_next in (hm, dt):
-        kv = _rhs_cell(k, su, sv, nl, f, ws)
+        kv = _rhs_cell(k, su, sv, f)
         acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
         su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(bg.coeffs(t + dt, params, h), su, sv, nl, f, ws)
+    kv = _rhs_cell(bg.coeffs(t + dt, params, h), su, sv, f)
     sixth = dt / 6.0
     ws.trial_u = u + sixth * (acc_u + sv)
     ws.trial_v = v + sixth * (acc_v + kv)
@@ -543,9 +529,9 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
                 f"support radius {support_radius} already fills the box")
     ws, bg = stepper.ws, stepper.bg
     acc = RunningIntegrals(params.n, params.c)
-    scratch = ws.cell if ws.uniform else ws.stencil
+    stencil = None if ws.uniform else ws.stencil
     rec = Integrals(*norms, ws.grad_sq(grid.spacing) * grid.cell_volume,
-                    *potential_integrals(u, grid, nl, scratch))
+                    *potential_integrals(u, grid, nl, stencil))
     a, adot, addot = bg.eval(cfg.t0)
     E_t0 = rec.energy(a, params)
     snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
@@ -564,7 +550,7 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
         if (since_record >= cfg.record_every or stepper.done and not wrapped
                 or nl is not None and L >= tail_start * L0):
             rec = Integrals(L, *motion,
-                            *potential_integrals(ws.u, grid, nl, scratch))
+                            *potential_integrals(ws.u, grid, nl, stencil))
             rows.append(snapshot(t, dt_used, rec, a, adot, acc, margin))
             since_record = 0
         if wrapped:

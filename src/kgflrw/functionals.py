@@ -160,25 +160,22 @@ def norm_integrals(u, v, grid: Grid) -> tuple[float, float, float]:
 
 
 def potential_integrals(u, grid: Grid, nl: Nonlinearity | None,
-                        scratch: Stencil | np.ndarray | None = None
+                        stencil: Stencil | None = None
                         ) -> tuple[float, float]:
     """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation.
-    Of the array u, with scratch None or a `Stencil`, into whose padded
-    buffer (`Stencil.spare`) F and f are written. Of a uniform state given
-    as its one cell's Python scalar u, with scratch a one-cell array of the
-    state's dtype: nl.F and nl.f of u in that array (numpy's loops, as on a
-    whole array), times the box volume. Either scratch is overwritten."""
+    Of the array u, with F and f written into the padded buffer of the
+    stencil (`Stencil.spare`) if one is given. Of a uniform state given as
+    its one cell's Python scalar u: nl's `F_scalar` and `f_scalar` of u,
+    times the box volume."""
     if nl is None:
         return 0.0, 0.0
     if not isinstance(u, np.ndarray):
-        scratch[0] = u
         vol = grid.volume
-        return (nl.F(scratch).item(0) * vol,
-                _cell_dot(u, nl.f(scratch).item(0)) * vol)
+        return nl.F_scalar(u) * vol, _cell_dot(u, nl.f_scalar(u)) * vol
     cv = grid.cell_volume
 
     def into(dtype) -> dict:
-        return {} if scratch is None else {"out": scratch.spare(dtype)}
+        return {} if stencil is None else {"out": stencil.spare(dtype)}
 
     F = float(np.add.reduce(nl.F(u, **into(np.float64)), axis=None)) * cv
     f_u = nl.f(u, **into(np.float64 if nl.real_only else u.dtype))

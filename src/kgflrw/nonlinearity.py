@@ -54,6 +54,15 @@ def _validate_p(p: float) -> None:
         raise ValueError(f"exponent p must exceed 1, got {p}")
 
 
+def _abs_pow(u, y: float) -> float:
+    """|u| ** y of a Python float or complex; +inf, as numpy gives it, where
+    Python's abs or ** overflows and raises OverflowError."""
+    try:
+        return abs(u) ** y
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GaugeInvariantPower:
     """f(u) = lam |u|^(p-1) u; phase-equivariant, defined for complex u."""
@@ -103,12 +112,20 @@ class GaugeInvariantPower:
         np.multiply(self.lam, mag, out=out)
         return np.multiply(out, u, out=out)
 
-    def scalar_f(self):
-        """f on one real float by f(u, out=...)'s operations at p = 2, where
-        |u|^(p-1) is |u| exactly; else None (numpy's power may differ from
-        the libm pow behind **)."""
-        lam = self.lam
-        return (lambda u: lam * abs(u) * u) if self.p == 2.0 else None
+    def f_scalar(self, u):
+        """f of one Python float or complex in f's order of operations; at
+        p = 2 it skips |u| ** 1.0 as f(u, out=...) does, with its bits on a
+        float."""
+        if self.p != 2.0:
+            return self.lam * _abs_pow(u, self.p - 1.0) * u
+        try:
+            return self.lam * abs(u) * u
+        except OverflowError:  # |u| of a complex u, which numpy takes as inf
+            return self.lam * math.inf * u
+
+    def F_scalar(self, u):
+        """F of one Python float or complex in F's order of operations."""
+        return self.lam * _abs_pow(u, self.p + 1.0) / (self.p + 1.0)
 
     def F(self, u, out=None):
         """F(u); given a float64 array out, the same operations in place."""
@@ -172,9 +189,18 @@ class RealAbsPower:
         out **= self.p
         return np.multiply(self.sign, out, out=out)
 
-    def scalar_f(self):
-        """None: p > 1, so |u|^p is always numpy's power."""
-        return None
+    def _real_scalar(self, u) -> float:
+        """u, or the real part of a complex u that `_real` accepts."""
+        return u if u.__class__ is float else self._real(np.array([u])).item()
+
+    def f_scalar(self, u):
+        """f of one Python float in f's order of operations."""
+        return self.sign * _abs_pow(self._real_scalar(u), self.p)
+
+    def F_scalar(self, u):
+        """F of one Python float in F's order of operations."""
+        ur = self._real_scalar(u)
+        return self.sign * _abs_pow(ur, self.p) * ur / (self.p + 1.0)
 
     def F(self, u, out=None):
         """F(u); given a float64 array out, the same operations in place."""

@@ -17,11 +17,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgflrw import bundled_scenario_text, cli, config
 from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
-from kgflrw.functionals import CSV_COLUMNS
+from kgflrw.dynamics import Trace
+from kgflrw.functionals import (CSV_COLUMNS, FunctionalSnapshot,
+                                snapshot_csv_values)
 from kgflrw.hypotheses import check_corollaries
 
 WRAP_CFG = """
@@ -323,6 +326,27 @@ def test_simulate_wrap_exit_five(tmp_path, capsys):
     assert not out.exists()  # nothing to write, so no directory either
 
 
+_MAX = 1.7976931348623157e308
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _MAX, -_MAX,
+                     5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CSV_VALUES, min_size=14, max_size=14),
+                max_size=5))
+def test_trace_csv_text_writes_the_csv_of_its_rows(values):
+    """trace.csv's one format per row writes the bytes of `_csv` on the
+    rows' values: signed zeros, infinities, NaN, subnormals, the largest
+    floats and numpy float64 values."""
+    rows = [FunctionalSnapshot(*vals) for vals in values]
+    want = cli._csv(CSV_COLUMNS, map(snapshot_csv_values, rows))
+    assert cli.trace_csv_text(Trace(rows=rows, blowup=None)) == want
+
+
 def test_simulate_nonfinite_exit_six(tmp_path, capsys):
     # neither step control nor the norm threshold stops the run before the
     # state overflows, near t = 1.92
@@ -434,6 +458,34 @@ def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert math.isnan(float(rows[-1]["eta"]))
     assert math.isfinite(float(rows[-1]["L2sq"]))
+
+
+@pytest.mark.parametrize("amplitude", ["1e60", "1e60+1e60j"])
+def test_uniform_overflow_exit_six(tmp_path, capsys, amplitude):
+    """The anchor at p = 3 and amplitude 1e60, real or complex: the first
+    step's stage values pass 1e154, where Python's ** raises OverflowError
+    and numpy's power gives inf. f in Python arithmetic takes inf there
+    too, so simulate exits 6 with its one stderr line, warns nothing and
+    writes a report that names the ending."""
+    edits = (("nonlin.p = 2.0", "nonlin.p = 3.0"),
+             ("data0.amplitude = 3.0", f"data0.amplitude = {amplitude}"))
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "ovf-out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = main_entry(["simulate", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 6
+    assert captured.err.splitlines() == [
+        "state became non-finite; trace truncated"]
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    kv = parse_report((out / "report.txt").read_text())
+    assert kv["blowup.reason"] == "nonfinite"
+    assert kv["run.accepted_steps"] == 0 and kv["run.t_final"] == 0
 
 
 def test_nonfinite_run_prints_no_numpy_warning(tmp_path, capsys):
@@ -673,13 +725,15 @@ import json, sys
 from kgflrw.cli import main_entry
 for argv, code in json.loads(sys.argv[1]):
     assert main_entry(argv) == code, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy", "multiprocessing")))))
 """
 
 
 def _scipy_modules_after(tmp_path, commands) -> list:
-    """The scipy modules a fresh interpreter holds after running commands
-    ([argv, expected exit code] pairs) through main_entry."""
+    """The scipy and multiprocessing modules a fresh interpreter holds after
+    running commands ([argv, expected exit code] pairs) through
+    main_entry."""
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
         cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
@@ -688,7 +742,8 @@ def _scipy_modules_after(tmp_path, commands) -> list:
 
 
 def test_startup_loads_no_scipy(tmp_path):
-    """check, simulate and sweep never import scipy; oracle-ode imports
+    """check, simulate and sweep never import scipy, nor multiprocessing
+    (the process pool of sweep --jobs above 1); oracle-ode imports
     scipy.special for the closed form and nothing of scipy.integrate."""
     anchor = bundled_path(tmp_path, "minkowski-m0-u2-A3")
     short = write_cfg(tmp_path, bundled_scenario_text(

@@ -20,6 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
@@ -30,6 +31,7 @@ from kgflrw.cli import main_entry, parse_report
 from kgflrw.errors import GridMismatch, HorizonTooShort
 from kgflrw.dynamics import RunConfig, Stepper, StepState
 from kgflrw.field import Field, Stencil, grad_sq_array
+from test_nonlinearity import eval_gap  # F's and f's per-call errors
 
 _REL = 1e-9
 
@@ -309,12 +311,18 @@ def abs_dot(a, b) -> Fraction:
             + abs(Fraction(a.imag) * Fraction(b.imag)))
 
 
+def l1(a) -> Fraction:
+    """|Re a| + |Im a| of a Python scalar, exactly: at least |a|."""
+    return abs(Fraction(a.real)) + abs(Fraction(a.imag))
+
+
 def assert_within(got: float, exact: Fraction, scale: Fraction, k: int,
-                  vol: Fraction):
+                  vol: Fraction, extra: Fraction = Fraction(0)):
     """got is exact up to k roundings, each 2^-53 relative to scale, or,
-    where a product underflows, 2^-1074 absolute before the volume vol."""
+    where a product underflows, 2^-1074 absolute before the volume vol,
+    and up to extra more."""
     tiny = k * vol / 2 ** 1074
-    assert abs(Fraction(got) - exact) <= gamma_units(k) * scale + tiny
+    assert abs(Fraction(got) - exact) <= gamma_units(k) * scale + tiny + extra
 
 
 def amplitudes(real: bool):
@@ -355,15 +363,18 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     """||u||^2, ||u_t||^2, Re(u, u_t), int F and Re int f(u) conj(u) of a
     uniform state, as run() reports them at t0 and a stepper and a
     recorded row report them after a step, against the exact rational sum
-    of the grid's N^n equal cells times the cell volume. F and f of the one
-    cell are numpy's values at every cell of the whole array, so that sum
+    of the grid's N^n equal cells times the cell volume. F and f of a cell
+    are numpy's values on the whole array, equal at every cell, so that sum
     is N^n times the cell's value. The bounds count roundings in units of
     2^-53 (gamma_k): four for a norm (two products, their sum, the volume
     cell_volume * N^n and the product with it), the same for Re(u, u_t) and
     Re f(u) conj(u), relative to the sum of the absolute values of the
     cell's products (at most |u| |v|, as the sum can cancel), and two for
     int F (the volume and the product); a product that underflows adds
-    at most 2^-1074 before the volume. A zero sum is +0.0."""
+    at most 2^-1074 before the volume. The measure takes F and f of the
+    cell as F_scalar and f_scalar, which may differ from numpy's by
+    eval_gap of |F| and of |f|, so by that much more of |F| V and of
+    |u| |f| V (each modulus bounded by l1). A zero sum is +0.0."""
     grid, u, v, nl = state
     cells = grid.points_per_axis ** grid.n
     vol = cells * Fraction(grid.cell_volume)
@@ -387,16 +398,17 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
             if exact_dot(a, b) == 0:
                 assert math.copysign(1.0, got) == 1.0
 
-    F, re_fu = functionals.potential_integrals(u, grid, nl,
-                                               stepper.ws.cell)
+    F, re_fu = functionals.potential_integrals(u, grid, nl)
     whole = np.full(grid.shape, u)
     F_cells, f_cells = nl.F(whole), nl.f(whole)
-    F_cell, f_cell = F_cells.flat[0], f_cells.flat[0].item()
+    F_cell, f_cell = F_cells.flat[0].item(), f_cells.flat[0].item()
     assert np.all(F_cells == F_cell) and np.all(f_cells == f_cell)
     assert_within(F, Fraction(F_cell) * vol, abs(Fraction(F_cell)) * vol, 2,
-                  vol)
+                  vol, Fraction(eval_gap(nl, "F")) * abs(Fraction(F_cell))
+                  * vol)
     assert_within(re_fu, exact_dot(u, f_cell) * vol,
-                  abs_dot(u, f_cell) * vol, 4, vol)
+                  abs_dot(u, f_cell) * vol, 4, vol,
+                  Fraction(eval_gap(nl, "f")) * l1(u) * l1(f_cell) * vol)
 
 
 class CountingFills(np.ndarray):
@@ -436,3 +448,46 @@ def test_uniform_run_sums_no_array_per_step(monkeypatch):
     assert (len(vdots), len(CountingFills.fills)) == (0, 0)
     assert len(norms) == 1 + attempted  # t0, then each attempted step
     assert len(pots) == len(trace.rows)
+
+
+def count_array_f_and_F(monkeypatch) -> list:
+    """Count the calls of both families' array f and F."""
+    calls = []
+    for family in (GaugeInvariantPower, RealAbsPower):
+        for name in ("f", "F"):
+            method = getattr(family, name)
+
+            def counting(self, u, out=None, _method=method):
+                calls.append(None)
+                return _method(self, u, out=out)
+
+            monkeypatch.setattr(family, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("edits, uniform", [
+    ((), True),
+    ((("nonlin.p = 2.0", "nonlin.p = 3.0"),), True),
+    ((("data0.amplitude = 3.0", "data0.amplitude = 3+0.5j"),), True),
+    ((("nonlin.family = gauge", "nonlin.family = real"),
+      ("nonlin.lambda = 1.0\n", "")), True),
+    ((("data0.kind = homogeneous",
+       "data0.kind = gaussian\ndata0.width = 1.0"),), False),
+], ids=["p2", "p3", "complex", "real", "gaussian"])
+def test_uniform_run_calls_no_array_f_or_F(monkeypatch, edits, uniform):
+    """A run on uniform data, the anchor cut to t_end = 0.05 at p = 2, at
+    p = 3, at amplitude 3+0.5j and under the real family, evaluates f and
+    F in Python arithmetic only: no call of either family's array f or F
+    in any step or recorded row, the row at t0 included. A Gaussian u0
+    still steps and measures through the array f and F."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    for old, new in (("run.t_end = 1.75", "run.t_end = 0.05"), *edits):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    scn = config.parse_text(text)
+    u0, u1 = scn.build_fields()
+    calls = count_array_f_and_F(monkeypatch)
+    trace = dynamics.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run)
+    assert trace.meta["accepted"] > 0 and len(trace.rows) > 1
+    assert (len(calls) == 0) == uniform
+

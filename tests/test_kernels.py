@@ -11,12 +11,16 @@ references within rounding bounds derived from their operation counts
 (`lap_bound`, `ref_rk4_gap`), and a constant field still maps to +0.0 in
 every cell in both.
 
-A run on uniform data skips the stencil and steps one scalar pair, which
-must equal every cell of the reference step bit for bit. It measures that
-pair as one cell times the box volume, where the reference run, with the
-uniform path forced off, sums the N equal cells with BLAS in another order;
-the two runs take the same steps, and each trace column is held to a
-summation bound from its terms.
+A run on uniform data skips the stencil and steps one scalar pair, with f
+in Python arithmetic (`f_scalar`). The pair must equal every cell of the
+reference step bit for bit where that f has numpy's operations (gauge
+p = 2 on float64), and elsewhere lie within a bound from the per-call
+errors of libm's pow and hypot and numpy's power and complex abs
+(`eval_err`). It measures that pair as one cell times the box volume, where
+the reference run, with the uniform path forced off and the same f at
+every cell, sums the N equal cells with BLAS in another order; the two runs
+take the same steps, and each trace column is held to a summation bound
+from its terms, plus the per-call error of F and f where it takes them.
 
 On real data the kernels also run in float64. There the complex kernel is
 the oracle: the float64 stencils and RK4 step must give its real part bit
@@ -52,6 +56,7 @@ from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
                           grad_sq_array, lap_array, make_profile)
 from kgflrw.functionals import (measure_arrays, norm_integrals,
                                 potential_integrals)
+from test_nonlinearity import eval_err, eval_gap  # f's per-call errors
 
 
 # ---------------------------------------------------------------------------
@@ -228,47 +233,63 @@ def g_mul(c: float, a: Gapped) -> Gapped:
     return rounded(c * a.x, abs(c) * a.gap)
 
 
-def g_f(nl, su: Gapped) -> Gapped:
+def g_f(nl, su: Gapped, scalar: bool = False) -> Gapped:
     """nl.f of the reference's input, with the bound on the kernel's f of
     its own input. The exact f moves by at most p |c| (|u| + gap)^(p-1) gap
     (the mean value theorem; c is lam or the sign), and numpy's f is within
     (2 (p - 1) + 10) u of the exact f to first order in u: an |u| rounded
     once (complex abs) and raised to p - 1, numpy's power within 4 ulps
-    (8 u), and two products."""
+    (8 u), and two products. With scalar, the kernel's f is nl.f_scalar,
+    which may round otherwise than numpy's f of the same input: within its
+    eval_err c of the exact f, so within (1 + c) lip gap + eval_gap |f| of
+    the reference's value, also where the inputs agree."""
     fx = np.asarray(nl.f(su.x))
     lip = nl.p * abs(getattr(nl, "lam", 1.0)) * (
         np.abs(su.x) + su.gap) ** (nl.p - 1.0)
+    if scalar:
+        c_py = eval_err(nl, "f", "python")
+        return Gapped(fx, (1.0 + c_py) * lip * su.gap
+                      + eval_gap(nl, "f") * np.abs(fx))
     c_f = (2.0 * (nl.p - 1.0) + 10.0) * U
     slack = (1.0 + c_f) * lip * su.gap + 2.0 * c_f / (1.0 - c_f) * np.abs(fx)
     return Gapped(fx, np.where(su.gap > 0.0, slack, 0.0))
 
 
-def ref_rhs_gap(t, su: Gapped, sv: Gapped, sf, params, nl, h):
+def ref_rhs_gap(t, su: Gapped, sv: Gapped, sf, params, nl, h,
+                scalar: bool = False):
     """ref_rhs on Gapped values. The reference's c^2 a^-2 lap u reaches
     each term through n + 7 roundings (ref_lap_array's n + 6 and the
     product) and the kernel's through n + 6 (its sum's n + 2, the three of
     the folded factor c^2 a^-2 / (12 h^2) and the product), each on its own
     stage input; the exact values on the two inputs differ by at most
-    c^2 a^-2 lap_terms(gap). The other operations are the same in both."""
+    c^2 a^-2 lap_terms(gap). The other operations are the same in both.
+    With scalar, the kernel is `_rk4_uniform` on a uniform stage input,
+    whose lap u is 0.0 as the reference's is on its uniform array, and its
+    f is f_scalar (`g_f`)."""
     a, adot, _ = sf.eval(t)
     c2 = params.c * params.c
     lap_c, n = c2 / (a * a), su.x.ndim
-    gap = lap_c * ((gamma(n + 6) + gamma(n + 7)) * lap_terms(su.x, h)
-                   + (1.0 + gamma(n + 6)) * lap_terms(su.gap, h))
+    if scalar:
+        assert np.all(su.x == su.x.flat[0])
+        gap = np.zeros(su.x.shape)
+    else:
+        gap = lap_c * ((gamma(n + 6) + gamma(n + 7)) * lap_terms(su.x, h)
+                       + (1.0 + gamma(n + 6)) * lap_terms(su.gap, h))
     dv = Gapped(lap_c * ref_lap_array(su.x, h), gap)
     dv = g_sub(dv, g_mul(params.m * params.m * c2, su))
     dv = g_sub(dv, g_mul(params.n * (adot / a), sv))
     if nl is not None:
-        dv = g_add(dv, g_mul(c2, g_f(nl, su)))
+        dv = g_add(dv, g_mul(c2, g_f(nl, su, scalar)))
     return sv, dv
 
 
-def ref_rk4_gap(t, u: Gapped, v: Gapped, dt, sf, params, nl, h):
+def ref_rk4_gap(t, u: Gapped, v: Gapped, dt, sf, params, nl, h,
+                scalar: bool = False):
     """ref_rk4 on Gapped values: the reference step from (u.x, v.x), and a
     bound on the distance of the kernel's step from it when the kernel
-    starts within (u.gap, v.gap) of that state."""
+    starts within (u.gap, v.gap) of that state; scalar as in ref_rhs_gap."""
     def rhs(t, su, sv):
-        return ref_rhs_gap(t, su, sv, sf, params, nl, h)
+        return ref_rhs_gap(t, su, sv, sf, params, nl, h, scalar)
 
     hm = 0.5 * dt
     k1u, k1v = rhs(t, u, v)
@@ -413,11 +434,27 @@ def reference_step(t, dt, sf, params, nl, h, ws):
     return ws.trial_u, ws.trial_v
 
 
-def reference_run(monkeypatch, *args, **kwargs):
+class CellwiseF(NamedTuple):
+    """nl with its f taken cell by cell by nl.f_scalar, for ref_rk4."""
+
+    nl: object
+
+    def f(self, u: np.ndarray) -> np.ndarray:
+        return np.array([self.nl.f_scalar(x) for x in u.ravel().tolist()]
+                        ).reshape(u.shape)
+
+
+def cellwise_reference_step(t, dt, sf, params, nl, h, ws):
+    """reference_step with the scalar f of a uniform run at every cell."""
+    return reference_step(t, dt, sf, params,
+                          None if nl is None else CellwiseF(nl), h, ws)
+
+
+def reference_run(monkeypatch, *args, step=reference_step, **kwargs):
     """run() with the reference step and the uniform path forced off, so
     that every stage and every gradient goes through the stencil."""
     with monkeypatch.context() as mp:
-        mp.setattr(dynamics, "_rk4", reference_step)
+        mp.setattr(dynamics, "_rk4", step)
         mp.setattr(dynamics, "_is_uniform", lambda u, v: False)
         return run(*args, **kwargs)
 
@@ -456,24 +493,34 @@ def assert_same_steps(fast, slow) -> None:
         assert abs(fb.t_star_uncertainty - sb.t_star_uncertainty) <= tol
 
 
-def assert_columns_within_sum_bound(fast, slow, params, cells: int) -> None:
+def assert_columns_within_sum_bound(fast, slow, params, cells: int,
+                                    nl) -> None:
     """Each trace column of a uniform run, measured as one cell times the
     box volume, against the run that sums the `cells` equal cells with
-    BLAS. The one-cell measure is within gamma_4 of the exact sum (two
-    products, a sum, the volume and its product), a BLAS sum within
-    gamma_(cells + 2) (the sum, the complex product and the cell volume),
-    and a column combines them with a few roundings more, so the two may
-    differ by gamma_(cells + 8) times the sum of the absolute values of the
-    column's terms. The terms come from the stencil run's row: the
-    gradient is 0 on uniform data, |Re(u, u_t)| sums to at most
+    BLAS, from the same states. The one-cell measure is within gamma_4 of
+    the exact sum (two products, a sum, the volume and its product), a BLAS
+    sum within gamma_(cells + 2) (the sum, the complex product and the cell
+    volume), and a column combines them with a few roundings more, so the
+    two may differ by gamma_(cells + 8) times the sum of the absolute
+    values of the column's terms. The terms come from the stencil run's
+    row: the gradient is 0 on uniform data, |Re(u, u_t)| sums to at most
     sqrt(||u||^2 ||u_t||^2) (plus |Re(u, u_t)| itself, which stands in
-    where ||u_t||^2 underflows to 0), a history integral (P, Q, R, IG and theta's
-    anchor term) counts as one term, and Hdiag's E(t0) term brings the
-    terms of E at t0."""
+    where ||u_t||^2 underflows to 0), a history integral (P, Q, R, IG and
+    theta's anchor term) counts as one term, and Hdiag's E(t0) term brings
+    the terms of E at t0. The uniform run's F and f of the cell are nl's
+    F_scalar and f_scalar, the stencil run's numpy's F and f of each cell:
+    the terms c^2 int F of E and c^2 Re int f(u) conj(u) of I (whose terms
+    f(u) conj(u) share one sign) may move by eval_gap more, and so may the
+    columns that take E or I."""
     g = gamma(cells + 8)
+    g_E = g_I = g
+    if nl is not None:
+        g_E, g_I = g + eval_gap(nl, "F"), g + eval_gap(nl, "f")
+    col_g = {"E": g_E, "Hdiag": g_E, "I": g_I, "theta_second": g_I,
+             "zeta": g_I}
     m2c2 = (params.m * params.c) ** 2
 
-    def close(x: float, y: float, scale: float) -> bool:
+    def close(x: float, y: float, scale: float, g: float = g) -> bool:
         return (x == y or math.isnan(x) and math.isnan(y)
                 or abs(x - y) <= g * scale)
 
@@ -508,7 +555,8 @@ def assert_columns_within_sum_bound(fast, slow, params, cells: int) -> None:
             scales["theta_negk"] = abs(s.theta_negk) * (
                 1.0 + k * s_theta / s.theta)
         for name, scale in scales.items():
-            assert close(getattr(f, name), getattr(s, name), scale), name
+            assert close(getattr(f, name), getattr(s, name), scale,
+                         col_g.get(name, g)), name
         for name in ("zeta", "theta_negk"):
             if name not in scales:
                 assert math.isnan(getattr(f, name))
@@ -543,7 +591,7 @@ def test_run_matches_reference_rk4(monkeypatch, bump):
     assert_same_steps(fast, slow)
     if bump == 0.0:
         assert_columns_within_sum_bound(fast, slow, scn.params,
-                                        u0.values.size)
+                                        u0.values.size, scn.nl)
     else:
         assert trace_csv_text(fast) == trace_csv_text(slow)
         assert fast.meta == slow.meta
@@ -594,10 +642,12 @@ def uniform_problems(draw):
 @given(uniform_problems(), st.data())
 def test_uniform_run_matches_stencil_run(problem, data):
     """A run on uniform data takes no stencil and takes the steps of the
-    reference step with the uniform path forced off: the same t and dt on
-    every row, the same counts and the same blow-up, with each column
-    within the summation bound of the stencil run's. The same data with
-    one cell of u0 or u1 moved by one ulp take the stencil."""
+    reference step with the uniform path forced off and f_scalar at every
+    cell (the uniform step's f, whose distance from numpy's f the step test
+    above bounds): the same t and dt on every row, the same counts and the
+    same blow-up, with each column within the summation bound of the
+    stencil run's. The same data with one cell of u0 or u1 moved by one ulp
+    take the stencil."""
     u0, u1, sf, params, nl, cfg = problem
     args = (u0, u1, sf, params, nl, cfg)
     assert dynamics._is_uniform(*functionals.state_arrays(u0, u1))
@@ -606,10 +656,10 @@ def test_uniform_run_matches_stencil_run(problem, data):
         grads = count_calls(mp, dynamics, "grad_sq_array")
         fast = run(*args)
         assert not laps and not grads
-        slow = reference_run(mp, *args)
+        slow = reference_run(mp, *args, step=cellwise_reference_step)
     assert len(fast.rows) > 1
     assert_same_steps(fast, slow)
-    assert_columns_within_sum_bound(fast, slow, params, u0.values.size)
+    assert_columns_within_sum_bound(fast, slow, params, u0.values.size, nl)
 
     moved = data.draw(st.sampled_from([0, 1]))
     vals = [u0.values.copy(), u1.values.copy()]
@@ -630,47 +680,43 @@ def test_uniform_run_matches_stencil_run(problem, data):
 @pytest.mark.parametrize("sf", BACKGROUNDS)
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
-    """The scalar pair of a uniform workspace equals every cell of the
-    reference step's result bit for bit, in both dtypes, on every
-    background and family; gauge p = 2.5 and real p = 3 take numpy's SIMD
-    power, not an integer power. Two steps, so the second reads the swapped
-    pairs. The workspace holds no array of the state's shape, and the step
-    takes no stencil slab and no dv/dt slab. A float64 state at gauge p = 2
-    evaluates f on a Python float; any other state calls nl.f on the
-    one-cell `ws.cell`."""
+    """The scalar pair of a uniform workspace against every cell of the
+    reference step's result, in both dtypes, on every background and
+    family, over two steps, so that the second reads the swapped pairs. It
+    takes the reference's bits where f_scalar takes numpy's operations: no
+    nonlinearity, or gauge p = 2 on float64. Elsewhere f_scalar takes
+    libm's pow (gauge p = 2.5 and real p = 3 take numpy's SIMD power, not
+    an integer power) or Python's complex abs, and the pair is within the
+    bound of ref_rk4_gap with the scalar f. The workspace holds no array,
+    and the step takes no stencil slab, no dv/dt slab and no array f."""
     real = dtype == np.float64 or nl is not None and nl.real_only
     u, v = (np.full(16, x if real else complex(x, y), dtype)
             for x, y in ((2.5, -1.25), (-0.75, 0.5)))
     params = PhysicalParams(m=0.7, c=1.3, eps=1.0, n=1)
     ws = RK4Workspace(u, v)
     assert ws.uniform and not hasattr(ws, "stencil")
-    assert all(x.size == 1 for x in vars(ws).values()
-               if isinstance(x, np.ndarray))
-    t, dt, h = 0.4, 0.01, 0.1
+    assert not any(isinstance(x, np.ndarray) for x in vars(ws).values())
+    dt, h = 0.01, 0.1
+    times = (0.4, 0.4 + dt)
+    wants = [exact(u, v)]
+    for t in times:
+        wants.append(ref_rk4_gap(t, *wants[-1], dt, sf, params, nl, h,
+                                 scalar=True))
+    bitwise = nl is None or (dtype == np.float64
+                             and nl == GaugeInvariantPower(p=2.0))
     laps = count_calls(monkeypatch, dynamics, "lap_slab")
     rhs = count_calls(monkeypatch, dynamics, "_rhs_slab")
-    cells = []
-    if nl is not None:
-        f = type(nl).f
-
-        def spying(self, x, out=None):
-            cells.append(x)
-            return f(self, x, out=out)
-
-        monkeypatch.setattr(type(nl), "f", spying)
+    array_f = [] if nl is None else count_calls(monkeypatch, type(nl), "f")
     bg = _Background(sf)
-    for _ in range(2):
-        u, v = ref_rk4(t, u, v, dt, sf, params, nl, h)
-        cells.clear()
-        assert_bitwise(whole(_rk4(t, dt, bg, params, nl, h, ws)[0], u), u)
-        assert_bitwise(whole(ws.trial_v, v), v)
+    for t, want in zip(times, wants[1:]):
+        got = tuple(whole(x, w.x) for x, w in zip(
+            _rk4(t, dt, bg, params, nl, h, ws), want))
+        if bitwise:
+            for x, w in zip(got, want):
+                assert_bitwise(x, w.x)
+        assert_step_within(got, want)
         ws.accept()
-        t += dt
-    assert not laps and not rhs
-    if nl is not None:
-        plain = dtype == np.float64 and nl == GaugeInvariantPower(p=2.0)
-        assert len(cells) == (0 if plain else 4)
-        assert all(x is ws.cell for x in cells)
+    assert not laps and not rhs and not array_f
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +793,7 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     z, zv = u.astype(np.complex128), v.astype(np.complex128)
     ws = RK4Workspace(u, v)
     wz = RK4Workspace(z.copy(), zv.copy())
-    assert ws.cell.dtype == np.float64 and wz.uniform == ws.uniform
+    assert np.result_type(ws.u) == np.float64 and wz.uniform == ws.uniform
 
     want = exact(z, zv)
     bg = _Background(sf)
@@ -792,7 +838,7 @@ def workspace_dtypes(monkeypatch) -> list:
 
     def recording(self, u, v):
         init(self, u, v)
-        seen.append(self.cell.dtype)
+        seen.append(np.result_type(self.u))
 
     monkeypatch.setattr(RK4Workspace, "__init__", recording)
     return seen

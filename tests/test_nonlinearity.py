@@ -14,6 +14,43 @@ from kgflrw import (GaugeInvariantPower, RealAbsPower, admissible_eps_range,
 from kgflrw.errors import ComplexInputToRealNonlinearity
 
 
+U = 2.0 ** -53  # the unit roundoff; an ulp of a float is at most 2 U of it
+
+# Per-call errors, in units of U relative to the exact value, of the
+# operations in f and F that numpy and Python may round differently (the abs
+# of a float is exact):
+# - Python's abs of a complex and its float ** are libm's hypot and pow,
+#   each within 1 ulp on x86_64 (the GNU C Library manual, "Known Maximum
+#   Errors in Math Functions");
+# - numpy's float64 power takes its AVX-512 loops from SVML, within 4 ulps
+#   (numpy 1.22.0 release notes, "Vectorize umath module using AVX-512");
+# - numpy's complex absolute is the scaled form max sqrt(1 + (min / max)^2)
+#   (its SIMD loop since numpy 1.25): five roundings, of which the sum with
+#   1 passes on at most half of the error of the square (at most 1) and the
+#   square root halves its argument's, so within 3.25 U; taken as 2 ulps.
+ABS_ERR = {"numpy": 4.0, "python": 2.0}
+POW_ERR = {"numpy": 8.0, "python": 2.0}
+
+
+def eval_err(nl, which: str, impl: str) -> float:
+    """The relative error, to first order in U (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1), of nl's f ("f") or F
+    ("F") as numpy's array methods or the Python scalar ones ("numpy",
+    "python") evaluate it: |u| raised to at most p (f) or p + 1 (F), which
+    multiplies the error of |u| by that exponent, the power's own error,
+    and two more roundings (products, the quotient by p + 1)."""
+    exponent = nl.p + (1.0 if which == "F" else 0.0)
+    return (exponent * ABS_ERR[impl] + POW_ERR[impl] + 2.0) * U
+
+
+def eval_gap(nl, which: str) -> float:
+    """A bound on |Python's f or F - numpy's| of one input, relative to
+    numpy's value: both are within their eval_err of the exact value, which
+    is within 1 / (1 - c) of numpy's, c numpy's eval_err."""
+    c_np = eval_err(nl, which, "numpy")
+    return (c_np + eval_err(nl, which, "python")) / (1.0 - c_np)
+
+
 def potential_oracle(nl, u):
     """F(u) as the line integral int_0^1 Re(f(s u) conj(u)) ds.
 
@@ -178,10 +215,23 @@ def test_real_family_rejects_complex(values):
             else:
                 raised = False
             assert raised == expect, u
+    # the scalar f and F check one cell as the array f and F do
+    for x in values:
+        with np.errstate(all="ignore"):
+            expect = _rejects_complex_reference(np.array([x]))
+        for call in (nl.f_scalar, nl.F_scalar):
+            try:
+                call(x)
+            except ComplexInputToRealNonlinearity:
+                raised = True
+            else:
+                raised = False
+            assert raised == expect, x
 
 
-# the family with a scalar f, gauge p = 2, at lam +-1; a coupling other than
-# +-1 rounds, so the order of its products shows
+# the family whose scalar f takes f(u, out=...)'s operations, gauge p = 2,
+# at lam +-1; a coupling other than +-1 rounds, so the order of its products
+# shows
 SCALAR_FAMILIES = [GaugeInvariantPower(p=2.0, lam=lam)
                    for lam in (1.0, -1.0, 0.3, -2.5)]
 _SMALLEST_NORMAL = 2.2250738585072014e-308
@@ -197,13 +247,60 @@ _SCALAR_INPUTS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(SCALAR_FAMILIES), _SCALAR_INPUTS)
 def test_scalar_f_matches_one_cell_f_bitwise(nl, u):
-    """scalar_f gives the bits of f on a one-cell float64 array, the signs
-    of zeros included (a NaN matches a NaN); it never raises, also where
-    numpy's f overflows to inf."""
+    """At gauge p = 2, f_scalar of a float gives the bits of f on a
+    one-cell float64 array, the signs of zeros included (a NaN matches a
+    NaN); it never raises, also where numpy's f overflows to inf."""
     cell, out = np.array([u]), np.empty(1)
     with np.errstate(all="ignore"):
         want = nl.f(cell, out=out).item(0)
-    assert nl.scalar_f()(u).hex() == want.hex()
+    assert nl.f_scalar(u).hex() == want.hex()
+
+
+def same_value(got, want) -> bool:
+    """Equal floats or complexes, part by part, the sign of a zero or an
+    infinity included; a NaN part matches a NaN part of either sign."""
+    return all(math.isnan(x) and math.isnan(y)
+               or x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+               for x, y in ((complex(got).real, complex(want).real),
+                            (complex(got).imag, complex(want).imag)))
+
+
+_HUGE = 1.7976931348623157e308
+# where every power |u|^(p-1) and |u|^(p+1) of p >= 2 overflows (or is
+# exact: inf, nan, +-0), so libm's pow and numpy's power agree; Python's
+# abs of 1e308 + 1e308j and its ** past 1e308 raise OverflowError
+_PAST_OVERFLOW_REAL = [1e300, -1e300, _HUGE, -_HUGE, math.inf, -math.inf,
+                       math.nan, 0.0, -0.0]
+_PAST_OVERFLOW_COMPLEX = [complex(1e300, 1e300), complex(-1e300, 0.0),
+                          complex(0.0, -1e300), complex(1e308, 1e308),
+                          complex(-_HUGE, -_HUGE), complex(math.inf, 0.0),
+                          complex(math.nan, 0.0), complex(0.0, math.nan),
+                          complex(0.0, 0.0), complex(-0.0, -0.0),
+                          complex(-0.0, 0.0)]
+
+
+@pytest.mark.parametrize("nl, complex_data", [
+    (GaugeInvariantPower(p=2.0), False), (GaugeInvariantPower(p=3.0), False),
+    (GaugeInvariantPower(p=2.5, lam=-1.0, eps=1.5), False),
+    (RealAbsPower(p=2.0), False), (RealAbsPower(p=3.0, sign=-1), False),
+    (GaugeInvariantPower(p=2.0, lam=-1.0, eps=1.5), True),
+    (GaugeInvariantPower(p=3.0), True), (GaugeInvariantPower(p=2.5), True),
+], ids=["gauge-p2", "gauge-p3", "gauge-p2.5", "real-p2", "real-p3",
+        "complex-p2", "complex-p3", "complex-p2.5"])
+def test_scalar_f_and_F_match_one_cell_past_overflow(nl, complex_data):
+    """f_scalar and F_scalar past the overflow point, at NaN and at signed
+    zeros never raise and give the array path's value on one cell, as the
+    stencil kernel and the array measure call it (in place on float64), the
+    signs of zeros and infinities included."""
+    values = _PAST_OVERFLOW_COMPLEX if complex_data else _PAST_OVERFLOW_REAL
+    for u in values:
+        cell = np.array([u])
+        out = {} if complex_data else {"out": np.empty(1)}
+        with np.errstate(all="ignore"):
+            f_want = nl.f(cell, **out).item(0)
+            F_want = nl.F(cell, out=np.empty(1)).item(0)
+        assert same_value(nl.f_scalar(u), f_want), u
+        assert same_value(nl.F_scalar(u), F_want), u
 
 
 def power_path_f(nl, u):
@@ -231,17 +328,6 @@ def test_gauge_p_2_in_place_f_matches_power_path_bitwise(nl, real, pairs):
         want = [power_path_f(nl, u)] + [nl.f(u)] * real
     for x in want:
         assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
-
-
-def test_scalar_f_only_at_gauge_p_2():
-    """Where f takes numpy's power, there is no scalar f; at p = 2 an
-    overflowing f is inf, not OverflowError."""
-    for nl in (GaugeInvariantPower(p=1.5), GaugeInvariantPower(p=2.5),
-               GaugeInvariantPower(p=3.0), RealAbsPower(p=2.0),
-               RealAbsPower(p=3.0)):
-        assert nl.scalar_f() is None
-    assert GaugeInvariantPower(p=2.0).scalar_f()(-1e300) == -math.inf
-    assert GaugeInvariantPower(p=2.0, lam=-1.0).scalar_f()(1e300) == -math.inf
 
 
 def test_complex_lambda_is_rejected():
