@@ -27,8 +27,8 @@ first cell. The run measures such a state as one cell times the box volume
 V = cell volume * N^n (`Grid.volume`): ||u||^2 = |u|^2 V, ||u_t||^2 =
 |v|^2 V, Re(u, u_t) = Re(conj(v) u) V, each product sum started from +0.0
 as a BLAS dot starts, so the sign of a zero velocity never reaches the
-trace; F and Re f(u) conj(u) are `F_scalar` and `f_scalar` of the cell
-times V, and the gradient is 0.0. These are the exact cell sums up to a few
+trace; Re f(u) conj(u) is Re(conj(u) `f_scalar`(u)) V, int F that over
+p + 1, and the gradient is 0.0. These are the exact cell sums up to a few
 roundings; a whole-array dot adds up to gamma_N sum |a_i b_i| (Higham,
 Accuracy and Stability of Numerical Algorithms, section 3.1).
 

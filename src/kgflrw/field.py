@@ -30,8 +30,7 @@ offset, so every operand is contiguous. The arithmetic runs in place in
 band-sized work arrays, operation by operation in the order of the formulas
 above; values in the band's wrap-around cells are discarded. Reductions sum
 whole arrays, never per slab, which would change the order of summation.
-The padded buffer holds the last field loaded, or a `spare` result, until
-the next load; `deriv` holds grad_sq_array's derivative.
+The padded buffer holds the last field loaded until the next load.
 """
 
 from __future__ import annotations
@@ -150,8 +149,7 @@ class Stencil:
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         padded = tuple(s + 4 for s in self.shape)
-        self._pad = pad = np.empty(padded, dtype=self.dtype)
-        self._spares: dict = {}
+        pad = np.empty(padded, dtype=self.dtype)
         inner, halos = _stencil_slices(self.shape)
         self._inner = pad[inner]
         self._halos = tuple((pad[dst], pad[src]) for dst, src in halos)
@@ -173,7 +171,8 @@ class Stencil:
 
     @cached_property
     def deriv(self) -> np.ndarray:
-        """A whole array that `grad_sq_array` writes each derivative into."""
+        """A whole array that `grad_sq_array` writes each derivative into
+        and, once it has returned, `functionals.potential_integrals` f(u)."""
         return np.empty(self.shape, self.dtype)
 
     def load(self, vals: np.ndarray) -> None:
@@ -181,15 +180,6 @@ class Stencil:
         self._inner[...] = vals
         for dst, src in self._halos:
             dst[...] = src
-
-    def spare(self, dtype) -> np.ndarray:
-        """A contiguous array of the field's shape in the padded buffer's
-        memory, for a result needed only until the next load."""
-        view = self._spares.get(dtype)
-        if view is None:
-            flat = self._pad.reshape(-1).view(dtype)
-            view = self._spares[dtype] = flat[:math.prod(self.shape)].reshape(self.shape)
-        return view
 
 
 def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:

@@ -21,13 +21,15 @@ with equality exactly when the structure inequality is pointwise tight.
 E, I and the margins below are arithmetic on six spatial integrals of a
 state, measured once per state into `Integrals` by `measure`: ||u||^2,
 ||u_t||^2, Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u). Each
-is a plain cell sum times the cell volume, which on a smooth periodic
-integrand converges faster than any power of h. The state is measured in
-one dtype, the one `state_arrays` picks for `measure` and for a run: float64
-for real data, else complex128; each sum is taken in that dtype. A run on
-uniform data measures its state as one cell, given as Python scalars, times
-the box volume (`norm_integrals`, `potential_integrals`): every cell sum of
-such a state is N^n times that cell's term.
+but int F is a plain cell sum times the cell volume, which on a smooth
+periodic integrand converges faster than any power of h; int F is the last
+over p+1, as F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`). The state is
+measured in one dtype, the one `state_arrays` picks for `measure` and for a
+run: float64 for real data, else complex128; each sum is taken in that
+dtype. A run on uniform data measures its state as one cell, given as
+Python scalars, times the box volume (`norm_integrals`,
+`potential_integrals`): every cell sum of such a state is N^n times that
+cell's term.
 
 Two data margins certify blow-up: rho (norm-weighted, start at t0 = 0) and
 delta (velocity-weighted, any admissible t0):
@@ -162,31 +164,30 @@ def norm_integrals(u, v, grid: Grid) -> tuple[float, float, float]:
 def potential_integrals(u, grid: Grid, nl: Nonlinearity | None,
                         stencil: Stencil | None = None
                         ) -> tuple[float, float]:
-    """int F(u) and Re int f(u) conj(u); both 0.0 for the linear equation.
-    Of the array u, with F and f written into the padded buffer of the
-    stencil (`Stencil.spare`) if one is given. Of a uniform state given as
-    its one cell's Python scalar u: nl's `F_scalar` and `f_scalar` of u,
-    times the box volume."""
+    """int F(u) and Re int f(u) conj(u) from one evaluation of f, as
+    F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`); both 0.0 for the linear
+    equation. Of the array u, with f written into the stencil's `deriv`
+    where f's dtype is the stencil's (every gauge state, the real family on
+    float64). Of a uniform state given as its one cell's Python scalar u:
+    nl's `f_scalar` of u, times the box volume."""
     if nl is None:
         return 0.0, 0.0
-    if not isinstance(u, np.ndarray):
-        vol = grid.volume
-        return nl.F_scalar(u) * vol, _cell_dot(u, nl.f_scalar(u)) * vol
-    cv = grid.cell_volume
-
-    def into(dtype) -> dict:
-        return {} if stencil is None else {"out": stencil.spare(dtype)}
-
-    F = float(np.add.reduce(nl.F(u, **into(np.float64)), axis=None)) * cv
-    f_u = nl.f(u, **into(np.float64 if nl.real_only else u.dtype))
-    return F, dot_re(u, f_u) * cv
+    if isinstance(u, np.ndarray):
+        out = None
+        if stencil is not None and (stencil.dtype == np.float64
+                                    or not nl.real_only):
+            out = stencil.deriv
+        re_fu = dot_re(u, nl.f(u, out=out)) * grid.cell_volume
+    else:
+        re_fu = _cell_dot(u, nl.f_scalar(u)) * grid.volume
+    return re_fu / (nl.p + 1.0), re_fu
 
 
 def measure_arrays(u: np.ndarray, v: np.ndarray, grid: Grid,
                    nl: Nonlinearity | None,
                    stencil: Stencil | None = None) -> Integrals:
     """The six integrals of the state arrays (u, u_t = v), complex128 or
-    float64; stencil is the scratch of the gradient and of f(u)."""
+    float64; stencil is the scratch of the gradient and then of f(u)."""
     return Integrals(*norm_integrals(u, v, grid),
                      grad_sq_array(u, grid.spacing, stencil) * grid.cell_volume,
                      *potential_integrals(u, grid, nl, stencil))

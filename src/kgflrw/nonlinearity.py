@@ -6,19 +6,23 @@ Two families:
 * RealAbsPower         f(u) = sign * |u|^p        on real u, p > 1, sign = +-1
 
 Both have f(0) = 0 and the local Lipschitz growth |f(s)-f(v)| <=
-C |s-v| (|s|^(p-1) + |v|^(p-1)). The potential F(u) = int_0^u f is
+C |s-v| (|s|^(p-1) + |v|^(p-1)). Both are homogeneous of degree p, so the
+potential F(u) = int_0^u f is
 
-    F(u) = lam |u|^(p+1) / (p+1)              (gauge family)
-    F(u) = sign * |u|^p u / (p+1)             (real family)
+    F(u) = Re(f(u) conj(u)) / (p+1),
 
-and the machinery requires a structure constant eps > 0 with
+lam |u|^(p+1) / (p+1) for the gauge family and sign |u|^p u / (p+1) for the
+real one. The families therefore implement f only: int F is computed from
+the same evaluation as Re int f(u) conj(u), in
+`functionals.potential_integrals`. The machinery requires a structure
+constant eps > 0 with
 
-    Re(f(u) conj(u)) >= (2 + eps) F(u)   for all admissible u.
+    Re(f(u) conj(u)) >= (2 + eps) F(u)   for all admissible u,
 
-For the gauge family this pins eps <= p-1 when lam > 0 and eps >= p-1 when
-lam < 0; the real family forces eps = p-1 exactly (the inequality flips sign
-with u otherwise). The coupling lam is real: a complex one has no potential,
-so it is refused at construction.
+that is (p - 1 - eps) F(u) >= 0. For the gauge family this pins eps <= p-1
+when lam > 0 and eps >= p-1 when lam < 0; the real family forces eps = p-1
+exactly (F changes sign with u). The coupling lam is real: a complex one
+has no potential, so it is refused at construction.
 """
 
 from __future__ import annotations
@@ -101,16 +105,18 @@ class GaugeInvariantPower:
 
     def f(self, u, out=None):
         """f(u); given out (float64 for real u, else complex128), the same
-        operations in place. A complex f still allocates |u|^(p-1): numpy
-        may round a power on strided out.real differently."""
+        operations in place. A complex f still allocates |u|^(p-1) (numpy
+        may round a power on strided out.real differently) and writes only
+        its product with u into out, so out is never an operand and
+        f(u, out) has the bits of f(u), signs of zeros included."""
         u = np.asarray(u)
         if out is None:
             return self.lam * np.abs(u) ** (self.p - 1.0) * u
-        mag = np.abs(u) if u.dtype.kind == "c" else np.abs(u, out=out)
+        mag = np.abs(u, out=None if u.dtype.kind == "c" else out)
         if self.p != 2.0:  # |u| ** 1.0 is |u|; ** and **= take one path
             mag **= self.p - 1.0
-        np.multiply(self.lam, mag, out=out)
-        return np.multiply(out, u, out=out)
+        np.multiply(self.lam, mag, out=mag)
+        return np.multiply(mag, u, out=out)
 
     def f_scalar(self, u):
         """f of one Python float or complex in f's order of operations; at
@@ -122,20 +128,6 @@ class GaugeInvariantPower:
             return self.lam * abs(u) * u
         except OverflowError:  # |u| of a complex u, which numpy takes as inf
             return self.lam * math.inf * u
-
-    def F_scalar(self, u):
-        """F of one Python float or complex in F's order of operations."""
-        return self.lam * _abs_pow(u, self.p + 1.0) / (self.p + 1.0)
-
-    def F(self, u, out=None):
-        """F(u); given a float64 array out, the same operations in place."""
-        u = np.asarray(u)
-        if out is None:
-            return self.lam * np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
-        np.abs(u, out=out)
-        out **= self.p + 1.0
-        np.multiply(self.lam, out, out=out)
-        return np.divide(out, self.p + 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -196,22 +188,6 @@ class RealAbsPower:
     def f_scalar(self, u):
         """f of one Python float in f's order of operations."""
         return self.sign * _abs_pow(self._real_scalar(u), self.p)
-
-    def F_scalar(self, u):
-        """F of one Python float in F's order of operations."""
-        ur = self._real_scalar(u)
-        return self.sign * _abs_pow(ur, self.p) * ur / (self.p + 1.0)
-
-    def F(self, u, out=None):
-        """F(u); given a float64 array out, the same operations in place."""
-        ur = self._real(u)
-        if out is None:
-            return self.sign * np.abs(ur) ** self.p * ur / (self.p + 1.0)
-        np.abs(ur, out=out)
-        out **= self.p
-        np.multiply(self.sign, out, out=out)
-        np.multiply(out, ur, out=out)
-        return np.divide(out, self.p + 1.0, out=out)
 
 
 Nonlinearity = Union[GaugeInvariantPower, RealAbsPower]

@@ -3,17 +3,23 @@
 The references below are the functionals as written before the six spatial
 integrals of a state were measured once: each one recomputes its norms from
 the fields, with the plain integrals of the `field` module of that time kept
-here verbatim. They are given the state's arrays in the dtype that
-`state_arrays` picks, as `measure` is. `measure` and the `Integrals`
-arithmetic perform the same floating-point operations in the same order, so
-both paths must agree bit for bit. A uniform run measures its state as one
+here verbatim, except that int F sums the closed form of F (`ref_F`),
+where `measure` takes Re int f(u) conj(u) / (p+1). They are given the
+state's arrays in the dtype that `state_arrays` picks, as `measure` is.
+`measure` and the `Integrals` arithmetic perform the same floating-point
+operations in the same order, so both paths agree bit for bit but in
+int F: there E is held to the reference within a bound from the per-call
+errors of f and of the closed form and the summation bound gamma_N
+(`potential_gap`), and what takes E to the reference formulas given the
+measured E, bit for bit. A uniform run measures its state as one
 cell times the box volume; that measure is held to the exact rational sum of
 its N^n equal cells. The count tests check that a simulation and a
-certificate evaluation measure each state once, and that a uniform run sums
-no array while it steps.
+certificate evaluation measure each state once, that a uniform run sums no
+array while it steps, and that a recorded row calls the nonlinearity once.
 """
 
 import contextlib
+import inspect
 import io
 import math
 from collections import namedtuple
@@ -31,7 +37,7 @@ from kgflrw.cli import main_entry, parse_report
 from kgflrw.errors import GridMismatch, HorizonTooShort
 from kgflrw.dynamics import RunConfig, Stepper, StepState
 from kgflrw.field import Field, Stencil, grad_sq_array
-from test_nonlinearity import eval_gap  # F's and f's per-call errors
+from test_nonlinearity import U, eval_err, eval_gap, ref_F  # F's oracle
 
 _REL = 1e-9
 
@@ -62,7 +68,7 @@ def inner_re(f1: Field, f2: Field) -> float:
 
 def integrate_F(nl, fld: Field) -> float:
     """Integral of the potential F(u) over the torus."""
-    return float(np.sum(nl.F(fld.values))) * fld.grid.cell_volume
+    return float(np.sum(ref_F(nl, fld.values))) * fld.grid.cell_volume
 
 
 def ref_energy(state, sf, params, nl):
@@ -99,25 +105,33 @@ def ref_rel_E_I_gap(state, sf, params, nl):
     return ref_energy(state, sf, params, nl) - bound
 
 
-def ref_rho(u0, u1, sf, params, nl):
+def ref_rho(u0, u1, sf, params, nl, E0=None):
+    """rho; E0, if given, stands for the reference E(0)."""
     mc2 = params.m * params.m * params.c * params.c
     lead = mc2 * params.eps / (2.0 * (params.eps + 2.0)) * l2_norm_sq(u0)
-    return lead - ref_energy(State(0.0, u0, u1), sf, params, nl)
+    if E0 is None:
+        E0 = ref_energy(State(0.0, u0, u1), sf, params, nl)
+    return lead - E0
 
 
-def ref_delta(u0, u1, t0, sf, params, nl):
+def ref_delta(u0, u1, t0, sf, params, nl, E0=None):
+    """delta; E0, if given, stands for the reference E(t0)."""
     lead = (abs(params.m) * params.c * params.eps / (2.0 * (params.eps + 2.0))
             * inner_re(u0, u1))
-    return lead - ref_energy(State(t0, u0, u1), sf, params, nl)
+    if E0 is None:
+        E0 = ref_energy(State(t0, u0, u1), sf, params, nl)
+    return lead - E0
 
 
 def ref_re_tolerance(u0, u1):
     return _REL * (math.sqrt(l2_norm_sq(u0) * l2_norm_sq(u1)) + 1e-300)
 
 
-def ref_classify_table1(u0, u1, t0, sf, params, nl):
+def ref_classify_table1(u0, u1, t0, sf, params, nl, E0=None):
+    """The table's label; E0, if given, stands for the reference E(t0)."""
     st_ = State(t0, u0, u1)
-    E0 = ref_energy(st_, sf, params, nl)
+    if E0 is None:
+        E0 = ref_energy(st_, sf, params, nl)
     I0 = ref_nehari(st_, sf, params, nl)
     re01 = inner_re(u0, u1)
     mt, ct = params.m_tilde, params.c_tilde
@@ -174,37 +188,81 @@ def same_bits(x: float, y: float) -> bool:
     return float(x).hex() == float(y).hex()
 
 
+def potential_gap(nl, cells: int) -> float:
+    """A bound on |measure's int F - integrate_F| of an array of `cells`
+    cells, relative to A = sum_i |F(u_i)| times the cell volume, to first
+    order in U (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1). measure sums Re(conj(u_i) f(u_i)), a dot of 2 cells real
+    products on complex data (cells on real data) whose moduli sum to
+    (p+1) A / cell volume (in both families the parts of f(u) conj(u) of a
+    cell share one sign), with each f within eval_err of f part by part:
+    within eval_err(f) + gamma_(2 cells) of the exact sum, and two
+    roundings more (the volume, the quotient by p+1). integrate_F sums the
+    closed form, each within eval_err(F), in any order: gamma_cells more,
+    and one rounding (the volume). The four roundings left in
+    gamma_(3 cells + 4) cover the second-order terms."""
+    return (eval_err(nl, "f", "numpy") + eval_err(nl, "F", "numpy")
+            + float(gamma_units(3 * cells + 4)))
+
+
+def assert_energy_within_potential_gap(E, E_ref, u, params, nl) -> None:
+    """E of the measure against the reference's, which share every term
+    but c^2 int F, bit for bit: without a nonlinearity they are the same
+    bits, else within c^2 potential_gap A of the two int F, two roundings
+    of c^2 |int F| (the product with c^2), taken as two more in the gap,
+    and one rounding of each E (the subtraction). A is taken as its float
+    sum, which moves the bound at second order only."""
+    if nl is None:
+        assert same_bits(E, E_ref)
+        return
+    c2 = params.c * params.c
+    A = float(np.sum(np.abs(ref_F(nl, u.values)))) * u.grid.cell_volume
+    bound = (c2 * (potential_gap(nl, u.values.size) + 2.0 * U) * A
+             + U * (abs(E) + abs(E_ref)))
+    assert abs(E - E_ref) <= bound, (E, E_ref, bound)
+
+
 @settings(max_examples=80, deadline=None)
 @given(states())
 def test_functionals_match_reference_bitwise(case):
+    """Every functional of the measure against the reference: I bit for
+    bit, E(t0) and E(0) within `assert_energy_within_potential_gap`, and
+    rho, delta and the table's label bit for bit given those E."""
     u0, u1, t0, sf, params, nl = case
     r0, r1 = (Arrays(u0.grid, x) for x in functionals.state_arrays(u0, u1))
     state = State(t0, r0, r1)
-    a0 = sf.eval(t0)[0]
+    a0, a_0 = sf.eval(t0)[0], sf.eval(0.0)[0]
     assert a0 != 1.0
     rec = measure(u0, u1, nl)
-    for new, ref in ((rec.energy, ref_energy), (rec.nehari, ref_nehari)):
-        assert same_bits(new(a0, params), ref(state, sf, params, nl))
-    assert same_bits(rec.rho(sf.eval(0.0)[0], params),
-                     ref_rho(r0, r1, sf, params, nl))
+    E, E_0 = rec.energy(a0, params), rec.energy(a_0, params)
+    assert_energy_within_potential_gap(E, ref_energy(state, sf, params, nl),
+                                       r0, params, nl)
+    assert_energy_within_potential_gap(
+        E_0, ref_energy(State(0.0, r0, r1), sf, params, nl), r0, params, nl)
+    assert same_bits(rec.nehari(a0, params),
+                     ref_nehari(state, sf, params, nl))
+    assert same_bits(rec.rho(a_0, params),
+                     ref_rho(r0, r1, sf, params, nl, E0=E_0))
     assert same_bits(rec.delta(a0, params),
-                     ref_delta(r0, r1, t0, sf, params, nl))
+                     ref_delta(r0, r1, t0, sf, params, nl, E0=E))
     assert (classify_table1(rec, a0, params)
-            == ref_classify_table1(r0, r1, t0, sf, params, nl))
-    # the record itself, with the run's stencil
-    rec = measure(u0, u1, nl, Stencil(u0.grid.shape, r0.values.dtype))
-    assert same_bits(rec.L, l2_norm_sq(r0))
-    assert same_bits(rec.ut_sq, l2_norm_sq(r1))
-    assert same_bits(rec.re_u_ut, inner_re(r0, r1))
-    assert same_bits(rec.grad_sq, grad_norm_sq(r0))
+            == ref_classify_table1(r0, r1, t0, sf, params, nl, E0=E))
+    # the record itself, with the run's stencil, which f then writes into
+    rec_s = measure(u0, u1, nl, Stencil(u0.grid.shape, r0.values.dtype))
+    assert same_bits(rec_s.L, l2_norm_sq(r0))
+    assert same_bits(rec_s.ut_sq, l2_norm_sq(r1))
+    assert same_bits(rec_s.re_u_ut, inner_re(r0, r1))
+    assert same_bits(rec_s.grad_sq, grad_norm_sq(r0))
+    assert all(map(same_bits, rec_s, rec))
     try:
         rep = evaluate(u0, u1, t0, sf, params, nl)
     except HorizonTooShort:
         return
-    assert same_bits(rep.E_t0, ref_energy(state, sf, params, nl))
+    assert same_bits(rep.E_t0, E)
     assert same_bits(rep.I_u0, ref_nehari(state, sf, params, nl))
-    assert same_bits(rep.delta, ref_delta(r0, r1, t0, sf, params, nl))
-    assert rep.case_label == ref_classify_table1(r0, r1, t0, sf, params, nl)
+    assert same_bits(rep.delta, ref_delta(r0, r1, t0, sf, params, nl, E0=E))
+    assert rep.case_label == ref_classify_table1(r0, r1, t0, sf, params, nl,
+                                                 E0=E)
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +332,12 @@ def test_evaluate_measures_the_data_once(monkeypatch):
     rng = np.random.default_rng(5)
     u0, u1 = (Field(grid, rng.normal(size=grid.shape) + 0j) for _ in range(2))
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    calls = {"F": 0, "f": 0}
-    for name in calls:
-        method = getattr(GaugeInvariantPower, name)
-
-        def counting(self, u, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(self, u)
-
-        monkeypatch.setattr(GaugeInvariantPower, name, counting)
+    calls = count_nonlinearity_calls(monkeypatch)
     grads = count_calls(monkeypatch, field.grad_sq_array)
     stencils = count_stencils(monkeypatch)
     evaluate(u0, u1, 0.0, DeSitter(H=0.3, n=2),
              PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2), nl)
-    assert (len(grads), len(stencils), calls) == (1, 1, {"F": 1, "f": 1})
+    assert (len(grads), len(stencils), calls) == (1, 1, ["f"])
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +413,19 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     """||u||^2, ||u_t||^2, Re(u, u_t), int F and Re int f(u) conj(u) of a
     uniform state, as run() reports them at t0 and a stepper and a
     recorded row report them after a step, against the exact rational sum
-    of the grid's N^n equal cells times the cell volume. F and f of a cell
-    are numpy's values on the whole array, equal at every cell, so that sum
-    is N^n times the cell's value. The bounds count roundings in units of
+    of the grid's N^n equal cells times the cell volume. f of a cell is
+    numpy's value on the whole array, equal at every cell, so that sum is
+    N^n times the cell's value; int F is held to the exact sum of
+    Re(f(u) conj(u)) / (p+1). The bounds count roundings in units of
     2^-53 (gamma_k): four for a norm (two products, their sum, the volume
     cell_volume * N^n and the product with it), the same for Re(u, u_t) and
     Re f(u) conj(u), relative to the sum of the absolute values of the
-    cell's products (at most |u| |v|, as the sum can cancel), and two for
-    int F (the volume and the product); a product that underflows adds
-    at most 2^-1074 before the volume. The measure takes F and f of the
-    cell as F_scalar and f_scalar, which may differ from numpy's by
-    eval_gap of |F| and of |f|, so by that much more of |F| V and of
-    |u| |f| V (each modulus bounded by l1). A zero sum is +0.0."""
+    cell's products (at most |u| |v|, as the sum can cancel), and five for
+    int F (the quotient by p+1); a product that underflows adds at most
+    2^-1074 before the volume. The measure takes f of the cell as
+    f_scalar, which may differ from numpy's by eval_gap of |f|, so by that
+    much more of |u| |f| V (each modulus bounded by l1). A zero sum is
+    +0.0."""
     grid, u, v, nl = state
     cells = grid.points_per_axis ** grid.n
     vol = cells * Fraction(grid.cell_volume)
@@ -399,16 +450,17 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
                 assert math.copysign(1.0, got) == 1.0
 
     F, re_fu = functionals.potential_integrals(u, grid, nl)
-    whole = np.full(grid.shape, u)
-    F_cells, f_cells = nl.F(whole), nl.f(whole)
-    F_cell, f_cell = F_cells.flat[0].item(), f_cells.flat[0].item()
-    assert np.all(F_cells == F_cell) and np.all(f_cells == f_cell)
-    assert_within(F, Fraction(F_cell) * vol, abs(Fraction(F_cell)) * vol, 2,
-                  vol, Fraction(eval_gap(nl, "F")) * abs(Fraction(F_cell))
-                  * vol)
+    f_cells = nl.f(np.full(grid.shape, u))
+    f_cell = f_cells.flat[0].item()
+    assert np.all(f_cells == f_cell)
+    f_gap = Fraction(eval_gap(nl, "f")) * l1(u) * l1(f_cell) * vol
     assert_within(re_fu, exact_dot(u, f_cell) * vol,
-                  abs_dot(u, f_cell) * vol, 4, vol,
-                  Fraction(eval_gap(nl, "f")) * l1(u) * l1(f_cell) * vol)
+                  abs_dot(u, f_cell) * vol, 4, vol, f_gap)
+    # re_fu / (p+1), one rounding more, and 2^-1075 where it underflows
+    p1 = Fraction(nl.p + 1.0)
+    assert_within(F, exact_dot(u, f_cell) * vol / p1,
+                  abs_dot(u, f_cell) * vol / p1, 5, vol / p1,
+                  f_gap * (1 + Fraction(U)) / p1 + Fraction(1, 2 ** 1075))
 
 
 class CountingFills(np.ndarray):
@@ -450,44 +502,68 @@ def test_uniform_run_sums_no_array_per_step(monkeypatch):
     assert len(pots) == len(trace.rows)
 
 
-def count_array_f_and_F(monkeypatch) -> list:
-    """Count the calls of both families' array f and F."""
+def count_nonlinearity_calls(monkeypatch) -> list:
+    """Record the name of each call of a public method of either family:
+    its f and f_scalar, and any other it defines."""
     calls = []
     for family in (GaugeInvariantPower, RealAbsPower):
-        for name in ("f", "F"):
-            method = getattr(family, name)
+        for name, method in list(vars(family).items()):
+            if name.startswith("_") or not inspect.isfunction(method):
+                continue
 
-            def counting(self, u, out=None, _method=method):
-                calls.append(None)
-                return _method(self, u, out=out)
+            def counting(self, *args, _method=method, _name=name, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
 
             monkeypatch.setattr(family, name, counting)
     return calls
 
 
-@pytest.mark.parametrize("edits, uniform", [
-    ((), True),
-    ((("nonlin.p = 2.0", "nonlin.p = 3.0"),), True),
-    ((("data0.amplitude = 3.0", "data0.amplitude = 3+0.5j"),), True),
+@pytest.mark.parametrize("edits, slab_bytes", [
+    ((), None),
+    ((("nonlin.p = 2.0", "nonlin.p = 3.0"),), None),
+    ((("data0.amplitude = 3.0", "data0.amplitude = 3+0.5j"),), None),
     ((("nonlin.family = gauge", "nonlin.family = real"),
-      ("nonlin.lambda = 1.0\n", "")), True),
+      ("nonlin.lambda = 1.0\n", "")), None),
     ((("data0.kind = homogeneous",
-       "data0.kind = gaussian\ndata0.width = 1.0"),), False),
-], ids=["p2", "p3", "complex", "real", "gaussian"])
-def test_uniform_run_calls_no_array_f_or_F(monkeypatch, edits, uniform):
-    """A run on uniform data, the anchor cut to t_end = 0.05 at p = 2, at
-    p = 3, at amplitude 3+0.5j and under the real family, evaluates f and
-    F in Python arithmetic only: no call of either family's array f or F
-    in any step or recorded row, the row at t0 included. A Gaussian u0
-    still steps and measures through the array f and F."""
+       "data0.kind = gaussian\ndata0.width = 1.0"),), None),
+    ((("data0.kind = homogeneous",
+       "data0.kind = gaussian\ndata0.width = 1.0"),), 128),
+], ids=["p2", "p3", "complex", "real", "gaussian", "gaussian-slabs"])
+def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
+    """A recorded row makes exactly one nonlinearity call, which gives
+    both int F and Re int f(u) conj(u): f_scalar on a uniform run, the
+    array f otherwise (a row that also evaluated F made two). An RK4 stage
+    calls f once per stencil slab, f_scalar once on a uniform run, so a
+    run makes 4 x (those stage calls) x attempted steps + rows calls. Runs:
+    the anchor cut to t_end = 0.05, uniform at p = 2, at p = 3, at
+    amplitude 3+0.5j and under the real family; a Gaussian u0 in one
+    slab, and in four at a smaller slab size."""
     text = bundled_scenario_text("minkowski-m0-u2-A3")
     for old, new in (("run.t_end = 1.75", "run.t_end = 0.05"), *edits):
         assert text.count(old) == 1
         text = text.replace(old, new)
     scn = config.parse_text(text)
     u0, u1 = scn.build_fields()
-    calls = count_array_f_and_F(monkeypatch)
-    trace = dynamics.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run)
-    assert trace.meta["accepted"] > 0 and len(trace.rows) > 1
-    assert (len(calls) == 0) == uniform
+    uniform = "gaussian" not in text
+    if slab_bytes is not None:
+        monkeypatch.setattr(field, "SLAB_BYTES", slab_bytes)
+    slabs = len(Stencil(scn.grid.shape, np.float64).slabs)
+    assert slabs == (1 if slab_bytes is None else 4)
+    calls = count_nonlinearity_calls(monkeypatch)
+    per_row, measure_row = [], functionals.potential_integrals
 
+    def counting_row(*args):
+        before = len(calls)
+        result = measure_row(*args)
+        per_row.append(calls[before:])
+        return result
+
+    monkeypatch.setattr(dynamics, "potential_integrals", counting_row)
+    trace = dynamics.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run)
+    attempted = trace.meta["accepted"] + trace.meta["rejected"]
+    assert attempted > 0 and len(trace.rows) > 1
+    kind = "f_scalar" if uniform else "f"
+    assert per_row == [[kind]] * len(trace.rows)
+    stage_calls = 1 if uniform else slabs
+    assert calls == [kind] * (4 * stage_calls * attempted + len(trace.rows))

@@ -20,7 +20,7 @@ errors of libm's pow and hypot and numpy's power and complex abs
 the reference run, with the uniform path forced off and the same f at
 every cell, sums the N equal cells with BLAS in another order; the two runs
 take the same steps, and each trace column is held to a summation bound
-from its terms, plus the per-call error of F and f where it takes them.
+from its terms, plus the per-call error of f where it takes it.
 
 On real data the kernels also run in float64. There the complex kernel is
 the oracle: the float64 stencils and RK4 step must give its real part bit
@@ -507,11 +507,15 @@ def assert_columns_within_sum_bound(fast, slow, params, cells: int,
     sqrt(||u||^2 ||u_t||^2) (plus |Re(u, u_t)| itself, which stands in
     where ||u_t||^2 underflows to 0), a history integral (P, Q, R, IG and
     theta's anchor term) counts as one term, and Hdiag's E(t0) term brings
-    the terms of E at t0. The uniform run's F and f of the cell are nl's
-    F_scalar and f_scalar, the stencil run's numpy's F and f of each cell:
-    the terms c^2 int F of E and c^2 Re int f(u) conj(u) of I (whose terms
-    f(u) conj(u) share one sign) may move by eval_gap more, and so may the
-    columns that take E or I."""
+    the terms of E at t0. The uniform run's f of the cell is nl's
+    f_scalar, the stencil run's numpy's f of each cell: the term
+    c^2 Re int f(u) conj(u) of I (whose terms f(u) conj(u) share one sign)
+    may move by eval_gap of f more, and so may the columns that take I.
+    Both runs take int F as that integral over p + 1, one rounding more
+    each, so the term c^2 int F of E may move by eval_gap of f and two
+    roundings more: by eval_gap of F, which exceeds eval_gap of f by more
+    than the error of numpy's and Python's |u| (6 U), and so may the
+    columns that take E."""
     g = gamma(cells + 8)
     g_E = g_I = g
     if nl is not None:
@@ -1040,8 +1044,8 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
 def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
                                                      seed, scale, rows_seed,
                                                      real):
-    """measure_arrays over several slabs, with F and f written into the
-    stencil's buffer, against measure_arrays of the same arrays in one
+    """measure_arrays over several slabs, with f written into the
+    stencil's `deriv`, against measure_arrays of the same arrays in one
     slab, in float64 and in complex128."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)

@@ -1,5 +1,9 @@
 """Nonlinearity families: potential against a line-integral quadrature
-oracle, admissible structure-constant ranges, and the structure inequality."""
+oracle, admissible structure-constant ranges, and the structure inequality.
+
+The families implement f only; the program takes int F as
+Re int f(u) conj(u) / (p+1) (`functionals.potential_integrals`). The
+closed forms of F stay here as the oracle `ref_F`."""
 
 import math
 
@@ -9,16 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kgflrw import (GaugeInvariantPower, RealAbsPower, admissible_eps_range,
-                    sobolev_admissible)
+from kgflrw import (GaugeInvariantPower, Grid, RealAbsPower,
+                    admissible_eps_range, sobolev_admissible)
 from kgflrw.errors import ComplexInputToRealNonlinearity
+from kgflrw.functionals import potential_integrals
 
 
 U = 2.0 ** -53  # the unit roundoff; an ulp of a float is at most 2 U of it
 
 # Per-call errors, in units of U relative to the exact value, of the
-# operations in f and F that numpy and Python may round differently (the abs
-# of a float is exact):
+# operations in f and in the closed form of F (`ref_F`) that numpy and
+# Python may round differently (the abs of a float is exact):
 # - Python's abs of a complex and its float ** are libm's hypot and pow,
 #   each within 1 ulp on x86_64 (the GNU C Library manual, "Known Maximum
 #   Errors in Math Functions");
@@ -34,11 +39,12 @@ POW_ERR = {"numpy": 8.0, "python": 2.0}
 
 def eval_err(nl, which: str, impl: str) -> float:
     """The relative error, to first order in U (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3.1), of nl's f ("f") or F
-    ("F") as numpy's array methods or the Python scalar ones ("numpy",
-    "python") evaluate it: |u| raised to at most p (f) or p + 1 (F), which
-    multiplies the error of |u| by that exponent, the power's own error,
-    and two more roundings (products, the quotient by p + 1)."""
+    Stability of Numerical Algorithms, section 3.1), of nl's f ("f") or the
+    closed form of F ("F", `ref_F`) as numpy's array methods or the Python
+    scalar ones ("numpy", "python") evaluate it: |u| raised to at most p
+    (f) or p + 1 (F), which multiplies the error of |u| by that exponent,
+    the power's own error, and two more roundings (products, the quotient
+    by p + 1)."""
     exponent = nl.p + (1.0 if which == "F" else 0.0)
     return (exponent * ABS_ERR[impl] + POW_ERR[impl] + 2.0) * U
 
@@ -49,6 +55,26 @@ def eval_gap(nl, which: str) -> float:
     is within 1 / (1 - c) of numpy's, c numpy's eval_err."""
     c_np = eval_err(nl, which, "numpy")
     return (c_np + eval_err(nl, which, "python")) / (1.0 - c_np)
+
+
+def ref_F(nl, u):
+    """The closed form of the potential in numpy: lam |u|^(p+1) / (p+1)
+    (gauge family), sign |u|^p u / (p+1) (real family, on real u)."""
+    u = np.asarray(u)
+    if nl.real_only:
+        return nl.sign * np.abs(u) ** nl.p * u / (nl.p + 1.0)
+    return nl.lam * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
+
+
+# a grid of volume 1 (8 cells of width 1/8): its uniform measure is the
+# cell's value
+UNIT_BOX = Grid(n=1, points_per_axis=8, half_width=0.5)
+
+
+def program_F(nl, u) -> float:
+    """int F of the uniform state u on UNIT_BOX: the potential of u as the
+    program computes it, Re(conj(u) f_scalar(u)) / (p+1)."""
+    return potential_integrals(u, UNIT_BOX, nl)[0]
 
 
 def potential_oracle(nl, u):
@@ -72,19 +98,21 @@ def potential_oracle(nl, u):
 def test_potential_gauge_against_quadrature():
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     for u in (0.5, -2.0, 3.0, 1.0 + 1.0j, -0.3 + 2.1j):
-        assert float(np.real(nl.F(np.complex128(u)))) == pytest.approx(
-            potential_oracle(nl, u), rel=1e-10)
+        for F in (float(ref_F(nl, np.complex128(u))), program_F(nl, u)):
+            assert F == pytest.approx(potential_oracle(nl, u), rel=1e-10)
     # frozen spot value: p = 2, lam = 1 gives F(3) = 27/3 = 9
-    assert float(np.real(nl.F(np.complex128(3.0)))) == pytest.approx(9.0, rel=1e-14)
+    for F in (float(ref_F(nl, np.complex128(3.0))), program_F(nl, 3.0)):
+        assert F == pytest.approx(9.0, rel=1e-14)
 
 
 def test_potential_real_against_quadrature():
     nl = RealAbsPower(p=2.0, sign=1)
     for u in (0.5, 1.0, -2.0, 3.0):
-        assert float(nl.F(u)) == pytest.approx(potential_oracle(nl, u),
-                                               rel=1e-10)
+        for F in (float(ref_F(nl, u)), program_F(nl, u)):
+            assert F == pytest.approx(potential_oracle(nl, u), rel=1e-10)
     # frozen spot value: the odd potential at u = -2 is -8/3
-    assert float(nl.F(-2.0)) == pytest.approx(-8.0 / 3.0, rel=1e-14)
+    for F in (float(ref_F(nl, -2.0)), program_F(nl, -2.0)):
+        assert F == pytest.approx(-8.0 / 3.0, rel=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,8 +121,9 @@ def test_potential_real_against_quadrature():
 def test_potential_quadrature_property(p, lam, mag, phase):
     nl = GaugeInvariantPower(p=p, lam=lam, eps=p - 1.0)
     u = mag * complex(math.cos(phase), math.sin(phase))
-    assert float(np.real(nl.F(np.complex128(u)))) == pytest.approx(
-        potential_oracle(nl, u), rel=1e-8, abs=1e-12)
+    for F in (float(ref_F(nl, np.complex128(u))), program_F(nl, u)):
+        assert F == pytest.approx(potential_oracle(nl, u), rel=1e-8,
+                                  abs=1e-12)
 
 
 def test_eps_ranges():
@@ -140,7 +169,7 @@ def assert_structure(nl, seed, n_samples=10_000):
         u = mag * rng.choice([-1.0, 1.0], size=n_samples)
     else:
         u = mag * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n_samples))
-    lhs, rhs = np.real(nl.f(u) * np.conj(u)), (2.0 + nl.eps) * nl.F(u)
+    lhs, rhs = np.real(nl.f(u) * np.conj(u)), (2.0 + nl.eps) * ref_F(nl, u)
     assert np.all(rhs - lhs <= 1e-12 * (np.abs(lhs) + np.abs(rhs) + 1e-300))
     for _ in range(8):
         z = rng.normal(size=3)
@@ -151,11 +180,11 @@ def assert_structure(nl, seed, n_samples=10_000):
         for t in rng.uniform(0.0, 3.0, size=16):
             u_at = [z0 + z1 * np.sin(w * s) + z2 * np.cos(w * s)
                     for s in (t - 1e-6, t, t + 1e-6)]
-            fd = (nl.F(u_at[2]) - nl.F(u_at[0])) / 2e-6
+            fd = (ref_F(nl, u_at[2]) - ref_F(nl, u_at[0])) / 2e-6
             exact = np.real(nl.f(u_at[1]) * np.conj(
                 w * (z1 * np.cos(w * t) - z2 * np.sin(w * t))))
-            assert abs(fd - exact) <= 1e-6 * (abs(exact) + abs(nl.F(u_at[1]))
-                                              + 1.0)
+            assert abs(fd - exact) <= 1e-6 * (
+                abs(exact) + abs(ref_F(nl, u_at[1])) + 1.0)
 
 
 def test_structure_inequality_sampled():
@@ -203,11 +232,12 @@ def test_real_family_rejects_complex(values):
         nl.f(np.array([1.0 + 0.5j]))
     # a numerically negligible imaginary part is tolerated
     nl.f(np.array([1.0 + 1e-16j]))
-    # the check raises on exactly the inputs the previous check raised on
+    # the check raises on exactly the inputs the previous check raised on,
+    # also where the potential is measured
     u = np.array(values, dtype=np.complex128)
     with np.errstate(all="ignore"):
         expect = _rejects_complex_reference(u)
-        for call in (nl.f, nl.F):
+        for call in (nl.f, lambda x: potential_integrals(x, UNIT_BOX, nl)):
             try:
                 call(u)
             except ComplexInputToRealNonlinearity:
@@ -215,11 +245,13 @@ def test_real_family_rejects_complex(values):
             else:
                 raised = False
             assert raised == expect, u
-    # the scalar f and F check one cell as the array f and F do
+    # the scalar f and the uniform measure check one cell as the array f
+    # does
     for x in values:
         with np.errstate(all="ignore"):
             expect = _rejects_complex_reference(np.array([x]))
-        for call in (nl.f_scalar, nl.F_scalar):
+        for call in (nl.f_scalar,
+                     lambda x: potential_integrals(x, UNIT_BOX, nl)):
             try:
                 call(x)
             except ComplexInputToRealNonlinearity:
@@ -288,28 +320,34 @@ _PAST_OVERFLOW_COMPLEX = [complex(1e300, 1e300), complex(-1e300, 0.0),
 ], ids=["gauge-p2", "gauge-p3", "gauge-p2.5", "real-p2", "real-p3",
         "complex-p2", "complex-p3", "complex-p2.5"])
 def test_scalar_f_and_F_match_one_cell_past_overflow(nl, complex_data):
-    """f_scalar and F_scalar past the overflow point, at NaN and at signed
-    zeros never raise and give the array path's value on one cell, as the
-    stencil kernel and the array measure call it (in place on float64), the
-    signs of zeros and infinities included."""
+    """f_scalar past the overflow point, at NaN and at signed zeros never
+    raises and gives the array f's value on one cell, as the stencil kernel
+    calls it (in place on float64). The uniform measure, which takes f from
+    f_scalar, never raises either: its Re int f(u) conj(u) is Re(conj(u)
+    f(u)) of that value in Python's complex arithmetic, started from +0.0
+    as a BLAS dot is, times the box volume, and its int F is that over
+    p + 1, signs of zeros and infinities included."""
     values = _PAST_OVERFLOW_COMPLEX if complex_data else _PAST_OVERFLOW_REAL
     for u in values:
         cell = np.array([u])
         out = {} if complex_data else {"out": np.empty(1)}
         with np.errstate(all="ignore"):
             f_want = nl.f(cell, **out).item(0)
-            F_want = nl.F(cell, out=np.empty(1)).item(0)
         assert same_value(nl.f_scalar(u), f_want), u
-        assert same_value(nl.F_scalar(u), F_want), u
+        re_fu = 0.0 + (complex(u).conjugate() * f_want).real
+        re_fu *= UNIT_BOX.volume
+        F, got_re_fu = potential_integrals(u, UNIT_BOX, nl)
+        assert same_value(got_re_fu, re_fu), u
+        assert same_value(F, re_fu / (nl.p + 1.0)), u
 
 
 def power_path_f(nl, u):
     """f(u, out=...)'s operations with the power |u| ** (p - 1) taken."""
     out = np.empty_like(u)
-    mag = np.abs(u) if u.dtype.kind == "c" else np.abs(u, out=out)
+    mag = np.abs(u, out=None if u.dtype.kind == "c" else out)
     mag **= nl.p - 1.0
-    np.multiply(nl.lam, mag, out=out)
-    return np.multiply(out, u, out=out)
+    np.multiply(nl.lam, mag, out=mag)
+    return np.multiply(mag, u, out=out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -318,16 +356,36 @@ def power_path_f(nl, u):
                 max_size=8))
 def test_gauge_p_2_in_place_f_matches_power_path_bitwise(nl, real, pairs):
     """At p = 2, f(u, out=...) skips the power |u| ** 1.0 and still gives
-    the bits of its operations with the power taken, on float64 and
-    complex128 arrays: signs of zeros, subnormals, infinities and NaNs
-    included. On float64 these are also the bits of f(u); on complex128,
-    numpy's in-place complex product can give a zero of the other sign."""
+    the bits of its operations with the power taken, and those of f(u), on
+    float64 and complex128 arrays: signs of zeros, subnormals, infinities
+    and NaNs included."""
     u = np.array([x if real else complex(x, y) for x, y in pairs])
     with np.errstate(all="ignore"):
         got = nl.f(u, out=np.empty_like(u))
-        want = [power_path_f(nl, u)] + [nl.f(u)] * real
+        want = [power_path_f(nl, u), nl.f(u)]
     for x in want:
         assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
+
+
+_ZEROS_AND_SUBNORMALS = [0.0, -0.0, 5e-324, -5e-324, _SMALLEST_NORMAL,
+                         -_SMALLEST_NORMAL]
+
+
+@pytest.mark.parametrize("nl", SCALAR_FAMILIES + [
+    GaugeInvariantPower(p=3.0), GaugeInvariantPower(p=2.5, lam=-1.0, eps=1.5)])
+def test_complex_in_place_f_matches_f_bitwise(nl):
+    """On complex128 arrays of 1 to 40 equal cells, each part a signed zero,
+    a subnormal or the smallest normal, f(u, out=...) gives the bits of
+    f(u): out is written by the last product only, never read as one of
+    its operands (an out that was also an operand gave 0 - 5e-324j a zero
+    of the other sign)."""
+    for size in range(1, 41):
+        for re in _ZEROS_AND_SUBNORMALS:
+            for im in _ZEROS_AND_SUBNORMALS:
+                u = np.full(size, complex(re, im))
+                got = nl.f(u, out=np.empty_like(u))
+                assert np.array_equal(got.view(np.uint64),
+                                      nl.f(u).view(np.uint64)), (size, re, im)
 
 
 def test_complex_lambda_is_rejected():
