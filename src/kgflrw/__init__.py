@@ -6,7 +6,8 @@ from importlib import resources as _resources
 
 from . import errors
 from .config import ProfileSpec, Scenario, parse_config, parse_text
-from .dynamics import BlowupInfo, RunConfig, Trace, estimate_t_star, run
+from .dynamics import (BlowupInfo, RunConfig, Start, Trace, estimate_t_star,
+                       run)
 from .field import Field, Grid, make_profile, support_radius
 from .functionals import (CSV_COLUMNS, Integrals, PhysicalParams,
                           kappa_for_mode, measure)

@@ -29,11 +29,11 @@ import sys
 import numpy as np
 
 from .config import Scenario, parse_config, parse_text
-from .dynamics import Trace, run
+from .dynamics import Start, Trace, run
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
                      WrapAroundRisk)
-from .functionals import CSV_COLUMNS, snapshot_csv_values
+from .functionals import CSV_COLUMNS, Integrals, measure, snapshot_csv_values
 from .hypotheses import HypothesisReport, concavity_problem, evaluate
 from .odelab import random_admissible_problems, solve_concavity, tstar_bound
 
@@ -138,28 +138,29 @@ def trace_csv_text(trace: Trace) -> str:
         line % snapshot_csv_values(row) for row in trace.rows)
 
 
-def _evaluate_scenario(scn: Scenario, u0, u1) -> HypothesisReport:
-    return evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+def _evaluate_scenario(scn: Scenario, m0: Integrals) -> HypothesisReport:
+    return evaluate(m0, scn.run.t0, scn.sf, scn.params,
                     mode=scn.run.theorem_mode)
 
 
 def _simulate(scn: Scenario, out_dir: str) -> tuple:
-    """Evaluate scn, run it and write trace.csv and report.txt into out_dir.
+    """Evaluate and run scn from one measurement of its data (`Start`),
+    and write trace.csv and report.txt into out_dir.
 
     A certificate blocked only by the background's lifetime runs
     uncertified with note.horizon in report.txt. Returns report.txt's text
     (scenario, config_hash, report.flat(), the run summary), the summary,
     the report (None if uncertified) and the ending: the trace's blow-up
     reason if it is a key of _ENDINGS, else None."""
-    u0, u1 = scn.build_fields()
+    start = Start(*scn.build_fields(), scn.nl)
     try:
-        report = _evaluate_scenario(scn, u0, u1)
+        report = _evaluate_scenario(scn, start.m0)
     except HorizonTooShort as exc:
         log.info("certificate blocked by horizon, running uncertified: %s",
                  exc)
         report, note = None, str(exc).replace("\n", " ")
     mode = "none" if report is None else report.mode
-    trace = run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+    trace = run(start, scn.sf, scn.params, scn.run,
                 T_bound=None if mode == "none" else report.T_bound,
                 support_radius=scn.wrap_support_radius(), mode=mode)
     meta, bu = trace.meta, trace.blowup
@@ -193,7 +194,7 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple:
 
 def cmd_check(args) -> int:
     scn = parse_config(args.config)
-    report = _evaluate_scenario(scn, *scn.build_fields())
+    report = _evaluate_scenario(scn, measure(*scn.build_fields(), scn.nl))
     if args.csv:
         sys.stdout.write(report_csv(report, scn))
     else:
@@ -224,7 +225,7 @@ def cmd_oracle(args) -> int:
         return EXIT_CONFIG
     problems = []
     if scn is not None:
-        report = _evaluate_scenario(scn, *scn.build_fields())
+        report = _evaluate_scenario(scn, measure(*scn.build_fields(), scn.nl))
         if report.mode == "none":
             print("error: odelab: no certificate applies; nothing to derive",
                   file=sys.stderr)

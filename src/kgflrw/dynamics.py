@@ -3,19 +3,22 @@
 First-order form: du/dt = v, dv/dt = -n (adot/a) v + c^2 a^-2 lap u
 - m^2 c^2 u + c^2 f(u). Classical RK4 with the background evaluated at each
 stage time, so homogeneous data reduce the step to the exact scalar RK4 map
-(the stencil Laplacian is +0.0 on constants, bit for bit). A run steps
-and measures one copy of the data, in the dtype that `state_arrays` picks:
-float64 for real data, else complex128. The step works in place in arrays
-allocated once per run (`RK4Workspace`); `_Background` evaluates each
-distinct stage time once, with dv/dt's factors (the stencil's 1 / (12 h^2)
-folded into that of lap u), and a step's end is the next step's start. A
-stage finishes one stencil slab at a time, so that its temporaries stay in
-cache.
+(the stencil Laplacian is +0.0 on constants, bit for bit). A run steps and
+measures one copy of the data (`Start`), in the dtype that `state_arrays`
+picks: float64 for real data, else complex128. The step works in place in
+arrays allocated once per run (`RK4Workspace`) and measures each state once,
+through the one stencil: the next stage 1 takes the load of a gradient and
+the f(u) of a row that the stencil's marks (`field`) still name, so a
+retried step reloads u but takes f(u). `_Background` evaluates each distinct
+stage time once, with dv/dt's factors (the stencil's 1 / (12 h^2) folded
+into that of lap u), and a step's end is the next step's start. A stage
+finishes one stencil slab at a time, so that its temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
-same for u1) steps one scalar state, the homogeneous ODE: once `_cells` has
-found the data uniform, the run holds the first cell's u and v as Python
-scalars and builds no whole array; only `Stepper.checkpoint()` fills one.
+same for u1) steps one scalar state, the homogeneous ODE: once
+`RK4Workspace` has found the data uniform, the run holds the first cell's u
+and v as Python scalars and builds no whole array; only
+`Stepper.checkpoint()` fills one.
 `_rk4_uniform` does the array kernel's operations in its order, with
 lap u = +0.0 (the stencil's bits on a uniform array) and f the
 nonlinearity's `f_scalar`. Python's +, - and * with real multipliers are
@@ -42,6 +45,7 @@ value ("norm_threshold"), dt pinned at dt_min with accelerating growth
 ("step_collapse"), or a nonfinite state ("nonfinite": the last finite state
 ends the trace and detected stays False). It starts from one record,
 `StepState`, which `run()` makes at t0 and `Stepper.checkpoint()` copies.
+A certificate reads the t0 measurement of the run's `Start` (`m0`).
 
 The recorder, `run()`, feeds the history integrals, writes the rows through
 one snapshot, applies the wrap guard and fits t* to the tail: ||u||^2 scales
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,8 +68,9 @@ from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
 from .field import Field, Grid, Stencil, grad_sq_array, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, kappa_for_mode,
-                          kappa_tilde_for_mode, norm_integrals,
-                          potential_integrals, state_arrays, state_grid)
+                          kappa_tilde_for_mode, measure, measure_arrays,
+                          norm_integrals, potential_integrals, state_arrays,
+                          state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -160,7 +166,8 @@ class RK4Workspace:
     that `state_arrays` chose, which the run also measures in.
 
     `uniform` marks a run that steps one scalar state (`_rk4_uniform`),
-    given as its scalar pair or as arrays that `_cells` reduces to one. Its
+    given as its scalar pair or as arrays that `_is_uniform` finds uniform,
+    which it reduces to the Python scalars of their first cells. Its
     accepted state `u`, `v` and the trial state `trial_u`, `trial_v` are
     Python scalars, the value of every cell (`accept()` swaps the pairs);
     it has no whole array and no stencil, and its gradient is 0.0.
@@ -174,7 +181,8 @@ class RK4Workspace:
     f: tmp or None."""
 
     def __init__(self, u, v):
-        u, v = _cells(u, v)
+        if isinstance(u, np.ndarray) and _is_uniform(u, v):
+            u, v = u.item(0), v.item(0)  # the pair of the first cells
         self.uniform = not isinstance(u, np.ndarray)
         self.u, self.v = self.trial_u, self.trial_v = u, v
         if self.uniform:
@@ -200,11 +208,8 @@ class RK4Workspace:
         self.u, self.trial_u = self.trial_u, self.u
         self.v, self.trial_v = self.trial_v, self.v
         self.slabs, self._swapped = self._swapped, self.slabs
-
-    def grad_sq(self, h: float) -> float:
-        """The cell sum of |grad u|^2 of the accepted state: 0.0 on a
-        uniform one, else `grad_sq_array` through the stencil."""
-        return 0.0 if self.uniform else grad_sq_array(self.u, h, self.stencil)
+        if not self.uniform:  # the marks name arrays that steps overwrite
+            self.stencil.loaded = self.stencil.f_of = None
 
 
 def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
@@ -212,15 +217,6 @@ def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
     v's first cell, and both first cells are finite."""
     return all(np.isfinite(x.flat[0]) and bool(np.all(x == x.flat[0]))
                for x in (u, v))
-
-
-def _cells(u, v) -> tuple:
-    """The state as a run steps and measures it: the first cells' Python
-    scalars for uniform arrays (`_is_uniform`), else u and v as given (the
-    arrays, or a scalar pair already)."""
-    if isinstance(u, np.ndarray) and _is_uniform(u, v):
-        return u.item(0), v.item(0)
-    return u, v
 
 
 def _coeffs(vals, params, h) -> tuple:
@@ -232,9 +228,10 @@ def _coeffs(vals, params, h) -> tuple:
             params.n * (adot / a), c2)
 
 
-def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out):
-    """dv/dt on one slab of the loaded u, written into out; f(u) goes into
-    f_out (tmp, or None to allocate it)."""
+def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out, f_u):
+    """dv/dt on one slab of the loaded u, written into out; f(u) is the
+    slab's rows of the whole array f_u, or if that is None goes into f_out
+    (tmp, or None to allocate it)."""
     lap_c, mass, damp, c2 = k
     np.multiply(mass, u, out=tmp)
     np.multiply(lap_slab(slab), lap_c, out=out)
@@ -242,7 +239,8 @@ def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out):
     np.multiply(damp, v, out=tmp)
     np.subtract(out, tmp, out=out)
     if nl is not None:
-        np.multiply(c2, nl.f(u, out=f_out), out=tmp)
+        np.multiply(c2, nl.f(u, out=f_out) if f_u is None
+                    else f_u[slab.rows], out=tmp)
         np.add(out, tmp, out=out)
 
 
@@ -284,7 +282,8 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     they are the accepted state). Everything else in ws is overwritten. A
     stage loads its input into the stencil, then finishes one slab at a
     time; the Laplacian reads the loaded copy, so su may be overwritten slab
-    by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
+    by slab. Stage 1 loads u and evaluates f(u) unless the stencil's marks
+    name u. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
     trial buffers stage by stage, in that order, so every element sees the
     operations of the plain RK4 formula; dv/dt's Laplacian term is the
     stencil's pairwise sum times one folded factor (`field`). A uniform
@@ -294,10 +293,13 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
         return _rk4_uniform(t, dt, bg, params, nl, h, ws)
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
-    ws.stencil.load(ws.u)
+    st = ws.stencil
+    if st.loaded is not ws.u:
+        st.load(ws.u)
+    f_u = st.deriv if st.f_of is ws.u else None
     k = bg.coeffs(t, params, h)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, u, v, nl, acc_v, tmp, f_out)
+        _rhs_slab(slab, k, u, v, nl, acc_v, tmp, f_out, f_u)
         np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
         np.multiply(hm, acc_v, out=sv)
@@ -307,7 +309,7 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
         ws.stencil.load(ws.su)
         k = bg.coeffs(t + hm, params, h)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-            _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out)
+            _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out, None)
             np.multiply(step_next, sv, out=su)
             np.add(u, su, out=su)
             np.multiply(2.0, sv, out=sv)
@@ -321,7 +323,7 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     k = bg.coeffs(t + dt, params, h)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out)
+        _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out, None)
         np.add(acc_u, sv, out=acc_u)
         np.add(acc_v, kv, out=acc_v)
         np.multiply(sixth, acc_u, out=acc_u)
@@ -337,8 +339,8 @@ class StepState:
     at the start (L0, blowup_threshold's unit) and at t (L_prev), the accepts
     since dt last changed and the growth ratios of the last (up to three)
     steps accepted at the dt_min floor. (u, v) are whole arrays, or the
-    Python scalars of a uniform state's cell: `run()` starts from those
-    (`_cells`), the stepper keeps its workspace's accepted pair here, and
+    Python scalars of a uniform state's cell: `run()` starts from its
+    `Start`'s workspace pair, the stepper keeps the accepted pair here, and
     `Stepper.checkpoint()` fills whole arrays from them."""
 
     t: float
@@ -352,14 +354,15 @@ class StepState:
 
 
 class Stepper:
-    """Adaptive RK4 from a `StepState`, stepping in its arrays or scalar pair
-    and keeping it current: a stepper built from `checkpoint()` takes the same steps bit for
-    bit. `steps()` yields (t, dt, L, motion) of each accepted step until t_end
-    or `blowup`: the new time, its length, ||u||^2 and the motion integrals
-    (||u_t||^2, Re(u, u_t), ||grad u||^2),
-    after the step's guards, so that `done` tells if it is the last."""
+    """Adaptive RK4 from a `StepState`, stepping in ws (the `RK4Workspace`
+    of its u and v) and keeping the state current: a stepper built from
+    `checkpoint()` and a workspace of its arrays takes the same steps bit
+    for bit. `steps()` yields (t, dt, L, motion) of each accepted step
+    until t_end or `blowup`: the new time, its length, ||u||^2 and the
+    motion integrals (||u_t||^2, Re(u, u_t), ||grad u||^2), after the
+    step's guards, so that `done` tells if it is the last."""
 
-    def __init__(self, state: StepState, sf: ScaleFactor,
+    def __init__(self, state: StepState, ws: RK4Workspace, sf: ScaleFactor,
                  params: PhysicalParams, nl: Nonlinearity | None, grid: Grid,
                  cfg: RunConfig):
         horizon = sf.horizon()
@@ -376,7 +379,7 @@ class Stepper:
             raise InvariantViolation(
                 "dynamics", f"norm threshold blowup_threshold * ||u0||^2 = "
                 f"{cfg.blowup_threshold} * {state.L0} overflows")
-        self.ws = RK4Workspace(state.u, state.v)
+        self.ws = ws
         self.t_stop = cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end))
         self.accepted = self.rejected = 0
         self.blowup: BlowupInfo | None = None
@@ -437,7 +440,8 @@ class Stepper:
             if st.accept_streak >= 4 and st.dt < cfg.dt:
                 st.dt = min(cfg.dt, 2.0 * st.dt)
                 st.accept_streak = 0
-            motion = (ut_sq, re_u_ut, ws.grad_sq(h) * cv)
+            grad = 0.0 if ws.uniform else grad_sq_array(ws.u, h, ws.stencil)
+            motion = (ut_sq, re_u_ut, grad * cv)
             if not (math.isfinite(ut_sq) and math.isfinite(motion[2])):
                 self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
                 return
@@ -494,11 +498,32 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
     return snapshot
 
 
+class Start:
+    """The data (u0, u1) of one run: its grid, nl, workspace `ws` and t0
+    row's integrals `rec`, whose load and f(u) the first step takes. A
+    certificate reads `m0`: rec, or of uniform data (one cell times the
+    box volume) the whole arrays' `measure`, whose sums may round
+    otherwise."""
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, u0: Field, u1: Field, nl: Nonlinearity | None):
+        self.fields, self.nl = (u0, u1), nl
+        self.grid = grid = state_grid(u0, u1)
+        self.ws = ws = RK4Workspace(*state_arrays(u0, u1))
+        self.rec = measure_arrays(ws.u, ws.v, grid, nl,
+                                  None if ws.uniform else ws.stencil)
+
+    @cached_property
+    def m0(self) -> Integrals:
+        return measure(*self.fields, self.nl) if self.ws.uniform else self.rec
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
-        nl: Nonlinearity | None, cfg: RunConfig, T_bound: float | None = None,
+def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
+        cfg: RunConfig, T_bound: float | None = None,
         support_radius: float | None = None, mode: str = "none") -> Trace:
-    """Integrate from (u0, u1) at cfg.t0 and record the diagnostic trace.
+    """Integrate from the data of start at cfg.t0 and record the
+    diagnostic trace.
 
     A `Stepper` takes the steps. Each accepted state feeds the history
     integrals; it is a row at t0, every record_every steps, at every step of
@@ -513,25 +538,21 @@ def run(u0: Field, u1: Field, sf: ScaleFactor, params: PhysicalParams,
     """
     if mode not in ("thm1", "thm2", "none"):
         raise ValueError("mode must be thm1, thm2 or none")
-    grid = state_grid(u0, u1)
-    u, v = _cells(*state_arrays(u0, u1))
-    norms = norm_integrals(u, v, grid)
-    L0 = norms[0]
+    grid, nl, ws, rec = start.grid, start.nl, start.ws, start.rec
+    L0 = rec.L
     if L0 <= 0:
         raise InvariantViolation("dynamics", "initial data must be nonzero")
-    stepper = Stepper(StepState(cfg.t0, u, v, cfg.dt, L0, L0, 0, ()), sf,
-                      params, nl, grid, cfg)
+    stepper = Stepper(StepState(cfg.t0, ws.u, ws.v, cfg.dt, L0, L0, 0, ()),
+                      ws, sf, params, nl, grid, cfg)
     margin0 = math.inf
     if support_radius is not None:
         margin0 = grid.half_width - support_radius
         if margin0 <= 0:
             raise WrapAroundRisk(
                 f"support radius {support_radius} already fills the box")
-    ws, bg = stepper.ws, stepper.bg
+    bg = stepper.bg
     acc = RunningIntegrals(params.n, params.c)
     stencil = None if ws.uniform else ws.stencil
-    rec = Integrals(*norms, ws.grad_sq(grid.spacing) * grid.cell_volume,
-                    *potential_integrals(u, grid, nl, stencil))
     a, adot, addot = bg.eval(cfg.t0)
     E_t0 = rec.energy(a, params)
     snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)

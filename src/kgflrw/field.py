@@ -30,7 +30,12 @@ offset, so every operand is contiguous. The arithmetic runs in place in
 band-sized work arrays, operation by operation in the order of the formulas
 above; values in the band's wrap-around cells are discarded. Reductions sum
 whole arrays, never per slab, which would change the order of summation.
-The padded buffer holds the last field loaded until the next load.
+The padded buffer holds the last field loaded until the next load, and
+`deriv` what was last written into it. Two marks name an array:
+`Stencil.loaded` the one `grad_sq_array` loaded, until the next load, and
+`Stencil.f_of` the one whose f(u) `potential_integrals` wrote into deriv,
+until `grad_sq_array` writes there; whoever writes into a marked array
+clears them (`RK4Workspace.accept`).
 """
 
 from __future__ import annotations
@@ -93,10 +98,6 @@ class Grid:
     def axis_coords(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.points_per_axis)
 
-    def mesh(self) -> tuple[np.ndarray, ...]:
-        x = self.axis_coords()
-        return np.meshgrid(*([x] * self.n), indexing="ij")
-
 
 @dataclass
 class Field:
@@ -143,7 +144,7 @@ class Slab(NamedTuple):
 class Stencil:
     """Scratch of the stencils for one array shape and dtype: the padded
     buffer, its slabs and the whole array `deriv`, reused by every call that
-    is given it."""
+    is given it, with the marks `loaded` and `f_of` (None, or an array)."""
 
     def __init__(self, shape: tuple[int, ...], dtype=np.complex128):
         self.shape = tuple(shape)
@@ -168,6 +169,7 @@ class Stencil:
                 tuple(tuple(flat[lo + d * st:hi + d * st] for d in (-2, -1, 1, 2))
                       for st in steps),
                 w, w[0].reshape((rows,) + padded[1:])[keep]))
+        self.loaded = self.f_of = None
 
     @cached_property
     def deriv(self) -> np.ndarray:
@@ -180,6 +182,7 @@ class Stencil:
         self._inner[...] = vals
         for dst, src in self._halos:
             dst[...] = src
+        self.loaded = None
 
 
 def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
@@ -245,6 +248,7 @@ def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> floa
     """Sum over cells of |grad v|^2 (no volume factor)."""
     ws = _stencil_for(vals, ws)
     ws.load(vals)
+    ws.loaded, ws.f_of = vals, None  # deriv takes the derivatives
     d = ws.deriv
     total = 0.0
     for ax in range(vals.ndim):
@@ -253,12 +257,13 @@ def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> floa
     return total
 
 
-def _radius_sq(grid: Grid, center: tuple) -> np.ndarray:
-    mesh = grid.mesh()
-    r2 = np.zeros(grid.shape)
-    for x, c in zip(mesh, center):
-        r2 += (x - c) ** 2
-    return r2
+def _axis_sum(grid: Grid, center: tuple, term) -> np.ndarray:
+    """The sum over the axes of term(x - c) from 0.0 in axis order, each
+    1-D term broadcast over the grid: a meshgrid sum's cell values."""
+    x, total = grid.axis_coords(), np.zeros(grid.shape)
+    for ax, c in enumerate(center):
+        total += term(x - c).reshape((-1,) + (1,) * (grid.n - 1 - ax))
+    return total
 
 
 def check_profile(grid: Grid, kind: str, width: float | None = None,
@@ -312,14 +317,13 @@ def make_profile(grid: Grid, kind: str, amplitude: complex, width: float | None 
     if kind == "plane_mod":
         mode = int(round(width)) if width is not None else 1
         k = mode * np.pi / grid.half_width
-        phase = np.zeros(grid.shape)
-        for x, c in zip(grid.mesh(), center):
-            phase += k * (x - c)
+        phase = _axis_sum(grid, center, lambda d: k * d)
         return Field(grid, amplitude * np.exp(1j * phase))
 
-    r2 = _radius_sq(grid, center)
-    if kind == "gaussian":
-        vals = amplitude * np.exp(-r2 / (2.0 * width * width))
+    r2 = _axis_sum(grid, center, lambda d: d ** 2)
+    if kind == "gaussian":  # -r2 / (2 w^2), as r2 over -(2 w^2), in place
+        vals = amplitude * np.exp(np.divide(r2, -2.0 * width * width, out=r2),
+                                  out=r2)
     else:
         vals = np.zeros(grid.shape, dtype=np.complex128)
         inside = r2 < width * width

@@ -167,37 +167,39 @@ def potential_integrals(u, grid: Grid, nl: Nonlinearity | None,
     """int F(u) and Re int f(u) conj(u) from one evaluation of f, as
     F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`); both 0.0 for the linear
     equation. Of the array u, with f written into the stencil's `deriv`
-    where f's dtype is the stencil's (every gauge state, the real family on
-    float64). Of a uniform state given as its one cell's Python scalar u:
-    nl's `f_scalar` of u, times the box volume."""
+    (and u into its `f_of`) where f's dtype is the stencil's (every gauge
+    state, the real family on float64). Of a uniform state given as its
+    one cell's Python scalar u: nl's `f_scalar` of u, times the volume."""
     if nl is None:
         return 0.0, 0.0
     if isinstance(u, np.ndarray):
         out = None
         if stencil is not None and (stencil.dtype == np.float64
                                     or not nl.real_only):
-            out = stencil.deriv
+            out, stencil.f_of = stencil.deriv, u
         re_fu = dot_re(u, nl.f(u, out=out)) * grid.cell_volume
     else:
         re_fu = _cell_dot(u, nl.f_scalar(u)) * grid.volume
     return re_fu / (nl.p + 1.0), re_fu
 
 
-def measure_arrays(u: np.ndarray, v: np.ndarray, grid: Grid,
-                   nl: Nonlinearity | None,
+def measure_arrays(u, v, grid: Grid, nl: Nonlinearity | None,
                    stencil: Stencil | None = None) -> Integrals:
     """The six integrals of the state arrays (u, u_t = v), complex128 or
-    float64; stencil is the scratch of the gradient and then of f(u)."""
-    return Integrals(*norm_integrals(u, v, grid),
-                     grad_sq_array(u, grid.spacing, stencil) * grid.cell_volume,
+    float64, or of a uniform state's one-cell Python scalars (gradient
+    0.0); stencil is the scratch of the gradient and then of f(u)."""
+    grad = (grad_sq_array(u, grid.spacing, stencil)
+            if isinstance(u, np.ndarray) else 0.0)
+    return Integrals(*norm_integrals(u, v, grid), grad * grid.cell_volume,
                      *potential_integrals(u, grid, nl, stencil))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def measure(u: Field, v: Field, nl: Nonlinearity | None,
             stencil: Stencil | None = None) -> Integrals:
     """The six integrals of the state (u, u_t = v), in the dtype that
-    `state_arrays` picks, which a given stencil must have. Raises
-    GridMismatch when u and v live on different grids."""
+    `state_arrays` picks, which a given stencil must have, with numpy's
+    overflow warnings off. Raises GridMismatch if u and v differ in grid."""
     grid = state_grid(u, v)
     return measure_arrays(*state_arrays(u, v), grid, nl, stencil)
 

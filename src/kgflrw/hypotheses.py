@@ -36,12 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
-from .field import Field
-from .functionals import Integrals, PhysicalParams, kappa_for_mode, measure
-from .nonlinearity import Nonlinearity
+from .functionals import Integrals, PhysicalParams, kappa_for_mode
 from .odelab import ConcavityProblem
 from .scale_factor import (ScaleFactor, Tabulated,
                            check_monotone_expansion, check_t0_condition,
@@ -256,10 +252,10 @@ class HypothesisReport:
         return out
 
 
-def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
-             params: PhysicalParams, nl: Nonlinearity | None,
-             mode: str = "auto") -> HypothesisReport:
-    """Run both certificate checks, classify the data, resolve the mode.
+def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
+             params: PhysicalParams, mode: str = "auto") -> HypothesisReport:
+    """Run both certificate checks on the data's integrals m0 at t0
+    (`measure`, or `dynamics.Start.m0`), classify them, resolve the mode.
 
     mode "auto" prefers the norm-margin certificate; "thm1"/"thm2" pin one.
     Raises InvariantViolation when an integral of the data is not finite,
@@ -268,8 +264,6 @@ def evaluate(u0: Field, u1: Field, t0: float, sf: ScaleFactor,
     """
     if mode not in ("auto", "thm1", "thm2", "none"):
         raise ValueError(f"unknown mode {mode!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        m0 = measure(u0, u1, nl)
     bad = [f"{key} = {val}" for key, val in m0._asdict().items()
            if not math.isfinite(val)]
     if bad:

@@ -58,8 +58,9 @@ def anchor_run(anchor_scenario):
 
     scn = anchor_scenario
     u0, u1 = scn.build_fields()
-    rep = kgflrw.evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+    start = kgflrw.Start(u0, u1, scn.nl)
+    rep = kgflrw.evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
                           mode=scn.run.theorem_mode)
-    trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+    trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
                        T_bound=rep.T_bound, mode=rep.mode)
     return scn, rep, trace

@@ -61,12 +61,13 @@ run.theorem_mode = auto
 def _timed_run(name):
     scn = kgflrw.load_bundled_scenario(name)
     u0, u1 = scn.build_fields()
-    start = time.perf_counter()
-    rep = kgflrw.evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+    began = time.perf_counter()
+    start = kgflrw.Start(u0, u1, scn.nl)
+    rep = kgflrw.evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
                           mode=scn.run.theorem_mode)
-    trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+    trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
                        T_bound=rep.T_bound, mode=rep.mode)
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - began
     return scn, rep, trace, elapsed
 
 
@@ -129,8 +130,9 @@ def test_criterion_3_energy_identity():
     # smooth expanding run: E(t) + dissipated(t) must track E(0)
     scn = kgflrw.load_bundled_scenario("desitter-smooth")
     u0, u1 = scn.build_fields()
-    trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
-                       support_radius=scn.wrap_support_radius(), mode="none")
+    trace = kgflrw.run(kgflrw.Start(u0, u1, scn.nl), scn.sf, scn.params,
+                       scn.run, support_radius=scn.wrap_support_radius(),
+                       mode="none")
     assert trace.blowup is None
     E = np.array([r.E for r in trace.rows])
     D = np.array([r.e_dissipated for r in trace.rows])
@@ -143,8 +145,8 @@ def test_criterion_3_energy_identity():
     # flat linear run: no damping term, E is a constant of motion
     scn = kgflrw.load_bundled_scenario("minkowski-linear")
     u0, u1 = scn.build_fields()
-    trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
-                       mode="none")
+    trace = kgflrw.run(kgflrw.Start(u0, u1, scn.nl), scn.sf, scn.params,
+                       scn.run, mode="none")
     assert trace.blowup is None
     E = np.array([r.E for r in trace.rows])
     drift = np.abs(E - E[0]).max() / abs(E[0])
@@ -338,9 +340,10 @@ def test_criterion_8_refinement_stability(theorem_runs):
         assert var_text != text
         scn = kgflrw.parse_text(var_text, name=f"anchor-{label}")
         u0, u1 = scn.build_fields()
-        rep = kgflrw.evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+        start = kgflrw.Start(u0, u1, scn.nl)
+        rep = kgflrw.evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
                               mode=scn.run.theorem_mode)
-        trace = kgflrw.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+        trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
                            T_bound=rep.T_bound, mode=rep.mode)
         t_star = trace.blowup.t_star
         assert t_star is not None

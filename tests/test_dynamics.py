@@ -28,8 +28,8 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RunConfig, Trace, bundled_scenario_text,
                     dynamics, estimate_t_star, make_profile, parse_text,
                     run)
-from kgflrw.dynamics import (RK4Workspace, StepState, Stepper, _Background,
-                             _rk4)
+from kgflrw.dynamics import (RK4Workspace, Start, StepState, Stepper,
+                             _Background, _rk4)
 from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
                            TooFewSamples, WrapAroundRisk)
 from kgflrw.field import dot_re, lap_array
@@ -56,7 +56,7 @@ def test_single_mode_oscillator_exact():
     sym = lap_array(u0.values, grid.spacing)[0] / u0.values[0]
     omega = math.sqrt(1.0 + abs(float(sym.real)))
     cfg = RunConfig(t_end=0.45, dt=1e-3, record_every=10, theorem_mode="none")
-    trace = run(u0, u1, flat(), params, None, cfg)
+    trace = run(Start(u0, u1, None), flat(), params, cfg)
     assert trace.blowup is None
     assert trace.meta["reached_t_end"]
     L0 = trace.rows[0].L
@@ -216,7 +216,7 @@ def test_run_matches_oracle_endpoint():
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     cfg = RunConfig(t_end=1.5, dt=1e-3, record_every=10, theorem_mode="none")
-    trace = run(u0, u1, flat(), params, nl, cfg)
+    trace = run(Start(u0, u1, nl), flat(), params, cfg)
     assert trace.meta["reached_t_end"]
     res = homogeneous_oracle(3.0 + 0.0j, 0.0 + 0.0j, flat(), params, nl,
                              t_end=1.5)
@@ -244,7 +244,7 @@ def test_anchor_t_star_at_low_blowup_threshold(anchor_scenario, threshold):
     scn = anchor_scenario
     u0, u1 = scn.build_fields()
     cfg = dataclasses.replace(scn.run, blowup_threshold=threshold)
-    trace = run(u0, u1, scn.sf, scn.params, scn.nl, cfg, mode="thm1")
+    trace = run(Start(u0, u1, scn.nl), scn.sf, scn.params, cfg, mode="thm1")
     assert trace.blowup.reason == "norm_threshold"
     assert trace.blowup.t_star == pytest.approx(TSTAR, rel=0.01)
     assert trace.blowup.t_star_status is None
@@ -272,7 +272,7 @@ def test_wrap_around_guard():
     u1 = make_profile(grid, "homogeneous", 0.0)
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     cfg = RunConfig(t_end=1.0, dt=1e-2, record_every=5, theorem_mode="none")
-    partial = run(u0, u1, flat(), params, None, cfg, support_radius=0.5)
+    partial = run(Start(u0, u1, None), flat(), params, cfg, support_radius=0.5)
     assert isinstance(partial, Trace)
     assert partial.blowup.reason == "wrap_around"
     assert not partial.blowup.detected
@@ -283,7 +283,7 @@ def test_wrap_around_guard():
     assert partial.meta["t_final"] == partial.blowup.t
     # a support that already fills the box: no run, no trace
     with pytest.raises(WrapAroundRisk):
-        run(u0, u1, flat(), params, None, cfg, support_radius=1.5)
+        run(Start(u0, u1, None), flat(), params, cfg, support_radius=1.5)
 
 
 def test_step_guards():
@@ -296,14 +296,14 @@ def test_step_guards():
     u1 = make_profile(grid, "homogeneous", 0.0)
     limit = 0.4 * grid.spacing * 1.0 / 1.0  # cfl * h * a / c, a = 1 here
     cfg = RunConfig(t_end=0.5, dt=1.0, record_every=1, theorem_mode="none")
-    trace = run(u0, u1, flat(), params, nl, cfg)
+    trace = run(Start(u0, u1, nl), flat(), params, cfg)
     assert trace.meta["reached_t_end"]
     assert len(trace.rows) == trace.meta["accepted"] + 1
     assert all(r.dt == limit for r in trace.rows[1:-1])
     assert 0.0 < trace.rows[-1].dt <= limit
     huge = make_profile(grid, "homogeneous", 1e100)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = run(huge, u1, flat(), params, nl, cfg)
+        trace = run(Start(huge, u1, nl), flat(), params, cfg)
     assert trace.blowup.reason == "nonfinite"
     assert not trace.blowup.detected
     assert all(math.isfinite(r.L) for r in trace.rows)
@@ -317,7 +317,7 @@ def test_run_rejects_horizon_overrun():
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     cfg = RunConfig(t_end=1.0, dt=1e-3, theorem_mode="none")
     with pytest.raises(TimeBeyondHorizon):
-        run(u0, u1, sf, params, None, cfg)
+        run(Start(u0, u1, None), sf, params, cfg)
 
 
 def test_run_validation():
@@ -326,15 +326,16 @@ def test_run_validation():
     u1 = make_profile(grid, "homogeneous", 0.0)
     cfg = RunConfig(t_end=0.1, dt=1e-3, theorem_mode="none")
     with pytest.raises(ValueError):
-        run(u0, u1, flat(), PhysicalParams(m=0.0, c=1.0, eps=1.0, n=2),
-            None, cfg)  # params.n != grid.n
+        run(Start(u0, u1, None), flat(),
+            PhysicalParams(m=0.0, c=1.0, eps=1.0, n=2),
+            cfg)  # params.n != grid.n
     with pytest.raises(ValueError):
-        run(u0, u1, flat(), PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1),
-            None, cfg, mode="bogus")
+        run(Start(u0, u1, None), flat(),
+            PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1), cfg, mode="bogus")
     zero = make_profile(grid, "homogeneous", 0.0)
     with pytest.raises(InvariantViolation, match="nonzero"):
-        run(zero, u1, flat(), PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1),
-            None, cfg)
+        run(Start(zero, u1, None), flat(),
+            PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1), cfg)
 
 
 def test_run_config_validation():
@@ -375,7 +376,7 @@ def test_final_row_carries_the_step_taken():
     u1 = make_profile(grid, "homogeneous", 0.0)
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    traces = [run(u0, u1, flat(), params, nl, RunConfig(
+    traces = [run(Start(u0, u1, nl), flat(), params, RunConfig(
         t_end=0.5, dt=1.0, record_every=every, cfl=0.12732395447351627,
         theorem_mode="none")) for every in (7, 1)]
     sparse, dense = traces
@@ -392,7 +393,7 @@ def test_desitter_expansion_damps_energy():
     u1 = make_profile(grid, "homogeneous", 0.0)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=1)
     cfg = RunConfig(t_end=0.5, dt=1e-3, record_every=25, theorem_mode="none")
-    trace = run(u0, u1, DeSitter(H=0.5), params, None, cfg)
+    trace = run(Start(u0, u1, None), DeSitter(H=0.5), params, cfg)
     es = [r.E for r in trace.rows]
     assert es[-1] < es[0]
     # dissipation budget: E(t) + dissipated = E(t0); at N = 64 the residual
@@ -416,8 +417,9 @@ def test_cfl_window_collapsing_below_dt_min_raises(H, dt_min, t_raise):
     u0, u1 = make_profile(grid, "homogeneous", 1.0), make_profile(
         grid, "homogeneous", 0.0)
     cfg = RunConfig(t_end=0.5, dt=1e-3, dt_min=dt_min, theorem_mode="none")
-    stepper = Stepper(StepState(0.0, *state_arrays(u0, u1), cfg.dt, 2.0 *
-                                math.pi, 2.0 * math.pi, 0, ()),
+    u, v = state_arrays(u0, u1)
+    stepper = Stepper(StepState(0.0, u, v, cfg.dt, 2.0 * math.pi,
+                                2.0 * math.pi, 0, ()), RK4Workspace(u, v),
                       DeSitter(H=H), params, None, grid, cfg)
     dts = []
     with pytest.raises(InvariantViolation, match="CFL window") as err:
@@ -453,7 +455,8 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
           "at-floor": lambda st: len(st.floor_ratios) > 0}[case]
 
     def stepper(state):
-        return Stepper(state, scn.sf, scn.params, scn.nl, scn.grid, scn.run)
+        return Stepper(state, RK4Workspace(state.u, state.v), scn.sf,
+                       scn.params, scn.nl, scn.grid, scn.run)
 
     def bits(stepper, steps):
         """Each step with the record it leaves for the next one."""
@@ -503,9 +506,10 @@ def test_background_computes_each_time_once(monkeypatch):
                         lambda sf, t: evals.append(t) or sf_eval(sf, t))
     monkeypatch.setattr(dynamics, "_coeffs",
                         lambda *a: factors.append(a) or coeffs(*a))
-    stepper = Stepper(StepState(scn.run.t0, *state_arrays(u0, u1),
-                                scn.run.dt, L0, L0, 0, ()),
-                      scn.sf, scn.params, scn.nl, scn.grid, scn.run)
+    u, v = state_arrays(u0, u1)
+    stepper = Stepper(StepState(scn.run.t0, u, v, scn.run.dt, L0, L0, 0, ()),
+                      RK4Workspace(u, v), scn.sf, scn.params, scn.nl,
+                      scn.grid, scn.run)
     for t, *_ in stepper.steps():
         assert list(stepper.bg._vals) == list(stepper.bg._k) == [t]
     attempted = stepper.accepted + stepper.rejected

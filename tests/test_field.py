@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kgflrw import (Field, GaugeInvariantPower, Grid, PhysicalParams, PowerLaw,
-                    RunConfig, evaluate, make_profile, measure, run,
+                    RunConfig, Start, make_profile, measure, run,
                     support_radius)
 from kgflrw import field
 from kgflrw.field import Stencil, lap_array
@@ -169,6 +169,59 @@ def test_gaussian_profile_values():
     assert np.allclose(fld.values, expect, rtol=1e-13)
 
 
+def mesh_profile(grid, kind, amplitude, width, center) -> np.ndarray:
+    """make_profile's values from full meshgrid coordinate arrays: each
+    axis term taken on the whole grid and summed from zeros in axis order,
+    the Gaussian's exponent as -r2 / (2 w^2)."""
+    x = grid.axis_coords()
+    mesh = np.meshgrid(*([x] * grid.n), indexing="ij")
+    if kind == "plane_mod":
+        k = int(round(width)) * np.pi / grid.half_width
+        phase = np.zeros(grid.shape)
+        for xs, c in zip(mesh, center):
+            phase += k * (xs - c)
+        return amplitude * np.exp(1j * phase)
+    r2 = np.zeros(grid.shape)
+    for xs, c in zip(mesh, center):
+        r2 += (xs - c) ** 2
+    if kind == "gaussian":
+        return amplitude * np.exp(-r2 / (2.0 * width * width))
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    inside = r2 < width * width
+    s = r2[inside] / (width * width)
+    vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s))
+    return vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(8, 24), st.floats(0.5, 5.0),
+       st.sampled_from(["gaussian", "bump", "plane_mod"]),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 1.0),
+       st.data())
+def test_profiles_match_meshgrid_oracle_bitwise(n, N, half_width, kind, re,
+                                                im, frac, data):
+    """make_profile sums 1-D axis terms broadcast over the grid; its values
+    have the bits of the meshgrid formulas (`mesh_profile`) for every
+    localized kind, dimension and off-centre centre, scalar or per axis."""
+    grid = Grid(n=n, points_per_axis=N, half_width=half_width)
+    if kind == "plane_mod":
+        width = float(data.draw(st.integers(-(N // 2) + 1, N // 2 - 1)))
+    else:
+        lo, hi = 4.0 * grid.spacing, half_width
+        assume(lo < hi)
+        width = lo + frac * (hi - lo)
+        assume(lo < width < hi)
+    coord = st.floats(-half_width, half_width)
+    center = data.draw(st.one_of(coord, st.tuples(*[coord] * n)))
+    per_axis = (center,) * n if np.isscalar(center) else center
+    want = np.asarray(mesh_profile(grid, kind, complex(re, im), width,
+                                   per_axis), dtype=np.complex128)
+    got = make_profile(grid, kind, complex(re, im), width=width,
+                       center=center).values
+    assert got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
 def test_profile_width_guards():
     grid = Grid(n=1, points_per_axis=32, half_width=1.0)
     with pytest.raises(WidthTooLarge):
@@ -203,10 +256,8 @@ def test_grid_mismatch_raised():
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     with pytest.raises(GridMismatch):
         measure(a, b, None)
-    with pytest.raises(GridMismatch):
-        evaluate(a, b, 0.0, sf, params, None)
     with pytest.raises(GridMismatch):  # same shape, different box
-        run(a, b, sf, params, None, RunConfig(t_end=0.1))
+        run(Start(a, b, None), sf, params, RunConfig(t_end=0.1))
     with pytest.raises(GridMismatch):
         Field(g1, np.zeros(8, dtype=np.complex128))
 

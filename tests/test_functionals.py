@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    RunConfig, evaluate, kappa_for_mode,
+                    RunConfig, Start, evaluate, kappa_for_mode,
                     load_bundled_scenario, make_profile, measure, run)
 from kgflrw.functionals import RunningIntegrals, kappa_tilde_for_mode
 from test_integrals import State, ref_rel_E_I_gap  # the oracle of the gap
@@ -88,22 +88,23 @@ def _short_run(name, **kwargs):
     the certificate its config selects; kwargs override run()'s."""
     scn = load_bundled_scenario(name)
     u0, u1 = scn.build_fields()
-    rep = evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+    start = Start(u0, u1, scn.nl)
+    rep = evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
                    mode=scn.run.theorem_mode)
     cfg = dataclasses.replace(scn.run, t_end=SHORT.t_end,
                               record_every=SHORT.record_every)
     opts = {"T_bound": rep.T_bound, "mode": rep.mode, **kwargs}
-    return scn, rep, run(u0, u1, scn.sf, scn.params, scn.nl, cfg, **opts)
+    return scn, rep, run(start, scn.sf, scn.params, cfg, **opts)
 
 
 def test_hdiag_value_and_massless_guard(frozen_setup):
     _, u0, u1, sf, params, nl = frozen_setup
-    rows = run(u0, u1, sf, params, nl, SHORT).rows
+    rows = run(Start(u0, u1, nl), sf, params, SHORT).rows
     # 2 Re(u0, u1) - 4 (eps + 2) E(0) / (|m| c eps) = 24 pi + 12 * 107 pi
     assert rows[0].Hdiag == pytest.approx(1308 * math.pi, rel=1e-13)
     # the diagnostic divides by |m|: undefined without mass
     massless = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
-    rows = run(u0, u1, sf, massless, nl, SHORT).rows
+    rows = run(Start(u0, u1, nl), sf, massless, SHORT).rows
     assert all(math.isnan(r.Hdiag) for r in rows)
 
 
@@ -177,7 +178,7 @@ def test_eta_nonnegative_on_consistent_trajectory(frozen_setup):
     # rotating phase (u1 = i u0 / 6): Cauchy-Schwarz is strict, so eta > 0
     grid, u0, _, sf, params, nl = frozen_setup
     u1 = make_profile(grid, "homogeneous", 1j)
-    rows = run(u0, u1, sf, params, nl, SHORT).rows
+    rows = run(Start(u0, u1, nl), sf, params, SHORT).rows
     eta = np.array([r.eta for r in rows])
     assert np.all(eta > 0.0)
 

@@ -36,9 +36,14 @@ def hom(a):
     return make_profile(GRID, "homogeneous", a)
 
 
+def data(a0, a1, nl=NL):
+    """The integrals of the homogeneous data u0 = a0, u1 = a1."""
+    return measure(hom(a0), hom(a1), nl)
+
+
 def test_frozen_anchor_report():
-    rep = evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
-                   NL, mode="auto")
+    rep = evaluate(data(3.0, 0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
+                   mode="auto")
     assert rep.theorem == "both"
     assert rep.mode == "thm1"
     assert rep.rho == pytest.approx(18 * math.pi, rel=1e-13)
@@ -52,7 +57,7 @@ def test_frozen_anchor_report():
 
 def test_frozen_desitter_report():
     sf = DeSitter(H=0.5)
-    rep = evaluate(hom(6.0), hom(1.0), 0.0, sf, PARAMS_M1, NL, mode="thm2")
+    rep = evaluate(data(6.0, 1.0), 0.0, sf, PARAMS_M1, mode="thm2")
     assert rep.theorem == "both"
     assert rep.mode == "thm2"
     assert rep.rho == pytest.approx(119 * math.pi, rel=1e-13)
@@ -61,15 +66,15 @@ def test_frozen_desitter_report():
     assert rep.T_bound == pytest.approx(360 * math.pi ** 2 / 109, rel=1e-13)
     assert rep.T_bound == pytest.approx(32.596858572405225, rel=1e-12)
     assert rep.corollary_case == "iii"  # H = 1/2 below the rate threshold
-    auto = evaluate(hom(6.0), hom(1.0), 0.0, sf, PARAMS_M1, NL, mode="auto")
+    auto = evaluate(data(6.0, 1.0), 0.0, sf, PARAMS_M1, mode="auto")
     assert auto.mode == "thm1"
     assert auto.T_bound == pytest.approx(108 * math.pi ** 2 / 119, rel=1e-13)
     assert auto.corollary_case == "ii"
 
 
 def test_frozen_flat_massive_thm2():
-    rep = evaluate(hom(6.0), hom(1.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M1,
-                   NL, mode="thm2")
+    rep = evaluate(data(6.0, 1.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M1,
+                   mode="thm2")
     assert rep.T_bound == pytest.approx(240 * math.pi ** 2 / 109, rel=1e-13)
     assert rep.T_bound == pytest.approx(21.73123904827015, rel=1e-12)
 
@@ -193,8 +198,8 @@ def test_horizon_blocks_every_certificate():
     tab = Tabulated(t, np.ones(5), np.zeros(5), np.zeros(5))
     # flat data that both certificates accept, but T1 = pi^2 > 2 = horizon
     with pytest.raises(HorizonTooShort):
-        evaluate(hom(3.0), hom(0.0), 0.0, tab, PARAMS_M0, NL, mode="auto")
-    chk = check_theorem1(measure(hom(3.0), hom(0.0), NL), tab, PARAMS_M0)
+        evaluate(data(3.0, 0.0), 0.0, tab, PARAMS_M0, mode="auto")
+    chk = check_theorem1(data(3.0, 0.0), tab, PARAMS_M0)
     assert not chk.applicable and chk.T_bound is None
     assert not chk.conditions["within_horizon"]
     assert chk.horizon == ("certificate needs T = 9.8696044 but the "
@@ -202,16 +207,16 @@ def test_horizon_blocks_every_certificate():
 
 
 def test_pinned_mode_fallback_keeps_bound():
-    rep = evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
-                   NL, mode="none")
+    rep = evaluate(data(3.0, 0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
+                   mode="none")
     assert rep.mode == "none"
     assert rep.theorem == "both"
     assert rep.T_bound == pytest.approx(math.pi ** 2, rel=1e-13)
 
 
 def test_positive_t0_disables_norm_margin():
-    rep = evaluate(hom(6.0), hom(1.0), 0.5, PowerLaw(0.0, H=0.0), PARAMS_M1,
-                   NL, mode="auto")
+    rep = evaluate(data(6.0, 1.0), 0.5, PowerLaw(0.0, H=0.0), PARAMS_M1,
+                   mode="auto")
     assert not rep.thm1.applicable
     assert rep.thm2.applicable
     assert rep.mode == "thm2"
@@ -226,8 +231,8 @@ def test_opposed_velocity_fails_re_condition():
 
 
 def test_flat_report_shape():
-    rep = evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
-                   NL, mode="auto")
+    rep = evaluate(data(3.0, 0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
+                   mode="auto")
     flat = rep.flat()
     assert flat["theorem"] == "both"
     assert flat["mode"] == "thm1"
@@ -235,8 +240,8 @@ def test_flat_report_shape():
     for v in flat.values():
         assert isinstance(v, (int, float, str))
     with pytest.raises(ValueError):
-        evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
-                 NL, mode="always")
+        evaluate(data(3.0, 0.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0,
+                 mode="always")
 
 
 def test_bound_past_every_float_certifies_nothing():
@@ -252,8 +257,7 @@ def test_bound_past_every_float_certifies_nothing():
         assert theorem2_bound(L0, rho, eps, 1, 0.0, 0.0) == math.inf
         params = PhysicalParams(m=0.0, c=1.0, eps=eps, n=1)
         nl = GaugeInvariantPower(p=2.0, lam=1.0, eps=eps)
-        rep = evaluate(hom(3.0), hom(0.0), 0.0, PowerLaw(0.0, H=0.0), params,
-                       nl)
+        rep = evaluate(data(3.0, 0.0, nl), 0.0, PowerLaw(0.0, H=0.0), params)
         assert rep.theorem == "none" and rep.T_bound is None
         for chk in (rep.thm1, rep.thm2):
             assert not chk.applicable and chk.horizon is None

@@ -35,7 +35,8 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
 from kgflrw import cli, config, dynamics, functionals, hypotheses
 from kgflrw.cli import main_entry, parse_report
 from kgflrw.errors import GridMismatch, HorizonTooShort
-from kgflrw.dynamics import RunConfig, Stepper, StepState
+from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, Stepper,
+                             StepState)
 from kgflrw.field import Field, Stencil, grad_sq_array
 from test_nonlinearity import U, eval_err, eval_gap, ref_F  # F's oracle
 
@@ -255,7 +256,7 @@ def test_functionals_match_reference_bitwise(case):
     assert same_bits(rec_s.grad_sq, grad_norm_sq(r0))
     assert all(map(same_bits, rec_s, rec))
     try:
-        rep = evaluate(u0, u1, t0, sf, params, nl)
+        rep = evaluate(measure(u0, u1, nl), t0, sf, params)
     except HorizonTooShort:
         return
     assert same_bits(rep.E_t0, E)
@@ -283,35 +284,55 @@ def count_calls(monkeypatch, func) -> list:
     return calls
 
 
-def count_stencils(monkeypatch) -> list:
-    built = []
-    init = Stencil.__init__
+def count_stencil_calls(monkeypatch, name: str) -> list:
+    """Count the calls of the Stencil method name (`__init__`: stencils
+    built)."""
+    calls, method = [], getattr(Stencil, name)
 
     def counting(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
+        calls.append(None)
+        return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(Stencil, "__init__", counting)
-    return built
+    monkeypatch.setattr(Stencil, name, counting)
+    return calls
+
+
+def vehicle_text() -> str:
+    """The localized blow-up vehicle: the anchor's physics (flat, m = 0,
+    gauge p = 2) with a Gaussian u0 of amplitude 10 and width 0.5, cut to
+    t_end = 1.1. It rejects steps and records every step of its tail."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3")
+    for old, new in (("data0.kind = homogeneous",
+                      "data0.kind = gaussian\ndata0.width = 0.5"),
+                     ("data0.amplitude = 3.0", "data0.amplitude = 10.0"),
+                     ("run.t_end = 1.75", "run.t_end = 1.1")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
 
 
 def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
-    """A simulation evaluates the gradient once for evaluate, and on
-    non-uniform data once for the initial state and once per accepted step;
-    it builds evaluate's stencil and, for non-uniform data, the run's. The
-    anchor's uniform run measures one cell, with gradient 0.0, from its
-    initial state on, so it takes neither the gradient nor a stencil. The
-    anchor blows up and records every step of its tail; the shortened
-    smooth run ends between two recorded steps, so its last row comes
-    after the loop."""
+    """A simulation on non-uniform data measures each state once, through
+    the run's one stencil: the certificate reads the run's t0 measurement,
+    so the gradient is taken at t0 and once per accepted step. A step
+    loads its stages 2 to 4; stage 1 reuses the load of the accepted
+    state's gradient, and reloads only after a rejection, so a run ending
+    at t_end or at the norm threshold loads 4 x attempted steps + 1 times.
+    The anchor's uniform run measures one cell, with gradient 0.0, from
+    its initial state on, and takes no stencil; its certificate measures
+    the whole arrays, with one gradient on one stencil. The anchor and the
+    vehicle reject steps, blow up and record every step of their tail; the
+    shortened smooth run ends between two recorded steps, so its last row
+    comes after the loop."""
     grads = count_calls(monkeypatch, field.grad_sq_array)
-    stencils = count_stencils(monkeypatch)
+    stencils = count_stencil_calls(monkeypatch, "__init__")
+    loads = count_stencil_calls(monkeypatch, "load")
     smooth = bundled_scenario_text("desitter-smooth").replace(
         "run.t_end = 0.8", "run.t_end = 0.105")
     for name, text, min_steps in (
             ("anchor", bundled_scenario_text("minkowski-m0-u2-A3"), 1000),
-            ("smooth", smooth, 100)):
-        del grads[:], stencils[:]
+            ("vehicle", vehicle_text(), 1000), ("smooth", smooth, 100)):
+        del grads[:], stencils[:], loads[:]
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         out = tmp_path / name
@@ -319,9 +340,15 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
             assert main_entry(["simulate", str(cfg), "--out", str(out)]) == 0
         report = parse_report((out / "report.txt").read_text())
         accepted = report["run.accepted_steps"]
-        assert accepted > min_steps
-        assert len(grads) == (1 if name == "anchor" else accepted + 2)
-        assert len(stencils) == (1 if name == "anchor" else 2)
+        rejected = report["run.rejected_steps"]
+        assert accepted > min_steps and (rejected > 0) == (name != "smooth")
+        assert report["blowup.reason"] == (
+            "none" if name == "smooth" else "norm_threshold")
+        if name == "anchor":
+            assert (len(grads), len(stencils), len(loads)) == (1, 1, 1)
+        else:
+            assert (len(grads), len(stencils), len(loads)) == (
+                accepted + 1, 1, 4 * (accepted + rejected) + 1)
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert float(rows[-1].split(",")[0]) == report["run.t_final"]
     assert accepted % 20 != 0  # the last row is not a recorded step
@@ -334,9 +361,9 @@ def test_evaluate_measures_the_data_once(monkeypatch):
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     calls = count_nonlinearity_calls(monkeypatch)
     grads = count_calls(monkeypatch, field.grad_sq_array)
-    stencils = count_stencils(monkeypatch)
-    evaluate(u0, u1, 0.0, DeSitter(H=0.3, n=2),
-             PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2), nl)
+    stencils = count_stencil_calls(monkeypatch, "__init__")
+    evaluate(measure(u0, u1, nl), 0.0, DeSitter(H=0.3, n=2),
+             PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2))
     assert (len(grads), len(stencils), calls) == (1, 1, ["f"])
 
 
@@ -432,12 +459,12 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     params = PhysicalParams(m=1.0, c=1.0, eps=nl.eps, n=grid.n)
     sf = PowerLaw(0.0, H=0.0, n=grid.n)
     cfg = RunConfig(t_end=0.01, dt=0.01, theorem_mode="none")
-    trace = dynamics.run(*(Field(grid, np.full(grid.shape, x))
-                           for x in (u, v)), sf, params, nl, cfg)
+    trace = dynamics.run(Start(*(Field(grid, np.full(grid.shape, x))
+                                 for x in (u, v)), nl), sf, params, cfg)
     row0 = trace.rows[0]
     L, ut_sq, re_u_ut = trace.meta["L0"], row0.ut_sq, 0.5 * row0.Lp
-    stepper = Stepper(StepState(0.0, u, v, cfg.dt, 1.0, 1.0, 0, ()), sf,
-                      params, nl, grid, cfg)
+    stepper = Stepper(StepState(0.0, u, v, cfg.dt, 1.0, 1.0, 0, ()),
+                      RK4Workspace(u, v), sf, params, nl, grid, cfg)
     for i in range(2):  # at t0 (run's L0 and row 0), then after a step
         if i:
             _, _, L, (ut_sq, re_u_ut, grad_sq) = next(stepper.steps())
@@ -492,7 +519,7 @@ def test_uniform_run_sums_no_array_per_step(monkeypatch):
     pots = count_calls(monkeypatch, functionals.potential_integrals)
     steps = count_calls(monkeypatch, dynamics._rk4)
     CountingFills.fills.clear()
-    trace = dynamics.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+    trace = dynamics.run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
                          mode="thm1")
     attempted = trace.meta["accepted"] + trace.meta["rejected"]
     assert trace.meta["rejected"] > 0 and len(trace.rows) > 300
@@ -535,10 +562,12 @@ def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
     both int F and Re int f(u) conj(u): f_scalar on a uniform run, the
     array f otherwise (a row that also evaluated F made two). An RK4 stage
     calls f once per stencil slab, f_scalar once on a uniform run, so a
-    run makes 4 x (those stage calls) x attempted steps + rows calls. Runs:
-    the anchor cut to t_end = 0.05, uniform at p = 2, at p = 3, at
-    amplitude 3+0.5j and under the real family; a Gaussian u0 in one
-    slab, and in four at a smaller slab size."""
+    uniform run makes 4 x attempted steps + rows calls. On non-uniform
+    data a stage 1 from a recorded state (t0's included, and a retry
+    after a rejection) takes the row's f(u) and makes no call. Runs: the
+    anchor cut to t_end = 0.05, uniform at p = 2, at p = 3, at amplitude
+    3+0.5j and under the real family; a Gaussian u0 in one slab, and in
+    four at a smaller slab size."""
     text = bundled_scenario_text("minkowski-m0-u2-A3")
     for old, new in (("run.t_end = 1.75", "run.t_end = 0.05"), *edits):
         assert text.count(old) == 1
@@ -559,11 +588,20 @@ def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
         per_row.append(calls[before:])
         return result
 
-    monkeypatch.setattr(dynamics, "potential_integrals", counting_row)
-    trace = dynamics.run(u0, u1, scn.sf, scn.params, scn.nl, scn.run)
+    for module in (dynamics, functionals):  # the rows, and t0's
+        monkeypatch.setattr(module, "potential_integrals", counting_row)
+    starts = []  # the time each attempted step starts from
+    step = dynamics._rk4
+    monkeypatch.setattr(dynamics, "_rk4",
+                        lambda t, *args: starts.append(t) or step(t, *args))
+    trace = dynamics.run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run)
     attempted = trace.meta["accepted"] + trace.meta["rejected"]
-    assert attempted > 0 and len(trace.rows) > 1
+    assert attempted == len(starts) > 0 and len(trace.rows) > 1
     kind = "f_scalar" if uniform else "f"
     assert per_row == [[kind]] * len(trace.rows)
     stage_calls = 1 if uniform else slabs
-    assert calls == [kind] * (4 * stage_calls * attempted + len(trace.rows))
+    recorded = {row.t for row in trace.rows}
+    from_rows = 0 if uniform else sum(t in recorded for t in starts)
+    assert uniform or from_rows >= len(trace.rows) - 1
+    assert calls == [kind] * (stage_calls * (4 * attempted - from_rows)
+                              + len(trace.rows))

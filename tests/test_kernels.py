@@ -51,11 +51,13 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     load_bundled_scenario, measure, run)
 from kgflrw import dynamics, field, functionals
 from kgflrw.cli import trace_csv_text
-from kgflrw.dynamics import RK4Workspace, RunConfig, _Background, _rk4
+from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, _Background,
+                             _rk4)
 from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
                           grad_sq_array, lap_array, make_profile)
 from kgflrw.functionals import (measure_arrays, norm_integrals,
                                 potential_integrals)
+from test_integrals import vehicle_text
 from test_nonlinearity import eval_err, eval_gap  # f's per-call errors
 
 
@@ -450,13 +452,19 @@ def cellwise_reference_step(t, dt, sf, params, nl, h, ws):
                           None if nl is None else CellwiseF(nl), h, ws)
 
 
+def run_fields(u0, u1, sf, params, nl, cfg, **kwargs):
+    """run() from the data (u0, u1)."""
+    return run(Start(u0, u1, nl), sf, params, cfg, **kwargs)
+
+
 def reference_run(monkeypatch, *args, step=reference_step, **kwargs):
-    """run() with the reference step and the uniform path forced off, so
-    that every stage and every gradient goes through the stencil."""
+    """`run_fields` with the reference step and the uniform path forced
+    off, so that every stage and every gradient goes through the
+    stencil."""
     with monkeypatch.context() as mp:
         mp.setattr(dynamics, "_rk4", step)
         mp.setattr(dynamics, "_is_uniform", lambda u, v: False)
-        return run(*args, **kwargs)
+        return run_fields(*args, **kwargs)
 
 
 def count_calls(mp, module, name: str) -> list:
@@ -585,7 +593,7 @@ def test_run_matches_reference_rk4(monkeypatch, bump):
 
     with monkeypatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
-        fast = run(*args, **kwargs)
+        fast = run_fields(*args, **kwargs)
     assert (len(laps) == 0) == (bump == 0.0)
     slow = reference_run(monkeypatch, *args, **kwargs)
 
@@ -658,7 +666,7 @@ def test_uniform_run_matches_stencil_run(problem, data):
     with pytest.MonkeyPatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
         grads = count_calls(mp, dynamics, "grad_sq_array")
-        fast = run(*args)
+        fast = run_fields(*args)
         assert not laps and not grads
         slow = reference_run(mp, *args, step=cellwise_reference_step)
     assert len(fast.rows) > 1
@@ -675,8 +683,143 @@ def test_uniform_run_matches_stencil_run(problem, data):
     assert not dynamics._is_uniform(*functionals.state_arrays(u0, u1))
     with pytest.MonkeyPatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
-        run(u0, u1, sf, params, nl, cfg)
+        run_fields(u0, u1, sf, params, nl, cfg)
         assert laps
+
+
+# ---------------------------------------------------------------------------
+# stage 1 from the measurement of the accepted state
+
+
+def fresh_step(t, dt, bg, params, nl, h, ws):
+    """`_rk4` from a stencil that holds nothing of the state, so that every
+    stage loads its input and evaluates f."""
+    ws.stencil.loaded = ws.stencil.f_of = None
+    return _rk4(t, dt, bg, params, nl, h, ws)
+
+
+def budget_step(limit: int):
+    """`_rk4` that fails the test on its call past limit: a run that
+    reuses a stale load or f(u) may shrink its steps toward dt_min and run
+    on instead of ending."""
+    calls = []
+
+    def step(*args):
+        calls.append(None)
+        assert len(calls) <= limit, "more steps than the fresh run took"
+        return _rk4(*args)
+    return step
+
+
+def assert_same_run(fast, fresh) -> None:
+    """Two runs with the same trace, bit for bit (every field of every
+    row, by repr, so that NaNs compare), and the same ending."""
+    assert trace_csv_text(fast) == trace_csv_text(fresh)
+    assert [list(map(repr, dataclasses.astuple(r))) for r in fast.rows] == [
+        list(map(repr, dataclasses.astuple(r))) for r in fresh.rows]
+    assert fast.meta == fresh.meta and fast.blowup == fresh.blowup
+
+
+def test_vehicle_reuse_matches_fresh_stages(monkeypatch):
+    """The localized blow-up vehicle, whose stage 1 takes the load and
+    f(u) of the accepted state's measurement (4 x attempted steps + 1
+    loads), against the run whose every stage loads and evaluates f
+    (`fresh_step`; 4 x attempted steps + accepted + 1 loads) and against
+    the reference step: the same trace bit for bit, and the reference's
+    steps. The vehicle rejects steps, records every step of its tail and
+    runs past rows taken record_every steps apart. Both kernel runs take
+    the stencil path as `reference_run` sets it up."""
+    scn = config.parse_text(vehicle_text())
+    args = (*scn.build_fields(), scn.sf, scn.params, scn.nl, scn.run)
+    kwargs = dict(T_bound=5.7314083255582613, mode="thm1")
+    with monkeypatch.context() as mp:
+        loads = count_calls(mp, Stencil, "load")
+        fresh = reference_run(mp, *args, step=fresh_step, **kwargs)
+        fresh_loads = len(loads)
+        del loads[:]
+        accepted, rejected = fresh.meta["accepted"], fresh.meta["rejected"]
+        fast = reference_run(mp, *args, step=budget_step(accepted + rejected),
+                             **kwargs)
+    assert rejected > 0 and fresh.blowup.reason == "norm_threshold"
+    assert sum(1 for r in fresh.rows if r.L >= 1e8 * fresh.meta["L0"]) >= 12
+    assert fresh_loads == 4 * (accepted + rejected) + accepted + 1
+    assert len(loads) == 4 * (accepted + rejected) + 1
+    assert_same_run(fast, fresh)
+    assert_same_steps(fast, reference_run(monkeypatch, *args, **kwargs))
+
+
+def test_accept_forgets_the_measurement():
+    """accept() clears the stencil's marks: the array a measurement named
+    becomes the state again two accepts later, with new values, and the
+    step from it must load them and evaluate their f. The steps match
+    those of `fresh_step` bit for bit."""
+    grid = Grid(n=2, points_per_axis=12, half_width=math.pi)
+    rng = np.random.default_rng(3)
+    u, v = (rng.normal(size=grid.shape) for _ in range(2))
+    nl = GaugeInvariantPower(p=2.0, lam=1.0)
+    params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2)
+    bg, h = _Background(DeSitter(H=0.5, n=2)), grid.spacing
+    ws, fresh = RK4Workspace(u.copy(), v.copy()), RK4Workspace(u, v)
+    grad_sq_array(ws.u, h, ws.stencil)
+    potential_integrals(ws.u, grid, nl, ws.stencil)
+    measured = ws.u
+    for i in range(3):
+        t = 1e-2 * i
+        for w, step in ((ws, _rk4), (fresh, fresh_step)):
+            step(t, 1e-2, bg, params, nl, h, w)
+            w.accept()
+        assert ws.stencil.loaded is ws.stencil.f_of is None
+        assert_bitwise(ws.u, fresh.u)
+        assert_bitwise(ws.v, fresh.v)
+    assert ws.u is not measured and ws.trial_u is measured
+
+
+@st.composite
+def rejecting_problems(draw):
+    """Small 2D and 3D runs that reject steps: u1 is u0 times s in
+    [0.5, 2] (so ||u||^2 grows at the rate 2 s) with a little noise, and
+    growth_tol = 1e-3 rejects every step longer than about 5e-4 / s until
+    dt_min = dt / 64. Real or complex data, any family or none, rows every
+    1 to 3 steps, and the stencil in one slab or in several."""
+    n = draw(st.integers(2, 3))
+    N = draw(st.sampled_from([8, 10, 12]))
+    grid = Grid(n=n, points_per_axis=N, half_width=math.pi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    u0 = rng.normal(size=grid.shape) + (0 if real else 1j) * rng.normal(
+        size=grid.shape)
+    u0 *= draw(st.floats(0.2, 2.0))
+    noise = rng.normal(size=grid.shape) + (0 if real else 1j) * rng.normal(
+        size=grid.shape)
+    u1 = draw(st.floats(0.5, 2.0)) * u0 + 1e-3 * noise
+    nl = draw(st.sampled_from(NONLINEARITIES))
+    if nl is not None and nl.real_only:
+        u0, u1 = u0.real, u1.real
+    dt = 0.3 * grid.spacing
+    cfg = RunConfig(t_end=8 * dt, dt=dt, dt_min=dt / 64, growth_tol=1e-3,
+                    record_every=draw(st.integers(1, 3)),
+                    theorem_mode="none")
+    params = PhysicalParams(m=draw(st.floats(0.0, 2.0)), c=1.0,
+                            eps=1.0 if nl is None else nl.eps, n=n)
+    sf = draw(st.sampled_from([PowerLaw(0.0, H=0.0, n=n), DeSitter(H=0.5,
+                                                                    n=n)]))
+    slab_bytes = draw(st.sampled_from([field.SLAB_BYTES, 1024]))
+    return (Field(grid, u0), Field(grid, u1), sf, params, nl, cfg), slab_bytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(rejecting_problems())
+def test_reuse_matches_fresh_stages(problem):
+    """A drawn run with rejected steps has the trace of the run whose
+    every stage loads and evaluates f, bit for bit."""
+    args, slab_bytes = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "SLAB_BYTES", slab_bytes)
+        fresh = reference_run(mp, *args, step=fresh_step)
+        attempted = fresh.meta["accepted"] + fresh.meta["rejected"]
+        fast = reference_run(mp, *args, step=budget_step(attempted))
+    assert fresh.meta["rejected"] > 0
+    assert_same_run(fast, fresh)
 
 
 @pytest.mark.parametrize("nl", NONLINEARITIES + (
@@ -879,7 +1022,7 @@ def test_real_run_matches_complex_run(monkeypatch):
 
     def simulate(scn, T_bound, mode):
         u0, u1 = scn.build_fields()
-        return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run,
+        return run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
                    T_bound=T_bound, mode=mode)
 
     real = [simulate(*case) for case in cases]
@@ -926,7 +1069,7 @@ def test_run_steps_real_state_in_float64(monkeypatch, u0_spec, u1_amp, nl,
     u1 = make_profile(grid, "homogeneous", u1_amp)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0 if nl is None else nl.eps, n=1)
     cfg = RunConfig(t_end=0.05, dt=1e-2, theorem_mode="none")
-    run(u0, u1, PowerLaw(0.0, H=0.0), params, nl, cfg)
+    run(Start(u0, u1, nl), PowerLaw(0.0, H=0.0), params, cfg)
     assert seen == [dtype]
 
 
@@ -1071,7 +1214,8 @@ def test_multi_slab_run_matches_one_slab_run(monkeypatch):
 
     def simulate():
         u0, u1 = scn.build_fields()
-        return run(u0, u1, scn.sf, scn.params, scn.nl, scn.run, mode="none")
+        return run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
+                   mode="none")
 
     sliced_run = simulate()
     monkeypatch.setattr(field, "SLAB_BYTES", 1 << 40)

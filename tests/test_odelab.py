@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from kgflrw import (ConcavityProblem, concavity_problem, evaluate,
-                    load_bundled_scenario, random_admissible_problems,
-                    solve_concavity, tstar_bound)
+                    load_bundled_scenario, measure,
+                    random_admissible_problems, solve_concavity, tstar_bound)
 from kgflrw.errors import NoVanishBeforeT
 
 VANISH_REST = 1.2143253239437908  # int_0^1 dy / sqrt(1 - y^6) = B(1/6, 1/2)/6
@@ -220,7 +220,7 @@ def test_no_vanish_before_cutoff():
 def _report(name):
     scn = load_bundled_scenario(name)
     u0, u1 = scn.build_fields()
-    rep = evaluate(u0, u1, scn.run.t0, scn.sf, scn.params, scn.nl,
+    rep = evaluate(measure(u0, u1, scn.nl), scn.run.t0, scn.sf, scn.params,
                    mode=scn.run.theorem_mode)
     return scn, rep
 
