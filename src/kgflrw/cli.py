@@ -101,8 +101,10 @@ def parse_report(text: str) -> dict:
     stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     stripped = [ln for ln in stripped if ln]
     if stripped and "=" not in stripped[0] and "," in stripped[0]:
-        header = stripped[0].split(",")
-        values = stripped[1].split(",")
+        if len(stripped) != 2:
+            raise ParseError(f"CSV report needs one value row, got "
+                             f"{len(stripped) - 1}")
+        header, values = (ln.split(",") for ln in stripped)
         if len(header) != len(values):
             raise ParseError("header/value arity mismatch")
         pairs = zip(header, values)
@@ -144,7 +146,7 @@ def _evaluate_scenario(scn: Scenario, m0: Integrals) -> HypothesisReport:
 
 
 def _simulate(scn: Scenario, out_dir: str) -> tuple:
-    """Evaluate and run scn from one measurement of its data (`Start`),
+    """Evaluate and run scn from one measurement of its data (`Start.rec`),
     and write trace.csv and report.txt into out_dir.
 
     A certificate blocked only by the background's lifetime runs
@@ -154,7 +156,7 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple:
     reason if it is a key of _ENDINGS, else None."""
     start = Start(*scn.build_fields(), scn.nl)
     try:
-        report = _evaluate_scenario(scn, start.m0)
+        report = _evaluate_scenario(scn, start.rec)
     except HorizonTooShort as exc:
         log.info("certificate blocked by horizon, running uncertified: %s",
                  exc)

@@ -6,19 +6,19 @@ stage time, so homogeneous data reduce the step to the exact scalar RK4 map
 (the stencil Laplacian is +0.0 on constants, bit for bit). A run steps and
 measures one copy of the data (`Start`), in the dtype that `state_arrays`
 picks: float64 for real data, else complex128. The step works in place in
-arrays allocated once per run (`RK4Workspace`) and measures each state once,
-through the one stencil: the next stage 1 takes the load of a gradient and
-the f(u) of a row that the stencil's marks (`field`) still name, so a
-retried step reloads u but takes f(u). `_Background` evaluates each distinct
-stage time once, with dv/dt's factors (the stencil's 1 / (12 h^2) folded
-into that of lap u), and a step's end is the next step's start. A stage
-finishes one stencil slab at a time, so that its temporaries stay in cache.
+arrays allocated once per run (`RK4Workspace`), which also measures each
+accepted state once: it loads u for the gradient and keeps f(u), which
+stage 1 of the next step and a recorded row take; a retried step reloads u
+but keeps f(u). `_Background` evaluates each distinct stage time once,
+with dv/dt's factors (the stencil's 1 / (12 h^2) folded into that of
+lap u), and a step's end is the next step's start. A stage finishes one
+stencil slab at a time, so that its temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
-same for u1) steps one scalar state, the homogeneous ODE: once
-`RK4Workspace` has found the data uniform, the run holds the first cell's u
-and v as Python scalars and builds no whole array; only
-`Stepper.checkpoint()` fills one.
+same for u1: `functionals.is_uniform`) steps one scalar state, the
+homogeneous ODE: once `RK4Workspace` has found the data uniform, the run
+holds the first cell's u, v and f(u) as Python scalars and builds no whole
+array; only `Stepper.checkpoint()` fills one.
 `_rk4_uniform` does the array kernel's operations in its order, with
 lap u = +0.0 (the stencil's bits on a uniform array) and f the
 nonlinearity's `f_scalar`. Python's +, - and * with real multipliers are
@@ -26,14 +26,7 @@ numpy's IEEE operations, so the step has the kernel's bits where f does
 (gauge p = 2 on float64 data); elsewhere libm's pow and hypot may round
 otherwise than numpy's power and complex abs. Cells that `==` calls equal
 may differ in the sign of a zero, which the scalar step takes from the
-first cell. The run measures such a state as one cell times the box volume
-V = cell volume * N^n (`Grid.volume`): ||u||^2 = |u|^2 V, ||u_t||^2 =
-|v|^2 V, Re(u, u_t) = Re(conj(v) u) V, each product sum started from +0.0
-as a BLAS dot starts, so the sign of a zero velocity never reaches the
-trace; Re f(u) conj(u) is Re(conj(u) `f_scalar`(u)) V, int F that over
-p + 1, and the gradient is 0.0. These are the exact cell sums up to a few
-roundings; a whole-array dot adds up to gamma_N sum |a_i b_i| (Higham,
-Accuracy and Stability of Numerical Algorithms, section 3.1).
+first cell. The run measures such a state as one cell (`functionals`).
 
 The stepper (`Stepper`) owns the workspace, the background cache and the step
 control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
@@ -45,7 +38,7 @@ value ("norm_threshold"), dt pinned at dt_min with accelerating growth
 ("step_collapse"), or a nonfinite state ("nonfinite": the last finite state
 ends the trace and detected stays False). It starts from one record,
 `StepState`, which `run()` makes at t0 and `Stepper.checkpoint()` copies.
-A certificate reads the t0 measurement of the run's `Start` (`m0`).
+A certificate reads the t0 measurement of the run's `Start` (`rec`).
 
 The recorder, `run()`, feeds the history integrals, writes the rows through
 one snapshot, applies the wrap guard and fits t* to the tail: ||u||^2 scales
@@ -59,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -67,10 +59,9 @@ from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
                      WrapAroundRisk)
 from .field import Field, Grid, Stencil, grad_sq_array, lap_slab
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
-                          RunningIntegrals, kappa_for_mode,
-                          kappa_tilde_for_mode, measure, measure_arrays,
-                          norm_integrals, potential_integrals, state_arrays,
-                          state_grid)
+                          RunningIntegrals, is_uniform, kappa_for_mode,
+                          kappa_tilde_for_mode, norm_integrals,
+                          potential_integrals, state_arrays, state_grid)
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -163,35 +154,45 @@ class _Background:
 
 class RK4Workspace:
     """The state one integration works in, set up once per run in the dtype
-    that `state_arrays` chose, which the run also measures in.
+    that `state_arrays` chose, with nl and the grid spacing h. It measures
+    its accepted state when built and after every `accept()`: `grad_sq`,
+    the cell sum of |grad u|^2, and `fu` = f(u) (None without nl). Between
+    steps the stencil holds u and fu is f(u), which stage 1 and a recorded
+    row read; a rejected step's stages load over u, and `reject()` reloads
+    it.
 
     `uniform` marks a run that steps one scalar state (`_rk4_uniform`),
-    given as its scalar pair or as arrays that `_is_uniform` finds uniform,
+    given as its scalar pair or as arrays that `is_uniform` finds uniform,
     which it reduces to the Python scalars of their first cells. Its
-    accepted state `u`, `v` and the trial state `trial_u`, `trial_v` are
-    Python scalars, the value of every cell (`accept()` swaps the pairs);
-    it has no whole array and no stencil, and its gradient is 0.0.
+    accepted state `u`, `v`, the trial state `trial_u`, `trial_v` and fu
+    are Python scalars, the value of every cell (`accept()` swaps the
+    pairs); it has no whole array and no stencil, and its gradient is 0.0.
 
     Otherwise whole arrays: the accepted state `u`, `v`, the trial state
     `trial_u`, `trial_v`, a stage's input `su`, `sv` (the next stage's
-    Laplacian reads all of su) and the `stencil`. Scratch of one slab: dv/dt
-    `kv` and a term `tmp`, which also takes f(u) in float64 (a complex f
+    Laplacian reads all of su), the `stencil`, and fu, in the stencil's
+    `deriv` where f's dtype is the state's. Scratch of one slab: dv/dt `kv`
+    and a term `tmp`, which also takes f(u) in float64 (a complex f
     allocates its slab-sized value). `slabs` holds each stencil slab with
     its views of (u, v, trial_u, trial_v, su, sv, kv, tmp) and the `out` of
     f: tmp or None."""
 
-    def __init__(self, u, v):
-        if isinstance(u, np.ndarray) and _is_uniform(u, v):
+    def __init__(self, u, v, nl: Nonlinearity | None, h: float):
+        if isinstance(u, np.ndarray) and is_uniform(u, v):
             u, v = u.item(0), v.item(0)  # the pair of the first cells
         self.uniform = not isinstance(u, np.ndarray)
         self.u, self.v = self.trial_u, self.trial_v = u, v
+        self.nl, self.h = nl, h
         if self.uniform:
             self.slabs = self._swapped = ()
+            self._measure()
             return
         real = u.dtype == np.float64
         self.trial_u, self.trial_v, self.su, self.sv = (
             np.empty_like(u) for _ in range(4))
         self.stencil = Stencil(u.shape, u.dtype)
+        self._f_out = (self.stencil.deriv if nl is not None
+                       and (real or not nl.real_only) else None)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
         self.slabs = []
@@ -203,20 +204,26 @@ class RK4Workspace:
             self.slabs.append((slab, *views, kv, tmp, tmp if real else None))
         self._swapped = [(slab, tu, tv, u, v, *rest)
                          for slab, u, v, tu, tv, *rest in self.slabs]
+        self._measure()
+
+    def _measure(self) -> None:
+        nl, u = self.nl, self.u
+        if self.uniform:
+            self.grad_sq = 0.0
+            self.fu = None if nl is None else nl.f_scalar(u)
+        else:  # the gradient leaves u loaded
+            self.grad_sq = grad_sq_array(u, self.h, self.stencil)
+            self.fu = None if nl is None else nl.f(u, out=self._f_out)
 
     def accept(self) -> None:
         self.u, self.trial_u = self.trial_u, self.u
         self.v, self.trial_v = self.trial_v, self.v
         self.slabs, self._swapped = self._swapped, self.slabs
-        if not self.uniform:  # the marks name arrays that steps overwrite
-            self.stencil.loaded = self.stencil.f_of = None
+        self._measure()
 
-
-def _is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether every cell of u equals u's first cell, every cell of v equals
-    v's first cell, and both first cells are finite."""
-    return all(np.isfinite(x.flat[0]) and bool(np.all(x == x.flat[0]))
-               for x in (u, v))
+    def reject(self) -> None:
+        if not self.uniform:
+            self.stencil.load(self.u)
 
 
 def _coeffs(vals, params, h) -> tuple:
@@ -244,29 +251,30 @@ def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out, f_u):
         np.add(out, tmp, out=out)
 
 
-def _rhs_cell(k, u, v, f):
+def _rhs_cell(k, u, v, fu):
     """`_rhs_slab` on one cell of Python scalars, with lap u = +0.0: the sum
-    starts from lap_c * 0.0; f is the nonlinearity's `f_scalar`, or None."""
+    starts from lap_c * 0.0; fu is the nonlinearity's `f_scalar` of u, or
+    None."""
     lap_c, mass, damp, c2 = k
     out = lap_c * 0.0 - mass * u - damp * v
-    return out if f is None else out + c2 * f(u)
+    return out if fu is None else out + c2 * fu
 
 
 def _rk4_uniform(t, dt, bg, params, nl, h, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
     order, on the scalar pair `ws.u`, `ws.v`, into `ws.trial_u`,
-    `ws.trial_v`."""
+    `ws.trial_v`; stage 1 takes f(u) from `ws.fu`."""
     u, v = ws.u, ws.v
-    f = None if nl is None else nl.f_scalar
+    f = (lambda x: None) if nl is None else nl.f_scalar
     hm = 0.5 * dt
-    acc_v = _rhs_cell(bg.coeffs(t, params, h), u, v, f)
+    acc_v = _rhs_cell(bg.coeffs(t, params, h), u, v, ws.fu)
     su, sv, acc_u = u + hm * v, v + hm * acc_v, v
     k = bg.coeffs(t + hm, params, h)
     for step_next in (hm, dt):
-        kv = _rhs_cell(k, su, sv, f)
+        kv = _rhs_cell(k, su, sv, f(su))
         acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
         su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(bg.coeffs(t + dt, params, h), su, sv, f)
+    kv = _rhs_cell(bg.coeffs(t + dt, params, h), su, sv, f(su))
     sixth = dt / 6.0
     ws.trial_u = u + sixth * (acc_u + sv)
     ws.trial_v = v + sixth * (acc_v + kv)
@@ -279,27 +287,23 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     Buffer ownership: reads `ws.u`, `ws.v` and never writes them; writes the
     new state into `ws.trial_u`, `ws.trial_v` and returns those two arrays,
     which stay valid until the next `_rk4` call on ws (after `ws.accept()`
-    they are the accepted state). Everything else in ws is overwritten. A
-    stage loads its input into the stencil, then finishes one slab at a
-    time; the Laplacian reads the loaded copy, so su may be overwritten slab
-    by slab. Stage 1 loads u and evaluates f(u) unless the stencil's marks
-    name u. The weighted sum k1 + 2 k2 + 2 k3 + k4 is accumulated in the
-    trial buffers stage by stage, in that order, so every element sees the
-    operations of the plain RK4 formula; dv/dt's Laplacian term is the
-    stencil's pairwise sum times one folded factor (`field`). A uniform
-    workspace takes `_rk4_uniform` instead, whose state and trial state are
-    scalar pairs. bg is the run's `_Background`."""
+    they are the accepted state). Every other buffer of ws but `ws.fu` is
+    overwritten. Stage 1 reads u as the stencil holds it and f(u) from
+    ws.fu; each later stage loads its input into the stencil. A stage
+    finishes one slab at a time; the Laplacian reads the loaded copy, so su
+    may be overwritten slab by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4
+    is accumulated in the trial buffers stage by stage, in that order, so
+    every element sees the operations of the plain RK4 formula; dv/dt's
+    Laplacian term is the stencil's pairwise sum times one folded factor
+    (`field`). A uniform workspace takes `_rk4_uniform` instead, whose
+    state and trial state are scalar pairs. bg is the run's `_Background`."""
     if ws.uniform:
         return _rk4_uniform(t, dt, bg, params, nl, h, ws)
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v)
-    st = ws.stencil
-    if st.loaded is not ws.u:
-        st.load(ws.u)
-    f_u = st.deriv if st.f_of is ws.u else None
     k = bg.coeffs(t, params, h)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, u, v, nl, acc_v, tmp, f_out, f_u)
+        _rhs_slab(slab, k, u, v, nl, acc_v, tmp, f_out, ws.fu)
         np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
         np.multiply(hm, acc_v, out=sv)
@@ -428,6 +432,7 @@ class Stepper:
                 st.dt = 0.5 * dt
                 st.accept_streak = 0
                 self.rejected += 1
+                ws.reject()
                 continue
             st.t += dt
             ws.accept()
@@ -440,8 +445,7 @@ class Stepper:
             if st.accept_streak >= 4 and st.dt < cfg.dt:
                 st.dt = min(cfg.dt, 2.0 * st.dt)
                 st.accept_streak = 0
-            grad = 0.0 if ws.uniform else grad_sq_array(ws.u, h, ws.stencil)
-            motion = (ut_sq, re_u_ut, grad * cv)
+            motion = (ut_sq, re_u_ut, ws.grad_sq * cv)
             if not (math.isfinite(ut_sq) and math.isfinite(motion[2])):
                 self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
                 return
@@ -499,23 +503,17 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
 
 
 class Start:
-    """The data (u0, u1) of one run: its grid, nl, workspace `ws` and t0
-    row's integrals `rec`, whose load and f(u) the first step takes. A
-    certificate reads `m0`: rec, or of uniform data (one cell times the
-    box volume) the whole arrays' `measure`, whose sums may round
-    otherwise."""
+    """The data (u0, u1) of one run: its grid, its workspace `ws` (which
+    holds nl) and the t0 measurement `rec`, from the workspace's load and
+    f(u), which the first step takes and a certificate reads."""
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, u0: Field, u1: Field, nl: Nonlinearity | None):
-        self.fields, self.nl = (u0, u1), nl
         self.grid = grid = state_grid(u0, u1)
-        self.ws = ws = RK4Workspace(*state_arrays(u0, u1))
-        self.rec = measure_arrays(ws.u, ws.v, grid, nl,
-                                  None if ws.uniform else ws.stencil)
-
-    @cached_property
-    def m0(self) -> Integrals:
-        return measure(*self.fields, self.nl) if self.ws.uniform else self.rec
+        self.ws = ws = RK4Workspace(*state_arrays(u0, u1), nl, grid.spacing)
+        self.rec = Integrals(*norm_integrals(ws.u, ws.v, grid),
+                             ws.grad_sq * grid.cell_volume,
+                             *potential_integrals(ws.u, ws.fu, grid, nl))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -538,7 +536,7 @@ def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
     """
     if mode not in ("thm1", "thm2", "none"):
         raise ValueError("mode must be thm1, thm2 or none")
-    grid, nl, ws, rec = start.grid, start.nl, start.ws, start.rec
+    grid, ws, rec, nl = start.grid, start.ws, start.rec, start.ws.nl
     L0 = rec.L
     if L0 <= 0:
         raise InvariantViolation("dynamics", "initial data must be nonzero")
@@ -552,7 +550,6 @@ def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
                 f"support radius {support_radius} already fills the box")
     bg = stepper.bg
     acc = RunningIntegrals(params.n, params.c)
-    stencil = None if ws.uniform else ws.stencil
     a, adot, addot = bg.eval(cfg.t0)
     E_t0 = rec.energy(a, params)
     snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
@@ -571,7 +568,7 @@ def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
         if (since_record >= cfg.record_every or stepper.done and not wrapped
                 or nl is not None and L >= tail_start * L0):
             rec = Integrals(L, *motion,
-                            *potential_integrals(ws.u, grid, nl, stencil))
+                            *potential_integrals(ws.u, ws.fu, grid, nl))
             rows.append(snapshot(t, dt_used, rec, a, adot, acc, margin))
             since_record = 0
         if wrapped:

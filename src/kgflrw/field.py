@@ -31,11 +31,8 @@ band-sized work arrays, operation by operation in the order of the formulas
 above; values in the band's wrap-around cells are discarded. Reductions sum
 whole arrays, never per slab, which would change the order of summation.
 The padded buffer holds the last field loaded until the next load, and
-`deriv` what was last written into it. Two marks name an array:
-`Stencil.loaded` the one `grad_sq_array` loaded, until the next load, and
-`Stencil.f_of` the one whose f(u) `potential_integrals` wrote into deriv,
-until `grad_sq_array` writes there; whoever writes into a marked array
-clears them (`RK4Workspace.accept`).
+`deriv` what was last written into it; an RK4 workspace (`dynamics`) keeps
+its accepted state loaded and that state's f(u) in deriv between steps.
 """
 
 from __future__ import annotations
@@ -144,7 +141,7 @@ class Slab(NamedTuple):
 class Stencil:
     """Scratch of the stencils for one array shape and dtype: the padded
     buffer, its slabs and the whole array `deriv`, reused by every call that
-    is given it, with the marks `loaded` and `f_of` (None, or an array)."""
+    is given it."""
 
     def __init__(self, shape: tuple[int, ...], dtype=np.complex128):
         self.shape = tuple(shape)
@@ -169,12 +166,11 @@ class Stencil:
                 tuple(tuple(flat[lo + d * st:hi + d * st] for d in (-2, -1, 1, 2))
                       for st in steps),
                 w, w[0].reshape((rows,) + padded[1:])[keep]))
-        self.loaded = self.f_of = None
 
     @cached_property
     def deriv(self) -> np.ndarray:
         """A whole array that `grad_sq_array` writes each derivative into
-        and, once it has returned, `functionals.potential_integrals` f(u)."""
+        and, once it has returned, `dynamics.RK4Workspace` f(u)."""
         return np.empty(self.shape, self.dtype)
 
     def load(self, vals: np.ndarray) -> None:
@@ -182,7 +178,6 @@ class Stencil:
         self._inner[...] = vals
         for dst, src in self._halos:
             dst[...] = src
-        self.loaded = None
 
 
 def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
@@ -245,10 +240,10 @@ def dot_re(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> float:
-    """Sum over cells of |grad v|^2 (no volume factor)."""
+    """Sum over cells of |grad v|^2 (no volume factor); vals stays loaded
+    in ws until its next load."""
     ws = _stencil_for(vals, ws)
     ws.load(vals)
-    ws.loaded, ws.f_of = vals, None  # deriv takes the derivatives
     d = ws.deriv
     total = 0.0
     for ax in range(vals.ndim):

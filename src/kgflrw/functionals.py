@@ -26,10 +26,17 @@ periodic integrand converges faster than any power of h; int F is the last
 over p+1, as F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`). The state is
 measured in one dtype, the one `state_arrays` picks for `measure` and for a
 run: float64 for real data, else complex128; each sum is taken in that
-dtype. A run on uniform data measures its state as one cell, given as
-Python scalars, times the box volume (`norm_integrals`,
-`potential_integrals`): every cell sum of such a state is N^n times that
-cell's term.
+dtype. `measure` and a run alike measure uniform data (`is_uniform`) as
+one cell, the Python scalars u and v, times the box volume
+V = cell volume * N^n (`Grid.volume`), as each cell sum of such a state is
+N^n times that cell's term (`norm_integrals`, `potential_integrals`):
+||u||^2 = |u|^2 V, ||u_t||^2 = |v|^2 V, Re(u, u_t) = Re(conj(v) u) V, each
+product sum started from +0.0 as a BLAS dot starts, so the sign of a zero
+velocity never reaches the trace; Re f(u) conj(u) is
+Re(conj(u) `f_scalar`(u)) V, int F that over p + 1, and the gradient is
+0.0. These are the exact cell sums up to a few roundings; a whole-array
+dot adds up to gamma_N sum |a_i b_i| (Higham, Accuracy and Stability of
+Numerical Algorithms, section 3.1).
 
 Two data margins certify blow-up: rho (norm-weighted, start at t0 = 0) and
 delta (velocity-weighted, any admissible t0):
@@ -52,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .field import Field, Grid, Stencil, dot_re, grad_sq_array
+from .field import Field, Grid, dot_re, grad_sq_array
 from .nonlinearity import Nonlinearity
 
 
@@ -161,47 +168,45 @@ def norm_integrals(u, v, grid: Grid) -> tuple[float, float, float]:
             _cell_dot(v, u) * vol)
 
 
-def potential_integrals(u, grid: Grid, nl: Nonlinearity | None,
-                        stencil: Stencil | None = None
+def potential_integrals(u, fu, grid: Grid, nl: Nonlinearity | None
                         ) -> tuple[float, float]:
-    """int F(u) and Re int f(u) conj(u) from one evaluation of f, as
+    """int F(u) and Re int f(u) conj(u) from one evaluation fu = f(u), as
     F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`); both 0.0 for the linear
-    equation. Of the array u, with f written into the stencil's `deriv`
-    (and u into its `f_of`) where f's dtype is the stencil's (every gauge
-    state, the real family on float64). Of a uniform state given as its
-    one cell's Python scalar u: nl's `f_scalar` of u, times the volume."""
+    equation (nl and fu None). Of the arrays u and fu, or of a uniform
+    state's one cell, given as Python scalars (fu from nl's `f_scalar`),
+    times the volume."""
     if nl is None:
         return 0.0, 0.0
     if isinstance(u, np.ndarray):
-        out = None
-        if stencil is not None and (stencil.dtype == np.float64
-                                    or not nl.real_only):
-            out, stencil.f_of = stencil.deriv, u
-        re_fu = dot_re(u, nl.f(u, out=out)) * grid.cell_volume
+        re_fu = dot_re(u, fu) * grid.cell_volume
     else:
-        re_fu = _cell_dot(u, nl.f_scalar(u)) * grid.volume
+        re_fu = _cell_dot(u, fu) * grid.volume
     return re_fu / (nl.p + 1.0), re_fu
 
 
-def measure_arrays(u, v, grid: Grid, nl: Nonlinearity | None,
-                   stencil: Stencil | None = None) -> Integrals:
-    """The six integrals of the state arrays (u, u_t = v), complex128 or
-    float64, or of a uniform state's one-cell Python scalars (gradient
-    0.0); stencil is the scratch of the gradient and then of f(u)."""
-    grad = (grad_sq_array(u, grid.spacing, stencil)
-            if isinstance(u, np.ndarray) else 0.0)
-    return Integrals(*norm_integrals(u, v, grid), grad * grid.cell_volume,
-                     *potential_integrals(u, grid, nl, stencil))
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def measure(u: Field, v: Field, nl: Nonlinearity | None,
-            stencil: Stencil | None = None) -> Integrals:
-    """The six integrals of the state (u, u_t = v), in the dtype that
-    `state_arrays` picks, which a given stencil must have, with numpy's
-    overflow warnings off. Raises GridMismatch if u and v differ in grid."""
+def measure(u: Field, v: Field, nl: Nonlinearity | None) -> Integrals:
+    """The six integrals of the state (u, u_t = v) as a run measures them,
+    in the dtype that `state_arrays` picks (uniform data as one cell), with
+    numpy's overflow warnings off. Raises GridMismatch if u and v differ in
+    grid."""
     grid = state_grid(u, v)
-    return measure_arrays(*state_arrays(u, v), grid, nl, stencil)
+    u, v = state_arrays(u, v)
+    if is_uniform(u, v):
+        u, v, grad = u.item(0), v.item(0), 0.0
+        fu = None if nl is None else nl.f_scalar(u)
+    else:
+        grad = grad_sq_array(u, grid.spacing)
+        fu = None if nl is None else nl.f(u)
+    return Integrals(*norm_integrals(u, v, grid), grad * grid.cell_volume,
+                     *potential_integrals(u, fu, grid, nl))
+
+
+def is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether every cell of u equals u's first cell, every cell of v equals
+    v's first cell, and both first cells are finite."""
+    return all(np.isfinite(x.flat[0]) and bool(np.all(x == x.flat[0]))
+               for x in (u, v))
 
 
 def state_arrays(u: Field, v: Field) -> tuple[np.ndarray, np.ndarray]:

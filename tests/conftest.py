@@ -59,7 +59,7 @@ def anchor_run(anchor_scenario):
     scn = anchor_scenario
     u0, u1 = scn.build_fields()
     start = kgflrw.Start(u0, u1, scn.nl)
-    rep = kgflrw.evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
+    rep = kgflrw.evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                           mode=scn.run.theorem_mode)
     trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
                        T_bound=rep.T_bound, mode=rep.mode)

@@ -63,7 +63,7 @@ def _timed_run(name):
     u0, u1 = scn.build_fields()
     began = time.perf_counter()
     start = kgflrw.Start(u0, u1, scn.nl)
-    rep = kgflrw.evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
+    rep = kgflrw.evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                           mode=scn.run.theorem_mode)
     trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
                        T_bound=rep.T_bound, mode=rep.mode)
@@ -341,7 +341,7 @@ def test_criterion_8_refinement_stability(theorem_runs):
         scn = kgflrw.parse_text(var_text, name=f"anchor-{label}")
         u0, u1 = scn.build_fields()
         start = kgflrw.Start(u0, u1, scn.nl)
-        rep = kgflrw.evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
+        rep = kgflrw.evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                               mode=scn.run.theorem_mode)
         trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
                            T_bound=rep.T_bound, mode=rep.mode)

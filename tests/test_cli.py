@@ -23,6 +23,7 @@ from kgflrw import bundled_scenario_text, cli, config
 from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
 from kgflrw.dynamics import Trace
+from kgflrw.errors import ParseError
 from kgflrw.functionals import (CSV_COLUMNS, FunctionalSnapshot,
                                 snapshot_csv_values)
 from kgflrw.hypotheses import check_corollaries
@@ -124,6 +125,48 @@ def test_check_report_roundtrips_both_formats(tmp_path, capsys):
     for key in common:
         assert kv[key] == as_csv[key], key
     assert kv["T_bound"] == pytest.approx(360 * math.pi ** 2 / 109, rel=1e-12)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("a,b", 0), ("a,b\n", 0), ("a,b\n1,2\n3,4\n", 2),
+    ("a,b\n1,2\n# note\n\n3,4", 2)])
+def test_parse_report_needs_one_csv_value_row(text, rows):
+    """A CSV report is a header and one value row: none (an IndexError
+    before) and two or more (the first kept before) are a ParseError."""
+    with pytest.raises(ParseError, match=f"one value row, got {rows}"):
+        parse_report(text)
+
+
+def test_check_prints_the_head_of_simulate_report(tmp_path, capsys):
+    """check and simulate certify the run's own t0 measurement: check's
+    output is the first lines of simulate's report.txt, whose L0, E_t0 and
+    I_u0 are the bits of the trace's first row, on uniform data whose
+    one-cell integrals a whole-array sum may round otherwise (the anchor at
+    amplitude 3+0.5j, and at N = 48) and on non-uniform data
+    (desitter-smooth)."""
+    anchor = bundled_scenario_text("minkowski-m0-u2-A3")
+    smooth = bundled_scenario_text("desitter-smooth")
+    for name, text, old, new in (
+            ("complex", anchor, "data0.amplitude = 3.0",
+             "data0.amplitude = 3+0.5j"),
+            ("n48", anchor, "grid.N = 64", "grid.N = 48"),
+            ("smooth", smooth, "run.t_end = 0.8", "run.t_end = 0.05")):
+        assert text.count(old) == 1
+        text = text.replace(old, new).replace("run.t_end = 1.75",
+                                              "run.t_end = 0.05")
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        main_entry(["check", cfg])
+        checked = capsys.readouterr().out
+        out = tmp_path / name
+        assert main_entry(["simulate", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "report.txt").read_text()
+        assert report.startswith(checked) and len(report) > len(checked)
+        with open(out / "trace.csv", newline="") as fh:
+            row0 = next(csv.DictReader(fh))
+        rep = parse_report(checked)
+        for key, column in (("L0", "L2sq"), ("E_t0", "E"), ("I_u0", "I")):
+            assert float(rep[key]).hex() == float(row0[column]).hex(), key
 
 
 def test_check_no_theorem_exit_three(tmp_path, capsys):

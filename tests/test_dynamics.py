@@ -73,10 +73,10 @@ def test_homogeneous_data_stays_homogeneous(monkeypatch):
     u1 = make_profile(grid, "homogeneous", -0.5j)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=1)
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    assert RK4Workspace(u0.values, u1.values).uniform
-    monkeypatch.setattr(dynamics, "_is_uniform", lambda u, v: False)
+    assert RK4Workspace(u0.values, u1.values, nl, grid.spacing).uniform
+    monkeypatch.setattr(dynamics, "is_uniform", lambda u, v: False)
     # five accepted steps, driven as run() drives them
-    ws = RK4Workspace(u0.values.copy(), u1.values.copy())
+    ws = RK4Workspace(u0.values.copy(), u1.values.copy(), nl, grid.spacing)
     assert not ws.uniform
     bg = _Background(flat())
     t = 0.0
@@ -419,7 +419,8 @@ def test_cfl_window_collapsing_below_dt_min_raises(H, dt_min, t_raise):
     cfg = RunConfig(t_end=0.5, dt=1e-3, dt_min=dt_min, theorem_mode="none")
     u, v = state_arrays(u0, u1)
     stepper = Stepper(StepState(0.0, u, v, cfg.dt, 2.0 * math.pi,
-                                2.0 * math.pi, 0, ()), RK4Workspace(u, v),
+                                2.0 * math.pi, 0, ()),
+                      RK4Workspace(u, v, None, grid.spacing),
                       DeSitter(H=H), params, None, grid, cfg)
     dts = []
     with pytest.raises(InvariantViolation, match="CFL window") as err:
@@ -455,7 +456,8 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
           "at-floor": lambda st: len(st.floor_ratios) > 0}[case]
 
     def stepper(state):
-        return Stepper(state, RK4Workspace(state.u, state.v), scn.sf,
+        return Stepper(state, RK4Workspace(state.u, state.v, scn.nl,
+                                           scn.grid.spacing), scn.sf,
                        scn.params, scn.nl, scn.grid, scn.run)
 
     def bits(stepper, steps):
@@ -508,8 +510,8 @@ def test_background_computes_each_time_once(monkeypatch):
                         lambda *a: factors.append(a) or coeffs(*a))
     u, v = state_arrays(u0, u1)
     stepper = Stepper(StepState(scn.run.t0, u, v, scn.run.dt, L0, L0, 0, ()),
-                      RK4Workspace(u, v), scn.sf, scn.params, scn.nl,
-                      scn.grid, scn.run)
+                      RK4Workspace(u, v, scn.nl, scn.grid.spacing), scn.sf,
+                      scn.params, scn.nl, scn.grid, scn.run)
     for t, *_ in stepper.steps():
         assert list(stepper.bg._vals) == list(stepper.bg._k) == [t]
     attempted = stepper.accepted + stepper.rejected

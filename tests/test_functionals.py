@@ -89,7 +89,7 @@ def _short_run(name, **kwargs):
     scn = load_bundled_scenario(name)
     u0, u1 = scn.build_fields()
     start = Start(u0, u1, scn.nl)
-    rep = evaluate(start.m0, scn.run.t0, scn.sf, scn.params,
+    rep = evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                    mode=scn.run.theorem_mode)
     cfg = dataclasses.replace(scn.run, t_end=SHORT.t_end,
                               record_every=SHORT.record_every)

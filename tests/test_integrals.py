@@ -11,11 +11,12 @@ operations in the same order, so both paths agree bit for bit but in
 int F: there E is held to the reference within a bound from the per-call
 errors of f and of the closed form and the summation bound gamma_N
 (`potential_gap`), and what takes E to the reference formulas given the
-measured E, bit for bit. A uniform run measures its state as one
-cell times the box volume; that measure is held to the exact rational sum of
-its N^n equal cells. The count tests check that a simulation and a
+measured E, bit for bit. A uniform run and `measure` measure uniform data
+as one cell times the box volume; that measure is held to the exact
+rational sum of its N^n equal cells. The count tests check that a simulation and a
 certificate evaluation measure each state once, that a uniform run sums no
-array while it steps, and that a recorded row calls the nonlinearity once.
+array while it steps, and that a recorded row takes f(u) from the
+measurement of its state, without a call of the nonlinearity.
 """
 
 import contextlib
@@ -248,8 +249,9 @@ def test_functionals_match_reference_bitwise(case):
                      ref_delta(r0, r1, t0, sf, params, nl, E0=E))
     assert (classify_table1(rec, a0, params)
             == ref_classify_table1(r0, r1, t0, sf, params, nl, E0=E))
-    # the record itself, with the run's stencil, which f then writes into
-    rec_s = measure(u0, u1, nl, Stencil(u0.grid.shape, r0.values.dtype))
+    # the run's record of the same data, from its workspace's stencil, whose
+    # deriv f then writes into
+    rec_s = Start(u0, u1, nl).rec
     assert same_bits(rec_s.L, l2_norm_sq(r0))
     assert same_bits(rec_s.ut_sq, l2_norm_sq(r1))
     assert same_bits(rec_s.re_u_ut, inner_re(r0, r1))
@@ -316,14 +318,13 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     the run's one stencil: the certificate reads the run's t0 measurement,
     so the gradient is taken at t0 and once per accepted step. A step
     loads its stages 2 to 4; stage 1 reuses the load of the accepted
-    state's gradient, and reloads only after a rejection, so a run ending
-    at t_end or at the norm threshold loads 4 x attempted steps + 1 times.
-    The anchor's uniform run measures one cell, with gradient 0.0, from
-    its initial state on, and takes no stencil; its certificate measures
-    the whole arrays, with one gradient on one stencil. The anchor and the
-    vehicle reject steps, blow up and record every step of their tail; the
-    shortened smooth run ends between two recorded steps, so its last row
-    comes after the loop."""
+    state's gradient, and the stepper reloads it only after a rejection,
+    so a run ending at t_end or at the norm threshold loads 4 x attempted
+    steps + 1 times. The anchor's uniform run and its certificate measure
+    one cell, with gradient 0.0: no gradient, no stencil and no load. The
+    anchor and the vehicle reject steps, blow up and record every step of
+    their tail; the shortened smooth run ends between two recorded steps,
+    so its last row comes after the loop."""
     grads = count_calls(monkeypatch, field.grad_sq_array)
     stencils = count_stencil_calls(monkeypatch, "__init__")
     loads = count_stencil_calls(monkeypatch, "load")
@@ -345,7 +346,7 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
         assert report["blowup.reason"] == (
             "none" if name == "smooth" else "norm_threshold")
         if name == "anchor":
-            assert (len(grads), len(stencils), len(loads)) == (1, 1, 1)
+            assert (len(grads), len(stencils), len(loads)) == (0, 0, 0)
         else:
             assert (len(grads), len(stencils), len(loads)) == (
                 accepted + 1, 1, 4 * (accepted + rejected) + 1)
@@ -438,12 +439,12 @@ def uniform_states(draw):
           complex(-0.0, -0.0), GaugeInvariantPower(p=2.0)))  # Re(conj(v) u) = -0.0
 def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     """||u||^2, ||u_t||^2, Re(u, u_t), int F and Re int f(u) conj(u) of a
-    uniform state, as run() reports them at t0 and a stepper and a
-    recorded row report them after a step, against the exact rational sum
-    of the grid's N^n equal cells times the cell volume. f of a cell is
-    numpy's value on the whole array, equal at every cell, so that sum is
-    N^n times the cell's value; int F is held to the exact sum of
-    Re(f(u) conj(u)) / (p+1). The bounds count roundings in units of
+    uniform state, as `measure` and run() report them at t0 and a stepper
+    and a recorded row report them after a step, against the exact
+    rational sum of the grid's N^n equal cells times the cell volume. f of
+    a cell is numpy's value on the whole array, equal at every cell, so
+    that sum is N^n times the cell's value; int F is held to the exact sum
+    of Re(f(u) conj(u)) / (p+1). The bounds count roundings in units of
     2^-53 (gamma_k): four for a norm (two products, their sum, the volume
     cell_volume * N^n and the product with it), the same for Re(u, u_t) and
     Re f(u) conj(u), relative to the sum of the absolute values of the
@@ -459,35 +460,39 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     params = PhysicalParams(m=1.0, c=1.0, eps=nl.eps, n=grid.n)
     sf = PowerLaw(0.0, H=0.0, n=grid.n)
     cfg = RunConfig(t_end=0.01, dt=0.01, theorem_mode="none")
-    trace = dynamics.run(Start(*(Field(grid, np.full(grid.shape, x))
-                                 for x in (u, v)), nl), sf, params, cfg)
-    row0 = trace.rows[0]
-    L, ut_sq, re_u_ut = trace.meta["L0"], row0.ut_sq, 0.5 * row0.Lp
+    fields = [Field(grid, np.full(grid.shape, x)) for x in (u, v)]
+    trace = dynamics.run(Start(*fields, nl), sf, params, cfg)
+    row0, rec = trace.rows[0], measure(*fields, nl)
+    assert rec.grad_sq == 0.0
     stepper = Stepper(StepState(0.0, u, v, cfg.dt, 1.0, 1.0, 0, ()),
-                      RK4Workspace(u, v), sf, params, nl, grid, cfg)
-    for i in range(2):  # at t0 (run's L0 and row 0), then after a step
-        if i:
-            _, _, L, (ut_sq, re_u_ut, grad_sq) = next(stepper.steps())
-            assert stepper.ws.uniform and grad_sq == 0.0
-            u, v = stepper.ws.u, stepper.ws.v
-        for got, a, b in ((L, u, u), (ut_sq, v, v), (re_u_ut, v, u)):
+                      RK4Workspace(u, v, nl, grid.spacing), sf, params, nl,
+                      grid, cfg)
+    _, _, L, (ut_sq, re_u_ut, grad_sq) = next(stepper.steps())
+    ws = stepper.ws
+    assert ws.uniform and grad_sq == 0.0
+    # at t0 (run's L0 and row 0, and measure), then after a step
+    for x, y, norms in ((u, v, (trace.meta["L0"], row0.ut_sq,
+                                0.5 * row0.Lp)),
+                        (u, v, rec[:3]), (ws.u, ws.v, (L, ut_sq, re_u_ut))):
+        for got, a, b in zip(norms, (x, y, y), (x, y, x)):
             assert_within(got, exact_dot(a, b) * vol, abs_dot(a, b) * vol, 4,
                           vol)
             if exact_dot(a, b) == 0:
                 assert math.copysign(1.0, got) == 1.0
 
-    F, re_fu = functionals.potential_integrals(u, grid, nl)
-    f_cells = nl.f(np.full(grid.shape, u))
-    f_cell = f_cells.flat[0].item()
-    assert np.all(f_cells == f_cell)
-    f_gap = Fraction(eval_gap(nl, "f")) * l1(u) * l1(f_cell) * vol
-    assert_within(re_fu, exact_dot(u, f_cell) * vol,
-                  abs_dot(u, f_cell) * vol, 4, vol, f_gap)
-    # re_fu / (p+1), one rounding more, and 2^-1075 where it underflows
-    p1 = Fraction(nl.p + 1.0)
-    assert_within(F, exact_dot(u, f_cell) * vol / p1,
-                  abs_dot(u, f_cell) * vol / p1, 5, vol / p1,
-                  f_gap * (1 + Fraction(U)) / p1 + Fraction(1, 2 ** 1075))
+    stepped = functionals.potential_integrals(ws.u, ws.fu, grid, nl)
+    for x, (F, re_fu) in ((u, rec[4:]), (ws.u, stepped)):
+        f_cells = nl.f(np.full(grid.shape, x))
+        f_cell = f_cells.flat[0].item()
+        assert np.all(f_cells == f_cell)
+        f_gap = Fraction(eval_gap(nl, "f")) * l1(x) * l1(f_cell) * vol
+        assert_within(re_fu, exact_dot(x, f_cell) * vol,
+                      abs_dot(x, f_cell) * vol, 4, vol, f_gap)
+        # re_fu / (p+1), one rounding more, and 2^-1075 where it underflows
+        p1 = Fraction(nl.p + 1.0)
+        assert_within(F, exact_dot(x, f_cell) * vol / p1,
+                      abs_dot(x, f_cell) * vol / p1, 5, vol / p1,
+                      f_gap * (1 + Fraction(U)) / p1 + Fraction(1, 2 ** 1075))
 
 
 class CountingFills(np.ndarray):
@@ -558,13 +563,14 @@ def count_nonlinearity_calls(monkeypatch) -> list:
        "data0.kind = gaussian\ndata0.width = 1.0"),), 128),
 ], ids=["p2", "p3", "complex", "real", "gaussian", "gaussian-slabs"])
 def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
-    """A recorded row makes exactly one nonlinearity call, which gives
-    both int F and Re int f(u) conj(u): f_scalar on a uniform run, the
-    array f otherwise (a row that also evaluated F made two). An RK4 stage
-    calls f once per stencil slab, f_scalar once on a uniform run, so a
-    uniform run makes 4 x attempted steps + rows calls. On non-uniform
-    data a stage 1 from a recorded state (t0's included, and a retry
-    after a rejection) takes the row's f(u) and makes no call. Runs: the
+    """A recorded row makes no nonlinearity call: it takes int F and
+    Re int f(u) conj(u) from the f(u) that the run's workspace evaluated
+    when it measured the accepted state (a row that evaluated f made one
+    call, one that also evaluated F two). The workspace measures the state
+    at t0 and after each accepted step with one call: the array f, or
+    f_scalar on a uniform run. Stage 1 takes that f(u), and stages 2 to 4
+    call f once per stencil slab, f_scalar once on a uniform run, so a run
+    makes accepted + 1 + 3 x slabs x attempted steps calls. Runs: the
     anchor cut to t_end = 0.05, uniform at p = 2, at p = 3, at amplitude
     3+0.5j and under the real family; a Gaussian u0 in one slab, and in
     four at a smaller slab size."""
@@ -588,20 +594,13 @@ def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
         per_row.append(calls[before:])
         return result
 
-    for module in (dynamics, functionals):  # the rows, and t0's
-        monkeypatch.setattr(module, "potential_integrals", counting_row)
-    starts = []  # the time each attempted step starts from
-    step = dynamics._rk4
-    monkeypatch.setattr(dynamics, "_rk4",
-                        lambda t, *args: starts.append(t) or step(t, *args))
+    # the rows and t0's measurement
+    monkeypatch.setattr(dynamics, "potential_integrals", counting_row)
     trace = dynamics.run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run)
-    attempted = trace.meta["accepted"] + trace.meta["rejected"]
-    assert attempted == len(starts) > 0 and len(trace.rows) > 1
-    kind = "f_scalar" if uniform else "f"
-    assert per_row == [[kind]] * len(trace.rows)
+    accepted = trace.meta["accepted"]
+    attempted = accepted + trace.meta["rejected"]
+    assert attempted > 0 and len(trace.rows) > 1
+    assert per_row == [[]] * len(trace.rows)
     stage_calls = 1 if uniform else slabs
-    recorded = {row.t for row in trace.rows}
-    from_rows = 0 if uniform else sum(t in recorded for t in starts)
-    assert uniform or from_rows >= len(trace.rows) - 1
-    assert calls == [kind] * (stage_calls * (4 * attempted - from_rows)
-                              + len(trace.rows))
+    kind = "f_scalar" if uniform else "f"
+    assert calls == [kind] * (accepted + 1 + 3 * stage_calls * attempted)

@@ -55,7 +55,7 @@ from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, _Background,
                              _rk4)
 from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
                           grad_sq_array, lap_array, make_profile)
-from kgflrw.functionals import (measure_arrays, norm_integrals,
+from kgflrw.functionals import (Integrals, is_uniform, norm_integrals,
                                 potential_integrals)
 from test_integrals import vehicle_text
 from test_nonlinearity import eval_err, eval_gap  # f's per-call errors
@@ -388,15 +388,15 @@ NONLINEARITIES = (None, GaugeInvariantPower(p=2.0, lam=1.0),
        st.floats(0.0, 2.0), st.floats(1e-4, 0.05), st.floats(0.5, 2.0))
 def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     """One step within the rounding bound of the reference step
-    (`ref_rk4_gap`, whose values are the reference's bits), and a retried
-    step from the same state gives the same bits."""
+    (`ref_rk4_gap`, whose values are the reference's bits), and a step
+    retried from the same state after `reject()` gives the same bits."""
     h, u, v = case
     if nl is not None and nl.real_only:
         u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     u_keep, v_keep = u.copy(), v.copy()
-    ws = RK4Workspace(u, v)
+    ws = RK4Workspace(u, v, nl, h)
     u_old, v_old = ws.u, ws.v  # the arrays, or a uniform state's scalars
 
     want = ref_rk4_gap(t, *exact(u, v), dt, sf, params, nl, h)
@@ -411,6 +411,7 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
         # the accepted state is read, never written
         assert_bitwise(whole(ws.u, u_keep), u_keep)
         assert_bitwise(whole(ws.v, v_keep), v_keep)
+        ws.reject()
     for x, y in zip(*steps):
         assert_bitwise(x, y)
     ws.accept()
@@ -463,7 +464,7 @@ def reference_run(monkeypatch, *args, step=reference_step, **kwargs):
     stencil."""
     with monkeypatch.context() as mp:
         mp.setattr(dynamics, "_rk4", step)
-        mp.setattr(dynamics, "_is_uniform", lambda u, v: False)
+        mp.setattr(dynamics, "is_uniform", lambda u, v: False)
         return run_fields(*args, **kwargs)
 
 
@@ -662,7 +663,7 @@ def test_uniform_run_matches_stencil_run(problem, data):
     take the stencil."""
     u0, u1, sf, params, nl, cfg = problem
     args = (u0, u1, sf, params, nl, cfg)
-    assert dynamics._is_uniform(*functionals.state_arrays(u0, u1))
+    assert is_uniform(*functionals.state_arrays(u0, u1))
     with pytest.MonkeyPatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
         grads = count_calls(mp, dynamics, "grad_sq_array")
@@ -680,7 +681,7 @@ def test_uniform_run_matches_stencil_run(problem, data):
     flat[cell] = complex(np.nextafter(flat[cell].real, np.inf),
                          flat[cell].imag)
     u0, u1 = (Field(u0.grid, x) for x in vals)
-    assert not dynamics._is_uniform(*functionals.state_arrays(u0, u1))
+    assert not is_uniform(*functionals.state_arrays(u0, u1))
     with pytest.MonkeyPatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
         run_fields(u0, u1, sf, params, nl, cfg)
@@ -692,9 +693,10 @@ def test_uniform_run_matches_stencil_run(problem, data):
 
 
 def fresh_step(t, dt, bg, params, nl, h, ws):
-    """`_rk4` from a stencil that holds nothing of the state, so that every
-    stage loads its input and evaluates f."""
-    ws.stencil.loaded = ws.stencil.f_of = None
+    """`_rk4` after u is loaded again and its f(u) evaluated again, so that
+    every stage loads its input and evaluates f."""
+    ws.stencil.load(ws.u)
+    ws.fu = None if nl is None else nl.f(ws.u)
     return _rk4(t, dt, bg, params, nl, h, ws)
 
 
@@ -723,8 +725,9 @@ def assert_same_run(fast, fresh) -> None:
 def test_vehicle_reuse_matches_fresh_stages(monkeypatch):
     """The localized blow-up vehicle, whose stage 1 takes the load and
     f(u) of the accepted state's measurement (4 x attempted steps + 1
-    loads), against the run whose every stage loads and evaluates f
-    (`fresh_step`; 4 x attempted steps + accepted + 1 loads) and against
+    loads: one per measurement, one per rejection and one per later stage),
+    against the run whose every stage loads and evaluates f (`fresh_step`;
+    4 x attempted steps + accepted + rejected + 1 loads) and against
     the reference step: the same trace bit for bit, and the reference's
     steps. The vehicle rejects steps, records every step of its tail and
     runs past rows taken record_every steps apart. Both kernel runs take
@@ -742,36 +745,10 @@ def test_vehicle_reuse_matches_fresh_stages(monkeypatch):
                              **kwargs)
     assert rejected > 0 and fresh.blowup.reason == "norm_threshold"
     assert sum(1 for r in fresh.rows if r.L >= 1e8 * fresh.meta["L0"]) >= 12
-    assert fresh_loads == 4 * (accepted + rejected) + accepted + 1
+    assert fresh_loads == 5 * (accepted + rejected) + 1
     assert len(loads) == 4 * (accepted + rejected) + 1
     assert_same_run(fast, fresh)
     assert_same_steps(fast, reference_run(monkeypatch, *args, **kwargs))
-
-
-def test_accept_forgets_the_measurement():
-    """accept() clears the stencil's marks: the array a measurement named
-    becomes the state again two accepts later, with new values, and the
-    step from it must load them and evaluate their f. The steps match
-    those of `fresh_step` bit for bit."""
-    grid = Grid(n=2, points_per_axis=12, half_width=math.pi)
-    rng = np.random.default_rng(3)
-    u, v = (rng.normal(size=grid.shape) for _ in range(2))
-    nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2)
-    bg, h = _Background(DeSitter(H=0.5, n=2)), grid.spacing
-    ws, fresh = RK4Workspace(u.copy(), v.copy()), RK4Workspace(u, v)
-    grad_sq_array(ws.u, h, ws.stencil)
-    potential_integrals(ws.u, grid, nl, ws.stencil)
-    measured = ws.u
-    for i in range(3):
-        t = 1e-2 * i
-        for w, step in ((ws, _rk4), (fresh, fresh_step)):
-            step(t, 1e-2, bg, params, nl, h, w)
-            w.accept()
-        assert ws.stencil.loaded is ws.stencil.f_of is None
-        assert_bitwise(ws.u, fresh.u)
-        assert_bitwise(ws.v, fresh.v)
-    assert ws.u is not measured and ws.trial_u is measured
 
 
 @st.composite
@@ -822,6 +799,51 @@ def test_reuse_matches_fresh_stages(problem):
     assert_same_run(fast, fresh)
 
 
+class CheckedWorkspace(RK4Workspace):
+    """An `RK4Workspace` that checks its invariant when it is built, after
+    each accept and after each rejection: the stencil's padded interior is
+    u, and fu is f(u), bit for bit."""
+
+    checks = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.check()
+
+    def accept(self):
+        super().accept()
+        self.check()
+
+    def reject(self):
+        super().reject()
+        self.check()
+
+    def check(self):
+        assert_bitwise(self.stencil._inner, self.u)
+        if self.nl is None:
+            assert self.fu is None
+        else:
+            assert_bitwise(self.fu, self.nl.f(self.u))
+        CheckedWorkspace.checks += 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(rejecting_problems())
+def test_workspace_holds_u_and_its_f_between_steps(problem):
+    """Between steps a run's workspace holds its accepted state loaded in
+    the stencil and that state's f(u): once built, after each accepted
+    step and after each rejected one, whose stages 2 to 4 load over u."""
+    args, slab_bytes = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "SLAB_BYTES", slab_bytes)
+        mp.setattr(dynamics, "RK4Workspace", CheckedWorkspace)
+        CheckedWorkspace.checks = 0
+        trace = run_fields(*args)
+    assert trace.meta["rejected"] > 0
+    assert CheckedWorkspace.checks == (1 + trace.meta["accepted"]
+                                       + trace.meta["rejected"])
+
+
 @pytest.mark.parametrize("nl", NONLINEARITIES + (
     GaugeInvariantPower(p=2.5, lam=1.0, eps=1.5), RealAbsPower(p=3.0)))
 @pytest.mark.parametrize("sf", BACKGROUNDS)
@@ -840,10 +862,10 @@ def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
     u, v = (np.full(16, x if real else complex(x, y), dtype)
             for x, y in ((2.5, -1.25), (-0.75, 0.5)))
     params = PhysicalParams(m=0.7, c=1.3, eps=1.0, n=1)
-    ws = RK4Workspace(u, v)
+    dt, h = 0.01, 0.1
+    ws = RK4Workspace(u, v, nl, h)
     assert ws.uniform and not hasattr(ws, "stencil")
     assert not any(isinstance(x, np.ndarray) for x in vars(ws).values())
-    dt, h = 0.01, 0.1
     times = (0.4, 0.4 + dt)
     wants = [exact(u, v)]
     for t in times:
@@ -938,8 +960,8 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     z, zv = u.astype(np.complex128), v.astype(np.complex128)
-    ws = RK4Workspace(u, v)
-    wz = RK4Workspace(z.copy(), zv.copy())
+    ws = RK4Workspace(u, v, nl, h)
+    wz = RK4Workspace(z.copy(), zv.copy(), nl, h)
     assert np.result_type(ws.u) == np.float64 and wz.uniform == ws.uniform
 
     want = exact(z, zv)
@@ -966,16 +988,21 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
 def test_real_integrals_match_complex_measure_bitwise(n, N, half_width, nl,
                                                       seed, scale):
     """`measure` of complex128 fields with real values measures them in
-    float64: the bits of measure_arrays of the float64 arrays, with and
-    without a stencil."""
+    float64: the bits of a workspace's measurement of the float64 arrays."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)
     u, v = (scale * rng.normal(size=grid.shape) for _ in range(2))
     want = measure(Field(grid, u), Field(grid, v), nl)
-    ws = Stencil(grid.shape, np.float64)
-    for _ in range(2):
-        assert hexes(measure_arrays(u, v, grid, nl, ws)) == hexes(want)
-    assert hexes(measure_arrays(u, v, grid, nl)) == hexes(want)
+    ws = RK4Workspace(u, v, nl, grid.spacing)
+    assert hexes(workspace_integrals(ws, grid)) == hexes(want)
+
+
+def workspace_integrals(ws: RK4Workspace, grid: Grid) -> Integrals:
+    """The six integrals of the workspace's accepted state, from its
+    measurement, as `Start` takes them at t0."""
+    return Integrals(*norm_integrals(ws.u, ws.v, grid),
+                     ws.grad_sq * grid.cell_volume,
+                     *potential_integrals(ws.u, ws.fu, grid, ws.nl))
 
 
 def workspace_dtypes(monkeypatch) -> list:
@@ -983,8 +1010,8 @@ def workspace_dtypes(monkeypatch) -> list:
     seen = []
     init = RK4Workspace.__init__
 
-    def recording(self, u, v):
-        init(self, u, v)
+    def recording(self, *args):
+        init(self, *args)
         seen.append(np.result_type(self.u))
 
     monkeypatch.setattr(RK4Workspace, "__init__", recording)
@@ -1160,10 +1187,11 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     # a uniform workspace has no slabs; it steps the scalar pair
-    uniform = dynamics._is_uniform(u, v)
-    wz = one_slab(lambda: RK4Workspace(z.copy(), zv.copy()))
-    ws = RK4Workspace(u.copy(), v.copy()) if uniform else sliced(
-        u.shape, u.dtype, rows_seed, lambda: RK4Workspace(u.copy(), v.copy()))
+    uniform = is_uniform(u, v)
+    wz = one_slab(lambda: RK4Workspace(z.copy(), zv.copy(), nl, h))
+    ws = RK4Workspace(u.copy(), v.copy(), nl, h) if uniform else sliced(
+        u.shape, u.dtype, rows_seed,
+        lambda: RK4Workspace(u.copy(), v.copy(), nl, h))
     want = exact(z, zv)
     bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
@@ -1187,9 +1215,9 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
 def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
                                                      seed, scale, rows_seed,
                                                      real):
-    """measure_arrays over several slabs, with f written into the
-    stencil's `deriv`, against measure_arrays of the same arrays in one
-    slab, in float64 and in complex128."""
+    """A workspace's measurement over several slabs, with f written into
+    the stencil's `deriv`, against that of the same arrays in one slab and
+    against their `measure`, in float64 and in complex128."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)
     u, v = (scale * (rng.normal(size=grid.shape)
@@ -1198,12 +1226,17 @@ def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
         u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
     if real:
         u, v = u.real.copy(), v.real.copy()
-    assert len(Stencil(u.shape, u.dtype).slabs) == 1
-    want = measure_arrays(u, v, grid, nl)
+    h = grid.spacing
+    want = workspace_integrals(
+        one_slab(lambda: RK4Workspace(u.copy(), v.copy(), nl, h)), grid)
+    # measure takes real values in float64, so only there or on complex
+    # values do its sums and the workspace's share a dtype
+    if u.dtype == np.float64 or u.imag.any() or v.imag.any():
+        assert hexes(measure(Field(grid, u), Field(grid, v), nl)) == hexes(
+            want)
     ws = sliced(u.shape, u.dtype, rows_seed,
-                lambda: Stencil(u.shape, u.dtype))
-    for _ in range(2):
-        assert hexes(measure_arrays(u, v, grid, nl, ws)) == hexes(want)
+                lambda: RK4Workspace(u.copy(), v.copy(), nl, h))
+    assert hexes(workspace_integrals(ws, grid)) == hexes(want)
 
 
 def test_multi_slab_run_matches_one_slab_run(monkeypatch):
@@ -1240,20 +1273,19 @@ def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
     grid = Grid(n=3, points_per_axis=32, half_width=math.pi)
     rng = np.random.default_rng(11)
     u, v = (0.3 * rng.normal(size=grid.shape).astype(dtype) for _ in range(2))
-    ws = RK4Workspace(u, v)
+    h = grid.spacing
+    ws = RK4Workspace(u, v, nl, h)
     assert len(ws.stencil.slabs) > 1
     bg = _Background(DeSitter(H=0.5, n=3))
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3)
-    h = grid.spacing
 
     def step_and_row(t):
         u_new, v_new = _rk4(t, 1e-3, bg, params, nl, h, ws)
         norm_integrals(u_new, v_new, grid)
         ws.accept()
-        grad_sq_array(ws.u, h, ws.stencil)
-        potential_integrals(ws.u, grid, nl, ws.stencil)
+        potential_integrals(ws.u, ws.fu, grid, nl)
 
-    step_and_row(0.0)  # builds what is built once: `Stencil.deriv`
+    step_and_row(0.0)  # so that the next one allocates what every step does
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -74,7 +74,7 @@ UNIT_BOX = Grid(n=1, points_per_axis=8, half_width=0.5)
 def program_F(nl, u) -> float:
     """int F of the uniform state u on UNIT_BOX: the potential of u as the
     program computes it, Re(conj(u) f_scalar(u)) / (p+1)."""
-    return potential_integrals(u, UNIT_BOX, nl)[0]
+    return potential_integrals(u, nl.f_scalar(u), UNIT_BOX, nl)[0]
 
 
 def potential_oracle(nl, u):
@@ -232,33 +232,21 @@ def test_real_family_rejects_complex(values):
         nl.f(np.array([1.0 + 0.5j]))
     # a numerically negligible imaginary part is tolerated
     nl.f(np.array([1.0 + 1e-16j]))
-    # the check raises on exactly the inputs the previous check raised on,
-    # also where the potential is measured
-    u = np.array(values, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        expect = _rejects_complex_reference(u)
-        for call in (nl.f, lambda x: potential_integrals(x, UNIT_BOX, nl)):
+    # the check raises on exactly the inputs the previous check raised on;
+    # the scalar f, which measures a uniform state, checks one cell as the
+    # array f does
+    cases = [(nl.f, np.array(values, dtype=np.complex128))]
+    cases += [(nl.f_scalar, x) for x in values]
+    for call, u in cases:
+        with np.errstate(all="ignore"):
+            expect = _rejects_complex_reference(np.atleast_1d(u))
             try:
                 call(u)
             except ComplexInputToRealNonlinearity:
                 raised = True
             else:
                 raised = False
-            assert raised == expect, u
-    # the scalar f and the uniform measure check one cell as the array f
-    # does
-    for x in values:
-        with np.errstate(all="ignore"):
-            expect = _rejects_complex_reference(np.array([x]))
-        for call in (nl.f_scalar,
-                     lambda x: potential_integrals(x, UNIT_BOX, nl)):
-            try:
-                call(x)
-            except ComplexInputToRealNonlinearity:
-                raised = True
-            else:
-                raised = False
-            assert raised == expect, x
+        assert raised == expect, u
 
 
 # the family whose scalar f takes f(u, out=...)'s operations, gauge p = 2,
@@ -336,7 +324,7 @@ def test_scalar_f_and_F_match_one_cell_past_overflow(nl, complex_data):
         assert same_value(nl.f_scalar(u), f_want), u
         re_fu = 0.0 + (complex(u).conjugate() * f_want).real
         re_fu *= UNIT_BOX.volume
-        F, got_re_fu = potential_integrals(u, UNIT_BOX, nl)
+        F, got_re_fu = potential_integrals(u, nl.f_scalar(u), UNIT_BOX, nl)
         assert same_value(got_re_fu, re_fu), u
         assert same_value(F, re_fu / (nl.p + 1.0)), u
 
