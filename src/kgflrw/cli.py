@@ -97,26 +97,30 @@ def report_lines(report: HypothesisReport | None, scenario: Scenario,
 
 
 def parse_report(text: str) -> dict:
-    """Inverse of report_lines/report CSV emission for machine consumers."""
-    stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    stripped = [ln for ln in stripped if ln]
-    if stripped and "=" not in stripped[0] and "," in stripped[0]:
-        if len(stripped) != 2:
+    """Inverse of report_lines/report CSV emission for machine consumers;
+    a key given twice is a ParseError (its line: in CSV, the header's)."""
+    lines = [(n, ln.split("#", 1)[0].strip())
+             for n, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(n, ln) for n, ln in lines if ln]
+    if lines and "=" not in lines[0][1] and "," in lines[0][1]:
+        if len(lines) != 2:
             raise ParseError(f"CSV report needs one value row, got "
-                             f"{len(stripped) - 1}")
-        header, values = (ln.split(",") for ln in stripped)
+                             f"{len(lines) - 1}")
+        header, values = (ln.split(",") for _, ln in lines)
         if len(header) != len(values):
             raise ParseError("header/value arity mismatch")
-        pairs = zip(header, values)
+        pairs = [(key, val, lines[0][0]) for key, val in zip(header, values)]
     else:
         pairs = []
-        for lineno, ln in enumerate(stripped, start=1):
+        for lineno, ln in lines:
             if "=" not in ln:
                 raise ParseError("expected `key = value`", line=lineno)
             key, _, val = ln.partition("=")
-            pairs.append((key.strip(), val.strip()))
+            pairs.append((key.strip(), val.strip(), lineno))
     out = {}
-    for key, val in pairs:
+    for key, val, lineno in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
         try:
             out[key] = int(val)
         except ValueError:

@@ -7,12 +7,13 @@ stage time, so homogeneous data reduce the step to the exact scalar RK4 map
 measures one copy of the data (`Start`), in the dtype that `state_arrays`
 picks: float64 for real data, else complex128. The step works in place in
 arrays allocated once per run (`RK4Workspace`), which also measures each
-accepted state once: it loads u for the gradient and keeps f(u), which
-stage 1 of the next step and a recorded row take; a retried step reloads u
-but keeps f(u). `_Background` evaluates each distinct stage time once,
-with dv/dt's factors (the stencil's 1 / (12 h^2) folded into that of
-lap u), and a step's end is the next step's start. A stage finishes one
-stencil slab at a time, so that its temporaries stay in cache.
+accepted state once: one sweep gives the Laplacian sum of u, whose
+quadratic form is the gradient (`field`), and f(u) is kept beside it;
+stage 1 of the next step takes both, a recorded row f(u), and a retried
+step the sum computed again. `_Background` evaluates each distinct stage
+time once, with dv/dt's factors (the stencil's 1 / (12 h^2) folded into
+that of lap u), and a step's end is the next step's start. A stage
+finishes one stencil slab at a time, so that its temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
 same for u1: `functionals.is_uniform`) steps one scalar state, the
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
                      WrapAroundRisk)
-from .field import Field, Grid, Stencil, grad_sq_array, lap_slab
+from .field import Field, Grid, Stencil, grad_sq_array, lap_slab, lap_sum
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, is_uniform, kappa_for_mode,
                           kappa_tilde_for_mode, norm_integrals,
@@ -156,10 +157,10 @@ class RK4Workspace:
     """The state one integration works in, set up once per run in the dtype
     that `state_arrays` chose, with nl and the grid spacing h. It measures
     its accepted state when built and after every `accept()`: `grad_sq`,
-    the cell sum of |grad u|^2, and `fu` = f(u) (None without nl). Between
-    steps the stencil holds u and fu is f(u), which stage 1 and a recorded
-    row read; a rejected step's stages load over u, and `reject()` reloads
-    it.
+    the cell sum of |grad u|^2 (`field.grad_sq_array`), and `fu` = f(u)
+    (None without nl). Between steps `trial_v` holds the stencil's sum of
+    u (lap u times 12 h^2), which stage 1 reads, as it does fu; a tried
+    step writes over it, and `reject()` computes it again.
 
     `uniform` marks a run that steps one scalar state (`_rk4_uniform`),
     given as its scalar pair or as arrays that `is_uniform` finds uniform,
@@ -170,8 +171,8 @@ class RK4Workspace:
 
     Otherwise whole arrays: the accepted state `u`, `v`, the trial state
     `trial_u`, `trial_v`, a stage's input `su`, `sv` (the next stage's
-    Laplacian reads all of su), the `stencil`, and fu, in the stencil's
-    `deriv` where f's dtype is the state's. Scratch of one slab: dv/dt `kv`
+    Laplacian reads all of su), the `stencil`, and fu, in an array of its
+    own where f's dtype is the state's. Scratch of one slab: dv/dt `kv`
     and a term `tmp`, which also takes f(u) in float64 (a complex f
     allocates its slab-sized value). `slabs` holds each stencil slab with
     its views of (u, v, trial_u, trial_v, su, sv, kv, tmp) and the `out` of
@@ -191,7 +192,7 @@ class RK4Workspace:
         self.trial_u, self.trial_v, self.su, self.sv = (
             np.empty_like(u) for _ in range(4))
         self.stencil = Stencil(u.shape, u.dtype)
-        self._f_out = (self.stencil.deriv if nl is not None
+        self._f_out = (np.empty_like(u) if nl is not None
                        and (real or not nl.real_only) else None)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
@@ -211,8 +212,9 @@ class RK4Workspace:
         if self.uniform:
             self.grad_sq = 0.0
             self.fu = None if nl is None else nl.f_scalar(u)
-        else:  # the gradient leaves u loaded
-            self.grad_sq = grad_sq_array(u, self.h, self.stencil)
+        else:  # the sum of u stays in trial_v for stage 1
+            self.grad_sq = grad_sq_array(u, self.h, self.stencil,
+                                         self.trial_v)
             self.fu = None if nl is None else nl.f(u, out=self._f_out)
 
     def accept(self) -> None:
@@ -223,7 +225,7 @@ class RK4Workspace:
 
     def reject(self) -> None:
         if not self.uniform:
-            self.stencil.load(self.u)
+            lap_sum(self.u, self.stencil, self.trial_v)
 
 
 def _coeffs(vals, params, h) -> tuple:
@@ -235,13 +237,14 @@ def _coeffs(vals, params, h) -> tuple:
             params.n * (adot / a), c2)
 
 
-def _rhs_slab(slab, k, u, v, nl, out, tmp, f_out, f_u):
-    """dv/dt on one slab of the loaded u, written into out; f(u) is the
-    slab's rows of the whole array f_u, or if that is None goes into f_out
-    (tmp, or None to allocate it)."""
+def _rhs_slab(slab, lap, k, u, v, nl, out, tmp, f_out, f_u=None):
+    """dv/dt on one slab of u into out, from lap, the slab's `lap_slab`
+    sum of u (out itself in stage 1); f(u) is the slab's rows of the whole
+    array f_u, or if that is None goes into f_out (tmp, or None to allocate
+    it)."""
     lap_c, mass, damp, c2 = k
     np.multiply(mass, u, out=tmp)
-    np.multiply(lap_slab(slab), lap_c, out=out)
+    np.multiply(lap, lap_c, out=out)
     np.subtract(out, tmp, out=out)
     np.multiply(damp, v, out=tmp)
     np.subtract(out, tmp, out=out)
@@ -288,8 +291,9 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     new state into `ws.trial_u`, `ws.trial_v` and returns those two arrays,
     which stay valid until the next `_rk4` call on ws (after `ws.accept()`
     they are the accepted state). Every other buffer of ws but `ws.fu` is
-    overwritten. Stage 1 reads u as the stencil holds it and f(u) from
-    ws.fu; each later stage loads its input into the stencil. A stage
+    overwritten. Stage 1 scales in place the Laplacian sum of u that the
+    measurement (or `ws.reject()`) left in ws.trial_v, and reads f(u) from
+    ws.fu; each later stage loads its input and sweeps it. A stage
     finishes one slab at a time; the Laplacian reads the loaded copy, so su
     may be overwritten slab by slab. The weighted sum k1 + 2 k2 + 2 k3 + k4
     is accumulated in the trial buffers stage by stage, in that order, so
@@ -300,10 +304,10 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     if ws.uniform:
         return _rk4_uniform(t, dt, bg, params, nl, h, ws)
     hm = 0.5 * dt
-    # stage 1: k1 = (v, acc_v)
+    # stage 1: k1 = (v, acc_v), from the sum of u in acc_v
     k = bg.coeffs(t, params, h)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, u, v, nl, acc_v, tmp, f_out, ws.fu)
+        _rhs_slab(slab, acc_v, k, u, v, nl, acc_v, tmp, f_out, ws.fu)
         np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
         np.multiply(hm, acc_v, out=sv)
@@ -313,7 +317,7 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
         ws.stencil.load(ws.su)
         k = bg.coeffs(t + hm, params, h)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-            _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out, None)
+            _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out)
             np.multiply(step_next, sv, out=su)
             np.add(u, su, out=su)
             np.multiply(2.0, sv, out=sv)
@@ -327,7 +331,7 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     k = bg.coeffs(t + dt, params, h)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, k, su, sv, nl, kv, tmp, f_out, None)
+        _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out)
         np.add(acc_u, sv, out=acc_u)
         np.add(acc_v, kv, out=acc_v)
         np.multiply(sixth, acc_u, out=acc_u)

@@ -1,24 +1,37 @@
-"""Periodic grids, fourth-order stencils and initial-data profiles.
+"""Periodic grids, the fourth-order Laplacian and initial-data profiles.
 
 The spatial domain is the torus [-L, L)^n with N uniform points per axis,
 n in {1, 2, 3}. A `Field` is a numpy complex128 array, i.e. interleaved
 (re, im) pairs in memory; the array kernels also take the float64 array of a
 real state and give the real part of the complex result bit for bit. Each
 reduction (`dot_re`) sums an array in its own dtype: BLAS ddot on float64,
-zdotc on complex128. Derivatives use fourth-order central stencils with
-wrap-around indexing:
+zdotc on complex128. The Laplacian is the fourth-order central stencil
+with wrap-around indexing:
 
     D2 f = [16 (S1 - 2n f_i) - (S2 - 2n f_i)] / (12 h^2),
            Sk = sum over the n axes of (f_{i+k} + f_{i-k})
-    D1 f = [ 8 (f_{i+1} - f_{i-1}) - (f_{i+2} - f_{i-2})] / (12 h)
 
 Each axis pair f_{i+k} + f_{i-k} is added whole before it joins Sk. On a
 constant c every partial sum of Sk is exact but the last, 4c + 2c in 3D,
 which rounds to fl(6c) as 2n * c does, so S1 - 2n f and S2 - 2n f are the
 same zero and a constant field maps to +0.0 in every cell: homogeneous data
 stay exactly homogeneous under evolution. The scale is a multiply by
-1 / (12 h^2) (an RK4 stage folds it into dv/dt's factor) or 1 / (12 h), as
-numpy divides a complex number by a real one, so both dtypes round alike.
+1 / (12 h^2) (an RK4 stage folds it into dv/dt's factor), as numpy divides
+a complex number by a real one, so both dtypes round alike.
+
+The squared gradient is the quadratic form of that Laplacian,
+
+    ||grad u||^2_h = -Re <u, D2 u> h^n.
+
+-D2 is symmetric and positive semi-definite: its symbol per axis is
+(4 / h^2)(s + s^2 / 3), s = sin^2(k h / 2). So this is a squared seminorm,
+and <u, D2 u> = -||grad u||^2_h holds on the grid exactly as the
+integration by parts <u, lap u> = -||grad u||^2 does in the continuum: the
+summation-by-parts property (Strand, J. Comput. Phys. 110, 1994), under
+which the semi-discrete system that a run steps satisfies the energy
+identity with the gradient it reports. `grad_sq_array` leaves the
+stencil's sum of u, D2 u times 12 h^2, in a whole array, where stage 1 of
+an RK4 step reads it (`dynamics`), so an accepted state costs one sweep.
 
 The wrap-around is a padded copy: a `Stencil` holds a buffer with two
 wrap-around cells per side on every axis, filled with the field and its
@@ -27,12 +40,9 @@ axis-0 planes, about `SLAB_BYTES` per array, so that a slab's temporaries
 stay in L2 (cache blocking; Datta et al., SC'08). In the flattened buffer a
 neighbour f_{i+-1}, f_{i+-2} along any axis is the slab's band at a fixed
 offset, so every operand is contiguous. The arithmetic runs in place in
-band-sized work arrays, operation by operation in the order of the formulas
+band-sized work arrays, operation by operation in the order of the formula
 above; values in the band's wrap-around cells are discarded. Reductions sum
 whole arrays, never per slab, which would change the order of summation.
-The padded buffer holds the last field loaded until the next load, and
-`deriv` what was last written into it; an RK4 workspace (`dynamics`) keeps
-its accepted state loaded and that state's f(u) in deriv between steps.
 """
 
 from __future__ import annotations
@@ -139,9 +149,8 @@ class Slab(NamedTuple):
 
 
 class Stencil:
-    """Scratch of the stencils for one array shape and dtype: the padded
-    buffer, its slabs and the whole array `deriv`, reused by every call that
-    is given it."""
+    """Scratch of the stencil for one array shape and dtype: the padded
+    buffer and its slabs, reused by every call that is given it."""
 
     def __init__(self, shape: tuple[int, ...], dtype=np.complex128):
         self.shape = tuple(shape)
@@ -167,26 +176,11 @@ class Stencil:
                       for st in steps),
                 w, w[0].reshape((rows,) + padded[1:])[keep]))
 
-    @cached_property
-    def deriv(self) -> np.ndarray:
-        """A whole array that `grad_sq_array` writes each derivative into
-        and, once it has returned, `dynamics.RK4Workspace` f(u)."""
-        return np.empty(self.shape, self.dtype)
-
     def load(self, vals: np.ndarray) -> None:
         """Copy vals into the padded buffer and fill its wrap-around cells."""
         self._inner[...] = vals
         for dst, src in self._halos:
             dst[...] = src
-
-
-def _stencil_for(vals: np.ndarray, ws: Stencil | None) -> Stencil:
-    if ws is None:
-        return Stencil(vals.shape, vals.dtype)
-    if ws.shape != vals.shape or ws.dtype != vals.dtype:
-        raise GridMismatch(f"stencil for {ws.shape} {ws.dtype} given a "
-                           f"{vals.shape} {vals.dtype} array")
-    return ws
 
 
 def lap_slab(slab: Slab) -> np.ndarray:
@@ -209,29 +203,29 @@ def lap_slab(slab: Slab) -> np.ndarray:
     return slab.inner
 
 
-def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order periodic Laplacian on a raw array, written into out."""
-    ws = _stencil_for(vals, ws)
+def lap_sum(vals: np.ndarray, ws: Stencil | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Load vals into ws (a new Stencil if None) and write `lap_slab`'s sum
+    of them, the Laplacian times 12 h^2, into out (a new array if None),
+    slab by slab; returns out."""
+    if ws is None:
+        ws = Stencil(vals.shape, vals.dtype)
+    elif ws.shape != vals.shape or ws.dtype != vals.dtype:
+        raise GridMismatch(f"stencil for {ws.shape} {ws.dtype} given a "
+                           f"{vals.shape} {vals.dtype} array")
     if out is None:
         out = np.empty_like(vals)
     ws.load(vals)
-    scale = 1.0 / (12.0 * h * h)
     for slab in ws.slabs:
-        np.multiply(lap_slab(slab), scale, out=out[slab.rows])
+        out[slab.rows] = lap_slab(slab)
     return out
 
 
-def _deriv_loaded(ws: Stencil, axis: int, h: float, out: np.ndarray) -> np.ndarray:
-    for slab in ws.slabs:
-        m2, m1, p1, p2 = slab.neighbours[axis]
-        core, _, wing, _ = slab.work
-        np.subtract(p1, m1, out=core)
-        np.multiply(8.0, core, out=core)
-        np.subtract(p2, m2, out=wing)
-        np.subtract(core, wing, out=core)
-        np.multiply(slab.inner, 1.0 / (12.0 * h), out=out[slab.rows])
-    return out
+def lap_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order periodic Laplacian on a raw array, written into out."""
+    out = lap_sum(vals, ws, out)
+    return np.multiply(out, 1.0 / (12.0 * h * h), out=out)
 
 
 def dot_re(a: np.ndarray, b: np.ndarray) -> float:
@@ -239,17 +233,11 @@ def dot_re(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None) -> float:
-    """Sum over cells of |grad v|^2 (no volume factor); vals stays loaded
-    in ws until its next load."""
-    ws = _stencil_for(vals, ws)
-    ws.load(vals)
-    d = ws.deriv
-    total = 0.0
-    for ax in range(vals.ndim):
-        _deriv_loaded(ws, ax, h, d)
-        total += dot_re(d, d)
-    return total
+def grad_sq_array(vals: np.ndarray, h: float, ws: Stencil | None = None,
+                  out: np.ndarray | None = None) -> float:
+    """The cell sum of |grad v|^2 as -Re sum conj(v) D2 v (no volume
+    factor), by one `lap_sum`, whose sum stays in out."""
+    return -dot_re(vals, lap_sum(vals, ws, out)) * (1.0 / (12.0 * h * h))
 
 
 def _axis_sum(grid: Grid, center: tuple, term) -> np.ndarray:

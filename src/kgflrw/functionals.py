@@ -22,8 +22,10 @@ E, I and the margins below are arithmetic on six spatial integrals of a
 state, measured once per state into `Integrals` by `measure`: ||u||^2,
 ||u_t||^2, Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u). Each
 but int F is a plain cell sum times the cell volume, which on a smooth
-periodic integrand converges faster than any power of h; int F is the last
-over p+1, as F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`). The state is
+periodic integrand converges faster than any power of h. ||grad u||^2 is
+-Re(u, lap u) with the stencil Laplacian that a run steps with (`field`),
+so the integration by parts holds on the grid. int F is the last over
+p+1, as F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`). The state is
 measured in one dtype, the one `state_arrays` picks for `measure` and for a
 run: float64 for real data, else complex128; each sum is taken in that
 dtype. `measure` and a run alike measure uniform data (`is_uniform`) as

@@ -137,6 +137,24 @@ def test_parse_report_needs_one_csv_value_row(text, rows):
         parse_report(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("a = 1\na = 2", 2), ("# note\na = 1\n\nb = 3\na = 2\n", 5)])
+def test_parse_report_refuses_a_duplicate_key(text, line):
+    """Two `key = value` lines with one key are a ParseError naming the key
+    and the second line, counted in the text (the last was kept before)."""
+    with pytest.raises(ParseError, match=f"line {line}: duplicate key 'a'"):
+        parse_report(text)
+
+
+@pytest.mark.parametrize("text, line", [("a,b,a\n1,2,3", 1),
+                                        ("# note\na,a\n1,2\n", 2)])
+def test_parse_report_refuses_a_duplicate_csv_header_name(text, line):
+    """A CSV header that names one key twice is a ParseError naming the key
+    and the header's line (the last column was kept before)."""
+    with pytest.raises(ParseError, match=f"line {line}: duplicate key 'a'"):
+        parse_report(text)
+
+
 def test_check_prints_the_head_of_simulate_report(tmp_path, capsys):
     """check and simulate certify the run's own t0 measurement: check's
     output is the first lines of simulate's report.txt, whose L0, E_t0 and

@@ -5,6 +5,10 @@ Oracles:
     oscillator u(t) = u0 cos(omega t) with omega^2 = m^2 c^2 + c^2 |symbol|,
     where the symbol is the discrete Laplacian eigenvalue, so the only error
     is RK4 time error;
+  * on localized data the flat linear flow is diagonal in Fourier modes, and
+    RK4 scales each mode's energy by exactly |R(i omega dt)|^2 per step, so
+    the trace's E, with ||grad u||^2 the quadratic form of the stepped
+    Laplacian, is predicted from the t0 data up to rounding;
   * spatially constant focusing data m = 0, c = 1, u0 = 3, u1 = 0, p = 2,
     lam = 1 blow up at t* = (1/sqrt2) int_1^inf ds/sqrt(s^3-1)
     = 1.7173153422544112 (frozen);
@@ -63,6 +67,82 @@ def test_single_mode_oscillator_exact():
     for row in trace.rows:
         exact = L0 * math.cos(omega * row.t) ** 2
         assert abs(row.L - exact) <= 1e-10 * L0
+
+
+def mode_energies(u, v, grid, params):
+    """The energy of each Fourier mode of the grid system u' = v,
+    v' = c^2 (D2 - m^2) u, h^n / (2 N^n) (|v_k|^2 + omega_k^2 |u_k|^2)
+    (Parseval), and omega_k^2 = c^2 (lambda_k + m^2), with lambda_k the
+    symbol of -D2, (4 / h^2)(s + s^2 / 3) with s = sin^2(k h / 2), summed
+    over the axes."""
+    n, N, h = grid.n, grid.points_per_axis, grid.spacing
+    s = np.sin(np.pi * np.fft.fftfreq(N)) ** 2  # k h / 2 = pi j / N
+    lam_axis = 4.0 / (h * h) * (s + s * s / 3.0)
+    lam = sum(lam_axis.reshape((-1,) + (1,) * (n - 1 - ax))
+              for ax in range(n))
+    w2 = params.c ** 2 * (lam + params.m ** 2)
+    energy = grid.cell_volume / (2 * N ** n) * (
+        np.abs(np.fft.fftn(v)) ** 2 + w2 * np.abs(np.fft.fftn(u)) ** 2)
+    return energy, w2
+
+
+@pytest.mark.parametrize("n, N, amp, dt", [
+    (1, 64, 0.5, 0.03), (1, 128, 0.5 + 0.3j, 0.01), (2, 32, 0.5 + 0.3j, 0.05),
+    (3, 24, 0.5, 0.08)])
+def test_flat_linear_energy_is_rk4_mode_damping(n, N, amp, dt):
+    """The semi-discrete energy identity on localized data, to the time
+    integrator's accuracy, with the bound derived before the run.
+
+    Flat and linear, the grid system is diagonal in Fourier modes, and its
+    energy E_h = 1/2 ||v||^2 + 1/2 c^2 ||grad u||^2_h + 1/2 m^2 c^2 ||u||^2,
+    with ||grad u||^2_h = -Re <u, D2 u> h^n, is the sum of the mode energies
+    (`mode_energies`), which the system conserves. In the variables
+    (omega u_k, v_k) a mode's RK4 map is a polynomial in a skew matrix with
+    eigenvalues R(+-i z), z = omega_k dt, so it scales the mode's energy by
+    exactly |R(i z)|^2 = 1 - z^6 / 72 + z^8 / 576 per step. So before
+    rounding the trace's E at each row is sum_k E_k(t0) times the product of
+    those factors over the steps so far (`record_every` = 1: one row per
+    step, with its dt; a rejected step leaves the state as it was).
+
+    Rounding, to first order in u, with r = omega_max / omega_min: a step
+    rounds each cell through at most n + 15 operations (the Laplacian sum's
+    n + 2, dv/dt's five, the stage update's two, the four of the weighted
+    sum and the final two), of terms whose energy norm is at most
+    e^(z_max) r times the state's (a stage moves the norm by at most a
+    factor 1 + z_max, and omega_max weighs a cell of u in that norm against
+    omega_min), so it moves E by at most 4 (n + 15) u e^(2 z_max) r E. E is
+    measured from sums of nonnegative terms but the quadratic form, whose
+    terms sum to at most (17/16) omega_max^2 ||u||^2 h^n (`grad_bound`):
+    within 2 gamma_(2 N^n + n + 8) r^2 E. The prediction takes two FFTs, each
+    within 5 log2(N^n) u of the exact transform in norm, and a sum of N^n
+    nonnegative terms: within (10 log2(N^n) + N^n + 4) u r^2 E."""
+    grid = Grid(n=n, points_per_axis=N, half_width=math.pi)
+    u0 = make_profile(grid, "gaussian", amp, width=1.2, center=0.3)
+    u1 = make_profile(grid, "gaussian", -0.2, width=1.4)
+    params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=n)
+    start = Start(u0, u1, None)
+    assert start.ws.u.dtype == (np.float64 if amp == 0.5 else np.complex128)
+    energy, w2 = mode_energies(start.ws.u, start.ws.v, grid, params)
+    cfg = RunConfig(t_end=2.0, dt=dt, record_every=1, theorem_mode="none")
+    trace = run(start, flat(), params, cfg)
+    assert trace.blowup is None and len(trace.rows) > 20
+
+    cells, u = grid.points_per_axis ** n, np.finfo(np.float64).eps / 2
+    r = math.sqrt(w2.max() / w2.min())
+    z_max = math.sqrt(w2.max()) * dt
+    per_step = 4 * (n + 15) * u * math.exp(2 * z_max) * r
+    k = 2 * cells + n + 8  # gamma_k = k u / (1 - k u)
+    fixed = r * r * (2 * k * u / (1 - k * u)
+                     + (10 * math.log2(cells) + cells + 4) * u)
+    E0 = trace.rows[0].E
+    factor = np.ones_like(w2)
+    for steps, row in enumerate(trace.rows):
+        if row.dt > 0.0:
+            z2 = w2 * row.dt * row.dt
+            factor *= 1.0 - z2 ** 3 / 72.0 + z2 ** 4 / 576.0
+        want = float(np.sum(energy * factor))
+        assert abs(row.E - want) <= (fixed + steps * per_step) * E0
+    assert E0 - trace.rows[-1].E > 1e3 * (fixed + steps * per_step) * E0
 
 
 def test_homogeneous_data_stays_homogeneous(monkeypatch):

@@ -24,9 +24,12 @@ def lap_symbol(k, h):
     return (32.0 * math.cos(k * h) - 2.0 * math.cos(2 * k * h) - 30.0) / (12.0 * h * h)
 
 
-def deriv_symbol(k, h):
-    """Imag part of the 4th-order first-derivative symbol on exp(i k x)."""
-    return (16.0 * math.sin(k * h) - 2.0 * math.sin(2 * k * h)) / (12.0 * h)
+def grad_symbol(k, h):
+    """-lap_symbol in its summation-by-parts form, (4 / h^2)(s + s^2 / 3)
+    with s = sin^2(k h / 2): nonnegative, so -Re <u, D2 u> is a squared
+    seminorm."""
+    s = math.sin(0.5 * k * h) ** 2
+    return 4.0 / (h * h) * (s + s * s / 3.0)
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest positive normal float
@@ -118,14 +121,19 @@ def test_l2_norm_plane_wave_is_amplitude_only():
 
 
 def test_grad_norm_plane_wave_symbol():
-    grid = Grid(n=1, points_per_axis=64, half_width=math.pi)
-    mode = 3
-    amp = 1.25
-    fld = make_profile(grid, "plane_mod", amp, width=mode)
-    k = mode * math.pi / grid.half_width
-    sym = deriv_symbol(k, grid.spacing)
-    expect = amp ** 2 * sym ** 2 * (2 * grid.half_width)
-    assert measure(fld, fld, None).grad_sq == pytest.approx(expect, rel=1e-12)
+    """||grad u||^2 of a plane wave is |amp|^2 times the symbol of -D2
+    times the box volume, in 1D and along both axes in 2D, and that symbol
+    is -lap_symbol, the Laplacian's eigenvalue."""
+    for n, N, half_width, mode in ((1, 64, math.pi, 3), (2, 32, 1.0, 2)):
+        grid = Grid(n=n, points_per_axis=N, half_width=half_width)
+        amp = 1.25
+        fld = make_profile(grid, "plane_mod", amp, width=mode)
+        k, h = mode * math.pi / grid.half_width, grid.spacing
+        sym = grad_symbol(k, h)
+        assert sym == pytest.approx(-lap_symbol(k, h), rel=1e-12)
+        expect = amp ** 2 * n * sym * (2 * grid.half_width) ** n
+        assert measure(fld, fld, None).grad_sq == pytest.approx(expect,
+                                                                rel=1e-12)
     # homogeneous data has exactly zero gradient
     hom = make_profile(grid, "homogeneous", 3.0)
     assert measure(hom, hom, None).grad_sq == 0.0

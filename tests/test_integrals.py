@@ -57,7 +57,7 @@ def l2_norm_sq(fld: Field) -> float:
 
 
 def grad_norm_sq(fld: Field, ws: Stencil | None = None) -> float:
-    """||grad u||^2 with the fourth-order first-derivative stencil."""
+    """||grad u||^2 as the quadratic form of the fourth-order Laplacian."""
     return grad_sq_array(fld.values, fld.grid.spacing, ws) * fld.grid.cell_volume
 
 
@@ -249,8 +249,8 @@ def test_functionals_match_reference_bitwise(case):
                      ref_delta(r0, r1, t0, sf, params, nl, E0=E))
     assert (classify_table1(rec, a0, params)
             == ref_classify_table1(r0, r1, t0, sf, params, nl, E0=E))
-    # the run's record of the same data, from its workspace's stencil, whose
-    # deriv f then writes into
+    # the run's record of the same data, from its workspace's stencil and
+    # its Laplacian sum in the workspace's trial_v
     rec_s = Start(u0, u1, nl).rec
     assert same_bits(rec_s.L, l2_norm_sq(r0))
     assert same_bits(rec_s.ut_sq, l2_norm_sq(r1))
@@ -317,15 +317,18 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     """A simulation on non-uniform data measures each state once, through
     the run's one stencil: the certificate reads the run's t0 measurement,
     so the gradient is taken at t0 and once per accepted step. A step
-    loads its stages 2 to 4; stage 1 reuses the load of the accepted
-    state's gradient, and the stepper reloads it only after a rejection,
-    so a run ending at t_end or at the norm threshold loads 4 x attempted
-    steps + 1 times. The anchor's uniform run and its certificate measure
-    one cell, with gradient 0.0: no gradient, no stencil and no load. The
+    loads and sweeps its stages 2 to 4; stage 1 reads the Laplacian sum of
+    the accepted state's gradient, which the stepper computes again only
+    after a rejection. So a run ending at t_end or at the norm threshold
+    loads 4 x attempted steps + 1 times and sweeps each load once, in one
+    slab here. The anchor's uniform run and its certificate measure
+    one cell, with gradient 0.0: no gradient, no stencil, no load and no
+    sweep. The
     anchor and the vehicle reject steps, blow up and record every step of
     their tail; the shortened smooth run ends between two recorded steps,
     so its last row comes after the loop."""
     grads = count_calls(monkeypatch, field.grad_sq_array)
+    sweeps = count_calls(monkeypatch, field.lap_slab)
     stencils = count_stencil_calls(monkeypatch, "__init__")
     loads = count_stencil_calls(monkeypatch, "load")
     smooth = bundled_scenario_text("desitter-smooth").replace(
@@ -333,7 +336,7 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     for name, text, min_steps in (
             ("anchor", bundled_scenario_text("minkowski-m0-u2-A3"), 1000),
             ("vehicle", vehicle_text(), 1000), ("smooth", smooth, 100)):
-        del grads[:], stencils[:], loads[:]
+        del grads[:], sweeps[:], stencils[:], loads[:]
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         out = tmp_path / name
@@ -345,11 +348,13 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
         assert accepted > min_steps and (rejected > 0) == (name != "smooth")
         assert report["blowup.reason"] == (
             "none" if name == "smooth" else "norm_threshold")
+        counts = (len(grads), len(stencils), len(loads), len(sweeps))
         if name == "anchor":
-            assert (len(grads), len(stencils), len(loads)) == (0, 0, 0)
+            assert counts == (0, 0, 0, 0)
         else:
-            assert (len(grads), len(stencils), len(loads)) == (
-                accepted + 1, 1, 4 * (accepted + rejected) + 1)
+            attempted = accepted + rejected
+            assert counts == (accepted + 1, 1, 4 * attempted + 1,
+                              4 * attempted + 1)
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert float(rows[-1].split(",")[0]) == report["run.t_final"]
     assert accepted % 20 != 0  # the last row is not a recorded step

@@ -1,15 +1,16 @@
 """The stencil and RK4 kernels against plain reference kernels.
 
 The references below are the straightforward np.roll / allocate-per-stage
-formulations. The first-derivative kernel pads, reuses buffers and writes
-in place, but performs the reference's floating-point operations in the
-same order, so the two agree bit for bit. The Laplacian kernel sums in
-another order: the pairwise sums Sk = sum over axes of (f_{i+k} + f_{i-k})
-in 16 (S1 - 2n f) - (S2 - 2n f), with its scale 1 / (12 h^2) folded into
-dv/dt's factor in a step. So the Laplacian and the RK4 step are held to the
-references within rounding bounds derived from their operation counts
-(`lap_bound`, `ref_rk4_gap`), and a constant field still maps to +0.0 in
-every cell in both.
+formulations. The Laplacian kernel sums in another order: the pairwise sums
+Sk = sum over axes of (f_{i+k} + f_{i-k}) in 16 (S1 - 2n f) - (S2 - 2n f),
+with its scale 1 / (12 h^2) folded into dv/dt's factor in a step, or into
+the gradient's quadratic form -Re sum conj(v) D2 v after its sum. So the
+Laplacian, the gradient and the RK4 step are held to the references within
+rounding bounds derived from their operation counts (`lap_bound`,
+`grad_bound`, `ref_rk4_gap`), and a constant field still maps to +0.0 in
+every cell in both. Stage 1 of a step reads the Laplacian sum that the
+measurement of the accepted state left behind; it is held bit for bit to
+the step whose stage 1 sweeps the stencil itself (`lap_stage1_step`).
 
 A run on uniform data skips the stencil and steps one scalar pair, with f
 in Python arithmetic (`f_scalar`). The pair must equal every cell of the
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RealAbsPower, bundled_scenario_text, config,
@@ -52,9 +53,9 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
 from kgflrw import dynamics, field, functionals
 from kgflrw.cli import trace_csv_text
 from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, _Background,
-                             _rk4)
-from kgflrw.field import (Field, Stencil, _deriv_loaded, dot_re,
-                          grad_sq_array, lap_array, make_profile)
+                             _rhs_slab, _rk4)
+from kgflrw.field import (Field, Stencil, dot_re, grad_sq_array, lap_array,
+                          lap_slab, make_profile)
 from kgflrw.functionals import (Integrals, is_uniform, norm_integrals,
                                 potential_integrals)
 from test_integrals import vehicle_text
@@ -78,21 +79,10 @@ def ref_lap_array(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def deriv_array(vals: np.ndarray, axis: int, h: float,
-                ws: Stencil | None = None) -> np.ndarray:
-    """The first derivative as grad_sq_array takes it: load, then sweep."""
-    ws = Stencil(vals.shape, vals.dtype) if ws is None else ws
-    ws.load(vals)
-    return _deriv_loaded(ws, axis, h, np.empty_like(vals))
-
-
-def ref_deriv_array(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order periodic first derivative along one axis."""
-    p1 = np.roll(vals, -1, axis=axis)
-    m1 = np.roll(vals, 1, axis=axis)
-    p2 = np.roll(vals, -2, axis=axis)
-    m2 = np.roll(vals, 2, axis=axis)
-    return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+def ref_grad_sq(vals: np.ndarray, h: float) -> float:
+    """The cell sum of |grad v|^2 as the Laplacian's quadratic form,
+    -Re sum conj(v) D2 v."""
+    return -float(np.vdot(vals, ref_lap_array(vals, h)).real)
 
 
 def ref_rhs(t, u, v, sf, params, nl, h):
@@ -197,6 +187,19 @@ def lap_bound(vals: np.ndarray, h: float) -> np.ndarray:
     the exact value (Higham, section 3.1), in each part of a complex value
     and so in modulus."""
     return 2.0 * gamma(vals.ndim + 6) * lap_terms(vals, h)
+
+
+def grad_bound(vals: np.ndarray, h: float) -> float:
+    """A bound on |grad_sq_array - ref_grad_sq|. Each term conj(v_i) w v_j
+    / (12 h^2) of the exact form reaches either result through at most
+    n + 6 roundings of its Laplacian value (lap_bound's count: the kernel
+    takes its four roundings of the scale once, after the sum) and 2N in
+    the dot of N cells, a real dot of at most 2N products (a complex cell
+    is two); so each result is within gamma_(2N + n + 6) of the exact form
+    times its terms' magnitudes, sum |v_i| lap_terms(v)_i (Higham, section
+    3.1; |Re v_i Re v_j| + |Im v_i Im v_j| <= |v_i| |v_j|)."""
+    terms = float(np.sum(np.abs(vals) * lap_terms(vals, h)))
+    return 2.0 * gamma(2 * vals.size + vals.ndim + 6) * terms
 
 
 def assert_within(got: np.ndarray, want: np.ndarray,
@@ -327,8 +330,10 @@ def assert_step_within(got: tuple, want: tuple) -> None:
 @given(fields())
 def test_stencils_match_reference_bitwise(case):
     """The Laplacian within lap_bound of the reference, with the same bits
-    again from a reused workspace; the first derivative and the gradient
-    sum bit for bit; a constant field maps to +0.0 in every cell."""
+    again from a reused workspace; the gradient within grad_bound of the
+    reference quadratic form, with the same bits again from a reused
+    workspace, which leave in out the sum that lap_array scales; a constant
+    field maps to +0.0 in every cell and has gradient 0."""
     h, vals = case
     ws = Stencil(vals.shape)
     ref = ref_lap_array(vals, h)
@@ -337,22 +342,22 @@ def test_stencils_match_reference_bitwise(case):
     out = np.empty_like(vals)
     for _ in range(2):  # a reused workspace carries nothing over
         assert_bitwise(lap_array(vals, h, ws, out=out), lap)
-    total = 0.0
-    for ax in range(vals.ndim):
-        d = ref_deriv_array(vals, ax, h)
-        assert_bitwise(deriv_array(vals, ax, h), d)
-        assert_bitwise(deriv_array(vals, ax, h, ws), d)
-        total += float(np.vdot(d, d).real)
-    assert grad_sq_array(vals, h, ws) == total
+    grad = grad_sq_array(vals, h)
+    assert abs(grad - ref_grad_sq(vals, h)) <= grad_bound(vals, h)
+    for _ in range(2):
+        assert grad_sq_array(vals, h, ws, out=out).hex() == grad.hex()
+        assert_bitwise(out * (1.0 / (12.0 * h * h)), lap)
     if np.all(vals == vals.flat[0]):
         assert not np.any(bits(lap)) and not np.any(bits(ref))
+        assert grad == 0.0 == ref_grad_sq(vals, h)
 
 
 def test_stencils_on_real_arrays_and_signed_zeros():
     """On real input the stencils give the real part of the complex kernel
     on the same data bit for bit, also on zeros of both signs, where the
-    Laplacian is a zero (its sign is not fixed); the first derivative gives
-    the real part of the complex reference."""
+    Laplacian is a zero (its sign is not fixed); the gradient leaves the
+    real part of the complex kernel's sum and is within grad_bound of the
+    complex reference."""
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(12, 9))
     wide = vals.astype(np.complex128)
@@ -360,8 +365,11 @@ def test_stencils_on_real_arrays_and_signed_zeros():
     assert_bitwise(lap, real_part(lap_array(wide, 0.3)))
     assert_within(lap, real_part(ref_lap_array(wide, 0.3)),
                   lap_bound(vals, 0.3))
-    assert_bitwise(deriv_array(vals, 1, 0.3),
-                   ref_deriv_array(wide, 1, 0.3).real.copy())
+    sums = [np.empty_like(x) for x in (vals, wide)]
+    grad = grad_sq_array(vals, 0.3, out=sums[0])
+    grad_sq_array(wide, 0.3, out=sums[1])
+    assert_bitwise(sums[0], real_part(sums[1]))
+    assert abs(grad - ref_grad_sq(wide, 0.3)) <= grad_bound(vals, 0.3)
     # +0.0 cells between -0.0 neighbours
     for shape in ((16,), (16, 8)):
         zeros = np.zeros(shape, dtype=np.complex128)
@@ -692,12 +700,51 @@ def test_uniform_run_matches_stencil_run(problem, data):
 # stage 1 from the measurement of the accepted state
 
 
-def fresh_step(t, dt, bg, params, nl, h, ws):
-    """`_rk4` after u is loaded again and its f(u) evaluated again, so that
-    every stage loads its input and evaluates f."""
+def lap_stage1_step(t, dt, bg, params, nl, h, ws):
+    """`_rk4` whose every stage loads its input, sweeps it with `lap_slab`
+    and evaluates f: u is loaded again, its f(u) evaluated again, and stage
+    1 calls `lap_slab` on the load; trial_v is filled with NaN first, so a
+    sum left there reaches no result. Stages 2 to 4 are `_rk4`'s."""
+    if ws.uniform:
+        return _rk4(t, dt, bg, params, nl, h, ws)
     ws.stencil.load(ws.u)
     ws.fu = None if nl is None else nl.f(ws.u)
-    return _rk4(t, dt, bg, params, nl, h, ws)
+    ws.trial_v.fill(np.nan)
+    hm = 0.5 * dt
+    k = bg.coeffs(t, params, h)
+    for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
+        _rhs_slab(slab, lap_slab(slab), k, u, v, nl, acc_v, tmp, f_out,
+                  ws.fu)
+        np.multiply(hm, v, out=su)
+        np.add(u, su, out=su)
+        np.multiply(hm, acc_v, out=sv)
+        np.add(v, sv, out=sv)
+    for stage, step_next in ((2, hm), (3, dt)):
+        ws.stencil.load(ws.su)
+        k = bg.coeffs(t + hm, params, h)
+        for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
+            _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out,
+                      None)
+            np.multiply(step_next, sv, out=su)
+            np.add(u, su, out=su)
+            np.multiply(2.0, sv, out=sv)
+            np.add(v if stage == 2 else acc_u, sv, out=acc_u)
+            np.multiply(step_next, kv, out=sv)
+            np.add(v, sv, out=sv)
+            np.multiply(2.0, kv, out=kv)
+            np.add(acc_v, kv, out=acc_v)
+    ws.stencil.load(ws.su)
+    k = bg.coeffs(t + dt, params, h)
+    sixth = dt / 6.0
+    for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
+        _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out, None)
+        np.add(acc_u, sv, out=acc_u)
+        np.add(acc_v, kv, out=acc_v)
+        np.multiply(sixth, acc_u, out=acc_u)
+        np.add(u, acc_u, out=acc_u)
+        np.multiply(sixth, acc_v, out=acc_v)
+        np.add(v, acc_v, out=acc_v)
+    return ws.trial_u, ws.trial_v
 
 
 def budget_step(limit: int):
@@ -723,12 +770,12 @@ def assert_same_run(fast, fresh) -> None:
 
 
 def test_vehicle_reuse_matches_fresh_stages(monkeypatch):
-    """The localized blow-up vehicle, whose stage 1 takes the load and
-    f(u) of the accepted state's measurement (4 x attempted steps + 1
-    loads: one per measurement, one per rejection and one per later stage),
-    against the run whose every stage loads and evaluates f (`fresh_step`;
-    4 x attempted steps + accepted + rejected + 1 loads) and against
-    the reference step: the same trace bit for bit, and the reference's
+    """The localized blow-up vehicle, whose stage 1 takes the Laplacian
+    sum and f(u) of the accepted state's measurement (4 x attempted steps
+    + 1 loads: one per measurement, one per rejection and one per later
+    stage), against the run whose every stage loads, sweeps and evaluates f
+    (`lap_stage1_step`; 4 x attempted steps + accepted + rejected + 1 loads)
+    and against the reference step: the same trace bit for bit, and the reference's
     steps. The vehicle rejects steps, records every step of its tail and
     runs past rows taken record_every steps apart. Both kernel runs take
     the stencil path as `reference_run` sets it up."""
@@ -737,7 +784,7 @@ def test_vehicle_reuse_matches_fresh_stages(monkeypatch):
     kwargs = dict(T_bound=5.7314083255582613, mode="thm1")
     with monkeypatch.context() as mp:
         loads = count_calls(mp, Stencil, "load")
-        fresh = reference_run(mp, *args, step=fresh_step, **kwargs)
+        fresh = reference_run(mp, *args, step=lap_stage1_step, **kwargs)
         fresh_loads = len(loads)
         del loads[:]
         accepted, rejected = fresh.meta["accepted"], fresh.meta["rejected"]
@@ -788,11 +835,11 @@ def rejecting_problems(draw):
 @given(rejecting_problems())
 def test_reuse_matches_fresh_stages(problem):
     """A drawn run with rejected steps has the trace of the run whose
-    every stage loads and evaluates f, bit for bit."""
+    every stage loads, sweeps and evaluates f, bit for bit."""
     args, slab_bytes = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "SLAB_BYTES", slab_bytes)
-        fresh = reference_run(mp, *args, step=fresh_step)
+        fresh = reference_run(mp, *args, step=lap_stage1_step)
         attempted = fresh.meta["accepted"] + fresh.meta["rejected"]
         fast = reference_run(mp, *args, step=budget_step(attempted))
     assert fresh.meta["rejected"] > 0
@@ -801,8 +848,9 @@ def test_reuse_matches_fresh_stages(problem):
 
 class CheckedWorkspace(RK4Workspace):
     """An `RK4Workspace` that checks its invariant when it is built, after
-    each accept and after each rejection: the stencil's padded interior is
-    u, and fu is f(u), bit for bit."""
+    each accept and after each rejection: trial_v holds the Laplacian sum
+    of u that lap_array scales, the stencil's padded interior is u, and fu
+    is f(u), bit for bit."""
 
     checks = 0
 
@@ -819,6 +867,8 @@ class CheckedWorkspace(RK4Workspace):
         self.check()
 
     def check(self):
+        assert_bitwise(self.trial_v * (1.0 / (12.0 * self.h * self.h)),
+                       lap_array(self.u, self.h))
         assert_bitwise(self.stencil._inner, self.u)
         if self.nl is None:
             assert self.fu is None
@@ -830,9 +880,10 @@ class CheckedWorkspace(RK4Workspace):
 @settings(max_examples=30, deadline=None)
 @given(rejecting_problems())
 def test_workspace_holds_u_and_its_f_between_steps(problem):
-    """Between steps a run's workspace holds its accepted state loaded in
-    the stencil and that state's f(u): once built, after each accepted
-    step and after each rejected one, whose stages 2 to 4 load over u."""
+    """Between steps a run's workspace holds its accepted state's Laplacian
+    sum in trial_v, the state loaded in the stencil and its f(u): once
+    built, after each accepted step and after each rejected one, whose
+    stages write over trial_v and load over u."""
     args, slab_bytes = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "SLAB_BYTES", slab_bytes)
@@ -904,21 +955,28 @@ def hexes(values) -> list[str]:
 @settings(max_examples=60, deadline=None)
 @given(fields())
 def test_real_stencils_match_complex_kernel_bitwise(case):
-    """The float64 stencils give the real part of the complex ones; the
-    gradient sum is vdot, in float64, of that part of the reference
-    derivative."""
+    """The float64 stencils give the real part of the complex ones: the
+    Laplacian, and the sum the gradient leaves behind. The gradient sums
+    the same products r_i S_i in float64 (ddot) as in complex128 (zdotc),
+    in other orders and before the same product by the scale: within
+    2 gamma_(2N + 1) scale sum |r_i S_i| of the complex value, and within
+    grad_bound of the reference, with the same bits from a reused
+    workspace."""
     h, vals = case
     r = vals.real.copy()
     z = r.astype(np.complex128)
     ws = Stencil(r.shape, np.float64)
-    total = 0.0
-    for ax in range(r.ndim):
-        d = real_part(ref_deriv_array(z, ax, h))
-        total += float(np.vdot(d, d))
+    sums = [np.empty_like(x) for x in (r, z)]
+    grad = grad_sq_array(r, h, out=sums[0])
+    wide = grad_sq_array(z, h, out=sums[1])
+    assert_bitwise(sums[0], real_part(sums[1]))
+    scale = 1.0 / (12.0 * h * h)
+    terms = scale * float(np.sum(np.abs(r * sums[0])))
+    assert abs(grad - wide) <= 2.0 * gamma(2 * r.size + 1) * terms
+    assert abs(grad - ref_grad_sq(z, h)) <= grad_bound(r, h)
     for _ in range(2):  # a reused workspace carries nothing over
         assert_bitwise(lap_array(r, h, ws), real_part(lap_array(z, h)))
-        assert grad_sq_array(r, h, ws).hex() == total.hex()
-    assert grad_sq_array(r, h).hex() == total.hex()
+        assert grad_sq_array(r, h, ws).hex() == grad.hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1136,9 +1194,9 @@ def one_slab(build):
 @given(fields(), st.integers(0, 64), st.booleans())
 def test_multi_slab_stencils_match_reference_bitwise(case, rows_seed, real):
     """The stencils over several slabs give the one-slab kernel's bits,
-    which on real data are the real part of the complex kernel's; the
-    Laplacian is within lap_bound of the reference, and the first
-    derivative and the gradient sum are the reference's bits."""
+    which on real data are the real part of the complex kernel's: the
+    Laplacian, within lap_bound of the reference, and the gradient, within
+    grad_bound of the reference quadratic form, with its sum."""
     h, z = case
     vals = z.real.copy() if real else z
     if real:
@@ -1150,16 +1208,17 @@ def test_multi_slab_stencils_match_reference_bitwise(case, rows_seed, real):
     lap = lap_array(vals, h, one_slab(lambda: Stencil(vals.shape, vals.dtype)))
     assert_bitwise(lap, ref(lap_array(z, h)))
     assert_within(lap, ref(ref_lap_array(z, h)), lap_bound(z, h))
+    whole_sum = np.empty_like(vals)
+    grad = grad_sq_array(vals, h, one_slab(
+        lambda: Stencil(vals.shape, vals.dtype)), out=whole_sum)
+    assert abs(grad - ref_grad_sq(z, h)) <= grad_bound(z, h)
     ws = sliced(vals.shape, vals.dtype, rows_seed,
                 lambda: Stencil(vals.shape, vals.dtype))
+    out = np.empty_like(vals)
     for _ in range(2):  # a reused workspace carries nothing over
         assert_bitwise(lap_array(vals, h, ws), lap)
-        total = 0.0
-        for ax in range(vals.ndim):
-            d = ref(ref_deriv_array(z, ax, h))
-            assert_bitwise(deriv_array(vals, ax, h, ws), d)
-            total += float(np.vdot(d, d).real)
-        assert grad_sq_array(vals, h, ws).hex() == total.hex()
+        assert grad_sq_array(vals, h, ws, out=out).hex() == grad.hex()
+        assert_bitwise(out, whole_sum)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1216,7 +1275,7 @@ def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
                                                      seed, scale, rows_seed,
                                                      real):
     """A workspace's measurement over several slabs, with f written into
-    the stencil's `deriv`, against that of the same arrays in one slab and
+    the workspace's own array, against that of the same arrays in one slab and
     against their `measure`, in float64 and in complex128."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)
@@ -1294,3 +1353,45 @@ def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
     finally:
         tracemalloc.stop()
     assert peak - base < u.nbytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields(count=2), st.sampled_from(BACKGROUNDS),
+       st.sampled_from(REAL_NONLINEARITIES), st.floats(0.0, 1.5),
+       st.floats(0.0, 2.0), st.floats(1e-4, 0.05), st.integers(0, 64),
+       st.booleans(), st.booleans())
+def test_stage1_reads_measured_sum_bitwise(case, sf, nl, t, m, dt, rows_seed,
+                                           real, several):
+    """`_rk4`, whose stage 1 reads the Laplacian sum that the measurement
+    left in trial_v, against `lap_stage1_step`, whose stage 1 sweeps the
+    stencil, on workspaces of the same data: the same bits, in float64 and
+    complex128, in one slab and in several, for a step, the step retried
+    after `reject()` (which writes the sum again), and the next step after
+    `accept()`."""
+    h, u, v = case
+    if real or (nl is not None and nl.real_only):
+        u, v = u.real.copy(), v.real.copy()
+    if not real:
+        u, v = u.astype(np.complex128), v.astype(np.complex128)
+    assume(not is_uniform(u, v))  # a uniform workspace has no stencil
+
+    def build():
+        return RK4Workspace(u.copy(), v.copy(), nl, h)
+
+    ws, ref = (sliced(u.shape, u.dtype, rows_seed, build) if several
+               else one_slab(build) for _ in range(2))
+    params = PhysicalParams(m=m, c=1.0, eps=1.0, n=u.ndim)
+    sf = dataclasses.replace(sf, n=u.ndim)
+    bgs = [_Background(sf), _Background(sf)]
+    for tries in (2, 1):  # a step tried, rejected and retried, then the next
+        for attempt in range(tries):
+            got = [x.copy() for x in _rk4(t, dt, bgs[0], params, nl, h, ws)]
+            want = lap_stage1_step(t, dt, bgs[1], params, nl, h, ref)
+            for x, w in zip(got, want):
+                assert_bitwise(x, w)
+            if attempt + 1 < tries:
+                ws.reject()
+                ref.reject()
+        ws.accept()
+        ref.accept()
+        t += dt
