@@ -5,7 +5,8 @@ error; 3 no certificate applies; 4 certificate blocked only by the
 background's lifetime; 5 wrap-around abort (periodic images about to
 contaminate the wavefront); 6 non-finite state. A command returns the code
 of the outcome it reports; `main_entry` maps the package's exceptions to 2,
-3, 4 and 5 (support filling the box before the first step).
+3, 4 and 5 (support filling the box before the first step: `check`,
+`oracle-ode` and `simulate` apply the run's wrap guard alike).
 
 `simulate` and every sweep point run a scenario through `_simulate`
 (evaluate, run, write). A run that stops without a verdict names its ending
@@ -29,7 +30,7 @@ import sys
 import numpy as np
 
 from .config import Scenario, parse_config, parse_text
-from .dynamics import Start, Trace, run
+from .dynamics import Start, Trace, run, wrap_margin
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
                      WrapAroundRisk)
@@ -149,6 +150,14 @@ def _evaluate_scenario(scn: Scenario, m0: Integrals) -> HypothesisReport:
                     mode=scn.run.theorem_mode)
 
 
+def _check_scenario(scn: Scenario) -> HypothesisReport:
+    """The certificate of scn from one measurement of its data, behind the
+    wrap guard of its run: WrapAroundRisk if the data's support already
+    fills the box, as `simulate` raises it."""
+    wrap_margin(scn.grid, scn.wrap_support_radius())
+    return _evaluate_scenario(scn, measure(*scn.build_fields(), scn.nl))
+
+
 def _simulate(scn: Scenario, out_dir: str) -> tuple:
     """Evaluate and run scn from one measurement of its data (`Start.rec`),
     and write trace.csv and report.txt into out_dir.
@@ -200,7 +209,7 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple:
 
 def cmd_check(args) -> int:
     scn = parse_config(args.config)
-    report = _evaluate_scenario(scn, measure(*scn.build_fields(), scn.nl))
+    report = _check_scenario(scn)
     if args.csv:
         sys.stdout.write(report_csv(report, scn))
     else:
@@ -231,7 +240,7 @@ def cmd_oracle(args) -> int:
         return EXIT_CONFIG
     problems = []
     if scn is not None:
-        report = _evaluate_scenario(scn, measure(*scn.build_fields(), scn.nl))
+        report = _check_scenario(scn)
         if report.mode == "none":
             print("error: odelab: no certificate applies; nothing to derive",
                   file=sys.stderr)

@@ -10,10 +10,11 @@ arrays allocated once per run (`RK4Workspace`), which also measures each
 accepted state once: one sweep gives the Laplacian sum of u, whose
 quadratic form is the gradient (`field`), and f(u) is kept beside it;
 stage 1 of the next step takes both, a recorded row f(u), and a retried
-step the sum computed again. `_Background` evaluates each distinct stage
-time once, with dv/dt's factors (the stencil's 1 / (12 h^2) folded into
-that of lap u), and a step's end is the next step's start. A stage
-finishes one stencil slab at a time, so that its temporaries stay in cache.
+step the sum computed again. The stepper evaluates the background once at
+each stage time, with dv/dt's factors (`_coeffs`: the stencil's
+1 / (12 h^2) folded into that of lap u), and carries an accepted step's end
+values as the next step's start. A stage, and the measurement's f(u),
+finish one stencil slab at a time, so that their temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
 same for u1: `functionals.is_uniform`) steps one scalar state, the
@@ -29,21 +30,23 @@ otherwise than numpy's power and complex abs. Cells that `==` calls equal
 may differ in the sign of a zero, which the scalar step takes from the
 first cell. The run measures such a state as one cell (`functionals`).
 
-The stepper (`Stepper`) owns the workspace, the background cache and the step
-control: dt is clamped to the CFL window cfl * h * a_min / c (a_min over the
-step endpoints; a window below dt_min at t0, or later over a step of dt_min,
-is a config error), a step that grows ||u|| by more than growth_tol is retried
-at dt/2 until dt_min, and after a stretch of accepted steps dt regrows toward
-the configured value. Blow-up is ||u||^2 at blowup_threshold times its initial
-value ("norm_threshold"), dt pinned at dt_min with accelerating growth
-("step_collapse"), or a nonfinite state ("nonfinite": the last finite state
-ends the trace and detected stays False). It starts from one record,
-`StepState`, which `run()` makes at t0 and `Stepper.checkpoint()` copies.
-A certificate reads the t0 measurement of the run's `Start` (`rec`).
+The stepper (`Stepper`) owns the workspace, the background at its time
+and the step control: dt is clamped to the CFL window cfl * h * a_min / c
+(a_min over the step endpoints; a window below dt_min at t0, or later over
+a step of dt_min, is a config error), a step that grows ||u|| by more than
+growth_tol is retried at dt/2 until dt_min, and after a stretch of accepted
+steps dt regrows toward the configured value. Blow-up is ||u||^2 at
+blowup_threshold times its initial value ("norm_threshold"), dt pinned at
+dt_min with accelerating growth ("step_collapse"), or a nonfinite state
+("nonfinite": the last finite state ends the trace and detected stays
+False). It starts from one record, `StepState`, which `run()` makes at t0
+and `Stepper.checkpoint()` copies. A certificate reads the t0 measurement
+of the run's `Start` (`rec`).
 
 The recorder, `run()`, feeds the history integrals, writes the rows through
-one snapshot, applies the wrap guard and fits t* to the tail: ||u||^2 scales
-like (t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is asymptotically linear and
+one snapshot, applies the wrap guard (`wrap_margin` at t0, which `check`
+and `oracle-ode` apply too) and fits t* to the tail: ||u||^2 scales like
+(t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is asymptotically linear and
 its zero crossing, under two fit windows, gives t* and an uncertainty. A run
 that starts returns its trace, whose `blowup` names how it stopped; the wrap
 guard's is "wrap_around", with detected False as for "nonfinite".
@@ -120,39 +123,6 @@ class Trace:
     meta: dict = dc_field(default_factory=dict)
 
 
-class _Background:
-    """Background values at the stage times of the current step.
-
-    Each distinct time is evaluated once through the scale factor's `eval`
-    and then read by the RK4 stages, the CFL clamp, `RunningIntegrals.push`
-    and the snapshot functionals; `coeffs` keeps dv/dt's factors (`_coeffs`
-    of the run's params) per time beside them. `advance(t)` keeps only the
-    entries at t, the start of the next step, so the times of a rejected
-    step are dropped."""
-
-    def __init__(self, sf: ScaleFactor):
-        self.sf = sf
-        self._vals: dict = {}
-        self._k: dict = {}
-
-    def eval(self, t):
-        val = self._vals.get(t)
-        if val is None:
-            val = self._vals[t] = self.sf.eval(t)
-        return val
-
-    def coeffs(self, t, params, h) -> tuple:
-        k = self._k.get(t)
-        if k is None:
-            k = self._k[t] = _coeffs(self.eval(t), params, h)
-        return k
-
-    def advance(self, t: float) -> None:
-        self._vals = {t: self.eval(t)}
-        k = self._k.get(t)
-        self._k = {} if k is None else {t: k}
-
-
 class RK4Workspace:
     """The state one integration works in, set up once per run in the dtype
     that `state_arrays` chose, with nl and the grid spacing h. It measures
@@ -171,12 +141,12 @@ class RK4Workspace:
 
     Otherwise whole arrays: the accepted state `u`, `v`, the trial state
     `trial_u`, `trial_v`, a stage's input `su`, `sv` (the next stage's
-    Laplacian reads all of su), the `stencil`, and fu, in an array of its
-    own where f's dtype is the state's. Scratch of one slab: dv/dt `kv`
-    and a term `tmp`, which also takes f(u) in float64 (a complex f
-    allocates its slab-sized value). `slabs` holds each stencil slab with
-    its views of (u, v, trial_u, trial_v, su, sv, kv, tmp) and the `out` of
-    f: tmp or None."""
+    Laplacian reads all of su), the `stencil`, and fu, an array of its own
+    that the measurement fills one stencil slab at a time, as the stages
+    evaluate f. Scratch of one slab: dv/dt `kv` and a term `tmp`, which
+    also takes f(u) in float64 (a complex f allocates its slab-sized
+    value). `slabs` holds each stencil slab with its views of (u, v,
+    trial_u, trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None."""
 
     def __init__(self, u, v, nl: Nonlinearity | None, h: float):
         if isinstance(u, np.ndarray) and is_uniform(u, v):
@@ -192,8 +162,9 @@ class RK4Workspace:
         self.trial_u, self.trial_v, self.su, self.sv = (
             np.empty_like(u) for _ in range(4))
         self.stencil = Stencil(u.shape, u.dtype)
-        self._f_out = (np.empty_like(u) if nl is not None
-                       and (real or not nl.real_only) else None)
+        # the real family's f is float64 on either dtype
+        self.fu = None if nl is None else np.empty(
+            u.shape, np.float64 if nl.real_only else u.dtype)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
         self.slabs = []
@@ -212,10 +183,12 @@ class RK4Workspace:
         if self.uniform:
             self.grad_sq = 0.0
             self.fu = None if nl is None else nl.f_scalar(u)
-        else:  # the sum of u stays in trial_v for stage 1
-            self.grad_sq = grad_sq_array(u, self.h, self.stencil,
-                                         self.trial_v)
-            self.fu = None if nl is None else nl.f(u, out=self._f_out)
+            return
+        # the sum of u stays in trial_v for stage 1
+        self.grad_sq = grad_sq_array(u, self.h, self.stencil, self.trial_v)
+        if nl is not None:
+            for slab, u_rows, *_ in self.slabs:
+                nl.f(u_rows, out=self.fu[slab.rows])
 
     def accept(self) -> None:
         self.u, self.trial_u = self.trial_u, self.u
@@ -263,29 +236,29 @@ def _rhs_cell(k, u, v, fu):
     return out if fu is None else out + c2 * fu
 
 
-def _rk4_uniform(t, dt, bg, params, nl, h, ws: RK4Workspace):
+def _rk4_uniform(dt, k_start, k_mid, k_end, nl, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
     order, on the scalar pair `ws.u`, `ws.v`, into `ws.trial_u`,
     `ws.trial_v`; stage 1 takes f(u) from `ws.fu`."""
     u, v = ws.u, ws.v
     f = (lambda x: None) if nl is None else nl.f_scalar
     hm = 0.5 * dt
-    acc_v = _rhs_cell(bg.coeffs(t, params, h), u, v, ws.fu)
+    acc_v = _rhs_cell(k_start, u, v, ws.fu)
     su, sv, acc_u = u + hm * v, v + hm * acc_v, v
-    k = bg.coeffs(t + hm, params, h)
     for step_next in (hm, dt):
-        kv = _rhs_cell(k, su, sv, f(su))
+        kv = _rhs_cell(k_mid, su, sv, f(su))
         acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
         su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(bg.coeffs(t + dt, params, h), su, sv, f(su))
+    kv = _rhs_cell(k_end, su, sv, f(su))
     sixth = dt / 6.0
     ws.trial_u = u + sixth * (acc_u + sv)
     ws.trial_v = v + sixth * (acc_v + kv)
     return ws.trial_u, ws.trial_v
 
 
-def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
-    """One classical RK4 step of length dt from the accepted state at t.
+def _rk4(dt, k_start, k_mid, k_end, nl, ws: RK4Workspace):
+    """One classical RK4 step of length dt from the accepted state at a
+    time t, with dv/dt's factors (`_coeffs`) at t, t + dt/2 and t + dt.
 
     Buffer ownership: reads `ws.u`, `ws.v` and never writes them; writes the
     new state into `ws.trial_u`, `ws.trial_v` and returns those two arrays,
@@ -300,14 +273,13 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     every element sees the operations of the plain RK4 formula; dv/dt's
     Laplacian term is the stencil's pairwise sum times one folded factor
     (`field`). A uniform workspace takes `_rk4_uniform` instead, whose
-    state and trial state are scalar pairs. bg is the run's `_Background`."""
+    state and trial state are scalar pairs."""
     if ws.uniform:
-        return _rk4_uniform(t, dt, bg, params, nl, h, ws)
+        return _rk4_uniform(dt, k_start, k_mid, k_end, nl, ws)
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v), from the sum of u in acc_v
-    k = bg.coeffs(t, params, h)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, acc_v, k, u, v, nl, acc_v, tmp, f_out, ws.fu)
+        _rhs_slab(slab, acc_v, k_start, u, v, nl, acc_v, tmp, f_out, ws.fu)
         np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
         np.multiply(hm, acc_v, out=sv)
@@ -315,9 +287,8 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
     # stages 2 and 3: k = (sv, kv); the u sum starts from k1u = v
     for stage, step_next in ((2, hm), (3, dt)):
         ws.stencil.load(ws.su)
-        k = bg.coeffs(t + hm, params, h)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-            _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out)
+            _rhs_slab(slab, lap_slab(slab), k_mid, su, sv, nl, kv, tmp, f_out)
             np.multiply(step_next, sv, out=su)
             np.add(u, su, out=su)
             np.multiply(2.0, sv, out=sv)
@@ -328,10 +299,9 @@ def _rk4(t, dt, bg, params, nl, h, ws: RK4Workspace):
             np.add(acc_v, kv, out=acc_v)
     # stage 4
     ws.stencil.load(ws.su)
-    k = bg.coeffs(t + dt, params, h)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out)
+        _rhs_slab(slab, lap_slab(slab), k_end, su, sv, nl, kv, tmp, f_out)
         np.add(acc_u, sv, out=acc_u)
         np.add(acc_v, kv, out=acc_v)
         np.multiply(sixth, acc_u, out=acc_u)
@@ -365,10 +335,11 @@ class Stepper:
     """Adaptive RK4 from a `StepState`, stepping in ws (the `RK4Workspace`
     of its u and v) and keeping the state current: a stepper built from
     `checkpoint()` and a workspace of its arrays takes the same steps bit
-    for bit. `steps()` yields (t, dt, L, motion) of each accepted step
-    until t_end or `blowup`: the new time, its length, ||u||^2 and the
-    motion integrals (||u_t||^2, Re(u, u_t), ||grad u||^2), after the
-    step's guards, so that `done` tells if it is the last."""
+    for bit. `bg` is the background (a, adot, addot) at the state's time.
+    `steps()` yields (t, dt, L, motion, bg) of each accepted step until
+    t_end or `blowup`: the new time, its length, ||u||^2, the motion
+    integrals (||u_t||^2, Re(u, u_t), ||grad u||^2) and the new bg, after
+    the step's guards, so that `done` tells if it is the last."""
 
     def __init__(self, state: StepState, ws: RK4Workspace, sf: ScaleFactor,
                  params: PhysicalParams, nl: Nonlinearity | None, grid: Grid,
@@ -379,10 +350,12 @@ class Stepper:
                                     f"background horizon {horizon}")
         if params.n != grid.n:
             raise ValueError("params.n must match the grid dimension")
-        self.bg = _Background(sf)
         self.state, self.params, self.nl = state, params, nl
-        self.grid, self.cfg = grid, cfg
-        self._window(state.t, 0.0, cfg.dt_min)
+        self.sf, self.grid, self.cfg = sf, grid, cfg
+        self._cfl_h = cfg.cfl * grid.spacing
+        self.bg = sf.eval(state.t)
+        self._window(self.bg, self.bg, state.t, cfg.dt_min)
+        self._k = _coeffs(self.bg, params, grid.spacing)
         if not math.isfinite(cfg.blowup_threshold * state.L0):
             raise InvariantViolation(
                 "dynamics", f"norm threshold blowup_threshold * ||u0||^2 = "
@@ -396,10 +369,10 @@ class Stepper:
     def done(self) -> bool:
         return self.blowup is not None or self.state.t >= self.t_stop
 
-    def _window(self, t: float, dt: float, floor: float = 0.0) -> float:
-        """The CFL window over [t, t + dt]; InvariantViolation below floor."""
-        a = min(self.bg.eval(t)[0], self.bg.eval(t + dt)[0])
-        window = self.cfg.cfl * self.grid.spacing * a / self.params.c
+    def _window(self, start, end, t: float, floor: float) -> float:
+        """The CFL window of a step from t with the background values start
+        and end; InvariantViolation below floor."""
+        window = self._cfl_h * min(start[0], end[0]) / self.params.c
         if window < floor:
             raise InvariantViolation(
                 "dynamics", f"CFL window cfl * h * a / c = {window} at "
@@ -415,33 +388,44 @@ class Stepper:
         return replace(self.state, u=u, v=v)
 
     def steps(self):
-        st, ws, bg, cfg = self.state, self.ws, self.bg, self.cfg
-        h, cv = self.grid.spacing, self.grid.cell_volume
+        st, ws, sf, nl, grid = self.state, self.ws, self.sf, self.nl, self.grid
+        params, c, cfl_h = self.params, self.params.c, self._cfl_h
+        h, cv = grid.spacing, grid.cell_volume
+        cfg, t_end, dt_min = self.cfg, self.cfg.t_end, self.cfg.dt_min
+        growth = 1.0 + cfg.growth_tol
+        L_max = cfg.blowup_threshold * st.L0
         while not self.done:
-            dt = min(st.dt, cfg.t_end - st.t)
-            window = self._window(st.t, dt)
-            if window < min(dt, cfg.dt_min):  # try the floor step's window
-                dt = min(dt, cfg.dt_min)
-                window = self._window(st.t, dt, dt)
-            dt = min(dt, window)
-            u_new, v_new = _rk4(st.t, dt, bg, self.params, self.nl, h, ws)
-            L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, self.grid)
+            t = st.t
+            dt = min(st.dt, t_end - t)
+            end = sf.eval(t + dt)
+            window = cfl_h * min(self.bg[0], end[0]) / c
+            if window < min(dt, dt_min):  # try the floor step's window
+                dt = min(dt, dt_min)
+                end = sf.eval(t + dt)
+                window = self._window(self.bg, end, t, dt)
+            if window < dt:
+                dt = window
+                end = sf.eval(t + dt)
+            k_end = _coeffs(end, params, h)
+            k_mid = _coeffs(sf.eval(t + 0.5 * dt), params, h)
+            u_new, v_new = _rk4(dt, self._k, k_mid, k_end, nl, ws)
+            L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, grid)
             if not math.isfinite(L):
-                self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
+                self.blowup = BlowupInfo("nonfinite", t, detected=False)
                 return
             ratio = math.sqrt(L / st.L_prev) if st.L_prev > 0 else 1.0
-            at_floor = dt <= cfg.dt_min
-            grew = ratio > 1.0 + cfg.growth_tol
+            at_floor = dt <= dt_min
+            grew = ratio > growth
             if grew and not at_floor:
                 st.dt = 0.5 * dt
                 st.accept_streak = 0
                 self.rejected += 1
                 ws.reject()
                 continue
-            st.t += dt
+            st.t = t = t + dt
             ws.accept()
             st.u, st.v = ws.u, ws.v
-            bg.advance(st.t)
+            self.bg, self._k = end, k_end
             self.accepted += 1
             st.accept_streak += 1
             # regrow after 4 clean accepts; 3 at-floor accepts still fit in
@@ -451,18 +435,18 @@ class Stepper:
                 st.accept_streak = 0
             motion = (ut_sq, re_u_ut, ws.grad_sq * cv)
             if not (math.isfinite(ut_sq) and math.isfinite(motion[2])):
-                self.blowup = BlowupInfo("nonfinite", st.t, detected=False)
+                self.blowup = BlowupInfo("nonfinite", t, detected=False)
                 return
-            if L >= cfg.blowup_threshold * st.L0:
-                self.blowup = BlowupInfo("norm_threshold", st.t)
+            if L >= L_max:
+                self.blowup = BlowupInfo("norm_threshold", t)
             elif at_floor and grew:
                 r = st.floor_ratios = st.floor_ratios[-2:] + (ratio,)
                 if len(r) == 3 and r[0] < r[1] < r[2]:
-                    self.blowup = BlowupInfo("step_collapse", st.t)
+                    self.blowup = BlowupInfo("step_collapse", t)
             else:
                 st.floor_ratios = ()
             st.L_prev = L
-            yield st.t, dt, L, motion
+            yield t, dt, L, motion, end
 
 
 def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
@@ -506,6 +490,19 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
     return snapshot
 
 
+def wrap_margin(grid: Grid, support_radius: float | None) -> float:
+    """The light-cone wrap margin at t0, grid.half_width - support_radius
+    (inf for delocalized data, support_radius None); WrapAroundRisk if the
+    support already fills the box, so that a run cannot start."""
+    if support_radius is None:
+        return math.inf
+    margin = grid.half_width - support_radius
+    if margin <= 0:
+        raise WrapAroundRisk(
+            f"support radius {support_radius} already fills the box")
+    return margin
+
+
 class Start:
     """The data (u0, u1) of one run: its grid, its workspace `ws` (which
     holds nl) and the t0 measurement `rec`, from the workspace's load and
@@ -546,15 +543,9 @@ def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
         raise InvariantViolation("dynamics", "initial data must be nonzero")
     stepper = Stepper(StepState(cfg.t0, ws.u, ws.v, cfg.dt, L0, L0, 0, ()),
                       ws, sf, params, nl, grid, cfg)
-    margin0 = math.inf
-    if support_radius is not None:
-        margin0 = grid.half_width - support_radius
-        if margin0 <= 0:
-            raise WrapAroundRisk(
-                f"support radius {support_radius} already fills the box")
-    bg = stepper.bg
+    margin0 = wrap_margin(grid, support_radius)
     acc = RunningIntegrals(params.n, params.c)
-    a, adot, addot = bg.eval(cfg.t0)
+    a, adot, addot = stepper.bg
     E_t0 = rec.energy(a, params)
     snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
     acc.push(cfg.t0, *rec[:4], a, adot, addot)
@@ -562,8 +553,7 @@ def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
 
     tail_start = cfg.blowup_threshold * 1e-4
     since_record = 0
-    for t, dt_used, L, motion in stepper.steps():
-        a, adot, addot = bg.eval(t)
+    for t, dt_used, L, motion, (a, adot, addot) in stepper.steps():
         acc.push(t, L, *motion, a, adot, addot)
         since_record += 1
         margin = (margin0 - acc.light_path if math.isfinite(margin0)

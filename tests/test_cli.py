@@ -387,6 +387,27 @@ def test_simulate_wrap_exit_five(tmp_path, capsys):
     assert not out.exists()  # nothing to write, so no directory either
 
 
+def test_check_and_oracle_apply_the_wrap_guard(tmp_path, capsys):
+    """The anchor with a Gaussian u0 of width 1.0, whose support radius 4.0
+    fills the box: check and oracle-ode refuse it as simulate does, through
+    the run's one wrap guard, with exit 5, that guard's one stderr line and
+    no stdout. At width 0.75 (radius 3.0) the data fit, and check
+    certifies them."""
+    text = bundled_scenario_text("minkowski-m0-u2-A3").replace(
+        "data0.kind = homogeneous", "data0.kind = gaussian\ndata0.width = 1.0")
+    cfg = write_cfg(tmp_path, text)
+    for argv in (["check", cfg], ["check", cfg, "--csv"], ["oracle-ode", cfg],
+                 ["simulate", cfg, "--out", str(tmp_path / "out")]):
+        assert main_entry(argv) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "wrap-around abort: support radius 4.0 already fills the box"]
+    fits = write_cfg(tmp_path, text.replace("data0.width = 1.0",
+                                            "data0.width = 0.75"), "fits.cfg")
+    assert main_entry(["check", fits]) == 0
+    assert parse_report(capsys.readouterr().out)["theorem"] != "none"
+
+
 _MAX = 1.7976931348623157e308
 _CSV_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _MAX, -_MAX,

@@ -32,14 +32,14 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RunConfig, Trace, bundled_scenario_text,
                     dynamics, estimate_t_star, make_profile, parse_text,
                     run)
-from kgflrw.dynamics import (RK4Workspace, Start, StepState, Stepper,
-                             _Background, _rk4)
+from kgflrw.dynamics import RK4Workspace, Start, StepState, Stepper, _rk4
 from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
                            TooFewSamples, WrapAroundRisk)
 from kgflrw.field import dot_re, lap_array
 from kgflrw.functionals import state_arrays
 from kgflrw.nonlinearity import Nonlinearity
 from kgflrw.scale_factor import ScaleFactor
+from test_kernels import stage_factors
 
 TSTAR = 1.7173153422544112
 _ORACLE_RTOL = 1e-10  # homogeneous_oracle: DOP853 tolerance
@@ -158,13 +158,12 @@ def test_homogeneous_data_stays_homogeneous(monkeypatch):
     # five accepted steps, driven as run() drives them
     ws = RK4Workspace(u0.values.copy(), u1.values.copy(), nl, grid.spacing)
     assert not ws.uniform
-    bg = _Background(flat())
     t = 0.0
     for _ in range(5):
-        _rk4(t, 1e-3, bg, params, nl, grid.spacing, ws)
+        _rk4(1e-3, *stage_factors(flat(), params, grid.spacing, t, 1e-3),
+             nl, ws)
         t = t + 1e-3
         ws.accept()
-        bg.advance(t)
     for fld in (ws.u, ws.v):
         assert np.all(fld == fld.flat[0])
 
@@ -504,7 +503,7 @@ def test_cfl_window_collapsing_below_dt_min_raises(H, dt_min, t_raise):
                       DeSitter(H=H), params, None, grid, cfg)
     dts = []
     with pytest.raises(InvariantViolation, match="CFL window") as err:
-        for _, (_, dt, _, _) in zip(range(1000), stepper.steps()):
+        for _, (_, dt, *_) in zip(range(1000), stepper.steps()):
             dts.append(dt)
     t = stepper.state.t
     assert str(err.value).endswith(f" at t = {t} is below dt_min = {dt_min}")
@@ -541,15 +540,17 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
                        scn.params, scn.nl, scn.grid, scn.run)
 
     def bits(stepper, steps):
-        """Each step with the record it leaves for the next one."""
-        return [(*(x.hex() for x in (t, dt, L, *motion, stepper.state.dt)),
+        """Each step, its background, and the record it leaves for the
+        next one."""
+        return [(*(x.hex() for x in (t, dt, L, *motion, *bg,
+                                     stepper.state.dt)),
                  stepper.state.accept_streak, stepper.state.floor_ratios)
-                for t, dt, L, motion in steps]
+                for t, dt, L, motion, bg in steps]
 
     full = stepper(StepState(scn.run.t0, *state_arrays(u0, u1),
                              scn.run.dt, L0, L0, 0, ()))
     steps = full.steps()
-    for t, _, L, _ in steps:
+    for t, _, L, *_ in steps:
         if at(full.state):
             break
     ck = full.checkpoint()
@@ -575,10 +576,11 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
 
 
 def test_background_computes_each_time_once(monkeypatch):
-    """On the anchor, the scale factor's eval and dv/dt's factors run once
-    per distinct time: t0, then at most a step's midpoint and end, so at
-    most 1 + 2 per attempted step. After each accepted step the cache holds
-    only its time; the times of a rejected step are dropped."""
+    """On the anchor, whose CFL window never clamps a step, the scale
+    factor's eval and dv/dt's factors each run once at t0 and then once at
+    each attempted step's midpoint and end: 1 + 2 x attempted calls, a
+    retried step's included. The stepper carries an accepted step's end
+    values as the next start, and yields the background that it holds."""
     scn = parse_text(bundled_scenario_text("minkowski-m0-u2-A3"))
     u0, u1 = scn.build_fields()
     L0 = dot_re(u0.values, u0.values) * scn.grid.cell_volume
@@ -592,9 +594,46 @@ def test_background_computes_each_time_once(monkeypatch):
     stepper = Stepper(StepState(scn.run.t0, u, v, scn.run.dt, L0, L0, 0, ()),
                       RK4Workspace(u, v, scn.nl, scn.grid.spacing), scn.sf,
                       scn.params, scn.nl, scn.grid, scn.run)
-    for t, *_ in stepper.steps():
-        assert list(stepper.bg._vals) == list(stepper.bg._k) == [t]
+    assert (evals, len(factors)) == ([scn.run.t0], 1)
+    for t, *_, bg in stepper.steps():
+        assert bg is stepper.bg and bg == sf_eval(scn.sf, t)
     attempted = stepper.accepted + stepper.rejected
     assert stepper.blowup.reason == "norm_threshold" and stepper.rejected > 0
-    assert len(evals) <= 1 + 2 * attempted
-    assert len(factors) <= 1 + 2 * attempted
+    assert len(evals) == len(factors) == 1 + 2 * attempted
+
+
+def test_window_clamps_every_step(monkeypatch):
+    """desitter-smooth at run.dt = 0.05, five times its CFL window, with a
+    row at every step: each step but the last is clamped to the window
+    cfl * h * a(t_prev) / c, a from the scale factor's eval at the step's
+    start (a grows on de Sitter, so the start's is the smaller), and the
+    last ends at t_end within it. A clamped attempt evaluates the scale
+    factor at its end, at the clamped end and at the midpoint, and the last
+    at its end and midpoint, so eval runs 1 + 3 x attempted - 1 times and
+    dv/dt's factors 1 + 2 x attempted."""
+    text = bundled_scenario_text("desitter-smooth")
+    for old, new in (("run.dt = 1e-3", "run.dt = 0.05"),
+                     ("run.record_every = 20", "run.record_every = 1")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    scn = parse_text(text)
+    sf, cfg = scn.sf, scn.run
+    evals, factors = [], []
+    sf_eval, coeffs = type(sf).eval, dynamics._coeffs
+    monkeypatch.setattr(type(sf), "eval",
+                        lambda sf, t: evals.append(t) or sf_eval(sf, t))
+    monkeypatch.setattr(dynamics, "_coeffs",
+                        lambda *a: factors.append(a) or coeffs(*a))
+    trace = run(Start(*scn.build_fields(), scn.nl), sf, scn.params, cfg)
+    rows = trace.rows
+    assert trace.meta["reached_t_end"] and trace.meta["rejected"] == 0
+    assert len(rows) == trace.meta["accepted"] + 1 > 50
+    windows = [cfg.cfl * scn.grid.spacing * sf_eval(sf, prev.t)[0]
+               / scn.params.c for prev in rows[:-1]]
+    assert windows[0] < cfg.dt / 4
+    assert [r.dt for r in rows[1:-1]] == windows[:-1]
+    assert 0.0 < rows[-1].dt <= windows[-1]
+    assert rows[-1].t == trace.meta["t_final"] >= cfg.t_end - 1e-12
+    attempted = trace.meta["accepted"]
+    assert len(evals) == 3 * attempted
+    assert len(factors) == 1 + 2 * attempted

@@ -321,12 +321,15 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     the accepted state's gradient, which the stepper computes again only
     after a rejection. So a run ending at t_end or at the norm threshold
     loads 4 x attempted steps + 1 times and sweeps each load once, in one
-    slab here. The anchor's uniform run and its certificate measure
-    one cell, with gradient 0.0: no gradient, no stencil, no load and no
-    sweep. The
-    anchor and the vehicle reject steps, blow up and record every step of
-    their tail; the shortened smooth run ends between two recorded steps,
-    so its last row comes after the loop."""
+    slab here. f runs once per slab for each measurement and each of
+    stages 2 to 4: slabs x (accepted + 1) + 3 x slabs x attempted calls.
+    The anchor's uniform run and its certificate measure one cell, with
+    gradient 0.0: no gradient, no stencil, no load and no sweep, and as
+    many calls of f_scalar as one slab makes of f. The anchor and the
+    vehicle reject steps, blow up and record every step of their tail; the
+    shortened smooth run ends between two recorded steps, so its last row
+    comes after the loop."""
+    nl_calls = count_nonlinearity_calls(monkeypatch)
     grads = count_calls(monkeypatch, field.grad_sq_array)
     sweeps = count_calls(monkeypatch, field.lap_slab)
     stencils = count_stencil_calls(monkeypatch, "__init__")
@@ -336,7 +339,7 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     for name, text, min_steps in (
             ("anchor", bundled_scenario_text("minkowski-m0-u2-A3"), 1000),
             ("vehicle", vehicle_text(), 1000), ("smooth", smooth, 100)):
-        del grads[:], sweeps[:], stencils[:], loads[:]
+        del nl_calls[:], grads[:], sweeps[:], stencils[:], loads[:]
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         out = tmp_path / name
@@ -349,10 +352,12 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
         assert report["blowup.reason"] == (
             "none" if name == "smooth" else "norm_threshold")
         counts = (len(grads), len(stencils), len(loads), len(sweeps))
+        attempted = accepted + rejected
+        assert nl_calls == ["f_scalar" if name == "anchor" else "f"] * (
+            accepted + 1 + 3 * attempted)
         if name == "anchor":
             assert counts == (0, 0, 0, 0)
         else:
-            attempted = accepted + rejected
             assert counts == (accepted + 1, 1, 4 * attempted + 1,
                               4 * attempted + 1)
     rows = (out / "trace.csv").read_text().splitlines()[1:]
@@ -472,7 +477,7 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     stepper = Stepper(StepState(0.0, u, v, cfg.dt, 1.0, 1.0, 0, ()),
                       RK4Workspace(u, v, nl, grid.spacing), sf, params, nl,
                       grid, cfg)
-    _, _, L, (ut_sq, re_u_ut, grad_sq) = next(stepper.steps())
+    _, _, L, (ut_sq, re_u_ut, grad_sq), _ = next(stepper.steps())
     ws = stepper.ws
     assert ws.uniform and grad_sq == 0.0
     # at t0 (run's L0 and row 0, and measure), then after a step
@@ -572,10 +577,11 @@ def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
     Re int f(u) conj(u) from the f(u) that the run's workspace evaluated
     when it measured the accepted state (a row that evaluated f made one
     call, one that also evaluated F two). The workspace measures the state
-    at t0 and after each accepted step with one call: the array f, or
-    f_scalar on a uniform run. Stage 1 takes that f(u), and stages 2 to 4
-    call f once per stencil slab, f_scalar once on a uniform run, so a run
-    makes accepted + 1 + 3 x slabs x attempted steps calls. Runs: the
+    at t0 and after each accepted step, calling the array f once per
+    stencil slab, or f_scalar once on a uniform run. Stage 1 takes that
+    f(u), and stages 2 to 4 call f as the measurement does, so a run makes
+    slabs x (accepted + 1) + 3 x slabs x attempted steps calls (slabs = 1
+    on a uniform run). Runs: the
     anchor cut to t_end = 0.05, uniform at p = 2, at p = 3, at amplitude
     3+0.5j and under the real family; a Gaussian u0 in one slab, and in
     four at a smaller slab size."""
@@ -606,6 +612,7 @@ def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
     attempted = accepted + trace.meta["rejected"]
     assert attempted > 0 and len(trace.rows) > 1
     assert per_row == [[]] * len(trace.rows)
-    stage_calls = 1 if uniform else slabs
+    per_state = 1 if uniform else slabs
     kind = "f_scalar" if uniform else "f"
-    assert calls == [kind] * (accepted + 1 + 3 * stage_calls * attempted)
+    assert calls == [kind] * (per_state * (accepted + 1)
+                              + 3 * per_state * attempted)

@@ -52,7 +52,7 @@ from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     load_bundled_scenario, measure, run)
 from kgflrw import dynamics, field, functionals
 from kgflrw.cli import trace_csv_text
-from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, _Background,
+from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, _coeffs,
                              _rhs_slab, _rk4)
 from kgflrw.field import (Field, Stencil, dot_re, grad_sq_array, lap_array,
                           lap_slab, make_profile)
@@ -111,6 +111,13 @@ def ref_rk4(t, u, v, dt, sf, params, nl, h):
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def stage_factors(sf, params, h, t, dt) -> tuple:
+    """dv/dt's factors (`_coeffs`) at the stage times t, t + dt/2 and t + dt
+    of a step, from sf's own values there: `_rk4`'s arguments after dt."""
+    return tuple(_coeffs(sf.eval(s), params, h)
+                 for s in (t, t + 0.5 * dt, t + dt))
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -410,10 +417,10 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     want = ref_rk4_gap(t, *exact(u, v), dt, sf, params, nl, h)
     for w, x in zip(want, ref_rk4(t, u, v, dt, sf, params, nl, h)):
         assert_bitwise(w.x, x)
-    bg = _Background(sf)
+    k = stage_factors(sf, params, h, t, dt)
     steps = []
     for _ in range(2):  # a retried step from the same state
-        u_new, v_new = _rk4(t, dt, bg, params, nl, h, ws)
+        u_new, v_new = _rk4(dt, *k, nl, ws)
         steps.append([whole(x, u).copy() for x in (u_new, v_new)])
         assert_step_within(steps[-1], want)
         # the accepted state is read, never written
@@ -438,7 +445,8 @@ def test_scalar_eval_matches_array_eval(sf, t):
 
 
 def reference_step(t, dt, sf, params, nl, h, ws):
-    """`_rk4` through the reference kernel, into the trial buffers."""
+    """A step of the reference kernel from time t, into the trial buffers
+    of ws, as `_rk4` writes them."""
     u_new, v_new = ref_rk4(t, ws.u, ws.v, dt, sf, params, nl, h)
     ws.trial_u[...] = u_new
     ws.trial_v[...] = v_new
@@ -466,12 +474,29 @@ def run_fields(u0, u1, sf, params, nl, cfg, **kwargs):
     return run(Start(u0, u1, nl), sf, params, cfg, **kwargs)
 
 
-def reference_run(monkeypatch, *args, step=reference_step, **kwargs):
-    """`run_fields` with the reference step and the uniform path forced
-    off, so that every stage and every gradient goes through the
-    stencil."""
+def reference_run(monkeypatch, *args, step=None, reference=reference_step,
+                  **kwargs):
+    """`run_fields` with the uniform path forced off, so that every stage
+    and every gradient goes through the stencil, and with step, a kernel
+    of `_rk4`'s arguments, in its place. By default step is reference (a
+    step of `reference_step`'s arguments) bound to the run's sf, params and
+    h at the time of the run's stepper: it evaluates the scale factor
+    itself and reads none of the stepper's factors."""
+    u0, _, sf, params, _, _ = args
+    steppers = []
+
+    class Stepper(dynamics.Stepper):
+        def __init__(self, *init_args):
+            super().__init__(*init_args)
+            steppers.append(self)
+
+    def bound(dt, k_start, k_mid, k_end, nl, ws):
+        return reference(steppers[-1].state.t, dt, sf, params, nl,
+                         u0.grid.spacing, ws)
+
     with monkeypatch.context() as mp:
-        mp.setattr(dynamics, "_rk4", step)
+        mp.setattr(dynamics, "Stepper", Stepper)
+        mp.setattr(dynamics, "_rk4", step or bound)
         mp.setattr(dynamics, "is_uniform", lambda u, v: False)
         return run_fields(*args, **kwargs)
 
@@ -677,7 +702,7 @@ def test_uniform_run_matches_stencil_run(problem, data):
         grads = count_calls(mp, dynamics, "grad_sq_array")
         fast = run_fields(*args)
         assert not laps and not grads
-        slow = reference_run(mp, *args, step=cellwise_reference_step)
+        slow = reference_run(mp, *args, reference=cellwise_reference_step)
     assert len(fast.rows) > 1
     assert_same_steps(fast, slow)
     assert_columns_within_sum_bound(fast, slow, params, u0.values.size, nl)
@@ -700,20 +725,19 @@ def test_uniform_run_matches_stencil_run(problem, data):
 # stage 1 from the measurement of the accepted state
 
 
-def lap_stage1_step(t, dt, bg, params, nl, h, ws):
+def lap_stage1_step(dt, k_start, k_mid, k_end, nl, ws):
     """`_rk4` whose every stage loads its input, sweeps it with `lap_slab`
     and evaluates f: u is loaded again, its f(u) evaluated again, and stage
     1 calls `lap_slab` on the load; trial_v is filled with NaN first, so a
     sum left there reaches no result. Stages 2 to 4 are `_rk4`'s."""
     if ws.uniform:
-        return _rk4(t, dt, bg, params, nl, h, ws)
+        return _rk4(dt, k_start, k_mid, k_end, nl, ws)
     ws.stencil.load(ws.u)
     ws.fu = None if nl is None else nl.f(ws.u)
     ws.trial_v.fill(np.nan)
     hm = 0.5 * dt
-    k = bg.coeffs(t, params, h)
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, lap_slab(slab), k, u, v, nl, acc_v, tmp, f_out,
+        _rhs_slab(slab, lap_slab(slab), k_start, u, v, nl, acc_v, tmp, f_out,
                   ws.fu)
         np.multiply(hm, v, out=su)
         np.add(u, su, out=su)
@@ -721,10 +745,9 @@ def lap_stage1_step(t, dt, bg, params, nl, h, ws):
         np.add(v, sv, out=sv)
     for stage, step_next in ((2, hm), (3, dt)):
         ws.stencil.load(ws.su)
-        k = bg.coeffs(t + hm, params, h)
         for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-            _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out,
-                      None)
+            _rhs_slab(slab, lap_slab(slab), k_mid, su, sv, nl, kv, tmp,
+                      f_out, None)
             np.multiply(step_next, sv, out=su)
             np.add(u, su, out=su)
             np.multiply(2.0, sv, out=sv)
@@ -734,10 +757,10 @@ def lap_stage1_step(t, dt, bg, params, nl, h, ws):
             np.multiply(2.0, kv, out=kv)
             np.add(acc_v, kv, out=acc_v)
     ws.stencil.load(ws.su)
-    k = bg.coeffs(t + dt, params, h)
     sixth = dt / 6.0
     for slab, u, v, acc_u, acc_v, su, sv, kv, tmp, f_out in ws.slabs:
-        _rhs_slab(slab, lap_slab(slab), k, su, sv, nl, kv, tmp, f_out, None)
+        _rhs_slab(slab, lap_slab(slab), k_end, su, sv, nl, kv, tmp, f_out,
+                  None)
         np.add(acc_u, sv, out=acc_u)
         np.add(acc_v, kv, out=acc_v)
         np.multiply(sixth, acc_u, out=acc_u)
@@ -927,10 +950,9 @@ def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
     laps = count_calls(monkeypatch, dynamics, "lap_slab")
     rhs = count_calls(monkeypatch, dynamics, "_rhs_slab")
     array_f = [] if nl is None else count_calls(monkeypatch, type(nl), "f")
-    bg = _Background(sf)
     for t, want in zip(times, wants[1:]):
         got = tuple(whole(x, w.x) for x, w in zip(
-            _rk4(t, dt, bg, params, nl, h, ws), want))
+            _rk4(dt, *stage_factors(sf, params, h, t, dt), nl, ws), want))
         if bitwise:
             for x, w in zip(got, want):
                 assert_bitwise(x, w.x)
@@ -1023,12 +1045,10 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     assert np.result_type(ws.u) == np.float64 and wz.uniform == ws.uniform
 
     want = exact(z, zv)
-    bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
-        u_new, v_new = (whole(x, u) for x in _rk4(t, dt, bg, params, nl,
-                                                   h, ws))
-        uz_new, vz_new = (whole(x, z) for x in _rk4(t, dt, bg, params, nl,
-                                                     h, wz))
+        k = stage_factors(sf, params, h, t, dt)
+        u_new, v_new = (whole(x, u) for x in _rk4(dt, *k, nl, ws))
+        uz_new, vz_new = (whole(x, z) for x in _rk4(dt, *k, nl, wz))
         want = ref_rk4_gap(t, *want, dt, sf, params, nl, h)
         assert_bitwise(u_new, real_part(uz_new))
         assert_bitwise(v_new, real_part(vz_new))
@@ -1252,13 +1272,11 @@ def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
         u.shape, u.dtype, rows_seed,
         lambda: RK4Workspace(u.copy(), v.copy(), nl, h))
     want = exact(z, zv)
-    bg = _Background(sf)
     for _ in range(2):  # a step accepted, then the next one
         want = ref_rk4_gap(t, *want, dt, sf, params, nl, h)
-        uz_new, vz_new = (whole(x, z) for x in _rk4(t, dt, bg, params, nl,
-                                                     h, wz))
-        u_new, v_new = (whole(x, u) for x in _rk4(t, dt, bg, params, nl,
-                                                   h, ws))
+        k = stage_factors(sf, params, h, t, dt)
+        uz_new, vz_new = (whole(x, z) for x in _rk4(dt, *k, nl, wz))
+        u_new, v_new = (whole(x, u) for x in _rk4(dt, *k, nl, ws))
         assert_bitwise(u_new, ref(uz_new))
         assert_bitwise(v_new, ref(vz_new))
         assert_step_within((uz_new, vz_new), want)
@@ -1335,11 +1353,12 @@ def test_step_and_row_allocate_less_than_a_state_array(nl, dtype):
     h = grid.spacing
     ws = RK4Workspace(u, v, nl, h)
     assert len(ws.stencil.slabs) > 1
-    bg = _Background(DeSitter(H=0.5, n=3))
+    sf = DeSitter(H=0.5, n=3)
     params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3)
 
     def step_and_row(t):
-        u_new, v_new = _rk4(t, 1e-3, bg, params, nl, h, ws)
+        k = stage_factors(sf, params, h, t, 1e-3)
+        u_new, v_new = _rk4(1e-3, *k, nl, ws)
         norm_integrals(u_new, v_new, grid)
         ws.accept()
         potential_integrals(ws.u, ws.fu, grid, nl)
@@ -1382,11 +1401,11 @@ def test_stage1_reads_measured_sum_bitwise(case, sf, nl, t, m, dt, rows_seed,
                else one_slab(build) for _ in range(2))
     params = PhysicalParams(m=m, c=1.0, eps=1.0, n=u.ndim)
     sf = dataclasses.replace(sf, n=u.ndim)
-    bgs = [_Background(sf), _Background(sf)]
     for tries in (2, 1):  # a step tried, rejected and retried, then the next
+        k = stage_factors(sf, params, h, t, dt)
         for attempt in range(tries):
-            got = [x.copy() for x in _rk4(t, dt, bgs[0], params, nl, h, ws)]
-            want = lap_stage1_step(t, dt, bgs[1], params, nl, h, ref)
+            got = [x.copy() for x in _rk4(dt, *k, nl, ws)]
+            want = lap_stage1_step(dt, *k, nl, ref)
             for x, w in zip(got, want):
                 assert_bitwise(x, w)
             if attempt + 1 < tries:
