@@ -6,15 +6,16 @@ stage time, so homogeneous data reduce the step to the exact scalar RK4 map
 (the stencil Laplacian is +0.0 on constants, bit for bit). A run steps and
 measures one copy of the data (`Start`), in the dtype that `state_arrays`
 picks: float64 for real data, else complex128. The step works in place in
-arrays allocated once per run (`RK4Workspace`), which also measures each
-accepted state once: one sweep gives the Laplacian sum of u, whose
-quadratic form is the gradient (`field`), and f(u) is kept beside it;
-stage 1 of the next step takes both, a recorded row f(u), and a retried
-step the sum computed again. The stepper evaluates the background once at
-each stage time, with dv/dt's factors (`_coeffs`: the stencil's
-1 / (12 h^2) folded into that of lap u), and carries an accepted step's end
-values as the next step's start. A stage, and the measurement's f(u),
-finish one stencil slab at a time, so that their temporaries stay in cache.
+arrays allocated once per run (`RK4Workspace`; `field.placed`), which also
+measures each accepted state once: one sweep gives the Laplacian sum of u,
+whose quadratic form is the gradient (`field`), and f(u) is kept beside
+it; stage 1 of the next step takes both, a recorded row f(u), and a
+retried step the sum computed again. The stepper evaluates the background
+and dv/dt's factors (`_coeffs`: the stencil's 1 / (12 h^2) folded into
+that of lap u) once per stage time: a step starts from the last one's end,
+a retry ends at the rejected midpoint, and a `static` background (H = 0)
+is t0's. A stage, and the measurement's f(u), finish one stencil slab at
+a time, so that their temporaries stay in cache.
 
 A uniform run (every cell of u0 equal to its first, finite cell, and the
 same for u1: `functionals.is_uniform`) steps one scalar state, the
@@ -61,7 +62,8 @@ import numpy as np
 
 from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
                      WrapAroundRisk)
-from .field import Field, Grid, Stencil, grad_sq_array, lap_slab, lap_sum
+from .field import (Field, Grid, Stencil, grad_sq_array, lap_slab, lap_sum,
+                    placed)
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, is_uniform, kappa_for_mode,
                           kappa_tilde_for_mode, norm_integrals,
@@ -139,14 +141,15 @@ class RK4Workspace:
     are Python scalars, the value of every cell (`accept()` swaps the
     pairs); it has no whole array and no stencil, and its gradient is 0.0.
 
-    Otherwise whole arrays: the accepted state `u`, `v`, the trial state
-    `trial_u`, `trial_v`, a stage's input `su`, `sv` (the next stage's
-    Laplacian reads all of su), the `stencil`, and fu, an array of its own
-    that the measurement fills one stencil slab at a time, as the stages
-    evaluate f. Scratch of one slab: dv/dt `kv` and a term `tmp`, which
-    also takes f(u) in float64 (a complex f allocates its slab-sized
-    value). `slabs` holds each stencil slab with its views of (u, v,
-    trial_u, trial_v, su, sv, kv, tmp) and the `out` of f: tmp or None."""
+    Otherwise whole arrays, each at its own `placed` slot: the accepted
+    state `u`, `v`, the trial state `trial_u`, `trial_v`, a stage's input
+    `su`, `sv` (the next stage's Laplacian reads all of su), the `stencil`,
+    and fu, an array of its own that the measurement fills one stencil slab
+    at a time, as the stages evaluate f. Scratch of one slab: dv/dt `kv`
+    and a term `tmp`, which also takes f(u) in float64 (a complex f
+    allocates its slab-sized value). `slabs` holds each stencil slab with
+    its views of (u, v, trial_u, trial_v, su, sv, kv, tmp) and the `out` of
+    f: tmp or None."""
 
     def __init__(self, u, v, nl: Nonlinearity | None, h: float):
         if isinstance(u, np.ndarray) and is_uniform(u, v):
@@ -160,13 +163,13 @@ class RK4Workspace:
             return
         real = u.dtype == np.float64
         self.trial_u, self.trial_v, self.su, self.sv = (
-            np.empty_like(u) for _ in range(4))
+            placed(u.shape, u.dtype, slot) for slot in range(2, 6))
         self.stencil = Stencil(u.shape, u.dtype)
         # the real family's f is float64 on either dtype
-        self.fu = None if nl is None else np.empty(
-            u.shape, np.float64 if nl.real_only else u.dtype)
+        self.fu = None if nl is None else placed(
+            u.shape, np.float64 if nl.real_only else u.dtype, 6)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
-        self.kv, self.tmp = (np.empty(shape, u.dtype) for _ in range(2))
+        self.kv, self.tmp = (placed(shape, u.dtype, slot) for slot in (7, 8))
         self.slabs = []
         for slab in self.stencil.slabs:
             kv, tmp = (x[:slab.rows.stop - slab.rows.start]
@@ -335,11 +338,12 @@ class Stepper:
     """Adaptive RK4 from a `StepState`, stepping in ws (the `RK4Workspace`
     of its u and v) and keeping the state current: a stepper built from
     `checkpoint()` and a workspace of its arrays takes the same steps bit
-    for bit. `bg` is the background (a, adot, addot) at the state's time.
-    `steps()` yields (t, dt, L, motion, bg) of each accepted step until
-    t_end or `blowup`: the new time, its length, ||u||^2, the motion
-    integrals (||u_t||^2, Re(u, u_t), ||grad u||^2) and the new bg, after
-    the step's guards, so that `done` tells if it is the last."""
+    for bit. `bg` is the background (a, adot, addot) at the state's time:
+    t0's throughout, with dv/dt's factors, if `sf.static`. `steps()` yields
+    (t, dt, L, motion, bg) of each accepted step until t_end or `blowup`:
+    the new time, its length, ||u||^2, the motion integrals (||u_t||^2,
+    Re(u, u_t), ||grad u||^2) and the new bg, after the step's guards, so
+    that `done` tells if it is the last."""
 
     def __init__(self, state: StepState, ws: RK4Workspace, sf: ScaleFactor,
                  params: PhysicalParams, nl: Nonlinearity | None, grid: Grid,
@@ -392,22 +396,25 @@ class Stepper:
         params, c, cfl_h = self.params, self.params.c, self._cfl_h
         h, cv = grid.spacing, grid.cell_volume
         cfg, t_end, dt_min = self.cfg, self.cfg.t_end, self.cfg.dt_min
-        growth = 1.0 + cfg.growth_tol
-        L_max = cfg.blowup_threshold * st.L0
+        growth, L_max = 1.0 + cfg.growth_tol, cfg.blowup_threshold * st.L0
+        fixed = (self.bg, self._k) if sf.static else None  # t0's, for every t
+        retry = None  # a rejected attempt's midpoint, the retry's end
         while not self.done:
             t = st.t
             dt = min(st.dt, t_end - t)
-            end = sf.eval(t + dt)
+            end, k_end = retry or fixed or (sf.eval(t + dt), None)
+            retry = None
             window = cfl_h * min(self.bg[0], end[0]) / c
             if window < min(dt, dt_min):  # try the floor step's window
                 dt = min(dt, dt_min)
-                end = sf.eval(t + dt)
+                end, k_end = sf.eval(t + dt), None
                 window = self._window(self.bg, end, t, dt)
             if window < dt:
                 dt = window
-                end = sf.eval(t + dt)
-            k_end = _coeffs(end, params, h)
-            k_mid = _coeffs(sf.eval(t + 0.5 * dt), params, h)
+                end, k_end = fixed or (sf.eval(t + dt), None)
+            k_end = k_end or _coeffs(end, params, h)
+            mid = fixed[0] if fixed else sf.eval(t + 0.5 * dt)
+            k_mid = fixed[1] if fixed else _coeffs(mid, params, h)
             u_new, v_new = _rk4(dt, self._k, k_mid, k_end, nl, ws)
             L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, grid)
             if not math.isfinite(L):
@@ -421,6 +428,7 @@ class Stepper:
                 st.accept_streak = 0
                 self.rejected += 1
                 ws.reject()
+                retry = mid, k_mid  # t + dt/2, the retry's t + dt
                 continue
             st.t = t = t + dt
             ws.accept()

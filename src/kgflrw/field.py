@@ -148,6 +148,17 @@ class Slab(NamedTuple):
     inner: np.ndarray
 
 
+def placed(shape: tuple[int, ...], dtype, slot: int) -> np.ndarray:
+    """An empty array whose data start 64 * slot bytes past a 4 KiB
+    boundary. A run's arrays take distinct slots (u, v: 0-1; RK4 workspace:
+    2-8; stencil: 9-13), so no two operands of a ufunc alias mod 4 KiB
+    (where a load falsely waits on a store) wherever the heap puts them."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 4096, np.uint8)
+    skip = (64 * slot - raw.ctypes.data) % 4096
+    return raw[skip:skip + nbytes].view(dtype).reshape(shape)
+
+
 class Stencil:
     """Scratch of the stencil for one array shape and dtype: the padded
     buffer and its slabs, reused by every call that is given it."""
@@ -156,14 +167,15 @@ class Stencil:
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         padded = tuple(s + 4 for s in self.shape)
-        pad = np.empty(padded, dtype=self.dtype)
+        pad = placed(padded, self.dtype, 9)
         inner, halos = _stencil_slices(self.shape)
         self._inner = pad[inner]
         self._halos = tuple((pad[dst], pad[src]) for dst, src in halos)
         flat, n0 = pad.reshape(-1), self.shape[0]
         steps = [math.prod(padded[ax + 1:]) for ax in range(len(padded))]
         size = min(n0, max(1, SLAB_BYTES // (steps[0] * self.dtype.itemsize)))
-        work = [np.empty(size * steps[0], self.dtype) for _ in range(4)]
+        work = [placed((size * steps[0],), self.dtype, slot)
+                for slot in range(10, 14)]
         keep = (slice(None),) + (slice(2, -2),) * (len(padded) - 1)
         self.slabs = []
         for i in range(0, n0, size):

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .field import Field, Grid, dot_re, grad_sq_array
+from .field import Field, Grid, dot_re, grad_sq_array, placed
 from .nonlinearity import Nonlinearity
 
 
@@ -212,12 +212,15 @@ def is_uniform(u: np.ndarray, v: np.ndarray) -> bool:
 
 
 def state_arrays(u: Field, v: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the state's arrays in the one dtype it is stepped and
-    measured in: float64 when both have an all-zero imaginary part (every
-    coupling maps reals to reals), else complex128."""
-    if not (u.values.imag.any() or v.values.imag.any()):
-        return u.values.real.copy(), v.values.real.copy()
-    return u.values.copy(), v.values.copy()
+    """Copies of the state's arrays, at `placed` slots 0 and 1, in the one
+    dtype it is stepped and measured in: float64 when both have an all-zero
+    imaginary part (every coupling maps reals to reals), else complex128."""
+    real = not (u.values.imag.any() or v.values.imag.any())
+    pair = [f.values.real if real else f.values for f in (u, v)]
+    out = tuple(placed(x.shape, x.dtype, slot) for slot, x in enumerate(pair))
+    for dst, x in zip(out, pair):
+        dst[...] = x
+    return out
 
 
 def state_grid(u: Field, v: Field) -> Grid:

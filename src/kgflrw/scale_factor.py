@@ -7,7 +7,8 @@ equation-of-state-like exponent sigma:
              sigma = -1 limit is de Sitter, a(t) = a0 * exp(H t)
 * tabulated  monotone cubic interpolation of (t, a, adot, addot) knots
 
-The power-law family covers static (H=0), decelerating, accelerating
+The power-law family covers static (H=0: Minkowski, one (a, adot, addot)
+at every t, which a run evaluates once), decelerating, accelerating
 (de Sitter included) and contracting universes, including finite-time "Big
 Rip" divergences for sigma < -1 with H > 0. The horizon T0 is the end of the
 classical domain: +inf when (1+sigma)H >= 0, else the root of
@@ -87,6 +88,11 @@ class PowerLaw:
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
 
+    @property
+    def static(self) -> bool:
+        """H = 0 (or -0.0): eval(t) is eval(0.0) at every finite t >= 0."""
+        return self.H == 0.0
+
     def horizon(self) -> float:
         if (1.0 + self.sigma) * self.H >= 0.0:
             return math.inf
@@ -142,6 +148,7 @@ class Tabulated:
     averaged adot knots and rejects tables whose stated derivative is
     grossly wrong.
     """
+    static = False  # see PowerLaw.static
 
     def __init__(self, t, a, adot, addot, n: int = 1):
         from scipy.interpolate import PchipInterpolator

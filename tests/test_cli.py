@@ -912,6 +912,25 @@ def test_sweep_frontier(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_sweep_jobs_write_the_same_files(tmp_path, capsys):
+    """A sweep writes the same frontier.csv and per-point trace.csv files,
+    byte for byte, in one process (--jobs 1) and in a pool of two: the
+    anchor cut to run.t_end = 0.05 at two amplitudes."""
+    cfg = write_cfg(tmp_path, bundled_scenario_text(
+        "minkowski-m0-u2-A3").replace("run.t_end = 1.75", "run.t_end = 0.05"))
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep-{jobs}"
+        assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=2.0:3.0:2",
+                           "--jobs", jobs, "--out", str(out)]) == 0
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in out.rglob("*.csv")})
+    capsys.readouterr()
+    assert set(written[0]) == {"frontier.csv", "amplitude2/trace.csv",
+                               "amplitude3/trace.csv"}
+    assert written[0] == written[1]
+
+
 def test_sweep_points_that_round_alike_get_own_directories(tmp_path,
                                                             capsys):
     """Three amplitudes within 1e-6 of 3 each write to their own directory,

@@ -38,7 +38,9 @@ from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
 from kgflrw.field import dot_re, lap_array
 from kgflrw.functionals import state_arrays
 from kgflrw.nonlinearity import Nonlinearity
+from kgflrw.cli import main_entry
 from kgflrw.scale_factor import ScaleFactor
+from test_integrals import vehicle_text
 from test_kernels import stage_factors
 
 TSTAR = 1.7173153422544112
@@ -576,30 +578,107 @@ def test_checkpoint_resumes_the_run_bit_for_bit(case):
 
 
 def test_background_computes_each_time_once(monkeypatch):
-    """On the anchor, whose CFL window never clamps a step, the scale
-    factor's eval and dv/dt's factors each run once at t0 and then once at
-    each attempted step's midpoint and end: 1 + 2 x attempted calls, a
-    retried step's included. The stepper carries an accepted step's end
-    values as the next start, and yields the background that it holds."""
-    scn = parse_text(bundled_scenario_text("minkowski-m0-u2-A3"))
-    u0, u1 = scn.build_fields()
-    L0 = dot_re(u0.values, u0.values) * scn.grid.cell_volume
-    evals, factors = [], []
+    """The scale factor's eval and dv/dt's factors each run once per time
+    that the stepper needs. The anchor's flat background is static, so
+    they run once, at t0, and every attempted step reuses t0's values and
+    factors, a retried step's included. On desitter-thm2 (H = 0.5), whose
+    CFL window never clamps a step either, they run at t0 and at each
+    attempted step's midpoint and end, but a retry ends at t + dt/2, the
+    same float as the rejected attempt's midpoint, and takes that
+    attempt's values and factors: 1 + 2 x attempted - rejected calls. The
+    stepper carries an accepted step's end values as the next start, and
+    yields the background that it holds."""
     sf_eval, coeffs = PowerLaw.eval, dynamics._coeffs
-    monkeypatch.setattr(PowerLaw, "eval",
-                        lambda sf, t: evals.append(t) or sf_eval(sf, t))
-    monkeypatch.setattr(dynamics, "_coeffs",
-                        lambda *a: factors.append(a) or coeffs(*a))
-    u, v = state_arrays(u0, u1)
-    stepper = Stepper(StepState(scn.run.t0, u, v, scn.run.dt, L0, L0, 0, ()),
-                      RK4Workspace(u, v, scn.nl, scn.grid.spacing), scn.sf,
-                      scn.params, scn.nl, scn.grid, scn.run)
-    assert (evals, len(factors)) == ([scn.run.t0], 1)
-    for t, *_, bg in stepper.steps():
-        assert bg is stepper.bg and bg == sf_eval(scn.sf, t)
-    attempted = stepper.accepted + stepper.rejected
-    assert stepper.blowup.reason == "norm_threshold" and stepper.rejected > 0
-    assert len(evals) == len(factors) == 1 + 2 * attempted
+    for name, static in (("minkowski-m0-u2-A3", True),
+                         ("desitter-thm2", False)):
+        scn = parse_text(bundled_scenario_text(name))
+        assert scn.sf.static is static
+        u0, u1 = scn.build_fields()
+        L0 = dot_re(u0.values, u0.values) * scn.grid.cell_volume
+        evals, factors = [], []
+        with monkeypatch.context() as m:
+            m.setattr(PowerLaw, "eval",
+                      lambda sf, t: evals.append(t) or sf_eval(sf, t))
+            m.setattr(dynamics, "_coeffs",
+                      lambda *a: factors.append(a) or coeffs(*a))
+            u, v = state_arrays(u0, u1)
+            stepper = Stepper(
+                StepState(scn.run.t0, u, v, scn.run.dt, L0, L0, 0, ()),
+                RK4Workspace(u, v, scn.nl, scn.grid.spacing), scn.sf,
+                scn.params, scn.nl, scn.grid, scn.run)
+            assert (evals, len(factors)) == ([scn.run.t0], 1)
+            for t, *_, bg in stepper.steps():
+                assert bg is stepper.bg and bg == sf_eval(scn.sf, t)
+        attempted = stepper.accepted + stepper.rejected
+        assert stepper.blowup.reason == "norm_threshold"
+        assert stepper.rejected > 0
+        calls = 1 if static else 1 + 2 * attempted - stepper.rejected
+        assert len(evals) == len(factors) == calls
+
+
+def static_cases():
+    """Configs of runs on a static background: the flat PowerLaw at
+    H = 0.0 and -0.0, sigma 0 and 0.5; de Sitter at H = 0; the anchor at
+    run.dt = 0.05, where the CFL window clamps every step; and the
+    localized vehicle cut to t_end = 0.3, which runs the stencil."""
+    anchor = bundled_scenario_text("minkowski-m0-u2-A3")
+    cases = [pytest.param(anchor.replace("scale.H = 0.0", f"scale.H = {H}")
+                          .replace("scale.sigma = 0.0", f"scale.sigma = {s}"),
+                          id=f"flat-H{H}-sigma{s}")
+             for H in ("0.0", "-0.0") for s in ("0.0", "0.5")]
+    return cases + [
+        pytest.param(bundled_scenario_text("desitter-thm2").replace(
+            "scale.H = 0.5", "scale.H = 0.0"), id="desitter-H0"),
+        pytest.param(anchor.replace("run.dt = 1e-3", "run.dt = 0.05"),
+                     id="anchor-dt0.05"),
+        pytest.param(vehicle_text().replace("run.t_end = 1.1",
+                                            "run.t_end = 0.3"),
+                     id="vehicle-0.3")]
+
+
+@pytest.mark.parametrize("text", static_cases())
+def test_static_background_matches_the_evaluating_path(tmp_path, capsys,
+                                                       monkeypatch, text):
+    """A static background's steps reuse t0's background and dv/dt's
+    factors; with `static` patched to False the stepper evaluates both at
+    every stage time, and simulate writes the same trace.csv and
+    report.txt, byte for byte, with the same stdout and exit code."""
+    assert parse_text(text).sf.static
+    cfg = tmp_path / "scn.cfg"
+    cfg.write_text(text)
+
+    def simulate(out):
+        rc = main_entry(["simulate", str(cfg), "--out", str(out)])
+        return (rc, capsys.readouterr().out,
+                *((out / f).read_bytes() for f in ("trace.csv",
+                                                   "report.txt")))
+
+    fast = simulate(tmp_path / "static")
+    monkeypatch.setattr(PowerLaw, "static", False)
+    assert not parse_text(text).sf.static
+    slow = simulate(tmp_path / "evaluated")
+    assert fast == slow and fast[2].count(b"\n") > 2
+
+
+def test_run_arrays_sit_at_distinct_offsets_mod_4k():
+    """A non-uniform run's whole arrays (the state, the trial state, the
+    stage input and f(u)), its slab scratch, and its stencil's padded
+    buffer and work bands each start at their own 64-byte slot past a 4 KiB
+    boundary, in float64 and complex128, so that no two operands of one
+    ufunc alias mod 4 KiB, wherever the heap puts them."""
+    text = bundled_scenario_text("desitter-smooth")
+    for amplitude in ("0.5", "0.5+0.5j"):
+        scn = parse_text(text.replace("data0.amplitude = 0.5",
+                                      f"data0.amplitude = {amplitude}"))
+        ws = Start(*scn.build_fields(), scn.nl).ws
+        st = ws.stencil
+        pad = st._inner.ctypes.data - 2 * sum(st._inner.strides)
+        addresses = [x.ctypes.data for x in (
+            ws.u, ws.v, ws.trial_u, ws.trial_v, ws.su, ws.sv, ws.fu, ws.kv,
+            ws.tmp)] + [pad] + [w.ctypes.data for w in st.slabs[0].work]
+        offsets = [a % 4096 for a in addresses]
+        assert offsets == [64 * slot for slot in range(14)]
+        assert len(set(offsets)) == len(offsets)
 
 
 def test_window_clamps_every_step(monkeypatch):

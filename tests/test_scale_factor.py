@@ -197,6 +197,7 @@ def test_tabulated_matches_source():
     with pytest.raises(TimeBeyondHorizon):
         tab.eval(2.0 + 1e-6)
     assert check_monotone_expansion(tab, 0.0, 1.9)
+    assert not tab.static  # no table is static
 
 
 def test_tabulated_needs_enough_knots():
@@ -314,6 +315,21 @@ def test_float_eval_matches_numpy_scalar_eval_bitwise(sigma, H, n, a0, frac,
     assert want not in (OverflowError, ZeroDivisionError, ValueError)
     assert eval_outcome(sf.eval, t) == want
     assert eval_outcome(sf.eval, np.float64(t)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(-1.0), st.sampled_from([-0.9999999999999999, -1.5]),
+                 st.floats(-3.0, 3.0)),
+       st.sampled_from([0.0, -0.0]), st.integers(1, 3), st.floats(0.1, 10.0),
+       st.one_of(st.floats(0.0, allow_infinity=False),
+                 st.sampled_from([-0.0, 5e-324, 1e-300, 1.7976931348623157e308])))
+def test_static_eval_is_the_t0_eval_bitwise(sigma, H, n, a0, t):
+    """A static PowerLaw (H = 0 or -0.0, de Sitter included) gives at every
+    finite t >= 0 the bits that it gives at t = 0, so a run that reuses its
+    t0 values steps as one that evaluates it."""
+    sf = PowerLaw(sigma, H, a0, n)
+    assert sf.static and sf.horizon() == math.inf
+    assert eval_outcome(sf.eval, t) == eval_outcome(sf.eval, 0.0)
 
 
 def test_float_eval_overflow_is_inf():
