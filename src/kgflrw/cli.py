@@ -16,11 +16,15 @@ and its one stderr line, and a sweep row's status is the ending's name.
 All emitted text is deterministic for a given config and seed: floats are
 serialized with 17 significant digits by `_fmt`, CSV text comes from `_csv`
 and rows end with a bare newline, so repeated invocations are byte-identical.
+
+The argument parser is built once per process, on the first `main_entry`
+call and not at import, and holds no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -386,6 +390,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kgflrw",

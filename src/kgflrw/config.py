@@ -17,6 +17,7 @@ InvariantViolation naming config.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,7 +152,7 @@ def _convert(key: str, raw: str, lineno: int):
     except ValueError:
         raise ParseError(f"cannot parse value {raw!r} for {key}",
                          line=lineno) from None
-    if not np.all(np.isfinite([np.real(val), np.imag(val)])):
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise ParseError(f"non-finite value for {key}", line=lineno)
     return val
 

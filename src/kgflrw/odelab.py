@@ -133,20 +133,21 @@ def random_admissible_problems(count: int,
 
     T sits (1 + _SLACK) above the admissibility window and B is inflated so the
     y0 floor holds with the same slack; every returned problem passes
-    construction-time validation.
+    construction-time validation. The generator makes one (count, 6) draw:
+    the stream of six `uniform(lo, hi)` calls per problem, as numpy's
+    `uniform(lo, hi)` is lo + (hi - lo) * the next double.
     """
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(count):
-        kappa = rng.uniform(0.1, 2.0)
-        A = rng.uniform(0.5, 20.0)
-        y0 = rng.uniform(0.5, 3.0)
-        y1 = -rng.uniform(0.0, 2.0)
-        t0 = rng.uniform(0.0, 1.0)
+    for k, a, y, s, t0, b in rng.random((count, 6)).tolist():
+        kappa = 0.1 + (2.0 - 0.1) * k
+        A = 0.5 + (20.0 - 0.5) * a
+        y0 = 0.5 + (3.0 - 0.5) * y
+        y1 = -2.0 * s  # uniform(0, 2), negated; t0 is uniform(0, 1)
         lead = (1.0 + _SLACK) * math.pi ** 2 * (2.0 * kappa + 1.0) / (
             8.0 * kappa ** 2 * A)
         b_floor = math.sqrt(y0 ** (-1.0 / kappa) / lead)
-        B = b_floor * (1.0 + _SLACK) * rng.uniform(1.0, 2.0)
+        B = b_floor * (1.0 + _SLACK) * (1.0 + b)
         T = t0 + lead * B
         out.append(ConcavityProblem(kappa=kappa, A=A, B=B, T=T,
                                     y0=y0, y1=y1, t0=t0))

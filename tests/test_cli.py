@@ -931,6 +931,60 @@ def test_sweep_jobs_write_the_same_files(tmp_path, capsys):
     assert written[0] == written[1]
 
 
+def test_main_entry_can_be_reentered(tmp_path, capsys, monkeypatch):
+    """One process runs check, simulate, oracle-ode and a one-job sweep on
+    the anchor cut to run.t_end = 0.05, with a bad argv (exit 2, usage on
+    stderr) and --help (exit 0) between them: twice on the parser the first
+    main_entry built, then on a parser built fresh for each call. Stdout,
+    stderr, exit codes and written files are the same in every round."""
+    cfg = write_cfg(tmp_path, bundled_scenario_text(
+        "minkowski-m0-u2-A3").replace("run.t_end = 1.75", "run.t_end = 0.05"))
+
+    def one_round(out):
+        seen = []
+        for argv in (["check", cfg],
+                     ["simulate", cfg, "--out", str(out / "sim")],
+                     ["check"],
+                     ["oracle-ode", cfg, "--random", "3"],
+                     ["--help"],
+                     ["sweep", cfg, "--axis", "data0.amplitude=2.0:3.0:2",
+                      "--jobs", "1", "--out", str(out / "sweep")]):
+            try:
+                rc = main_entry(argv)
+            except SystemExit as exc:
+                rc = f"SystemExit({exc.code})"
+            seen.append((rc, *capsys.readouterr()))
+        return seen, {p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()}
+
+    first = one_round(tmp_path / "round1")
+    parser = cli._build_parser()
+    assert one_round(tmp_path / "round2") == first
+    assert cli._build_parser() is parser
+    fresh = cli._build_parser.__wrapped__
+    monkeypatch.setattr(cli, "_build_parser", lambda: fresh())
+    assert one_round(tmp_path / "round3") == first
+    calls, files = first
+    assert [rc for rc, _, _ in calls] == [0, 0, "SystemExit(2)", 0,
+                                          "SystemExit(0)", 0]
+    assert calls[2][2].startswith("usage: kgflrw check")
+    assert calls[4][1].startswith("usage: kgflrw")
+    assert set(files) == {"sim/trace.csv", "sim/report.txt",
+                          "sweep/frontier.csv", "sweep/amplitude2/trace.csv",
+                          "sweep/amplitude2/report.txt",
+                          "sweep/amplitude3/trace.csv",
+                          "sweep/amplitude3/report.txt"}
+
+
+def test_import_builds_no_parser():
+    """The parser is built by the first main_entry, not by the import."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import kgflrw.cli as cli; "
+         "print(cli._build_parser.cache_info().currsize)"],
+        env=_src_env(), capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
 def test_sweep_points_that_round_alike_get_own_directories(tmp_path,
                                                             capsys):
     """Three amplitudes within 1e-6 of 3 each write to their own directory,

@@ -8,6 +8,7 @@ import pytest
 from kgflrw import (GaugeInvariantPower, PowerLaw, RealAbsPower, RunConfig,
                     Tabulated, bundled_scenario_names, bundled_scenario_text,
                     load_bundled_scenario, parse_config, parse_text)
+from kgflrw import config
 from kgflrw.errors import InvariantViolation, ParseError, UnknownKey
 
 MINIMAL = """
@@ -269,3 +270,66 @@ def test_bad_run_window():
     # 1.0 + growth_tol == 1.0 would reject every growing step
     with pytest.raises(InvariantViolation, match="1.0 \\+ growth_tol > 1.0"):
         parse_text(MINIMAL + "run.growth_tol = 5e-324\n")
+
+
+def numpy_convert(key: str, raw: str, lineno: int):
+    """`config._convert` with its earlier numpy finiteness check, the oracle
+    of the `math.isfinite` check."""
+    typ = config._KEYS[key]
+    try:
+        if typ == config._INT:
+            return int(raw, 10)
+        if typ == config._FLOAT:
+            val = float(raw)
+        elif typ == config._COMPLEX:
+            try:
+                val = float(raw)
+            except ValueError:
+                val = complex(raw.replace(" ", ""))
+        else:
+            return raw
+    except ValueError:
+        raise ParseError(f"cannot parse value {raw!r} for {key}",
+                         line=lineno) from None
+    if not np.all(np.isfinite([np.real(val), np.imag(val)])):
+        raise ParseError(f"non-finite value for {key}", line=lineno)
+    return val
+
+
+NUMERIC_KEYS = [key for key, typ in config._KEYS.items()
+                if typ in (config._FLOAT, config._COMPLEX)]
+EDGE_VALUES = ["nan", "inf", "-inf", "1e309", "-1e309", "-0.0", "5e-324",
+               "1.7976931348623157e308", "inf+0j", "1+nanj", "0-infj",
+               "-0.0-0.0j", "1+2j", "3"]
+
+
+def _outcome(convert, key: str, raw: str):
+    """('accept', type, repr) or ('reject', message, line) of one value;
+    repr tells the signs of zeros apart."""
+    try:
+        val = convert(key, raw, 7)
+    except ParseError as exc:
+        return "reject", str(exc), exc.line
+    return "accept", type(val), repr(val)
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_finiteness_check_matches_the_numpy_check(key, monkeypatch):
+    """Every float and complex key accepts and rejects each edge value as
+    the numpy check did, with the same value or ParseError message and
+    line, also through the line parser."""
+    for raw in EDGE_VALUES:
+        assert (_outcome(config._convert, key, raw)
+                == _outcome(numpy_convert, key, raw)), raw
+    text = "# an edge value on line 3\n\n" + key + " = {}\n"
+
+    def parsed(raw):
+        try:
+            return repr(dict(config._parse_entries(text.format(raw))))
+        except ParseError as exc:
+            return str(exc), exc.line
+
+    got = [parsed(raw) for raw in EDGE_VALUES]
+    assert (f"line 3: non-finite value for {key}", 3) in got
+    monkeypatch.setattr(config, "_convert", numpy_convert)
+    assert [parsed(raw) for raw in EDGE_VALUES] == got

@@ -27,7 +27,9 @@ from scipy.integrate import quad, solve_ivp
 from kgflrw import (ConcavityProblem, concavity_problem, evaluate,
                     load_bundled_scenario, measure,
                     random_admissible_problems, solve_concavity, tstar_bound)
+from kgflrw.cli import ORACLE_COLUMNS, _csv, main_entry
 from kgflrw.errors import NoVanishBeforeT
+from kgflrw.odelab import _SLACK
 
 VANISH_REST = 1.2143253239437908  # int_0^1 dy / sqrt(1 - y^6) = B(1/6, 1/2)/6
 _RTOL = 1e-12  # dop853_vanish: DOP853 tolerance, atol relative to y0
@@ -168,6 +170,51 @@ def test_random_problems_chain():
         t_v = solve_concavity(prob)
         assert t_v <= bound * (1.0 + 1e-8)
         assert t_v > prob.t0
+
+
+def per_draw_problems(count, seed):
+    """The random problems drawn one `uniform(lo, hi)` call at a time: the
+    oracle of `random_admissible_problems`' single (count, 6) draw."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        kappa = rng.uniform(0.1, 2.0)
+        A = rng.uniform(0.5, 20.0)
+        y0 = rng.uniform(0.5, 3.0)
+        y1 = -rng.uniform(0.0, 2.0)
+        t0 = rng.uniform(0.0, 1.0)
+        lead = (1.0 + _SLACK) * math.pi ** 2 * (2.0 * kappa + 1.0) / (
+            8.0 * kappa ** 2 * A)
+        b_floor = math.sqrt(y0 ** (-1.0 / kappa) / lead)
+        B = b_floor * (1.0 + _SLACK) * rng.uniform(1.0, 2.0)
+        T = t0 + lead * B
+        out.append(ConcavityProblem(kappa=kappa, A=A, B=B, T=T,
+                                    y0=y0, y1=y1, t0=t0))
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 120])
+def test_one_draw_problems_match_the_per_draw_stream(count):
+    """Every field of every problem, as float.hex, over seeds 0-50."""
+    for seed in range(51):
+        got = random_admissible_problems(count, seed=seed)
+        want = per_draw_problems(count, seed)
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            for field in dataclasses.fields(ConcavityProblem):
+                a, b = getattr(g, field.name), getattr(w, field.name)
+                assert type(a) is type(b) is float
+                assert a.hex() == b.hex(), (seed, field.name)
+
+
+def test_oracle_random_csv_is_that_of_the_per_draw_stream(capsys):
+    """`oracle-ode --random 120 --seed 7` prints the CSV of the per-draw
+    problems byte for byte."""
+    assert main_entry(["oracle-ode", "--random", "120", "--seed", "7"]) == 0
+    want = _csv(ORACLE_COLUMNS,
+                [(p.kappa, p.A, p.B, p.T, p.y0, p.y1, solve_concavity(p),
+                  tstar_bound(p)) for p in per_draw_problems(120, 7)])
+    assert capsys.readouterr().out == want
 
 
 def test_problem_validation():
