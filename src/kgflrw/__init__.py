@@ -10,7 +10,7 @@ from .dynamics import (BlowupInfo, RunConfig, Start, Trace, estimate_t_star,
                        run)
 from .field import Field, Grid, make_profile, support_radius
 from .functionals import (CSV_COLUMNS, Integrals, PhysicalParams,
-                          kappa_for_mode, measure)
+                          kappa_for_mode)
 from .hypotheses import (HypothesisReport, TheoremCheck, check_corollaries,
                          check_theorem1, check_theorem2, classify_table1,
                          concavity_problem, evaluate, theorem1_bound,

@@ -38,7 +38,7 @@ from .dynamics import Start, Trace, run, wrap_margin
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
                      WrapAroundRisk)
-from .functionals import CSV_COLUMNS, Integrals, measure, snapshot_csv_values
+from .functionals import CSV_COLUMNS, Integrals, snapshot_csv_values
 from .hypotheses import HypothesisReport, concavity_problem, evaluate
 from .odelab import random_admissible_problems, solve_concavity, tstar_bound
 
@@ -155,11 +155,11 @@ def _evaluate_scenario(scn: Scenario, m0: Integrals) -> HypothesisReport:
 
 
 def _check_scenario(scn: Scenario) -> HypothesisReport:
-    """The certificate of scn from one measurement of its data, behind the
-    wrap guard of its run: WrapAroundRisk if the data's support already
-    fills the box, as `simulate` raises it."""
+    """The certificate of scn from the t0 measurement of its run's `Start`,
+    behind the wrap guard of its run: WrapAroundRisk if the data's support
+    already fills the box, as `simulate` raises it."""
     wrap_margin(scn.grid, scn.wrap_support_radius())
-    return _evaluate_scenario(scn, measure(*scn.build_fields(), scn.nl))
+    return _evaluate_scenario(scn, Start(*scn.build_fields(), scn.nl).rec)
 
 
 def _simulate(scn: Scenario, out_dir: str) -> tuple:

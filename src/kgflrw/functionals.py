@@ -19,17 +19,17 @@ The structure inequality splits E against I:
 with equality exactly when the structure inequality is pointwise tight.
 
 E, I and the margins below are arithmetic on six spatial integrals of a
-state, measured once per state into `Integrals` by `measure`: ||u||^2,
-||u_t||^2, Re(u, u_t), ||grad u||^2, int F(u) and Re int f(u) conj(u). Each
-but int F is a plain cell sum times the cell volume, which on a smooth
-periodic integrand converges faster than any power of h. ||grad u||^2 is
--Re(u, lap u) with the stencil Laplacian that a run steps with (`field`),
-so the integration by parts holds on the grid. int F is the last over
-p+1, as F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`). The state is
-measured in one dtype, the one `state_arrays` picks for `measure` and for a
-run: float64 for real data, else complex128; each sum is taken in that
-dtype. `measure` and a run alike measure uniform data (`is_uniform`) as
-one cell, the Python scalars u and v, times the box volume
+state, measured once per state into `Integrals` (at t0 by `dynamics.Start`,
+then by the run's workspace): ||u||^2, ||u_t||^2, Re(u, u_t),
+||grad u||^2, int F(u) and Re int f(u) conj(u). Each but int F is a plain
+cell sum times the cell volume, which on a smooth periodic integrand
+converges faster than any power of h. ||grad u||^2 is -Re(u, lap u) with
+the stencil Laplacian that a run steps with (`field`), so the integration
+by parts holds on the grid. int F is the last over p+1, as
+F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`). The state is measured in
+one dtype, the one `state_arrays` picks: float64 for real data, else
+complex128; each sum is taken in that dtype. Uniform data (`is_uniform`)
+are measured as one cell, the Python scalars u and v, times the box volume
 V = cell volume * N^n (`Grid.volume`), as each cell sum of such a state is
 N^n times that cell's term (`norm_integrals`, `potential_integrals`):
 ||u||^2 = |u|^2 V, ||u_t||^2 = |v|^2 V, Re(u, u_t) = Re(conj(v) u) V, each
@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatch
-from .field import Field, Grid, dot_re, grad_sq_array, placed
+from .field import Field, Grid, dot_re, placed
 from .nonlinearity import Nonlinearity
 
 
@@ -184,24 +184,6 @@ def potential_integrals(u, fu, grid: Grid, nl: Nonlinearity | None
     else:
         re_fu = _cell_dot(u, fu) * grid.volume
     return re_fu / (nl.p + 1.0), re_fu
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def measure(u: Field, v: Field, nl: Nonlinearity | None) -> Integrals:
-    """The six integrals of the state (u, u_t = v) as a run measures them,
-    in the dtype that `state_arrays` picks (uniform data as one cell), with
-    numpy's overflow warnings off. Raises GridMismatch if u and v differ in
-    grid."""
-    grid = state_grid(u, v)
-    u, v = state_arrays(u, v)
-    if is_uniform(u, v):
-        u, v, grad = u.item(0), v.item(0), 0.0
-        fu = None if nl is None else nl.f_scalar(u)
-    else:
-        grad = grad_sq_array(u, grid.spacing)
-        fu = None if nl is None else nl.f(u)
-    return Integrals(*norm_integrals(u, v, grid), grad * grid.cell_volume,
-                     *potential_integrals(u, fu, grid, nl))
 
 
 def is_uniform(u: np.ndarray, v: np.ndarray) -> bool:

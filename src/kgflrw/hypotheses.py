@@ -255,7 +255,7 @@ class HypothesisReport:
 def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
              params: PhysicalParams, mode: str = "auto") -> HypothesisReport:
     """Run both certificate checks on the data's integrals m0 at t0
-    (`measure`, or `dynamics.Start.rec`), classify them, resolve the mode.
+    (`dynamics.Start.rec`), classify them, resolve the mode.
 
     mode "auto" prefers the norm-margin certificate; "thm1"/"thm2" pin one.
     Raises InvariantViolation when an integral of the data is not finite,

@@ -17,10 +17,8 @@ import kgflrw
 from kgflrw.cli import main_entry
 from kgflrw.errors import TimeBeyondHorizon
 from kgflrw.functionals import kappa_tilde_for_mode
+from oracles import TSTAR
 
-# blow-up time of u'' = u^2, u(0) = 3, u'(0) = 0:
-# (1/sqrt(2)) * int_1^inf ds / sqrt(s^3 - 1) (frozen quadrature value)
-TSTAR_ANCHOR = 1.7173153422544112
 T1_ANCHOR = math.pi ** 2
 T2_DESITTER = 360.0 * math.pi ** 2 / 109.0
 T2_FLAT = 240.0 * math.pi ** 2 / 109.0
@@ -84,7 +82,7 @@ def test_criterion_1_homogeneous_oracle_equivalence(theorem_runs):
 
     times = np.array([r.t for r in trace.rows])
     norms = np.sqrt([r.L for r in trace.rows])
-    cut = times <= 0.99 * TSTAR_ANCHOR
+    cut = times <= 0.99 * TSTAR
     assert np.count_nonzero(cut) >= 30
 
     # independent scalar reference: u'' = u^2 from (3, 0), evaluated at the
@@ -246,8 +244,8 @@ def test_criterion_6_small_data_negative(tmp_path):
     def rho_of(amp):
         scn = kgflrw.parse_text(CROSSING_CFG.format(amp=amp), name="cross")
         u0, u1 = scn.build_fields()
-        return kgflrw.measure(u0, u1, scn.nl).rho(scn.sf.eval(0.0)[0],
-                                                  scn.params)
+        return kgflrw.Start(u0, u1, scn.nl).rec.rho(scn.sf.eval(0.0)[0],
+                                                    scn.params)
 
     for amp in (0.25, 0.5, 0.75, 0.999):
         val = rho_of(amp)

@@ -27,6 +27,7 @@ from kgflrw.errors import ParseError
 from kgflrw.functionals import (CSV_COLUMNS, FunctionalSnapshot,
                                 snapshot_csv_values)
 from kgflrw.hypotheses import check_corollaries
+from oracles import edited_scenario
 
 WRAP_CFG = """
 scale.family = powerlaw
@@ -247,12 +248,10 @@ def test_check_subnormal_mass_is_the_massless_limit(tmp_path, capsys):
     """|m| c underflows to 0 for m = 5e-324: C_eps is +inf as in the m -> 0
     limit, so no finite t0 meets corollary case iv, and check reports
     instead of raising ZeroDivisionError."""
-    text = bundled_scenario_text("minkowski-m1-thm2")
-    for old, new in (("phys.m = 1.0", "phys.m = 5e-324"),
-                     ("phys.c = 1.0", "phys.c = 0.5"),
-                     ("scale.H = 0.0", "scale.H = 0.1")):
-        assert old in text
-        text = text.replace(old, new)
+    text = edited_scenario("minkowski-m1-thm2",
+                           ("phys.m = 1.0", "phys.m = 5e-324"),
+                           ("phys.c = 1.0", "phys.c = 0.5"),
+                           ("scale.H = 0.0", "scale.H = 0.1"))
     cfg = write_cfg(tmp_path, text)
     rc = main_entry(["check", cfg])
     out, err = capsys.readouterr()
@@ -266,12 +265,10 @@ def test_check_subnormal_mass_is_the_massless_limit(tmp_path, capsys):
 def test_simulate_subnormal_mass_hdiag_is_nan(tmp_path, capsys):
     """|m| c eps underflows to 0 for m = 5e-324: Hdiag is NaN as in the
     massless limit, and simulate runs instead of raising ZeroDivisionError."""
-    text = bundled_scenario_text("minkowski-m0-u2-A3")
-    for old, new in (("phys.m = 0.0", "phys.m = 5e-324"),
-                     ("nonlin.eps = 1.0", "nonlin.eps = 0.5"),
-                     ("nonlin.p = 2.0", "nonlin.p = 1.5")):
-        assert old in text
-        text = text.replace(old, new)
+    text = edited_scenario("minkowski-m0-u2-A3",
+                           ("phys.m = 0.0", "phys.m = 5e-324"),
+                           ("nonlin.eps = 1.0", "nonlin.eps = 0.5"),
+                           ("nonlin.p = 2.0", "nonlin.p = 1.5"))
     out = tmp_path / "out"
     rc = main_entry(["simulate", write_cfg(tmp_path, text), "--out", str(out)])
     assert rc == 0 and capsys.readouterr().err == ""
@@ -515,14 +512,11 @@ def overflow_anchor_text() -> str:
     """The anchor at amplitude 30 and dt 0.02 with step control and the norm
     threshold off: Re(u, u_t) + R passes 1e154 while the state is finite,
     then the state becomes non-finite."""
-    text = bundled_scenario_text("minkowski-m0-u2-A3")
-    for old, new in (("data0.amplitude = 3.0", "data0.amplitude = 30"),
-                     ("run.dt = 1e-3", "run.dt = 0.02"),
-                     ("run.blowup_threshold = 1e12",
-                      "run.blowup_threshold = 1e300")):
-        assert old in text
-        text = text.replace(old, new)
-    return text + "run.growth_tol = 1e300\n"
+    return edited_scenario(
+        "minkowski-m0-u2-A3", ("data0.amplitude = 3.0", "data0.amplitude = 30"),
+        ("run.dt = 1e-3", "run.dt = 0.02"),
+        ("run.blowup_threshold = 1e12", "run.blowup_threshold = 1e300")
+    ) + "run.growth_tol = 1e300\n"
 
 
 def test_simulate_snapshot_overflow_exit_six(tmp_path, capsys):
@@ -549,12 +543,9 @@ def test_uniform_overflow_exit_six(tmp_path, capsys, amplitude):
     and numpy's power gives inf. f in Python arithmetic takes inf there
     too, so simulate exits 6 with its one stderr line, warns nothing and
     writes a report that names the ending."""
-    edits = (("nonlin.p = 2.0", "nonlin.p = 3.0"),
-             ("data0.amplitude = 3.0", f"data0.amplitude = {amplitude}"))
-    text = bundled_scenario_text("minkowski-m0-u2-A3")
-    for old, new in edits:
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+    text = edited_scenario(
+        "minkowski-m0-u2-A3", ("nonlin.p = 2.0", "nonlin.p = 3.0"),
+        ("data0.amplitude = 3.0", f"data0.amplitude = {amplitude}"))
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "ovf-out"
     with warnings.catch_warnings(record=True) as seen:

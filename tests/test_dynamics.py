@@ -15,18 +15,17 @@ Oracles:
   * a synthetic tail L = (t* - t)^(-4/(p-1)) is recovered exactly by the
     extrapolator.
 
-The spatially constant reference, `homogeneous_oracle`, is test code: it
-integrates with scipy.integrate, which the package does not import.
+The spatially constant reference, `homogeneous_oracle` (`oracles.py`), is
+test code: it integrates with scipy.integrate, which the package does not
+import.
 """
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RunConfig, Trace, bundled_scenario_text,
@@ -37,15 +36,9 @@ from kgflrw.errors import (InvariantViolation, TimeBeyondHorizon,
                            TooFewSamples, WrapAroundRisk)
 from kgflrw.field import dot_re, lap_array
 from kgflrw.functionals import state_arrays
-from kgflrw.nonlinearity import Nonlinearity
 from kgflrw.cli import main_entry
-from kgflrw.scale_factor import ScaleFactor
-from test_integrals import vehicle_text
-from test_kernels import stage_factors
-
-TSTAR = 1.7173153422544112
-_ORACLE_RTOL = 1e-10  # homogeneous_oracle: DOP853 tolerance
-_ORACLE_CAP = 1e10    # homogeneous_oracle: |u| at the escape event
+from oracles import (TSTAR, edited_scenario, homogeneous_oracle,
+                     mode_energies, stage_factors, vehicle_text)
 
 
 def flat():
@@ -69,23 +62,6 @@ def test_single_mode_oscillator_exact():
     for row in trace.rows:
         exact = L0 * math.cos(omega * row.t) ** 2
         assert abs(row.L - exact) <= 1e-10 * L0
-
-
-def mode_energies(u, v, grid, params):
-    """The energy of each Fourier mode of the grid system u' = v,
-    v' = c^2 (D2 - m^2) u, h^n / (2 N^n) (|v_k|^2 + omega_k^2 |u_k|^2)
-    (Parseval), and omega_k^2 = c^2 (lambda_k + m^2), with lambda_k the
-    symbol of -D2, (4 / h^2)(s + s^2 / 3) with s = sin^2(k h / 2), summed
-    over the axes."""
-    n, N, h = grid.n, grid.points_per_axis, grid.spacing
-    s = np.sin(np.pi * np.fft.fftfreq(N)) ** 2  # k h / 2 = pi j / N
-    lam_axis = 4.0 / (h * h) * (s + s * s / 3.0)
-    lam = sum(lam_axis.reshape((-1,) + (1,) * (n - 1 - ax))
-              for ax in range(n))
-    w2 = params.c ** 2 * (lam + params.m ** 2)
-    energy = grid.cell_volume / (2 * N ** n) * (
-        np.abs(np.fft.fftn(v)) ** 2 + w2 * np.abs(np.fft.fftn(u)) ** 2)
-    return energy, w2
 
 
 @pytest.mark.parametrize("n, N, amp, dt", [
@@ -171,104 +147,7 @@ def test_homogeneous_data_stays_homogeneous(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous reference solution: spatially constant data as a scalar ODE
-
-
-@dataclass
-class OracleResult:
-    t: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    t_event: float | None
-    t_star: float | None
-    t_star_status: str | None = None  # why there is no t_star
-
-
-def homogeneous_oracle(u0: complex, u1: complex, sf: ScaleFactor,
-                       params: PhysicalParams, nl: Nonlinearity | None,
-                       t_end: float, t0: float = 0.0) -> OracleResult:
-    """High-accuracy reference for spatially constant data.
-
-    Integrates u'' + n (adot/a) u' + m^2 c^2 u = c^2 f(u) as a 4-real system
-    with DOP853. A terminal event fires at |u| = _ORACLE_CAP; for a real
-    escaping trajectory the remaining time to the singularity is the
-    converged quadrature of the frozen-damping energy relation, giving t_star
-    to far below the PDE tolerance. Without a t_star, t_star_status says why.
-    """
-    n = params.n
-    c2 = params.c * params.c
-    m2c2 = params.m * params.m * c2
-
-    def rhs(t, s):
-        ur, ui, vr, vi = s
-        a, adot, _ = sf.eval(t)
-        rate = n * adot / a
-        if nl is not None:
-            fu = nl.f(np.complex128(complex(ur, ui)))
-            fr, fi = fu.real, fu.imag
-        else:
-            fr = fi = 0.0
-        return [vr, vi,
-                -rate * vr - m2c2 * ur + c2 * fr,
-                -rate * vi - m2c2 * ui + c2 * fi]
-
-    def escape(t, s):
-        return s[0] * s[0] + s[1] * s[1] - _ORACLE_CAP * _ORACLE_CAP
-
-    escape.terminal = True
-    escape.direction = 1
-
-    sol = solve_ivp(rhs, (t0, t_end), [u0.real, u0.imag, u1.real, u1.imag],
-                    method="DOP853", rtol=_ORACLE_RTOL,
-                    atol=_ORACLE_RTOL * max(abs(u0), 1.0),
-                    events=escape, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"oracle integration failed: {sol.message}")
-    u = sol.y[0] + 1j * sol.y[1]
-    v = sol.y[2] + 1j * sol.y[3]
-    t_event = t_star = None
-    status = f"|u| stays below {_ORACLE_CAP:g} up to t = {sol.t[-1]:.17g}"
-    if sol.t_events[0].size:
-        t_event = float(sol.t_events[0][0])
-        try:
-            t_star = t_event + _oracle_tail(sol.sol(t_event), params, nl)
-            status = None
-        except ValueError as exc:
-            status = str(exc)
-    return OracleResult(sol.t, u, v, t_event, t_star, status)
-
-
-def _oracle_tail(s_event, params: PhysicalParams,
-                 nl: Nonlinearity | None) -> float:
-    """Remaining time from the escape event to the singularity; ValueError
-    with the reason when the tail formula does not apply."""
-    if nl is None:
-        raise ValueError("linear equation: no escape to a singularity")
-    ur, ui, vr, vi = s_event
-    if abs(ui) > 1e-6 * math.hypot(ur, ui):
-        raise ValueError("the trajectory left the real axis")
-    sgn = 1.0 if ur >= 0 else -1.0
-    w_e = sgn * ur
-    wp_e = sgn * vr
-    if wp_e <= 0:
-        raise ValueError("|u| is not growing at the escape event")
-    # the coupling of the escape direction: f(sgn w) sgn = lam_eff w^p, w > 0
-    lam_eff = sgn * nl.sign if nl.real_only else nl.lam
-    if lam_eff <= 0:
-        raise ValueError("defocusing coupling along the escape direction")
-    p = nl.p
-    c2 = params.c * params.c
-    m2c2 = params.m * params.m * c2
-    coef = 2.0 * c2 * lam_eff / (p + 1.0)
-    base = wp_e * wp_e - coef * w_e ** (p + 1.0) + m2c2 * w_e * w_e
-
-    def integrand(x):
-        u = w_e / x
-        sq = base + coef * u ** (p + 1.0) - m2c2 * u * u
-        return (w_e / (x * x)) / math.sqrt(sq)
-
-    tail, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return tail
+# the homogeneous reference solution (`oracles.homogeneous_oracle`)
 
 
 def test_oracle_frozen_blowup_time():
@@ -288,21 +167,6 @@ def test_oracle_linear_stays_bounded():
     assert res.t_star_status == "|u| stays below 1e+10 up to t = 3"
     # u(t) = cos(m c t)
     assert res.u[-1].real == pytest.approx(math.cos(3.0), abs=1e-8)
-
-
-def test_run_matches_oracle_endpoint():
-    grid = Grid(n=1, points_per_axis=64, half_width=math.pi)
-    u0 = make_profile(grid, "homogeneous", 3.0)
-    u1 = make_profile(grid, "homogeneous", 0.0)
-    params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
-    nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    cfg = RunConfig(t_end=1.5, dt=1e-3, record_every=10, theorem_mode="none")
-    trace = run(Start(u0, u1, nl), flat(), params, cfg)
-    assert trace.meta["reached_t_end"]
-    res = homogeneous_oracle(3.0 + 0.0j, 0.0 + 0.0j, flat(), params, nl,
-                             t_end=1.5)
-    mag_pde = math.sqrt(trace.rows[-1].L / (2 * math.pi))
-    assert mag_pde == pytest.approx(abs(res.u[-1]), rel=1e-6)
 
 
 def test_anchor_run_detects_blowup(anchor_run):
@@ -690,12 +554,9 @@ def test_window_clamps_every_step(monkeypatch):
     factor at its end, at the clamped end and at the midpoint, and the last
     at its end and midpoint, so eval runs 1 + 3 x attempted - 1 times and
     dv/dt's factors 1 + 2 x attempted."""
-    text = bundled_scenario_text("desitter-smooth")
-    for old, new in (("run.dt = 1e-3", "run.dt = 0.05"),
-                     ("run.record_every = 20", "run.record_every = 1")):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    scn = parse_text(text)
+    scn = parse_text(edited_scenario(
+        "desitter-smooth", ("run.dt = 1e-3", "run.dt = 0.05"),
+        ("run.record_every = 20", "run.record_every = 1")))
     sf, cfg = scn.sf, scn.run
     evals, factors = [], []
     sf_eval, coeffs = type(sf).eval, dynamics._coeffs

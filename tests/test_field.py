@@ -12,24 +12,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kgflrw import (Field, GaugeInvariantPower, Grid, PhysicalParams, PowerLaw,
-                    RunConfig, Start, make_profile, measure, run,
-                    support_radius)
+                    RunConfig, Start, make_profile, run, support_radius)
 from kgflrw import field
 from kgflrw.field import Stencil, lap_array
 from kgflrw.errors import GridMismatch, WidthTooLarge, WidthTooSmall
-
-
-def lap_symbol(k, h):
-    """Eigenvalue of the 4th-order Laplacian stencil on exp(i k x)."""
-    return (32.0 * math.cos(k * h) - 2.0 * math.cos(2 * k * h) - 30.0) / (12.0 * h * h)
-
-
-def grad_symbol(k, h):
-    """-lap_symbol in its summation-by-parts form, (4 / h^2)(s + s^2 / 3)
-    with s = sin^2(k h / 2): nonnegative, so -Re <u, D2 u> is a squared
-    seminorm."""
-    s = math.sin(0.5 * k * h) ** 2
-    return 4.0 / (h * h) * (s + s * s / 3.0)
+from oracles import grad_symbol, lap_symbol, mesh_profile
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest positive normal float
@@ -110,14 +97,15 @@ def test_l2_norm_homogeneous_closed_form():
         amp = 2.0 + 1.0j
         fld = make_profile(grid, "homogeneous", amp)
         expect = abs(amp) ** 2 * (2 * grid.half_width) ** n
-        assert measure(fld, fld, None).L == pytest.approx(expect, rel=1e-14)
+        rec = Start(fld, fld, None).rec
+        assert rec.L == pytest.approx(expect, rel=1e-14)
 
 
 def test_l2_norm_plane_wave_is_amplitude_only():
     grid = Grid(n=1, points_per_axis=64, half_width=math.pi)
     fld = make_profile(grid, "plane_mod", 0.5, width=4)
-    assert measure(fld, fld, None).L == pytest.approx(0.25 * 2 * math.pi,
-                                                      rel=1e-13)
+    assert Start(fld, fld, None).rec.L == pytest.approx(
+        0.25 * 2 * math.pi, rel=1e-13)
 
 
 def test_grad_norm_plane_wave_symbol():
@@ -132,11 +120,11 @@ def test_grad_norm_plane_wave_symbol():
         sym = grad_symbol(k, h)
         assert sym == pytest.approx(-lap_symbol(k, h), rel=1e-12)
         expect = amp ** 2 * n * sym * (2 * grid.half_width) ** n
-        assert measure(fld, fld, None).grad_sq == pytest.approx(expect,
-                                                                rel=1e-12)
+        assert Start(fld, fld, None).rec.grad_sq == pytest.approx(
+            expect, rel=1e-12)
     # homogeneous data has exactly zero gradient
     hom = make_profile(grid, "homogeneous", 3.0)
-    assert measure(hom, hom, None).grad_sq == 0.0
+    assert Start(hom, hom, None).rec.grad_sq == 0.0
 
 
 def test_inner_re_matches_manual_sum():
@@ -145,10 +133,11 @@ def test_inner_re_matches_manual_sum():
     a = Field(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     b = Field(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     manual = float(np.sum((a.values * np.conj(b.values)).real)) * grid.cell_volume
-    rec = measure(a, b, None)
+    rec = Start(a, b, None).rec
     assert rec.re_u_ut == pytest.approx(manual, rel=1e-14)
-    assert rec.re_u_ut == pytest.approx(measure(b, a, None).re_u_ut, rel=1e-14)
-    assert measure(a, a, None).re_u_ut == pytest.approx(rec.L, rel=1e-14)
+    assert rec.re_u_ut == pytest.approx(Start(b, a, None).rec.re_u_ut,
+                                        rel=1e-14)
+    assert Start(a, a, None).rec.re_u_ut == pytest.approx(rec.L, rel=1e-14)
 
 
 def test_integrate_F_homogeneous():
@@ -156,7 +145,7 @@ def test_integrate_F_homogeneous():
     nl = GaugeInvariantPower(p=2.0, lam=1.0)
     fld = make_profile(grid, "homogeneous", 3.0)
     # F(3) = 27/3 = 9 per unit volume, volume = 4
-    assert measure(fld, fld, nl).F == pytest.approx(36.0, rel=1e-13)
+    assert Start(fld, fld, nl).rec.F == pytest.approx(36.0, rel=1e-13)
 
 
 def test_bump_compact_support_and_peak():
@@ -177,28 +166,7 @@ def test_gaussian_profile_values():
     assert np.allclose(fld.values, expect, rtol=1e-13)
 
 
-def mesh_profile(grid, kind, amplitude, width, center) -> np.ndarray:
-    """make_profile's values from full meshgrid coordinate arrays: each
-    axis term taken on the whole grid and summed from zeros in axis order,
-    the Gaussian's exponent as -r2 / (2 w^2)."""
-    x = grid.axis_coords()
-    mesh = np.meshgrid(*([x] * grid.n), indexing="ij")
-    if kind == "plane_mod":
-        k = int(round(width)) * np.pi / grid.half_width
-        phase = np.zeros(grid.shape)
-        for xs, c in zip(mesh, center):
-            phase += k * (xs - c)
-        return amplitude * np.exp(1j * phase)
-    r2 = np.zeros(grid.shape)
-    for xs, c in zip(mesh, center):
-        r2 += (xs - c) ** 2
-    if kind == "gaussian":
-        return amplitude * np.exp(-r2 / (2.0 * width * width))
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    inside = r2 < width * width
-    s = r2[inside] / (width * width)
-    vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s))
-    return vals
+
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,8 +230,6 @@ def test_grid_mismatch_raised():
     b = make_profile(g2, "homogeneous", 1.0)
     sf = PowerLaw(0.0, H=0.0)
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
-    with pytest.raises(GridMismatch):
-        measure(a, b, None)
     with pytest.raises(GridMismatch):  # same shape, different box
         run(Start(a, b, None), sf, params, RunConfig(t_end=0.1))
     with pytest.raises(GridMismatch):

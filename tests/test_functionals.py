@@ -19,9 +19,9 @@ from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     RunConfig, Start, evaluate, kappa_for_mode,
-                    load_bundled_scenario, make_profile, measure, run)
+                    load_bundled_scenario, make_profile, run)
 from kgflrw.functionals import RunningIntegrals, kappa_tilde_for_mode
-from test_integrals import State, ref_rel_E_I_gap  # the oracle of the gap
+from oracles import State, ref_rel_E_I_gap
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def frozen_setup():
 
 def test_frozen_scalars(frozen_setup):
     _, u0, u1, sf, params, nl = frozen_setup
-    rec = measure(u0, u1, nl)
+    rec = Start(u0, u1, nl).rec
     a0 = sf.eval(0.0)[0]
     assert rec.re_u_ut == pytest.approx(12 * math.pi, rel=1e-13)
     assert rec.energy(a0, params) == pytest.approx(-107 * math.pi, rel=1e-13)
@@ -52,7 +52,7 @@ def test_frozen_scalars(frozen_setup):
 def test_energy_gradient_term_scales_with_background(frozen_setup):
     grid, _, u1, _, params, nl = frozen_setup
     wave = make_profile(grid, "plane_mod", 0.5, width=2)
-    rec = measure(wave, u1, nl)
+    rec = Start(wave, u1, nl).rec
     e1 = rec.energy(DeSitter(H=0.5, a0=1.0).eval(0.0)[0], params)
     e2 = rec.energy(DeSitter(H=0.5, a0=2.0).eval(0.0)[0], params)
     # only the gradient term carries a^-2; doubling a0 quarters it
@@ -65,7 +65,7 @@ def test_gap_zero_at_matched_eps_positive_below(frozen_setup):
     state, a0 = State(0.0, u0, u1), sf.eval(0.0)[0]
     matched = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=1)   # eps = p - 1
     below = PhysicalParams(m=1.0, c=1.0, eps=0.5, n=1)
-    scale = abs(measure(u0, u1, nl).energy(a0, matched))
+    scale = abs(Start(u0, u1, nl).rec.energy(a0, matched))
     assert abs(ref_rel_E_I_gap(state, sf, matched, nl)) <= 1e-12 * scale
     # closed form of the gap: c^2 lam |u|^(p+1) vol (1/(eps+2) - 1/(p+1))
     expect = 216.0 * 2 * math.pi * (1.0 / 2.5 - 1.0 / 3.0)

@@ -1,10 +1,13 @@
 """Every name a module imports is read somewhere in that module, and every
 name the package exports, and every function and class a module defines, is
 read by one of its modules or listed in the README's "Library API" section.
+In the tests, no top-level function, class or constant is defined in two
+modules, and no test module imports another but `oracles`, which holds the
+references that several share.
 
-`__init__.py` is skipped by the first and the last check: its imports are the
-package's exports, and what it defines serves scripts. Names bound by
-`from __future__ import ...` are compiler directives, not reads.
+`__init__.py` is skipped by the first and the last check of the package: its
+imports are the package's exports, and what it defines serves scripts. Names
+bound by `from __future__ import ...` are compiler directives, not reads.
 """
 
 import ast
@@ -16,6 +19,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kgflrw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = {p.stem: p.read_text(encoding="utf-8")
+         for p in sorted((ROOT / "tests").glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -104,3 +109,62 @@ def test_every_definition_is_read_or_listed():
     assert unread_definitions(
         {p.stem: p.read_text(encoding="utf-8") for p in MODULES},
         library_api()) == []
+
+
+def twice_defined(modules: dict) -> list[str]:
+    """The top-level functions, classes and constants that more than one of
+    modules ({name: source}) defines, as "name (module, module)"."""
+    where = {}
+    for mod, src in modules.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                where.setdefault(name, set()).add(mod)
+    return sorted(f"{name} ({', '.join(sorted(mods))})"
+                  for name, mods in where.items() if len(mods) > 1)
+
+
+def test_definition_checker_flags_a_name_defined_twice():
+    modules = {"a": "X = 1\ndef f(): pass\nclass C: pass\nX = 2\n",
+               "b": "def g(): pass\nclass X: pass\n",
+               "c": "C: int = 3\ndef h():\n    f = 1\n"}
+    assert twice_defined(modules) == ["C (a, c)", "X (a, b)"]
+
+
+def test_no_test_helper_is_defined_twice():
+    assert twice_defined(TESTS) == []
+
+
+def cross_imports(modules: dict, importable: set) -> list[str]:
+    """The imports of one of modules ({name: source}) by another, but of
+    those in importable, as "importer: imported"."""
+    found = []
+    for mod, src in modules.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{mod}: {name}" for name in names
+                      if name.split(".")[0] in modules.keys() - importable]
+    return sorted(found)
+
+
+def test_import_checker_flags_a_test_module_import():
+    modules = {"oracles": "import numpy\n",
+               "test_a": "from oracles import f\nimport test_b\n",
+               "test_b": "def g():\n    from test_a import h\n"}
+    assert cross_imports(modules, {"oracles"}) == ["test_a: test_b",
+                                                   "test_b: test_a"]
+
+
+def test_test_modules_import_only_the_oracles():
+    assert cross_imports(TESTS, {"oracles"}) == []

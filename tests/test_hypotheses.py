@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, Tabulated, check_corollaries, check_theorem1,
-                    classify_table1, evaluate, make_profile, measure,
+                    PowerLaw, Start, Tabulated, check_corollaries,
+                    check_theorem1, classify_table1, evaluate, make_profile,
                     theorem1_bound, theorem2_bound)
 from kgflrw.errors import HorizonTooShort
 
@@ -38,7 +38,7 @@ def hom(a):
 
 def data(a0, a1, nl=NL):
     """The integrals of the homogeneous data u0 = a0, u1 = a1."""
-    return measure(hom(a0), hom(a1), nl)
+    return Start(hom(a0), hom(a1), nl).rec
 
 
 def test_frozen_anchor_report():
@@ -103,7 +103,7 @@ def test_bound_helpers():
 def test_norm_margin_implies_nehari_negative(a, b, m, rate):
     sf = DeSitter(H=rate) if rate > 0 else PowerLaw(0.0, H=0.0)
     params = PhysicalParams(m=m, c=1.0, eps=1.0, n=1)
-    rec = measure(hom(a), hom(b), NL)
+    rec = data(a, b)
     chk = check_theorem1(rec, sf, params)
     if chk.applicable:
         assert rec.nehari(sf.eval(0.0)[0], params) < 0.0
@@ -113,8 +113,7 @@ def test_table1_quadrants_frozen():
     sf = PowerLaw(0.0, H=0.0)
 
     def label(a, b, params=PARAMS_M1):
-        return classify_table1(measure(hom(a), hom(b), NL), sf.eval(0.0)[0],
-                               params)
+        return classify_table1(data(a, b), sf.eval(0.0)[0], params)
 
     assert label(1.2, 0.3) == "I"
     assert label(1.5, 0.4) == "II"
@@ -129,8 +128,7 @@ def test_table1_quadrants_frozen():
 @given(a=st.floats(0.3, 4.0), b=st.floats(0.0, 4.0))
 def test_table1_label_consistent(a, b):
     sf = PowerLaw(0.0, H=0.0)
-    label = classify_table1(measure(hom(a), hom(b), NL), sf.eval(0.0)[0],
-                            PARAMS_M1)
+    label = classify_table1(data(a, b), sf.eval(0.0)[0], PARAMS_M1)
     vol = 2 * math.pi
     E = 0.5 * b * b * vol + 0.5 * a * a * vol - (a ** 3 / 3.0) * vol
     I = a * a * vol - a ** 3 * vol
@@ -177,7 +175,7 @@ def test_rho_changes_sign_at_unit_amplitude():
     a0 = PowerLaw(0.0, H=0.0).eval(0.0)[0]
 
     def rho(a):
-        return measure(hom(a), hom(0.0), NL).rho(a0, PARAMS_M1)
+        return data(a, 0.0).rho(a0, PARAMS_M1)
 
     # rho(A) = (V/3) A^2 (A - 1) crosses zero exactly at A = 1
     assert rho(1.0) == pytest.approx(0.0, abs=1e-12)
@@ -189,7 +187,7 @@ def test_defocusing_delta_without_velocity_is_nonpositive():
     defocusing = GaugeInvariantPower(p=2.0, lam=-1.0)
     # u1 = 0 kills the leading term and E > 0 always: delta = -E <= 0
     for k in range(21):
-        rec = measure(hom(2.0 ** k), hom(0.0), defocusing)
+        rec = data(2.0 ** k, 0.0, defocusing)
         assert rec.delta(a0, PARAMS_M1) <= 0.0
 
 
@@ -224,8 +222,7 @@ def test_positive_t0_disables_norm_margin():
 
 
 def test_opposed_velocity_fails_re_condition():
-    chk = check_theorem1(measure(hom(3.0), hom(-1.0), NL),
-                         PowerLaw(0.0, H=0.0), PARAMS_M0)
+    chk = check_theorem1(data(3.0, -1.0), PowerLaw(0.0, H=0.0), PARAMS_M0)
     assert not chk.applicable
     assert not chk.conditions["re_nonneg"]
 

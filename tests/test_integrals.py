@@ -1,29 +1,29 @@
 """The functionals as arithmetic on one measurement, against plain references.
 
-The references below are the functionals as written before the six spatial
-integrals of a state were measured once: each one recomputes its norms from
-the fields, with the plain integrals of the `field` module of that time kept
-here verbatim, except that int F sums the closed form of F (`ref_F`),
-where `measure` takes Re int f(u) conj(u) / (p+1). They are given the
-state's arrays in the dtype that `state_arrays` picks, as `measure` is.
-`measure` and the `Integrals` arithmetic perform the same floating-point
-operations in the same order, so both paths agree bit for bit but in
-int F: there E is held to the reference within a bound from the per-call
-errors of f and of the closed form and the summation bound gamma_N
-(`potential_gap`), and what takes E to the reference formulas given the
-measured E, bit for bit. A uniform run and `measure` measure uniform data
-as one cell times the box volume; that measure is held to the exact
-rational sum of its N^n equal cells. The count tests check that a simulation and a
-certificate evaluation measure each state once, that a uniform run sums no
-array while it steps, and that a recorded row takes f(u) from the
-measurement of its state, without a call of the nonlinearity.
+The references (`oracles.py`) are the functionals as written before the six
+spatial integrals of a state were measured once: each one recomputes its
+norms from the fields, with the plain integrals of the `field` module of
+that time, except that ||grad u||^2 is the plain quadratic form
+`ref_grad_sq` and int F sums the closed form of F (`ref_F`), where the
+program takes Re int f(u) conj(u) / (p+1). They are given the state's arrays
+in the dtype that `state_arrays` picks, as a `Start` is. The `Integrals`
+arithmetic performs the reference's floating-point operations in the same
+order, so the norms agree bit for bit, and E and I within a bound from
+`grad_bound` and, for E, from the per-call errors of f and of the closed
+form and the summation bound gamma_N (`potential_gap`); what takes E and I
+to the reference formulas given the measured E and I agrees bit for bit.
+A run measures uniform data as one cell times the box volume; that measure
+is held to the exact rational sum of its N^n equal cells. The count tests
+check that a simulation, its certificate included, measures each state
+once, that a uniform run sums no array while it steps, and that a recorded
+row takes f(u) from the measurement of its state, without a call of the
+nonlinearity.
 """
 
 import contextlib
 import inspect
 import io
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -32,128 +32,22 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
                     PowerLaw, RealAbsPower, bundled_scenario_text,
-                    classify_table1, evaluate, field, measure)
-from kgflrw import cli, config, dynamics, functionals, hypotheses
+                    classify_table1, evaluate, field)
+from kgflrw import config, dynamics, functionals
 from kgflrw.cli import main_entry, parse_report
-from kgflrw.errors import GridMismatch, HorizonTooShort
+from kgflrw.errors import HorizonTooShort
 from kgflrw.dynamics import (RK4Workspace, RunConfig, Start, Stepper,
                              StepState)
-from kgflrw.field import Field, Stencil, grad_sq_array
-from test_nonlinearity import U, eval_err, eval_gap, ref_F  # F's oracle
-
-_REL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# reference integrals and functionals
-
-State = namedtuple("State", "t u v")
-Arrays = namedtuple("Arrays", "grid values")  # a field in the state's dtype
-
-
-def l2_norm_sq(fld: Field) -> float:
-    """||u||^2 = integral of |u|^2 over the torus."""
-    return float(np.vdot(fld.values, fld.values).real) * fld.grid.cell_volume
-
-
-def grad_norm_sq(fld: Field, ws: Stencil | None = None) -> float:
-    """||grad u||^2 as the quadratic form of the fourth-order Laplacian."""
-    return grad_sq_array(fld.values, fld.grid.spacing, ws) * fld.grid.cell_volume
-
-
-def inner_re(f1: Field, f2: Field) -> float:
-    """Re integral of u conj(v); the real part of the L2 pairing."""
-    if f1.grid != f2.grid:
-        raise GridMismatch("inner product needs both fields on one grid")
-    return float(np.vdot(f2.values, f1.values).real) * f1.grid.cell_volume
-
-
-def integrate_F(nl, fld: Field) -> float:
-    """Integral of the potential F(u) over the torus."""
-    return float(np.sum(ref_F(nl, fld.values))) * fld.grid.cell_volume
-
-
-def ref_energy(state, sf, params, nl):
-    a, _, _ = sf.eval(state.t)
-    c2 = params.c * params.c
-    e = 0.5 * l2_norm_sq(state.v)
-    e += 0.5 * c2 / (a * a) * grad_norm_sq(state.u)
-    e += 0.5 * params.m * params.m * c2 * l2_norm_sq(state.u)
-    if nl is not None:
-        e -= c2 * integrate_F(nl, state.u)
-    return e
-
-
-def ref_nehari(state, sf, params, nl):
-    a, _, _ = sf.eval(state.t)
-    c2 = params.c * params.c
-    val = c2 / (a * a) * grad_norm_sq(state.u)
-    val += params.m * params.m * c2 * l2_norm_sq(state.u)
-    if nl is not None:
-        fu = Arrays(state.u.grid, nl.f(state.u.values))
-        val -= c2 * inner_re(fu, state.u)
-    return val
-
-
-def ref_rel_E_I_gap(state, sf, params, nl):
-    """E minus its structural lower bound (the functionals' docstring)."""
-    a, _, _ = sf.eval(state.t)
-    c2 = params.c * params.c
-    eps = params.eps
-    quad = c2 / (a * a) * grad_norm_sq(state.u) + params.m * params.m * c2 * l2_norm_sq(state.u)
-    bound = 0.5 * l2_norm_sq(state.v)
-    bound += ref_nehari(state, sf, params, nl) / (eps + 2.0)
-    bound += eps / (2.0 * (eps + 2.0)) * quad
-    return ref_energy(state, sf, params, nl) - bound
-
-
-def ref_rho(u0, u1, sf, params, nl, E0=None):
-    """rho; E0, if given, stands for the reference E(0)."""
-    mc2 = params.m * params.m * params.c * params.c
-    lead = mc2 * params.eps / (2.0 * (params.eps + 2.0)) * l2_norm_sq(u0)
-    if E0 is None:
-        E0 = ref_energy(State(0.0, u0, u1), sf, params, nl)
-    return lead - E0
-
-
-def ref_delta(u0, u1, t0, sf, params, nl, E0=None):
-    """delta; E0, if given, stands for the reference E(t0)."""
-    lead = (abs(params.m) * params.c * params.eps / (2.0 * (params.eps + 2.0))
-            * inner_re(u0, u1))
-    if E0 is None:
-        E0 = ref_energy(State(t0, u0, u1), sf, params, nl)
-    return lead - E0
-
-
-def ref_re_tolerance(u0, u1):
-    return _REL * (math.sqrt(l2_norm_sq(u0) * l2_norm_sq(u1)) + 1e-300)
-
-
-def ref_classify_table1(u0, u1, t0, sf, params, nl, E0=None):
-    """The table's label; E0, if given, stands for the reference E(t0)."""
-    st_ = State(t0, u0, u1)
-    if E0 is None:
-        E0 = ref_energy(st_, sf, params, nl)
-    I0 = ref_nehari(st_, sf, params, nl)
-    re01 = inner_re(u0, u1)
-    mt, ct = params.m_tilde, params.c_tilde
-    if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or re01 < -ref_re_tolerance(u0, u1):
-        return "none"
-    lead = mt * mt * ct * ct * params.eps / (2.0 * (params.eps + 2.0))
-    x_big = lead * l2_norm_sq(u0) > E0
-    y_big = lead * re01 > E0
-    if x_big:
-        return "II" if y_big else "I"
-    return "III" if y_big else "IV"
-
+from kgflrw.field import Field, Stencil
+from oracles import (NONLINEARITIES, U, Arrays, State, abs_dot, count_calls,
+                     eval_gap, exact_dot, gamma, gamma_units, grad_bound,
+                     grad_norm_sq, inner_re, integrate_F, l1, l2_norm_sq,
+                     potential_gap, ref_classify_table1, ref_delta,
+                     ref_energy, ref_F, ref_nehari, ref_rho, same_bits,
+                     edited_scenario, vehicle_text)
 
 # ---------------------------------------------------------------------------
-# bitwise equality on random states
-
-
-NONLINEARITIES = (None, GaugeInvariantPower(p=2.0, lam=1.0),
-                  GaugeInvariantPower(p=3.0, lam=-1.0, eps=2.5),
-                  RealAbsPower(p=2.0), RealAbsPower(p=3.0, sign=-1))
+# the functionals on random states
 
 
 @st.composite
@@ -186,137 +80,80 @@ def states(draw):
     return Field(grid, vals[0]), Field(grid, vals[1]), t0, sf, params, nl
 
 
-def same_bits(x: float, y: float) -> bool:
-    return float(x).hex() == float(y).hex()
-
-
-def potential_gap(nl, cells: int) -> float:
-    """A bound on |measure's int F - integrate_F| of an array of `cells`
-    cells, relative to A = sum_i |F(u_i)| times the cell volume, to first
-    order in U (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1). measure sums Re(conj(u_i) f(u_i)), a dot of 2 cells real
-    products on complex data (cells on real data) whose moduli sum to
-    (p+1) A / cell volume (in both families the parts of f(u) conj(u) of a
-    cell share one sign), with each f within eval_err of f part by part:
-    within eval_err(f) + gamma_(2 cells) of the exact sum, and two
-    roundings more (the volume, the quotient by p+1). integrate_F sums the
-    closed form, each within eval_err(F), in any order: gamma_cells more,
-    and one rounding (the volume). The four roundings left in
-    gamma_(3 cells + 4) cover the second-order terms."""
-    return (eval_err(nl, "f", "numpy") + eval_err(nl, "F", "numpy")
-            + float(gamma_units(3 * cells + 4)))
-
-
-def assert_energy_within_potential_gap(E, E_ref, u, params, nl) -> None:
-    """E of the measure against the reference's, which share every term
-    but c^2 int F, bit for bit: without a nonlinearity they are the same
-    bits, else within c^2 potential_gap A of the two int F, two roundings
-    of c^2 |int F| (the product with c^2), taken as two more in the gap,
-    and one rounding of each E (the subtraction). A is taken as its float
-    sum, which moves the bound at second order only."""
-    if nl is None:
-        assert same_bits(E, E_ref)
-        return
-    c2 = params.c * params.c
-    A = float(np.sum(np.abs(ref_F(nl, u.values)))) * u.grid.cell_volume
-    bound = (c2 * (potential_gap(nl, u.values.size) + 2.0 * U) * A
-             + U * (abs(E) + abs(E_ref)))
-    assert abs(E - E_ref) <= bound, (E, E_ref, bound)
+def assert_within_gradient_gap(got, want, q, u, k: int, terms: float,
+                               extra: float = 0.0) -> None:
+    """A value of the program's measurement against the reference's, whose
+    terms agree but q ||grad u||^2, whose cell sums (grad_sq_array,
+    ref_grad_sq) differ by at most grad_bound, and any other whose distance
+    extra bounds; each value is within gamma_k of the exact sum of its own
+    terms, and terms sums the magnitudes of both values' terms."""
+    bound = (q * u.grid.cell_volume * grad_bound(u.values, u.grid.spacing)
+             + extra + gamma(k) * terms)
+    assert abs(got - want) <= bound, (got, want, bound)
 
 
 @settings(max_examples=80, deadline=None)
 @given(states())
 def test_functionals_match_reference_bitwise(case):
-    """Every functional of the measure against the reference: I bit for
-    bit, E(t0) and E(0) within `assert_energy_within_potential_gap`, and
-    rho, delta and the table's label bit for bit given those E."""
+    """A `Start`'s t0 measurement against the reference: the norms bit for
+    bit, and within `assert_within_gradient_gap` ||grad u||^2 (the volume's
+    rounding), I (two products and two sums) and E(t0) and E(0) (two
+    products and three sums, and c^2 int F within c^2 potential_gap A, with
+    A = sum_i |F(u_i)| times the cell volume as its float sum, which moves
+    the bound at second order only), with two roundings more for the
+    magnitudes of rounded terms. rho, delta and the table's label are bit
+    for bit given the measured E and I, as is `evaluate`'s report."""
     u0, u1, t0, sf, params, nl = case
     r0, r1 = (Arrays(u0.grid, x) for x in functionals.state_arrays(u0, u1))
     state = State(t0, r0, r1)
     a0, a_0 = sf.eval(t0)[0], sf.eval(0.0)[0]
     assert a0 != 1.0
-    rec = measure(u0, u1, nl)
+    rec = Start(u0, u1, nl).rec
+    assert same_bits(rec[:3], (l2_norm_sq(r0), l2_norm_sq(r1),
+                               inner_re(r0, r1)))
+    G_ref, F_ref, extra = grad_norm_sq(r0), 0.0, 0.0
+    assert_within_gradient_gap(rec.grad_sq, G_ref, 1.0, r0, 1,
+                               abs(rec.grad_sq) + abs(G_ref))
+    c2, m2c2 = params.c * params.c, params.m * params.m * params.c ** 2
+    if nl is not None:
+        F_ref = integrate_F(nl, r0)
+        A = float(np.sum(np.abs(ref_F(nl, r0.values)))) * r0.grid.cell_volume
+        extra = c2 * potential_gap(nl, r0.values.size) * A
     E, E_0 = rec.energy(a0, params), rec.energy(a_0, params)
-    assert_energy_within_potential_gap(E, ref_energy(state, sf, params, nl),
-                                       r0, params, nl)
-    assert_energy_within_potential_gap(
-        E_0, ref_energy(State(0.0, r0, r1), sf, params, nl), r0, params, nl)
-    assert same_bits(rec.nehari(a0, params),
-                     ref_nehari(state, sf, params, nl))
+    for a, got, t in ((a0, E, t0), (a_0, E_0, 0.0)):
+        q = 0.5 * c2 / (a * a)
+        terms = sum(0.5 * (rec.ut_sq + m2c2 * rec.L) + q * abs(G) + c2 * abs(F)
+                    for G, F in ((rec.grad_sq, rec.F), (G_ref, F_ref)))
+        want = ref_energy(State(t, r0, r1), sf, params, nl)
+        assert_within_gradient_gap(got, want, q, r0, 7, terms, extra)
+    I, q = rec.nehari(a0, params), c2 / (a0 * a0)
+    terms = sum(m2c2 * rec.L + q * abs(G) + c2 * abs(rec.re_fu)
+                for G in (rec.grad_sq, G_ref))
+    assert_within_gradient_gap(I, ref_nehari(state, sf, params, nl), q, r0,
+                               6, terms)
     assert same_bits(rec.rho(a_0, params),
                      ref_rho(r0, r1, sf, params, nl, E0=E_0))
     assert same_bits(rec.delta(a0, params),
                      ref_delta(r0, r1, t0, sf, params, nl, E0=E))
-    assert (classify_table1(rec, a0, params)
-            == ref_classify_table1(r0, r1, t0, sf, params, nl, E0=E))
-    # the run's record of the same data, from its workspace's stencil and
-    # its Laplacian sum in the workspace's trial_v
-    rec_s = Start(u0, u1, nl).rec
-    assert same_bits(rec_s.L, l2_norm_sq(r0))
-    assert same_bits(rec_s.ut_sq, l2_norm_sq(r1))
-    assert same_bits(rec_s.re_u_ut, inner_re(r0, r1))
-    assert same_bits(rec_s.grad_sq, grad_norm_sq(r0))
-    assert all(map(same_bits, rec_s, rec))
+    label = ref_classify_table1(r0, r1, t0, sf, params, nl, E0=E, I0=I)
+    assert classify_table1(rec, a0, params) == label
     try:
-        rep = evaluate(measure(u0, u1, nl), t0, sf, params)
+        rep = evaluate(rec, t0, sf, params)
     except HorizonTooShort:
         return
-    assert same_bits(rep.E_t0, E)
-    assert same_bits(rep.I_u0, ref_nehari(state, sf, params, nl))
+    assert same_bits((rep.E_t0, rep.I_u0), (E, I))
     assert same_bits(rep.delta, ref_delta(r0, r1, t0, sf, params, nl, E0=E))
-    assert rep.case_label == ref_classify_table1(r0, r1, t0, sf, params, nl,
-                                                 E0=E)
+    assert rep.case_label == label
 
 
 # ---------------------------------------------------------------------------
 # one measurement per state
 
 
-def count_calls(monkeypatch, func) -> list:
-    """Count calls of a kgflrw.field function through every module binding."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return func(*args, **kwargs)
-
-    for mod in (field, functionals, dynamics, hypotheses, cli):
-        if getattr(mod, func.__name__, None) is func:
-            monkeypatch.setattr(mod, func.__name__, counting)
-    return calls
-
-
-def count_stencil_calls(monkeypatch, name: str) -> list:
-    """Count the calls of the Stencil method name (`__init__`: stencils
-    built)."""
-    calls, method = [], getattr(Stencil, name)
-
-    def counting(self, *args, **kwargs):
-        calls.append(None)
-        return method(self, *args, **kwargs)
-
-    monkeypatch.setattr(Stencil, name, counting)
-    return calls
-
-
-def vehicle_text() -> str:
-    """The localized blow-up vehicle: the anchor's physics (flat, m = 0,
-    gauge p = 2) with a Gaussian u0 of amplitude 10 and width 0.5, cut to
-    t_end = 1.1. It rejects steps and records every step of its tail."""
-    text = bundled_scenario_text("minkowski-m0-u2-A3")
-    for old, new in (("data0.kind = homogeneous",
-                      "data0.kind = gaussian\ndata0.width = 0.5"),
-                     ("data0.amplitude = 3.0", "data0.amplitude = 10.0"),
-                     ("run.t_end = 1.75", "run.t_end = 1.1")):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    return text
-
-
 def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     """A simulation on non-uniform data measures each state once, through
-    the run's one stencil: the certificate reads the run's t0 measurement,
-    so the gradient is taken at t0 and once per accepted step. A step
+    the run's one stencil: the certificate (`check`'s too) reads the t0
+    measurement, so the gradient is taken at t0 and per accepted step. A step
     loads and sweeps its stages 2 to 4; stage 1 reads the Laplacian sum of
     the accepted state's gradient, which the stepper computes again only
     after a rejection. So a run ending at t_end or at the norm threshold
@@ -330,10 +167,10 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     shortened smooth run ends between two recorded steps, so its last row
     comes after the loop."""
     nl_calls = count_nonlinearity_calls(monkeypatch)
-    grads = count_calls(monkeypatch, field.grad_sq_array)
-    sweeps = count_calls(monkeypatch, field.lap_slab)
-    stencils = count_stencil_calls(monkeypatch, "__init__")
-    loads = count_stencil_calls(monkeypatch, "load")
+    grads = count_calls(monkeypatch, field, "grad_sq_array")
+    sweeps = count_calls(monkeypatch, field, "lap_slab")
+    stencils = count_calls(monkeypatch, Stencil, "__init__")
+    loads = count_calls(monkeypatch, Stencil, "load")
     smooth = bundled_scenario_text("desitter-smooth").replace(
         "run.t_end = 0.8", "run.t_end = 0.105")
     for name, text, min_steps in (
@@ -365,46 +202,11 @@ def test_simulate_measures_each_state_once(tmp_path, monkeypatch):
     assert accepted % 20 != 0  # the last row is not a recorded step
 
 
-def test_evaluate_measures_the_data_once(monkeypatch):
-    grid = Grid(n=2, points_per_axis=16, half_width=math.pi)
-    rng = np.random.default_rng(5)
-    u0, u1 = (Field(grid, rng.normal(size=grid.shape) + 0j) for _ in range(2))
-    nl = GaugeInvariantPower(p=2.0, lam=1.0)
-    calls = count_nonlinearity_calls(monkeypatch)
-    grads = count_calls(monkeypatch, field.grad_sq_array)
-    stencils = count_stencil_calls(monkeypatch, "__init__")
-    evaluate(measure(u0, u1, nl), 0.0, DeSitter(H=0.3, n=2),
-             PhysicalParams(m=1.0, c=1.0, eps=1.0, n=2))
-    assert (len(grads), len(stencils), calls) == (1, 1, ["f"])
-
-
 # ---------------------------------------------------------------------------
 # a uniform state, measured as one cell
 
 
-def gamma_units(k: int) -> Fraction:
-    """Higham's gamma_k for k roundings, k 2^-53 / (1 - k 2^-53), exactly."""
-    return Fraction(k, 2 ** 53 - k)
-
-
-def exact_dot(a, b) -> Fraction:
-    """Re(conj(a) b) of two Python scalars, exactly."""
-    return (Fraction(a.real) * Fraction(b.real)
-            + Fraction(a.imag) * Fraction(b.imag))
-
-
-def abs_dot(a, b) -> Fraction:
-    """|Re a Re b| + |Im a Im b|: the terms of exact_dot, at most |a| |b|."""
-    return (abs(Fraction(a.real) * Fraction(b.real))
-            + abs(Fraction(a.imag) * Fraction(b.imag)))
-
-
-def l1(a) -> Fraction:
-    """|Re a| + |Im a| of a Python scalar, exactly: at least |a|."""
-    return abs(Fraction(a.real)) + abs(Fraction(a.imag))
-
-
-def assert_within(got: float, exact: Fraction, scale: Fraction, k: int,
+def assert_exact_within(got: float, exact: Fraction, scale: Fraction, k: int,
                   vol: Fraction, extra: Fraction = Fraction(0)):
     """got is exact up to k roundings, each 2^-53 relative to scale, or,
     where a product underflows, 2^-1074 absolute before the volume vol,
@@ -449,7 +251,7 @@ def uniform_states(draw):
           complex(-0.0, -0.0), GaugeInvariantPower(p=2.0)))  # Re(conj(v) u) = -0.0
 def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     """||u||^2, ||u_t||^2, Re(u, u_t), int F and Re int f(u) conj(u) of a
-    uniform state, as `measure` and run() report them at t0 and a stepper
+    uniform state, as a `Start` and run() report them at t0 and a stepper
     and a recorded row report them after a step, against the exact
     rational sum of the grid's N^n equal cells times the cell volume. f of
     a cell is numpy's value on the whole array, equal at every cell, so
@@ -460,7 +262,7 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     Re f(u) conj(u), relative to the sum of the absolute values of the
     cell's products (at most |u| |v|, as the sum can cancel), and five for
     int F (the quotient by p+1); a product that underflows adds at most
-    2^-1074 before the volume. The measure takes f of the cell as
+    2^-1074 before the volume. The run takes f of the cell as
     f_scalar, which may differ from numpy's by eval_gap of |f|, so by that
     much more of |u| |f| V (each modulus bounded by l1). A zero sum is
     +0.0."""
@@ -471,8 +273,10 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     sf = PowerLaw(0.0, H=0.0, n=grid.n)
     cfg = RunConfig(t_end=0.01, dt=0.01, theorem_mode="none")
     fields = [Field(grid, np.full(grid.shape, x)) for x in (u, v)]
-    trace = dynamics.run(Start(*fields, nl), sf, params, cfg)
-    row0, rec = trace.rows[0], measure(*fields, nl)
+    start = Start(*fields, nl)
+    rec = start.rec
+    trace = dynamics.run(start, sf, params, cfg)
+    row0 = trace.rows[0]
     assert rec.grad_sq == 0.0
     stepper = Stepper(StepState(0.0, u, v, cfg.dt, 1.0, 1.0, 0, ()),
                       RK4Workspace(u, v, nl, grid.spacing), sf, params, nl,
@@ -480,13 +284,13 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
     _, _, L, (ut_sq, re_u_ut, grad_sq), _ = next(stepper.steps())
     ws = stepper.ws
     assert ws.uniform and grad_sq == 0.0
-    # at t0 (run's L0 and row 0, and measure), then after a step
+    # at t0 (the Start's record as run's L0 and row 0), then after a step
     for x, y, norms in ((u, v, (trace.meta["L0"], row0.ut_sq,
                                 0.5 * row0.Lp)),
-                        (u, v, rec[:3]), (ws.u, ws.v, (L, ut_sq, re_u_ut))):
+                        (ws.u, ws.v, (L, ut_sq, re_u_ut))):
         for got, a, b in zip(norms, (x, y, y), (x, y, x)):
-            assert_within(got, exact_dot(a, b) * vol, abs_dot(a, b) * vol, 4,
-                          vol)
+            assert_exact_within(got, exact_dot(a, b) * vol,
+                                abs_dot(a, b) * vol, 4, vol)
             if exact_dot(a, b) == 0:
                 assert math.copysign(1.0, got) == 1.0
 
@@ -496,13 +300,14 @@ def test_uniform_measure_is_the_exact_sum_up_to_roundings(state):
         f_cell = f_cells.flat[0].item()
         assert np.all(f_cells == f_cell)
         f_gap = Fraction(eval_gap(nl, "f")) * l1(x) * l1(f_cell) * vol
-        assert_within(re_fu, exact_dot(x, f_cell) * vol,
-                      abs_dot(x, f_cell) * vol, 4, vol, f_gap)
+        assert_exact_within(re_fu, exact_dot(x, f_cell) * vol,
+                            abs_dot(x, f_cell) * vol, 4, vol, f_gap)
         # re_fu / (p+1), one rounding more, and 2^-1075 where it underflows
         p1 = Fraction(nl.p + 1.0)
-        assert_within(F, exact_dot(x, f_cell) * vol / p1,
-                      abs_dot(x, f_cell) * vol / p1, 5, vol / p1,
-                      f_gap * (1 + Fraction(U)) / p1 + Fraction(1, 2 ** 1075))
+        assert_exact_within(F, exact_dot(x, f_cell) * vol / p1,
+                            abs_dot(x, f_cell) * vol / p1, 5, vol / p1,
+                            f_gap * (1 + Fraction(U)) / p1
+                            + Fraction(1, 2 ** 1075))
 
 
 class CountingFills(np.ndarray):
@@ -530,9 +335,9 @@ def test_uniform_run_sums_no_array_per_step(monkeypatch):
         x.view(CountingFills) for x in arrays(a, b)))
     vdots, vdot = [], np.vdot
     monkeypatch.setattr(np, "vdot", lambda *a: vdots.append(None) or vdot(*a))
-    norms = count_calls(monkeypatch, functionals.norm_integrals)
-    pots = count_calls(monkeypatch, functionals.potential_integrals)
-    steps = count_calls(monkeypatch, dynamics._rk4)
+    norms = count_calls(monkeypatch, functionals, "norm_integrals")
+    pots = count_calls(monkeypatch, functionals, "potential_integrals")
+    steps = count_calls(monkeypatch, dynamics, "_rk4")
     CountingFills.fills.clear()
     trace = dynamics.run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
                          mode="thm1")
@@ -585,10 +390,8 @@ def test_row_calls_the_nonlinearity_once(monkeypatch, edits, slab_bytes):
     anchor cut to t_end = 0.05, uniform at p = 2, at p = 3, at amplitude
     3+0.5j and under the real family; a Gaussian u0 in one slab, and in
     four at a smaller slab size."""
-    text = bundled_scenario_text("minkowski-m0-u2-A3")
-    for old, new in (("run.t_end = 1.75", "run.t_end = 0.05"), *edits):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+    text = edited_scenario("minkowski-m0-u2-A3",
+                           ("run.t_end = 1.75", "run.t_end = 0.05"), *edits)
     scn = config.parse_text(text)
     u0, u1 = scn.build_fields()
     uniform = "gaussian" not in text

@@ -3,7 +3,7 @@ oracle, admissible structure-constant ranges, and the structure inequality.
 
 The families implement f only; the program takes int F as
 Re int f(u) conj(u) / (p+1) (`functionals.potential_integrals`). The
-closed forms of F stay here as the oracle `ref_F`."""
+closed forms of F are the oracle `ref_F` (`oracles.py`)."""
 
 import math
 
@@ -11,59 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from kgflrw import (GaugeInvariantPower, Grid, RealAbsPower,
                     admissible_eps_range, sobolev_admissible)
 from kgflrw.errors import ComplexInputToRealNonlinearity
 from kgflrw.functionals import potential_integrals
-
-
-U = 2.0 ** -53  # the unit roundoff; an ulp of a float is at most 2 U of it
-
-# Per-call errors, in units of U relative to the exact value, of the
-# operations in f and in the closed form of F (`ref_F`) that numpy and
-# Python may round differently (the abs of a float is exact):
-# - Python's abs of a complex and its float ** are libm's hypot and pow,
-#   each within 1 ulp on x86_64 (the GNU C Library manual, "Known Maximum
-#   Errors in Math Functions");
-# - numpy's float64 power takes its AVX-512 loops from SVML, within 4 ulps
-#   (numpy 1.22.0 release notes, "Vectorize umath module using AVX-512");
-# - numpy's complex absolute is the scaled form max sqrt(1 + (min / max)^2)
-#   (its SIMD loop since numpy 1.25): five roundings, of which the sum with
-#   1 passes on at most half of the error of the square (at most 1) and the
-#   square root halves its argument's, so within 3.25 U; taken as 2 ulps.
-ABS_ERR = {"numpy": 4.0, "python": 2.0}
-POW_ERR = {"numpy": 8.0, "python": 2.0}
-
-
-def eval_err(nl, which: str, impl: str) -> float:
-    """The relative error, to first order in U (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3.1), of nl's f ("f") or the
-    closed form of F ("F", `ref_F`) as numpy's array methods or the Python
-    scalar ones ("numpy", "python") evaluate it: |u| raised to at most p
-    (f) or p + 1 (F), which multiplies the error of |u| by that exponent,
-    the power's own error, and two more roundings (products, the quotient
-    by p + 1)."""
-    exponent = nl.p + (1.0 if which == "F" else 0.0)
-    return (exponent * ABS_ERR[impl] + POW_ERR[impl] + 2.0) * U
-
-
-def eval_gap(nl, which: str) -> float:
-    """A bound on |Python's f or F - numpy's| of one input, relative to
-    numpy's value: both are within their eval_err of the exact value, which
-    is within 1 / (1 - c) of numpy's, c numpy's eval_err."""
-    c_np = eval_err(nl, which, "numpy")
-    return (c_np + eval_err(nl, which, "python")) / (1.0 - c_np)
-
-
-def ref_F(nl, u):
-    """The closed form of the potential in numpy: lam |u|^(p+1) / (p+1)
-    (gauge family), sign |u|^p u / (p+1) (real family, on real u)."""
-    u = np.asarray(u)
-    if nl.real_only:
-        return nl.sign * np.abs(u) ** nl.p * u / (nl.p + 1.0)
-    return nl.lam * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
+from oracles import potential_oracle, ref_F, same_bits
 
 
 # a grid of volume 1 (8 cells of width 1/8): its uniform measure is the
@@ -75,24 +28,6 @@ def program_F(nl, u) -> float:
     """int F of the uniform state u on UNIT_BOX: the potential of u as the
     program computes it, Re(conj(u) f_scalar(u)) / (p+1)."""
     return potential_integrals(u, nl.f_scalar(u), UNIT_BOX, nl)[0]
-
-
-def potential_oracle(nl, u):
-    """F(u) as the line integral int_0^1 Re(f(s u) conj(u)) ds.
-
-    Valid whenever a potential exists; independent of the closed form.
-    """
-    uc = complex(u)
-
-    def integrand(s):
-        val = complex(nl.f(np.complex128(s * uc)))
-        return (val * uc.conjugate()).real
-
-    # fractional powers make quad's error estimate conservative near s = 0
-    val, err = quad(integrand, 0.0, 1.0, limit=200, points=[0.0],
-                    epsabs=1e-14, epsrel=1e-12)
-    assert err < 1e-7 * max(1.0, abs(val))
-    return val
 
 
 def test_potential_gauge_against_quadrature():
@@ -276,15 +211,6 @@ def test_scalar_f_matches_one_cell_f_bitwise(nl, u):
     assert nl.f_scalar(u).hex() == want.hex()
 
 
-def same_value(got, want) -> bool:
-    """Equal floats or complexes, part by part, the sign of a zero or an
-    infinity included; a NaN part matches a NaN part of either sign."""
-    return all(math.isnan(x) and math.isnan(y)
-               or x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-               for x, y in ((complex(got).real, complex(want).real),
-                            (complex(got).imag, complex(want).imag)))
-
-
 _HUGE = 1.7976931348623157e308
 # where every power |u|^(p-1) and |u|^(p+1) of p >= 2 overflows (or is
 # exact: inf, nan, +-0), so libm's pow and numpy's power agree; Python's
@@ -321,12 +247,12 @@ def test_scalar_f_and_F_match_one_cell_past_overflow(nl, complex_data):
         out = {} if complex_data else {"out": np.empty(1)}
         with np.errstate(all="ignore"):
             f_want = nl.f(cell, **out).item(0)
-        assert same_value(nl.f_scalar(u), f_want), u
+        assert same_bits(nl.f_scalar(u), f_want), u
         re_fu = 0.0 + (complex(u).conjugate() * f_want).real
         re_fu *= UNIT_BOX.volume
         F, got_re_fu = potential_integrals(u, nl.f_scalar(u), UNIT_BOX, nl)
-        assert same_value(got_re_fu, re_fu), u
-        assert same_value(F, re_fu / (nl.p + 1.0)), u
+        assert same_bits(got_re_fu, re_fu), u
+        assert same_bits(F, re_fu / (nl.p + 1.0)), u
 
 
 def power_path_f(nl, u):

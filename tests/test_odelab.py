@@ -12,7 +12,7 @@ Oracles, frozen first:
     int_0^1 dy / sqrt(2 - y^6)                         (quadrature oracle)
 
 solve_concavity evaluates the vanishing time in closed form; its oracle,
-`dop853_vanish`, integrates the equality ODE with DOP853.
+`dop853_vanish` (`oracles.py`), integrates the equality ODE with DOP853.
 """
 
 import dataclasses
@@ -22,41 +22,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
-from kgflrw import (ConcavityProblem, concavity_problem, evaluate,
-                    load_bundled_scenario, measure,
-                    random_admissible_problems, solve_concavity, tstar_bound)
+from kgflrw import (ConcavityProblem, Start, concavity_problem, evaluate,
+                    load_bundled_scenario, random_admissible_problems,
+                    solve_concavity, tstar_bound)
 from kgflrw.cli import ORACLE_COLUMNS, _csv, main_entry
 from kgflrw.errors import NoVanishBeforeT
 from kgflrw.odelab import _SLACK
-
-VANISH_REST = 1.2143253239437908  # int_0^1 dy / sqrt(1 - y^6) = B(1/6, 1/2)/6
-_RTOL = 1e-12  # dop853_vanish: DOP853 tolerance, atol relative to y0
-
-
-def dop853_vanish(prob):
-    """Integrate y'' = -kappa A max(y,0)^(1+1/kappa) from (y0, y1) with
-    DOP853 until y crosses zero before T; return the vanishing time and the
-    solve_ivp solution."""
-    expo = 1.0 + 1.0 / prob.kappa
-    coef = prob.kappa * prob.A
-
-    def rhs(t, s):
-        y, yp = s
-        return [yp, -coef * max(y, 0.0) ** expo]
-
-    def hit_zero(t, s):
-        return s[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    sol = solve_ivp(rhs, (prob.t0, prob.T), [prob.y0, prob.y1],
-                    method="DOP853", rtol=_RTOL, atol=_RTOL * prob.y0,
-                    events=hit_zero)
-    assert sol.success and sol.t_events[0].size, sol.message
-    return float(sol.t_events[0][0]), sol
+from oracles import VANISH_REST, dop853_vanish
 
 
 def worked_problem(y1):
@@ -267,8 +241,8 @@ def test_no_vanish_before_cutoff():
 def _report(name):
     scn = load_bundled_scenario(name)
     u0, u1 = scn.build_fields()
-    rep = evaluate(measure(u0, u1, scn.nl), scn.run.t0, scn.sf, scn.params,
-                   mode=scn.run.theorem_mode)
+    rep = evaluate(Start(u0, u1, scn.nl).rec, scn.run.t0, scn.sf,
+                   scn.params, mode=scn.run.theorem_mode)
     return scn, rep
 
 

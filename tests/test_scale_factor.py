@@ -12,6 +12,7 @@ from kgflrw import (DeSitter, PowerLaw, Tabulated, c_epsilon,
                     check_monotone_expansion, check_t0_condition, hubble_rate,
                     min_admissible_t0, t0_condition_threshold)
 from kgflrw.errors import (NegativeTime, NoAdmissibleT0, TimeBeyondHorizon)
+from oracles import desitter_oracle
 
 # frozen references
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0  # c_epsilon at m = c = eps = 1
@@ -54,12 +55,6 @@ def test_desitter_exact_exponential():
         assert ad == pytest.approx(0.4 * a, rel=1e-15)
         assert add == pytest.approx(0.16 * a, rel=1e-15)
     fd_check(sf, 1.1)
-
-
-def desitter_oracle(H, a0, t):
-    """The de Sitter closed form: a0 e^(Ht), H a and H^2 a."""
-    a = a0 * np.exp(H * np.asarray(t, dtype=float))
-    return a, H * a, H * H * a
 
 
 def test_desitter_is_the_sigma_minus_one_power_law():
