@@ -13,6 +13,10 @@ of the outcome it reports; `main_entry` maps the package's exceptions to 2,
 in the trace's blow-up reason; `_ENDINGS` gives each ending its exit code
 and its one stderr line, and a sweep row's status is the ending's name.
 
+`report.txt`, `check` and each frontier row (through `_FRONTIER`) write one
+record, `_report_dict`; a sweep point sets its values through `parse_text`.
+An output path that cannot be written is a package error (exit 2).
+
 All emitted text is deterministic for a given config and seed: floats are
 serialized with 17 significant digits by `_fmt`, CSV text comes from `_csv`
 and rows end with a bare newline, so repeated invocations are byte-identical.
@@ -33,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .config import Scenario, parse_config, parse_text
+from .config import Scenario, key_value_lines, parse_config, parse_text
 from .dynamics import Start, Trace, run, wrap_margin
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
@@ -63,6 +67,14 @@ _ENDINGS = {
     "nonfinite": (EXIT_NONFINITE, "state became non-finite; trace truncated"),
 }
 
+# frontier.csv column: (report.txt key, value when the record has none; a
+# numeric column reads "none" as nan)
+_FRONTIER = {"case_label": ("case_label", "none"),
+             "theorem": ("theorem", "none"), "T_bound": ("T_bound", math.nan),
+             "rho": ("rho", math.nan), "delta": ("delta", math.nan),
+             "t_star": ("blowup.t_star", math.nan),
+             "margin": ("blowup.bound_margin", math.nan)}
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -78,35 +90,35 @@ def _csv(columns, rows) -> str:
                    for line in [columns, *rows])
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _write(path: str, text: str | None) -> None:
+    """Write text to the file path, or make the directory path if text is
+    None; an OSError becomes a package error naming path."""
+    try:
+        if text is None:
+            os.makedirs(path, exist_ok=True)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise KGFLRWError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _report_dict(report: HypothesisReport | None, scenario: Scenario,
-                 extra: dict | None = None) -> dict:
-    """scenario, config_hash, then report.flat() (if any), then extra."""
-    flat = {"scenario": scenario.name, "config_hash": scenario.config_hash}
-    if report is not None:
-        flat.update(report.flat())
-    if extra:
-        flat.update(extra)
-    return flat
+def _report_dict(report: HypothesisReport | None, scn: Scenario) -> dict:
+    """scenario, config_hash, then report.flat() (if any)."""
+    flat = {} if report is None else report.flat()
+    return {"scenario": scn.name, "config_hash": scn.config_hash, **flat}
 
 
-def report_lines(report: HypothesisReport | None, scenario: Scenario,
-                 extra: dict | None = None) -> list[str]:
-    """Flat key = value block; every line parses back via parse_report."""
-    return [f"{key} = {_fmt(val)}"
-            for key, val in _report_dict(report, scenario, extra).items()]
+def _lines(record: dict) -> str:
+    """record as `key = value` lines; each parses back via parse_report."""
+    return "".join(f"{key} = {_fmt(val)}\n" for key, val in record.items())
 
 
 def parse_report(text: str) -> dict:
-    """Inverse of report_lines/report CSV emission for machine consumers;
-    a key given twice is a ParseError (its line: in CSV, the header's)."""
-    lines = [(n, ln.split("#", 1)[0].strip())
-             for n, ln in enumerate(text.splitlines(), start=1)]
-    lines = [(n, ln) for n, ln in lines if ln]
+    """Inverse of `_lines` and of `check --csv` for machine consumers; a
+    key given twice is a ParseError (its line: in CSV, the header's)."""
+    lines = [(n, ln) for n, raw in enumerate(text.splitlines(), start=1)
+             if (ln := raw.split("#", 1)[0].strip())]
     if lines and "=" not in lines[0][1] and "," in lines[0][1]:
         if len(lines) != 2:
             raise ParseError(f"CSV report needs one value row, got "
@@ -114,16 +126,11 @@ def parse_report(text: str) -> dict:
         header, values = (ln.split(",") for _, ln in lines)
         if len(header) != len(values):
             raise ParseError("header/value arity mismatch")
-        pairs = [(key, val, lines[0][0]) for key, val in zip(header, values)]
+        pairs = [(lines[0][0], key, val) for key, val in zip(header, values)]
     else:
-        pairs = []
-        for lineno, ln in lines:
-            if "=" not in ln:
-                raise ParseError("expected `key = value`", line=lineno)
-            key, _, val = ln.partition("=")
-            pairs.append((key.strip(), val.strip(), lineno))
+        pairs = list(key_value_lines(text))
     out = {}
-    for key, val, lineno in pairs:
+    for lineno, key, val in pairs:
         if key in out:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         try:
@@ -134,11 +141,6 @@ def parse_report(text: str) -> dict:
             except ValueError:
                 out[key] = val
     return out
-
-
-def report_csv(report: HypothesisReport, scenario: Scenario) -> str:
-    flat = _report_dict(report, scenario)
-    return _csv(flat.keys(), [flat.values()])
 
 
 def trace_csv_text(trace: Trace) -> str:
@@ -162,15 +164,14 @@ def _check_scenario(scn: Scenario) -> HypothesisReport:
     return _evaluate_scenario(scn, Start(*scn.build_fields(), scn.nl).rec)
 
 
-def _simulate(scn: Scenario, out_dir: str) -> tuple:
+def _simulate(scn: Scenario, out_dir: str) -> tuple[dict, str | None]:
     """Evaluate and run scn from one measurement of its data (`Start.rec`),
     and write trace.csv and report.txt into out_dir.
 
     A certificate blocked only by the background's lifetime runs
-    uncertified with note.horizon in report.txt. Returns report.txt's text
-    (scenario, config_hash, report.flat(), the run summary), the summary,
-    the report (None if uncertified) and the ending: the trace's blow-up
-    reason if it is a key of _ENDINGS, else None."""
+    uncertified with note.horizon in report.txt. Returns report.txt's
+    record (`_report_dict`, then the run summary) and the ending: the
+    trace's blow-up reason if it is a key of _ENDINGS, else None."""
     start = Start(*scn.build_fields(), scn.nl)
     try:
         report = _evaluate_scenario(scn, start.rec)
@@ -183,52 +184,51 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple:
                 T_bound=None if mode == "none" else report.T_bound,
                 support_radius=scn.wrap_support_radius(), mode=mode)
     meta, bu = trace.meta, trace.blowup
-    summary = {
+    record = _report_dict(report, scn)
+    record.update({
         "run.t_final": float(meta["t_final"]),
         "run.accepted_steps": int(meta["accepted"]),
         "run.rejected_steps": int(meta["rejected"]),
         "run.reached_t_end": str(bool(meta["reached_t_end"])).lower(),
         "blowup.detected": str(bu is not None and bu.detected).lower(),
         "blowup.reason": "none" if bu is None else bu.reason,
-    }
+    })
     if bu is not None:
-        summary["blowup.t"] = float(bu.t)
+        record["blowup.t"] = float(bu.t)
         if bu.t_star is not None:
-            summary["blowup.t_star"] = float(bu.t_star)
-            summary["blowup.t_star_uncertainty"] = float(bu.t_star_uncertainty)
+            record["blowup.t_star"] = float(bu.t_star)
+            record["blowup.t_star_uncertainty"] = float(bu.t_star_uncertainty)
             if report is not None and report.T_bound is not None:
-                summary["blowup.bound_margin"] = float(report.T_bound
-                                                       - bu.t_star)
+                record["blowup.bound_margin"] = float(report.T_bound
+                                                      - bu.t_star)
         elif bu.t_star_status is not None:
-            summary["blowup.t_star_status"] = bu.t_star_status
+            record["blowup.t_star_status"] = bu.t_star_status
     if report is None:
-        summary["note.horizon"] = note
-    text = "\n".join(report_lines(report, scn, extra=summary)) + "\n"
-    os.makedirs(out_dir, exist_ok=True)
+        record["note.horizon"] = note
+    _write(out_dir, None)  # the directory
     _write(os.path.join(out_dir, "trace.csv"), trace_csv_text(trace))
-    _write(os.path.join(out_dir, "report.txt"), text)
+    _write(os.path.join(out_dir, "report.txt"), _lines(record))
     ending = bu.reason if bu is not None and bu.reason in _ENDINGS else None
-    return text, summary, report, ending
+    return record, ending
 
 
 def cmd_check(args) -> int:
     scn = parse_config(args.config)
     report = _check_scenario(scn)
-    if args.csv:
-        sys.stdout.write(report_csv(report, scn))
-    else:
-        sys.stdout.write("\n".join(report_lines(report, scn)) + "\n")
+    record = _report_dict(report, scn)
+    sys.stdout.write(_csv(record.keys(), [record.values()]) if args.csv
+                     else _lines(record))
     return EXIT_OK if report.theorem != "none" else EXIT_NO_THEOREM
 
 
 def cmd_simulate(args) -> int:
     scn = parse_config(args.config)
-    text, summary, _, ending = _simulate(scn, args.out or f"{scn.name}-out")
-    sys.stdout.write(text)
+    record, ending = _simulate(scn, args.out or f"{scn.name}-out")
+    sys.stdout.write(_lines(record))
     if ending is None:
         return EXIT_OK
     code, line = _ENDINGS[ending]
-    print(line.format(t=summary["blowup.t"]), file=sys.stderr)
+    print(line.format(t=record["blowup.t"]), file=sys.stderr)
     return code
 
 
@@ -282,52 +282,26 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     return key, values
 
 
-def _override_text(text: str, key: str, value: float) -> str:
-    sval = _fmt(float(value))
-    pat = re.compile(rf"^\s*{re.escape(key)}\s*=")
-    lines = text.splitlines()
-    for i, ln in enumerate(lines):
-        if pat.match(ln.split("#", 1)[0]):
-            lines[i] = f"{key} = {sval}"
-            break
-    else:
-        lines.append(f"{key} = {sval}")
-    return "\n".join(lines) + "\n"
-
-
 def _sweep_point(payload) -> dict:
-    """One sweep point, isolated; returns a frontier row even on failure."""
-    base_text, base_dir, name, overrides, out_dir = payload
-    row = dict(overrides)
+    """One sweep point, isolated: its frontier row, even on failure."""
+    base_text, base_dir, name, values, out_dir = payload
     # the value as frontier.csv writes it, so that no two points share a
     # directory
     label = "_".join(f"{k.split('.')[-1]}{_fmt(v)}"
-                     for k, v in overrides.items())
-    row.update({"case_label": "none", "theorem": "none", "T_bound": math.nan,
-                "rho": math.nan, "delta": math.nan, "t_star": math.nan,
-                "margin": math.nan})
+                     for k, v in values.items())
     try:
-        text = base_text
-        for key, val in overrides.items():
-            text = _override_text(text, key, val)
-        scn = parse_text(text, name=f"{name}-{label}", base_dir=base_dir)
-        _, summary, report, ending = _simulate(scn, os.path.join(out_dir,
-                                                                 label))
+        scn = parse_text(base_text, name=f"{name}-{label}", base_dir=base_dir,
+                         values=values)
+        record, ending = _simulate(scn, os.path.join(out_dir, label))
     except KGFLRWError as exc:  # a support filling the box wraps at once
-        row["status"] = ("wrap_around" if isinstance(exc, WrapAroundRisk)
-                         else f"error({type(exc).__name__})")
-        return row
-    if report is not None:
-        row.update({"case_label": report.case_label,
-                    "theorem": report.theorem,
-                    "rho": report.rho, "delta": report.delta})
-        if report.T_bound is not None:
-            row["T_bound"] = report.T_bound
-    row["t_star"] = summary.get("blowup.t_star", math.nan)
-    row["margin"] = summary.get("blowup.bound_margin", math.nan)
-    row["status"] = ending or ("ok" if report is not None
-                               else "horizon_too_short")
-    return row
+        record, status = {}, ("wrap_around" if isinstance(exc, WrapAroundRisk)
+                              else f"error({type(exc).__name__})")
+    else:
+        status = ending or ("horizon_too_short" if "note.horizon" in record
+                            else "ok")
+    return dict(values, status=status, **{
+        column: default if record.get(key, "none") == "none" else record[key]
+        for column, (key, default) in _FRONTIER.items()})
 
 
 def cmd_sweep(args) -> int:
@@ -351,7 +325,7 @@ def cmd_sweep(args) -> int:
         print(f"error: axis key {axes[0][0]!r} given twice", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or f"{scn.name}-sweep"
-    os.makedirs(out_dir, exist_ok=True)
+    _write(out_dir, None)  # the directory
 
     points = [{}]
     for key, values in axes:
@@ -369,8 +343,7 @@ def cmd_sweep(args) -> int:
 
     axis_keys = [key for key, _ in axes]
     rows.sort(key=lambda r: tuple(r[k] for k in axis_keys))
-    columns = axis_keys + ["case_label", "theorem", "T_bound", "rho",
-                           "delta", "t_star", "margin", "status"]
+    columns = [*axis_keys, *_FRONTIER, "status"]
     text = _csv(columns, [[row[c] for c in columns] for row in rows])
     frontier = os.path.join(out_dir, "frontier.csv")
     _write(frontier, text)

@@ -5,13 +5,16 @@ exponents), grid.* (dimension, resolution, half width), data0.*/data1.*
 (initial profiles for the field and its velocity), run.* (time stepping and
 reporting). `#` starts a comment, blank lines are ignored, keys may appear
 once. All physical quantities are dimensionless model units.
+`key_value_lines` reads the lines of configs and of `report.txt` alike.
 
 Parsing is strict: unknown keys raise UnknownKey, malformed lines raise
 ParseError with the line number, and values that break a module's invariants
 raise InvariantViolation naming that module. Every key set must be read by
 the scenario it builds: a key its families or profile kinds never read (say
 scale.sigma under desitter, or data0.width on a homogeneous profile) raises
-InvariantViolation naming config.
+InvariantViolation naming config. A sweep point's `values` are set on the
+parsed entries, each at its key's line (past the last line if no line sets
+it), so a point parses as its base text with each value written in.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,15 +119,9 @@ class Scenario:
     run: RunConfig
     config_hash: str
 
-    @cached_property
-    def _fields(self) -> tuple[Field, Field]:
-        return self.data0.build(self.grid), self.data1.build(self.grid)
-
     def build_fields(self) -> tuple[Field, Field]:
-        """The initial fields (u0, u1), built on the first call and handed
-        out again after it; callers must not write into them (`run` steps
-        copies)."""
-        return self._fields
+        """The initial fields (u0, u1), built afresh by each call."""
+        return self.data0.build(self.grid), self.data1.build(self.grid)
 
     def wrap_support_radius(self) -> float | None:
         """Outermost nominal support over both data profiles; None when
@@ -185,8 +181,10 @@ class _Section(dict):
                 "config", f"this scenario never reads {', '.join(unread)}")
 
 
-def _parse_entries(text: str) -> _Section:
-    entries = _Section()
+def key_value_lines(text: str):
+    """(line number, key, value) of each `key = value` line of text, both
+    stripped and split at the first `=`; `#` starts a comment and blank
+    lines are skipped. Any other line is a ParseError."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -194,14 +192,23 @@ def _parse_entries(text: str) -> _Section:
         if "=" not in line:
             raise ParseError("expected `key = value`", line=lineno)
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+        yield lineno, key.strip(), val.strip()
+
+
+def _parse_entries(text: str, values: dict | None = None) -> _Section:
+    """The entries of text, each of values in place of its key's text."""
+    entries, values = _Section(), values or {}
+    for lineno, key, val in key_value_lines(text):
         if not key or not val:
             raise ParseError("empty key or value", line=lineno)
         if key not in _KEYS:
             raise UnknownKey(f"unknown key {key!r}", line=lineno)
         if key in entries:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        entries[key] = _convert(key, val, lineno)
+        entries[key] = _convert(key, values.get(key, val), lineno)
+    missing = [key for key in values if key not in entries]
+    for lineno, key in enumerate(missing, start=len(text.splitlines()) + 1):
+        entries[key] = _convert(key, values[key], lineno)
     return entries
 
 
@@ -294,9 +301,9 @@ def _build_profile(sec: _Section, prefix: str, grid: Grid,
     return spec
 
 
-def parse_text(text: str, name: str = "<string>",
-               base_dir: str = ".") -> Scenario:
-    sec = _parse_entries(text)
+def parse_text(text: str, name: str = "<string>", base_dir: str = ".",
+               values: dict | None = None) -> Scenario:
+    sec = _parse_entries(text, values)
     for key in _REQUIRED:
         sec.require(key)
 

@@ -34,7 +34,7 @@ conditions, and maps a certificate to its concavity comparison ODE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
 from .functionals import Integrals, PhysicalParams, kappa_for_mode
@@ -232,21 +232,12 @@ class HypothesisReport:
     thm2: TheoremCheck | None = None
 
     def flat(self) -> dict:
-        """Scalar key=value view for text and CSV emission."""
-        out = {
-            "case_label": self.case_label,
-            "theorem": self.theorem,
-            "mode": self.mode,
-            "rho": self.rho,
-            "delta": self.delta,
-            "I_u0": self.I_u0,
-            "re_u0_u1": self.re_u0_u1,
-            "E_t0": self.E_t0,
-            "L0": self.L0,
-            "t0_used": self.t0_used,
-            "T_bound": self.T_bound if self.T_bound is not None else "none",
-            "corollary_case": self.corollary_case,
-        }
+        """Scalar key=value view for text and CSV emission: the scalar
+        fields in order (T_bound None as "none"), then margin.<key>."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("margins", "thm1", "thm2")}
+        if self.T_bound is None:
+            out["T_bound"] = "none"
         for key in sorted(self.margins):
             out[f"margin.{key}"] = self.margins[key]
         return out

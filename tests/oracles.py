@@ -6,11 +6,13 @@ functionals recomputed from the fields, the DOP853 integrations of
 spatially constant data and of the concavity ODE, the de Sitter closed
 form), the rounding bounds that hold the program to them (Higham, Accuracy
 and Stability of Numerical Algorithms, section 3.1) and the frozen exact
-values. Every test module imports them from here, and none imports another
-test module (`test_hygiene.py`).
+values, and the config text edit that sweep points were parsed from. Every
+test module imports them from here, and none imports another test module
+(`test_hygiene.py`).
 """
 
 import math
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -681,6 +683,22 @@ def edited_scenario(name: str, *edits) -> str:
         assert text.count(old) == 1, old
         text = text.replace(old, new)
     return text
+
+
+def override_text(text: str, key: str, value: float) -> str:
+    """The config text with value written on key's first line, or on a new
+    last line if no line sets key: how a sweep point's config was written
+    before `parse_text` took the point's values."""
+    sval = format(float(value), ".17g")
+    pat = re.compile(rf"^\s*{re.escape(key)}\s*=")
+    lines = text.splitlines()
+    for i, ln in enumerate(lines):
+        if pat.match(ln.split("#", 1)[0]):
+            lines[i] = f"{key} = {sval}"
+            break
+    else:
+        lines.append(f"{key} = {sval}")
+    return "\n".join(lines) + "\n"
 
 
 def vehicle_text() -> str:

@@ -6,6 +6,7 @@ T = pi^2, y0 = (18 pi)^(-1/4), y1 = 0.
 """
 
 import csv
+import errno
 import io
 import json
 import math
@@ -23,11 +24,11 @@ from kgflrw import bundled_scenario_text, cli, config
 from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
 from kgflrw.dynamics import Trace
-from kgflrw.errors import ParseError
+from kgflrw.errors import InvariantViolation, ParseError
 from kgflrw.functionals import (CSV_COLUMNS, FunctionalSnapshot,
                                 snapshot_csv_values)
 from kgflrw.hypotheses import check_corollaries
-from oracles import edited_scenario
+from oracles import TSTAR, edited_scenario
 
 WRAP_CFG = """
 scale.family = powerlaw
@@ -1068,6 +1069,125 @@ def test_simulate_reports_why_t_star_is_missing(tmp_path, capsys):
     assert report["blowup.detected"] == "true"
     assert "blowup.t_star" not in report
     assert report["blowup.t_star_status"] == "only 2 rows above the tail threshold"
+
+
+@pytest.mark.parametrize("command", ["oracle-ode", "simulate", "sweep"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, command):
+    """An output path that cannot be written exits 2 with one stderr line
+    that names it, and no traceback: oracle-ode's CSV in a missing
+    directory, and a simulate or sweep output directory that is a file."""
+    cfg = write_cfg(tmp_path, edited_scenario(
+        "minkowski-m0-u2-A3", ("run.t_end = 1.75", "run.t_end = 0.05")))
+    missing, taken = tmp_path / "missing" / "x.csv", tmp_path / "taken"
+    taken.write_text("")
+    argv, path, code = {
+        "oracle-ode": (["--random", "2", "--out", str(missing)], missing,
+                       errno.ENOENT),
+        "simulate": ([cfg, "--out", str(taken)], taken, errno.EEXIST),
+        "sweep": ([cfg, "--axis", "data0.amplitude=2.0:3.0:2", "--out",
+                   str(taken)], taken, errno.EEXIST)}[command]
+    assert main_entry([command, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        f"error: cannot write {path}: {os.strerror(code)}"]
+    assert not missing.parent.exists() and taken.read_text() == ""
+
+
+def test_sweep_point_that_cannot_write_is_an_error_row(tmp_path, capsys):
+    """A file where a sweep point's directory goes fails that point alone:
+    its row is an error row with every default, and the next point runs."""
+    cfg = write_cfg(tmp_path, edited_scenario(
+        "minkowski-m0-u2-A3", ("run.t_end = 1.75", "run.t_end = 0.05")))
+    out = tmp_path / "sweep-out"
+    out.mkdir()
+    (out / "amplitude2").write_text("")
+    assert main_entry(["sweep", cfg, "--axis", "data0.amplitude=2.0:3.0:2",
+                       "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "frontier.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r.pop("status") for r in rows] == ["error(KGFLRWError)", "ok"]
+    assert rows[0] == {"data0.amplitude": "2", "case_label": "none",
+                       "theorem": "none", "T_bound": "nan", "rho": "nan",
+                       "delta": "nan", "t_star": "nan", "margin": "nan"}
+    assert (out / "amplitude3" / "report.txt").exists()
+
+
+def test_frontier_row_is_the_point_report(tmp_path, capsys):
+    """Each frontier.csv row is its point's report.txt, read back by
+    parse_report and projected through `cli._FRONTIER` (a key the report
+    lacks or sets to none gives the column's default), for every status; a
+    point stopped before its run writes no report and takes every default.
+    Configs and reports share one line reader: a malformed line is a
+    ParseError at the same line from both, and a value keeps an `=` in it."""
+    np.savetxt(tmp_path / "flat.txt", np.column_stack(
+        [np.linspace(0.0, 2.0, 5), np.ones(5), np.zeros(5), np.zeros(5)]))
+    horizon = edited_scenario(
+        "minkowski-m0-u2-A3", ("scale.a0 = 1.0\n", ""), ("scale.H = 0.0\n", ""),
+        ("scale.sigma = 0.0\n", ""), ("run.t_end = 1.75", "run.t_end = 1.5"),
+        ("scale.family = powerlaw",
+         "scale.family = tabulated\nscale.table_path = flat.txt"))
+    smooth = [edited_scenario("desitter-smooth",
+                              ("data0.width = 0.55", f"data0.width = {w}"))
+              for w in (0.9, 0.75)]
+    # status, config, axis, the columns off their defaults (None: no report)
+    cases = [
+        ("ok", bundled_scenario_text("minkowski-m0-u2-A3"),
+         "data0.amplitude=3.0:3.5:2",
+         {"theorem", "T_bound", "rho", "delta", "t_star", "margin"}),
+        ("horizon_too_short", horizon, "data0.amplitude=2.0:3.0:2", set()),
+        ("wrap_around", smooth[0], "data0.amplitude=0.5:1.0:2", None),
+        ("wrap_around", smooth[1], "data0.amplitude=0.5:1.0:2",
+         {"rho", "delta"}),
+        ("nonfinite", ENDINGS_CFG, "data0.amplitude=1000:1000:1",
+         {"theorem", "T_bound", "rho", "delta"}),
+        ("error(InvariantViolation)", bundled_scenario_text("desitter-thm2"),
+         "scale.sigma=0.0:1.0:2", None),
+    ]
+    for i, (status, text, axis, off_default) in enumerate(cases):
+        cfg = write_cfg(tmp_path, text, f"case{i}.cfg")
+        out = tmp_path / f"sweep{i}"
+        assert main_entry(["sweep", cfg, "--axis", axis, "--out",
+                           str(out)]) == 0
+        key = axis.partition("=")[0]
+        with open(out / "frontier.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == int(axis.rpartition(":")[2])
+        for row in rows:
+            assert row.pop("status") == status
+            report = out / f"{key.split('.')[-1]}{row.pop(key)}" / "report.txt"
+            assert report.exists() == (off_default is not None)
+            record = ({} if off_default is None
+                      else parse_report(report.read_text()))
+            assert row == {
+                column: cli._fmt(default if record.get(rkey, "none") == "none"
+                                 else record[rkey])
+                for column, (rkey, default) in cli._FRONTIER.items()}
+            assert {column for column, (_, default) in cli._FRONTIER.items()
+                    if row[column] != cli._fmt(default)} == (off_default
+                                                            or set())
+            if status == "ok" and record["scenario"] == "case0-amplitude3":
+                T, t_star = float(row["T_bound"]), float(row["t_star"])
+                assert T == pytest.approx(math.pi ** 2, rel=1e-12)
+                assert abs(t_star - TSTAR) < 1e-6
+                assert float(row["margin"]) == T - t_star
+            if status == "horizon_too_short":
+                assert re.fullmatch(r"certificate needs T = [\d.]+ but the "
+                                    r"background lifetime is 2",
+                                    record["note.horizon"])
+    capsys.readouterr()
+
+    anchor = bundled_scenario_text("minkowski-m0-u2-A3")
+    malformed = anchor + "grid.N 64\n"
+    lineno = len(anchor.splitlines()) + 1
+    for parse in (config.parse_text, parse_report):
+        with pytest.raises(ParseError) as exc:
+            parse(malformed)
+        assert exc.value.line == lineno
+    assert parse_report("a = b=c\n") == {"a": "b=c"}
+    with pytest.raises(InvariantViolation, match="'b=c'"):
+        config.parse_text(anchor.replace("data0.kind = homogeneous",
+                                         "data0.kind = b=c"))
 
 
 def test_fields_built_once_per_simulate_and_sweep_point(tmp_path, capsys,

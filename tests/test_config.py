@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgflrw import (GaugeInvariantPower, PowerLaw, RealAbsPower, RunConfig,
                     Tabulated, bundled_scenario_names, bundled_scenario_text,
                     load_bundled_scenario, parse_config, parse_text)
 from kgflrw import config
-from kgflrw.errors import InvariantViolation, ParseError, UnknownKey
+from kgflrw.cli import _SWEEP_KEYS
+from kgflrw.errors import (InvariantViolation, KGFLRWError, ParseError,
+                           UnknownKey)
+from oracles import override_text
 
 MINIMAL = """
 scale.family = powerlaw
@@ -333,3 +337,45 @@ def test_finiteness_check_matches_the_numpy_check(key, monkeypatch):
     assert (f"line 3: non-finite value for {key}", 3) in got
     monkeypatch.setattr(config, "_convert", numpy_convert)
     assert [parsed(raw) for raw in EDGE_VALUES] == got
+
+
+POINT_FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, 0.1 + 0.2]),
+                         st.floats())
+
+
+def _parsed(text: str, values: dict | None = None):
+    """The Scenario parse_text makes of text, or the (type, message) of the
+    package error it raises."""
+    try:
+        return parse_text(text, name="point", values=values)
+    except KGFLRWError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.sampled_from(_SWEEP_KEYS), min_size=1, max_size=2,
+                     unique=True),
+       floats=st.lists(POINT_FLOATS, min_size=2, max_size=2),
+       absent=st.sampled_from([None, *_SWEEP_KEYS]))
+@example(keys=["data0.amplitude"], floats=[0.1 + 0.2, 0.0], absent=None)
+@example(keys=["scale.sigma", "nonlin.eps"], floats=[-0.0, 5e-324],
+         absent="scale.sigma")
+@example(keys=["nonlin.p", "scale.H"], floats=[1e300, math.nan],
+         absent="scale.H")
+def test_point_values_parse_as_the_text_they_edit(keys, floats, absent):
+    """A sweep point's values, set by parse_text on the anchor's entries,
+    give the Scenario (config_hash included) of the anchor's text with each
+    value written on its key's line (`override_text`), or the same error:
+    every sweepable key, edge floats and non-finite ones, and a key that the
+    base config lacks, whose value goes past its last line."""
+    base = "".join(ln for ln in bundled_scenario_text(
+        "minkowski-m0-u2-A3").splitlines(keepends=True)
+        if not ln.startswith(f"{absent} ="))
+    values = dict(zip(keys, floats))
+    text = base
+    for key, value in values.items():
+        text = override_text(text, key, value)
+    got, want = _parsed(base, values), _parsed(text)
+    assert got == want
+    if isinstance(want, config.Scenario):
+        assert got.config_hash == want.config_hash
