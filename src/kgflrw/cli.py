@@ -15,7 +15,8 @@ and its one stderr line, and a sweep row's status is the ending's name.
 
 `report.txt`, `check` and each frontier row (through `_FRONTIER`) write one
 record, `_report_dict`; a sweep point sets its values through `parse_text`.
-An output path that cannot be written is a package error (exit 2).
+An output path that cannot be written is a package error (exit 2); an
+output directory that is an existing file is refused before the run.
 
 All emitted text is deterministic for a given config and seed: floats are
 serialized with 17 significant digits by `_fmt`, CSV text comes from `_csv`
@@ -28,6 +29,7 @@ call and not at import, and holds no per-call state.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import logging
 import math
@@ -171,7 +173,11 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple[dict, str | None]:
     A certificate blocked only by the background's lifetime runs
     uncertified with note.horizon in report.txt. Returns report.txt's
     record (`_report_dict`, then the run summary) and the ending: the
-    trace's blow-up reason if it is a key of _ENDINGS, else None."""
+    trace's blow-up reason if it is a key of _ENDINGS, else None. An
+    out_dir that is an existing file is refused before the run."""
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise KGFLRWError(f"cannot write {out_dir}: "
+                          f"{os.strerror(errno.EEXIST)}")
     start = Start(*scn.build_fields(), scn.nl)
     try:
         report = _evaluate_scenario(scn, start.rec)
@@ -278,8 +284,12 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
             f"axis key {key!r} not sweepable (choose from {_SWEEP_KEYS})")
     if steps < 1:
         raise ParseError("axis needs at least one step")
-    values = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
-    return key, values
+    if math.isfinite(hi - lo):  # else np.linspace overflows
+        values = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
+        if np.isfinite(values).all():
+            return key, values
+    raise ParseError(f"axis spec {spec!r} needs a finite span hi - lo and "
+                     f"finite grid values")
 
 
 def _sweep_point(payload) -> dict:

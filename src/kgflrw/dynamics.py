@@ -24,7 +24,9 @@ holds the first cell's u, v and f(u) as Python scalars and builds no whole
 array; only `Stepper.checkpoint()` fills one.
 `_rk4_uniform` does the array kernel's operations in its order, with
 lap u = +0.0 (the stencil's bits on a uniform array) and f the
-nonlinearity's `f_scalar`. Python's +, - and * with real multipliers are
+nonlinearity's `f_scalar`, written out stage by stage: each stage's dv/dt
+is `_rhs_slab`'s sum on one cell, whose c^2 f(u) term only a nonlinear
+run adds. Python's +, - and * with real multipliers are
 numpy's IEEE operations, so the step has the kernel's bits where f does
 (gauge p = 2 on float64 data); elsewhere libm's pow and hypot may round
 otherwise than numpy's power and complex abs. Cells that `==` calls equal
@@ -230,33 +232,39 @@ def _rhs_slab(slab, lap, k, u, v, nl, out, tmp, f_out, f_u=None):
         np.add(out, tmp, out=out)
 
 
-def _rhs_cell(k, u, v, fu):
-    """`_rhs_slab` on one cell of Python scalars, with lap u = +0.0: the sum
-    starts from lap_c * 0.0; fu is the nonlinearity's `f_scalar` of u, or
-    None."""
-    lap_c, mass, damp, c2 = k
-    out = lap_c * 0.0 - mass * u - damp * v
-    return out if fu is None else out + c2 * fu
-
-
 def _rk4_uniform(dt, k_start, k_mid, k_end, nl, ws: RK4Workspace):
     """`_rk4` on a uniform state: the operations of the array kernel, in its
     order, on the scalar pair `ws.u`, `ws.v`, into `ws.trial_u`,
-    `ws.trial_v`; stage 1 takes f(u) from `ws.fu`."""
+    `ws.trial_v`; stage 1 takes f(u) from `ws.fu`. Each stage's dv/dt is
+    `_rhs_slab` on one cell with lap u = +0.0: the sum starts from
+    lap_c * 0.0, and c^2 f(u) is added only with nl."""
     u, v = ws.u, ws.v
-    f = (lambda x: None) if nl is None else nl.f_scalar
+    f = None if nl is None else nl.f_scalar
     hm = 0.5 * dt
-    acc_v = _rhs_cell(k_start, u, v, ws.fu)
-    su, sv, acc_u = u + hm * v, v + hm * acc_v, v
-    for step_next in (hm, dt):
-        kv = _rhs_cell(k_mid, su, sv, f(su))
-        acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
-        su, sv = u + step_next * sv, v + step_next * kv
-    kv = _rhs_cell(k_end, su, sv, f(su))
+    lap_c, mass, damp, c2 = k_start
+    k1v = lap_c * 0.0 - mass * u - damp * v
+    if f is not None:
+        k1v = k1v + c2 * ws.fu
+    su, sv = u + hm * v, v + hm * k1v
+    lap_c, mass, damp, c2 = k_mid
+    kv = lap_c * 0.0 - mass * su - damp * sv
+    if f is not None:
+        kv = kv + c2 * f(su)
+    acc_u, acc_v = v + 2.0 * sv, k1v + 2.0 * kv
+    su, sv = u + hm * sv, v + hm * kv
+    kv = lap_c * 0.0 - mass * su - damp * sv
+    if f is not None:
+        kv = kv + c2 * f(su)
+    acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
+    su, sv = u + dt * sv, v + dt * kv
+    lap_c, mass, damp, c2 = k_end
+    kv = lap_c * 0.0 - mass * su - damp * sv
+    if f is not None:
+        kv = kv + c2 * f(su)
     sixth = dt / 6.0
-    ws.trial_u = u + sixth * (acc_u + sv)
-    ws.trial_v = v + sixth * (acc_v + kv)
-    return ws.trial_u, ws.trial_v
+    ws.trial_u = u_new = u + sixth * (acc_u + sv)
+    ws.trial_v = v_new = v + sixth * (acc_v + kv)
+    return u_new, v_new
 
 
 def _rk4(dt, k_start, k_mid, k_end, nl, ws: RK4Workspace):
@@ -342,8 +350,8 @@ class Stepper:
     t0's throughout, with dv/dt's factors, if `sf.static`. `steps()` yields
     (t, dt, L, motion, bg) of each accepted step until t_end or `blowup`:
     the new time, its length, ||u||^2, the motion integrals (||u_t||^2,
-    Re(u, u_t), ||grad u||^2) and the new bg, after the step's guards, so
-    that `done` tells if it is the last."""
+    Re(u, u_t), ||grad u||^2) and the new bg, after the step's guards: the
+    step is the last if it set `blowup` or reached `t_stop`."""
 
     def __init__(self, state: StepState, ws: RK4Workspace, sf: ScaleFactor,
                  params: PhysicalParams, nl: Nonlinearity | None, grid: Grid,
@@ -369,10 +377,6 @@ class Stepper:
         self.accepted = self.rejected = 0
         self.blowup: BlowupInfo | None = None
 
-    @property
-    def done(self) -> bool:
-        return self.blowup is not None or self.state.t >= self.t_stop
-
     def _window(self, start, end, t: float, floor: float) -> float:
         """The CFL window of a step from t with the background values start
         and end; InvariantViolation below floor."""
@@ -396,26 +400,29 @@ class Stepper:
         params, c, cfl_h = self.params, self.params.c, self._cfl_h
         h, cv = grid.spacing, grid.cell_volume
         cfg, t_end, dt_min = self.cfg, self.cfg.t_end, self.cfg.dt_min
+        dt_max, t_stop = cfg.dt, self.t_stop
         growth, L_max = 1.0 + cfg.growth_tol, cfg.blowup_threshold * st.L0
-        fixed = (self.bg, self._k) if sf.static else None  # t0's, for every t
+        bg, k_start = self.bg, self._k
+        fixed = (bg, k_start) if sf.static else None  # t0's, for every t
         retry = None  # a rejected attempt's midpoint, the retry's end
-        while not self.done:
-            t = st.t
-            dt = min(st.dt, t_end - t)
+        while self.blowup is None and st.t < t_stop:
+            t, dt = st.t, st.dt
+            if t_end - t < dt:
+                dt = t_end - t
             end, k_end = retry or fixed or (sf.eval(t + dt), None)
             retry = None
-            window = cfl_h * min(self.bg[0], end[0]) / c
-            if window < min(dt, dt_min):  # try the floor step's window
+            window = cfl_h * (end[0] if end[0] < bg[0] else bg[0]) / c
+            if window < dt and window < dt_min:  # try the floor step's window
                 dt = min(dt, dt_min)
                 end, k_end = sf.eval(t + dt), None
-                window = self._window(self.bg, end, t, dt)
+                window = self._window(bg, end, t, dt)
             if window < dt:
                 dt = window
                 end, k_end = fixed or (sf.eval(t + dt), None)
             k_end = k_end or _coeffs(end, params, h)
             mid = fixed[0] if fixed else sf.eval(t + 0.5 * dt)
             k_mid = fixed[1] if fixed else _coeffs(mid, params, h)
-            u_new, v_new = _rk4(dt, self._k, k_mid, k_end, nl, ws)
+            u_new, v_new = _rk4(dt, k_start, k_mid, k_end, nl, ws)
             L, ut_sq, re_u_ut = norm_integrals(u_new, v_new, grid)
             if not math.isfinite(L):
                 self.blowup = BlowupInfo("nonfinite", t, detected=False)
@@ -433,13 +440,13 @@ class Stepper:
             st.t = t = t + dt
             ws.accept()
             st.u, st.v = ws.u, ws.v
-            self.bg, self._k = end, k_end
+            self.bg, self._k = bg, k_start = end, k_end
             self.accepted += 1
             st.accept_streak += 1
             # regrow after 4 clean accepts; 3 at-floor accepts still fit in
             # the step_collapse window before the doubling lifts dt off it
-            if st.accept_streak >= 4 and st.dt < cfg.dt:
-                st.dt = min(cfg.dt, 2.0 * st.dt)
+            if st.accept_streak >= 4 and st.dt < dt_max:
+                st.dt = min(dt_max, 2.0 * st.dt)
                 st.accept_streak = 0
             motion = (ut_sq, re_u_ut, ws.grad_sq * cv)
             if not (math.isfinite(ut_sq) and math.isfinite(motion[2])):
@@ -451,7 +458,7 @@ class Stepper:
                 r = st.floor_ratios = st.floor_ratios[-2:] + (ratio,)
                 if len(r) == 3 and r[0] < r[1] < r[2]:
                     self.blowup = BlowupInfo("step_collapse", t)
-            else:
+            elif st.floor_ratios:
                 st.floor_ratios = ()
             st.L_prev = L
             yield t, dt, L, motion, end
@@ -460,11 +467,16 @@ class Stepper:
 def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
                  rate0: float, L0: float, E_t0: float):
     """The row snapshot of a run with certificate mode, theta's anchor
-    (T_bound, or None, with adot/a and L0 at t0) and E at t0 (in Hdiag)."""
-    n = params.n
+    (T_bound, or None, with adot/a and L0 at t0) and E at t0 (in Hdiag).
+    The terms that do not change along the run are computed once: the
+    certificate's exponents and Hdiag's E_t0 term."""
+    n, eps = params.n, params.eps
+    if mode != "none":
+        kt, kappa = kappa_tilde_for_mode(mode, eps), kappa_for_mode(mode, eps)
     # Hdiag's denominator; 0 for m = 0 and for a subnormal |m| whose product
     # underflows, both the massless limit, where Hdiag is NaN
-    hd_den = abs(params.m) * params.c * params.eps
+    hd_den = abs(params.m) * params.c * eps
+    hd_E = 4.0 * (eps + 2.0) * E_t0 / hd_den if hd_den > 0.0 else None
 
     def snapshot(t: float, dt_used: float, rec: Integrals, a, adot,
                  acc: RunningIntegrals, margin: float) -> FunctionalSnapshot:
@@ -474,27 +486,21 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
         theta = L + acc.P + n * acc.IG
         if T_bound is not None:
             theta += n * (T_bound - t) * rate0 * L0
-        theta_p = 2.0 * re_u_ut + 2.0 * acc.R
-        theta_pp = 2.0 * (ut_sq - I)
         try:
             cross_sq = (re_u_ut + acc.R) ** 2
         except OverflowError:  # a finite state whose eta overflows
             cross_sq = math.inf
         eta = (L + acc.P) * (ut_sq + acc.Q) - cross_sq
-        negk = zeta = hdg = math.nan
+        negk = zeta = math.nan
         if mode != "none":
-            kt = kappa_tilde_for_mode(mode, params.eps)
             if theta > 0:
-                negk = theta ** (-kappa_for_mode(mode, params.eps))
+                negk = theta ** -kappa
             zeta = -(kt + 1.0) * ut_sq - 2.0 * I - (kt + 3.0) * acc.Q
-        if hd_den > 0.0:
-            hdg = 2.0 * re_u_ut - 4.0 * (params.eps + 2.0) * E_t0 / hd_den
+        hdg = math.nan if hd_E is None else 2.0 * re_u_ut - hd_E
         return FunctionalSnapshot(
-            t=t, dt=dt_used, L=L, Lp=2.0 * re_u_ut, E=E, I=I, theta=theta,
-            theta_prime=theta_p, theta_second=theta_pp, theta_negk=negk,
-            eta=eta, zeta=zeta, Hdiag=hdg, wrap_margin=margin, G=acc.G,
-            ut_sq=ut_sq, mode=mode, e_dissipated=acc.dissipated,
-            a=a, adot=adot)
+            t, dt_used, L, 2.0 * re_u_ut, E, I, theta,
+            2.0 * re_u_ut + 2.0 * acc.R, 2.0 * (ut_sq - I), negk, eta, zeta,
+            hdg, margin, acc.G, ut_sq, mode, acc.dissipated, a, adot)
     return snapshot
 
 
@@ -560,17 +566,23 @@ def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
     rows = [snapshot(cfg.t0, 0.0, rec, a, adot, acc, margin0)]
 
     tail_start = cfg.blowup_threshold * 1e-4
+    # a row every record_every steps, at the last step unless it wrapped,
+    # and at each step of the blow-up tail, L >= tail_L (none when linear)
+    record_every, t_stop = cfg.record_every, stepper.t_stop
+    tail_L = tail_start * L0 if nl is not None else math.inf
+    guarded, margin = math.isfinite(margin0), math.inf
     since_record = 0
-    for t, dt_used, L, motion, (a, adot, addot) in stepper.steps():
-        acc.push(t, L, *motion, a, adot, addot)
+    for t, dt_used, L, (ut_sq, re_u_ut, grad_sq), (a, adot, addot) in (
+            stepper.steps()):
+        acc.push(t, L, ut_sq, re_u_ut, grad_sq, a, adot, addot)
         since_record += 1
-        margin = (margin0 - acc.light_path if math.isfinite(margin0)
-                  else math.inf)
+        if guarded:
+            margin = margin0 - acc.light_path
         wrapped = margin <= 0
-        if (since_record >= cfg.record_every or stepper.done and not wrapped
-                or nl is not None and L >= tail_start * L0):
-            rec = Integrals(L, *motion,
-                            *potential_integrals(ws.u, ws.fu, grid, nl))
+        if (since_record >= record_every or L >= tail_L or not wrapped and (
+                t >= t_stop or stepper.blowup is not None)):
+            F, re_fu = potential_integrals(ws.u, ws.fu, grid, nl)
+            rec = Integrals(L, ut_sq, re_u_ut, grad_sq, F, re_fu)
             rows.append(snapshot(t, dt_used, rec, a, adot, acc, margin))
             since_record = 0
         if wrapped:

@@ -152,22 +152,18 @@ class Integrals(NamedTuple):
         return lead - self.energy(a, params)
 
 
-def _cell_dot(a, b) -> float:
-    """Re(conj(a) b) of two Python scalars, started from +0.0 as a BLAS dot
-    is, so that a -0.0 product gives +0.0."""
-    return 0.0 + (a.real * b.real + a.imag * b.imag)
-
-
 def norm_integrals(u, v, grid: Grid) -> tuple[float, float, float]:
     """||u||^2, ||u_t||^2 and Re(u, u_t) of a state: of its arrays, or of
     a uniform state given as its one cell's Python scalars, whose products
-    are weighted by the box volume `grid.volume`."""
+    Re(conj(a) b), each started from +0.0 as a BLAS dot is (a -0.0 product
+    gives +0.0), are weighted by the box volume `grid.volume`."""
     if isinstance(u, np.ndarray):
         cv = grid.cell_volume
         return dot_re(u, u) * cv, dot_re(v, v) * cv, dot_re(v, u) * cv
-    vol = grid.volume
-    return (_cell_dot(u, u) * vol, _cell_dot(v, v) * vol,
-            _cell_dot(v, u) * vol)
+    vol, ur, ui, vr, vi = grid.volume, u.real, u.imag, v.real, v.imag
+    return ((0.0 + (ur * ur + ui * ui)) * vol,
+            (0.0 + (vr * vr + vi * vi)) * vol,
+            (0.0 + (vr * ur + vi * ui)) * vol)
 
 
 def potential_integrals(u, fu, grid: Grid, nl: Nonlinearity | None
@@ -176,13 +172,14 @@ def potential_integrals(u, fu, grid: Grid, nl: Nonlinearity | None
     F = Re(f(u) conj(u)) / (p+1) (`nonlinearity`); both 0.0 for the linear
     equation (nl and fu None). Of the arrays u and fu, or of a uniform
     state's one cell, given as Python scalars (fu from nl's `f_scalar`),
-    times the volume."""
+    times the volume, the product started from +0.0 as in
+    `norm_integrals`."""
     if nl is None:
         return 0.0, 0.0
     if isinstance(u, np.ndarray):
         re_fu = dot_re(u, fu) * grid.cell_volume
     else:
-        re_fu = _cell_dot(u, fu) * grid.volume
+        re_fu = (0.0 + (u.real * fu.real + u.imag * fu.imag)) * grid.volume
     return re_fu / (nl.p + 1.0), re_fu
 
 
@@ -222,13 +219,15 @@ class RunningIntegrals:
     Pushed once per accepted step. Tracks P, Q, R (rate-weighted L, ||u_t||^2,
     Re(u,u_t)), the curvature integral G and its time integral IG, the energy
     dissipation integral, and the comoving light path c int a^-1 dtau used by
-    the wrap-around guard. The previous sample is kept as one tuple (t and
-    the six integrands at t), which the next push reads by position.
+    the wrap-around guard. A push computes the six integrands at t in one
+    pass (n * rate once; c^2 from construction) and keeps them, with t, as
+    one tuple, which the next push reads by index.
     """
 
     def __init__(self, n: int, c: float):
         self.n = n
         self.c = c
+        self._c2 = c * c
         self.P = 0.0
         self.Q = 0.0
         self.R = 0.0
@@ -240,26 +239,25 @@ class RunningIntegrals:
 
     def push(self, t: float, L: float, ut_sq: float, re_u_ut: float,
              grad_sq: float, a: float, adot: float, addot: float) -> None:
-        n, c = self.n, self.c
         rate = adot / a
+        n_rate = self.n * rate
         # the integrands p, q, r, g, d and w of P, Q, R, G, dissipated and
         # light_path at t; no ** in d: a float power raises OverflowError
         # where / gives inf
-        cur = (t, n * rate * L, n * rate * ut_sq, n * rate * re_u_ut,
-               (adot * adot - addot * a) / (a * a) * L,
-               n * rate * ut_sq + c * c * rate / a / a * grad_sq, c / a)
-        if self._prev is not None:
-            t_prev, p, q, r, g, d, w = self._prev
-            half = 0.5 * (t - t_prev)
-            self.P += half * (p + cur[1])
-            self.Q += half * (q + cur[2])
-            self.R += half * (r + cur[3])
+        p, q, r = n_rate * L, n_rate * ut_sq, n_rate * re_u_ut
+        g = (adot * adot - addot * a) / (a * a) * L
+        d, w = q + self._c2 * rate / a / a * grad_sq, self.c / a
+        prev, self._prev = self._prev, (t, p, q, r, g, d, w)
+        if prev is not None:
+            half = 0.5 * (t - prev[0])
+            self.P += half * (prev[1] + p)
+            self.Q += half * (prev[2] + q)
+            self.R += half * (prev[3] + r)
             g_old = self.G
-            self.G += half * (g + cur[4])
-            self.IG += half * (g_old + self.G)
-            self.dissipated += half * (d + cur[5])
-            self.light_path += half * (w + cur[6])
-        self._prev = cur
+            self.G = g_new = g_old + half * (prev[4] + g)
+            self.IG += half * (g_old + g_new)
+            self.dissipated += half * (prev[5] + d)
+            self.light_path += half * (prev[6] + w)
 
 
 @dataclass

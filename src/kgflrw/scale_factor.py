@@ -55,16 +55,6 @@ def _check_a(a: float, name: str) -> None:
                          f"underflow, got {a}")
 
 
-def _checked_time(t: float, horizon: float) -> float:
-    """A float t after the negative-time and horizon checks that
-    `_check_times` makes on an array."""
-    if t < 0:
-        raise NegativeTime(f"t = {t} is before the initial slice t = 0")
-    if not math.isinf(horizon) and t >= horizon * (1.0 - _HORIZON_SLACK):
-        raise TimeBeyondHorizon(f"t = {t} reaches the horizon T0 = {horizon}")
-    return t
-
-
 def _as_eval(a, adot, addot, scalar: bool):
     """(a, adot, addot) as floats for a scalar t, else as float arrays (a 0-d
     array t gives 0-d arrays)."""
@@ -87,6 +77,10 @@ class PowerLaw:
         _check_a(self.a0, "a0")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
+        # the horizon, which every eval checks, computed once
+        endless = (1.0 + self.sigma) * self.H >= 0.0
+        object.__setattr__(self, "_horizon", math.inf if endless else
+                           -2.0 / (self.n * (1.0 + self.sigma) * self.H))
 
     @property
     def static(self) -> bool:
@@ -94,9 +88,7 @@ class PowerLaw:
         return self.H == 0.0
 
     def horizon(self) -> float:
-        if (1.0 + self.sigma) * self.H >= 0.0:
-            return math.inf
-        return -2.0 / (self.n * (1.0 + self.sigma) * self.H)
+        return self._horizon
 
     def eval(self, t):
         """Return (a, adot, addot) at t: floats for a scalar t, arrays for
@@ -109,9 +101,13 @@ class PowerLaw:
         libm's exp in 9 235 of 200 000 random draws."""
         if not (isinstance(t, float) or np.isscalar(t)):
             tt = np.asarray(t, dtype=float)
-            _check_times(tt, self.horizon())
+            _check_times(tt, self._horizon)
             return _as_eval(*self._terms(tt), False)
-        tt = _checked_time(float(t), self.horizon())
+        tt, T0 = float(t), self._horizon  # checked as `_check_times` does
+        if tt < 0:
+            raise NegativeTime(f"t = {tt} is before the initial slice t = 0")
+        if not math.isinf(T0) and tt >= T0 * (1.0 - _HORIZON_SLACK):
+            raise TimeBeyondHorizon(f"t = {tt} reaches the horizon T0 = {T0}")
         if self.sigma == -1.0:
             a = self.a0 * float(np.exp(self.H * tt))
             return a, self.H * a, self.H * self.H * a

@@ -1,8 +1,10 @@
 """The tests' oracles, each defined once, and the fixtures that several
 test modules share: the plain reference kernels (the np.roll Laplacian, its
 quadratic form and symbols, the Fourier mode energies, the allocate-per-stage
-RK4 step, the meshgrid profiles, F in closed form and by quadrature, the
-functionals recomputed from the fields, the DOP853 integrations of
+RK4 step, the scalar RK4 step as a loop over a per-cell right-hand side,
+the one-cell dot, the meshgrid profiles, F in closed form and by
+quadrature, the functionals recomputed from the fields, the history
+integrals' plain trapezoid accumulator, the DOP853 integrations of
 spatially constant data and of the concavity ODE, the de Sitter closed
 form), the rounding bounds that hold the program to them (Higham, Accuracy
 and Stability of Numerical Algorithms, section 3.1) and the frozen exact
@@ -347,6 +349,41 @@ def ref_rk4_gap(t, u: Gapped, v: Gapped, dt, sf, params, nl, h,
     return combine(u, k1u, k2u, k3u, k4u), combine(v, k1v, k2v, k3v, k4v)
 
 
+def ref_cell_dot(a, b) -> float:
+    """Re(conj(a) b) of two Python scalars, started from +0.0 as a BLAS dot
+    is, so that a -0.0 product gives +0.0: the one-cell sum of a uniform
+    state's integrals before the volume factor."""
+    return 0.0 + (a.real * b.real + a.imag * b.imag)
+
+
+def ref_rhs_cell(k, u, v, fu):
+    """dv/dt on one cell of Python scalars, with lap u = +0.0, as the
+    array kernel's slab sum writes it: the sum starts from lap_c * 0.0; fu
+    is the nonlinearity's `f_scalar` of u, or None."""
+    lap_c, mass, damp, c2 = k
+    out = lap_c * 0.0 - mass * u - damp * v
+    return out if fu is None else out + c2 * fu
+
+
+def ref_rk4_uniform(dt, k_start, k_mid, k_end, nl, u, v, fu):
+    """The scalar RK4 step of `dynamics._rk4_uniform` as a loop over the
+    stages of `ref_rhs_cell`: the operations of the array kernel, in its
+    order, from the pair (u, v) with f(u) = fu (None without nl), with
+    dv/dt's factors (`_coeffs`) at the three stage times. Returns the new
+    pair."""
+    f = (lambda x: None) if nl is None else nl.f_scalar
+    hm = 0.5 * dt
+    acc_v = ref_rhs_cell(k_start, u, v, fu)
+    su, sv, acc_u = u + hm * v, v + hm * acc_v, v
+    for step_next in (hm, dt):
+        kv = ref_rhs_cell(k_mid, su, sv, f(su))
+        acc_u, acc_v = acc_u + 2.0 * sv, acc_v + 2.0 * kv
+        su, sv = u + step_next * sv, v + step_next * kv
+    kv = ref_rhs_cell(k_end, su, sv, f(su))
+    sixth = dt / 6.0
+    return u + sixth * (acc_u + sv), v + sixth * (acc_v + kv)
+
+
 def mesh_profile(grid, kind, amplitude, width, center) -> np.ndarray:
     """make_profile's values from full meshgrid coordinate arrays: each
     axis term taken on the whole grid and summed from zeros in axis order,
@@ -511,6 +548,45 @@ def ref_classify_table1(u0, u1, t0, sf, params, nl, E0=None, I0=None):
     if x_big:
         return "II" if y_big else "I"
     return "III" if y_big else "IV"
+
+
+class RefRunningIntegrals:
+    """The trapezoid accumulator of `functionals.RunningIntegrals`, written
+    plainly: each push builds the tuple of the six integrands at t (n *
+    rate * x for each rate-weighted one), and with a previous sample adds
+    each trapezoid, G's before IG's, which integrates G's old and new
+    values."""
+
+    def __init__(self, n: int, c: float):
+        self.n = n
+        self.c = c
+        self.P = 0.0
+        self.Q = 0.0
+        self.R = 0.0
+        self.G = 0.0
+        self.IG = 0.0
+        self.dissipated = 0.0
+        self.light_path = 0.0
+        self._prev = None
+
+    def push(self, t, L, ut_sq, re_u_ut, grad_sq, a, adot, addot):
+        n, c = self.n, self.c
+        rate = adot / a
+        cur = (t, n * rate * L, n * rate * ut_sq, n * rate * re_u_ut,
+               (adot * adot - addot * a) / (a * a) * L,
+               n * rate * ut_sq + c * c * rate / a / a * grad_sq, c / a)
+        if self._prev is not None:
+            t_prev, p, q, r, g, d, w = self._prev
+            half = 0.5 * (t - t_prev)
+            self.P += half * (p + cur[1])
+            self.Q += half * (q + cur[2])
+            self.R += half * (r + cur[3])
+            g_old = self.G
+            self.G += half * (g + cur[4])
+            self.IG += half * (g_old + self.G)
+            self.dissipated += half * (d + cur[5])
+            self.light_path += half * (w + cur[6])
+        self._prev = cur
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgflrw import bundled_scenario_text, cli, config
+from kgflrw import bundled_scenario_text, cli, config, dynamics
 from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
 from kgflrw.dynamics import Trace
@@ -28,7 +28,7 @@ from kgflrw.errors import InvariantViolation, ParseError
 from kgflrw.functionals import (CSV_COLUMNS, FunctionalSnapshot,
                                 snapshot_csv_values)
 from kgflrw.hypotheses import check_corollaries
-from oracles import TSTAR, edited_scenario
+from oracles import TSTAR, count_calls, edited_scenario
 
 WRAP_CFG = """
 scale.family = powerlaw
@@ -1072,10 +1072,14 @@ def test_simulate_reports_why_t_star_is_missing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["oracle-ode", "simulate", "sweep"])
-def test_unwritable_output_path_exits_two(tmp_path, capsys, command):
+def test_unwritable_output_path_exits_two(tmp_path, capsys, monkeypatch,
+                                          command):
     """An output path that cannot be written exits 2 with one stderr line
     that names it, and no traceback: oracle-ode's CSV in a missing
-    directory, and a simulate or sweep output directory that is a file."""
+    directory, and a simulate or sweep output directory that is a file.
+    None of them runs the integration: simulate refuses the file before
+    its run."""
+    runs = count_calls(monkeypatch, dynamics, "run")
     cfg = write_cfg(tmp_path, edited_scenario(
         "minkowski-m0-u2-A3", ("run.t_end = 1.75", "run.t_end = 0.05")))
     missing, taken = tmp_path / "missing" / "x.csv", tmp_path / "taken"
@@ -1091,11 +1095,15 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, command):
     assert out == "" and err.splitlines() == [
         f"error: cannot write {path}: {os.strerror(code)}"]
     assert not missing.parent.exists() and taken.read_text() == ""
+    assert runs == []
 
 
-def test_sweep_point_that_cannot_write_is_an_error_row(tmp_path, capsys):
-    """A file where a sweep point's directory goes fails that point alone:
-    its row is an error row with every default, and the next point runs."""
+def test_sweep_point_that_cannot_write_is_an_error_row(tmp_path, capsys,
+                                                      monkeypatch):
+    """A file where a sweep point's directory goes fails that point alone,
+    before its run: its row is an error row with every default, and the
+    next point runs."""
+    runs = count_calls(monkeypatch, dynamics, "run")
     cfg = write_cfg(tmp_path, edited_scenario(
         "minkowski-m0-u2-A3", ("run.t_end = 1.75", "run.t_end = 0.05")))
     out = tmp_path / "sweep-out"
@@ -1111,6 +1119,7 @@ def test_sweep_point_that_cannot_write_is_an_error_row(tmp_path, capsys):
                        "theorem": "none", "T_bound": "nan", "rho": "nan",
                        "delta": "nan", "t_star": "nan", "margin": "nan"}
     assert (out / "amplitude3" / "report.txt").exists()
+    assert len(runs) == 1
 
 
 def test_frontier_row_is_the_point_report(tmp_path, capsys):
@@ -1276,12 +1285,21 @@ def test_sweep_bad_axis(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and not out.exists()
     assert captured.err == "error: axis key 'data0.amplitude' given twice\n"
-    for ends in ("nan:3", "1:inf", "-inf:3", "one:3"):
-        rc = main_entry(["sweep", cfg, "--axis", f"data0.amplitude={ends}:2",
-                         "--out", str(out)])
+    # a span hi - lo that overflows is refused too, before np.linspace
+    # would warn and make points of nan or inf
+    for grid in ("nan:3:2", "1:inf:2", "-inf:3:2", "one:3:2",
+                 "-1e308:1e308:3", "1e308:-1e308:2", "-1e308:1e308:1"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main_entry(["sweep", cfg, "--axis",
+                             f"data0.amplitude={grid}", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out.exists()
         assert captured.err.count("\n") == 1 and "finite" in captured.err
+        assert seen == []
+    key, values = cli._parse_axis("scale.H=-8e307:8e307:5")
+    assert np.isfinite(values).all() and values[[0, 2, 4]].tolist() == [
+        -8e307, 0.0, 8e307]
 
 
 def test_sweep_zero_data_point_is_an_error_row(tmp_path, capsys):

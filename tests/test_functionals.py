@@ -15,13 +15,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    RunConfig, Start, evaluate, kappa_for_mode,
+                    PowerLaw, RunConfig, Start, evaluate, kappa_for_mode,
                     load_bundled_scenario, make_profile, run)
 from kgflrw.functionals import RunningIntegrals, kappa_tilde_for_mode
-from oracles import State, ref_rel_E_I_gap
+from oracles import RefRunningIntegrals, State, ref_rel_E_I_gap, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,42 @@ def test_running_integrals_match_series():
     # comoving light path on a = exp(H t): (1 - exp(-H t)) / H
     expect_w = (1.0 - math.exp(-0.5 * 1.0)) / 0.5
     assert acc.light_path == pytest.approx(expect_w, rel=1e-6)
+
+
+# the sums a push accumulates, and its kept sample
+ACCUMULATED = ("P", "Q", "R", "G", "IG", "dissipated", "light_path", "_prev")
+# backgrounds from t0 on: static, decelerating, contracting (horizon 5 / n),
+# de Sitter, and de Sitter at H = 100 from t = 4.9, where a^2 and adot^2
+# overflow
+PUSH_BACKGROUNDS = ((PowerLaw(0.0, H=0.0), 0.0), (PowerLaw(0.5, H=0.3), 0.0),
+                    (PowerLaw(0.0, H=-0.4), 0.0), (DeSitter(H=0.5), 0.0),
+                    (DeSitter(H=100.0), 4.9))
+SAMPLE_FLOATS = st.one_of(st.floats(-1e6, 1e6),
+                          st.sampled_from([0.0, -0.0, 1e300, -1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PUSH_BACKGROUNDS), st.integers(1, 3),
+       st.floats(0.1, 10.0),
+       st.lists(st.tuples(st.floats(1e-6, 0.015),
+                          *[SAMPLE_FLOATS] * 4), min_size=1, max_size=8))
+def test_push_matches_the_plain_accumulator_bitwise(background, n, c,
+                                                    samples):
+    """RunningIntegrals.push, its integrands computed in one pass, against
+    the accumulator it replaced (`RefRunningIntegrals`), bit for bit after
+    every push: on a static, a decelerating, a contracting and two de
+    Sitter backgrounds (one past the overflow of a^2), with signed zeros
+    and integrals whose products overflow."""
+    sf, t = background
+    sf = dataclasses.replace(sf, n=n)
+    acc, ref = RunningIntegrals(n, c), RefRunningIntegrals(n, c)
+    for dt, L, ut_sq, re_u_ut, grad_sq in samples:
+        t += dt
+        args = (t, abs(L), abs(ut_sq), re_u_ut, abs(grad_sq), *sf.eval(t))
+        acc.push(*args)
+        ref.push(*args)
+        assert same_bits([getattr(acc, k) for k in ACCUMULATED],
+                         [getattr(ref, k) for k in ACCUMULATED])
 
 
 def test_dissipation_past_a_cubed_overflow():

@@ -59,9 +59,9 @@ from kgflrw.field import (Field, Stencil, dot_re, grad_sq_array, lap_array,
 from kgflrw.functionals import (Integrals, is_uniform, norm_integrals,
                                 potential_integrals)
 from oracles import (NONLINEARITIES, count_calls, edited_scenario, eval_gap,
-                     exact, gamma, grad_bound, lap_bound, ref_grad_sq,
-                     ref_lap_array, ref_rk4, ref_rk4_gap, same_bits,
-                     stage_factors, vehicle_text)
+                     exact, gamma, grad_bound, lap_bound, ref_cell_dot,
+                     ref_grad_sq, ref_lap_array, ref_rk4, ref_rk4_gap,
+                     ref_rk4_uniform, same_bits, stage_factors, vehicle_text)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +713,79 @@ def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
         assert_step_within(got, want)
         ws.accept()
     assert not laps and not rhs and not array_f
+
+
+SCALAR_NLS = NONLINEARITIES + (GaugeInvariantPower(p=2.5, lam=1.0, eps=1.5),)
+# a signed zero, a subnormal, and magnitudes whose products and powers
+# overflow to inf and then give nan, or whose complex abs overflows
+# (f_scalar's OverflowError branch)
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e160, -1e160, 1e300, -1e300, 1.7e308)
+
+
+def cell_floats(rng, size: int) -> list:
+    """size Python floats: normal draws at magnitudes from 1e-3 to 1e3, one
+    in eight replaced by one of SPECIAL_FLOATS."""
+    x = rng.normal(size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    special = rng.random(size) < 0.125
+    x[special] = rng.choice(SPECIAL_FLOATS, int(special.sum()))
+    return x.tolist()
+
+
+def cell_pair(x: list, real: bool) -> tuple:
+    """Two cells from the first four floats of x: floats, or complexes."""
+    if real:
+        return x[0], x[1]
+    return complex(x[0], x[2]), complex(x[1], x[3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SCALAR_NLS), st.booleans(), st.integers(0, 2**32 - 1))
+def test_uniform_step_matches_the_stage_loop_bitwise(nl, real, seed):
+    """`_rk4_uniform`, written out stage by stage, against the loop over
+    `ref_rhs_cell` that it replaced (`ref_rk4_uniform`), bit for bit, in 50
+    steps per example: on every family and without one, on float and
+    complex pairs (the real family takes floats), with random dv/dt factors
+    at the three stage times and dt from 1e-6 to 1, and SPECIAL_FLOATS
+    among them. The trial pair of the workspace is the returned pair, and
+    the accepted pair is left as it was. A rounding in one stage reaches
+    the new pair's bits in about one step in a hundred, hence the many
+    steps."""
+    real = real or nl is not None and nl.real_only
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        x = cell_floats(rng, 16)
+        u, v = cell_pair(x, real)
+        ks = [tuple(x[i:i + 4]) for i in (4, 8, 12)]
+        dt = 10.0 ** rng.uniform(-6.0, 0.0)
+        ws = RK4Workspace(u, v, nl, 0.1)
+        assert ws.uniform
+        want = ref_rk4_uniform(dt, *ks, nl, u, v, ws.fu)
+        assert same_bits(dynamics._rk4_uniform(dt, *ks, nl, ws), want)
+        assert same_bits((ws.trial_u, ws.trial_v), want)
+        assert ws.u is u and ws.v is v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCALAR_NLS), st.booleans(), st.integers(1, 3),
+       st.floats(0.5, 4.0), st.integers(0, 2**32 - 1))
+def test_one_cell_measure_is_the_cell_dot_bitwise(nl, real, n, half_width,
+                                                  seed):
+    """The one-cell sums of norm_integrals and potential_integrals, written
+    out, against `ref_cell_dot` times the box volume, bit for bit, on 20
+    float or complex pairs per example with SPECIAL_FLOATS among them."""
+    real = real or nl is not None and nl.real_only
+    grid = Grid(n=n, points_per_axis=16, half_width=half_width)
+    vol, rng = grid.volume, np.random.default_rng(seed)
+    for _ in range(20):
+        u, v = cell_pair(cell_floats(rng, 4), real)
+        assert same_bits(norm_integrals(u, v, grid), (
+            ref_cell_dot(u, u) * vol, ref_cell_dot(v, v) * vol,
+            ref_cell_dot(v, u) * vol))
+        if nl is not None:
+            fu = nl.f_scalar(u)
+            re_fu = ref_cell_dot(u, fu) * vol
+            assert same_bits(potential_integrals(u, fu, grid, nl),
+                             (re_fu / (nl.p + 1.0), re_fu))
 
 
 # ---------------------------------------------------------------------------
