@@ -9,8 +9,7 @@ from .config import ProfileSpec, Scenario, parse_config, parse_text
 from .dynamics import (BlowupInfo, RunConfig, Start, Trace, estimate_t_star,
                        run)
 from .field import Field, Grid, make_profile, support_radius
-from .functionals import (CSV_COLUMNS, Integrals, PhysicalParams,
-                          kappa_for_mode)
+from .functionals import CSV_COLUMNS, Integrals, PhysicalParams
 from .hypotheses import (HypothesisReport, TheoremCheck, check_corollaries,
                          check_theorem1, check_theorem2, classify_table1,
                          concavity_problem, evaluate, theorem1_bound,

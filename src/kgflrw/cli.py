@@ -5,8 +5,9 @@ error; 3 no certificate applies; 4 certificate blocked only by the
 background's lifetime; 5 wrap-around abort (periodic images about to
 contaminate the wavefront); 6 non-finite state. A command returns the code
 of the outcome it reports; `main_entry` maps the package's exceptions to 2,
-3, 4 and 5 (support filling the box before the first step: `check`,
-`oracle-ode` and `simulate` apply the run's wrap guard alike).
+3, 4 and 5, and a MemoryError to 2. `check`, `oracle-ode` and `simulate`
+measure the data through one `Start`, which refuses a support filling the
+box (5) before any certificate is evaluated.
 
 `simulate` and every sweep point run a scenario through `_simulate`
 (evaluate, run, write). A run that stops without a verdict names its ending
@@ -39,8 +40,9 @@ import sys
 
 import numpy as np
 
-from .config import Scenario, key_value_lines, parse_config, parse_text
-from .dynamics import Start, Trace, run, wrap_margin
+from .config import (Scenario, key_value_lines, parse_config, parse_text,
+                     read_config)
+from .dynamics import Start, Trace, run
 from .errors import (HorizonTooShort, InvariantViolation, KGFLRWError,
                      NoVanishBeforeT, ParseError, TimeBeyondHorizon,
                      WrapAroundRisk)
@@ -153,17 +155,15 @@ def trace_csv_text(trace: Trace) -> str:
         line % snapshot_csv_values(row) for row in trace.rows)
 
 
+def _start(scn: Scenario) -> Start:
+    """The data of scn's run, measured: WrapAroundRisk if their support
+    already fills the box."""
+    return Start(*scn.build_fields(), scn.nl, scn.wrap_support_radius())
+
+
 def _evaluate_scenario(scn: Scenario, m0: Integrals) -> HypothesisReport:
     return evaluate(m0, scn.run.t0, scn.sf, scn.params,
                     mode=scn.run.theorem_mode)
-
-
-def _check_scenario(scn: Scenario) -> HypothesisReport:
-    """The certificate of scn from the t0 measurement of its run's `Start`,
-    behind the wrap guard of its run: WrapAroundRisk if the data's support
-    already fills the box, as `simulate` raises it."""
-    wrap_margin(scn.grid, scn.wrap_support_radius())
-    return _evaluate_scenario(scn, Start(*scn.build_fields(), scn.nl).rec)
 
 
 def _simulate(scn: Scenario, out_dir: str) -> tuple[dict, str | None]:
@@ -178,17 +178,15 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple[dict, str | None]:
     if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
         raise KGFLRWError(f"cannot write {out_dir}: "
                           f"{os.strerror(errno.EEXIST)}")
-    start = Start(*scn.build_fields(), scn.nl)
+    start = _start(scn)
     try:
         report = _evaluate_scenario(scn, start.rec)
     except HorizonTooShort as exc:
         log.info("certificate blocked by horizon, running uncertified: %s",
                  exc)
         report, note = None, str(exc).replace("\n", " ")
-    mode = "none" if report is None else report.mode
     trace = run(start, scn.sf, scn.params, scn.run,
-                T_bound=None if mode == "none" else report.T_bound,
-                support_radius=scn.wrap_support_radius(), mode=mode)
+                cert=None if report is None else report.cert)
     meta, bu = trace.meta, trace.blowup
     record = _report_dict(report, scn)
     record.update({
@@ -220,7 +218,7 @@ def _simulate(scn: Scenario, out_dir: str) -> tuple[dict, str | None]:
 
 def cmd_check(args) -> int:
     scn = parse_config(args.config)
-    report = _check_scenario(scn)
+    report = _evaluate_scenario(scn, _start(scn).rec)
     record = _report_dict(report, scn)
     sys.stdout.write(_csv(record.keys(), [record.values()]) if args.csv
                      else _lines(record))
@@ -250,12 +248,12 @@ def cmd_oracle(args) -> int:
         return EXIT_CONFIG
     problems = []
     if scn is not None:
-        report = _check_scenario(scn)
-        if report.mode == "none":
+        report = _evaluate_scenario(scn, _start(scn).rec)
+        if report.cert is None:
             print("error: odelab: no certificate applies; nothing to derive",
                   file=sys.stderr)
             return EXIT_NO_THEOREM
-        problems.append(concavity_problem(report, scn.sf, scn.params))
+        problems.append(concavity_problem(report, scn.params))
     problems.extend(random_admissible_problems(args.random, seed=args.seed))
     text = _csv(ORACLE_COLUMNS,
                 [(prob.kappa, prob.A, prob.B, prob.T, prob.y0, prob.y1,
@@ -322,9 +320,10 @@ def cmd_sweep(args) -> int:
         print(f"error: --jobs must be between 1 and {cores}, got {args.jobs}",
               file=sys.stderr)
         return EXIT_CONFIG
-    scn = parse_config(args.config)  # validates the base point, builds no field
-    with open(args.config, encoding="utf-8") as fh:
-        base_text = fh.read()
+    # one read of the file, whose text every point parses; parsing it
+    # validates the base point and builds no field
+    base_text, name, base_dir = read_config(args.config)
+    scn = parse_text(base_text, name=name, base_dir=base_dir)
     axes = [_parse_axis(spec) for spec in args.axis]
     if len(axes) > 2:
         print("error: at most two axes", file=sys.stderr)
@@ -341,8 +340,7 @@ def cmd_sweep(args) -> int:
     for key, values in axes:
         points = [dict(pt, **{key: float(v)}) for pt in points
                   for v in values]
-    base_dir = os.path.dirname(args.config) or "."  # as parse_config
-    payloads = [(base_text, base_dir, scn.name, pt, out_dir) for pt in points]
+    payloads = [(base_text, base_dir, name, pt, out_dir) for pt in points]
     if args.jobs > 1:
         pool_type = (globals().get("ProcessPoolExecutor")  # if replaced
                      or __getattr__("ProcessPoolExecutor"))
@@ -436,6 +434,9 @@ def main_entry(argv=None) -> int:
         return EXIT_NO_THEOREM
     except KGFLRWError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # data or problems too large to allocate
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

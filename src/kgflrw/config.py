@@ -345,11 +345,18 @@ def parse_text(text: str, name: str = "<string>", base_dir: str = ".",
                     config_hash=_config_hash(sec))
 
 
-def parse_config(path: str) -> Scenario:
+def read_config(path: str) -> tuple[str, str, str]:
+    """The text of the config file path, with the scenario name and base
+    directory that `parse_text` takes for it; ParseError if it cannot be
+    read."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_text(text, name=name, base_dir=os.path.dirname(path) or ".")
+    return text, name, os.path.dirname(path) or "."
+
+
+def parse_config(path: str) -> Scenario:
+    return parse_text(*read_config(path))

@@ -44,15 +44,16 @@ dt_min with accelerating growth ("step_collapse"), or a nonfinite state
 ("nonfinite": the last finite state ends the trace and detected stays
 False). It starts from one record, `StepState`, which `run()` makes at t0
 and `Stepper.checkpoint()` copies. A certificate reads the t0 measurement
-of the run's `Start` (`rec`).
+of the run's `Start` (`rec`), which also applies the wrap guard at t0.
 
-The recorder, `run()`, feeds the history integrals, writes the rows through
-one snapshot, applies the wrap guard (`wrap_margin` at t0, which `check`
-and `oracle-ode` apply too) and fits t* to the tail: ||u||^2 scales like
-(t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is asymptotically linear and
-its zero crossing, under two fit windows, gives t* and an uncertainty. A run
-that starts returns its trace, whose `blowup` names how it stopped; the wrap
-guard's is "wrap_around", with detected False as for "nonfinite".
+The recorder, `run()`, follows one certificate value (`cert`: the bound,
+exponent and rate of theta), feeds the history integrals, writes the rows
+through one snapshot, tracks the wrap margin and fits t* to the tail:
+||u||^2 scales like (t* - t)^(-4/(p-1)), so y = L^(-(p-1)/4) is
+asymptotically linear and its zero crossing, under two fit windows, gives
+t* and an uncertainty. A run that starts returns its trace, whose `blowup`
+names how it stopped; the wrap guard's is "wrap_around", with detected
+False as for "nonfinite".
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ from .errors import (InvariantViolation, TimeBeyondHorizon, TooFewSamples,
 from .field import (Field, Grid, Stencil, grad_sq_array, lap_slab, lap_sum,
                     placed)
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
-                          RunningIntegrals, is_uniform, kappa_for_mode,
-                          kappa_tilde_for_mode, norm_integrals,
+                          RunningIntegrals, is_uniform, norm_integrals,
                           potential_integrals, state_arrays, state_grid)
+from .hypotheses import TheoremCheck
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
@@ -464,15 +465,17 @@ class Stepper:
             yield t, dt, L, motion, end
 
 
-def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
-                 rate0: float, L0: float, E_t0: float):
-    """The row snapshot of a run with certificate mode, theta's anchor
-    (T_bound, or None, with adot/a and L0 at t0) and E at t0 (in Hdiag).
-    The terms that do not change along the run are computed once: the
-    certificate's exponents and Hdiag's E_t0 term."""
+def _row_builder(params: PhysicalParams, cert: TheoremCheck | None,
+                 L0: float, E_t0: float):
+    """The row snapshot of a run that follows cert (or None: no anchor in
+    theta, and NaN theta^(-kappa) and zeta), with L0 and E at t0 (in
+    Hdiag). cert gives theta's anchor n (T_bound - t) rate0 L0, kappa and
+    zeta's weight 4 kappa + 1, computed once, as is Hdiag's E_t0 term."""
     n, eps = params.n, params.eps
-    if mode != "none":
-        kt, kappa = kappa_tilde_for_mode(mode, eps), kappa_for_mode(mode, eps)
+    mode = "none" if cert is None else cert.name
+    if cert is not None:
+        T_bound, rate0, kappa = cert.T_bound, cert.rate0, cert.kappa
+        kt = 4.0 * kappa + 1.0
     # Hdiag's denominator; 0 for m = 0 and for a subnormal |m| whose product
     # underflows, both the massless limit, where Hdiag is NaN
     hd_den = abs(params.m) * params.c * eps
@@ -484,15 +487,14 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
         E = rec.energy(a, params)
         I = rec.nehari(a, params)
         theta = L + acc.P + n * acc.IG
-        if T_bound is not None:
-            theta += n * (T_bound - t) * rate0 * L0
         try:
             cross_sq = (re_u_ut + acc.R) ** 2
         except OverflowError:  # a finite state whose eta overflows
             cross_sq = math.inf
         eta = (L + acc.P) * (ut_sq + acc.Q) - cross_sq
         negk = zeta = math.nan
-        if mode != "none":
+        if cert is not None:
+            theta += n * (T_bound - t) * rate0 * L0
             if theta > 0:
                 negk = theta ** -kappa
             zeta = -(kt + 1.0) * ut_sq - 2.0 * I - (kt + 3.0) * acc.Q
@@ -504,27 +506,23 @@ def _row_builder(params: PhysicalParams, mode: str, T_bound: float | None,
     return snapshot
 
 
-def wrap_margin(grid: Grid, support_radius: float | None) -> float:
-    """The light-cone wrap margin at t0, grid.half_width - support_radius
-    (inf for delocalized data, support_radius None); WrapAroundRisk if the
-    support already fills the box, so that a run cannot start."""
-    if support_radius is None:
-        return math.inf
-    margin = grid.half_width - support_radius
-    if margin <= 0:
-        raise WrapAroundRisk(
-            f"support radius {support_radius} already fills the box")
-    return margin
-
-
 class Start:
-    """The data (u0, u1) of one run: its grid, its workspace `ws` (which
-    holds nl) and the t0 measurement `rec`, from the workspace's load and
-    f(u), which the first step takes and a certificate reads."""
+    """The data (u0, u1) of one run: its grid, the wrap margin at t0
+    `margin` (half_width - support_radius, inf without support_radius;
+    WrapAroundRisk, before any measurement, if not positive), its workspace
+    `ws` (which holds nl) and the t0 measurement `rec`, from the
+    workspace's load and f(u), which the first step takes and a certificate
+    reads."""
 
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, u0: Field, u1: Field, nl: Nonlinearity | None):
+    def __init__(self, u0: Field, u1: Field, nl: Nonlinearity | None,
+                 support_radius: float | None = None):
         self.grid = grid = state_grid(u0, u1)
+        self.margin = (math.inf if support_radius is None
+                       else grid.half_width - support_radius)
+        if self.margin <= 0:
+            raise WrapAroundRisk(
+                f"support radius {support_radius} already fills the box")
         self.ws = ws = RK4Workspace(*state_arrays(u0, u1), nl, grid.spacing)
         self.rec = Integrals(*norm_integrals(ws.u, ws.v, grid),
                              ws.grad_sq * grid.cell_volume,
@@ -533,35 +531,30 @@ class Start:
 
 @np.errstate(over="ignore", invalid="ignore")
 def run(start: Start, sf: ScaleFactor, params: PhysicalParams,
-        cfg: RunConfig, T_bound: float | None = None,
-        support_radius: float | None = None, mode: str = "none") -> Trace:
+        cfg: RunConfig, cert: TheoremCheck | None = None) -> Trace:
     """Integrate from the data of start at cfg.t0 and record the
     diagnostic trace.
 
     A `Stepper` takes the steps. Each accepted state feeds the history
     integrals; it is a row at t0, every record_every steps, at every step of
-    the blow-up tail and at the end. mode selects the certificate whose
-    exponents label the theta^(-k) and zeta columns ("thm1", "thm2", or
-    "none"; without a certified T_bound theta has no anchor term). Localized
-    data pass support_radius so the trace carries the light-cone wrap
-    margin: WrapAroundRisk if the support already fills the box, else a
-    margin exhausted before t_end ends the run with the undetected blow-up
-    "wrap_around". numpy's overflow warnings are off: a non-finite state is
-    the trace's "nonfinite" ending.
+    the blow-up tail and at the end. cert, the report's certificate or None,
+    labels each row's mode and gives its theta columns (`_row_builder`).
+    The trace carries the light-cone wrap margin from start.margin: one
+    exhausted before t_end ends the run with the undetected blow-up
+    "wrap_around". numpy's overflow warnings are off: a non-finite state
+    is the trace's "nonfinite" ending.
     """
-    if mode not in ("thm1", "thm2", "none"):
-        raise ValueError("mode must be thm1, thm2 or none")
     grid, ws, rec, nl = start.grid, start.ws, start.rec, start.ws.nl
     L0 = rec.L
     if L0 <= 0:
         raise InvariantViolation("dynamics", "initial data must be nonzero")
     stepper = Stepper(StepState(cfg.t0, ws.u, ws.v, cfg.dt, L0, L0, 0, ()),
                       ws, sf, params, nl, grid, cfg)
-    margin0 = wrap_margin(grid, support_radius)
+    margin0 = start.margin
     acc = RunningIntegrals(params.n, params.c)
     a, adot, addot = stepper.bg
     E_t0 = rec.energy(a, params)
-    snapshot = _row_builder(params, mode, T_bound, adot / a, L0, E_t0)
+    snapshot = _row_builder(params, cert, L0, E_t0)
     acc.push(cfg.t0, *rec[:4], a, adot, addot)
     rows = [snapshot(cfg.t0, 0.0, rec, a, adot, acc, margin0)]
 

@@ -73,6 +73,10 @@ class Grid:
             raise ValueError("spatial dimension must be 1, 2 or 3")
         if self.points_per_axis < 8:
             raise ValueError("need at least 8 points per axis")
+        # the byte size of a complex128 field must fit numpy's intp
+        if self.points_per_axis ** self.n * 16 > np.iinfo(np.intp).max:
+            raise ValueError(f"grid of {self.points_per_axis}^{self.n} "
+                             f"cells is too large for a complex128 array")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         try:  # the stencils divide by h, the integrals scale by h^n

@@ -94,24 +94,6 @@ class PhysicalParams:
         return min(1.0, self.c)
 
 
-def kappa_tilde_for_mode(mode: str, eps: float) -> float:
-    """Weight in zeta: eps+1 for the norm-margin certificate, eps/2+1 for the
-    velocity-margin one."""
-    if mode == "thm1":
-        return eps + 1.0
-    if mode == "thm2":
-        return 0.5 * eps + 1.0
-    raise ValueError(f"unknown certificate mode {mode!r}")
-
-
-def kappa_for_mode(mode: str, eps: float) -> float:
-    """Concavity exponent (kappa_tilde - 1)/4: eps/4 for the norm-margin
-    certificate, eps/8 for the velocity-margin one."""
-    if mode not in ("thm1", "thm2"):
-        raise ValueError(f"unknown certificate mode {mode!r}")
-    return eps / 4.0 if mode == "thm1" else eps / 8.0
-
-
 class Integrals(NamedTuple):
     """The six integrals of one state; the methods take the background value
     a at its time. Without a nonlinearity F and re_fu are 0.0: subtracting

@@ -37,12 +37,11 @@ import math
 from dataclasses import dataclass, field as dc_field, fields
 
 from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
-from .functionals import Integrals, PhysicalParams, kappa_for_mode
+from .functionals import Integrals, PhysicalParams
 from .odelab import ConcavityProblem
 from .scale_factor import (ScaleFactor, Tabulated,
                            check_monotone_expansion, check_t0_condition,
-                           hubble_rate, min_admissible_t0,
-                           t0_condition_threshold)
+                           min_admissible_t0, t0_condition_threshold)
 
 _REL = 1e-9
 
@@ -73,13 +72,18 @@ def theorem2_bound(L0: float, delta_val: float, eps: float, n: int,
 @dataclass
 class TheoremCheck:
     """One certificate's verdict with per-condition booleans and margins;
-    horizon says why when the background's lifetime alone blocks it."""
+    horizon says why when the background's lifetime alone blocks it. The
+    certificate makes theta^(-kappa) concave, kappa eps/4 (norm margin) or
+    eps/8 (velocity margin); rate0 is adot/a at its start, which its bound
+    and theta's anchor term n (T_bound - t) rate0 ||u0||^2 use."""
 
     name: str
     applicable: bool
     margin: float
     T_bound: float | None
     conditions: dict
+    kappa: float
+    rate0: float
     horizon: str | None = None
 
 
@@ -88,7 +92,8 @@ def _re_tolerance(m0: Integrals) -> float:
 
 
 def _verdict(name: str, margin: float, T: float | None, conds: dict,
-             t_start: float, sf: ScaleFactor) -> TheoremCheck:
+             t_start: float, sf: ScaleFactor, kappa: float,
+             rate0: float) -> TheoremCheck:
     """Add the background and bound clauses to conds and decide; T is the
     certified time (None for a nonpositive margin). A bound that is not a
     finite number certifies nothing."""
@@ -103,8 +108,8 @@ def _verdict(name: str, margin: float, T: float | None, conds: dict,
             ok for key, ok in conds.items() if key != "within_horizon"):
         blocked = (f"certificate needs T = {T:.9g} but the background "
                    f"lifetime is {lifetime:.9g}")
-    return TheoremCheck(name, applicable, margin,
-                        T if applicable else None, conds, blocked)
+    return TheoremCheck(name, applicable, margin, T if applicable else None,
+                        conds, kappa, rate0, blocked)
 
 
 def check_theorem1(m0: Integrals, sf: ScaleFactor,
@@ -114,23 +119,24 @@ def check_theorem1(m0: Integrals, sf: ScaleFactor,
     When every hypothesis holds and only the clause T <= horizon fails, the
     check is not applicable and its horizon field gives the reason.
     """
-    rho_val = m0.rho(sf.eval(0.0)[0], params)
+    a0, adot0, _ = sf.eval(0.0)
+    rho_val, rate0 = m0.rho(a0, params), adot0 / a0
     conds = {
         "margin_positive": rho_val > 0.0,
         "re_nonneg": m0.re_u_ut >= -_re_tolerance(m0),
     }
-    T1 = (theorem1_bound(m0.L, rho_val, params.eps, params.n,
-                         hubble_rate(sf, 0.0))
+    T1 = (theorem1_bound(m0.L, rho_val, params.eps, params.n, rate0)
           if conds["margin_positive"] else None)
-    return _verdict("thm1", rho_val, T1, conds, 0.0, sf)
+    return _verdict("thm1", rho_val, T1, conds, 0.0, sf, params.eps / 4.0,
+                    rate0)
 
 
 def check_theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
                    params: PhysicalParams) -> TheoremCheck:
     """Velocity-margin certificate on the data measured at t0; horizon as
     in check_theorem1."""
-    a0 = sf.eval(t0)[0]
-    delta_val = m0.delta(a0, params)
+    a0, adot0, _ = sf.eval(t0)
+    delta_val, rate0 = m0.delta(a0, params), adot0 / a0
     ok_t0, _ = check_t0_condition(sf, t0, params.m, params.c, params.eps)
     conds = {
         "t0_condition": ok_t0,
@@ -138,10 +144,10 @@ def check_theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
         "nehari_negative": m0.nehari(a0, params) < 0.0,
         "re_nonneg": m0.re_u_ut >= -_re_tolerance(m0),
     }
-    T2 = (theorem2_bound(m0.L, delta_val, params.eps, params.n,
-                         hubble_rate(sf, t0), t0)
+    T2 = (theorem2_bound(m0.L, delta_val, params.eps, params.n, rate0, t0)
           if conds["margin_positive"] else None)
-    return _verdict("thm2", delta_val, T2, conds, t0, sf)
+    return _verdict("thm2", delta_val, T2, conds, t0, sf, params.eps / 8.0,
+                    rate0)
 
 
 def classify_table1(m0: Integrals, a0: float, params: PhysicalParams) -> str:
@@ -217,7 +223,7 @@ def check_corollaries(sf: ScaleFactor, t0: float,
 class HypothesisReport:
     case_label: str
     theorem: str            # which certificates hold: thm1 | thm2 | both | none
-    mode: str               # certificate driving T_bound and run exponents
+    mode: str               # the certificate a run follows: cert's name
     rho: float
     delta: float
     I_u0: float
@@ -230,12 +236,13 @@ class HypothesisReport:
     margins: dict = dc_field(default_factory=dict)
     thm1: TheoremCheck | None = None
     thm2: TheoremCheck | None = None
+    cert: TheoremCheck | None = None  # the check mode resolved to
 
     def flat(self) -> dict:
         """Scalar key=value view for text and CSV emission: the scalar
         fields in order (T_bound None as "none"), then margin.<key>."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("margins", "thm1", "thm2")}
+               if f.name not in ("margins", "thm1", "thm2", "cert")}
         if self.T_bound is None:
             out["T_bound"] = "none"
         for key in sorted(self.margins):
@@ -263,7 +270,7 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
 
     t1 = (check_theorem1(m0, sf, params) if t0 == 0.0 else
           TheoremCheck("thm1", False, math.nan, None,
-                       {"starts_at_zero": False}))
+                       {"starts_at_zero": False}, params.eps / 4.0, math.nan))
     t2 = check_theorem2(m0, t0, sf, params)
 
     applicable = [chk for chk in (t1, t2) if chk.applicable]
@@ -272,21 +279,21 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
     if theorem == "none" and (t1.horizon or t2.horizon):
         raise HorizonTooShort(t1.horizon or t2.horizon)
 
-    # T_bound and the corollary case come from one certificate: the first
-    # applicable one that mode allows (that is the resolved mode), else the
+    # the resolved certificate is the first applicable one that mode
+    # allows; T_bound and the corollary case come from it, else from the
     # first applicable one
     allowed = [chk for chk in applicable if mode in ("auto", chk.name)]
-    resolved = allowed[0].name if allowed else "none"
-    cert = (allowed or applicable or [None])[0]
-    T_bound = cert.T_bound if cert is not None else None
+    cert = allowed[0] if allowed else None
+    shown = (allowed or applicable or [None])[0]
+    T_bound = shown.T_bound if shown is not None else None
 
     a0 = sf.eval(t0)[0]
     E0 = m0.energy(a0, params)
     I0 = m0.nehari(a0, params)
     case = classify_table1(m0, a0, params)
     cors = check_corollaries(sf, t0, params)
-    cor = ("n/a" if cert is None else
-           {"thm1": cors.thm1_case, "thm2": cors.thm2_case}[cert.name])
+    cor = ("n/a" if shown is None else
+           {"thm1": cors.thm1_case, "thm2": cors.thm2_case}[shown.name])
 
     margins = {
         "thm1.rho": t1.margin,
@@ -298,31 +305,29 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
         margins["thm1.T_bound"] = t1.T_bound
     if t2.T_bound is not None:
         margins["thm2.T_bound"] = t2.T_bound
-    rate_t0 = hubble_rate(sf, t0)
     thr = t0_condition_threshold(params.m, params.c, params.eps, params.n)
     if math.isfinite(thr):
-        margins["thm2.t0_rate_slack"] = thr - rate_t0
+        margins["thm2.t0_rate_slack"] = thr - t2.rate0
 
     return HypothesisReport(
-        case_label=case, theorem=theorem, mode=resolved,
+        case_label=case, theorem=theorem,
+        mode="none" if cert is None else cert.name,
         rho=t1.margin, delta=t2.margin, I_u0=I0, re_u0_u1=m0.re_u_ut,
         E_t0=E0, L0=m0.L, t0_used=t0, T_bound=T_bound, corollary_case=cor,
-        margins=margins, thm1=t1, thm2=t2)
+        margins=margins, thm1=t1, thm2=t2, cert=cert)
 
 
-def concavity_problem(report: HypothesisReport, sf: ScaleFactor,
+def concavity_problem(report: HypothesisReport,
                       params: PhysicalParams) -> ConcavityProblem:
     """The comparison problem y'' <= -kappa A y^(1+1/kappa) solved by
-    y = theta^(-kappa) along the certificate behind report.T_bound:
+    y = theta^(-kappa) along report.cert, with its kappa, bound T and rate0:
     A = 2(eps+2) margin, B = (1 + n rate0) L0, and y0, y1 from theta(t0) and
     theta'(t0) = 2 Re(u0, u1). Values that overflow or round into a
     problem ConcavityProblem rejects raise InvariantViolation."""
-    eps, n, t0 = params.eps, params.n, report.t0_used
-    rate0 = hubble_rate(sf, t0)
-    kappa = kappa_for_mode(report.mode, eps)
-    margin = report.rho if report.mode == "thm1" else report.delta
-    A = 2.0 * (eps + 2.0) * margin
-    L0, T = report.L0, report.T_bound
+    eps, n, t0, L0 = params.eps, params.n, report.t0_used, report.L0
+    cert = report.cert
+    kappa, rate0, T = cert.kappa, cert.rate0, cert.T_bound
+    A = 2.0 * (eps + 2.0) * cert.margin
     B = (1.0 + n * rate0) * L0
     theta0 = L0 + n * (T - t0) * rate0 * L0
     if theta0 <= 0:

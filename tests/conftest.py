@@ -61,6 +61,5 @@ def anchor_run(anchor_scenario):
     start = kgflrw.Start(u0, u1, scn.nl)
     rep = kgflrw.evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                           mode=scn.run.theorem_mode)
-    trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
-                       T_bound=rep.T_bound, mode=rep.mode)
+    trace = kgflrw.run(start, scn.sf, scn.params, scn.run, rep.cert)
     return scn, rep, trace

@@ -3,12 +3,13 @@ test modules share: the plain reference kernels (the np.roll Laplacian, its
 quadratic form and symbols, the Fourier mode energies, the allocate-per-stage
 RK4 step, the scalar RK4 step as a loop over a per-cell right-hand side,
 the one-cell dot, the meshgrid profiles, F in closed form and by
-quadrature, the functionals recomputed from the fields, the history
-integrals' plain trapezoid accumulator, the DOP853 integrations of
-spatially constant data and of the concavity ODE, the de Sitter closed
-form), the rounding bounds that hold the program to them (Higham, Accuracy
-and Stability of Numerical Algorithms, section 3.1) and the frozen exact
-values, and the config text edit that sweep points were parsed from. Every
+quadrature, the functionals recomputed from the fields, the certificates'
+exponents, the history integrals' plain trapezoid accumulator, the DOP853
+integrations of spatially constant data and of the concavity ODE, the de
+Sitter closed form), the rounding bounds that hold the program to them
+(Higham, Accuracy and Stability of Numerical Algorithms, section 3.1) and
+the frozen exact values, and the config text edit that sweep points were
+parsed from. Every
 test module imports them from here, and none imports another test module
 (`test_hygiene.py`).
 """
@@ -23,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from kgflrw import (GaugeInvariantPower, PhysicalParams, RealAbsPower,
-                    bundled_scenario_text)
+from kgflrw import (GaugeInvariantPower, PhysicalParams, RealAbsPower, Start,
+                    bundled_scenario_text, evaluate)
 from kgflrw.dynamics import _coeffs
 from kgflrw.errors import GridMismatch
 from kgflrw.nonlinearity import Nonlinearity
@@ -530,6 +531,18 @@ def ref_re_tolerance(u0, u1):
     return _REL * (math.sqrt(l2_norm_sq(u0) * l2_norm_sq(u1)) + 1e-300)
 
 
+def ref_kappa_tilde(mode: str, eps: float) -> float:
+    """zeta's weight under a certificate: eps + 1 for the norm-margin one
+    ("thm1"), eps/2 + 1 for the velocity-margin one ("thm2")."""
+    return {"thm1": eps + 1.0, "thm2": 0.5 * eps + 1.0}[mode]
+
+
+def ref_kappa(mode: str, eps: float) -> float:
+    """The concavity exponent (kappa_tilde - 1)/4 under a certificate:
+    eps/4 for "thm1", eps/8 for "thm2", each one division."""
+    return {"thm1": eps / 4.0, "thm2": eps / 8.0}[mode]
+
+
 def ref_classify_table1(u0, u1, t0, sf, params, nl, E0=None, I0=None):
     """The table's label; E0 and I0, if given, stand for the reference
     E(t0) and I(u0)."""
@@ -749,6 +762,14 @@ def count_calls(mp, owner, name: str) -> list:
     for target in owners:
         mp.setattr(target, name, counting)
     return calls
+
+
+def scenario_cert(scn):
+    """The certificate a run of scn follows: the `TheoremCheck` its
+    theorem_mode resolves to on its data, or None."""
+    rec = Start(*scn.build_fields(), scn.nl).rec
+    return evaluate(rec, scn.run.t0, scn.sf, scn.params,
+                    mode=scn.run.theorem_mode).cert
 
 
 def edited_scenario(name: str, *edits) -> str:

@@ -16,8 +16,7 @@ from scipy.integrate import solve_ivp
 import kgflrw
 from kgflrw.cli import main_entry
 from kgflrw.errors import TimeBeyondHorizon
-from kgflrw.functionals import kappa_tilde_for_mode
-from oracles import TSTAR
+from oracles import TSTAR, ref_kappa_tilde
 
 T1_ANCHOR = math.pi ** 2
 T2_DESITTER = 360.0 * math.pi ** 2 / 109.0
@@ -63,8 +62,7 @@ def _timed_run(name):
     start = kgflrw.Start(u0, u1, scn.nl)
     rep = kgflrw.evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                           mode=scn.run.theorem_mode)
-    trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
-                       T_bound=rep.T_bound, mode=rep.mode)
+    trace = kgflrw.run(start, scn.sf, scn.params, scn.run, rep.cert)
     elapsed = time.perf_counter() - began
     return scn, rep, trace, elapsed
 
@@ -128,9 +126,9 @@ def test_criterion_3_energy_identity():
     # smooth expanding run: E(t) + dissipated(t) must track E(0)
     scn = kgflrw.load_bundled_scenario("desitter-smooth")
     u0, u1 = scn.build_fields()
-    trace = kgflrw.run(kgflrw.Start(u0, u1, scn.nl), scn.sf, scn.params,
-                       scn.run, support_radius=scn.wrap_support_radius(),
-                       mode="none")
+    trace = kgflrw.run(kgflrw.Start(u0, u1, scn.nl,
+                                    scn.wrap_support_radius()),
+                       scn.sf, scn.params, scn.run)
     assert trace.blowup is None
     E = np.array([r.E for r in trace.rows])
     D = np.array([r.e_dissipated for r in trace.rows])
@@ -144,7 +142,7 @@ def test_criterion_3_energy_identity():
     scn = kgflrw.load_bundled_scenario("minkowski-linear")
     u0, u1 = scn.build_fields()
     trace = kgflrw.run(kgflrw.Start(u0, u1, scn.nl), scn.sf, scn.params,
-                       scn.run, mode="none")
+                       scn.run)
     assert trace.blowup is None
     E = np.array([r.E for r in trace.rows])
     drift = np.abs(E - E[0]).max() / abs(E[0])
@@ -191,7 +189,7 @@ def test_criterion_4_invariance_suite(theorem_runs):
         # the slack must scale with the cancelling magnitudes
         ut_sq = np.array([r.ut_sq for r in rows])
         zeta = np.array([r.zeta for r in rows])
-        kt = kappa_tilde_for_mode(rows[0].mode, eps)
+        kt = ref_kappa_tilde(rows[0].mode, eps)
         Q = (-zeta - (kt + 1.0) * ut_sq - 2.0 * I) / (kt + 3.0)
         assert np.all(Q >= -1e-9 * max(1.0, np.abs(Q).max()))
         kt1 = eps + 1.0
@@ -341,8 +339,7 @@ def test_criterion_8_refinement_stability(theorem_runs):
         start = kgflrw.Start(u0, u1, scn.nl)
         rep = kgflrw.evaluate(start.rec, scn.run.t0, scn.sf, scn.params,
                               mode=scn.run.theorem_mode)
-        trace = kgflrw.run(start, scn.sf, scn.params, scn.run,
-                           T_bound=rep.T_bound, mode=rep.mode)
+        trace = kgflrw.run(start, scn.sf, scn.params, scn.run, rep.cert)
         t_star = trace.blowup.t_star
         assert t_star is not None
         shift = abs(t_star - base) / base

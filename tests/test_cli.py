@@ -387,19 +387,26 @@ def test_simulate_wrap_exit_five(tmp_path, capsys):
 
 def test_check_and_oracle_apply_the_wrap_guard(tmp_path, capsys):
     """The anchor with a Gaussian u0 of width 1.0, whose support radius 4.0
-    fills the box: check and oracle-ode refuse it as simulate does, through
-    the run's one wrap guard, with exit 5, that guard's one stderr line and
-    no stdout. At width 0.75 (radius 3.0) the data fit, and check
-    certifies them."""
+    fills the box: check, oracle-ode and simulate refuse it through the one
+    wrap guard of the run's `Start`, with exit 5, that guard's one stderr
+    line, no stdout and no output directory. So they do at amplitude 1e200,
+    whose integrals overflow, as the guard comes before any certificate.
+    At width 0.75 (radius 3.0) the data fit, and check certifies them."""
     text = bundled_scenario_text("minkowski-m0-u2-A3").replace(
         "data0.kind = homogeneous", "data0.kind = gaussian\ndata0.width = 1.0")
-    cfg = write_cfg(tmp_path, text)
-    for argv in (["check", cfg], ["check", cfg, "--csv"], ["oracle-ode", cfg],
-                 ["simulate", cfg, "--out", str(tmp_path / "out")]):
-        assert main_entry(argv) == 5
-        out, err = capsys.readouterr()
-        assert out == "" and err.splitlines() == [
-            "wrap-around abort: support radius 4.0 already fills the box"]
+    for amplitude in ("3.0", "1e200"):
+        cfg = write_cfg(tmp_path, text.replace(
+            "data0.amplitude = 3.0", f"data0.amplitude = {amplitude}"),
+            f"wide{amplitude}.cfg")
+        out_dir = tmp_path / f"out{amplitude}"
+        for argv in (["check", cfg], ["check", cfg, "--csv"],
+                     ["oracle-ode", cfg],
+                     ["simulate", cfg, "--out", str(out_dir)]):
+            assert main_entry(argv) == 5
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [
+                "wrap-around abort: support radius 4.0 already fills the box"]
+        assert not out_dir.exists()
     fits = write_cfg(tmp_path, text.replace("data0.width = 1.0",
                                             "data0.width = 0.75"), "fits.cfg")
     assert main_entry(["check", fits]) == 0
@@ -687,13 +694,17 @@ def test_a0_whose_square_underflows_exit_two(tmp_path, capsys, argv):
     ("grid.n = 3\ngrid.N = 8\ngrid.half_width = 1e-110",
      "cell volume must be a positive normal float, got 0.0"),
     ("grid.n = 3\ngrid.N = 8\ngrid.half_width = 1e110",
-     "cell volume must be a positive normal float, got inf")],
-    ids=["h-underflows", "h3-underflows", "h3-overflows"])
+     "cell volume must be a positive normal float, got inf"),
+    ("grid.n = 3\ngrid.N = 1000000\ngrid.half_width = 3.141592653589793",
+     "of 1000000^3 cells is too large for a complex128 array")],
+    ids=["h-underflows", "h3-underflows", "h3-overflows", "cells-past-intp"])
 def test_grid_spacing_not_a_normal_float_exit_two(tmp_path, capsys, argv,
                                                   grid, message):
     """A spacing that underflows divided by zero in the stencil; a 3D h^3
-    that underflows read as zero data, and one that overflows raised. Each
-    is a config error with one stderr line, and no output directory."""
+    that underflows read as zero data, and one that overflows raised; a
+    complex128 field of 16 * 10^18 bytes, past numpy's intp, raised
+    ValueError. Each is a config error with one stderr line, and no output
+    directory."""
     text = bundled_scenario_text("minkowski-m0-u2-A3")
     old = "grid.n = 1\ngrid.N = 64\ngrid.half_width = 3.141592653589793"
     assert old in text
@@ -704,6 +715,31 @@ def test_grid_spacing_not_a_normal_float_exit_two(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and not out.exists()
     assert captured.err.splitlines() == [f"config error: field: grid {message}"]
+
+
+@pytest.mark.parametrize("argv,shape", [
+    (["check"], "(100000, 100000, 100000)"),
+    (["oracle-ode", "--random", "10000000000000"], "(10000000000000, 6)")],
+    ids=["check", "oracle-ode"])
+def test_input_too_large_to_allocate_exit_two(tmp_path, capsys, monkeypatch,
+                                              argv, shape):
+    """An input too large to allocate (a MemoryError: the 3D anchor at
+    grid.N = 100000, 14.2 PiB, or 10^13 random problems, 437 TiB) is a
+    config error with one stderr line, and nothing is written. Each size is
+    past the 47-bit address space, so no memory is ever taken."""
+    monkeypatch.chdir(tmp_path)
+    if argv == ["check"]:
+        argv = ["check", write_cfg(tmp_path, edited_scenario(
+            "minkowski-m0-u2-A3",
+            ("grid.n = 1\ngrid.N = 64", "grid.n = 3\ngrid.N = 100000")))]
+    entries = sorted(os.listdir(tmp_path))
+    rc = main_entry(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("config error: out of memory: Unable to allocate")
+    assert f"with shape {shape}" in line
+    assert sorted(os.listdir(tmp_path)) == entries
 
 
 @pytest.mark.parametrize("scenario,old,new,bad", [
@@ -1357,6 +1393,24 @@ def test_sweep_reads_a_relative_table_next_to_its_config(tmp_path, capsys,
     with open(os.path.join("sweep-out", "frontier.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["ok"] * 3
+
+
+def test_sweep_reads_its_config_once(tmp_path, capsys, monkeypatch):
+    """The sweep parses the text it read for its base point and gives that
+    same text to every point: the config file is opened once."""
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == cfg:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    rc = main_entry(["sweep", cfg, "--axis", "data0.amplitude=2:3:2",
+                     "--out", str(tmp_path / "sweep-out")])
+    capsys.readouterr()
+    assert rc == 0 and len(opened) == 1
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--random", "-3"],

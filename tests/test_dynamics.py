@@ -38,7 +38,8 @@ from kgflrw.field import dot_re, lap_array
 from kgflrw.functionals import state_arrays
 from kgflrw.cli import main_entry
 from oracles import (TSTAR, edited_scenario, homogeneous_oracle,
-                     mode_energies, stage_factors, vehicle_text)
+                     mode_energies, scenario_cert, stage_factors,
+                     vehicle_text)
 
 
 def flat():
@@ -189,7 +190,8 @@ def test_anchor_t_star_at_low_blowup_threshold(anchor_scenario, threshold):
     scn = anchor_scenario
     u0, u1 = scn.build_fields()
     cfg = dataclasses.replace(scn.run, blowup_threshold=threshold)
-    trace = run(Start(u0, u1, scn.nl), scn.sf, scn.params, cfg, mode="thm1")
+    trace = run(Start(u0, u1, scn.nl), scn.sf, scn.params, cfg,
+                scenario_cert(scn))
     assert trace.blowup.reason == "norm_threshold"
     assert trace.blowup.t_star == pytest.approx(TSTAR, rel=0.01)
     assert trace.blowup.t_star_status is None
@@ -217,7 +219,7 @@ def test_wrap_around_guard():
     u1 = make_profile(grid, "homogeneous", 0.0)
     params = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
     cfg = RunConfig(t_end=1.0, dt=1e-2, record_every=5, theorem_mode="none")
-    partial = run(Start(u0, u1, None), flat(), params, cfg, support_radius=0.5)
+    partial = run(Start(u0, u1, None, 0.5), flat(), params, cfg)
     assert isinstance(partial, Trace)
     assert partial.blowup.reason == "wrap_around"
     assert not partial.blowup.detected
@@ -226,9 +228,9 @@ def test_wrap_around_guard():
     # margin = 0.5 - c t crosses zero at t = 0.5, where the run ends
     assert partial.blowup.t == pytest.approx(0.5, abs=0.05)
     assert partial.meta["t_final"] == partial.blowup.t
-    # a support that already fills the box: no run, no trace
+    # a support that already fills the box: no start, no run, no trace
     with pytest.raises(WrapAroundRisk):
-        run(Start(u0, u1, None), flat(), params, cfg, support_radius=1.5)
+        Start(u0, u1, None, 1.5)
 
 
 def test_step_guards():
@@ -274,9 +276,6 @@ def test_run_validation():
         run(Start(u0, u1, None), flat(),
             PhysicalParams(m=0.0, c=1.0, eps=1.0, n=2),
             cfg)  # params.n != grid.n
-    with pytest.raises(ValueError):
-        run(Start(u0, u1, None), flat(),
-            PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1), cfg, mode="bogus")
     zero = make_profile(grid, "homogeneous", 0.0)
     with pytest.raises(InvariantViolation, match="nonzero"):
         run(Start(zero, u1, None), flat(),

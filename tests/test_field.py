@@ -223,6 +223,17 @@ def test_grid_validation():
     assert g.spacing == 1.0 and g.cell_volume == 1.0 and g.shape == (10, 10)
 
 
+def test_grid_refuses_a_field_numpy_cannot_describe():
+    """A complex128 field of N^n cells takes 16 N^n bytes, which numpy's
+    intp must hold: 2^59 - 1 points on one axis fit, 2^59 do not, and
+    neither do 10^6 per axis in 3D."""
+    assert Grid(n=1, points_per_axis=2 ** 59 - 1, half_width=1.0).shape == (
+        2 ** 59 - 1,)
+    for n, N in ((1, 2 ** 59), (3, 10 ** 6)):
+        with pytest.raises(ValueError, match="too large for a complex128"):
+            Grid(n=n, points_per_axis=N, half_width=1.0)
+
+
 def test_grid_mismatch_raised():
     g1 = Grid(n=1, points_per_axis=16, half_width=1.0)
     g2 = Grid(n=1, points_per_axis=16, half_width=2.0)

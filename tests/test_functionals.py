@@ -11,6 +11,7 @@ background rate 1/2. All integrals reduce to closed forms there:
 
 import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, RunConfig, Start, evaluate, kappa_for_mode,
-                    load_bundled_scenario, make_profile, run)
-from kgflrw.functionals import RunningIntegrals, kappa_tilde_for_mode
-from oracles import RefRunningIntegrals, State, ref_rel_E_I_gap, same_bits
+                    PowerLaw, RunConfig, Start, check_theorem1,
+                    check_theorem2, evaluate, load_bundled_scenario,
+                    make_profile, run)
+from kgflrw.functionals import RunningIntegrals
+from oracles import (RefRunningIntegrals, State, ref_kappa, ref_kappa_tilde,
+                     ref_rel_E_I_gap, same_bits)
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +87,9 @@ def test_linear_case_gap_is_positive_quadratic(frozen_setup):
 SHORT = RunConfig(t_end=0.05, dt=1e-3, record_every=1)
 
 
-def _short_run(name, **kwargs):
+def _short_run(name, **cert_fields):
     """The first 50 steps of a bundled scenario, every step recorded, under
-    the certificate its config selects; kwargs override run()'s."""
+    the certificate its config selects, with cert_fields replaced."""
     scn = load_bundled_scenario(name)
     u0, u1 = scn.build_fields()
     start = Start(u0, u1, scn.nl)
@@ -94,8 +97,8 @@ def _short_run(name, **kwargs):
                    mode=scn.run.theorem_mode)
     cfg = dataclasses.replace(scn.run, t_end=SHORT.t_end,
                               record_every=SHORT.record_every)
-    opts = {"T_bound": rep.T_bound, "mode": rep.mode, **kwargs}
-    return scn, rep, run(start, scn.sf, scn.params, cfg, **opts)
+    cert = dataclasses.replace(rep.cert, **cert_fields)
+    return scn, rep, run(start, scn.sf, scn.params, cfg, cert)
 
 
 def test_hdiag_value_and_massless_guard(frozen_setup):
@@ -109,19 +112,40 @@ def test_hdiag_value_and_massless_guard(frozen_setup):
     assert all(math.isnan(r.Hdiag) for r in rows)
 
 
-def test_kappa_modes():
-    assert kappa_tilde_for_mode("thm1", 1.0) == 2.0
-    assert kappa_tilde_for_mode("thm2", 1.0) == 1.5
-    assert kappa_for_mode("thm1", 1.0) == 0.25
-    assert kappa_for_mode("thm2", 1.0) == 0.125
-    assert kappa_for_mode("thm1", 3.0) == 0.75
-    # eps/4 and eps/8 exactly; (eps + 1 - 1)/4 is one ulp off at eps = 0.3
-    assert kappa_for_mode("thm1", 0.3) == 0.3 / 4.0
-    assert kappa_for_mode("thm2", 0.3) == 0.3 / 8.0
-    with pytest.raises(ValueError):
-        kappa_for_mode("thm3", 1.0)
-    with pytest.raises(ValueError):
-        kappa_tilde_for_mode("thm3", 1.0)
+def _checks(frozen_setup, eps):
+    """Both certificate checks on the frozen data at t0 = 0 with eps."""
+    _, u0, u1, sf, _, nl = frozen_setup
+    params = PhysicalParams(m=1.0, c=1.0, eps=eps, n=1)
+    rec = Start(u0, u1, nl).rec
+    return (check_theorem1(rec, sf, params),
+            check_theorem2(rec, 0.0, sf, params))
+
+
+def test_kappa_modes(frozen_setup):
+    for eps, k1, k2 in ((1.0, 0.25, 0.125), (3.0, 0.75, 0.375),
+                        # eps/4 and eps/8 exactly; (eps + 1 - 1)/4 is one
+                        # ulp off at eps = 0.3
+                        (0.3, 0.3 / 4.0, 0.3 / 8.0)):
+        t1, t2 = _checks(frozen_setup, eps)
+        assert (t1.kappa, t2.kappa) == (k1, k2)
+        assert (t1.kappa, t2.kappa) == (ref_kappa("thm1", eps),
+                                        ref_kappa("thm2", eps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from([5e-324, 1e-320, 2.225073858507201e-308,
+                                  sys.float_info.min, 0.3, 1e308,
+                                  sys.float_info.max]),
+                 st.floats(min_value=5e-324, allow_infinity=False)))
+def test_zeta_weight_from_the_exponent_has_the_reference_bits(frozen_setup,
+                                                              eps):
+    """The run weighs zeta by 4 kappa + 1 from each check's kappa: the bits
+    of eps + 1 and eps/2 + 1, for every positive eps. eps/4 and eps/8 are
+    exact outside the subnormals, and there + 1.0 rounds both forms to 1.0."""
+    for chk in _checks(frozen_setup, eps):
+        assert same_bits(chk.kappa, ref_kappa(chk.name, eps))
+        assert same_bits(4.0 * chk.kappa + 1.0,
+                         ref_kappa_tilde(chk.name, eps))
 
 
 def test_params_validation():
@@ -162,9 +186,10 @@ def test_theta_flat_background_reduces_to_norm():
 
 def test_theta_anchor_term():
     # velocity-margin certificate on de Sitter: the anchor term
-    # n (T - t) rate(t0) ||u0||^2 is all that T_bound adds to theta
+    # n (T - t) rate(t0) ||u0||^2 is all that the certificate's rate adds
+    # to theta (at rate0 = 0.0 it adds +0.0)
     _, rep, with_T = _short_run("desitter-thm2")
-    _, _, without = _short_run("desitter-thm2", T_bound=None)
+    _, _, without = _short_run("desitter-thm2", rate0=0.0)
     t = np.array([r.t for r in with_T.rows])
     diff = (np.array([r.theta for r in with_T.rows])
             - np.array([r.theta for r in without.rows]))
@@ -188,7 +213,7 @@ def test_zeta_formula_direct():
     # every step is a row, so a trapezoid over the rows rebuilds Q
     scn, rep, trace = _short_run("desitter-thm2")
     rows = trace.rows
-    kt = kappa_tilde_for_mode(rep.mode, scn.params.eps)
+    kt = ref_kappa_tilde(rep.mode, scn.params.eps)
     assert kt == 1.5
     t = np.array([r.t for r in rows])
     ut = np.array([r.ut_sq for r in rows])

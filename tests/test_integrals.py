@@ -44,7 +44,7 @@ from oracles import (NONLINEARITIES, U, Arrays, State, abs_dot, count_calls,
                      grad_norm_sq, inner_re, integrate_F, l1, l2_norm_sq,
                      potential_gap, ref_classify_table1, ref_delta,
                      ref_energy, ref_F, ref_nehari, ref_rho, same_bits,
-                     edited_scenario, vehicle_text)
+                     edited_scenario, scenario_cert, vehicle_text)
 
 # ---------------------------------------------------------------------------
 # the functionals on random states
@@ -330,6 +330,7 @@ def test_uniform_run_sums_no_array_per_step(monkeypatch):
     row."""
     scn = config.parse_text(bundled_scenario_text("minkowski-m0-u2-A3"))
     u0, u1 = scn.build_fields()
+    cert = scenario_cert(scn)
     arrays = functionals.state_arrays
     monkeypatch.setattr(dynamics, "state_arrays", lambda a, b: tuple(
         x.view(CountingFills) for x in arrays(a, b)))
@@ -340,7 +341,7 @@ def test_uniform_run_sums_no_array_per_step(monkeypatch):
     steps = count_calls(monkeypatch, dynamics, "_rk4")
     CountingFills.fills.clear()
     trace = dynamics.run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
-                         mode="thm1")
+                         cert)
     attempted = trace.meta["accepted"] + trace.meta["rejected"]
     assert trace.meta["rejected"] > 0 and len(trace.rows) > 300
     assert len(steps) == attempted

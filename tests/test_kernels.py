@@ -61,7 +61,8 @@ from kgflrw.functionals import (Integrals, is_uniform, norm_integrals,
 from oracles import (NONLINEARITIES, count_calls, edited_scenario, eval_gap,
                      exact, gamma, grad_bound, lap_bound, ref_cell_dot,
                      ref_grad_sq, ref_lap_array, ref_rk4, ref_rk4_gap,
-                     ref_rk4_uniform, same_bits, stage_factors, vehicle_text)
+                     ref_kappa, ref_kappa_tilde, ref_rk4_uniform, same_bits,
+                     scenario_cert, stage_factors, vehicle_text)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +348,8 @@ def assert_columns_within_sum_bound(fast, slow, params, cells: int,
                   "eta": 2.0 * abs(s.eta) + s.theta_prime ** 2,
                   "Hdiag": s_Lp + s_E0}
         if s.mode != "none":
-            kt = functionals.kappa_tilde_for_mode(s.mode, params.eps)
-            k = functionals.kappa_for_mode(s.mode, params.eps)
+            kt = ref_kappa_tilde(s.mode, params.eps)
+            k = ref_kappa(s.mode, params.eps)
             lead = (kt + 1.0) * s.ut_sq + 2.0 * s.I
             scales["zeta"] = ((kt + 1.0) * s.ut_sq + 2.0 * s_I
                               + abs(s.zeta + lead))
@@ -377,7 +378,7 @@ def test_run_matches_reference_rk4(monkeypatch, bump):
     u0 = Field(scn.grid, u0.values + make_profile(
         scn.grid, "gaussian", bump, width=1.0).values)
     args = (u0, u1, scn.sf, scn.params, scn.nl, scn.run)
-    kwargs = dict(T_bound=math.pi ** 2, mode="thm1")
+    kwargs = dict(cert=scenario_cert(scn))
 
     with monkeypatch.context() as mp:
         laps = count_calls(mp, dynamics, "lap_slab")
@@ -558,7 +559,7 @@ def test_vehicle_reuse_matches_fresh_stages(monkeypatch):
     the stencil path as `reference_run` sets it up."""
     scn = config.parse_text(vehicle_text())
     args = (*scn.build_fields(), scn.sf, scn.params, scn.nl, scn.run)
-    kwargs = dict(T_bound=5.7314083255582613, mode="thm1")
+    kwargs = dict(cert=scenario_cert(scn))
     with monkeypatch.context() as mp:
         loads = count_calls(mp, Stencil, "load")
         fresh = reference_run(mp, *args, step=lap_stage1_step, **kwargs)
@@ -922,23 +923,23 @@ def test_real_run_matches_complex_run(monkeypatch):
     another order, held to gamma_n sum |a_i b_i| as in the dot test above:
     gamma_n L for ||u||^2 and ||u_t||^2, and 2 gamma_n sqrt(L ||u_t||^2)
     (Cauchy-Schwarz) for L' = 2 Re(u, u_t)."""
-    seen = workspace_dtypes(monkeypatch)
-    cases = [(load_bundled_scenario("minkowski-m0-u2-A3"), math.pi ** 2, "thm1"),
-             (gaussian_scenario(2, 32), None, "none"),
-             (gaussian_scenario(3, 24), None, "none")]
+    anchor = load_bundled_scenario("minkowski-m0-u2-A3")
+    cases = [(anchor, scenario_cert(anchor)),
+             (gaussian_scenario(2, 32), None),
+             (gaussian_scenario(3, 24), None)]
 
-    def simulate(scn, T_bound, mode):
+    def simulate(scn, cert):
         u0, u1 = scn.build_fields()
-        return run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
-                   T_bound=T_bound, mode=mode)
+        return run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run, cert)
 
+    seen = workspace_dtypes(monkeypatch)
     real = [simulate(*case) for case in cases]
     assert seen == [np.float64] * 3
     monkeypatch.setattr(dynamics, "state_arrays",
                         lambda u0, u1: (u0.values.copy(), u1.values.copy()))
     wide = [simulate(*case) for case in cases]
     assert seen[3:] == [np.complex128] * 3
-    for (scn, _, _), fast, slow in zip(cases, real, wide):
+    for (scn, _), fast, slow in zip(cases, real, wide):
         assert len(fast.rows) > 4
         assert [(r.t, r.dt) for r in fast.rows] == [(r.t, r.dt)
                                                      for r in slow.rows]
@@ -1127,8 +1128,7 @@ def test_multi_slab_run_matches_one_slab_run(monkeypatch):
 
     def simulate():
         u0, u1 = scn.build_fields()
-        return run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run,
-                   mode="none")
+        return run(Start(u0, u1, scn.nl), scn.sf, scn.params, scn.run)
 
     sliced_run = simulate()
     monkeypatch.setattr(field, "SLAB_BYTES", 1 << 40)

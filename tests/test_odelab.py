@@ -249,7 +249,7 @@ def _report(name):
 def test_certificate_mapping():
     # flat massless anchor at rest: theta0 = ||u0||^2 = 18 pi, theta'0 = 0
     scn, rep = _report("minkowski-m0-u2-A3")
-    prob = concavity_problem(rep, scn.sf, scn.params)
+    prob = concavity_problem(rep, scn.params)
     assert (prob.kappa, prob.t0, prob.T) == (0.25, 0.0, rep.T_bound)
     assert prob.A == 2.0 * 3.0 * rep.rho
     assert prob.B == rep.L0 == pytest.approx(18 * math.pi, rel=1e-13)
@@ -258,7 +258,7 @@ def test_certificate_mapping():
     # moving data on de Sitter (rate 1/2, velocity margin): the anchor term
     # enters theta0 and y1 = -kappa theta'0 theta0^(-kappa-1) < 0
     scn, rep = _report("desitter-thm2")
-    prob = concavity_problem(rep, scn.sf, scn.params)
+    prob = concavity_problem(rep, scn.params)
     theta0 = rep.L0 * (1.0 + 0.5 * rep.T_bound)
     assert prob.kappa == 0.125 and prob.A == 2.0 * 3.0 * rep.delta
     assert prob.B == pytest.approx(1.5 * rep.L0, rel=1e-15)
@@ -267,6 +267,5 @@ def test_certificate_mapping():
         -0.125 * 2.0 * rep.re_u0_u1 * theta0 ** -1.125, rel=1e-14)
     assert prob.y1 < 0.0
     with pytest.raises(ValueError):
-        concavity_problem(dataclasses.replace(rep, L0=-1.0), scn.sf,
-                          scn.params)
+        concavity_problem(dataclasses.replace(rep, L0=-1.0), scn.params)
 
