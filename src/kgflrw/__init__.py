@@ -11,7 +11,6 @@ from .dynamics import (BlowupInfo, RunConfig, Start, Trace, estimate_t_star,
 from .field import Field, Grid, make_profile, support_radius
 from .functionals import CSV_COLUMNS, Integrals, PhysicalParams
 from .hypotheses import (HypothesisReport, TheoremCheck, check_corollaries,
-                         check_theorem1, check_theorem2, classify_table1,
                          concavity_problem, evaluate, theorem1_bound,
                          theorem2_bound)
 from .nonlinearity import (GaugeInvariantPower, RealAbsPower,
@@ -19,8 +18,7 @@ from .nonlinearity import (GaugeInvariantPower, RealAbsPower,
 from .odelab import (ConcavityProblem, random_admissible_problems,
                      solve_concavity, tstar_bound)
 from .scale_factor import (DeSitter, PowerLaw, Tabulated, c_epsilon,
-                           check_monotone_expansion, check_t0_condition,
-                           hubble_rate, min_admissible_t0,
+                           check_monotone_expansion, min_admissible_t0,
                            t0_condition_threshold)
 
 __version__ = "0.1.0"

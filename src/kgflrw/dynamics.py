@@ -70,11 +70,10 @@ from .field import (Field, Grid, Stencil, grad_sq_array, lap_slab, lap_sum,
 from .functionals import (FunctionalSnapshot, Integrals, PhysicalParams,
                           RunningIntegrals, is_uniform, norm_integrals,
                           potential_integrals, state_arrays, state_grid)
-from .hypotheses import TheoremCheck
+from .hypotheses import MODES, TheoremCheck
 from .nonlinearity import Nonlinearity
 from .scale_factor import ScaleFactor
 
-_MODES = ("auto", "thm1", "thm2", "none")
 _TAIL_POINTS = 12     # estimate_t_star: rows in the full fit window
 
 
@@ -107,8 +106,8 @@ class RunConfig:
             raise ValueError("cfl must be in (0, 1]")
         if not 1.0 + self.growth_tol > 1.0:  # else every growth is rejected
             raise ValueError("growth_tol must keep 1.0 + growth_tol > 1.0")
-        if self.theorem_mode not in _MODES:
-            raise ValueError(f"theorem_mode must be one of {_MODES}")
+        if self.theorem_mode not in MODES:
+            raise ValueError(f"theorem_mode must be one of {MODES}")
 
 
 @dataclass
@@ -168,9 +167,7 @@ class RK4Workspace:
         self.trial_u, self.trial_v, self.su, self.sv = (
             placed(u.shape, u.dtype, slot) for slot in range(2, 6))
         self.stencil = Stencil(u.shape, u.dtype)
-        # the real family's f is float64 on either dtype
-        self.fu = None if nl is None else placed(
-            u.shape, np.float64 if nl.real_only else u.dtype, 6)
+        self.fu = None if nl is None else placed(u.shape, u.dtype, 6)
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (placed(shape, u.dtype, slot) for slot in (7, 8))
         self.slabs = []
@@ -363,6 +360,8 @@ class Stepper:
                                     f"background horizon {horizon}")
         if params.n != grid.n:
             raise ValueError("params.n must match the grid dimension")
+        if sf.n != params.n:
+            raise ValueError("the background's n must match params.n")
         self.state, self.params, self.nl = state, params, nl
         self.sf, self.grid, self.cfg = sf, grid, cfg
         self._cfl_h = cfg.cfl * grid.spacing

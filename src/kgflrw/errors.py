@@ -24,7 +24,7 @@ class NoAdmissibleT0(KGFLRWError):
 
 
 class ComplexInputToRealNonlinearity(KGFLRWError):
-    """A real-only nonlinearity received data with a non-negligible imaginary part."""
+    """A real-only nonlinearity received complex data (any imaginary part)."""
 
 
 class GridMismatch(KGFLRWError):

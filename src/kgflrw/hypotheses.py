@@ -25,10 +25,12 @@ bounding blow-up by
 Either bound only certifies blow-up when it fits inside the background's own
 lifetime; a check blocked solely by that clause says why in its `horizon`
 field, and `evaluate` raises HorizonTooShort when no certificate applies and
-one was blocked that way. The module also classifies data against the
-four-quadrant initial-data table (using the unit-insensitive m~, c~), maps
+one was blocked that way. `evaluate` reads the background at t0, the rate
+threshold and the Re(u0,u1) >= 0 verdict once, for both checks and the
+four-quadrant initial-data table (in the unit-insensitive m~, c~); its report
+holds each verdict (`thm1`, `thm2`, `case_label`). The module also maps
 closed-form backgrounds to the corollary cases that guarantee the background
-conditions, and maps a certificate to its concavity comparison ODE.
+conditions, and a certificate to its concavity comparison ODE.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
 from .functionals import Integrals, PhysicalParams
 from .odelab import ConcavityProblem
 from .scale_factor import (ScaleFactor, Tabulated,
-                           check_monotone_expansion, check_t0_condition,
-                           min_admissible_t0, t0_condition_threshold)
+                           check_monotone_expansion, min_admissible_t0,
+                           t0_condition_threshold)
 
+MODES = ("auto", "thm1", "thm2", "none")  # a run's theorem_mode
 _REL = 1e-9
 
 
@@ -112,37 +115,33 @@ def _verdict(name: str, margin: float, T: float | None, conds: dict,
                         conds, kappa, rate0, blocked)
 
 
-def check_theorem1(m0: Integrals, sf: ScaleFactor,
-                   params: PhysicalParams) -> TheoremCheck:
-    """Norm-margin certificate on the data measured at t = 0.
-
-    When every hypothesis holds and only the clause T <= horizon fails, the
-    check is not applicable and its horizon field gives the reason.
-    """
-    a0, adot0, _ = sf.eval(0.0)
-    rho_val, rate0 = m0.rho(a0, params), adot0 / a0
-    conds = {
-        "margin_positive": rho_val > 0.0,
-        "re_nonneg": m0.re_u_ut >= -_re_tolerance(m0),
-    }
+def _norm_margin(m0: Integrals, a0: float, rate0: float, re_ok: bool,
+                 sf: ScaleFactor, params: PhysicalParams) -> TheoremCheck:
+    """Norm-margin certificate on the data at t = 0, given a(0), the rate
+    adot/a there and the Re(u0, u1) verdict. When only the clause
+    T <= horizon fails, its horizon field gives the reason."""
+    rho_val = m0.rho(a0, params)
+    conds = {"margin_positive": rho_val > 0.0, "re_nonneg": re_ok}
     T1 = (theorem1_bound(m0.L, rho_val, params.eps, params.n, rate0)
           if conds["margin_positive"] else None)
     return _verdict("thm1", rho_val, T1, conds, 0.0, sf, params.eps / 4.0,
                     rate0)
 
 
-def check_theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
-                   params: PhysicalParams) -> TheoremCheck:
-    """Velocity-margin certificate on the data measured at t0; horizon as
-    in check_theorem1."""
-    a0, adot0, _ = sf.eval(t0)
-    delta_val, rate0 = m0.delta(a0, params), adot0 / a0
-    ok_t0, _ = check_t0_condition(sf, t0, params.m, params.c, params.eps)
+def _velocity_margin(m0: Integrals, t0: float, a0: float, rate0: float,
+                     thr: float, I0: float, re_ok: bool, sf: ScaleFactor,
+                     params: PhysicalParams) -> TheoremCheck:
+    """Velocity-margin certificate on the data at t0, given a(t0), the rate,
+    its threshold thr, I(u0) and the Re(u0, u1) verdict; horizon as in
+    `_norm_margin`. A tiny relative slack on thr absorbs roundoff at the
+    admissibility boundary."""
+    delta_val = m0.delta(a0, params)
+    ok_t0 = math.isinf(thr) or rate0 <= thr + 1e-12 * max(1.0, abs(thr))
     conds = {
         "t0_condition": ok_t0,
         "margin_positive": delta_val > 0.0,
-        "nehari_negative": m0.nehari(a0, params) < 0.0,
-        "re_nonneg": m0.re_u_ut >= -_re_tolerance(m0),
+        "nehari_negative": I0 < 0.0,
+        "re_nonneg": re_ok,
     }
     T2 = (theorem2_bound(m0.L, delta_val, params.eps, params.n, rate0, t0)
           if conds["margin_positive"] else None)
@@ -150,24 +149,22 @@ def check_theorem2(m0: Integrals, t0: float, sf: ScaleFactor,
                     rate0)
 
 
-def classify_table1(m0: Integrals, a0: float, params: PhysicalParams) -> str:
-    """Quadrant label of the initial-data table for the data measured at t0
-    (a0 = a(t0)), or "none" outside its domain.
+def _table_label(m0: Integrals, E0: float, I0: float, re_ok: bool,
+                 params: PhysicalParams) -> str:
+    """Quadrant label of the initial-data table for the data at t0, given
+    E(t0), I(u0) and the Re(u0, u1) verdict, or "none" outside its domain.
 
     The table lives under I(u0) < 0, Re(u0,u1) >= 0, E(t0) >= 0 and m~ > 0.
     With X = m~^2 c~^2 eps/(2(eps+2)) ||u0||^2 and Y the same constant times
     Re(u0,u1): I has X > E >= Y, II has X > E and Y > E, III has E >= X and
     Y > E, IV (open) has E >= X and E >= Y.
     """
-    E0 = m0.energy(a0, params)
-    I0 = m0.nehari(a0, params)
-    re01 = m0.re_u_ut
     mt, ct = params.m_tilde, params.c_tilde
-    if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or re01 < -_re_tolerance(m0):
+    if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or not re_ok:
         return "none"
     lead = mt * mt * ct * ct * params.eps / (2.0 * (params.eps + 2.0))
     x_big = lead * m0.L > E0
-    y_big = lead * re01 > E0
+    y_big = lead * m0.re_u_ut > E0
     if x_big:
         return "II" if y_big else "I"
     return "III" if y_big else "IV"
@@ -255,23 +252,36 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
     """Run both certificate checks on the data's integrals m0 at t0
     (`dynamics.Start.rec`), classify them, resolve the mode.
 
-    mode "auto" prefers the norm-margin certificate; "thm1"/"thm2" pin one.
-    Raises InvariantViolation when an integral of the data is not finite,
-    and HorizonTooShort when no certificate applies and at least one was
-    blocked only by the horizon clause (thm1's reason first).
+    One sf.eval(t0) gives a(t0), the rate adot/a, E(t0) and I(u0); the
+    rate threshold and the Re(u0, u1) verdict are made once, and both
+    checks and the table label take them. mode "auto" prefers the
+    norm-margin certificate; "thm1"/"thm2" pin one. Raises ValueError when
+    sf.n is not params.n, InvariantViolation when an integral of the data
+    is not finite, and HorizonTooShort when no certificate applies and at
+    least one was blocked only by the horizon clause (thm1's reason first).
     """
-    if mode not in ("auto", "thm1", "thm2", "none"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if sf.n != params.n:
+        raise ValueError(f"the background is built for n = {sf.n} but the "
+                         f"data for n = {params.n}")
     bad = [f"{key} = {val}" for key, val in m0._asdict().items()
            if not math.isfinite(val)]
     if bad:
         raise InvariantViolation("functionals", "initial data give non-finite "
                                  "integrals: " + ", ".join(bad))
 
-    t1 = (check_theorem1(m0, sf, params) if t0 == 0.0 else
+    # the inputs both certificates and the table share, each read once
+    a0, adot0, _ = sf.eval(t0)
+    rate0 = adot0 / a0
+    E0, I0 = m0.energy(a0, params), m0.nehari(a0, params)
+    thr = t0_condition_threshold(params.m, params.c, params.eps, params.n)
+    re_ok = m0.re_u_ut >= -_re_tolerance(m0)
+
+    t1 = (_norm_margin(m0, a0, rate0, re_ok, sf, params) if t0 == 0.0 else
           TheoremCheck("thm1", False, math.nan, None,
                        {"starts_at_zero": False}, params.eps / 4.0, math.nan))
-    t2 = check_theorem2(m0, t0, sf, params)
+    t2 = _velocity_margin(m0, t0, a0, rate0, thr, I0, re_ok, sf, params)
 
     applicable = [chk for chk in (t1, t2) if chk.applicable]
     theorem = ("both" if len(applicable) == 2
@@ -287,10 +297,7 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
     shown = (allowed or applicable or [None])[0]
     T_bound = shown.T_bound if shown is not None else None
 
-    a0 = sf.eval(t0)[0]
-    E0 = m0.energy(a0, params)
-    I0 = m0.nehari(a0, params)
-    case = classify_table1(m0, a0, params)
+    case = _table_label(m0, E0, I0, re_ok, params)
     cors = check_corollaries(sf, t0, params)
     cor = ("n/a" if shown is None else
            {"thm1": cors.thm1_case, "thm2": cors.thm2_case}[shown.name])
@@ -305,9 +312,8 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
         margins["thm1.T_bound"] = t1.T_bound
     if t2.T_bound is not None:
         margins["thm2.T_bound"] = t2.T_bound
-    thr = t0_condition_threshold(params.m, params.c, params.eps, params.n)
     if math.isfinite(thr):
-        margins["thm2.t0_rate_slack"] = thr - t2.rate0
+        margins["thm2.t0_rate_slack"] = thr - rate0
 
     return HypothesisReport(
         case_label=case, theorem=theorem,

@@ -3,7 +3,8 @@
 Two families:
 
 * GaugeInvariantPower  f(u) = lam * |u|^(p-1) u   on complex u, p > 1, lam real
-* RealAbsPower         f(u) = sign * |u|^p        on real u, p > 1, sign = +-1
+* RealAbsPower         f(u) = sign * |u|^p        on real u, p > 1, sign = +-1;
+                       complex input raises ComplexInputToRealNonlinearity
 
 Both have f(0) = 0 and the local Lipschitz growth |f(s)-f(v)| <=
 C |s-v| (|s|^(p-1) + |v|^(p-1)). Both are homogeneous of degree p, so the
@@ -35,7 +36,6 @@ import numpy as np
 
 from .errors import ComplexInputToRealNonlinearity
 
-_IMAG_TOL = 1e-13  # relative imaginary tolerance for real-only inputs
 _EPS_TOL = 1e-12   # absolute slack on a closed end of an eps range
 
 
@@ -159,17 +159,8 @@ class RealAbsPower:
     def _real(self, u) -> np.ndarray:
         u = np.asarray(u)
         if np.iscomplexobj(u):
-            im = u.imag
-            # one pass on real data; max |Im u| without a temporary, and
-            # max(1, max |u|) >= 1 matters only above the bare tolerance
-            if im.any():
-                im_max = max(im.max(), -im.min())
-                if im_max > _IMAG_TOL and im_max > _IMAG_TOL * max(
-                        1.0, float(np.max(np.abs(u)))):
-                    raise ComplexInputToRealNonlinearity(
-                        "real-only family received data with a non-negligible imaginary part"
-                    )
-            return u.real
+            raise ComplexInputToRealNonlinearity(
+                f"the real family takes real data only, got {u.dtype}")
         return u.astype(float) if u.dtype != float else u
 
     def f(self, u, out=None):
@@ -181,13 +172,12 @@ class RealAbsPower:
         out **= self.p
         return np.multiply(self.sign, out, out=out)
 
-    def _real_scalar(self, u) -> float:
-        """u, or the real part of a complex u that `_real` accepts."""
-        return u if u.__class__ is float else self._real(np.array([u])).item()
-
     def f_scalar(self, u):
-        """f of one Python float in f's order of operations."""
-        return self.sign * _abs_pow(self._real_scalar(u), self.p)
+        """f of one Python float in f's order of operations; any other
+        scalar is taken as `_real` takes an array, a complex one refused."""
+        if u.__class__ is not float:
+            u = self._real(u).item()
+        return self.sign * _abs_pow(u, self.p)
 
 
 Nonlinearity = Union[GaugeInvariantPower, RealAbsPower]

@@ -17,8 +17,8 @@ classical domain: +inf when (1+sigma)H >= 0, else the root of
 Two derived scalars gate the start time of a run: the expansion-rate threshold
 |m| c (sqrt(eps(eps+4)) - eps) / (2n), and its reciprocal-per-dimension form
 C_eps = 2 / (|m| c (sqrt(eps(eps+4)) - eps)), so the threshold equals
-1/(n C_eps). A start time t0 is admissible when adot(t0)/a(t0) is at or below
-the threshold; for m = 0 the threshold is +inf and every t0 is admissible.
+1/(n C_eps). `hypotheses.evaluate` admits a start time t0 when adot(t0)/a(t0)
+is at or below the threshold; for m = 0 it is +inf and every t0 is admissible.
 """
 
 from __future__ import annotations
@@ -192,12 +192,6 @@ class Tabulated:
 ScaleFactor = Union[PowerLaw, Tabulated]
 
 
-def hubble_rate(sf: ScaleFactor, t: float) -> float:
-    """adot(t)/a(t)."""
-    a, adot, _ = sf.eval(t)
-    return adot / a
-
-
 def t0_condition_threshold(m: float, c: float, eps: float, n: int) -> float:
     """Largest admissible adot/a at the start time; +inf for m = 0."""
     if m == 0.0:
@@ -210,19 +204,6 @@ def c_epsilon(m: float, c: float, eps: float) -> float:
     in the m -> 0 limit, for a subnormal |m| whose denominator underflows."""
     den = abs(m) * c * (math.sqrt(eps * (eps + 4.0)) - eps)
     return 2.0 / den if den > 0.0 else math.inf
-
-
-def check_t0_condition(sf: ScaleFactor, t0: float, m: float, c: float, eps: float):
-    """Return (ok, threshold) for the start-time condition adot/a <= threshold.
-
-    A tiny relative slack absorbs roundoff when t0 sits exactly at the
-    admissibility boundary.
-    """
-    thr = t0_condition_threshold(m, c, eps, sf.n)
-    if math.isinf(thr):
-        return True, thr
-    rate = hubble_rate(sf, t0)
-    return rate <= thr + 1e-12 * max(1.0, abs(thr)), thr
 
 
 def min_admissible_t0(sf: ScaleFactor, m: float, c: float, eps: float) -> float:

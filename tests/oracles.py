@@ -427,11 +427,13 @@ def ref_F(nl, u):
 
 def potential_oracle(nl, u):
     """F(u) as the line integral int_0^1 Re(f(s u) conj(u)) ds: valid
-    whenever a potential exists, and independent of the closed form."""
-    uc = complex(u)
+    whenever a potential exists, and independent of the closed form. The
+    real family takes u real."""
+    kind = np.float64 if nl.real_only else np.complex128
+    uc = kind(u)
 
     def integrand(s):
-        val = complex(nl.f(np.complex128(s * uc)))
+        val = complex(nl.f(kind(s * uc)))
         return (val * uc.conjugate()).real
 
     # fractional powers make quad's error estimate conservative near s = 0

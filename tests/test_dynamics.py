@@ -103,7 +103,7 @@ def test_flat_linear_energy_is_rk4_mode_damping(n, N, amp, dt):
     assert start.ws.u.dtype == (np.float64 if amp == 0.5 else np.complex128)
     energy, w2 = mode_energies(start.ws.u, start.ws.v, grid, params)
     cfg = RunConfig(t_end=2.0, dt=dt, record_every=1, theorem_mode="none")
-    trace = run(start, flat(), params, cfg)
+    trace = run(start, PowerLaw(0.0, H=0.0, n=n), params, cfg)
     assert trace.blowup is None and len(trace.rows) > 20
 
     cells, u = grid.points_per_axis ** n, np.finfo(np.float64).eps / 2
@@ -576,3 +576,14 @@ def test_window_clamps_every_step(monkeypatch):
     attempted = trace.meta["accepted"]
     assert len(evals) == 3 * attempted
     assert len(factors) == 1 + 2 * attempted
+
+
+def test_stepper_refuses_a_background_of_another_dimension():
+    grid = Grid(n=3, points_per_axis=8, half_width=math.pi)
+    start = Start(make_profile(grid, "homogeneous", 0.5),
+                  make_profile(grid, "homogeneous", 0.0), None)
+    params = PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3)
+    cfg = RunConfig(t_end=0.1, dt=0.01, theorem_mode="none")
+    with pytest.raises(ValueError, match="background's n"):
+        run(start, DeSitter(H=0.4, n=1), params, cfg)
+    assert run(start, DeSitter(H=0.4, n=3), params, cfg).blowup is None

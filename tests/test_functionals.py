@@ -20,9 +20,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, RunConfig, Start, check_theorem1,
-                    check_theorem2, evaluate, load_bundled_scenario,
-                    make_profile, run)
+                    PowerLaw, RunConfig, Start, evaluate,
+                    load_bundled_scenario, make_profile, run)
 from kgflrw.functionals import RunningIntegrals
 from oracles import (RefRunningIntegrals, State, ref_kappa, ref_kappa_tilde,
                      ref_rel_E_I_gap, same_bits)
@@ -116,9 +115,8 @@ def _checks(frozen_setup, eps):
     """Both certificate checks on the frozen data at t0 = 0 with eps."""
     _, u0, u1, sf, _, nl = frozen_setup
     params = PhysicalParams(m=1.0, c=1.0, eps=eps, n=1)
-    rec = Start(u0, u1, nl).rec
-    return (check_theorem1(rec, sf, params),
-            check_theorem2(rec, 0.0, sf, params))
+    rep = evaluate(Start(u0, u1, nl).rec, 0.0, sf, params)
+    return rep.thm1, rep.thm2
 
 
 def test_kappa_modes(frozen_setup):

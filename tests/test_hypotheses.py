@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, Start, Tabulated, check_corollaries,
-                    check_theorem1, classify_table1, evaluate, make_profile,
-                    theorem1_bound, theorem2_bound)
+                    PowerLaw, Start, Tabulated, bundled_scenario_names,
+                    check_corollaries, evaluate, load_bundled_scenario,
+                    make_profile, theorem1_bound, theorem2_bound)
 from kgflrw.errors import HorizonTooShort
+from oracles import count_calls
 
 GRID = Grid(n=1, points_per_axis=16, half_width=math.pi)
 PARAMS_M0 = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
@@ -104,7 +105,7 @@ def test_norm_margin_implies_nehari_negative(a, b, m, rate):
     sf = DeSitter(H=rate) if rate > 0 else PowerLaw(0.0, H=0.0)
     params = PhysicalParams(m=m, c=1.0, eps=1.0, n=1)
     rec = data(a, b)
-    chk = check_theorem1(rec, sf, params)
+    chk = evaluate(rec, 0.0, sf, params).thm1
     if chk.applicable:
         assert rec.nehari(sf.eval(0.0)[0], params) < 0.0
 
@@ -113,7 +114,7 @@ def test_table1_quadrants_frozen():
     sf = PowerLaw(0.0, H=0.0)
 
     def label(a, b, params=PARAMS_M1):
-        return classify_table1(data(a, b), sf.eval(0.0)[0], params)
+        return evaluate(data(a, b), 0.0, sf, params).case_label
 
     assert label(1.2, 0.3) == "I"
     assert label(1.5, 0.4) == "II"
@@ -128,7 +129,7 @@ def test_table1_quadrants_frozen():
 @given(a=st.floats(0.3, 4.0), b=st.floats(0.0, 4.0))
 def test_table1_label_consistent(a, b):
     sf = PowerLaw(0.0, H=0.0)
-    label = classify_table1(data(a, b), sf.eval(0.0)[0], PARAMS_M1)
+    label = evaluate(data(a, b), 0.0, sf, PARAMS_M1).case_label
     vol = 2 * math.pi
     E = 0.5 * b * b * vol + 0.5 * a * a * vol - (a ** 3 / 3.0) * vol
     I = a * a * vol - a ** 3 * vol
@@ -194,14 +195,22 @@ def test_defocusing_delta_without_velocity_is_nonpositive():
 def test_horizon_blocks_every_certificate():
     t = np.linspace(0.0, 2.0, 5)
     tab = Tabulated(t, np.ones(5), np.zeros(5), np.zeros(5))
-    # flat data that both certificates accept, but T1 = pi^2 > 2 = horizon
-    with pytest.raises(HorizonTooShort):
+    # flat data that both certificates accept, but T1 = pi^2 > 2 = horizon;
+    # the error gives thm1's reason
+    with pytest.raises(HorizonTooShort) as exc:
         evaluate(data(3.0, 0.0), 0.0, tab, PARAMS_M0, mode="auto")
-    chk = check_theorem1(data(3.0, 0.0), tab, PARAMS_M0)
+    assert str(exc.value) == ("certificate needs T = 9.8696044 but the "
+                              "background lifetime is 2")
+    # on a table to t = 20, T1 fits and T2 = 10 pi^2 / 3 does not
+    t = np.linspace(0.0, 20.0, 5)
+    tab = Tabulated(t, np.ones(5), np.zeros(5), np.zeros(5))
+    rep = evaluate(data(3.0, 0.0), 0.0, tab, PARAMS_M0, mode="auto")
+    assert rep.theorem == "thm1"
+    chk = rep.thm2
     assert not chk.applicable and chk.T_bound is None
     assert not chk.conditions["within_horizon"]
-    assert chk.horizon == ("certificate needs T = 9.8696044 but the "
-                           "background lifetime is 2")
+    assert chk.horizon == ("certificate needs T = 32.8986813 but the "
+                           "background lifetime is 20")
 
 
 def test_pinned_mode_fallback_keeps_bound():
@@ -222,7 +231,7 @@ def test_positive_t0_disables_norm_margin():
 
 
 def test_opposed_velocity_fails_re_condition():
-    chk = check_theorem1(data(3.0, -1.0), PowerLaw(0.0, H=0.0), PARAMS_M0)
+    chk = evaluate(data(3.0, -1.0), 0.0, PowerLaw(0.0, H=0.0), PARAMS_M0).thm1
     assert not chk.applicable
     assert not chk.conditions["re_nonneg"]
 
@@ -259,3 +268,53 @@ def test_bound_past_every_float_certifies_nothing():
         for chk in (rep.thm1, rep.thm2):
             assert not chk.applicable and chk.horizon is None
             assert chk.conditions["bound_finite"] is False
+
+
+def test_background_of_another_dimension_is_refused():
+    """A background built for n = 1 under data for n = 3 would decide the
+    rate condition with one n and its slack with the other."""
+    grid = Grid(n=3, points_per_axis=8, half_width=math.pi)
+    rec = Start(make_profile(grid, "homogeneous", 3.0),
+                make_profile(grid, "homogeneous", 0.0), NL).rec
+    with pytest.raises(ValueError, match="n = 1 but the data for n = 3"):
+        evaluate(rec, 0.0, DeSitter(H=0.4, n=1),
+                 PhysicalParams(m=1.0, c=1.0, eps=1.0, n=3))
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_evaluate_reads_the_background_once(monkeypatch, name):
+    """One sf.eval(t0) gives every input of both certificates and the
+    table: rate, E(t0) and I(u0)."""
+    scn = load_bundled_scenario(name)
+    assert isinstance(scn.sf, PowerLaw)
+    rec = Start(*scn.build_fields(), scn.nl).rec
+    calls = count_calls(monkeypatch, PowerLaw, "eval")
+    evaluate(rec, scn.run.t0, scn.sf, scn.params, mode=scn.run.theorem_mode)
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.floats(-3.0, 3.0), c=st.floats(0.1, 3.0), eps=st.floats(0.05, 4.0),
+       n=st.integers(1, 3), H=st.floats(0.0, 3.0))
+def test_t0_condition_agrees_with_rate_slack(m, c, eps, n, H):
+    """thm2's t0_condition holds exactly when the reported slack
+    threshold - adot/a is at least -1e-12 max(1, |threshold|), up to the
+    rounding of the two sides; with m = 0 there is no threshold, no slack,
+    and the condition holds."""
+    grid = Grid(n=n, points_per_axis=8, half_width=math.pi)
+    rec = Start(make_profile(grid, "homogeneous", 1.0),
+                make_profile(grid, "homogeneous", 0.0), None).rec
+    rep = evaluate(rec, 0.0, DeSitter(H=H, n=n),
+                   PhysicalParams(m=m, c=c, eps=eps, n=n))
+    ok = rep.thm2.conditions["t0_condition"]
+    if m == 0.0:
+        assert ok and "thm2.t0_rate_slack" not in rep.margins
+        return
+    slack = rep.margins["thm2.t0_rate_slack"]
+    thr = slack + rep.thm2.rate0
+    tol = 1e-12 * max(1.0, abs(thr))
+    fuzz = 4.0 * np.finfo(float).eps * (abs(thr) + abs(rep.thm2.rate0))
+    if slack >= -tol + fuzz:
+        assert ok
+    elif slack < -tol - fuzz:
+        assert not ok

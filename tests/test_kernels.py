@@ -173,8 +173,8 @@ def test_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c):
     (`ref_rk4_gap`, whose values are the reference's bits), and a step
     retried from the same state after `reject()` gives the same bits."""
     h, u, v = case
-    if nl is not None and nl.real_only:
-        u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
+    if nl is not None and nl.real_only:  # the real family takes float64
+        u, v = u.real.copy(), v.real.copy()
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     u_keep, v_keep = u.copy(), v.copy()
@@ -686,8 +686,11 @@ def test_uniform_step_matches_reference_bitwise(monkeypatch, sf, nl, dtype):
     libm's pow (gauge p = 2.5 and real p = 3 take numpy's SIMD power, not
     an integer power) or Python's complex abs, and the pair is within the
     bound of ref_rk4_gap with the scalar f. The workspace holds no array,
-    and the step takes no stencil slab, no dv/dt slab and no array f."""
-    real = dtype == np.float64 or nl is not None and nl.real_only
+    and the step takes no stencil slab, no dv/dt slab and no array f. The
+    real family takes float64 data in both cases."""
+    if nl is not None and nl.real_only:
+        dtype = np.float64
+    real = dtype == np.float64
     u, v = (np.full(16, x if real else complex(x, y), dtype)
             for x, y in ((2.5, -1.25), (-0.75, 0.5)))
     params = PhysicalParams(m=0.7, c=1.3, eps=1.0, n=1)
@@ -855,28 +858,32 @@ def test_real_rk4_matches_complex_kernel_bitwise(case, sf, nl, t, m, dt, c):
     """The float64 step gives the real part of the complex step bit for
     bit, and both stay within the rounding bound of the reference over two
     steps; uniform draws step scalar pairs in both dtypes, which must hold
-    those bits in every cell."""
+    those bits in every cell. The real family takes float64 data only, so
+    its float64 step is held to the reference alone."""
     h, u, v = case
     u, v = u.real.copy(), v.real.copy()
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
     z, zv = u.astype(np.complex128), v.astype(np.complex128)
     ws = RK4Workspace(u, v, nl, h)
-    wz = RK4Workspace(z.copy(), zv.copy(), nl, h)
-    assert np.result_type(ws.u) == np.float64 and wz.uniform == ws.uniform
+    wz = (None if nl is not None and nl.real_only
+          else RK4Workspace(z.copy(), zv.copy(), nl, h))
+    assert np.result_type(ws.u) == np.float64
+    assert wz is None or wz.uniform == ws.uniform
 
-    want = exact(z, zv)
+    want = exact(u, v) if wz is None else exact(z, zv)
     for _ in range(2):  # a step accepted, then the next one
         k = stage_factors(sf, params, h, t, dt)
         u_new, v_new = (whole(x, u) for x in _rk4(dt, *k, nl, ws))
-        uz_new, vz_new = (whole(x, z) for x in _rk4(dt, *k, nl, wz))
         want = ref_rk4_gap(t, *want, dt, sf, params, nl, h)
-        assert same_bits(u_new, real_part(uz_new))
-        assert same_bits(v_new, real_part(vz_new))
         assert_step_within((u_new, v_new), want)
-        assert_step_within((uz_new, vz_new), want)
         ws.accept()
-        wz.accept()
+        if wz is not None:
+            uz_new, vz_new = (whole(x, z) for x in _rk4(dt, *k, nl, wz))
+            assert same_bits(u_new, real_part(uz_new))
+            assert same_bits(v_new, real_part(vz_new))
+            assert_step_within((uz_new, vz_new), want)
+            wz.accept()
         t += dt
 
 
@@ -1052,19 +1059,22 @@ def test_multi_slab_stencils_match_reference_bitwise(case, rows_seed, real):
 def test_multi_slab_rk4_matches_reference_bitwise(case, sf, nl, t, m, dt, c,
                                                   rows_seed, real):
     """_rk4 over several slabs gives the bits of the one-slab complex
-    kernel: in float64 its real part, in complex128 (real-valued data for
-    the real-only family) the value itself; that kernel stays within the
-    rounding bound of the reference over two steps. A uniform draw steps
-    its scalar pair, which must hold those bits in every cell."""
+    kernel: in float64 its real part, in complex128 the value itself; that
+    kernel stays within the rounding bound of the reference over two steps.
+    The real family takes float64 data only: its one-slab kernel is the
+    float64 one. A uniform draw steps its scalar pair, which must hold
+    those bits in every cell."""
     h, u, v = case
-    if real or (nl is not None and nl.real_only):
+    real_nl = nl is not None and nl.real_only
+    if real or real_nl:
         u, v = u.real.copy(), v.real.copy()
-    z, zv = u.astype(np.complex128), v.astype(np.complex128)
+    z, zv = (u, v) if real_nl else (u.astype(np.complex128),
+                                    v.astype(np.complex128))
     if not real:
         u, v = z, zv
 
     def ref(a):
-        return real_part(a) if real else a
+        return a if a.dtype == u.dtype else real_part(a)
 
     sf = dataclasses.replace(sf, n=u.ndim)
     params = PhysicalParams(m=m, c=c, eps=1.0, n=u.ndim)
@@ -1099,14 +1109,12 @@ def test_multi_slab_measure_matches_one_slab_bitwise(n, N, half_width, nl,
     the workspace's own array, against that of the same arrays in one slab
     and against the t0 measurement of a `Start` of their fields, in float64
     and in complex128: a `Start` measures complex128 fields with real
-    values in float64."""
+    values in float64. The real family takes float64 data only."""
     grid = Grid(n=n, points_per_axis=N, half_width=half_width)
     rng = np.random.default_rng(seed)
     u, v = (scale * (rng.normal(size=grid.shape)
                      + 1j * rng.normal(size=grid.shape)) for _ in range(2))
     if real or (nl is not None and nl.real_only):
-        u, v = u.real.astype(np.complex128), v.real.astype(np.complex128)
-    if real:
         u, v = u.real.copy(), v.real.copy()
     h = grid.spacing
     want = workspace_integrals(
@@ -1189,12 +1197,10 @@ def test_stage1_reads_measured_sum_bitwise(case, sf, nl, t, m, dt, rows_seed,
     stencil, on workspaces of the same data: the same bits, in float64 and
     complex128, in one slab and in several, for a step, the step retried
     after `reject()` (which writes the sum again), and the next step after
-    `accept()`."""
+    `accept()`. The real family takes float64 data only."""
     h, u, v = case
     if real or (nl is not None and nl.real_only):
         u, v = u.real.copy(), v.real.copy()
-    if not real:
-        u, v = u.astype(np.complex128), v.astype(np.complex128)
     assume(not is_uniform(u, v))  # a uniform workspace has no stencil
 
     def build():

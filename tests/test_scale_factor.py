@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgflrw import (DeSitter, PowerLaw, Tabulated, c_epsilon,
-                    check_monotone_expansion, check_t0_condition, hubble_rate,
-                    min_admissible_t0, t0_condition_threshold)
+from kgflrw import (DeSitter, Grid, PhysicalParams, PowerLaw, Start,
+                    Tabulated, c_epsilon, check_monotone_expansion, evaluate,
+                    make_profile, min_admissible_t0, t0_condition_threshold)
 from kgflrw.errors import (NegativeTime, NoAdmissibleT0, TimeBeyondHorizon)
 from oracles import desitter_oracle
 
@@ -29,6 +29,15 @@ def fd_check(sf, t, dt=1e-4):
     assert add == pytest.approx(add_fd, rel=1e-5, abs=1e-5)
 
 
+def t0_report(sf, t0, m, c, eps):
+    """`evaluate`'s report on unit data at t0 on sf: thm2.rate0 is
+    adot(t0)/a(t0) and thm2's t0_condition the start-time condition."""
+    grid = Grid(n=sf.n, points_per_axis=8, half_width=1.0)
+    one, zero = (make_profile(grid, "homogeneous", x) for x in (1.0, 0.0))
+    return evaluate(Start(one, zero, None).rec, t0, sf,
+                    PhysicalParams(m=m, c=c, eps=eps, n=sf.n))
+
+
 def test_powerlaw_closed_form():
     sf = PowerLaw(a0=2.0, H=0.7, sigma=1.0, n=3)
     expo = 2.0 / (3 * 2.0)
@@ -37,7 +46,8 @@ def test_powerlaw_closed_form():
         a, ad, _ = sf.eval(t)
         assert a == pytest.approx(2.0 * base ** expo, rel=1e-14)
     fd_check(sf, 0.9)
-    assert hubble_rate(sf, 0.0) == pytest.approx(0.7, rel=1e-14)
+    assert t0_report(sf, 0.0, 1.0, 1.0, 1.0).thm2.rate0 == pytest.approx(
+        0.7, rel=1e-14)
 
 
 def test_powerlaw_minkowski_is_static():
@@ -212,10 +222,11 @@ def test_t0_threshold_and_condition():
     thr = t0_condition_threshold(1.0, 1.0, 1.0, 1)
     assert thr == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-14)
     assert t0_condition_threshold(0.0, 1.0, 1.0, 1) == math.inf
-    ok, got = check_t0_condition(DeSitter(a0=1, H=0.5, n=1), 0.0, 1.0, 1.0, 1.0)
-    assert ok and got == pytest.approx(thr)
-    ok, _ = check_t0_condition(DeSitter(a0=1, H=0.7, n=1), 0.0, 1.0, 1.0, 1.0)
-    assert not ok
+    rep = t0_report(DeSitter(a0=1, H=0.5, n=1), 0.0, 1.0, 1.0, 1.0)
+    assert rep.thm2.conditions["t0_condition"]
+    assert rep.margins["thm2.t0_rate_slack"] == pytest.approx(thr - 0.5)
+    rep = t0_report(DeSitter(a0=1, H=0.7, n=1), 0.0, 1.0, 1.0, 1.0)
+    assert not rep.thm2.conditions["t0_condition"]
 
 
 def test_c_epsilon_frozen():
@@ -242,10 +253,11 @@ def test_min_admissible_t0():
     sf = PowerLaw(a0=1.0, H=2.0, sigma=0.0, n=1)
     t0 = min_admissible_t0(sf, 1.0, 1.0, 1.0)
     assert t0 > 0.0
-    ok, thr = check_t0_condition(sf, t0 * (1 + 1e-9), 1.0, 1.0, 1.0)
-    assert ok
+    assert t0_report(sf, t0 * (1 + 1e-9), 1.0, 1.0, 1.0).thm2.conditions[
+        "t0_condition"]
     # ... and the found start sits exactly on the rate threshold
-    assert hubble_rate(sf, t0) == pytest.approx(thr, rel=1e-12)
+    assert t0_report(sf, t0, 1.0, 1.0, 1.0).thm2.rate0 == pytest.approx(
+        t0_condition_threshold(1.0, 1.0, 1.0, 1), rel=1e-12)
     # de Sitter rate never decays: beyond-threshold H has no admissible start
     with pytest.raises(NoAdmissibleT0):
         min_admissible_t0(DeSitter(a0=1.0, H=5.0, n=1), 1.0, 1.0, 1.0)
