@@ -147,12 +147,14 @@ def parse_report(text: str) -> dict:
     return out
 
 
+def _float_csv(columns, rows) -> str:
+    """`_csv` of rows of floats, one %.17g format per row (`_fmt`'s text)."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return _csv(columns, ()) + "".join(line % row for row in rows)
+
+
 def trace_csv_text(trace: Trace) -> str:
-    """`_csv` of the trace's rows, one format per row: %.17g writes the
-    floats a row holds as `_fmt` does."""
-    line = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
-    return _csv(CSV_COLUMNS, ()) + "".join(
-        line % snapshot_csv_values(row) for row in trace.rows)
+    return _float_csv(CSV_COLUMNS, map(snapshot_csv_values, trace.rows))
 
 
 def _start(scn: Scenario) -> Start:
@@ -255,10 +257,9 @@ def cmd_oracle(args) -> int:
             return EXIT_NO_THEOREM
         problems.append(concavity_problem(report, scn.params))
     problems.extend(random_admissible_problems(args.random, seed=args.seed))
-    text = _csv(ORACLE_COLUMNS,
-                [(prob.kappa, prob.A, prob.B, prob.T, prob.y0, prob.y1,
-                  solve_concavity(prob), tstar_bound(prob))
-                 for prob in problems])
+    text = _float_csv(ORACLE_COLUMNS, (
+        (prob.kappa, prob.A, prob.B, prob.T, prob.y0, prob.y1,
+         solve_concavity(prob), tstar_bound(prob)) for prob in problems))
     if args.out:
         _write(args.out, text)
     else:

@@ -6,7 +6,8 @@ stage time, so homogeneous data reduce the step to the exact scalar RK4 map
 (the stencil Laplacian is +0.0 on constants, bit for bit). A run steps and
 measures one copy of the data (`Start`), in the dtype that `state_arrays`
 picks: float64 for real data, else complex128. The step works in place in
-arrays allocated once per run (`RK4Workspace`; `field.placed`), which also
+arrays allocated once per run, those of a step alone at the first step
+(`RK4Workspace`; `field.placed`), which also
 measures each accepted state once: one sweep gives the Laplacian sum of u,
 whose quadratic form is the gradient (`field`), and f(u) is kept beside
 it; stage 1 of the next step takes both, a recorded row f(u), and a
@@ -151,7 +152,8 @@ class RK4Workspace:
     and a term `tmp`, which also takes f(u) in float64 (a complex f
     allocates its slab-sized value). `slabs` holds each stencil slab with
     its views of (u, v, trial_u, trial_v, su, sv, kv, tmp) and the `out` of
-    f: tmp or None."""
+    f: tmp or None. A measurement reads none of trial_u, su, sv, kv, tmp and
+    `slabs`: they are None and empty until the first `_rk4` makes them."""
 
     def __init__(self, u, v, nl: Nonlinearity | None, h: float):
         if isinstance(u, np.ndarray) and is_uniform(u, v):
@@ -159,15 +161,19 @@ class RK4Workspace:
         self.uniform = not isinstance(u, np.ndarray)
         self.u, self.v = self.trial_u, self.trial_v = u, v
         self.nl, self.h = nl, h
-        if self.uniform:
-            self.slabs = self._swapped = ()
-            self._measure()
-            return
-        real = u.dtype == np.float64
-        self.trial_u, self.trial_v, self.su, self.sv = (
-            placed(u.shape, u.dtype, slot) for slot in range(2, 6))
-        self.stencil = Stencil(u.shape, u.dtype)
-        self.fu = None if nl is None else placed(u.shape, u.dtype, 6)
+        self.slabs = self._swapped = ()
+        if not self.uniform:
+            self.trial_u = self.su = self.sv = self.kv = self.tmp = None
+            self.trial_v = placed(u.shape, u.dtype, 3)
+            self.stencil = Stencil(u.shape, u.dtype)
+            self.fu = None if nl is None else placed(u.shape, u.dtype, 6)
+        self._measure()
+
+    def _allocate_step(self) -> None:
+        """Allocate the buffers only a step uses and build `slabs`."""
+        u, v, real = self.u, self.v, self.u.dtype == np.float64
+        self.trial_u, self.su, self.sv = (
+            placed(u.shape, u.dtype, slot) for slot in (2, 4, 5))
         shape = self.stencil.slabs[0].inner.shape[:1] + u.shape[1:]
         self.kv, self.tmp = (placed(shape, u.dtype, slot) for slot in (7, 8))
         self.slabs = []
@@ -179,7 +185,6 @@ class RK4Workspace:
             self.slabs.append((slab, *views, kv, tmp, tmp if real else None))
         self._swapped = [(slab, tu, tv, u, v, *rest)
                          for slab, u, v, tu, tv, *rest in self.slabs]
-        self._measure()
 
     def _measure(self) -> None:
         nl, u = self.nl, self.u
@@ -190,8 +195,8 @@ class RK4Workspace:
         # the sum of u stays in trial_v for stage 1
         self.grad_sq = grad_sq_array(u, self.h, self.stencil, self.trial_v)
         if nl is not None:
-            for slab, u_rows, *_ in self.slabs:
-                nl.f(u_rows, out=self.fu[slab.rows])
+            for slab in self.stencil.slabs:
+                nl.f(u[slab.rows], out=self.fu[slab.rows])
 
     def accept(self) -> None:
         self.u, self.trial_u = self.trial_u, self.u
@@ -285,6 +290,8 @@ def _rk4(dt, k_start, k_mid, k_end, nl, ws: RK4Workspace):
     state and trial state are scalar pairs."""
     if ws.uniform:
         return _rk4_uniform(dt, k_start, k_mid, k_end, nl, ws)
+    if not ws.slabs:
+        ws._allocate_step()
     hm = 0.5 * dt
     # stage 1: k1 = (v, acc_v), from the sum of u in acc_v
     for slab, u, v, _, acc_v, su, sv, _, tmp, f_out in ws.slabs:

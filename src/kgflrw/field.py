@@ -1,12 +1,11 @@
 """Periodic grids, the fourth-order Laplacian and initial-data profiles.
 
 The spatial domain is the torus [-L, L)^n with N uniform points per axis,
-n in {1, 2, 3}. A `Field` is a numpy complex128 array, i.e. interleaved
-(re, im) pairs in memory; the array kernels also take the float64 array of a
-real state and give the real part of the complex result bit for bit. Each
-reduction (`dot_re`) sums an array in its own dtype: BLAS ddot on float64,
-zdotc on complex128. The Laplacian is the fourth-order central stencil
-with wrap-around indexing:
+n in {1, 2, 3}. A `Field` is a numpy float64 array (real data) or a
+complex128 one; the array kernels take either, and on float64 give the real
+part of the complex result bit for bit. Each reduction (`dot_re`) sums an
+array in its own dtype: BLAS ddot on float64, zdotc on complex128. The
+Laplacian is the fourth-order central stencil with wrap-around indexing:
 
     D2 f = [16 (S1 - 2n f_i) - (S2 - 2n f_i)] / (12 h^2),
            Sk = sum over the n axes of (f_{i+k} + f_{i-k})
@@ -112,7 +111,8 @@ class Grid:
 
 @dataclass
 class Field:
-    """Complex samples of a scalar field on a grid."""
+    """Samples of a scalar field on a grid: float64 values are kept as
+    float64, any other as complex128."""
 
     grid: Grid
     values: np.ndarray
@@ -121,7 +121,8 @@ class Field:
         v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise GridMismatch(f"values shape {v.shape} does not match grid {self.grid.shape}")
-        self.values = np.ascontiguousarray(v, dtype=np.complex128)
+        self.values = np.ascontiguousarray(
+            v, dtype=np.float64 if v.dtype == np.float64 else np.complex128)
 
 
 @lru_cache(maxsize=16)
@@ -307,11 +308,18 @@ def make_profile(grid: Grid, kind: str, amplitude: complex, width: float | None 
       plane_mod    amplitude * exp(i k . x), k = round(width) * pi / half_width
                    per axis; width carries the integer mode number
 
-    Localized kinds need 4 cells < width < half_width.
+    Localized kinds need 4 cells < width < half_width. A finite amplitude
+    with imaginary part +0.0 gives float64: the complex values' real parts
+    (their imaginary parts are +0.0; a -0.0 or a non-finite amplitude may
+    change the signs of zeros or make them nan, and stays complex128).
     """
     center = check_profile(grid, kind, width, center)
+    real = (amplitude.imag == 0 and math.copysign(1.0, amplitude.imag) > 0
+            and math.isfinite(amplitude.real))
+    amp, dtype = ((amplitude.real, np.float64) if real
+                  else (amplitude, np.complex128))
     if kind == "homogeneous":
-        return Field(grid, np.full(grid.shape, amplitude, dtype=np.complex128))
+        return Field(grid, np.full(grid.shape, amp, dtype=dtype))
 
     if kind == "plane_mod":
         mode = int(round(width)) if width is not None else 1
@@ -321,13 +329,13 @@ def make_profile(grid: Grid, kind: str, amplitude: complex, width: float | None 
 
     r2 = _axis_sum(grid, center, lambda d: d ** 2)
     if kind == "gaussian":  # -r2 / (2 w^2), as r2 over -(2 w^2), in place
-        vals = amplitude * np.exp(np.divide(r2, -2.0 * width * width, out=r2),
-                                  out=r2)
+        vals = np.exp(np.divide(r2, -2.0 * width * width, out=r2), out=r2)
+        vals = np.multiply(amp, vals, out=vals if real else None)
     else:
-        vals = np.zeros(grid.shape, dtype=np.complex128)
+        vals = np.zeros(grid.shape, dtype=dtype)
         inside = r2 < width * width
         s = r2[inside] / (width * width)
-        vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s))
+        vals[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s))
     return Field(grid, vals)
 
 

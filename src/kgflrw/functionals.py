@@ -176,11 +176,12 @@ def state_arrays(u: Field, v: Field) -> tuple[np.ndarray, np.ndarray]:
     """Copies of the state's arrays, at `placed` slots 0 and 1, in the one
     dtype it is stepped and measured in: float64 when both have an all-zero
     imaginary part (every coupling maps reals to reals), else complex128."""
-    real = not (u.values.imag.any() or v.values.imag.any())
-    pair = [f.values.real if real else f.values for f in (u, v)]
-    out = tuple(placed(x.shape, x.dtype, slot) for slot, x in enumerate(pair))
-    for dst, x in zip(out, pair):
-        dst[...] = x
+    real = not any(np.iscomplexobj(f.values) and f.values.imag.any()
+                   for f in (u, v))
+    dtype = np.float64 if real else np.complex128
+    out = tuple(placed(u.grid.shape, dtype, slot) for slot in (0, 1))
+    for dst, f in zip(out, (u, v)):
+        dst[...] = f.values.real if real else f.values
     return out
 
 

@@ -152,7 +152,8 @@ def _velocity_margin(m0: Integrals, t0: float, a0: float, rate0: float,
 def _table_label(m0: Integrals, E0: float, I0: float, re_ok: bool,
                  params: PhysicalParams) -> str:
     """Quadrant label of the initial-data table for the data at t0, given
-    E(t0), I(u0) and the Re(u0, u1) verdict, or "none" outside its domain.
+    E(t0), I(u0) and the Re(u0, u1) verdict, "none" outside its domain, or
+    "undecided" when E(t0) or I(u0) is NaN.
 
     The table lives under I(u0) < 0, Re(u0,u1) >= 0, E(t0) >= 0 and m~ > 0.
     With X = m~^2 c~^2 eps/(2(eps+2)) ||u0||^2 and Y the same constant times
@@ -160,6 +161,8 @@ def _table_label(m0: Integrals, E0: float, I0: float, re_ok: bool,
     Y > E, IV (open) has E >= X and E >= Y.
     """
     mt, ct = params.m_tilde, params.c_tilde
+    if math.isnan(E0) or math.isnan(I0):
+        return "undecided"
     if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or not re_ok:
         return "none"
     lead = mt * mt * ct * ct * params.eps / (2.0 * (params.eps + 2.0))
@@ -179,8 +182,10 @@ class CorollaryCases:
     thm2_case: str
 
 
-def check_corollaries(sf: ScaleFactor, t0: float,
-                      params: PhysicalParams) -> CorollaryCases:
+def check_corollaries(sf: ScaleFactor, t0: float, params: PhysicalParams,
+                      thr: float, t0_ok: bool) -> CorollaryCases:
+    """The cases at t0: thm2's t0_condition verdict t0_ok decides case iii
+    (the rate at t0 = 0 is H), and case iv needs H above the threshold thr."""
     if isinstance(sf, Tabulated):
         return CorollaryCases("n/a", "n/a")
     H, sigma = sf.H, sf.sigma
@@ -201,18 +206,15 @@ def check_corollaries(sf: ScaleFactor, t0: float,
         if m == 0.0:
             if t0 == 0.0:
                 c2 = "ii"
-        else:
-            thr = t0_condition_threshold(m, params.c, params.eps, params.n)
-            if H <= thr * (1.0 + 1e-12):
-                if t0 == 0.0:
-                    c2 = "iii"
-            elif sigma > -1.0:
-                try:
-                    t0_req = min_admissible_t0(sf, m, params.c, params.eps)
-                except NoAdmissibleT0:  # an underflowed mass: no finite t0
-                    t0_req = math.nan  # matches no t0
-                if abs(t0 - t0_req) <= 1e-9 * max(1.0, abs(t0_req)):
-                    c2 = "iv"
+        elif t0 == 0.0 and t0_ok:
+            c2 = "iii"
+        elif sigma > -1.0 and H > thr:
+            try:
+                t0_req = min_admissible_t0(sf, m, params.c, params.eps)
+            except NoAdmissibleT0:  # an underflowed mass: no finite t0
+                t0_req = math.nan  # matches no t0
+            if abs(t0 - t0_req) <= 1e-9 * max(1.0, abs(t0_req)):
+                c2 = "iv"
     return CorollaryCases(c1, c2)
 
 
@@ -298,7 +300,8 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
     T_bound = shown.T_bound if shown is not None else None
 
     case = _table_label(m0, E0, I0, re_ok, params)
-    cors = check_corollaries(sf, t0, params)
+    cors = check_corollaries(sf, t0, params, thr,
+                             t2.conditions["t0_condition"])
     cor = ("n/a" if shown is None else
            {"thm1": cors.thm1_case, "thm2": cors.thm2_case}[shown.name])
 

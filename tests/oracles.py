@@ -28,8 +28,9 @@ from kgflrw import (GaugeInvariantPower, PhysicalParams, RealAbsPower, Start,
                     bundled_scenario_text, evaluate)
 from kgflrw.dynamics import _coeffs
 from kgflrw.errors import GridMismatch
+from kgflrw.hypotheses import CorollaryCases, check_corollaries
 from kgflrw.nonlinearity import Nonlinearity
-from kgflrw.scale_factor import ScaleFactor
+from kgflrw.scale_factor import ScaleFactor, t0_condition_threshold
 
 # ---------------------------------------------------------------------------
 # bits and rounding bounds
@@ -553,6 +554,8 @@ def ref_classify_table1(u0, u1, t0, sf, params, nl, E0=None, I0=None):
         E0 = ref_energy(st_, sf, params, nl)
     if I0 is None:
         I0 = ref_nehari(st_, sf, params, nl)
+    if math.isnan(E0) or math.isnan(I0):
+        return "undecided"
     re01 = inner_re(u0, u1)
     mt, ct = params.m_tilde, params.c_tilde
     if mt == 0.0 or I0 >= 0.0 or E0 < 0.0 or re01 < -ref_re_tolerance(u0, u1):
@@ -563,6 +566,17 @@ def ref_classify_table1(u0, u1, t0, sf, params, nl, E0=None, I0=None):
     if x_big:
         return "II" if y_big else "I"
     return "III" if y_big else "IV"
+
+
+def corollaries(sf, t0: float, params: PhysicalParams) -> CorollaryCases:
+    """`check_corollaries` at t0 given the rate threshold and thm2's
+    t0_condition verdict as `evaluate` decides it: the rate adot/a of sf
+    at t0 at most the threshold plus 1e-12 max(1, threshold), no condition
+    for m = 0."""
+    thr = t0_condition_threshold(params.m, params.c, params.eps, params.n)
+    a, adot, _ = sf.eval(t0)
+    ok = math.isinf(thr) or adot / a <= thr + 1e-12 * max(1.0, abs(thr))
+    return check_corollaries(sf, t0, params, thr, ok)
 
 
 class RefRunningIntegrals:

@@ -23,12 +23,14 @@ from hypothesis import given, settings, strategies as st
 from kgflrw import bundled_scenario_text, cli, config, dynamics
 from kgflrw.config import ProfileSpec, Scenario
 from kgflrw.cli import ORACLE_COLUMNS, main_entry, parse_report
-from kgflrw.dynamics import Trace
+from kgflrw.dynamics import Start, Trace
 from kgflrw.errors import InvariantViolation, ParseError
 from kgflrw.functionals import (CSV_COLUMNS, FunctionalSnapshot,
                                 snapshot_csv_values)
-from kgflrw.hypotheses import check_corollaries
-from oracles import TSTAR, count_calls, edited_scenario
+from kgflrw.hypotheses import concavity_problem, evaluate
+from kgflrw.odelab import (random_admissible_problems, solve_concavity,
+                           tstar_bound)
+from oracles import TSTAR, corollaries, count_calls, edited_scenario
 
 WRAP_CFG = """
 scale.family = powerlaw
@@ -260,7 +262,7 @@ def test_check_subnormal_mass_is_the_massless_limit(tmp_path, capsys):
     assert parse_report(out)["corollary_case"] != "iv"
     scn = config.parse_text(text, name="subnormal-mass")
     for t0 in (0.0, 1.0, 1e300):
-        assert check_corollaries(scn.sf, t0, scn.params).thm2_case == "n/a"
+        assert corollaries(scn.sf, t0, scn.params).thm2_case == "n/a"
 
 
 def test_simulate_subnormal_mass_hdiag_is_nan(tmp_path, capsys):
@@ -921,6 +923,27 @@ def test_oracle_random_batch(tmp_path, capsys):
         assert float(row["t_vanish"]) <= float(row["t_bound"]) * (1 + 1e-8)
         assert float(row["t_bound"]) <= float(row["T"]) * (1 + 1e-12)
     assert main_entry(["oracle-ode"]) == 2  # neither config nor --random
+
+
+@pytest.mark.parametrize("source", [
+    "desitter-thm2", "minkowski-m0-u2-A3", "minkowski-m1-thm2", "random"])
+def test_oracle_rows_are_the_csv_of_the_problems(tmp_path, capsys, source):
+    """oracle-ode writes its rows with one %.17g line format: the bytes of
+    `_csv`, which formats each value by `_fmt`, on the same problems: a
+    certified bundled scenario's, or 120 random problems of seed 7."""
+    if source == "random":
+        argv = ["--random", "120", "--seed", "7"]
+        problems = random_admissible_problems(120, seed=7)
+    else:
+        argv = [bundled_path(tmp_path, source)]
+        scn = config.parse_text(bundled_scenario_text(source))
+        rep = evaluate(Start(*scn.build_fields(), scn.nl).rec, scn.run.t0,
+                       scn.sf, scn.params, mode=scn.run.theorem_mode)
+        problems = [concavity_problem(rep, scn.params)]
+    assert main_entry(["oracle-ode", *argv]) == 0
+    assert capsys.readouterr().out == cli._csv(ORACLE_COLUMNS, [
+        (p.kappa, p.A, p.B, p.T, p.y0, p.y1, solve_concavity(p),
+         tstar_bound(p)) for p in problems])
 
 
 def test_sweep_frontier(tmp_path, capsys):

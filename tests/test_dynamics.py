@@ -22,6 +22,7 @@ import.
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -528,12 +529,14 @@ def test_run_arrays_sit_at_distinct_offsets_mod_4k():
     stage input and f(u)), its slab scratch, and its stencil's padded
     buffer and work bands each start at their own 64-byte slot past a 4 KiB
     boundary, in float64 and complex128, so that no two operands of one
-    ufunc alias mod 4 KiB, wherever the heap puts them."""
+    ufunc alias mod 4 KiB, wherever the heap puts them; the step's buffers
+    as the first step allocates them."""
     text = bundled_scenario_text("desitter-smooth")
     for amplitude in ("0.5", "0.5+0.5j"):
         scn = parse_text(text.replace("data0.amplitude = 0.5",
                                       f"data0.amplitude = {amplitude}"))
         ws = Start(*scn.build_fields(), scn.nl).ws
+        ws._allocate_step()
         st = ws.stencil
         pad = st._inner.ctypes.data - 2 * sum(st._inner.strides)
         addresses = [x.ctypes.data for x in (
@@ -542,6 +545,50 @@ def test_run_arrays_sit_at_distinct_offsets_mod_4k():
         offsets = [a % 4096 for a in addresses]
         assert offsets == [64 * slot for slot in range(14)]
         assert len(set(offsets)) == len(offsets)
+
+
+def test_real_data_allocate_what_each_phase_reads(tmp_path, capsys):
+    """A 3D N = 40 real Gaussian (`desitter-smooth` at grid.n = 3, width
+    0.7: at N = 32 no Gaussian over 4 cells wide passes check's wrap
+    guard), in units of one float64 state array, traced by tracemalloc.
+    Its two fields are float64 and take two arrays at their peak (a
+    complex128 field takes two alone). `Start` holds u, v, trial_v, fu and
+    the stencil, under 7 arrays, and no trial_u, su or sv until the first
+    `_rk4`, which allocates them. check's traced peak, the fields and
+    Start, stays under 10 arrays."""
+    text = edited_scenario(
+        "desitter-smooth", ("grid.n = 1", "grid.n = 3"),
+        ("grid.N = 256", "grid.N = 40"), ("data0.width = 0.55",
+                                          "data0.width = 0.7"))
+    scn = parse_text(text)
+    size = 40 ** 3 * np.dtype(np.float64).itemsize
+
+    def traced(call):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return out, (tracemalloc.get_traced_memory()[1] - base) / size
+
+    tracemalloc.start()
+    try:
+        (u0, u1), fields_peak = traced(scn.build_fields)
+        start, start_peak = traced(lambda: Start(u0, u1, scn.nl))
+        del u0, u1
+        cfg = tmp_path / "smooth3d.cfg"
+        cfg.write_text(text)
+        rc, check_peak = traced(lambda: main_entry(["check", str(cfg)]))
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 3
+    ws = start.ws
+    assert ws.u.dtype == np.float64
+    assert fields_peak < 2.5 and start_peak < 7.0 and check_peak < 10.0
+    assert ws.trial_u is ws.su is ws.sv is None and not ws.slabs
+    k = dynamics._coeffs(scn.sf.eval(0.0), scn.params, scn.grid.spacing)
+    _rk4(1e-3, k, k, k, scn.nl, ws)
+    for x in (ws.trial_u, ws.su, ws.sv):
+        assert x.shape == scn.grid.shape and x.dtype == np.float64
 
 
 def test_window_clamps_every_step(monkeypatch):

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgflrw import (DeSitter, GaugeInvariantPower, Grid, PhysicalParams,
-                    PowerLaw, Start, Tabulated, bundled_scenario_names,
-                    check_corollaries, evaluate, load_bundled_scenario,
+from kgflrw import (DeSitter, GaugeInvariantPower, Grid, Integrals,
+                    PhysicalParams, PowerLaw, Start, Tabulated,
+                    bundled_scenario_names, evaluate, load_bundled_scenario,
                     make_profile, theorem1_bound, theorem2_bound)
 from kgflrw.errors import HorizonTooShort
-from oracles import count_calls
+from kgflrw.scale_factor import t0_condition_threshold
+from oracles import corollaries, count_calls
 
 GRID = Grid(n=1, points_per_axis=16, half_width=math.pi)
 PARAMS_M0 = PhysicalParams(m=0.0, c=1.0, eps=1.0, n=1)
@@ -145,31 +146,55 @@ def test_table1_label_consistent(a, b):
 
 def test_corollary_mapping():
     flat = PowerLaw(0.0, H=0.0)
-    assert check_corollaries(flat, 0.0, PARAMS_M1) == \
-        check_corollaries(flat, 0.0, PARAMS_M0)
-    cc = check_corollaries(flat, 0.0, PARAMS_M1)
+    assert corollaries(flat, 0.0, PARAMS_M1) == \
+        corollaries(flat, 0.0, PARAMS_M0)
+    cc = corollaries(flat, 0.0, PARAMS_M1)
     assert (cc.thm1_case, cc.thm2_case) == ("i", "i")
-    cc = check_corollaries(flat, 0.3, PARAMS_M1)
+    cc = corollaries(flat, 0.3, PARAMS_M1)
     assert (cc.thm1_case, cc.thm2_case) == ("n/a", "n/a")
     # slow expansion: the rate condition already holds at t0 = 0
-    cc = check_corollaries(DeSitter(H=0.2), 0.0, PARAMS_M1)
+    cc = corollaries(DeSitter(H=0.2), 0.0, PARAMS_M1)
     assert (cc.thm1_case, cc.thm2_case) == ("ii", "iii")
     # fast de Sitter: no finite waiting time (sigma = -1 edge)
-    cc = check_corollaries(DeSitter(H=5.0), 0.0, PARAMS_M1)
+    cc = corollaries(DeSitter(H=5.0), 0.0, PARAMS_M1)
     assert (cc.thm1_case, cc.thm2_case) == ("ii", "n/a")
     # fast power law: the matched waiting time enables case iv
     sf = PowerLaw(1.0, H=2.0)
     golden = (math.sqrt(5.0) + 1.0) / 2.0
     t0_req = golden - 1.0 / (1.0 * 2.0 * 2.0) * 2.0  # 2C/(1+s) - 2/(n(1+s)H)
-    cc = check_corollaries(sf, t0_req, PARAMS_M1)
+    cc = corollaries(sf, t0_req, PARAMS_M1)
     assert cc.thm2_case == "iv"
     assert cc.thm1_case == "n/a"  # t0 > 0
-    assert check_corollaries(sf, 0.0, PARAMS_M1).thm2_case == "n/a"
+    assert corollaries(sf, 0.0, PARAMS_M1).thm2_case == "n/a"
     # tabulated backgrounds carry no closed-form coverage
     t = np.linspace(0.0, 2.0, 5)
     tab = Tabulated(t, np.ones(5), np.zeros(5), np.zeros(5))
-    cc = check_corollaries(tab, 0.0, PARAMS_M1)
+    cc = corollaries(tab, 0.0, PARAMS_M1)
     assert (cc.thm1_case, cc.thm2_case) == ("n/a", "n/a")
+
+
+@pytest.mark.parametrize("excess", [8e-13, 5e-13])
+def test_corollary_case_follows_the_t0_condition(excess):
+    """Homogeneous data u0 = 3, u1 = 0.5 (m = c = eps = 1) on de Sitter just
+    above the rate threshold, within thm2's slack 1e-12 max(1, threshold):
+    thm2 follows with its t0_condition, and the corollary case is iii, as
+    the one verdict decides both."""
+    thr = t0_condition_threshold(1.0, 1.0, 1.0, 1)
+    rep = evaluate(data(3.0, 0.5), 0.0, DeSitter(H=thr + excess), PARAMS_M1,
+                   mode="thm2")
+    assert rep.mode == "thm2" and rep.thm2.conditions["t0_condition"]
+    assert rep.corollary_case == "iii"
+
+
+def test_nan_energy_is_undecided():
+    """Finite integrals whose E(t0) and I(u0) are NaN (c^2 a^-2 ||grad u||^2
+    and c^2 int F both overflow to inf): the table cannot place the data,
+    so the label is undecided, not quadrant IV."""
+    rec = Integrals(1.0, 1.0, 1.0, 1e300, 1e300, 1e300)
+    rep = evaluate(rec, 0.0, PowerLaw(0.0, H=0.0, a0=1e-5),
+                   PhysicalParams(m=1.0, c=1e5, eps=1.0, n=1))
+    assert math.isnan(rep.E_t0) and math.isnan(rep.I_u0)
+    assert rep.case_label == "undecided"
 
 
 def test_rho_changes_sign_at_unit_amplitude():

@@ -213,7 +213,9 @@ def test_scalar_eval_matches_array_eval(sf, t):
 
 def reference_step(t, dt, sf, params, nl, h, ws):
     """A step of the reference kernel from time t, into the trial buffers
-    of ws, as `_rk4` writes them."""
+    of ws, as `_rk4` writes them (allocating them at the first step)."""
+    if not ws.slabs:
+        ws._allocate_step()
     u_new, v_new = ref_rk4(t, ws.u, ws.v, dt, sf, params, nl, h)
     ws.trial_u[...] = u_new
     ws.trial_v[...] = v_new
@@ -466,8 +468,7 @@ def test_uniform_run_matches_stencil_run(problem, data):
     vals = [u0.values.copy(), u1.values.copy()]
     cell = data.draw(st.integers(0, vals[moved].size - 1))
     flat = vals[moved].reshape(-1)
-    flat[cell] = complex(np.nextafter(flat[cell].real, np.inf),
-                         flat[cell].imag)
+    flat.real[cell] = np.nextafter(flat[cell].real, np.inf)
     u0, u1 = (Field(u0.grid, x) for x in vals)
     assert not is_uniform(*functionals.state_arrays(u0, u1))
     with pytest.MonkeyPatch.context() as mp:
@@ -484,9 +485,12 @@ def lap_stage1_step(dt, k_start, k_mid, k_end, nl, ws):
     """`_rk4` whose every stage loads its input, sweeps it with `lap_slab`
     and evaluates f: u is loaded again, its f(u) evaluated again, and stage
     1 calls `lap_slab` on the load; trial_v is filled with NaN first, so a
-    sum left there reaches no result. Stages 2 to 4 are `_rk4`'s."""
+    sum left there reaches no result. Stages 2 to 4 are `_rk4`'s, and so
+    is the allocation of the step's buffers at the first step."""
     if ws.uniform:
         return _rk4(dt, k_start, k_mid, k_end, nl, ws)
+    if not ws.slabs:
+        ws._allocate_step()
     ws.stencil.load(ws.u)
     ws.fu = None if nl is None else nl.f(ws.u)
     ws.trial_v.fill(np.nan)
@@ -942,8 +946,8 @@ def test_real_run_matches_complex_run(monkeypatch):
     seen = workspace_dtypes(monkeypatch)
     real = [simulate(*case) for case in cases]
     assert seen == [np.float64] * 3
-    monkeypatch.setattr(dynamics, "state_arrays",
-                        lambda u0, u1: (u0.values.copy(), u1.values.copy()))
+    monkeypatch.setattr(dynamics, "state_arrays", lambda u0, u1: (
+        u0.values.astype(np.complex128), u1.values.astype(np.complex128)))
     wide = [simulate(*case) for case in cases]
     assert seen[3:] == [np.complex128] * 3
     for (scn, _), fast, slow in zip(cases, real, wide):
