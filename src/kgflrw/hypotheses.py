@@ -36,6 +36,7 @@ conditions, and a certificate to its concavity comparison ODE.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field, fields
 
 from .errors import HorizonTooShort, InvariantViolation, NoAdmissibleT0
@@ -99,8 +100,10 @@ def _verdict(name: str, margin: float, T: float | None, conds: dict,
              rate0: float) -> TheoremCheck:
     """Add the background and bound clauses to conds and decide; T is the
     certified time (None for a nonpositive margin). A bound that is not a
-    finite number certifies nothing."""
+    finite number, or that does not exceed t_start (t0 + 1 rounds to t0
+    for a large t0), certifies nothing."""
     conds["bound_finite"] = T is None or math.isfinite(T)
+    conds["bound_after_start"] = T is None or T > t_start
     lifetime = sf.horizon()
     conds["background"] = check_monotone_expansion(
         sf, t_start, lifetime if T is None else min(T, lifetime))
@@ -259,8 +262,9 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
     checks and the table label take them. mode "auto" prefers the
     norm-margin certificate; "thm1"/"thm2" pin one. Raises ValueError when
     sf.n is not params.n, InvariantViolation when an integral of the data
-    is not finite, and HorizonTooShort when no certificate applies and at
-    least one was blocked only by the horizon clause (thm1's reason first).
+    is not finite or a(t0) is not a usable scale factor, and
+    HorizonTooShort when no certificate applies and at least one was
+    blocked only by the horizon clause (thm1's reason first).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -275,6 +279,12 @@ def evaluate(m0: Integrals, t0: float, sf: ScaleFactor,
 
     # the inputs both certificates and the table share, each read once
     a0, adot0, _ = sf.eval(t0)
+    if not (math.isfinite(a0) and a0 > 0 and a0 * a0 >= sys.float_info.min
+            and math.isfinite(adot0)):  # scale.a0's rule, and finite
+        raise InvariantViolation("scale_factor", "a(t0) must be finite and "
+                                 "positive with a square that does not "
+                                 "underflow, and adot(t0) finite; at t0 = "
+                                 f"{t0}: a = {a0}, adot = {adot0}")
     rate0 = adot0 / a0
     E0, I0 = m0.energy(a0, params), m0.nehari(a0, params)
     thr = t0_condition_threshold(params.m, params.c, params.eps, params.n)

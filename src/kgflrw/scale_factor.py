@@ -109,12 +109,18 @@ class PowerLaw:
         if not math.isinf(T0) and tt >= T0 * (1.0 - _HORIZON_SLACK):
             raise TimeBeyondHorizon(f"t = {tt} reaches the horizon T0 = {T0}")
         if self.sigma == -1.0:
-            a = self.a0 * float(np.exp(self.H * tt))
+            x = self.H * tt
+            if x < 709.0:  # exp(x) < 8.3e307 does not overflow
+                a = self.a0 * float(np.exp(x))
+            else:  # exp(x) may overflow: inf, without a warning
+                with np.errstate(over="ignore"):
+                    a = self.a0 * float(np.exp(x))
             return a, self.H * a, self.H * self.H * a
         try:
             return self._terms(tt)
-        except OverflowError:
-            return _as_eval(*self._terms(np.float64(tt)), True)
+        except OverflowError:  # inf, without a warning
+            with np.errstate(over="ignore"):
+                return _as_eval(*self._terms(np.float64(tt)), True)
 
     def _terms(self, tt):
         """(a, adot, addot) at the checked time(s) tt, a float or an array."""

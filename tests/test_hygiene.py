@@ -3,7 +3,7 @@ name the package exports, and every function and class a module defines, is
 read by one of its modules or listed in the README's "Library API" section.
 In the tests, no top-level function, class or constant is defined in two
 modules, and no test module imports another but `oracles`, which holds the
-references that several share.
+references that several share, and `cases`, the command-line case table.
 
 `__init__.py` is skipped by the first and the last check of the package: its
 imports are the package's exports, and what it defines serves scripts. Names
@@ -167,4 +167,4 @@ def test_import_checker_flags_a_test_module_import():
 
 
 def test_test_modules_import_only_the_oracles():
-    assert cross_imports(TESTS, {"oracles"}) == []
+    assert cross_imports(TESTS, {"oracles", "cases"}) == []
