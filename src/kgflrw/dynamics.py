@@ -37,9 +37,10 @@ first cell. The run measures such a state as one cell (`functionals`).
 The stepper (`Stepper`) owns the workspace, the background at its time
 and the step control: dt is clamped to the CFL window cfl * h * a_min / c
 (a_min over the step endpoints; a window below dt_min at t0, or later over
-a step of dt_min, is a config error), a step that grows ||u|| by more than
-growth_tol is retried at dt/2 until dt_min, and after a stretch of accepted
-steps dt regrows toward the configured value. Blow-up is ||u||^2 at
+a step of dt_min, is a config error, as is a t0 where t0 + dt rounds to
+t0), a step that grows ||u|| by more than growth_tol is retried at dt/2
+until dt_min, and after a stretch of accepted steps dt regrows toward the
+configured value. Blow-up is ||u||^2 at
 blowup_threshold times its initial value ("norm_threshold"), dt pinned at
 dt_min with accelerating growth ("step_collapse"), or a nonfinite state
 ("nonfinite": the last finite state ends the trace and detected stays
@@ -369,6 +370,9 @@ class Stepper:
             raise ValueError("params.n must match the grid dimension")
         if sf.n != params.n:
             raise ValueError("the background's n must match params.n")
+        if state.t + state.dt == state.t:  # no step would move t
+            raise InvariantViolation("dynamics", f"t0 + dt rounds to t0 = "
+                                     f"{state.t} at dt = {state.dt}")
         self.state, self.params, self.nl = state, params, nl
         self.sf, self.grid, self.cfg = sf, grid, cfg
         self._cfl_h = cfg.cfl * grid.spacing

@@ -36,6 +36,7 @@ from .errors import NoVanishBeforeT
 
 _REL_SLACK = 1e-12
 _SLACK = 0.1    # random_admissible_problems: margin over both admissibility floors
+_CF_TERMS = 100  # _beta_cf: at most this many pairs of terms (it needs < 20)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class ConcavityProblem:
             raise ValueError("y1^2 + I y0^(2 + 1/kappa) overflows")
         if II <= 0:  # both y1^2 and I y0^(2 + 1/kappa) underflowed
             raise ValueError("y1^2 + I y0^(2 + 1/kappa) underflows to 0")
+        if self.const_I == 0.0:  # else the window below divides by 0
+            raise ValueError(f"kappa = {self.kappa}: I underflows to 0")
         floor = (self.B * (self.T - self.t0)) ** (-self.kappa)
         if self.y0 < floor * (1.0 - _REL_SLACK):
             raise ValueError(
@@ -112,19 +115,52 @@ def solve_concavity(prob: ConcavityProblem,
     The equality dynamics dominate every solution of the inequality, so this
     is the latest vanishing time compatible with the data. Raises
     NoVanishBeforeT if it falls after t_max (default: the certified horizon
-    T). Only this function needs scipy, so it imports scipy.special here.
+    T). B(z0^2; a, 1/2) is the continued fraction DLMF 8.17.22 below the
+    switch point z0^2 = (a + 1)/(a + 5/2), and its symmetry above.
     """
-    from scipy.special import beta, betainc
-
     r = 2.0 + 1.0 / prob.kappa
     a = 1.0 / r
     II = prob.const_II
-    t_v = prob.t0 + float((II / prob.const_I) ** a / (r * math.sqrt(II))
-                          * betainc(a, 0.5, prob.z0 ** 2) * beta(a, 0.5))
+    t_v = prob.t0 + ((II / prob.const_I) ** a / (r * math.sqrt(II))
+                     * _beta_half(prob.z0 ** 2, a))
     end = prob.T if t_max is None else t_max
     if not t_v <= end:
         raise NoVanishBeforeT(f"y vanishes at t = {t_v!r}, after t = {end}")
     return t_v
+
+
+def _beta_half(x: float, a: float) -> float:
+    """B(x; a, 1/2) for 0 <= x <= 1, 0 < a <= 1/2: the continued fraction
+    below (a + 1)/(a + 5/2), else B(a, 1/2) - B(1 - x; 1/2, a)."""
+    if x < (a + 1.0) / (a + 2.5):
+        return x ** a * math.sqrt(1.0 - x) / a * _beta_cf(x, a, 0.5)
+    y = 1.0 - x
+    return (math.gamma(a) * math.sqrt(math.pi) / math.gamma(a + 0.5)
+            - 2.0 * math.sqrt(y) * x ** a * _beta_cf(y, 0.5, a))
+
+
+def _beta_cf(x: float, a: float, b: float) -> float:
+    """The continued fraction cf of B(x; a, b) = x^a (1-x)^b cf / a (DLMF
+    8.17.22) by modified Lentz, for x < (a + 1)/(a + b + 2) and a, b in
+    (0, 1/2], where no partial denominator nears 0 (so no Lentz guard);
+    ArithmeticError if unconverged after _CF_TERMS pairs of terms."""
+    c, h = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    d = h
+    for m in range(1, _CF_TERMS + 1):
+        k = a + 2 * m
+        even = m * (b - m) * x / ((k - 1) * k)
+        d = 1.0 / (1.0 + even * d)
+        c = 1.0 + even / c
+        h *= c * d
+        odd = -(a + m) * (a + b + m) * x / (k * (k + 1))
+        d = 1.0 / (1.0 + odd * d)
+        c = 1.0 + odd / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 2.0 ** -52:
+            return h
+    raise ArithmeticError(f"B(x; {a}, {b}) at x = {x}: the continued "
+                          f"fraction has not converged in {_CF_TERMS} terms")
 
 
 def random_admissible_problems(count: int,

@@ -610,6 +610,16 @@ CASES = [
          {"scn.cfg": edited_scenario("minkowski-m1-thm2", BIG_T0)},
          ("check scn.cfg", 3), ("oracle-ode scn.cfg", 3, NO_CERTIFICATE),
          check=_no_certificate),
+    # t0 + dt rounds to t0 = 1e300, so no step would move t: a run is
+    # refused before its first step, and so is each sweep point
+    case("run_that_rounds_to_t0_exit_two",
+         {"scn.cfg": edited_scenario("minkowski-m1-thm2", BIG_T0)},
+         (COMMANDS["simulate"], 2, "config error: dynamics: t0 + dt rounds "
+          "to t0 = 1e+300 at dt = 0.001"),
+         ("sweep scn.cfg --axis data0.amplitude=5:6:2 --out sweep-out", 0),
+         absent=("out", "sweep-out/amplitude5", "sweep-out/amplitude6"),
+         check=_frontier(("5", "error(InvariantViolation)"),
+                         ("6", "error(InvariantViolation)"))),
     # a(t0) overflows (the power law's numpy fallback, de Sitter's exp) or
     # underflows to 0, where c^2 / a^2 and adot / a would divide by zero
     *(case(f"background_not_usable_at_t0[{label}]",

@@ -5,11 +5,11 @@ RK4 step, the scalar RK4 step as a loop over a per-cell right-hand side,
 the one-cell dot, the meshgrid profiles, F in closed form and by
 quadrature, the functionals recomputed from the fields, the certificates'
 exponents, the history integrals' plain trapezoid accumulator, the DOP853
-integrations of spatially constant data and of the concavity ODE, the de
-Sitter closed form), the rounding bounds that hold the program to them
-(Higham, Accuracy and Stability of Numerical Algorithms, section 3.1) and
-the frozen exact values, and the config text edit that sweep points were
-parsed from. Every
+integrations of spatially constant data and of the concavity ODE, scipy's
+incomplete beta function, the de Sitter closed form), the rounding bounds
+that hold the program to them (Higham, Accuracy and Stability of Numerical
+Algorithms, section 3.1) and the frozen exact values, and the config text
+edit that sweep points were parsed from. Every
 test module imports them from here, and none imports another test module
 (`test_hygiene.py`).
 """
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import beta, betainc
 
 from kgflrw import (GaugeInvariantPower, PhysicalParams, RealAbsPower, Start,
                     bundled_scenario_text, evaluate)
@@ -746,6 +747,12 @@ def dop853_vanish(prob):
                     atol=_VANISH_RTOL * prob.y0, events=hit_zero)
     assert sol.success and sol.t_events[0].size, sol.message
     return float(sol.t_events[0][0]), sol
+
+
+def beta_half(x: float, a: float) -> float:
+    """B(x; a, 1/2) from scipy: the regularized betainc times the complete
+    beta. Below x = 2^-1026 it loses about a bit per halving of x."""
+    return float(betainc(a, 0.5, x) * beta(a, 0.5))
 
 
 def desitter_oracle(H, a0, t):

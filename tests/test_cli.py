@@ -187,9 +187,9 @@ def _scipy_modules_after(tmp_path, commands) -> list:
 
 
 def test_startup_loads_no_scipy(tmp_path):
-    """check, simulate and sweep never import scipy, nor multiprocessing
-    (the process pool of sweep --jobs above 1); oracle-ode imports
-    scipy.special for the closed form and nothing of scipy.integrate."""
+    """check, simulate, sweep --jobs 1 and oracle-ode, on a config and on
+    random problems, never import scipy, nor multiprocessing (the process
+    pool of sweep --jobs above 1)."""
     anchor = bundled_path(tmp_path, "minkowski-m0-u2-A3")
     short = write_cfg(tmp_path, bundled_scenario_text(
         "minkowski-m0-u2-A3").replace("run.t_end = 1.75", "run.t_end = 0.05"),
@@ -198,11 +198,9 @@ def test_startup_loads_no_scipy(tmp_path):
         [["check", anchor], 0],
         [["simulate", short, "--out", "sim-out"], 0],
         [["sweep", short, "--axis", "data0.amplitude=2:3:2", "--jobs", "1",
-          "--out", "sweep-out"], 0]]) == []
-    loaded = _scipy_modules_after(tmp_path, [[["oracle-ode", "--random", "3",
-                                               "--out", "r.csv"], 0]])
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+          "--out", "sweep-out"], 0],
+        [["oracle-ode", anchor, "--out", "o.csv"], 0],
+        [["oracle-ode", "--random", "3", "--out", "r.csv"], 0]]) == []
 
 
 def test_oracle_scenario_row_frozen(tmp_path, capsys):

@@ -13,6 +13,8 @@ Oracles, frozen first:
 
 solve_concavity evaluates the vanishing time in closed form; its oracle,
 `dop853_vanish` (`oracles.py`), integrates the equality ODE with DOP853.
+The closed form's incomplete beta function B(x; a, 1/2) is held to scipy's,
+`beta_half` (`oracles.py`).
 """
 
 import dataclasses
@@ -29,8 +31,8 @@ from kgflrw import (ConcavityProblem, Start, concavity_problem, evaluate,
                     solve_concavity, tstar_bound)
 from kgflrw.cli import ORACLE_COLUMNS, _csv, main_entry
 from kgflrw.errors import NoVanishBeforeT
-from kgflrw.odelab import _SLACK
-from oracles import VANISH_REST, dop853_vanish
+from kgflrw.odelab import _SLACK, _beta_cf, _beta_half
+from oracles import VANISH_REST, beta_half, dop853_vanish
 
 
 def worked_problem(y1):
@@ -93,15 +95,70 @@ def test_closed_form_matches_dop853(count, seed):
 
 
 @st.composite
+def beta_half_args(draw):
+    """(x, a) for B(x; a, 1/2): a from 1e-8 to just below 1/2, which kappa
+    from 1e-8 to past 1e4 gives, and x at 0, at a subnormal value, anywhere
+    in (0, 1) (both down to 2^-1026, where the scipy oracle still holds
+    1e-14), within a few ulps or 1e-3 relative on either side of the switch
+    point (a + 1)/(a + 5/2), at 1 - 2^-k and at 1."""
+    a = draw(st.one_of(st.floats(-8.0, math.log10(0.4)).map(
+        lambda e: 10.0 ** e), st.floats(0.4, 0.5, exclude_max=True)))
+    switch = (a + 1.0) / (a + 2.5)
+    x = draw(st.one_of(
+        st.just(0.0), st.floats(2.0 ** -1026, 2.0 ** -1022, exclude_max=True),
+        st.floats(2.0 ** -1026, 1.0, exclude_max=True),
+        st.integers(-3, 3).map(lambda k: switch + k * math.ulp(switch)),
+        st.floats(-1e-3, 1e-3).map(lambda rel: switch * (1.0 + rel)),
+        st.integers(1, 53).map(lambda k: 1.0 - 2.0 ** -k), st.just(1.0)))
+    return x, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta_half_args())
+def test_beta_half_matches_scipy(args):
+    x, a = args
+    want = beta_half(x, a)
+    assert abs(_beta_half(x, a) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 2.0 ** -1030])
+@pytest.mark.parametrize("a", [1e-8, 0.1, 0.49])
+def test_beta_half_at_the_smallest_subnormals(x, a):
+    """Where scipy loses bits (to 4% at 5e-324), B(x; a, 1/2) is its
+    leading term x^a / a: the next is a x / (2 (a + 1)) of it, below
+    1e-300."""
+    assert _beta_half(x, a) == pytest.approx(x ** a / a, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -26,
+                               1.0 - 2.0 ** -53, 1.0])
+def test_beta_half_at_a_half_is_an_arcsine(x):
+    """a = 1/2 (kappa so large that 2 + 1/kappa rounds to 2), where scipy
+    loses bits near x = 1: B(x; 1/2, 1/2) = 2 arcsin(sqrt(x)), as an atan2,
+    which keeps its bits there."""
+    assert _beta_half(x, 0.5) == pytest.approx(
+        2.0 * math.atan2(math.sqrt(x), math.sqrt(1.0 - x)), rel=1e-15, abs=0)
+
+
+def test_beta_fraction_that_does_not_converge_raises():
+    """Past the switch point the fraction converges slowly; at x = 0.999 it
+    has not in its cap of terms, and raises instead of returning a value."""
+    assert _beta_cf(0.99, 0.25, 0.5) == pytest.approx(
+        beta_half(0.99, 0.25) / (0.99 ** 0.25 * 0.1 / 0.25), rel=1e-14, abs=0)
+    with pytest.raises(ArithmeticError, match="not converged"):
+        _beta_cf(0.999, 0.25, 0.5)
+
+
+@st.composite
 def edge_problems(draw):
     """Admissible problems with kappa near the ends of the generator's range
-    and y1 at 0 (z0 = 1) or strongly negative. T sits just above the window
-    for B, and B at least just above its floor, as in
-    random_admissible_problems; B is also drawn away from 0, where the floor
+    and beyond, to 1e4 (a = 1/(2 + 1/kappa) near 1/2), and y1 at 0 (z0 = 1)
+    or strongly negative. T sits just above the window for B, and B at
+    least just above its floor, as in random_admissible_problems; B is also drawn away from 0, where the floor
     goes at small kappa. t0 = 0, since it only shifts the result, and at
     small kappa and large y0 the vanishing time can fall below the spacing
     of floats near 1."""
-    kappa = draw(st.one_of(st.floats(0.01, 0.1), st.floats(2.0, 10.0)))
+    kappa = draw(st.one_of(st.floats(0.01, 0.1), st.floats(2.0, 1e4)))
     A = draw(st.floats(0.5, 20.0))
     y0 = draw(st.floats(0.5, 3.0))
     y1 = draw(st.one_of(st.just(0.0), st.floats(-2.0, 0.0),
@@ -218,11 +275,14 @@ def test_problem_whose_constants_overflow_is_rejected():
     """kappa = 0.001 and y0 = 3 put y0^(2 + 1/kappa) = 3^1002 past the float
     range on an otherwise admissible problem: a ValueError at construction
     (which concavity_problem turns into a config error), not an
-    OverflowError from const_II in tstar_bound or solve_concavity."""
+    OverflowError from const_II in tstar_bound or solve_concavity. So is
+    kappa = 1e200, whose square overflows in const_I."""
     kappa, A, B = 0.001, 10.0, 1.0
     T = 1.1 * math.pi ** 2 * (2.0 * kappa + 1.0) * B / (8.0 * kappa ** 2 * A)
     with pytest.raises(ValueError, match="overflows"):
         ConcavityProblem(kappa=kappa, A=A, B=B, T=T, y0=3.0, y1=-1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        ConcavityProblem(kappa=1e200, A=1.0, B=1.0, T=10.0, y0=1.0, y1=-1.0)
 
 
 def test_problem_whose_constants_underflow_is_rejected():
@@ -231,6 +291,16 @@ def test_problem_whose_constants_underflow_is_rejected():
     construction instead."""
     with pytest.raises(ValueError, match="underflows to 0"):
         ConcavityProblem(kappa=0.25, A=12.0, B=1.0, T=1e304, y0=1e-76, y1=0.0)
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e-310, 5e-324])
+def test_problem_whose_kappa_squared_underflows_is_rejected(kappa):
+    """kappa^2 underflows to 0, so I = 2 kappa^2 A / (2 kappa + 1) is 0 and
+    the window pi^2 (2 kappa + 1) B / (8 kappa^2 A) would divide by it: a
+    ValueError that names kappa, not a ZeroDivisionError."""
+    with pytest.raises(ValueError, match=f"kappa = {kappa}: I underflows"):
+        ConcavityProblem(kappa=kappa, A=1.0, B=1e10, T=1e300, y0=1.0,
+                         y1=-1.0)
 
 
 def test_no_vanish_before_cutoff():
